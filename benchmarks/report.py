@@ -1,11 +1,13 @@
 """Shared emitter for the machine-readable ``BENCH_*.json`` artifacts.
 
 Every throughput/efficiency benchmark writes its numbers through
-:func:`write_bench`, so the artifacts share one location policy: the repo
-root by default, or ``$REPRO_BENCH_DIR`` when set — which is how CI
-regenerates fresh short-mode results into a scratch directory and compares
-them against the committed baselines with ``scripts/check_bench.py``
-(fail on >20% regression of any gated ratio).
+:func:`write_bench`, so the artifacts share one location policy: the
+gitignored ``bench-scratch/`` by default — a plain ``pytest`` run never
+rewrites the committed baselines at the repo root — or ``$REPRO_BENCH_DIR``
+when set.  That variable is both how CI regenerates fresh short-mode
+results for ``scripts/check_bench.py`` to compare against the baselines
+(fail on >20% regression of any gated ratio) and the one way to rebaseline:
+``REPRO_BENCH_DIR=. pytest benchmarks/``.
 
 Only *ratio* metrics (speedup, dedup factor, call reduction) are gated:
 they compare two runs on the same machine, so they are robust to CI runner
@@ -27,9 +29,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def bench_dir() -> Path:
-    """Where BENCH artifacts are written (repo root unless redirected)."""
+    """Where BENCH artifacts are written (``bench-scratch/`` unless redirected)."""
     override = os.environ.get(BENCH_DIR_ENV)
-    return Path(override) if override else REPO_ROOT
+    return Path(override) if override else REPO_ROOT / "bench-scratch"
 
 
 def bench_path(name: str) -> Path:

@@ -28,11 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from conftest import run_once
 from report import write_bench
 
-from repro.serving.transport import (
-    AsyncWireConnection,
-    WireConnection,
-    start_wire_server,
-)
+from repro.serving.transport import FRAME_BINARY, WireConnection, start_wire_server
 
 #: Concurrent requests per round — the acceptance point of the 2x claim.
 IN_FLIGHT = 64
@@ -115,29 +111,11 @@ def _pipelined_round(conn: WireConnection) -> float:
     return elapsed
 
 
-async def _async_round(port: int) -> float:
-    """The streaming asyncio client arm, reported for context (not gated)."""
-    conn = await AsyncWireConnection.open("127.0.0.1", port, timeout=30)
-    try:
-        requests = [
-            {"v": 2, "id": i, "task": {"type": "noop"}} for i in range(IN_FLIGHT)
-        ]
-        started = time.perf_counter()
-        responses = await conn.send_batch(requests)
-        elapsed = time.perf_counter() - started
-        assert [r["id"] for r in responses] == list(range(IN_FLIGHT))
-        return elapsed
-    finally:
-        await conn.close()
-
-
 def test_pipelined_halves_per_request_overhead(benchmark):
     port, stop = _start_server()
     executor = ThreadPoolExecutor(max_workers=IN_FLIGHT)
     conn = WireConnection.open("127.0.0.1", port, timeout=30)
     try:
-        assert conn.mode == "bin", "binary framing did not negotiate"
-
         # Warm both arms: thread pool spin-up and first-frame costs are
         # one-time, not per-request overhead.
         _baseline_round(port, executor)
@@ -156,7 +134,6 @@ def test_pipelined_halves_per_request_overhead(benchmark):
 
         run_once(benchmark, pipelined)
         pipelined_s = outcome["elapsed"]
-        async_s = asyncio.run(_async_round(port))
 
         baseline_per = baseline_s / IN_FLIGHT
         pipelined_per = pipelined_s / IN_FLIGHT
@@ -178,13 +155,9 @@ def test_pipelined_halves_per_request_overhead(benchmark):
                     "per_request_us": round(baseline_per * 1e6, 1),
                 },
                 "pipelined_binary": {
-                    "frame": conn.mode,
+                    "frame": FRAME_BINARY,
                     "elapsed_s": round(pipelined_s, 5),
                     "per_request_us": round(pipelined_per * 1e6, 1),
-                },
-                "async_streaming": {
-                    "elapsed_s": round(async_s, 5),
-                    "per_request_us": round(async_s / IN_FLIGHT * 1e6, 1),
                 },
                 "overhead_reduction_raw": round(reduction, 3),
                 "overhead_reduction": round(min(reduction, GATE_CLAMP), 3),

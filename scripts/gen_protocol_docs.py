@@ -43,22 +43,21 @@ will.  The same line protocol runs over stdin/stdout, over TCP
 router speaks it to subprocess workers too, so the protocol is also the
 cluster's internal transport).
 
-## Transport negotiation
+## Transport handshake
 
 Over TCP, a client may open with a **handshake line** —
-`{"repro": 1, "frames": ["bin", "lines"]}` — to upgrade the connection to
-the multiplexed transport: the server answers one JSON line naming the
-chosen framing (`{"repro": 1, "frame": "bin", "max_frame": 8388608}`) and
-from then on requests are dispatched *as they arrive* (no blank-line
-flush) with responses correlated by the envelope `id`, optionally carried
-in length-prefixed binary frames instead of lines.  Connections that send
-anything else as their first line get the exact legacy blank-line-batch
-semantics described above, so pre-handshake clients keep working
-unmodified.  A negotiated connection that loses frame sync (torn frame,
-oversized declared length) receives a best-effort `bad_frame` error and is
-closed.  The full framing spec — handshake, length-prefix layout,
-multiplexing and backpressure semantics, fallback negotiation — lives in
-`docs/wire-transport.md`.
+`{"repro": 1, "frames": ["bin"]}` — to upgrade the connection to the
+multiplexed binary transport: the server answers one JSON line
+(`{"repro": 1, "frame": "bin", "max_frame": 8388608}`) and from then on
+every message is a length-prefixed binary frame, requests are dispatched
+*as they arrive* (no blank-line flush) and responses are correlated by the
+envelope `id`.  Connections that send anything else as their first line
+speak the blank-line-batch JSON lines described above (`nc`, piped files).
+A handshake that does not offer `"bin"`, or a binary connection that loses
+frame sync (torn frame, oversized declared length), receives a best-effort
+`bad_frame` error and is closed.  The full framing spec — the decided wire
+matrix, handshake, length-prefix layout, multiplexing and backpressure
+semantics — lives in `docs/wire-transport.md`.
 
 Two request generations coexist on the channel:
 

@@ -164,36 +164,26 @@ class Client:
         port: int = 8765,
         timeout: float = 30.0,
         *,
-        protocol: str = "auto",
         pool_size: int = 4,
     ) -> "Client":
         """A client speaking the wire transport to a running TCP service.
 
-        Connections are pooled and keep-alive; each one negotiates the
-        framing at connect time (binary frames against a transport-aware
-        server, legacy JSON lines otherwise — see
-        ``docs/wire-transport.md``), and ``submit_many`` pipelines its whole
-        batch over one connection instead of paying a round trip per
-        request.
+        Connections are pooled and keep-alive; each one handshakes into
+        binary framing at connect time (see ``docs/wire-transport.md``), and
+        ``submit_many`` pipelines its whole batch over one connection
+        instead of paying a round trip per request.
 
         Args:
             host: Service host (``python -m repro serve --port ...``).
             port: Service TCP port.
             timeout: Per-connection socket timeout in seconds.
-            protocol: ``"auto"`` (default) negotiates framing at connect;
-                ``"lines"`` skips the handshake and speaks the plain
-                JSON-lines protocol.
             pool_size: Idle keep-alive connections retained for reuse.
 
         Returns:
             A :class:`Client` whose submissions travel over TCP; the
             spec/result semantics are identical to :meth:`local`.
         """
-        return cls(
-            _RemoteBackend(
-                host, port, timeout, protocol=protocol, pool_size=pool_size
-            )
-        )
+        return cls(_RemoteBackend(host, port, timeout, pool_size=pool_size))
 
     @classmethod
     def cluster(
@@ -361,7 +351,11 @@ class Client:
         tenant: str | None = None,
         retries: int = 0,
     ) -> list[TaskResult]:
-        """Async flavour of :meth:`submit_many` (same ordering/error rules)."""
+        """Async flavour of :meth:`submit_many` (same ordering/error rules).
+
+        Every backend runs its synchronous path on the loop's default
+        executor, so the event loop stays free while the batch is in flight.
+        """
         results = await self._asubmit_once(specs, priority, tenant)
         for _ in range(retries):
             positions = _retryable_positions(results)
@@ -379,27 +373,27 @@ class Client:
         self, specs: Sequence[TaskSpec], priority: int, tenant: str | None
     ) -> list[TaskResult]:
         with span("client.submit", specs=len(specs)):
-            requests, ids = self._encode(specs, priority=priority, tenant=tenant)
+            requests = self._encode(specs, priority=priority, tenant=tenant)
             if not requests:
                 return []
             self._last_trace = requests[0].get("trace")
             started = time.perf_counter()
             responses = self._backend.send(requests)
             elapsed = time.perf_counter() - started
-            return self._decode(responses, ids, elapsed)
+            return self._decode(responses, len(requests), elapsed)
 
     async def _asubmit_once(
         self, specs: Sequence[TaskSpec], priority: int, tenant: str | None
     ) -> list[TaskResult]:
         with span("client.submit", specs=len(specs)):
-            requests, ids = self._encode(specs, priority=priority, tenant=tenant)
+            requests = self._encode(specs, priority=priority, tenant=tenant)
             if not requests:
                 return []
             self._last_trace = requests[0].get("trace")
             started = time.perf_counter()
             responses = await self._backend.asend(requests)
             elapsed = time.perf_counter() - started
-            return self._decode(responses, ids, elapsed)
+            return self._decode(responses, len(requests), elapsed)
 
     def last_trace(self) -> str | None:
         """Trace id stamped on the most recent submission (or ``None``)."""
@@ -539,8 +533,8 @@ class Client:
     # -------------------------------------------------------------- internals
     def _encode(
         self, specs: Sequence[TaskSpec], priority: int = 0, tenant: str | None = None
-    ) -> tuple[list[dict], list[int]]:
-        requests, ids = [], []
+    ) -> list[dict]:
+        requests = []
         for spec in specs:
             if not isinstance(spec, TaskSpec):
                 raise TypeError(
@@ -559,29 +553,22 @@ class Client:
                     tenant=tenant,
                 )
             )
-            ids.append(request_id)
-        return requests, ids
+        return requests
 
     def _decode(
-        self, responses: list[dict], ids: list[int], elapsed: float
+        self, responses: list[dict], expected: int, elapsed: float
     ) -> list[TaskResult]:
-        if len(responses) != len(ids):
+        if len(responses) != expected:
             raise TransportError(
-                f"service answered {len(responses)} responses for {len(ids)} requests"
+                f"service answered {len(responses)} responses for {expected} requests"
             )
-        by_id = {}
-        for response in responses:
-            result = decode_response(response)
-            by_id[result.id] = result
-        per_item = elapsed / len(ids)
-        ordered = []
-        for position, request_id in enumerate(ids):
-            result = by_id.get(request_id)
-            if result is None:  # service echoed no/garbled ids: trust ordering
-                result = decode_response(responses[position])
+        # Every backend answers in request order (the wire connection
+        # realigns multiplexed responses by id itself).
+        per_item = elapsed / expected
+        results = [decode_response(response) for response in responses]
+        for result in results:
             result.elapsed = per_item
-            ordered.append(result)
-        return ordered
+        return results
 
 
 # -------------------------------------------------------------------- retries
@@ -610,7 +597,10 @@ class _Backend:
         raise NotImplementedError
 
     async def asend(self, requests: list[dict]) -> list[dict]:
-        raise NotImplementedError
+        # Engines and worker batches spin their own event loops, and the
+        # wire connection is blocking: keep all of it off the caller's loop.
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, self.send, requests)
 
     def run_tasks(self, tasks: "list[Task]") -> "list[ManipulationResult]":
         raise TransportError("run_task/run_tasks need a local client; this one is remote")
@@ -627,11 +617,6 @@ class _LocalBackend(_Backend):
 
     def send(self, requests: list[dict]) -> list[dict]:
         return self.service.handle_batch(requests)
-
-    async def asend(self, requests: list[dict]) -> list[dict]:
-        # handle_batch spins its own event loop; keep it off this one.
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.service.handle_batch, requests)
 
     def run_tasks(self, tasks: "list[Task]") -> "list[ManipulationResult]":
         return self.service.run_tasks(tasks)
@@ -652,11 +637,6 @@ class _ClusterBackend(_Backend):
     def send(self, requests: list[dict]) -> list[dict]:
         return self.router.handle_batch(requests)
 
-    async def asend(self, requests: list[dict]) -> list[dict]:
-        # Worker batches run their own event loops; keep them off this one.
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.router.handle_batch, requests)
-
     def run_tasks(self, tasks: "list[Task]") -> "list[ManipulationResult]":
         raise TransportError(
             "run_task/run_tasks need a single local engine; a cluster routes "
@@ -668,16 +648,12 @@ class _ClusterBackend(_Backend):
 
 
 class _RemoteBackend(_Backend):
-    """Requests shipped over the negotiated TCP wire transport.
+    """Requests shipped over the binary-framed TCP wire transport.
 
     Connections are **pooled and keep-alive**: the first batch pays one
     connect + handshake round trip (see
-    :class:`repro.serving.transport.WireConnection` — binary framing when
-    the server speaks it, multiplexed JSON lines otherwise, legacy
-    blank-line batches against pre-transport servers), and every later
-    batch reuses a pooled connection, pipelining all of its requests before
-    reading any response.  ``protocol="lines"`` skips negotiation entirely
-    and speaks the legacy protocol, one pooled connection per batch.
+    :class:`repro.serving.transport.WireConnection`), and every later batch
+    reuses a pooled connection, pipelining its requests over it.
 
     A batch that fails on a pooled connection (the server restarted, a
     keep-alive socket went stale) is retried once on a fresh connection
@@ -685,36 +661,22 @@ class _RemoteBackend(_Backend):
     """
 
     def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 30.0,
-        *,
-        protocol: str = "auto",
-        pool_size: int = 4,
+        self, host: str, port: int, timeout: float = 30.0, *, pool_size: int = 4
     ):
-        if protocol not in ("auto", "lines"):
-            raise ValueError(f"protocol must be 'auto' or 'lines', got {protocol!r}")
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.protocol = protocol
         self.pool_size = pool_size
         self._pool: Any = None
         self._pool_lock = threading.Lock()
 
-    # ----------------------------------------------------------------- sync
     def _pool_handle(self) -> Any:
         with self._pool_lock:
             if self._pool is None:
                 from ..serving.transport import WireConnectionPool
 
                 self._pool = WireConnectionPool(
-                    self.host,
-                    self.port,
-                    self.timeout,
-                    size=self.pool_size,
-                    negotiate=self.protocol == "auto",
+                    self.host, self.port, self.timeout, size=self.pool_size
                 )
             return self._pool
 
@@ -740,37 +702,6 @@ class _RemoteBackend(_Backend):
                 continue
             pool.release(conn)
             return responses
-        raise TransportError(
-            f"service at {self.host}:{self.port} dropped the batch: {last_error}"
-        ) from last_error
-
-    # ---------------------------------------------------------------- async
-    async def asend(self, requests: list[dict]) -> list[dict]:
-        # One connection per batch, closed before returning: connections
-        # must not outlive their event loop (callers often use asyncio.run),
-        # and the streaming win — all requests in flight before any response
-        # is read — is per-batch, not per-connection.
-        from ..serving.transport import AsyncWireConnection, FrameError
-
-        last_error: Exception | None = None
-        for attempt in range(2):
-            try:
-                conn = await AsyncWireConnection.open(
-                    self.host,
-                    self.port,
-                    self.timeout,
-                    negotiate=self.protocol == "auto",
-                )
-            except OSError as exc:
-                raise TransportError(
-                    f"cannot reach service at {self.host}:{self.port}: {exc}"
-                ) from exc
-            try:
-                return await conn.send_batch(requests)
-            except (OSError, FrameError, ConnectionError, asyncio.TimeoutError) as exc:
-                last_error = exc
-            finally:
-                await conn.close()
         raise TransportError(
             f"service at {self.host}:{self.port} dropped the batch: {last_error}"
         ) from last_error

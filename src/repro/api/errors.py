@@ -175,7 +175,7 @@ ERROR_CODES: dict[str, str] = {
     "unknown_task_type": "The request named a `type` outside the spec registry.",
     "protocol_error": "The envelope itself was malformed (bad `v`, missing `task` object).",
     "bad_json": "A request line never parsed as JSON (reported in position).",
-    "bad_frame": "A negotiated connection lost frame sync (torn frame, oversized declared length, undecodable payload); the response is best-effort with `id: null` and the connection closes — reconnect to recover.",
+    "bad_frame": "A binary-framed connection lost frame sync (torn frame, oversized declared length, undecodable payload), or a handshake did not offer the `bin` framing; the response is best-effort with `id: null` and the connection closes — reconnect to recover.",
     "pipeline_failed": "A `pipeline` request's plan failed mid-execution; the message names the stage.",
     "overloaded": "Admission control shed the request (`max_inflight`/`max_queue_depth` exceeded); `retry_after` hints the back-off in seconds and `details` carries the controller state at shed time (`queue_depth`, `inflight`, `pending`, `capacity`).",
     "rate_limited": "The request's tenant exceeded its token-bucket rate or `max_inflight` cap; `retry_after` hints the back-off in seconds and `details` carries the tenant state at shed time (`tenant`, `reason` — `rate` or `inflight` —, `rate`, `burst`, `max_inflight`, `inflight`).",

@@ -26,7 +26,7 @@ Three optional v2 envelope keys carry the observability layer:
   one causal tree in the event log.
 * ``"priority"`` — an integer (default 0, higher first) honored at dequeue
   when admitted batches contend for the engine (see
-  :class:`repro.obs.PriorityLock`).
+  :class:`repro.tenancy.WeightedFairLock`).
 
 A fourth optional key carries multi-tenancy (see :mod:`repro.tenancy`):
 

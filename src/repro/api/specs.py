@@ -20,7 +20,7 @@ the CLI all consult — replacing the if/elif ladder the PR 1 service used
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, ClassVar, Mapping, Sequence
 
 from ..core.tasks.base import Task

@@ -48,29 +48,27 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from ..api.pipeline_spec import PipelineSpec
 from ..api.protocol import (
     PROTOCOL_VERSION,
+    ParsedRequest,
     decode_response,
-    encode_error,
     encode_request,
-    encode_success,
 )
 from ..api.results import TaskResult
 from ..api.specs import TaskSpec
-from ..api.stats_spec import StatsSpec
-from ..obs.admission import AdmissionController
 from ..obs.events import emit_event
 from ..obs.export import get_default_exemplars
 from ..obs.metrics import MetricsRegistry, get_default_registry
-from ..obs.slo import HealthMonitor, SLOSpec
+from ..obs.slo import SLOSpec
 from ..obs.span import Span, remote_span, span
 from ..serving.cache import PersistentCache
-from ..tenancy import TenancyController, TenantRegistry
+from ..serving.frontdoor import FrontDoor
+from ..serving.service import build_service, run_pipeline_spec
+from ..tenancy import DEFAULT_TENANT, TenantRegistry
 from .hashing import HashRing, minimal_moved_keys, spec_key
 from .stats import ClusterStats, WorkerStats
 from .workers import ClusterError, SubprocessWorker, ThreadWorker, Worker, WorkerDeadError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import UniDMConfig
-    from ..llm.base import LanguageModel
 
 __all__ = ["Router"]
 
@@ -147,7 +145,6 @@ class Router:
         self._migrations = 0
         self._resizes = 0
         self._restarts = 0
-        self.requests_served = 0
         #: Per-worker registration generation: revivals bump it so a stale
         #: failure report from before the restart cannot kill the new
         #: incarnation (or double-count the old death).
@@ -173,36 +170,36 @@ class Router:
         self._m_restarts = self._metrics.counter("cluster.restarts")
         self._m_workers = self._metrics.gauge("cluster.workers")
         self._m_workers.set(len(ids))
-        self.admission = AdmissionController(
-            max_inflight,
-            max_queue_depth,
-            retry_after=retry_after,
-            name="router.admission",
-            metrics=self._metrics,
-        )
-        # Tenancy is enforced once, here at the front door; worker services
-        # run tenancy-free so a spec is never double-charged.  The claimed
+        # Tenancy is enforced once, at this front door; worker services run
+        # tenancy-free so a spec is never double-charged.  The resolved
         # tenant still rides every worker-bound envelope (with its weight)
         # so thread workers dequeue weighted-fair across tenants.
-        self.tenancy = (
-            TenancyController(tenants, retry_after=retry_after, metrics=self._metrics)
-            if tenants is not None
-            else None
-        )
-        # Readiness in cluster mode additionally requires every *expected*
-        # worker alive.  Draining workers are expected-absent (a planned
-        # leave must not flip /readyz), while a crashed worker keeps
-        # readiness down until the Supervisor revives it.
-        self.monitor = HealthMonitor(
-            registry=self._metrics,
+        self._door = FrontDoor(
+            self._run,
+            lambda: {
+                "cluster": self.stats().to_payload(),
+                "admission": self.admission.snapshot(),
+            },
+            name="router",
+            metrics=self._metrics,
+            max_inflight=max_inflight,
+            max_queue_depth=max_queue_depth,
+            retry_after=retry_after,
+            tenants=tenants,
             slos=slos,
-            interval=monitor_interval,
-            admission=self.admission,
+            monitor_interval=monitor_interval,
+            # Readiness in cluster mode additionally requires every
+            # *expected* worker alive.  Draining workers are expected-absent
+            # (a planned leave must not flip /readyz), while a crashed
+            # worker keeps readiness down until the Supervisor revives it.
             workers_alive=lambda: (
                 len(self.live_workers),
                 len(self.workers) - len(self._draining),
             ),
         )
+        self.admission = self._door.admission
+        self.tenancy = self._door.tenancy
+        self.monitor = self._door.monitor
         # Background health sweep: pings every worker each interval and
         # un-rings the dead, so gray failures are caught between submits
         # too.  close() joins this thread.
@@ -251,7 +248,6 @@ class Router:
         ``worker_decorator`` wraps every built worker (fault injection).
         """
         from ..core.pipeline import UniDM
-        from ..serving.service import build_service
 
         if n_workers < 1:
             raise ValueError("n_workers must be positive")
@@ -377,19 +373,20 @@ class Router:
     ) -> list[TaskResult]:
         """Execute specs across the cluster; results keep submission order.
 
-        Specs are grouped by ring placement and the per-worker groups run
-        concurrently.  A worker death mid-batch removes it from the ring and
-        requeues only its group — every other spec stays on the worker
-        holding its cache.  Per-item failures come back embedded as
-        ``result.error`` (like :meth:`repro.api.Client.submit_many`).
+        The typed entrance to the same front door :meth:`handle_batch`
+        uses (:class:`~repro.serving.frontdoor.FrontDoor`): ``stats`` specs
+        are answered from the router itself before admission; with tenancy
+        on, the call is charged against ``tenant``'s token bucket and
+        inflight cap — excess comes back as per-spec ``rate_limited``
+        errors — and then global admission applies: a batch that would
+        exceed the pending bound comes back ``overloaded`` instead of
+        queueing.  Admitted specs are grouped by ring placement and the
+        per-worker groups run concurrently.  A worker death mid-batch
+        removes it from the ring and requeues only its group — every other
+        spec stays on the worker holding its cache.  Per-item failures come
+        back embedded as ``result.error`` (like
+        :meth:`repro.api.Client.submit_many`).
 
-        ``stats`` specs are answered from the router itself (aggregated
-        snapshot), before admission control.  When tenancy is on, the whole
-        call is charged against ``tenant``'s token bucket and inflight cap
-        first — excess comes back as per-spec ``rate_limited`` errors — and
-        then global admission applies: when the batch would exceed the
-        pending bound, every spec of the batch comes back with an
-        ``overloaded`` error instead of queueing.
         ``trace`` (one id for the batch) is forwarded on every worker-bound
         envelope so the id survives the extra hop; ``span_parent`` (the
         caller's span id) parents the router's ``router.submit`` span so the
@@ -400,82 +397,41 @@ class Router:
         ClusterError
             When every worker has died.
         """
-        from ..serving.service import overloaded_error
-
-        spec_list = list(specs)
-        results: list[TaskResult | None] = [None] * len(spec_list)
-        work: list[tuple[int, TaskSpec]] = []
-        for index, spec in enumerate(spec_list):
-            if isinstance(spec, StatsSpec):
-                results[index] = TaskResult(
-                    answer=self.stats_snapshot(
-                        spec.prefix, reset=spec.reset, tenant=spec.tenant
-                    ),
-                    task_type="stats",
-                    tenant=tenant,
+        return self._door.submit(
+            [
+                ParsedRequest(
+                    spec, priority=priority, trace=trace, span=span_parent, tenant=tenant
                 )
-            else:
-                work.append((index, spec))
-        if work:
-            resolved = (
-                self.tenancy.resolve(tenant) if self.tenancy is not None else None
+                for spec in specs
+            ]
+        )
+
+    @property
+    def requests_served(self) -> int:
+        """Top-level requests answered (a pipeline plan counts once)."""
+        return self._door.requests_served
+
+    def _run(
+        self,
+        specs: Sequence[TaskSpec],
+        *,
+        priority: int,
+        tenant: str | None,
+        weight: float,
+        trace: str | None,
+        span_parent: str | None,
+    ) -> list[TaskResult]:
+        """The front door's *run*: one admitted group, fanned out by the ring."""
+        with remote_span(
+            "router.submit",
+            trace_id=trace,
+            parent_id=span_parent,
+            specs=len(specs),
+            tenant=tenant,
+        ):
+            return self._dispatch(
+                specs, priority=priority, trace=trace, tenant=tenant, weight=weight
             )
-            if self.tenancy is not None:
-                info = self.tenancy.admit(resolved, len(work))
-                if info is not None:
-                    emit_event("tenancy.shed", trace=trace, **(info.details or {}))
-                    for index, _ in work:
-                        results[index] = TaskResult(
-                            answer=None, error=info, tenant=tenant
-                        )
-                    with self._lock:
-                        self.requests_served += len(spec_list)
-                    return [result for result in results if result is not None]
-            started = time.perf_counter()
-            try:
-                if not self.admission.try_acquire(len(work)):
-                    info = overloaded_error(self.admission)
-                    emit_event(
-                        "admission.shed",
-                        trace=trace,
-                        name=self.admission.name,
-                        requests=len(work),
-                        **(info.details or {}),
-                    )
-                    for index, _ in work:
-                        results[index] = TaskResult(answer=None, error=info, tenant=tenant)
-                else:
-                    try:
-                        with remote_span(
-                            "router.submit",
-                            trace_id=trace,
-                            parent_id=span_parent,
-                            specs=len(work),
-                            tenant=resolved,
-                        ):
-                            answered = self._dispatch(
-                                [spec for _, spec in work],
-                                priority=priority,
-                                trace=trace,
-                                tenant=resolved,
-                            )
-                    finally:
-                        self.admission.release(len(work))
-                    for (index, _), result in zip(work, answered):
-                        if result.tenant is None:
-                            result.tenant = tenant
-                        results[index] = result
-            finally:
-                if self.tenancy is not None:
-                    self.tenancy.release(resolved, len(work))
-                    self.tenancy.observe_latency(
-                        resolved, time.perf_counter() - started, len(work)
-                    )
-        with self._lock:
-            # Top-level requests only: the nested wave submissions a
-            # pipeline plan makes through _dispatch do not inflate this.
-            self.requests_served += len(spec_list)
-        return [result for result in results if result is not None]
 
     def _dispatch(
         self,
@@ -484,6 +440,7 @@ class Router:
         priority: int = 0,
         trace: str | None = None,
         tenant: str | None = None,
+        weight: float = 1.0,
     ) -> list[TaskResult]:
         if self._closed:
             raise ClusterError("router is closed")
@@ -530,6 +487,7 @@ class Router:
                         trace,
                         parent_span,
                         tenant,
+                        weight,
                     )
                 pending = []
                 for worker_id, future in futures.items():
@@ -555,7 +513,13 @@ class Router:
             inflight.dec(n_tracked)
 
         for index, spec in plans:
-            results[index] = self._run_plan(spec, tenant=tenant)
+            # Wave submissions keep the plan's tenant and weight so
+            # worker-side weighted-fair queues see them (no re-admission:
+            # the plan was charged once at the front door).
+            results[index] = run_pipeline_spec(
+                spec,
+                lambda wave: self._dispatch(wave, tenant=tenant, weight=weight),
+            )
         return [result for result in results if result is not None]
 
     def _submit_group(
@@ -566,6 +530,7 @@ class Router:
         trace: str | None = None,
         parent: "Span | None" = None,
         tenant: str | None = None,
+        weight: float = 1.0,
     ) -> list[TaskResult]:
         worker = self.workers[worker_id]
         # Runs on a pool thread: the dispatch span is re-rooted from the
@@ -582,11 +547,6 @@ class Router:
             worker=worker_id,
             specs=len(group),
         ) as dispatch_span:
-            weight = (
-                self.tenancy.weight(tenant)
-                if self.tenancy is not None and tenant is not None
-                else 1.0
-            )
             requests = [
                 encode_request(
                     spec,
@@ -604,7 +564,7 @@ class Router:
             responses = worker.submit(
                 requests,
                 priority=priority,
-                tenant=tenant if tenant is not None else "default",
+                tenant=tenant or DEFAULT_TENANT,
                 weight=weight,
             )
             if len(responses) != len(requests):
@@ -618,77 +578,15 @@ class Router:
         get_default_exemplars().note(f"router.routed.{worker_id}", wire_trace)
         return [decode_response(response) for response in responses]
 
-    def _run_plan(self, spec: PipelineSpec, tenant: str | None = None) -> TaskResult:
-        from ..serving.service import run_pipeline_spec
-
-        def submit(specs: Sequence[TaskSpec]) -> list[TaskResult]:
-            # Wave submissions keep the plan's tenant so worker-side
-            # weighted-fair queues see the right weight (no re-admission:
-            # the plan was charged once at the front door).
-            return self._dispatch(specs, tenant=tenant)
-
-        return run_pipeline_spec(spec, submit)
-
     # -------------------------------------------------------------- wire front
     def handle_batch(self, requests: Sequence[Any]) -> list[dict]:
         """Answer raw wire requests (either protocol generation) in order.
 
-        Parsing and error encoding go through the same
-        :func:`repro.serving.service.parse_batch` helper the single-process
-        service uses, so the two front-ends answer malformed input
-        identically — ``python -m repro serve --cluster`` is this method
-        behind a socket.
+        The same :class:`~repro.serving.frontdoor.FrontDoor` sequence the
+        single-process service runs, so the two front-ends answer identically
+        — ``python -m repro serve --cluster`` is this method behind a socket.
         """
-        from ..serving.service import parse_batch
-
-        parsed_entries, responses = parse_batch(requests)
-        # Wire batches can mix tenants; submit_specs charges one tenant per
-        # call, so group by claimed tenant (everything is one "" group with
-        # tenancy off — the pre-tenancy behaviour, bit for bit).
-        groups: dict[str, list] = {}
-        for position, parsed in parsed_entries:
-            claimed = parsed.tenant or "" if self.tenancy is not None else ""
-            groups.setdefault(claimed, []).append((position, parsed))
-        for claimed, group in groups.items():
-            specs = [parsed.spec for _, parsed in group]
-            priority = max(parsed.priority for _, parsed in group)
-            # Forward the batch's trace id to the workers when it is
-            # unambiguous (all requests under one Trace context — the
-            # common client batch); mixed-trace batches forward nothing.
-            # The caller's span id parents this hop under the same condition.
-            traces = {parsed.trace for _, parsed in group if parsed.trace}
-            batch_trace = traces.pop() if len(traces) == 1 else None
-            spans = {parsed.span for _, parsed in group if parsed.span}
-            batch_parent = (
-                spans.pop() if batch_trace is not None and len(spans) == 1 else None
-            )
-            for (position, parsed), result in zip(
-                group,
-                self.submit_specs(
-                    specs,
-                    priority=priority,
-                    trace=batch_trace,
-                    span_parent=batch_parent,
-                    tenant=claimed or None,
-                ),
-            ):
-                if result.error is not None:
-                    responses[position] = encode_error(
-                        result.error,
-                        parsed.id,
-                        parsed.version,
-                        trace=parsed.trace,
-                        tenant=parsed.tenant,
-                    )
-                else:
-                    responses[position] = encode_success(
-                        result,
-                        parsed.id,
-                        parsed.version,
-                        trace=parsed.trace,
-                        tenant=parsed.tenant,
-                    )
-        return [response for response in responses if response is not None]
+        return self._door.handle_batch(requests)
 
     def _submit_group_tracked(
         self,
@@ -698,10 +596,11 @@ class Router:
         trace: str | None = None,
         parent: "Span | None" = None,
         tenant: str | None = None,
+        weight: float = 1.0,
     ) -> list[TaskResult]:
         try:
             return self._submit_group(
-                worker_id, group, priority, trace, parent, tenant
+                worker_id, group, priority, trace, parent, tenant, weight
             )
         finally:
             self._track_inflight(worker_id, -1)
@@ -1043,27 +942,7 @@ class Router:
         ``tenant`` (and tenancy on) the metrics narrow to that tenant's
         ``tenant.<name>.*`` series and the tenancy section to its state.
         """
-        if tenant and not prefix and self.tenancy is not None:
-            prefix = f"tenant.{self.tenancy.resolve(tenant)}."
-        snapshot = {
-            "cluster": self.stats().to_payload(),
-            "admission": {
-                "max_inflight": self.admission.max_inflight,
-                "max_queue_depth": self.admission.max_queue_depth,
-                "pending": self.admission.pending,
-                "inflight": self.admission.inflight,
-                "queue_depth": self.admission.queued,
-                "retry_after": self.admission.retry_after,
-            },
-            "metrics": self._metrics.snapshot(prefix),
-            "exemplars": get_default_exemplars().snapshot(),
-        }
-        if self.tenancy is not None:
-            snapshot["tenancy"] = self.tenancy.snapshot(tenant or None)
-        snapshot.update(self.monitor.sections(prefix))
-        if reset:
-            self._metrics.reset()
-        return snapshot
+        return self._door.stats_snapshot(prefix, reset=reset, tenant=tenant)
 
     def stats(self) -> ClusterStats:
         """Aggregate a :class:`ClusterStats` snapshot across all workers."""

@@ -30,7 +30,7 @@ import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..tenancy import DEFAULT_TENANT, FairBlockingQueue

@@ -28,8 +28,7 @@ package is the measurement layer that keeps it honest.  Nine pieces:
   :class:`AdmissionController` bounds in-flight and queued requests and
   rejects the excess with a structured ``overloaded`` protocol error
   (retry-after hint, queue depth, inflight count) instead of queueing
-  unboundedly, plus a :class:`PriorityLock` so higher-priority batches
-  dequeue first.
+  unboundedly.
 * :mod:`repro.obs.timeseries` — rolling ring-buffer views over the
   registry: windowed counter rates/deltas, gauge stats and histogram
   percentiles over 10s/1m/5m, sampled off the request path.
@@ -48,7 +47,6 @@ Snapshots are exposed end-to-end: the ``stats`` wire type
 
 from .admission import (
     AdmissionController,
-    PriorityLock,
     serve_stats_in_thread,
     start_stats_server,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "HealthMonitor",
     "Histogram",
     "MetricsRegistry",
-    "PriorityLock",
     "SLOEngine",
     "SLOSpec",
     "Span",

@@ -13,17 +13,16 @@ executor should run at once) and ``max_queue_depth`` (requests allowed to
 wait beyond that).  Leaving both ``None`` disables shedding entirely (the
 pre-observability behaviour).
 
-:class:`PriorityLock` is the companion dequeue policy: when several batches
-are admitted and waiting for the engine, the highest-priority one (v2
-envelope key ``"priority"``, higher first; FIFO within a priority) acquires
-next — so load shedding never has to drop urgent work to protect itself.
+The companion dequeue policy lives in :mod:`repro.tenancy`: when several
+admitted batches wait for the engine, :class:`~repro.tenancy.WeightedFairLock`
+serves the fair-share tenant's highest-priority one first (v2 envelope key
+``"priority"``, higher first; FIFO within a priority) — so load shedding
+never has to drop urgent work to protect itself.
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
-import itertools
 import json
 import threading
 from typing import Any, Callable, Iterator
@@ -133,6 +132,17 @@ class AdmissionController:
             self._pending = max(0, self._pending - n)
         self._m_pending.dec(n)
 
+    def snapshot(self) -> dict[str, Any]:
+        """The ``admission`` block of a stats snapshot (knobs + live state)."""
+        return {
+            "max_inflight": self.max_inflight,
+            "max_queue_depth": self.max_queue_depth,
+            "pending": self.pending,
+            "inflight": self.inflight,
+            "queue_depth": self.queued,
+            "retry_after": self.retry_after,
+        }
+
     @contextmanager
     def admitted(self, n: int = 1) -> Iterator[bool]:
         """``with`` form: yields whether the work was admitted."""
@@ -142,53 +152,6 @@ class AdmissionController:
         finally:
             if ok:
                 self.release(n)
-
-
-class PriorityLock:
-    """A mutex whose waiters acquire in (priority desc, arrival asc) order.
-
-    Drop-in stricter replacement for ``threading.Lock`` in code that wants
-    urgent batches served first under contention: ``acquire(priority=5)``
-    jumps ahead of every waiting ``priority=0`` caller but never preempts the
-    current holder.  Also usable as a context manager (priority 0).
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._locked = False
-        self._waiting: list[tuple[int, int]] = []  # heap of (-priority, seq)
-        self._sequence = itertools.count()
-
-    def acquire(self, priority: int = 0) -> None:
-        with self._cond:
-            ticket = (-priority, next(self._sequence))
-            heapq.heappush(self._waiting, ticket)
-            while self._locked or self._waiting[0] != ticket:
-                self._cond.wait()
-            heapq.heappop(self._waiting)
-            self._locked = True
-
-    def release(self) -> None:
-        with self._cond:
-            if not self._locked:
-                raise RuntimeError("release of an unheld PriorityLock")
-            self._locked = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def hold(self, priority: int = 0) -> Iterator[None]:
-        self.acquire(priority)
-        try:
-            yield
-        finally:
-            self.release()
-
-    def __enter__(self) -> "PriorityLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.release()
 
 
 # --------------------------------------------------------------- stats server
@@ -354,7 +317,6 @@ def serve_stats_in_thread(
 
 __all__ = [
     "AdmissionController",
-    "PriorityLock",
     "serve_stats_in_thread",
     "start_stats_server",
 ]

@@ -25,7 +25,6 @@ from .service import (
 from .stages import OrderedGate, drive_async, execute_task
 from .transport import (
     FRAME_BINARY,
-    FRAME_LINES,
     MAX_FRAME_BYTES,
     FrameError,
     start_wire_server,
@@ -34,7 +33,6 @@ from .transport import (
 __all__ = [
     "BatcherStats",
     "FRAME_BINARY",
-    "FRAME_LINES",
     "FrameError",
     "MAX_FRAME_BYTES",
     "EngineConfig",

@@ -28,26 +28,25 @@ the flat ``{"id", "ok", "answer", "raw", "tokens", "calls"}`` / bare-string
 ``serve_tcp`` exposes the same protocol on a socket through the asyncio
 wire transport of :mod:`repro.serving.transport`: plain JSON-lines
 connections keep the exact semantics above, while connections opening with
-a handshake line are upgraded to multiplexed (optionally binary-framed)
-service — many in-flight requests per connection, correlated by ``id``.
+a handshake line are upgraded to multiplexed binary-framed service — many
+in-flight requests per connection, correlated by ``id``.
+
+Every request path — this service's and the cluster router's — enters
+through the one :class:`~repro.serving.frontdoor.FrontDoor`; what this
+module adds is the *run* behind it: the fair batch lock and the engine.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import sys
-import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, IO, Iterable, Sequence
+from typing import Callable, IO, Iterable, Sequence
 
-from ..api.errors import ApiError, ErrorInfo, InvalidRequestError
+from ..api.errors import ApiError, ErrorInfo
 from ..api.pipeline_spec import PipelineSpec
-from ..api.protocol import ParsedRequest, encode_error, encode_success, parse_request
 from ..api.results import TaskResult
 from ..api.specs import TaskSpec
-from ..api.stats_spec import StatsSpec
 from ..core.config import UniDMConfig
 from ..core.pipeline import UniDM
 from ..core.tasks.base import Task
@@ -55,16 +54,16 @@ from ..core.types import ManipulationResult
 from ..llm.base import LanguageModel
 from ..llm.cache import CachedLLM
 from ..llm.simulated import SimulatedLLM
-from ..obs.admission import AdmissionController
-from ..obs.events import emit_event
 from ..obs.export import get_default_exemplars
 from ..obs.metrics import MetricsRegistry, get_default_registry
-from ..obs.slo import HealthMonitor, SLOSpec
+from ..obs.slo import SLOSpec
 from ..obs.span import remote_span
 from ..obs.trace import Trace
-from ..tenancy import DEFAULT_TENANT, TenancyController, TenantRegistry, WeightedFairLock
+from ..tenancy import DEFAULT_TENANT, TenantRegistry, WeightedFairLock
 from .cache import PersistentCache
 from .engine import EngineConfig, ExecutionEngine
+from .frontdoor import FrontDoor, InvalidRequest
+from .transport import start_wire_server
 
 
 def _route_key(spec: "TaskSpec") -> "str | None":
@@ -75,17 +74,6 @@ def _route_key(spec: "TaskSpec") -> "str | None":
         return spec_key(spec)
     except Exception:  # pragma: no cover - defensive: tagging is best-effort
         return None
-
-
-@dataclass(frozen=True)
-class InvalidRequest:
-    """Out-of-band marker for a line that never parsed into a request object.
-
-    Kept separate from request dicts so client payloads can carry any keys
-    they like without colliding with the error channel.
-    """
-
-    error: str
 
 
 class ServingService:
@@ -124,39 +112,40 @@ class ServingService:
     ):
         self.pipeline = pipeline
         self._metrics = metrics or get_default_registry()
-        self._m_requests = self._metrics.counter("service.requests")
         self._m_batch_latency = self._metrics.histogram("service.batch_latency")
         self.engine = engine or ExecutionEngine(metrics=self._metrics)
-        self.requests_served = 0
-        self.admission = AdmissionController(
-            max_inflight,
-            max_queue_depth,
-            retry_after=retry_after,
-            name="service.admission",
+        self._door = FrontDoor(
+            self._run,
+            lambda: {
+                "service": {
+                    "requests_served": self.requests_served,
+                    "admission": self.admission.snapshot(),
+                }
+            },
+            name="service",
             metrics=self._metrics,
-        )
-        self.tenancy = (
-            TenancyController(tenants, retry_after=retry_after, metrics=self._metrics)
-            if tenants is not None
-            else None
-        )
-        # Always present (probes and the timeseries/alerts stats sections
-        # work without any SLO configured); its background loop only runs
-        # when a front-end calls monitor.start().
-        self.monitor = HealthMonitor(
-            registry=self._metrics,
+            max_inflight=max_inflight,
+            max_queue_depth=max_queue_depth,
+            retry_after=retry_after,
+            tenants=tenants,
             slos=slos,
-            interval=monitor_interval,
-            admission=self.admission,
+            monitor_interval=monitor_interval,
         )
+        self.admission = self._door.admission
+        self.tenancy = self._door.tenancy
+        self.monitor = self._door.monitor
         # One batch at a time: the pipeline's rng and the engine's report are
         # shared state, so concurrent TCP connections take turns here (their
         # requests still micro-batch *within* each flush).  Under contention
         # the fair-share tenant's highest-priority waiting batch acquires
         # first; untagged traffic all rides the default tenant, where the
-        # order is exactly the old PriorityLock's (priority desc, arrival).
+        # order is plain (priority desc, arrival).
         self._batch_lock = WeightedFairLock()
-        self._served_lock = threading.Lock()
+
+    @property
+    def requests_served(self) -> int:
+        """Requests answered through the front door (errors included)."""
+        return self._door.requests_served
 
     def run_tasks(self, tasks: Iterable[Task]) -> list[ManipulationResult]:
         """Run pipeline tasks directly through the engine (in-process path).
@@ -171,259 +160,84 @@ class ServingService:
 
     def handle_batch(self, requests: Iterable[dict]) -> list[dict]:
         """Execute a batch of request objects; responses keep request order."""
-        request_list = list(requests)
-        parsed_entries, responses = parse_batch(request_list)
-        work: list[tuple[int, ParsedRequest]] = []
-        for position, parsed in parsed_entries:
-            if isinstance(parsed.spec, StatsSpec):
-                snapshot = TaskResult(
-                    answer=self.stats_snapshot(
-                        parsed.spec.prefix,
-                        reset=parsed.spec.reset,
-                        tenant=parsed.spec.tenant,
-                    ),
-                    task_type="stats",
-                )
-                responses[position] = encode_success(
-                    snapshot,
-                    parsed.id,
-                    parsed.version,
-                    trace=parsed.trace,
-                    tenant=parsed.tenant,
-                )
-            else:
-                work.append((position, parsed))
-        if work:
-            # Per-tenant limits first (cheap, per-group), then global
-            # capacity over whatever survived.
-            admitted = self._admit_tenants(work, responses)
-            if admitted:
-                total = sum(len(group) for _, group in admitted)
-                if not self.admission.try_acquire(total):
-                    info = overloaded_error(self.admission)
-                    emit_event(
-                        "admission.shed",
-                        name=self.admission.name,
-                        requests=total,
-                        **(info.details or {}),
-                    )
-                    for _, group in admitted:
-                        for position, parsed in group:
-                            responses[position] = encode_error(
-                                info,
-                                parsed.id,
-                                parsed.version,
-                                trace=parsed.trace,
-                                tenant=parsed.tenant,
-                            )
-                    self._release_tenants(admitted)
-                else:
-                    try:
-                        for tenant, group in admitted:
-                            self._handle_tenant_group(tenant, group, responses)
-                    finally:
-                        self.admission.release(total)
-                        self._release_tenants(admitted)
-        with self._served_lock:
-            self.requests_served += len(request_list)
-        self._m_requests.inc(len(request_list))
-        return [response for response in responses if response is not None]
+        return self._door.handle_batch(requests)
 
-    def _admit_tenants(
+    def handle_request(self, request: dict) -> dict:
+        return self.handle_batch([request])[0]
+
+    def stats_snapshot(
+        self, prefix: str = "", *, reset: bool = False, tenant: str = ""
+    ) -> dict:
+        """The observability snapshot a ``stats`` request answers with."""
+        return self._door.stats_snapshot(prefix, reset=reset, tenant=tenant)
+
+    # --------------------------------------------------------------------- run
+    def _run(
         self,
-        work: "list[tuple[int, ParsedRequest]]",
-        responses: "list[dict | None]",
-    ) -> "list[tuple[str, list[tuple[int, ParsedRequest]]]]":
-        """Group ``work`` by resolved tenant and charge each tenant's limits.
-
-        Returns the admitted ``(tenant, group)`` pairs; rejected groups get
-        their ``rate_limited`` error encoded into ``responses`` in place.
-        With tenancy off, everything is one admitted ``default`` group.
-        """
-        if self.tenancy is None:
-            return [(DEFAULT_TENANT, list(work))]
-        groups: dict[str, list[tuple[int, ParsedRequest]]] = {}
-        for position, parsed in work:
-            tenant = self.tenancy.resolve(parsed.tenant)
-            groups.setdefault(tenant, []).append((position, parsed))
-        admitted: list[tuple[str, list[tuple[int, ParsedRequest]]]] = []
-        for tenant, group in groups.items():
-            info = self.tenancy.admit(tenant, len(group))
-            if info is None:
-                admitted.append((tenant, group))
-                continue
-            emit_event("tenancy.shed", **(info.details or {}))
-            for position, parsed in group:
-                responses[position] = encode_error(
-                    info,
-                    parsed.id,
-                    parsed.version,
-                    trace=parsed.trace,
-                    tenant=parsed.tenant,
-                )
-        return admitted
-
-    def _release_tenants(
-        self, admitted: "list[tuple[str, list[tuple[int, ParsedRequest]]]]"
-    ) -> None:
-        if self.tenancy is None:
-            return
-        for tenant, group in admitted:
-            self.tenancy.release(tenant, len(group))
-
-    def _handle_tenant_group(
-        self,
-        tenant: str,
-        group: "list[tuple[int, ParsedRequest]]",
-        responses: "list[dict | None]",
-    ) -> None:
-        """Run one tenant's admitted requests under the fair batch lock."""
-        priority = max(parsed.priority for _, parsed in group)
-        weight = self.tenancy.weight(tenant) if self.tenancy is not None else 1.0
-        batch_trace, batch_parent = batch_span_context(parsed for _, parsed in group)
-        started = time.perf_counter()
-        try:
-            # The span covers the lock wait too — that *is* the
-            # service-side queueing a caller experiences.
-            with remote_span(
-                "service.batch",
-                trace_id=batch_trace,
-                parent_id=batch_parent,
-                requests=len(group),
-                tenant=tenant,
+        specs: Sequence[TaskSpec],
+        *,
+        priority: int,
+        tenant: str | None,
+        weight: float,
+        trace: str | None,
+        span_parent: str | None,
+    ) -> list[TaskResult]:
+        """The front door's *run*: one admitted group under the fair batch lock."""
+        tenant = tenant or DEFAULT_TENANT
+        # The span covers the lock wait too — that *is* the service-side
+        # queueing a caller experiences.
+        with remote_span(
+            "service.batch",
+            trace_id=trace,
+            parent_id=span_parent,
+            requests=len(specs),
+            tenant=tenant,
+        ):
+            with self._batch_lock.hold(
+                priority, tenant=tenant, weight=weight, cost=float(len(specs))
             ):
-                with self._batch_lock.hold(
-                    priority, tenant=tenant, weight=weight, cost=float(len(group))
-                ):
-                    self._handle_parsed_locked(group, responses)
-        finally:
-            if self.tenancy is not None:
-                # Queueing behind other tenants included: this histogram's
-                # p99 is the isolation signal the chaos tests assert on.
-                self.tenancy.observe_latency(
-                    tenant, time.perf_counter() - started, len(group)
-                )
+                return self._run_specs(specs)
 
-    def _handle_parsed_locked(
-        self,
-        parsed_entries: "list[tuple[int, ParsedRequest]]",
-        responses: "list[dict | None]",
-    ) -> None:
-        """Execute already-parsed requests, filling ``responses`` in place."""
+    def _run_specs(self, specs: Sequence[TaskSpec]) -> list[TaskResult]:
+        """Specs in, results out, batch lock held.
+
+        Task specs run as one engine batch; a :class:`PipelineSpec` runs the
+        streaming flow executor with this same method as its spec-batch
+        backend.  A spec that fails to build its task is answered in
+        position with the error embedded; it never aborts the batch.
+        """
+        results: list[TaskResult | None] = [None] * len(specs)
         tasks: list[Task] = []
-        #: (request position, parsed request) per queued task.
-        slots: list[tuple[int, ParsedRequest]] = []
-        #: Pipeline (plan-level) requests, answered after the task batch.
-        plans: list[tuple[int, ParsedRequest]] = []
-        for position, parsed in parsed_entries:
-            if isinstance(parsed.spec, PipelineSpec):
-                plans.append((position, parsed))
+        slots: list[int] = []
+        plans: list[int] = []
+        for index, spec in enumerate(specs):
+            if isinstance(spec, PipelineSpec):
+                plans.append(index)
                 continue
             try:
-                task = parsed.spec.to_task()
-                # Spec-key tag the engine propagates to the batcher so every
-                # prompt lands in the shard's route index — the attribution
-                # the cluster's hash-minimal migration moves entries by.
-                task.route_key = _route_key(parsed.spec)
-                tasks.append(task)
+                task = spec.to_task()
             except (ApiError, ValueError, KeyError, TypeError, IndexError) as exc:
                 info = exc.info if isinstance(exc, ApiError) else ErrorInfo(
                     code="invalid_request", message=str(exc)
                 )
-                responses[position] = encode_error(
-                    info,
-                    parsed.id,
-                    parsed.version,
-                    trace=parsed.trace,
-                    tenant=parsed.tenant,
-                )
+                results[index] = TaskResult(answer=None, error=info)
                 continue
-            slots.append((position, parsed))
-        if tasks:
-            started = time.perf_counter()
-            results = self.pipeline.run_many(tasks, engine=self.engine)
-            self._m_batch_latency.observe(time.perf_counter() - started)
-            get_default_exemplars().note("service.batch_latency", Trace.current_id())
-            for (position, parsed), result in zip(slots, results):
-                payload = TaskResult.from_manipulation(result, request_id=parsed.id)
-                responses[position] = encode_success(
-                    payload,
-                    parsed.id,
-                    parsed.version,
-                    trace=parsed.trace,
-                    tenant=parsed.tenant,
-                )
-        for position, parsed in plans:
-            responses[position] = self._run_plan_locked(parsed)
-
-    # ------------------------------------------------------------------- stats
-    def stats_snapshot(
-        self, prefix: str = "", *, reset: bool = False, tenant: str = ""
-    ) -> dict:
-        """The observability snapshot a ``stats`` request answers with.
-
-        With ``reset`` the registry is zeroed in place *after* the snapshot
-        is taken, so the next one reports only what happened since.  With
-        ``tenant`` (and tenancy on) the metrics narrow to that tenant's
-        ``tenant.<name>.*`` series and the tenancy section to its state.
-        """
-        if tenant and not prefix and self.tenancy is not None:
-            prefix = f"tenant.{self.tenancy.resolve(tenant)}."
-        snapshot = {
-            "service": {
-                "requests_served": self.requests_served,
-                "admission": {
-                    "max_inflight": self.admission.max_inflight,
-                    "max_queue_depth": self.admission.max_queue_depth,
-                    "pending": self.admission.pending,
-                    "inflight": self.admission.inflight,
-                    "queue_depth": self.admission.queued,
-                    "retry_after": self.admission.retry_after,
-                },
-            },
-            "metrics": self._metrics.snapshot(prefix),
-            "exemplars": get_default_exemplars().snapshot(),
-        }
-        if self.tenancy is not None:
-            snapshot["tenancy"] = self.tenancy.snapshot(tenant or None)
-        snapshot.update(self.monitor.sections(prefix))
-        if reset:
-            self._metrics.reset()
-        return snapshot
-
-    def _run_specs_locked(self, specs: "Sequence[TaskSpec]") -> list[TaskResult]:
-        """Execute already-validated specs through the engine (lock held).
-
-        This is the plan-level submission path the flow executor uses when a
-        whole pipeline runs inside the service: spec batches skip the JSON
-        envelope and go straight to the engine.
-        """
-        tasks = []
-        for spec in specs:
-            task = spec.to_task()
+            # Spec-key tag the engine propagates to the batcher so every
+            # prompt lands in the shard's route index — the attribution
+            # the cluster's hash-minimal migration moves entries by.
             task.route_key = _route_key(spec)
             tasks.append(task)
-        results = self.pipeline.run_many(tasks, engine=self.engine)
-        return [TaskResult.from_manipulation(result) for result in results]
-
-    def _run_plan_locked(self, parsed: ParsedRequest) -> dict:
-        """Answer one pipeline request by running the streaming flow executor."""
-        result = run_pipeline_spec(parsed.spec, self._run_specs_locked)
-        result.id = parsed.id
-        if result.error is not None:
-            return encode_error(
-                result.error,
-                parsed.id,
-                parsed.version,
-                trace=parsed.trace,
-                tenant=parsed.tenant,
-            )
-        return encode_success(
-            result, parsed.id, parsed.version, trace=parsed.trace, tenant=parsed.tenant
-        )
-
-    def handle_request(self, request: dict) -> dict:
-        return self.handle_batch([request])[0]
+            slots.append(index)
+        if tasks:
+            started = time.perf_counter()
+            outcomes = self.pipeline.run_many(tasks, engine=self.engine)
+            self._m_batch_latency.observe(time.perf_counter() - started)
+            get_default_exemplars().note("service.batch_latency", Trace.current_id())
+            for index, outcome in zip(slots, outcomes):
+                results[index] = TaskResult.from_manipulation(outcome)
+        for index in plans:
+            results[index] = run_pipeline_spec(specs[index], self._run_specs)
+        return [result for result in results if result is not None]
 
     # ----------------------------------------------------------------- fronts
     def serve_stream(self, in_stream: IO[str], out_stream: IO[str]) -> int:
@@ -448,41 +262,6 @@ class ServingService:
 
 #: Contract of a batch handler: raw request objects in, responses in order.
 BatchHandler = Callable[[list], "list[dict]"]
-
-
-def parse_batch(
-    requests: Sequence[Any],
-) -> "tuple[list[tuple[int, ParsedRequest]], list[dict | None]]":
-    """Parse raw wire requests into specs, encoding failures in position.
-
-    The single parsing/error path shared by the single-process service and
-    the cluster router, so the two front-ends cannot drift: unparseable
-    lines (:class:`InvalidRequest`) become ``bad_json`` errors, validation
-    failures carry their :class:`~repro.api.errors.ApiError` info, and all
-    error responses use the request's claimed protocol generation.
-
-    Returns:
-        ``(parsed, responses)`` where ``parsed`` holds ``(position,
-        ParsedRequest)`` for every valid request and ``responses`` is a
-        request-aligned list containing an encoded error response for each
-        invalid one (``None`` elsewhere).
-    """
-    parsed_entries: list[tuple[int, ParsedRequest]] = []
-    responses: list[dict | None] = [None] * len(requests)
-    for position, request in enumerate(requests):
-        request_id = request.get("id") if isinstance(request, dict) else None
-        try:
-            if isinstance(request, InvalidRequest):
-                raise InvalidRequestError(request.error, code="bad_json")
-            parsed_entries.append((position, parse_request(request)))
-        except ApiError as exc:
-            version = claimed_version(request)
-            responses[position] = encode_error(exc.info, request_id, version)
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
-            version = claimed_version(request)
-            error = ErrorInfo(code="invalid_request", message=str(exc))
-            responses[position] = encode_error(error, request_id, version)
-    return parsed_entries, responses
 
 
 def serve_lines(
@@ -523,31 +302,20 @@ def serve_lines(
 
 
 async def start_line_server(
-    handle_batch: BatchHandler,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    max_frame_bytes: int | None = None,
+    handle_batch: BatchHandler, host: str = "127.0.0.1", port: int = 0
 ) -> asyncio.AbstractServer:
     """Bind the TCP wire server over any batch handler.
 
     This is the asyncio-native transport of :mod:`repro.serving.transport`:
-    connections that open with a handshake line get multiplexed, optionally
+    connections that open with a handshake line get multiplexed,
     binary-framed service (many in-flight requests per connection,
-    responses correlated by ``id``); connections that don't get the exact
-    legacy JSON-lines semantics — request lines accumulate and flush on
-    blank lines, batches execute on a worker thread (``handle_batch`` may
-    spin its own event loop) so the accept loop stays responsive.  See
-    ``docs/wire-transport.md`` for the negotiation and framing spec.
+    responses correlated by ``id``); connections that don't speak plain
+    JSON lines — request lines accumulate and flush on blank lines.  Either
+    way batches execute on a worker thread (``handle_batch`` may spin its
+    own event loop) so the accept loop stays responsive.  See
+    ``docs/wire-transport.md`` for the handshake and framing spec.
     """
-    from .transport import MAX_FRAME_BYTES, start_wire_server
-
-    return await start_wire_server(
-        handle_batch,
-        host,
-        port,
-        max_frame_bytes=max_frame_bytes or MAX_FRAME_BYTES,
-    )
+    return await start_wire_server(handle_batch, host, port)
 
 
 def run_pipeline_spec(spec: PipelineSpec, submit: "Callable") -> TaskResult:
@@ -585,65 +353,6 @@ def run_pipeline_spec(spec: PipelineSpec, submit: "Callable") -> TaskResult:
     )
 
 
-def overloaded_error(admission: AdmissionController) -> ErrorInfo:
-    """The structured shed response of an admission-control rejection.
-
-    Beyond the ``retry_after`` back-off hint, ``details`` carries the
-    controller state at shed time — ``queue_depth`` and ``inflight`` tell a
-    shed client (and the chaos tests) *why*: saturated executor, or backlog.
-    """
-    capacity = admission.capacity
-    return ErrorInfo(
-        code="overloaded",
-        message=(
-            f"admission control shed this request: {admission.pending} pending "
-            f"of {capacity} allowed; retry after {admission.retry_after:g}s"
-        ),
-        retry_after=admission.retry_after,
-        details={
-            "pending": admission.pending,
-            "inflight": admission.inflight,
-            "queue_depth": admission.queued,
-            "capacity": capacity,
-        },
-    )
-
-
-def batch_span_context(
-    parsed_entries: "Iterable[ParsedRequest]",
-) -> tuple[str | None, str | None]:
-    """The (trace id, parent span id) a batch-level server span should use.
-
-    One server-side span covers the whole admitted batch, so it can only be
-    attached to a caller's trace when the batch is *unambiguous*: every
-    envelope carries the same trace id.  The parent span id is used under
-    the same condition — mixed-trace batches (independent requests that
-    happened to coalesce) get a local span with a fresh trace instead of
-    cross-linking unrelated traces.
-    """
-    traces: set[str | None] = set()
-    spans: set[str | None] = set()
-    for parsed in parsed_entries:
-        traces.add(parsed.trace)
-        spans.add(parsed.span)
-    batch_trace = traces.pop() if len(traces) == 1 else None
-    batch_parent = (
-        spans.pop() if batch_trace is not None and len(spans) == 1 else None
-    )
-    return batch_trace, batch_parent
-
-
-def claimed_version(request: Any) -> int:
-    """Best-effort protocol generation of a failed request (for its response)."""
-    if isinstance(request, dict) and isinstance(request.get("v"), int) and request["v"] >= 2:
-        return 2
-    return 1
-
-
-#: Backwards-compatible alias (pre-cluster internal name).
-_claimed_version = claimed_version
-
-
 def build_service(
     model: str | None = None,
     seed: int = 0,
@@ -674,8 +383,3 @@ def build_service(
         slos=slos,
         monitor_interval=monitor_interval,
     )
-
-
-def main_stdin(service: ServingService) -> int:  # pragma: no cover - thin wrapper
-    service.serve_stream(sys.stdin, sys.stdout)
-    return 0

@@ -1,42 +1,42 @@
-"""Asyncio-native wire transport: negotiated framing, multiplexed pipelining.
+"""Asyncio-native wire transport: binary frames, multiplexed pipelining.
 
 This module is the socket tier of the serving stack.  One asyncio server
 (:func:`start_wire_server`) speaks **two framings on the same port**,
-chosen per connection by a first-line handshake:
+chosen per connection by its first line (the decision table is in
+``docs/wire-transport.md``):
 
-* **JSON lines** (the legacy protocol, and the fallback) — one JSON object
-  per ``\\n``-terminated line.  A connection that never sends a handshake
-  gets the exact historical semantics: blank lines flush the accumulated
-  batch through the handler and responses come back one line each, in
-  request order.  Every pre-existing client — ``nc``, piped files, old
-  ``Client.remote`` builds — keeps working unmodified.
-* **Binary frames** (negotiated) — each message is a 4-byte big-endian
-  unsigned length prefix followed by exactly that many bytes of compact
-  UTF-8 JSON.  No per-message delimiter scan, no blank-line flushes.
+* **Binary frames** — the transport.  A connection that opens with the
+  handshake line::
 
-A connection that *does* open with a handshake line::
+      {"repro": 1, "frames": ["bin"]}
 
-    {"repro": 1, "frames": ["bin", "lines"]}
+  is answered with one JSON line::
 
-is answered with one JSON line naming the chosen framing::
+      {"repro": 1, "frame": "bin", "max_frame": 8388608}
 
-    {"repro": 1, "frame": "bin", "max_frame": 8388608}
+  and from that byte on every message is a 4-byte big-endian unsigned
+  length prefix followed by exactly that many bytes of compact UTF-8 JSON.
+  The connection is **multiplexed**: every request is dispatched as it
+  arrives, many requests ride in flight concurrently, and responses are
+  correlated by the v2 envelope ``id`` — the order they come back in is
+  not part of the contract.  Requests that arrive while a dispatch is
+  running coalesce into the next one, so a pipelined burst of N requests
+  costs ~1 executor hop instead of N connection+thread hops.
+* **JSON lines** — the human/debug framing (``nc``, piped files).  A
+  connection whose first line is not a handshake sends one JSON object per
+  ``\\n``-terminated line; blank lines (or EOF) flush the accumulated batch
+  through the handler and responses come back one line each, in request
+  order.
 
-and from that byte on the connection is **multiplexed**: every request is
-dispatched as it arrives (no blank-line flush needed), many requests ride
-in flight concurrently, and responses are correlated by the v2 envelope
-``id`` — the order they come back in is not part of the contract.
-Requests that arrive while a dispatch is running coalesce into the next
-one, so a pipelined burst of N requests costs ~1 executor hop instead of
-N connection+thread hops.  See ``docs/wire-transport.md`` for the full
-spec (layout, backpressure, error handling, fallback rules).
+A handshake that does not offer ``"bin"`` is refused with a ``bad_frame``
+error line and a close — there is no multiplexed lines mode.
 
 Framing errors are connection-fatal in binary mode: an oversized length
-prefix or a stream that ends mid-frame gets a best-effort ``bad_frame``
-error response and the connection closes, because a byte stream that lost
-frame sync cannot be re-entered.  In lines mode a bad JSON line is
-answered per line (``bad_json``) and the connection lives on, exactly as
-before.
+prefix, a stream that ends mid-frame or an undecodable payload gets a
+best-effort ``bad_frame`` error response and the connection closes,
+because a byte stream that lost frame sync cannot be re-entered.  In
+lines mode a bad JSON line is answered per line (``bad_json``) and the
+connection lives on.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ import json
 import socket
 import struct
 import threading
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
+
+from .frontdoor import InvalidRequest
 
 __all__ = [
-    "AsyncWireConnection",
     "FRAME_BINARY",
-    "FRAME_LINES",
     "FrameError",
     "HANDSHAKE_KEY",
     "MAX_FRAME_BYTES",
@@ -62,7 +62,6 @@ __all__ = [
     "decode_frame_payload",
     "encode_frame",
     "encode_line",
-    "negotiate_frame",
     "order_responses",
     "read_frame",
     "server_hello",
@@ -76,8 +75,7 @@ HANDSHAKE_KEY = "repro"
 #: Revision of the handshake itself (bump only on incompatible changes).
 PROTOCOL_REVISION = 1
 
-#: Framing names as they appear in handshake ``frames`` / ``frame`` fields.
-FRAME_LINES = "lines"
+#: The binary framing's name in handshake ``frames`` / ``frame`` fields.
 FRAME_BINARY = "bin"
 
 #: Hard ceiling on one binary frame's payload (bytes).  Large enough for
@@ -88,6 +86,12 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 #: Requests buffered per connection before the reader stops consuming the
 #: socket (TCP backpressure then reaches the sender).
 MAX_PENDING_REQUESTS = 1024
+
+#: Requests a client connection keeps unanswered.  Below the server's inbox
+#: bound on purpose: the server's reader then never stops consuming this
+#: connection, so the client can always finish a write and get back to
+#: reading — the two sides cannot end up blocked on each other's buffers.
+MAX_IN_FLIGHT = 256
 
 #: 4-byte big-endian unsigned payload length.
 _HEADER = struct.Struct(">I")
@@ -109,7 +113,7 @@ def encode_frame(payload: Any) -> bytes:
 
 
 def encode_line(payload: Any) -> bytes:
-    """One JSON-lines message (the legacy/text framing)."""
+    """One JSON-lines message (the text framing, and both hello lines)."""
     return (json.dumps(payload, ensure_ascii=False) + "\n").encode()
 
 
@@ -122,40 +126,21 @@ def decode_frame_payload(body: bytes) -> Any:
 
 
 async def read_frame(
-    reader: asyncio.StreamReader,
-    max_frame: int = MAX_FRAME_BYTES,
-    *,
-    skip_newlines: bool = False,
+    reader: asyncio.StreamReader, max_frame: int = MAX_FRAME_BYTES
 ) -> "bytes | None":
     """Read one binary frame's payload bytes; ``None`` on clean EOF.
-
-    With ``skip_newlines`` any leading LF bytes are discarded first: a
-    negotiating client follows its hello with one blank line (the
-    legacy-server fallback poke), and a server entering binary mode must
-    not mistake that ``0x0A`` for the first byte of a length prefix.
 
     Raises :class:`FrameError` on an oversized declared length or a stream
     that ends mid-header/mid-payload (a *torn* frame) — both mean frame
     sync is lost and the connection cannot be re-entered.
     """
-    lead = b""
-    if skip_newlines:
-        while True:
-            try:
-                byte = await reader.readexactly(1)
-            except asyncio.IncompleteReadError:
-                return None  # clean EOF among the padding
-            if byte != b"\n":
-                lead = byte
-                break
     try:
-        header = lead + await reader.readexactly(_HEADER.size - len(lead))
+        header = await reader.readexactly(_HEADER.size)
     except asyncio.IncompleteReadError as exc:
-        if not exc.partial and not lead:  # clean EOF between frames
+        if not exc.partial:  # clean EOF between frames
             return None
         raise FrameError(
-            f"torn frame: stream ended {len(lead) + len(exc.partial)} "
-            "bytes into a header"
+            f"torn frame: stream ended {len(exc.partial)} bytes into a header"
         ) from exc
     (length,) = _HEADER.unpack(header)
     if length > max_frame:
@@ -172,26 +157,18 @@ async def read_frame(
 
 
 # ---------------------------------------------------------------- handshake
-def client_hello(frames: Sequence[str] = (FRAME_BINARY, FRAME_LINES)) -> dict:
-    """The handshake line a negotiating client opens with."""
-    return {HANDSHAKE_KEY: PROTOCOL_REVISION, "frames": list(frames)}
+def client_hello() -> dict:
+    """The handshake line a client opens with."""
+    return {HANDSHAKE_KEY: PROTOCOL_REVISION, "frames": [FRAME_BINARY]}
 
 
-def server_hello(frame: str, max_frame: int = MAX_FRAME_BYTES) -> dict:
-    """The server's one-line answer naming the chosen framing."""
-    return {HANDSHAKE_KEY: PROTOCOL_REVISION, "frame": frame, "max_frame": max_frame}
-
-
-def negotiate_frame(offered: Any) -> str:
-    """Pick the framing for a connection from the client's offer.
-
-    Binary wins when offered (it is why the client negotiated at all);
-    anything unrecognisable falls back to JSON lines — the one framing
-    every peer speaks.
-    """
-    if isinstance(offered, (list, tuple)) and FRAME_BINARY in offered:
-        return FRAME_BINARY
-    return FRAME_LINES
+def server_hello(max_frame: int = MAX_FRAME_BYTES) -> dict:
+    """The server's one-line answer accepting the binary framing."""
+    return {
+        HANDSHAKE_KEY: PROTOCOL_REVISION,
+        "frame": FRAME_BINARY,
+        "max_frame": max_frame,
+    }
 
 
 def is_handshake(payload: Any) -> bool:
@@ -216,26 +193,19 @@ async def start_wire_server(
     port: int = 0,
     *,
     max_frame_bytes: int = MAX_FRAME_BYTES,
-    max_pending: int = MAX_PENDING_REQUESTS,
 ) -> asyncio.AbstractServer:
     """Bind the asyncio wire server over any batch handler.
 
     Every connection starts in JSON-lines mode; a first-line handshake
-    upgrades it to multiplexed (optionally binary-framed) service, and its
-    absence leaves the connection on the exact legacy blank-line-batch
-    semantics.  ``handle_batch`` may block and may spin its own event loop
-    (the execution engine does), so dispatches run on the default executor
-    — coalesced per in-flight window, not per request.
+    upgrades it to multiplexed binary-framed service, and its absence
+    leaves the connection on blank-line-batch semantics.  ``handle_batch``
+    may block and may spin its own event loop (the execution engine does),
+    so dispatches run on the default executor — coalesced per in-flight
+    window, not per request.
     """
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        conn = _Connection(
-            handle_batch,
-            reader,
-            writer,
-            max_frame=max_frame_bytes,
-            max_pending=max_pending,
-        )
+        conn = _Connection(handle_batch, reader, writer, max_frame=max_frame_bytes)
         try:
             await conn.run()
         finally:
@@ -246,14 +216,14 @@ async def start_wire_server(
                 pass
 
     # The stream limit bounds one *line*; binary frames bound themselves via
-    # the length prefix, and legacy clients get the same generous ceiling.
+    # the length prefix, and lines clients get the same generous ceiling.
     return await asyncio.start_server(
         handle, host, port, limit=max_frame_bytes + 1024
     )
 
 
 class _Connection:
-    """One accepted connection: negotiation, then legacy or multiplexed service."""
+    """One accepted connection: JSON lines, or binary frames after a hello."""
 
     def __init__(
         self,
@@ -262,14 +232,13 @@ class _Connection:
         writer: asyncio.StreamWriter,
         *,
         max_frame: int,
-        max_pending: int,
     ):
         self.handle_batch = handle_batch
         self.reader = reader
         self.writer = writer
         self.max_frame = max_frame
-        self.max_pending = max_pending
-        self.frame = FRAME_LINES
+        #: Framing of server-originated messages; binary once negotiated.
+        self._encode = encode_line
         #: Parsed-but-undispatched requests (the in-flight window).
         self._inbox: list = []
         self._inbox_ready = asyncio.Event()
@@ -283,21 +252,24 @@ class _Connection:
         if first is None:
             return
         payload = _maybe_json(first)
-        if is_handshake(payload):
-            self.frame = negotiate_frame(payload.get("frames"))
-            self.writer.write(
-                encode_line(server_hello(self.frame, self.max_frame))
+        if not is_handshake(payload):
+            await self._run_lines(first)
+            return
+        offered = payload.get("frames")
+        if not (isinstance(offered, (list, tuple)) and FRAME_BINARY in offered):
+            await self._fail_connection(
+                f"a handshake must offer the {FRAME_BINARY!r} framing; plain "
+                "JSON lines need no handshake"
             )
-            await self.writer.drain()
-            await self._run_multiplexed()
-        else:
-            await self._run_legacy(first)
+            return
+        self.writer.write(encode_line(server_hello(self.max_frame)))
+        await self.writer.drain()
+        self._encode = encode_frame
+        await self._run_multiplexed()
 
-    # ------------------------------------------------------------ legacy mode
-    async def _run_legacy(self, first_line: str) -> None:
-        """The historical protocol: blank-line batches, ordered responses."""
-        from .service import InvalidRequest
-
+    # ------------------------------------------------------------- lines mode
+    async def _run_lines(self, first_line: str) -> None:
+        """The text framing: blank-line batches, ordered responses."""
         loop = asyncio.get_running_loop()
         batch: list = []
 
@@ -332,7 +304,7 @@ class _Connection:
 
     # ------------------------------------------------------- multiplexed mode
     async def _run_multiplexed(self) -> None:
-        """Negotiated service: dispatch-as-they-arrive, id-correlated replies."""
+        """Binary service: dispatch-as-they-arrive, id-correlated replies."""
         dispatcher = asyncio.ensure_future(self._dispatch_loop())
         try:
             await self._read_loop()
@@ -342,45 +314,21 @@ class _Connection:
             await dispatcher
 
     async def _read_loop(self) -> None:
-        from .service import InvalidRequest
-
         while True:
-            if len(self._inbox) >= self.max_pending:
+            if len(self._inbox) >= MAX_PENDING_REQUESTS:
                 # Stop consuming the socket until the dispatcher catches up;
                 # TCP flow control then pushes back on the sender.
                 self._inbox_drained.clear()
                 await self._inbox_drained.wait()
                 continue
-            if self.frame == FRAME_BINARY:
-                try:
-                    # skip_newlines: the client's hello is chased by one
-                    # blank line (legacy-server poke) that must not be
-                    # mistaken for the first byte of a length prefix.
-                    body = await read_frame(
-                        self.reader, self.max_frame, skip_newlines=True
-                    )
-                except FrameError as exc:
-                    await self._fail_connection(str(exc))
-                    return
+            try:
+                body = await read_frame(self.reader, self.max_frame)
                 if body is None:
                     return
-                try:
-                    request = decode_frame_payload(body)
-                except FrameError as exc:
-                    await self._fail_connection(str(exc))
-                    return
-            else:
-                line = await self._readline()
-                if line is None:
-                    return
-                if not line:  # blank flush lines are legal no-ops here
-                    continue
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    request = InvalidRequest(f"bad JSON: {exc}")
-            if is_handshake(request):  # repeated hello: idempotent no-op
-                continue
+                request = decode_frame_payload(body)
+            except FrameError as exc:
+                await self._fail_connection(str(exc))
+                return
             self._inbox.append(request)
             self._inbox_ready.set()
 
@@ -398,12 +346,9 @@ class _Connection:
                     )
                 except ConnectionError:  # pragma: no cover - peer vanished
                     return
-                encode = (
-                    encode_frame if self.frame == FRAME_BINARY else encode_line
-                )
                 try:
                     for response in responses:
-                        self.writer.write(encode(response))
+                        self.writer.write(encode_frame(response))
                     await self.writer.drain()
                 except (ConnectionError, RuntimeError):
                     return  # peer went away; nothing left to answer
@@ -414,10 +359,9 @@ class _Connection:
         """Best-effort ``bad_frame`` notice, then close (frame sync is lost)."""
         self._eof = True
         try:
-            # The error travels in the *negotiated* framing: a binary peer
+            # The error travels in the connection's framing: a binary peer
             # reads one last well-formed frame, then EOF.
-            encode = encode_frame if self.frame == FRAME_BINARY else encode_line
-            self.writer.write(encode(_bad_frame_response(message)))
+            self.writer.write(self._encode(_bad_frame_response(message)))
             await self.writer.drain()
         except (ConnectionError, RuntimeError):  # pragma: no cover
             pass
@@ -442,7 +386,7 @@ def _maybe_json(text: str) -> Any:
         return None
 
 
-# ------------------------------------------------------------- client (sync)
+# ------------------------------------------------------------------- client
 def order_responses(requests: "list[dict]", responses: "list[dict]") -> "list[dict]":
     """Align multiplexed responses with their requests by envelope ``id``.
 
@@ -512,56 +456,36 @@ class _SocketReader:
 
 
 class WireConnection:
-    """One negotiated (or legacy) client connection, reusable across batches.
+    """One binary-framed client connection, reusable across batches.
 
-    ``open`` performs the connect-time handshake: the hello line plus one
-    blank line, then one reply line.  A transport-aware server answers the
-    hello itself (choosing the framing); a legacy server treats the hello as
-    an invalid request and answers a normal error response when the blank
-    line flushes it — either way exactly one line comes back, and its
-    ``"repro"`` key (or absence) decides the connection's mode.  The same
-    object then carries any number of request batches.
+    ``open`` performs the connect-time handshake — one hello line out, one
+    reply line back — and the same object then carries any number of
+    request batches.
     """
 
-    def __init__(self, sock: "socket.socket", mode: str, max_frame: int):
+    def __init__(self, sock: "socket.socket", reader: _SocketReader, max_frame: int):
         self._sock = sock
-        self._reader = _SocketReader(sock)
-        #: ``FRAME_BINARY`` / ``FRAME_LINES`` (both multiplexed) or ``"legacy"``.
-        self.mode = mode
+        self._reader = reader
         self.max_frame = max_frame
         self._alive = True
 
     # ------------------------------------------------------------ life-cycle
     @classmethod
-    def open(
-        cls,
-        host: str,
-        port: int,
-        timeout: float = 30.0,
-        *,
-        negotiate: bool = True,
-        frames: Sequence[str] = (FRAME_BINARY, FRAME_LINES),
-    ) -> "WireConnection":
+    def open(cls, host: str, port: int, timeout: float = 30.0) -> "WireConnection":
         sock = socket.create_connection((host, port), timeout=timeout)
-        if not negotiate:
-            return cls(sock, "legacy", MAX_FRAME_BYTES)
-        sock.sendall(encode_line(client_hello(frames)) + b"\n")
-        reader = _SocketReader(sock)
-        line = reader.read_line()
-        if line is None:
+        try:
+            sock.sendall(encode_line(client_hello()))
+            reader = _SocketReader(sock)
+            line = reader.read_line()
+            if line is None:
+                raise ConnectionError("connection closed during the handshake")
+            reply = _maybe_json(line.decode(errors="replace").strip())
+            if not is_handshake(reply) or reply.get("frame") != FRAME_BINARY:
+                raise ConnectionError(f"peer refused the handshake: {reply!r}")
+        except BaseException:
             sock.close()
-            raise ConnectionError("connection closed during the handshake")
-        reply = _maybe_json(line.decode(errors="replace").strip())
-        if is_handshake(reply):
-            mode = str(reply.get("frame", FRAME_LINES))
-            max_frame = int(reply.get("max_frame") or MAX_FRAME_BYTES)
-        else:
-            # A legacy server answered the hello with an error response:
-            # fall back to blank-line batches on this same connection.
-            mode, max_frame = "legacy", MAX_FRAME_BYTES
-        conn = cls(sock, mode, max_frame)
-        conn._reader = reader
-        return conn
+            raise
+        return cls(sock, reader, int(reply.get("max_frame") or MAX_FRAME_BYTES))
 
     @property
     def alive(self) -> bool:
@@ -576,7 +500,12 @@ class WireConnection:
 
     # --------------------------------------------------------------- batches
     def send_batch(self, requests: "list[dict]") -> "list[dict]":
-        """Ship one batch and collect its responses (request order)."""
+        """Ship one batch and collect its responses (request order).
+
+        Pipelined, with at most :data:`MAX_IN_FLIGHT` requests unanswered:
+        a batch that fits the window is written in one go before anything
+        is read; a larger one is topped up as responses come back.
+        """
         try:
             return self._send_batch(requests)
         except Exception:
@@ -584,19 +513,20 @@ class WireConnection:
             raise
 
     def _send_batch(self, requests: "list[dict]") -> "list[dict]":
-        if self.mode == FRAME_BINARY:
-            self._sock.sendall(b"".join(encode_frame(r) for r in requests))
-            responses = [self._read_frame_response() for _ in requests]
-            return order_responses(requests, responses)
-        if self.mode == FRAME_LINES:
-            self._sock.sendall(b"".join(encode_line(r) for r in requests))
-            responses = [self._read_line_response() for _ in requests]
-            return order_responses(requests, responses)
-        # Legacy: lines + blank flush; responses arrive strictly in order.
-        self._sock.sendall(b"".join(encode_line(r) for r in requests) + b"\n")
-        return [self._read_line_response() for _ in requests]
+        responses: "list[dict]" = []
+        sent = 0
+        while len(responses) < len(requests):
+            # Refill in half-window chunks, not one frame per response read.
+            if sent < len(requests) and sent - len(responses) <= MAX_IN_FLIGHT // 2:
+                upto = min(len(requests), len(responses) + MAX_IN_FLIGHT)
+                self._sock.sendall(
+                    b"".join(encode_frame(r) for r in requests[sent:upto])
+                )
+                sent = upto
+            responses.append(self._read_response())
+        return order_responses(requests, responses)
 
-    def _read_frame_response(self) -> dict:
+    def _read_response(self) -> dict:
         header = self._reader.read_exactly(_HEADER.size)
         if header is None:
             raise ConnectionError("service closed the connection mid-batch")
@@ -609,19 +539,7 @@ class WireConnection:
         body = self._reader.read_exactly(length)
         if body is None:  # pragma: no cover - read_exactly raises instead
             raise ConnectionError("service closed the connection mid-frame")
-        return self._require_dict(decode_frame_payload(body))
-
-    def _read_line_response(self) -> dict:
-        line = self._reader.read_line()
-        if line is None:
-            raise ConnectionError("service closed the connection mid-batch")
-        payload = _maybe_json(line.decode(errors="replace").strip())
-        if payload is None:
-            raise FrameError("service answered bad JSON")
-        return self._require_dict(payload)
-
-    @staticmethod
-    def _require_dict(payload: Any) -> dict:
+        payload = decode_frame_payload(body)
         if not isinstance(payload, dict):
             raise FrameError(
                 f"service answered a non-object response: {payload!r}"
@@ -638,20 +556,11 @@ class WireConnectionPool:
     a one-time cost instead of a per-batch one.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 30.0,
-        *,
-        size: int = 4,
-        negotiate: bool = True,
-    ):
+    def __init__(self, host: str, port: int, timeout: float = 30.0, *, size: int = 4):
         self.host = host
         self.port = port
         self.timeout = timeout
         self.size = size
-        self.negotiate = negotiate
         self._idle: "list[WireConnection]" = []
         self._lock = threading.Lock()
         self._closed = False
@@ -663,9 +572,7 @@ class WireConnectionPool:
                 if conn.alive:
                     return conn
                 conn.close()
-        return WireConnection.open(
-            self.host, self.port, self.timeout, negotiate=self.negotiate
-        )
+        return WireConnection.open(self.host, self.port, self.timeout)
 
     def release(self, conn: WireConnection) -> None:
         with self._lock:
@@ -680,127 +587,3 @@ class WireConnectionPool:
             idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
-
-
-# ------------------------------------------------------------ client (async)
-class AsyncWireConnection:
-    """The asyncio twin of :class:`WireConnection` (same handshake, modes).
-
-    ``send_batch`` is *streaming*: the writer coroutine pushes requests
-    while the reader coroutine is already collecting responses, so a large
-    pipelined batch overlaps its own upload and download on one connection.
-    """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        mode: str,
-        max_frame: int,
-        timeout: float,
-    ):
-        self._reader = reader
-        self._writer = writer
-        self.mode = mode
-        self.max_frame = max_frame
-        self.timeout = timeout
-        self._alive = True
-
-    @classmethod
-    async def open(
-        cls,
-        host: str,
-        port: int,
-        timeout: float = 30.0,
-        *,
-        negotiate: bool = True,
-        frames: Sequence[str] = (FRAME_BINARY, FRAME_LINES),
-    ) -> "AsyncWireConnection":
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=MAX_FRAME_BYTES + 1024
-        )
-        if not negotiate:
-            return cls(reader, writer, "legacy", MAX_FRAME_BYTES, timeout)
-        writer.write(encode_line(client_hello(frames)) + b"\n")
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout)
-        if not line:
-            writer.close()
-            raise ConnectionError("connection closed during the handshake")
-        reply = _maybe_json(line.decode(errors="replace").strip())
-        if is_handshake(reply):
-            mode = str(reply.get("frame", FRAME_LINES))
-            max_frame = int(reply.get("max_frame") or MAX_FRAME_BYTES)
-        else:
-            mode, max_frame = "legacy", MAX_FRAME_BYTES
-        return cls(reader, writer, mode, max_frame, timeout)
-
-    @property
-    def alive(self) -> bool:
-        return self._alive and not self._writer.is_closing()
-
-    async def close(self) -> None:
-        self._alive = False
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except OSError:  # pragma: no cover - teardown best-effort
-            pass
-
-    async def send_batch(self, requests: "list[dict]") -> "list[dict]":
-        try:
-            return await self._send_batch(requests)
-        except Exception:
-            self._alive = False
-            raise
-
-    async def _send_batch(self, requests: "list[dict]") -> "list[dict]":
-        binary = self.mode == FRAME_BINARY
-        encode = encode_frame if binary else encode_line
-
-        async def write_all() -> None:
-            for request in requests:
-                self._writer.write(encode(request))
-                await self._writer.drain()
-            if self.mode == "legacy":
-                self._writer.write(b"\n")  # the blank flush line
-                await self._writer.drain()
-
-        writer_task = asyncio.ensure_future(write_all())
-        responses: "list[dict]" = []
-        try:
-            for _ in requests:
-                if binary:
-                    response = await asyncio.wait_for(
-                        self._read_frame_response(), self.timeout
-                    )
-                else:
-                    response = await asyncio.wait_for(
-                        self._read_line_response(), self.timeout
-                    )
-                responses.append(response)
-        finally:
-            if not writer_task.done():
-                writer_task.cancel()
-            try:
-                await writer_task
-            except (asyncio.CancelledError, OSError):
-                pass
-        if self.mode == "legacy":
-            return responses
-        return order_responses(requests, responses)
-
-    async def _read_frame_response(self) -> dict:
-        body = await read_frame(self._reader, self.max_frame)
-        if body is None:
-            raise ConnectionError("service closed the connection mid-batch")
-        return WireConnection._require_dict(decode_frame_payload(body))
-
-    async def _read_line_response(self) -> dict:
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionError("service closed the connection mid-batch")
-        payload = _maybe_json(line.decode(errors="replace").strip())
-        if payload is None:
-            raise FrameError("service answered bad JSON")
-        return WireConnection._require_dict(payload)

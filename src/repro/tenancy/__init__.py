@@ -11,8 +11,8 @@ process-wide.  This package adds the per-tenant layer:
 * :class:`TokenBucket` — deterministic injectable-clock rate limiter;
 * :class:`WeightedFairQueue` / :class:`WeightedFairLock` /
   :class:`FairBlockingQueue` — start-time fair queueing across tenants
-  (priority still breaks ties *within* a tenant, bit-identical to
-  :class:`repro.obs.PriorityLock` for a single tenant);
+  (priority still breaks ties *within* a tenant, bit-identical to a plain
+  priority heap for a single tenant);
 * :class:`TenancyController` — the runtime a front door holds: bucket and
   cap enforcement at admission (structured ``rate_limited`` errors with
   ``retry_after``) plus ``tenant.<name>.*`` metrics.

@@ -7,8 +7,8 @@ and belongs to a tenant with a scheduling ``weight``; the queue maintains a
 global virtual time and one virtual-finish tag per tenant:
 
 * at ``push``, the item lands on its tenant's private heap, ordered by
-  ``(-priority, arrival)`` — exactly the :class:`repro.obs.PriorityLock`
-  order, so **within** a tenant nothing changes;
+  ``(-priority, arrival)`` — a plain priority heap, so **within** a
+  tenant priority decides, then arrival;
 * at ``pop``, every backlogged tenant bids ``start = max(vtime, vfinish)``
   and the lowest bid wins (ties broken by the bidders' head priorities,
   then arrival).  Virtual time jumps to the winner's start and the winner's
@@ -18,12 +18,11 @@ global virtual time and one virtual-finish tag per tenant:
 
 With a single tenant every bid is trivially the minimum, so the dequeue
 order collapses to the tenant heap's ``(-priority, arrival)`` — bit-identical
-to ``PriorityLock`` (property-tested in ``tests/tenancy/test_fairqueue.py``).
+to a priority heap (property-tested in ``tests/tenancy/test_fairqueue.py``).
 
 Three consumers wrap the queue:
 
-* :class:`WeightedFairLock` — the drop-in fair replacement for
-  :class:`~repro.obs.PriorityLock` guarding the serving engine;
+* :class:`WeightedFairLock` — the fair mutex guarding the serving engine;
 * :class:`FairBlockingQueue` — the bounded blocking queue behind each
   cluster :class:`~repro.cluster.workers.ThreadWorker`.
 
@@ -128,9 +127,8 @@ class WeightedFairQueue:
 class WeightedFairLock:
     """A mutex whose waiters acquire weighted-fair across tenants.
 
-    Drop-in replacement for :class:`repro.obs.PriorityLock`: with every
-    caller on the ``default`` tenant (the untagged path) the acquisition
-    order is identical — priority desc, then arrival.  Tagged callers are
+    With every caller on the ``default`` tenant (the untagged path) the
+    acquisition order is priority desc, then arrival.  Tagged callers are
     scheduled by :class:`WeightedFairQueue`, so one tenant's backlog cannot
     monopolise the resource.
     """

@@ -16,7 +16,7 @@ from repro.api import Client, TransformationSpec, encode_request
 from repro.api.protocol import decode_response
 from repro.core import UniDM, UniDMConfig
 from repro.llm import CachedLLM, LanguageModel, SimulatedLLM
-from repro.obs import AdmissionController, MetricsRegistry, PriorityLock
+from repro.obs import AdmissionController, MetricsRegistry
 from repro.cluster.router import Router
 from repro.cluster.workers import ThreadWorker
 from repro.serving.service import ServingService
@@ -247,33 +247,6 @@ def test_cluster_client_surfaces_overloaded_error_code():
 
 
 # ------------------------------------------------------------------ priorities
-def test_priority_lock_orders_waiters_by_priority_then_fifo():
-    lock = PriorityLock()
-    order = []
-    lock.acquire()
-
-    def waiter(priority, tag):
-        lock.acquire(priority=priority)
-        order.append(tag)
-        lock.release()
-
-    threads = []
-    for priority, tag in [(0, "low-1"), (0, "low-2"), (5, "high"), (2, "mid")]:
-        thread = threading.Thread(target=waiter, args=(priority, tag))
-        thread.start()
-        threads.append(thread)
-        time.sleep(0.05)  # deterministic arrival order
-    lock.release()
-    for thread in threads:
-        thread.join()
-    assert order == ["high", "mid", "low-1", "low-2"]
-
-
-def test_priority_lock_release_requires_holder():
-    with pytest.raises(RuntimeError):
-        PriorityLock().release()
-
-
 def test_thread_worker_dequeues_highest_priority_first():
     hold = threading.Event()
     processing = threading.Event()

@@ -1,12 +1,11 @@
-"""Tests for the negotiated wire transport (handshake, framing, multiplexing).
+"""Tests for the wire transport (handshake, framing, multiplexing).
 
-The compatibility contract under test: one server process serves a legacy
-JSON-lines client (v1 flat or v2 envelope, blank-line flush) and a
-negotiated binary-framed pipelined client **concurrently**, with
-bit-identical results — and a client that offers the handshake to a
-pre-transport server falls back to legacy semantics on the same
-connection.  Framing violations (torn frames, oversized declared lengths)
-are connection-fatal with a best-effort ``bad_frame`` error response.
+The contract under test: one server process serves a JSON-lines client
+(v1 flat or v2 envelope, blank-line flush) and a binary-framed pipelined
+client **concurrently**, with bit-identical results.  Framing violations
+(torn frames, oversized declared lengths, a handshake that does not offer
+``"bin"``) are connection-fatal with a best-effort ``bad_frame`` error
+response, and the server lives on.
 """
 
 import asyncio
@@ -20,8 +19,7 @@ import pytest
 from repro.serving import build_service
 from repro.serving.transport import (
     FRAME_BINARY,
-    FRAME_LINES,
-    AsyncWireConnection,
+    MAX_PENDING_REQUESTS,
     FrameError,
     WireConnection,
     WireConnectionPool,
@@ -94,7 +92,7 @@ def echo_port():
 def _negotiate_binary(port: int):
     """Raw-socket handshake; returns (socket, buffered reader) in bin mode."""
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
-    sock.sendall(encode_line(client_hello()) + b"\n")
+    sock.sendall(encode_line(client_hello()))
     reader = sock.makefile("rb")
     hello = json.loads(reader.readline())
     assert hello["frame"] == FRAME_BINARY
@@ -137,7 +135,6 @@ def test_mixed_protocol_clients_bit_identical(service_port):
 
     def binary_client() -> None:
         conn = WireConnection.open("127.0.0.1", service_port, timeout=30)
-        assert conn.mode == FRAME_BINARY
         requests = [
             {"v": 2, "id": i, "task": dict(V2_TRANSFORM)} for i in range(8)
         ]
@@ -179,18 +176,20 @@ def test_legacy_v2_envelope_still_served(service_port):
     assert response["v"] == 2 and response["id"] == "a" and response["ok"]
 
 
-def test_multiplexed_lines_mode_needs_no_blank_flush(echo_port):
-    """frames=["lines"] negotiates multiplexed JSON lines: no flush needed."""
+def test_lines_only_hello_is_refused_with_bad_frame(echo_port, monkeypatch):
+    """There is no multiplexed lines mode: a hello must offer ``"bin"``."""
+    lines_only = {"repro": 1, "frames": ["lines"]}
     sock = socket.create_connection(("127.0.0.1", echo_port), timeout=10)
-    sock.sendall(encode_line(client_hello(frames=(FRAME_LINES,))) + b"\n")
+    sock.sendall(encode_line(lines_only))
     reader = sock.makefile("rb")
-    hello = json.loads(reader.readline())
-    assert hello["frame"] == FRAME_LINES
-    # Two requests, no blank line anywhere: they dispatch as they arrive.
-    sock.sendall(encode_line({"v": 2, "id": 1}) + encode_line({"v": 2, "id": 2}))
-    replies = [json.loads(reader.readline()) for _ in range(2)]
+    refusal = json.loads(reader.readline())
+    assert refusal["ok"] is False and refusal["error"]["code"] == "bad_frame"
+    assert reader.read() == b""  # closed
     sock.close()
-    assert sorted(r["id"] for r in replies) == [1, 2]
+    # The client surfaces a refused handshake instead of guessing a mode.
+    monkeypatch.setattr("repro.serving.transport.client_hello", lambda: lines_only)
+    with pytest.raises(ConnectionError):
+        WireConnection.open("127.0.0.1", echo_port, timeout=10)
 
 
 # ------------------------------------------------------------ frame failures
@@ -215,86 +214,39 @@ def test_torn_frame_is_rejected_with_bad_frame(echo_port):
     sock.close()
 
 
-def test_blank_padding_after_handshake_is_legal(echo_port):
-    """The client's legacy-poke blank line must not break frame sync."""
+def test_newline_where_a_length_prefix_is_expected_is_fatal(echo_port):
+    """Binary mode has no padding: a stray LF reads as an oversized header."""
     sock, reader = _negotiate_binary(echo_port)
-    sock.sendall(b"\n\n" + encode_frame({"v": 2, "id": 9}))
+    sock.sendall(b"\n" + encode_frame({"v": 2, "id": 9}))
     response = _read_raw_frame(reader)
+    assert response["ok"] is False
+    assert response["error"]["code"] == "bad_frame"
+    assert reader.read() == b""  # connection-fatal ...
     sock.close()
-    assert response["id"] == 9 and response["ok"]
-
-
-# -------------------------------------------------------- legacy-server fallback
-@pytest.fixture
-def legacy_only_port():
-    """A pre-transport server: blank-line batches only, no handshake."""
-    loop = asyncio.new_event_loop()
-    ready = threading.Event()
-    holder = {}
-
-    async def handle(reader, writer):
-        batch = []
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            text = line.strip()
-            if not text:  # blank line: flush
-                for request in batch:
-                    try:
-                        payload = json.loads(request)
-                        reply = {"id": payload.get("id"), "ok": True, "answer": "legacy"}
-                    except json.JSONDecodeError:
-                        reply = {"id": None, "ok": False, "error": "bad JSON"}
-                    writer.write(encode_line(reply))
-                await writer.drain()
-                batch = []
-                continue
-            batch.append(text)
-        writer.close()
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        server = loop.run_until_complete(
-            asyncio.start_server(handle, "127.0.0.1", 0)
-        )
-        holder["port"] = server.sockets[0].getsockname()[1]
-        ready.set()
-        loop.run_forever()
-        server.close()
-        loop.run_until_complete(server.wait_closed())
-        loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10)
-    yield holder["port"]
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(10)
-
-
-def test_negotiating_client_falls_back_against_legacy_server(legacy_only_port):
-    conn = WireConnection.open("127.0.0.1", legacy_only_port, timeout=10)
-    try:
-        assert conn.mode == "legacy"
-        responses = conn.send_batch([{"id": 1}, {"id": 2}])
-        assert [r["id"] for r in responses] == [1, 2]
-        assert all(r["answer"] == "legacy" for r in responses)
+    conn = WireConnection.open("127.0.0.1", echo_port, timeout=10)
+    try:  # ... but the server is alive
+        assert conn.send_batch([{"v": 2, "id": 1}])[0]["ok"]
     finally:
         conn.close()
 
 
-def test_async_client_falls_back_against_legacy_server(legacy_only_port):
-    async def scenario():
-        conn = await AsyncWireConnection.open("127.0.0.1", legacy_only_port, timeout=10)
-        try:
-            assert conn.mode == "legacy"
-            return await conn.send_batch([{"id": 1}, {"id": 2}])
-        finally:
-            await conn.close()
+# --------------------------------------------------------------- backpressure
+def test_batch_larger_than_the_server_inbox_completes(echo_port):
+    """Regression: the sync client used to write a whole batch before reading.
 
-    responses = asyncio.run(scenario())
-    assert [r["id"] for r in responses] == [1, 2]
+    Past the server's per-connection inbox bound both sides then waited on
+    each other's full socket buffers until the timeout.  The connection now
+    bounds what it has in flight and interleaves reads.
+    """
+    count = 6 * MAX_PENDING_REQUESTS
+    requests = [{"v": 2, "id": i, "pad": "x" * 8192} for i in range(count)]
+    conn = WireConnection.open("127.0.0.1", echo_port, timeout=5)
+    try:
+        responses = conn.send_batch(requests)
+    finally:
+        conn.close()
+    assert [r["id"] for r in responses] == list(range(count))
+    assert responses[-1]["result"]["echo"]["pad"] == "x" * 8192
 
 
 # ----------------------------------------------------------------- unit level
@@ -312,18 +264,6 @@ def test_order_responses_keeps_arrival_order_without_unique_ids():
     requests = [{"id": 1}, {"id": 1}]
     responses = [{"id": 1, "n": "first"}, {"id": 1, "n": "second"}]
     assert order_responses(requests, responses) == responses
-
-
-def test_read_frame_skips_leading_newlines():
-    async def scenario():
-        reader = asyncio.StreamReader()
-        reader.feed_data(b"\n\n" + encode_frame({"id": 1}))
-        reader.feed_eof()
-        body = await read_frame(reader, skip_newlines=True)
-        assert decode_frame_payload(body) == {"id": 1}
-        assert await read_frame(reader, skip_newlines=True) is None  # clean EOF
-
-    asyncio.run(scenario())
 
 
 def test_read_frame_raises_on_oversized_length():

@@ -1,9 +1,9 @@
-"""Weighted-fair queue semantics, including the PriorityLock-parity property.
+"""Weighted-fair queue semantics, including the priority-heap parity property.
 
 The load-bearing property: with every item on one tenant, the fair queue's
-dequeue order is bit-identical to the ``(-priority, arrival)`` heap that
-:class:`repro.obs.PriorityLock` uses — so turning tenancy on cannot change
-the scheduling any untagged deployment observes.
+dequeue order is bit-identical to a plain ``(-priority, arrival)`` heap — so
+turning tenancy on cannot change the scheduling any untagged deployment
+observes.
 """
 
 import heapq
@@ -87,7 +87,7 @@ def test_push_validation():
         queue.push("x", cost=0.0)
 
 
-# --------------------------------------------------- PriorityLock parity (SFQ)
+# -------------------------------------------------- priority-heap parity (SFQ)
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
@@ -99,7 +99,7 @@ def test_push_validation():
     )
 )
 def test_single_tenant_is_bit_identical_to_priority_heap(ops):
-    """Interleaved pushes/pops on one tenant == the PriorityLock ticket heap."""
+    """Interleaved pushes/pops on one tenant == a (-priority, arrival) heap."""
     fair = WeightedFairQueue()
     reference: list = []
     sequence = itertools.count()
