@@ -139,13 +139,10 @@ def test_cold_micro_batching_amortises_backend_round_trips(benchmark):
     assert seq_llm.round_trips == sum(r.usage.calls for r in sequential)
 
     # Engine: concurrent tasks coalesce same-kind prompts into shared
-    # round-trips.  Ordered retrieval is off — this measures raw throughput,
-    # not reproducibility (the cold simulated backend is order-sensitive).
+    # round-trips.
     eng_llm = LatencyLLM(SimulatedLLM(knowledge=dataset.knowledge, seed=0), latency)
     engine_pipeline = UniDM(eng_llm, UniDMConfig.full(seed=0))
-    engine = ExecutionEngine(
-        EngineConfig(max_batch_size=8, workers=16, ordered_retrieval=False)
-    )
+    engine = ExecutionEngine(EngineConfig(max_batch_size=8, workers=16))
     concurrent = run_once(
         benchmark, lambda: engine_pipeline.run_many(dataset.tasks, engine=engine)
     )

@@ -7,11 +7,11 @@ The benchmark suite writes machine-readable artifacts through
 against the committed baselines (``--baseline``, the repo root) and fails
 when any **gated ratio** dropped by more than ``--threshold`` (default 20%).
 
-Only within-run ratios are gated — cluster speedup, flow dedup/call
-reduction, warm-cache serving speedup, micro-batching round-trip
-reduction.  They compare two runs on the *same* machine, so a slow CI
-runner cannot fail the gate; raw wall-clock and throughput numbers are
-printed for context but never compared across machines.
+Only within-run ratios are gated — flow dedup/call reduction, warm-cache
+serving speedup, micro-batching round-trip reduction.  They compare two
+runs on the *same* machine, so a slow CI runner cannot fail the gate; raw
+wall-clock and throughput numbers are printed for context but never
+compared across machines.
 
 Usage::
 
@@ -34,7 +34,6 @@ from pathlib import Path
 #: Gated metrics: artifact name -> list of (dotted key path, human label).
 #: Higher is better; the fresh value must stay above the baseline's floor.
 GATED_METRICS: dict[str, list[tuple[str, str]]] = {
-    "cluster": [("speedup", "4-worker cluster speedup")],
     "flow": [
         ("llm_call_reduction", "flow LLM-call reduction vs per-row loop"),
         ("flow_executor.dedup_factor", "flow spec dedup factor"),

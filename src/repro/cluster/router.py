@@ -23,12 +23,11 @@ router removes it from the ring and requeues the affected specs onto the
 surviving workers — consistent hashing keeps every other spec exactly where
 its cache is.
 
-Determinism: each worker is a complete serving stack whose engine preserves
-the ordered-retrieval guarantee, so under the documented determinism regime
-(a warmed cache, or an execution that is a pure function of each spec — see
-:mod:`repro.serving.engine`) cluster results are bit-identical to a single
-engine's ``run_many`` at any worker count.  ``tests/cluster/test_parity.py``
-enforces this.
+Determinism: each worker is a complete serving stack, and a result is a pure
+function of its spec (see :mod:`repro.serving.engine`), so cluster results
+are bit-identical to a lone ``UniDM.run`` per spec at any worker count, and
+requeueing a dead worker's specs onto survivors is exact.
+``tests/cluster/test_parity.py`` enforces this.
 
 Pipeline requests (:class:`~repro.api.pipeline_spec.PipelineSpec`) do not
 hash to one worker: the router runs the streaming

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
+from ..datalake.sampling import make_rng
 from ..llm.base import LanguageModel, UsageDelta
 from .cloze import TargetPromptBuilder
 from .config import UniDMConfig
@@ -42,7 +41,6 @@ class UniDM:
         self.retriever = ContextRetriever(llm, self.config)
         self.parser = ContextParser(llm, self.config)
         self.prompt_builder = TargetPromptBuilder(llm, self.config)
-        self._rng = np.random.default_rng(self.config.seed)
 
     # ------------------------------------------------------------------ running
     def run(self, task: Task) -> ManipulationResult:
@@ -65,28 +63,13 @@ class UniDM:
     ) -> list[ManipulationResult]:
         """Solve a sequence of task instances.
 
-        Execution is delegated to the serving
-        :class:`~repro.serving.engine.ExecutionEngine`.  Without an explicit
-        ``engine`` a sequential one (one worker, batch size 1) is used, which
-        issues exactly the same LLM calls in exactly the same order as running
-        :meth:`run` in a loop; pass a concurrent engine to overlap tasks and
-        micro-batch their same-kind prompts.
-
-        When called from inside a running event loop (where the engine's
-        ``asyncio.run`` cannot nest), the default path falls back to the
-        equivalent plain loop over :meth:`run`.
+        Without an ``engine`` this is a plain loop over :meth:`run`; pass a
+        serving :class:`~repro.serving.engine.ExecutionEngine` to overlap
+        tasks and micro-batch their same-kind prompts.  Each task's prompts
+        are the same either way (see :meth:`plan_retrieval`).
         """
-        from ..serving.engine import ExecutionEngine  # local: serving imports core
-
         if engine is None:
-            import asyncio
-
-            try:
-                asyncio.get_running_loop()
-            except RuntimeError:
-                engine = ExecutionEngine.sequential()
-            else:
-                return [self.run(task) for task in tasks]
+            return [self.run(task) for task in tasks]
         return engine.run(self, tasks)
 
     # ------------------------------------------------------------- context assembly
@@ -97,11 +80,16 @@ class UniDM:
     # ----------------------------------------------------------------- plan stages
     # Algorithm 1 decomposed into sans-IO stages (see repro.core.plan).  The
     # sync path above and the async serving engine both execute these exact
-    # generators; the split between plan_retrieval (draws from the pipeline
-    # rng) and the later stages (pure functions of their inputs) is what the
-    # engine's ordered-retrieval gate relies on for determinism.
+    # generators, and every stage is a pure function of (config.seed, task)
+    # given its completions.
     def plan_retrieval(self, task: Task, trace: PromptTrace) -> Plan:
-        """Stage 1+2: context retrieval (``p_rm`` / ``p_ri``); consumes the rng."""
+        """Stage 1+2: context retrieval (``p_rm`` / ``p_ri``).
+
+        The candidate pool (and the random-context ablations) draw from a
+        generator derived here from ``config.seed`` and the task's own
+        content — type, query ``Q`` and target record ids — so a task's
+        prompts do not depend on which tasks ran before it, or where.
+        """
         # Context supplied by the task itself (transformation examples,
         # documents for information extraction) bypasses retrieval.
         raw_text = task.context_text()
@@ -110,7 +98,12 @@ class UniDM:
         rows = task.context_rows()
         if rows is not None:
             return _PreContext(rows=rows)
-        retrieved = yield from self.retriever.plan(task, self._rng, trace)
+        key = "\x1f".join(
+            [task.task_type.name, task.query()]
+            + [str(record.record_id) for record in task.target_records()]
+        )
+        rng = make_rng(self.config.seed, key)
+        retrieved = yield from self.retriever.plan(task, rng, trace)
         return _PreContext(retrieved=retrieved)
 
     def plan_context(self, pre: "_PreContext", trace: PromptTrace) -> Plan:

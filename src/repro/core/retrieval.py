@@ -73,10 +73,8 @@ class ContextRetriever:
         """Sans-IO plan for both retrieval stages (see :mod:`repro.core.plan`).
 
         All of the pipeline's own randomness (candidate pools, random-context
-        fallbacks) is drawn inside this plan, so executing tasks' retrieval
-        plans in submission order reproduces the sequential rng stream
-        exactly — this is what lets the serving engine stay bit-identical to
-        ``run_many``.
+        fallbacks) is drawn inside this plan from ``rng``, which the pipeline
+        derives per task — nothing here depends on what ran before.
         """
         table = task.table()
         if table is None or not task.needs_retrieval:

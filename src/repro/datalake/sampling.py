@@ -8,6 +8,7 @@ reproducible from a single seed.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Sequence, TypeVar
 
 import numpy as np
@@ -17,11 +18,22 @@ from .table import Record, Table
 T = TypeVar("T")
 
 
-def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
-    """Coerce a seed (or an existing generator) into a Generator."""
+def make_rng(
+    seed: int | np.random.Generator | None, key: str | None = None
+) -> np.random.Generator:
+    """Coerce a seed (or an existing generator) into a Generator.
+
+    With a ``key`` (and an integer ``seed``) the generator is a function of
+    ``(seed, key)``: the key's SHA-256 digest is folded into the seed
+    sequence, so equal keys draw identically in any process (unlike the
+    salted builtin ``hash``).
+    """
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    if key is None:
+        return np.random.default_rng(seed)
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    return np.random.default_rng([seed, int.from_bytes(digest, "big")])
 
 
 def sample_items(

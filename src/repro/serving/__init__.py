@@ -22,7 +22,7 @@ from .service import (
     serve_lines,
     start_line_server,
 )
-from .stages import OrderedGate, drive_async, execute_task
+from .stages import drive_async, execute_task
 from .transport import (
     FRAME_BINARY,
     MAX_FRAME_BYTES,
@@ -39,7 +39,6 @@ __all__ = [
     "EngineReport",
     "ExecutionEngine",
     "MicroBatcher",
-    "OrderedGate",
     "PersistentCache",
     "ServingService",
     "build_service",

@@ -8,13 +8,12 @@ concurrently: each task becomes a coroutine walking the pipeline's plan stages
 :class:`~repro.serving.batcher.MicroBatcher`, which coalesces same-kind
 prompts across tasks into batched calls.
 
-Determinism contract: with ``ordered_retrieval`` (the default), the engine
-issues exactly the same prompts as a sequential ``run_many`` for the same
-pipeline seed, so running against a warmed (persistent) cache yields
-bit-identical results at any batch size / worker count.  A *cold* simulated
-model is itself order-sensitive (its noise stream advances per call), so cold
-concurrent runs may differ from cold sequential runs — warm the cache first
-when reproducibility across execution modes matters.
+Determinism contract: the pipeline is a pure function of ``(seed, task)``
+given its completions, so the engine issues exactly the prompts a lone
+``UniDM.run(task)`` would, at any batch size / worker count.  Completions are
+a pure function of the prompt for every backend except the bare
+``SimulatedLLM``, whose noise stream is call-order state (known gap, see
+ROADMAP) — behind a filled cache it, too, replays exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.span import span
 from ..obs.trace import Trace
 from .batcher import ROUTE_KEY, BatcherStats, MicroBatcher
-from .stages import OrderedGate, execute_task
+from .stages import execute_task
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.pipeline import UniDM
@@ -50,9 +49,6 @@ class EngineConfig:
     workers: int = 8
     #: Threads executing batched LLM calls (towards the backend).
     llm_threads: int = 1
-    #: Serialize the rng-consuming retrieval stage in task order so results
-    #: match sequential execution bit-for-bit (see module docstring).
-    ordered_retrieval: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -61,6 +57,8 @@ class EngineConfig:
             raise ValueError("workers must be positive")
         if self.llm_threads < 1:
             raise ValueError("llm_threads must be positive")
+        if self.max_wait < 0:
+            raise ValueError("max_wait must be non-negative")
 
     def with_updates(self, **changes) -> "EngineConfig":
         return replace(self, **changes)
@@ -90,21 +88,6 @@ class ExecutionEngine:
         self.config = config or EngineConfig()
         self.last_report = EngineReport()
         self._metrics = metrics or get_default_registry()
-
-    @classmethod
-    def sequential(cls) -> "ExecutionEngine":
-        """An engine equivalent to running ``pipeline.run`` in a loop.
-
-        One worker and batch size 1 reproduce the sequential call order
-        exactly, which is what ``UniDM.run_many`` uses by default.
-        """
-        return cls(EngineConfig(max_batch_size=1, workers=1))
-
-    @classmethod
-    def concurrent(
-        cls, batch_size: int = 8, workers: int = 8, **overrides
-    ) -> "ExecutionEngine":
-        return cls(EngineConfig(max_batch_size=batch_size, workers=workers, **overrides))
 
     # ------------------------------------------------------------------ running
     def run(
@@ -139,7 +122,6 @@ class ExecutionEngine:
             executor=executor,
             metrics=self._metrics,
         )
-        gate = OrderedGate() if config.ordered_retrieval else _OpenGate()
         semaphore = asyncio.Semaphore(config.workers)
         inflight = self._metrics.gauge("engine.inflight")
         per_kind: dict[str, tuple] = {}  # kind -> (tasks counter, latency hist)
@@ -167,7 +149,7 @@ class ExecutionEngine:
                 started = time.perf_counter()
                 try:
                     with span("engine.task", kind=kind, index=index):
-                        return await execute_task(pipeline, task, index, batcher, gate)
+                        return await execute_task(pipeline, task, batcher)
                 finally:
                     inflight.dec()
                     tasks_counter.inc()
@@ -184,13 +166,3 @@ class ExecutionEngine:
             executor.shutdown(wait=False)
             self.last_report = EngineReport(stats=batcher.stats)
         return list(results)
-
-
-class _OpenGate:
-    """No-op gate used when ordered retrieval is disabled."""
-
-    async def acquire(self, index: int) -> None:
-        return None
-
-    def release(self, index: int) -> None:
-        return None

@@ -134,9 +134,10 @@ class ServingService:
         self.admission = self._door.admission
         self.tenancy = self._door.tenancy
         self.monitor = self._door.monitor
-        # One batch at a time: the pipeline's rng and the engine's report are
-        # shared state, so concurrent TCP connections take turns here (their
-        # requests still micro-batch *within* each flush).  Under contention
+        # One batch at a time: the engine's report is shared state, so
+        # concurrent TCP connections take turns here (their requests still
+        # micro-batch *within* each flush; results do not depend on whose
+        # turn came first).  Under contention
         # the fair-share tenant's highest-priority waiting batch acquires
         # first; untagged traffic all rides the default tenant, where the
         # order is plain (priority desc, arrival).

@@ -6,17 +6,14 @@ sync path uses, but satisfies each :class:`~repro.core.plan.LLMRequest` by
 awaiting the micro-batcher, so same-kind prompts from concurrent tasks
 coalesce into batched LLM calls.
 
-Determinism: the retrieval stage is the only one that draws from the
-pipeline's rng, and candidate pools depend on the draw order.  Tasks therefore
-pass through an :class:`OrderedGate` so their retrieval plans execute in
-submission order — the rng stream (and hence every prompt) is identical to a
-sequential ``run_many``, which is what makes a warmed cache bit-reproducible
-regardless of concurrency.
+Determinism: every plan stage is a pure function of ``(config.seed, task)``
+given its completions (the retrieval stage derives its generator from the
+task, see :meth:`~repro.core.pipeline.UniDM.plan_retrieval`), so a task issues
+the same prompts here as in a sequential ``run``, however tasks interleave.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import TYPE_CHECKING, Any, Awaitable, Callable
 
 from ..core.plan import LLMRequest, Plan
@@ -42,40 +39,10 @@ async def drive_async(
         return stop.value
 
 
-class OrderedGate:
-    """Admits task index 0, 1, 2, ... strictly in order.
-
-    The holder runs its critical section (the rng-consuming retrieval stage),
-    then releases to admit the next index.  Indices must be acquired by
-    exactly the integers 0..n-1.
-    """
-
-    def __init__(self) -> None:
-        self._next = 0
-        self._waiters: dict[int, asyncio.Future] = {}
-
-    async def acquire(self, index: int) -> None:
-        if index == self._next:
-            return
-        future = asyncio.get_running_loop().create_future()
-        self._waiters[index] = future
-        await future
-
-    def release(self, index: int) -> None:
-        if index != self._next:  # defensive: out-of-protocol release
-            return
-        self._next += 1
-        future = self._waiters.pop(self._next, None)
-        if future is not None and not future.done():
-            future.set_result(None)
-
-
 async def execute_task(
     pipeline: "UniDM",
     task: "Task",
-    index: int,
     batcher: MicroBatcher,
-    gate: OrderedGate,
 ) -> ManipulationResult:
     """Run Algorithm 1 for one task with micro-batched LLM calls.
 
@@ -92,12 +59,7 @@ async def execute_task(
         tracker.record(completion, kind=request.kind)
         return completion.text
 
-    await gate.acquire(index)
-    try:
-        pre = await drive_async(pipeline.plan_retrieval(task, trace), call)
-    finally:
-        gate.release(index)
-
+    pre = await drive_async(pipeline.plan_retrieval(task, trace), call)
     context = await drive_async(pipeline.plan_context(pre, trace), call)
     target = await drive_async(pipeline.plan_target(task, context.text, trace), call)
     answer_text = await call(LLMRequest(target.text, "answer"))

@@ -2,17 +2,13 @@
 
 The parity and affinity tests need execution to be a *pure function of each
 spec* so that sharding (which changes call order and splits the backend into
-N independent stacks) cannot change any answer.  The established determinism
-regime from the flow property tests is reused:
+N independent stacks) cannot change any answer.  The pipeline is that by
+construction, at the paper's full configuration (``FULL_CONFIG``); the
+backend must be too, hence :class:`PromptPureLLM` — the completion depends
+only on the prompt text (no noise stream, no call-order state).
 
-* :class:`PromptPureLLM` — the completion depends only on the prompt text
-  (no noise stream, no call-order state);
-* ``RNG_FREE`` — retrieval sampling disabled
-  (``n_meta_attributes=0`` / ``top_k_instances=0``), so the pipeline's own
-  rng is never consumed.
-
-Under this regime, cluster results must be bit-identical to a single
-engine's ``run_many`` at any worker count — the cluster acceptance contract.
+Cluster results must then be bit-identical to a single engine's ``run_many``
+at any worker count — the cluster acceptance contract.
 """
 
 from __future__ import annotations
@@ -30,8 +26,8 @@ from repro.api import (
 from repro.core import UniDMConfig
 from repro.llm.base import LanguageModel
 
-#: Pipeline config whose rng is never consumed (see module docstring).
-RNG_FREE = UniDMConfig(n_meta_attributes=0, top_k_instances=0)
+#: The paper's full pipeline, retrieval included.
+FULL_CONFIG = UniDMConfig.full(seed=0)
 
 
 class PromptPureLLM(LanguageModel):

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from cluster_testing import RNG_FREE, PromptPureLLM, fingerprint, make_mixed_specs
+from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint, make_mixed_specs
 
 from repro.cluster import (
     ClusterError,
@@ -30,7 +30,7 @@ from repro.obs.metrics import get_default_registry
 def make_router(n_workers: int = 2, **overrides) -> Router:
     options = dict(
         llm_factory=lambda i: PromptPureLLM(),
-        config=RNG_FREE,
+        config=FULL_CONFIG,
         health_interval=None,  # deterministic: no background sweep
     )
     options.update(overrides)

@@ -1,11 +1,9 @@
 """Parity: cluster execution is bit-identical to a single engine.
 
-The ordered-retrieval determinism contract of the serving engine says that
-whenever execution is a pure function of each task (a warmed cache, or a
-backend + config with no call-order state — see
-``repro/serving/engine.py``), results are bit-identical at any batch size
-and worker count.  The cluster extends that guarantee across shards, and
-these tests enforce it three ways:
+The determinism contract of the serving engine (``repro/serving/engine.py``)
+says a result is a pure function of its task given a prompt-pure backend, so
+results are bit-identical at any batch size and worker count.  The cluster
+extends that guarantee across shards, and these tests enforce it three ways:
 
 1. cluster ``submit_many`` ≡ single-engine ``Client.local`` ``submit_many``
    ≡ sequential ``UniDM.run_many`` over the same mixed workload;
@@ -16,7 +14,7 @@ these tests enforce it three ways:
    regression: counters add up per shard and in aggregate).
 """
 
-from cluster_testing import RNG_FREE, PromptPureLLM, fingerprint, make_mixed_specs
+from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint, make_mixed_specs
 
 from repro.api import Client
 from repro.api.results import TaskResult
@@ -25,9 +23,9 @@ from repro.datasets import load_dataset
 
 
 def test_cluster_matches_single_engine_bitwise(mixed_specs):
-    with Client.local(llm=PromptPureLLM(), config=RNG_FREE) as local:
+    with Client.local(llm=PromptPureLLM(), config=FULL_CONFIG) as local:
         single_engine = local.submit_many(mixed_specs)
-    sequential_pipeline = UniDM(PromptPureLLM(), RNG_FREE)
+    sequential_pipeline = UniDM(PromptPureLLM(), FULL_CONFIG)
     sequential = [
         TaskResult.from_manipulation(result)
         for result in sequential_pipeline.run_many(
@@ -38,7 +36,7 @@ def test_cluster_matches_single_engine_bitwise(mixed_specs):
         with Client.cluster(
             workers=n_workers,
             llm_factory=lambda i: PromptPureLLM(),
-            config=RNG_FREE,
+            config=FULL_CONFIG,
         ) as cluster:
             sharded = cluster.submit_many(mixed_specs)
             spread = {
@@ -57,7 +55,7 @@ def test_restarted_cluster_replays_from_disjoint_shards(tmp_path):
         return Client.cluster(
             workers=3,
             llm_factory=lambda i: PromptPureLLM(),
-            config=RNG_FREE,
+            config=FULL_CONFIG,
             cache_dir=cache_dir,
         )
 
@@ -87,7 +85,7 @@ def test_restarted_cluster_replays_from_disjoint_shards(tmp_path):
 def test_cached_llm_stats_stay_consistent_under_router(mixed_specs):
     """Satellite regression: per-shard cache counters add up under routing."""
     with Client.cluster(
-        workers=3, llm_factory=lambda i: PromptPureLLM(), config=RNG_FREE
+        workers=3, llm_factory=lambda i: PromptPureLLM(), config=FULL_CONFIG
     ) as client:
         client.submit_many(mixed_specs)
         first = client.router.stats()
@@ -118,10 +116,10 @@ def test_cluster_parity_on_dataset_imputation_workload():
         ImputationSpec(rows=rows, target=task.record.to_dict(), attribute=task.attribute)
         for task in dataset.tasks
     ]
-    with Client.local(llm=PromptPureLLM(), config=RNG_FREE) as local:
+    with Client.local(llm=PromptPureLLM(), config=FULL_CONFIG) as local:
         expected = local.submit_many(specs)
     with Client.cluster(
-        workers=4, llm_factory=lambda i: PromptPureLLM(), config=RNG_FREE
+        workers=4, llm_factory=lambda i: PromptPureLLM(), config=FULL_CONFIG
     ) as cluster:
         observed = cluster.submit_many(specs)
     assert fingerprint(observed) == fingerprint(expected)

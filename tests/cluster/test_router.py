@@ -2,7 +2,7 @@
 
 import pytest
 
-from cluster_testing import RNG_FREE, PromptPureLLM, fingerprint, make_mixed_specs
+from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint, make_mixed_specs
 
 from repro.api import Client, PipelineSpec, TransformationSpec
 from repro.cluster import ClusterError, Router
@@ -10,7 +10,7 @@ from repro.serving.service import InvalidRequest
 
 
 def make_router(n_workers: int = 3, **overrides) -> Router:
-    options = dict(llm_factory=lambda i: PromptPureLLM(), config=RNG_FREE)
+    options = dict(llm_factory=lambda i: PromptPureLLM(), config=FULL_CONFIG)
     options.update(overrides)
     return Router.local(n_workers, **options)
 
@@ -124,7 +124,7 @@ def test_handle_batch_mirrors_service_semantics():
 
 def test_cluster_client_is_specs_only():
     with Client.cluster(
-        workers=2, llm_factory=lambda i: PromptPureLLM(), config=RNG_FREE
+        workers=2, llm_factory=lambda i: PromptPureLLM(), config=FULL_CONFIG
     ) as client:
         from repro.api.errors import TransportError
         from repro.core.tasks import TransformationTask
@@ -132,7 +132,7 @@ def test_cluster_client_is_specs_only():
         assert client.router.live_workers == {"worker-00", "worker-01"}
         with pytest.raises(TransportError):
             client.run_task(TransformationTask("x", [("a", "b")]))
-    with Client.local(llm=PromptPureLLM(), config=RNG_FREE) as local:
+    with Client.local(llm=PromptPureLLM(), config=FULL_CONFIG) as local:
         from repro.api.errors import TransportError
 
         with pytest.raises(TransportError):
@@ -168,10 +168,10 @@ def test_cluster_client_matches_local_client_on_pipeline_spec():
     spec = PipelineSpec(
         rows=rows, stages=[{"op": "impute", "column": "city"}], partition_size=3
     )
-    with Client.local(llm=PromptPureLLM(), config=RNG_FREE) as local:
+    with Client.local(llm=PromptPureLLM(), config=FULL_CONFIG) as local:
         expected = local.submit(spec).answer
     with Client.cluster(
-        workers=3, llm_factory=lambda i: PromptPureLLM(), config=RNG_FREE
+        workers=3, llm_factory=lambda i: PromptPureLLM(), config=FULL_CONFIG
     ) as cluster:
         observed = cluster.submit(spec).answer
     assert observed["rows"] == expected["rows"]

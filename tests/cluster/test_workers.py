@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cluster_testing import RNG_FREE, PromptPureLLM, make_mixed_specs
+from cluster_testing import FULL_CONFIG, PromptPureLLM, make_mixed_specs
 
 from repro.api.protocol import encode_request
 from repro.cluster import Router, SubprocessWorker, ThreadWorker, WorkerDeadError
@@ -14,7 +14,7 @@ from repro.serving import ExecutionEngine, ServingService
 
 
 def make_service() -> ServingService:
-    return ServingService(UniDM(PromptPureLLM(), RNG_FREE), ExecutionEngine())
+    return ServingService(UniDM(PromptPureLLM(), FULL_CONFIG), ExecutionEngine())
 
 
 def wire(spec, request_id=0):

@@ -18,6 +18,18 @@ def test_make_rng_accepts_generator_and_seed():
     assert isinstance(make_rng(3), np.random.Generator)
 
 
+def test_make_rng_with_key_is_a_process_stable_function_of_seed_and_key():
+    def draw(seed, key):
+        return make_rng(seed, key).integers(1 << 30, size=3).tolist()
+
+    key = "IMPUTATION\x1fMilan, country\x1fNone"
+    # Pinned: a worker subprocess (other PYTHONHASHSEED) must draw the same.
+    assert draw(0, key) == [569111219, 841573649, 982155211]
+    assert draw(0, key) != draw(1, key)
+    assert draw(0, key) != draw(0, key + "x")
+    assert draw(0, key) != make_rng(0).integers(1 << 30, size=3).tolist()
+
+
 def test_sample_items_without_replacement_caps_k():
     items = list(range(5))
     sampled = sample_items(items, 10, rng=0)

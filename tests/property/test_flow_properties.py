@@ -7,16 +7,10 @@ produces: compile each stage over each partition, run every work item's task
 one at a time through ``Client.run_task``, write the answers back.
 
 Identity is only well-defined when execution is a pure function of each
-task, so the backing stack is deterministic by construction:
-
-* the LLM is a pure function of the prompt (no noise stream), and
-* retrieval sampling is disabled (``n_meta_attributes=0`` /
-  ``top_k_instances=0``): the shared pipeline rng is never consumed, which
-  is exactly what makes skipping a duplicate task (dedup) invisible to the
-  tasks after it.  (With sampling enabled the *sequence* of rng draws — not
-  any answer — would differ between the two execution strategies; that
-  nondeterminism across execution modes is a documented property of the
-  serving engine, not of the flow layer.)
+task.  The pipeline is (each task seeds its own retrieval rng, which is what
+makes skipping a duplicate task — dedup — invisible to the tasks after it),
+so the full configuration runs here; the LLM is made a pure function of the
+prompt (no noise stream).
 """
 
 import string
@@ -60,7 +54,7 @@ class PromptPureLLM(LanguageModel):
 
 @pytest.fixture(scope="module")
 def client():
-    config = UniDMConfig(n_meta_attributes=0, top_k_instances=0)
+    config = UniDMConfig.full(seed=0)
     with Client.local(llm=PromptPureLLM(), config=config, batch_size=4, workers=4) as c:
         yield c
 

@@ -9,7 +9,6 @@ from repro.llm import CachedLLM, SimulatedLLM
 from repro.serving import (
     EngineConfig,
     ExecutionEngine,
-    OrderedGate,
     PersistentCache,
 )
 
@@ -119,34 +118,16 @@ def test_engine_config_validation():
         EngineConfig(workers=0)
     with pytest.raises(ValueError):
         EngineConfig(llm_threads=0)
+    with pytest.raises(ValueError):
+        EngineConfig(max_wait=-1.0)
     assert EngineConfig().with_updates(workers=2).workers == 2
-
-
-# --------------------------------------------------------------- ordered gate
-def test_ordered_gate_admits_in_index_order():
-    order = []
-
-    async def scenario():
-        gate = OrderedGate()
-
-        async def section(index):
-            await gate.acquire(index)
-            order.append(index)
-            await asyncio.sleep(0)
-            gate.release(index)
-
-        # Launch deliberately out of order; admission must still be 0,1,2,3.
-        await asyncio.gather(section(2), section(0), section(3), section(1))
-
-    asyncio.run(scenario())
-    assert order == [0, 1, 2, 3]
 
 
 def test_run_many_falls_back_to_plain_loop_inside_event_loop(
     city_table, city_knowledge
 ):
-    # The default engine path spins asyncio.run, which cannot nest; callers
-    # already inside a loop must still get sequential-equivalent results.
+    # An engine's asyncio.run cannot nest, so the no-engine default must not
+    # need one: callers already inside a loop get the plain loop over run().
     pipeline = make_pipeline(city_knowledge, seed=5)
     reference = make_pipeline(city_knowledge, seed=5)
 
@@ -156,13 +137,3 @@ def test_run_many_falls_back_to_plain_loop_inside_event_loop(
     inside_loop = asyncio.run(scenario())
     expected = [reference.run(task) for task in city_tasks(city_table)]
     assert result_fingerprint(inside_loop) == result_fingerprint(expected)
-
-
-def test_unordered_retrieval_still_produces_all_results(city_table, city_knowledge):
-    pipeline = make_pipeline(city_knowledge)
-    engine = ExecutionEngine(
-        EngineConfig(max_batch_size=4, workers=4, ordered_retrieval=False)
-    )
-    results = engine.run(pipeline, city_tasks(city_table))
-    assert len(results) == 4
-    assert all(isinstance(r.value, str) and r.value for r in results)

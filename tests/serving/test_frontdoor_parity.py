@@ -24,7 +24,7 @@ from repro.serving.frontdoor import InvalidRequest
 from repro.serving.service import ServingService
 from repro.tenancy import TenantConfig, TenantRegistry
 
-RNG_FREE = UniDMConfig(n_meta_attributes=0, top_k_instances=0)
+FULL_CONFIG = UniDMConfig.full(seed=0)
 TRACE = "feedfacefeedface"
 
 
@@ -57,13 +57,13 @@ class Front:
         self.llm = GatedLLM()
         if kind == "service":
             self.target = ServingService(
-                UniDM(CachedLLM(self.llm), RNG_FREE), tenants=tenants(), max_queue_depth=1
+                UniDM(CachedLLM(self.llm), FULL_CONFIG), tenants=tenants(), max_queue_depth=1
             )
         else:
             self.target = Router.local(
                 1,
                 llm_factory=lambda index: self.llm,
-                config=RNG_FREE,
+                config=FULL_CONFIG,
                 tenants=tenants(),
                 max_queue_depth=1,
                 health_interval=None,
