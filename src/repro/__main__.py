@@ -532,6 +532,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     finally:
         service.monitor.stop()
+        service.close()
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

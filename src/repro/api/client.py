@@ -597,8 +597,8 @@ class _Backend:
         raise NotImplementedError
 
     async def asend(self, requests: list[dict]) -> list[dict]:
-        # Engines and worker batches spin their own event loops, and the
-        # wire connection is blocking: keep all of it off the caller's loop.
+        # Engine runs, worker batches and the wire connection all block:
+        # keep them off the caller's loop.
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, self.send, requests)
 
@@ -620,6 +620,9 @@ class _LocalBackend(_Backend):
 
     def run_tasks(self, tasks: "list[Task]") -> "list[ManipulationResult]":
         return self.service.run_tasks(tasks)
+
+    def close(self) -> None:
+        self.service.close()
 
 
 class _ClusterBackend(_Backend):

@@ -24,9 +24,9 @@ Three optional v2 envelope keys carry the observability layer:
   receiving hop uses it as the parent of its own server-side span, so a
   cluster request (client → router → subprocess worker) reassembles into
   one causal tree in the event log.
-* ``"priority"`` — an integer (default 0, higher first) honored at dequeue
-  when admitted batches contend for the engine (see
-  :class:`repro.tenancy.WeightedFairLock`).
+* ``"priority"`` — an integer (default 0, higher first) honored when
+  admitted tasks contend for the engine's slots (see
+  :class:`repro.tenancy.WeightedFairQueue`).
 
 A fourth optional key carries multi-tenancy (see :mod:`repro.tenancy`):
 

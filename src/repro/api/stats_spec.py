@@ -13,8 +13,8 @@ percentiles) plus a front-end section (service totals, or the aggregated
 :class:`~repro.cluster.ClusterStats` for a cluster).  :meth:`repro.api.Client.stats`
 and ``python -m repro stats`` are thin wrappers over this request.
 
-A stats request is answered *before* admission control and outside the
-batch lock — observability stays available exactly when the service is
+A stats request is answered *before* admission control and never enters
+the engine — observability stays available exactly when the service is
 overloaded.  Like the ``pipeline`` type it is not a single pipeline task,
 so ``to_task()`` refuses.
 """

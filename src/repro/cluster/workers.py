@@ -232,6 +232,7 @@ class ThreadWorker(Worker):
         # Served after every admitted batch: pending work drains first.
         self._queue.put_final(_STOP)
         self._thread.join(timeout=5.0)
+        self.service.close()
 
 
 class SubprocessWorker(Worker):
@@ -340,7 +341,7 @@ class SubprocessWorker(Worker):
         weight: float = 1.0,
     ) -> "list[dict]":
         # ``priority`` and ``tenant`` already travel inside each request
-        # envelope; the child's own fair batch lock honors them at dequeue.
+        # envelope; the child's engine honors them at slot admission.
         from ..api.errors import TransportError
 
         if not self.ping():

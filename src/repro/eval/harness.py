@@ -127,8 +127,10 @@ def evaluate(
         if pipeline is not None:
             from ..api import Client
 
-            client = Client.local(pipeline=pipeline, engine=engine)
-            predictions = [result.value for result in client.run_tasks(bench.tasks)]
+            with Client.local(pipeline=pipeline, engine=engine) as client:
+                predictions = [
+                    result.value for result in client.run_tasks(bench.tasks)
+                ]
         else:
             predictions = [method.solve(task) for task in bench.tasks]
     tokens_after, calls_after = _usage_of(method)

@@ -13,10 +13,10 @@ executor should run at once) and ``max_queue_depth`` (requests allowed to
 wait beyond that).  Leaving both ``None`` disables shedding entirely (the
 pre-observability behaviour).
 
-The companion dequeue policy lives in :mod:`repro.tenancy`: when several
-admitted batches wait for the engine, :class:`~repro.tenancy.WeightedFairLock`
-serves the fair-share tenant's highest-priority one first (v2 envelope key
-``"priority"``, higher first; FIFO within a priority) — so load shedding
+The companion dequeue policy lives in :mod:`repro.tenancy`: admitted tasks
+wait for the engine's slots in a :class:`~repro.tenancy.WeightedFairQueue`,
+which serves the fair-share tenant's highest-priority one first (v2 envelope
+key ``"priority"``, higher first; FIFO within a priority) — so load shedding
 never has to drop urgent work to protect itself.
 """
 
@@ -178,7 +178,7 @@ async def start_stats_server(
 ) -> asyncio.AbstractServer:
     """The ``serve --stats-port`` side channel, with content negotiation.
 
-    The endpoint never touches the engine or the batch lock, so stats stay
+    The endpoint never touches the engine, so stats stay
     readable while the main port is saturated (which is exactly when you
     want them).  Two dialects share the port, sniffed from the first line:
 

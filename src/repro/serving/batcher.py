@@ -6,7 +6,25 @@ synchronous :class:`~repro.llm.base.LanguageModel`: coroutines ``submit()``
 individual prompts and await their completions, while the batcher coalesces
 pending **same-kind** prompts into one ``complete_batch`` call.
 
-A batch is dispatched when the first of three triggers fires:
+One batcher serves every caller of a resident
+:class:`~repro.serving.engine.ExecutionEngine`, so *when* it dispatches
+decides how full each backend round trip is.  The rule:
+
+* **Hold while busy.**  While every LLM thread (``llm_threads``) is executing
+  a batch nothing is dispatched — no trigger fires; pending prompts keep
+  collecting batch-mates.  The batch in flight is the progress guarantee.
+* **Deliver, then dispatch.**  When a batch lands its waiters are resolved
+  first and get the idle check's two loop turns to submit their next prompt;
+  only then is the freed thread given the next batch.
+* **Oldest admitted task first.**  Every prompt carries the ticket its task
+  drew when the engine admitted it (:data:`ORIGIN`); a freed thread takes the
+  pending kind that holds the lowest ticket, up to ``max_batch_size`` in
+  queue order.  A younger task's prompt therefore never overtakes an older
+  one's, tasks admitted together advance in lock-step, reach the same stage
+  (same kind) together and share one round trip.
+
+With a free thread a batch is dispatched when the first of three triggers
+fires:
 
 * **size** — a kind accumulates ``max_batch_size`` pending prompts;
 * **idle** — the event loop drains its ready queue without any new
@@ -16,8 +34,9 @@ A batch is dispatched when the first of three triggers fires:
   (the formal progress guarantee behind the idle heuristic).
 
 Batches execute on a worker thread pool so the event loop stays responsive;
-bounding that pool (``llm_threads``) is the backpressure knob towards the
-backend, just as the engine's worker semaphore bounds in-flight tasks.
+nothing here opens a file or takes a ``threading`` lock of its own on the
+loop thread (route notes — file appends under the cache's lock — are made on
+the LLM thread, at dispatch).
 """
 
 from __future__ import annotations
@@ -25,11 +44,11 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import time
+from collections import Counter
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from functools import partial
-
-from typing import Any
+from typing import Any, Callable
 
 from ..llm.base import Completion, LanguageModel
 from ..obs.export import get_default_exemplars
@@ -37,30 +56,15 @@ from ..obs.metrics import MetricsRegistry, SIZE_BUCKETS, get_default_registry
 from ..obs.span import Span
 from ..obs.trace import Trace
 
-#: The spec (route) key of the task currently executing, set by the engine
-#: around each task coroutine.  ``submit`` reads it to attribute every
-#: prompt to the spec that issued it — the attribution the cluster's
-#: shard-migration path needs, captured here because this is the last layer
-#: where a prompt still belongs to exactly one task (batches mix tasks).
-ROUTE_KEY: contextvars.ContextVar[str | None] = contextvars.ContextVar(
-    "repro_route_key", default=None
-)
 
-
-@dataclass
-class _Request:
-    prompt: str
-    kind: str
-    future: asyncio.Future
-    #: ``perf_counter`` at submission; queue wait is measured at dispatch.
-    enqueued: float = 0.0
-    #: ``batcher.wait`` span opened at submission (None when unsampled).
-    span: "Span | None" = None
-
-
-@dataclass
+@dataclass(eq=False)  # identity-hashed: batches are counted per run's stats object
 class BatcherStats:
-    """Counters describing how well coalescing worked during one run."""
+    """Counters describing how well coalescing worked.
+
+    The batcher's own ``stats`` count every batch it dispatched; a run's
+    stats (:attr:`Origin.stats`) count that run's prompts only, and each
+    batch that carried at least one of them.
+    """
 
     requests: int = 0
     batches: int = 0
@@ -71,18 +75,53 @@ class BatcherStats:
     def mean_batch(self) -> float:
         return self.requests / self.batches if self.batches else 0.0
 
-    def note(self, kind: str, size: int) -> None:
-        self.requests += size
+    def note(self, kind: str, prompts: int, batch_size: int | None = None) -> None:
+        """Count one batch carrying ``prompts`` of ours (``batch_size`` in all)."""
+        self.requests += prompts
         self.batches += 1
-        self.max_batch = max(self.max_batch, size)
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + size
+        self.max_batch = max(self.max_batch, batch_size or prompts)
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + prompts
+
+
+@dataclass(frozen=True)
+class Origin:
+    """What a prompt inherits from the task that issued it."""
+
+    #: Spec (route) key — the attribution the cluster's shard-migration path
+    #: needs, captured here because this is the last layer where a prompt
+    #: still belongs to exactly one task (batches mix tasks).
+    route: str | None = None
+    #: The task's place in the engine's admission order (lower = older).
+    ticket: int = 0
+    #: The counters of the ``run`` the task belongs to.
+    stats: BatcherStats | None = None
+
+
+#: The origin of the task currently executing, set by the engine inside each
+#: task coroutine; ``submit`` reads it once per prompt.
+ORIGIN: contextvars.ContextVar[Origin] = contextvars.ContextVar(
+    "repro_prompt_origin", default=Origin()
+)
+
+
+@dataclass
+class _Request:
+    prompt: str
+    kind: str
+    future: "asyncio.Future[Completion]"
+    origin: Origin
+    #: ``perf_counter`` at submission; queue wait is measured at dispatch.
+    enqueued: float = 0.0
+    #: ``batcher.wait`` span opened at submission (None when unsampled).
+    span: "Span | None" = None
 
 
 class MicroBatcher:
     """Coalesces concurrent same-kind prompts into batched LLM calls.
 
     Must be used from a single running event loop; batch execution happens on
-    ``executor`` (falls back to the loop's default executor when ``None``).
+    ``executor`` (falls back to the loop's default executor when ``None``),
+    at most ``llm_threads`` batches at a time.
     """
 
     def __init__(
@@ -92,11 +131,14 @@ class MicroBatcher:
         max_wait: float = 0.002,
         executor: Executor | None = None,
         metrics: MetricsRegistry | None = None,
+        llm_threads: int = 1,
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
         if max_wait < 0:
             raise ValueError("max_wait must be non-negative")
+        if llm_threads < 1:
+            raise ValueError("llm_threads must be positive")
         self.llm = llm
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait
@@ -115,6 +157,9 @@ class MicroBatcher:
         self._m_queue_wait = metrics.histogram("batcher.queue_wait")
         self._m_llm_latency: dict[str, Any] = {}
         self._executor = executor
+        self._llm_threads = llm_threads
+        self._inflight = 0  # batches executing on the LLM threads
+        self._executing: set[asyncio.Task[None]] = set()
         self._pending: dict[str, list[_Request]] = {}
         self._generation = 0
         self._timer: asyncio.TimerHandle | None = None
@@ -128,23 +173,21 @@ class MicroBatcher:
         by the submitting task's span via the ambient context).
         """
         loop = asyncio.get_running_loop()
-        route = ROUTE_KEY.get()
-        if route is not None:
-            note = getattr(self.llm, "note_route", None)
-            if note is not None:
-                note(prompt, route)
         wait_span = Span.begin("batcher.wait", attrs={"kind": kind})
         request = _Request(
-            prompt, kind, loop.create_future(), time.perf_counter(), wait_span
+            prompt, kind, loop.create_future(), ORIGIN.get(), time.perf_counter(), wait_span
         )
         queue = self._pending.setdefault(kind, [])
         queue.append(request)
         self._generation += 1
         self._m_requests.inc()
-        if len(queue) >= self.max_batch_size:
-            self._flush_kind(loop, kind, reason="size")
-        else:
-            self._arm(loop)
+        # With every thread busy the prompt just waits: the batch in flight
+        # dispatches the next one when it lands.
+        if self._inflight < self._llm_threads:
+            if len(queue) >= self.max_batch_size:
+                self._dispatch(loop, kind, reason="size")
+            else:
+                self._arm(loop)
         try:
             completion = await request.future
         except BaseException:
@@ -158,7 +201,7 @@ class MicroBatcher:
     # ----------------------------------------------------------------- triggers
     def _arm(self, loop: asyncio.AbstractEventLoop) -> None:
         if self._timer is None:
-            self._timer = loop.call_later(self.max_wait, partial(self._flush_all, loop))
+            self._timer = loop.call_later(self.max_wait, partial(self._flush, loop))
         # Two call_soon hops let every currently-runnable coroutine advance to
         # its next await; if no new submission arrived by then, nothing can
         # grow the batch and waiting out max_wait would be pure latency.
@@ -172,19 +215,22 @@ class MicroBatcher:
         if phase == 0:
             loop.call_soon(self._idle_check, loop, generation, 1)
         else:
-            self._flush_all(loop, reason="idle")
+            self._flush(loop, reason="idle")
 
     # ----------------------------------------------------------------- flushing
-    def _flush_all(self, loop: asyncio.AbstractEventLoop, reason: str = "timeout") -> None:
+    def _flush(self, loop: asyncio.AbstractEventLoop, reason: str = "timeout") -> None:
+        """Give each free LLM thread the pending kind of the oldest task."""
         self._cancel_timer()
-        for kind in list(self._pending):
-            while self._pending.get(kind):
-                self._flush_kind(loop, kind, reason=reason)
+        while self._pending and self._inflight < self._llm_threads:
+            kind = min(
+                self._pending,
+                key=lambda k: min(r.origin.ticket for r in self._pending[k]),
+            )
+            self._dispatch(loop, kind, reason)
 
-    def _flush_kind(
-        self, loop: asyncio.AbstractEventLoop, kind: str, reason: str = "size"
-    ) -> None:
-        queue = self._pending.get(kind, [])
+    def _dispatch(self, loop: asyncio.AbstractEventLoop, kind: str, reason: str) -> None:
+        # A waiter cancelled since it submitted (its run failed) drops out here.
+        queue = [r for r in self._pending.get(kind, ()) if not r.future.done()]
         batch, rest = queue[: self.max_batch_size], queue[self.max_batch_size :]
         if rest:
             self._pending[kind] = rest
@@ -192,25 +238,47 @@ class MicroBatcher:
             self._pending.pop(kind, None)
             if not self._pending:
                 self._cancel_timer()
-        if batch:
-            self.stats.note(kind, len(batch))
-            self._m_batches.inc()
-            self._m_flush[reason].inc()
-            self._m_batch_size.observe(len(batch))
-            now = time.perf_counter()
-            for request in batch:
-                self._m_queue_wait.observe(now - request.enqueued)
-            loop.create_task(self._execute(loop, kind, batch))
+        if not batch:
+            return
+        self.stats.note(kind, len(batch))
+        runs: Counter[BatcherStats] = Counter()
+        for request in batch:
+            if request.origin.stats is not None:
+                runs[request.origin.stats] += 1
+        for stats, prompts in runs.items():
+            stats.note(kind, prompts, len(batch))
+        self._m_batches.inc()
+        self._m_flush[reason].inc()
+        self._m_batch_size.observe(len(batch))
+        now = time.perf_counter()
+        for request in batch:
+            self._m_queue_wait.observe(now - request.enqueued)
+        self._inflight += 1
+        task = loop.create_task(self._execute(loop, kind, batch))
+        self._executing.add(task)
+        task.add_done_callback(self._executing.discard)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
 
+    def _call(self, kind: str, batch: list[_Request]) -> list[Completion]:
+        """The LLM thread's side of a batch: note routes, then complete.
+
+        The route is recorded before the entry is stored, so a crash between
+        the two leaves an attribution without an entry, never the reverse.
+        """
+        note = getattr(self.llm, "note_route", None)
+        if note is not None:
+            for request in batch:
+                if request.origin.route is not None:
+                    note(request.prompt, request.origin.route)
+        return self.llm.complete_batch([request.prompt for request in batch], kind)
+
     async def _execute(
         self, loop: asyncio.AbstractEventLoop, kind: str, batch: list[_Request]
     ) -> None:
-        prompts = [request.prompt for request in batch]
         # One llm.call span per dispatched batch.  It is parented by the
         # first waiter's batcher.wait span — a batch belongs to all its
         # waiters, but a tree needs one parent, and the first waiter is the
@@ -228,20 +296,26 @@ class MicroBatcher:
             if first_span is not None
             else None
         )
+        call: Callable[[], list[Completion]] = partial(self._call, kind, batch)
+        if call_span is not None:
+            # run_in_executor does NOT propagate contextvars; capture the
+            # context under the call span so spans opened inside the LLM
+            # stack (cache.lookup, llm.backend) nest beneath it.
+            with call_span.bind():
+                call = partial(contextvars.copy_context().run, call)
         started = time.perf_counter()
         try:
+            try:
+                completions = await loop.run_in_executor(self._executor, call)
+            finally:
+                self._inflight -= 1
+        except Exception as exc:  # propagate to every waiter of this batch
             if call_span is not None:
-                # run_in_executor does NOT propagate contextvars; capture the
-                # context under the call span so spans opened inside the LLM
-                # stack (cache.lookup, llm.backend) nest beneath it.
-                with call_span.bind():
-                    context = contextvars.copy_context()
-                call = partial(
-                    context.run, partial(self.llm.complete_batch, prompts, kind)
-                )
-            else:
-                call = partial(self.llm.complete_batch, prompts, kind)
-            completions = await loop.run_in_executor(self._executor, call)
+                call_span.finish(status="error")
+            for request in batch:
+                if not request.future.done():
+                    request.future.set_exception(exc)
+        else:
             latency = self._m_llm_latency.get(kind)
             if latency is None:
                 latency = self._metrics.histogram(f"batcher.llm_latency.{kind}")
@@ -250,15 +324,13 @@ class MicroBatcher:
             get_default_exemplars().note(
                 f"batcher.llm_latency.{kind}", Trace.current_id()
             )
-        except Exception as exc:  # propagate to every waiter of this batch
             if call_span is not None:
-                call_span.finish(status="error")
-            for request in batch:
+                call_span.finish()
+            for request, completion in zip(batch, completions):
                 if not request.future.done():
-                    request.future.set_exception(exc)
-            return
-        if call_span is not None:
-            call_span.finish()
-        for request, completion in zip(batch, completions):
-            if not request.future.done():
-                request.future.set_result(completion)
+                    request.future.set_result(completion)
+        # Deliver first, dispatch second: the waiters just resolved get the
+        # idle check's two turns to submit their next prompt before the
+        # freed thread is handed the oldest task's kind.
+        if self._pending:
+            self._arm(loop)

@@ -10,7 +10,7 @@ or :class:`~repro.cluster.router.Router`, or a typed batch through
 :class:`FrontDoor` implements that sequence and owns the state it needs
 (admission controller, tenancy controller, health monitor, the served
 counter).  The two hosts differ only in the *run* callable they hand it —
-the service's fair batch lock + engine, the router's sharded dispatch —
+the service's resident engine, the router's sharded dispatch —
 and in the head section of their stats snapshot.
 """
 

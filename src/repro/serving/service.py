@@ -33,7 +33,9 @@ in-flight requests per connection, correlated by ``id``.
 
 Every request path — this service's and the cluster router's — enters
 through the one :class:`~repro.serving.frontdoor.FrontDoor`; what this
-module adds is the *run* behind it: the fair batch lock and the engine.
+module adds is the *run* behind it: the resident engine, told whose share
+each admitted group runs on.  Nothing here serialises callers — concurrent
+connections' tasks share the engine's slots and meet in its one batcher.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.slo import SLOSpec
 from ..obs.span import remote_span
 from ..obs.trace import Trace
-from ..tenancy import DEFAULT_TENANT, TenantRegistry, WeightedFairLock
+from ..tenancy import DEFAULT_TENANT, TenantRegistry
 from .cache import PersistentCache
-from .engine import EngineConfig, ExecutionEngine
+from .engine import SHARE, EngineConfig, ExecutionEngine
 from .frontdoor import FrontDoor, InvalidRequest
 from .transport import start_wire_server
 
@@ -83,18 +85,19 @@ class ServingService:
     ``max_queue_depth`` set, a batch that would push pending requests past
     their sum is shed immediately with a structured ``overloaded`` error
     carrying a ``retry_after`` hint, instead of queueing unboundedly.
-    Admitted batches contending for the engine dequeue highest-priority
-    first (v2 envelope key ``"priority"``).  ``stats`` requests are answered
-    before admission and outside the batch lock, so observability survives
-    overload.
+    Admitted tasks contending for the engine's slots are admitted
+    highest-priority first (v2 envelope key ``"priority"``).  ``stats``
+    requests are answered before admission and never enter the engine, so
+    observability survives overload.
 
     Tenancy (off by default): with a :class:`~repro.tenancy.TenantRegistry`
     passed as ``tenants``, each request's claimed tenant (v2 envelope key
     ``"tenant"``; untagged and unknown names resolve to ``default``) is
     charged against that tenant's token bucket and ``max_inflight`` cap
     *before* global admission — excess is shed per tenant with a structured
-    ``rate_limited`` error — and admitted groups contend for the engine
-    weighted-fair across tenants (priority still breaks ties within one).
+    ``rate_limited`` error — and admitted tasks contend for the engine's
+    slots weighted-fair across tenants (priority still breaks ties within
+    one).
     """
 
     def __init__(
@@ -134,14 +137,6 @@ class ServingService:
         self.admission = self._door.admission
         self.tenancy = self._door.tenancy
         self.monitor = self._door.monitor
-        # One batch at a time: the engine's report is shared state, so
-        # concurrent TCP connections take turns here (their requests still
-        # micro-batch *within* each flush; results do not depend on whose
-        # turn came first).  Under contention
-        # the fair-share tenant's highest-priority waiting batch acquires
-        # first; untagged traffic all rides the default tenant, where the
-        # order is plain (priority desc, arrival).
-        self._batch_lock = WeightedFairLock()
 
     @property
     def requests_served(self) -> int:
@@ -152,12 +147,15 @@ class ServingService:
         """Run pipeline tasks directly through the engine (in-process path).
 
         This is what ``Client.local(...).run_tasks`` and the evaluation
-        harness use; it shares the batch lock with the JSON request path so a
-        service embedded in a bigger process stays internally consistent.
-        (Admission control applies to the JSON request path only.)
+        harness use; its tasks share the engine's slots and batcher with the
+        JSON request path, on the default tenant.  (Admission control applies
+        to the JSON request path only.)
         """
-        with self._batch_lock:
-            return self.pipeline.run_many(list(tasks), engine=self.engine)
+        return self.pipeline.run_many(list(tasks), engine=self.engine)
+
+    def close(self) -> None:
+        """Stop the engine's threads (idempotent)."""
+        self.engine.close()
 
     def handle_batch(self, requests: Iterable[dict]) -> list[dict]:
         """Execute a batch of request objects; responses keep request order."""
@@ -183,10 +181,10 @@ class ServingService:
         trace: str | None,
         span_parent: str | None,
     ) -> list[TaskResult]:
-        """The front door's *run*: one admitted group under the fair batch lock."""
+        """The front door's *run*: one admitted group on its tenant's share."""
         tenant = tenant or DEFAULT_TENANT
-        # The span covers the lock wait too — that *is* the service-side
-        # queueing a caller experiences.
+        # The span covers the wait for engine slots too — that *is* the
+        # service-side queueing a caller experiences.
         with remote_span(
             "service.batch",
             trace_id=trace,
@@ -194,13 +192,14 @@ class ServingService:
             requests=len(specs),
             tenant=tenant,
         ):
-            with self._batch_lock.hold(
-                priority, tenant=tenant, weight=weight, cost=float(len(specs))
-            ):
+            share = SHARE.set((tenant, weight, priority))
+            try:
                 return self._run_specs(specs)
+            finally:
+                SHARE.reset(share)
 
     def _run_specs(self, specs: Sequence[TaskSpec]) -> list[TaskResult]:
-        """Specs in, results out, batch lock held.
+        """Specs in, results out.
 
         Task specs run as one engine batch; a :class:`PipelineSpec` runs the
         streaming flow executor with this same method as its spec-batch
@@ -312,8 +311,8 @@ async def start_line_server(
     binary-framed service (many in-flight requests per connection,
     responses correlated by ``id``); connections that don't speak plain
     JSON lines — request lines accumulate and flush on blank lines.  Either
-    way batches execute on a worker thread (``handle_batch`` may spin its
-    own event loop) so the accept loop stays responsive.  See
+    way batches execute on a worker thread (``handle_batch`` blocks until
+    the engine has answered) so the accept loop stays responsive.  See
     ``docs/wire-transport.md`` for the handshake and framing spec.
     """
     return await start_wire_server(handle_batch, host, port)
@@ -322,7 +321,7 @@ async def start_line_server(
 def run_pipeline_spec(spec: PipelineSpec, submit: "Callable") -> TaskResult:
     """Execute one :class:`PipelineSpec` through a spec-batch backend.
 
-    Shared by the single service (``submit`` = its locked engine path) and
+    Shared by the single service (``submit`` = its engine path) and
     the cluster router (``submit`` = the sharded fan-out): runs the
     streaming :class:`~repro.flow.executor.FlowExecutor` and adapts the
     outcome into a :class:`TaskResult`.  A failed plan comes back with a

@@ -199,9 +199,9 @@ async def start_wire_server(
     Every connection starts in JSON-lines mode; a first-line handshake
     upgrades it to multiplexed binary-framed service, and its absence
     leaves the connection on blank-line-batch semantics.  ``handle_batch``
-    may block and may spin its own event loop (the execution engine does),
-    so dispatches run on the default executor — coalesced per in-flight
-    window, not per request.
+    is synchronous and blocks until the engine has answered, so dispatches
+    run on the default executor — coalesced per in-flight window, not per
+    request — and concurrent connections' tasks meet in the one engine.
     """
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):

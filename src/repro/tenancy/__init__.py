@@ -9,10 +9,9 @@ process-wide.  This package adds the per-tenant layer:
   ``weight``, token-bucket ``rate``/``burst`` and ``max_inflight`` cap,
   with a catch-all ``default`` tenant for untagged traffic;
 * :class:`TokenBucket` — deterministic injectable-clock rate limiter;
-* :class:`WeightedFairQueue` / :class:`WeightedFairLock` /
-  :class:`FairBlockingQueue` — start-time fair queueing across tenants
-  (priority still breaks ties *within* a tenant, bit-identical to a plain
-  priority heap for a single tenant);
+* :class:`WeightedFairQueue` / :class:`FairBlockingQueue` — start-time
+  fair queueing across tenants (priority still breaks ties *within* a
+  tenant, bit-identical to a plain priority heap for a single tenant);
 * :class:`TenancyController` — the runtime a front door holds: bucket and
   cap enforcement at admission (structured ``rate_limited`` errors with
   ``retry_after``) plus ``tenant.<name>.*`` metrics.
@@ -29,7 +28,6 @@ from .controller import TenancyController
 from .fairqueue import (
     DEFAULT_TENANT,
     FairBlockingQueue,
-    WeightedFairLock,
     WeightedFairQueue,
 )
 from .registry import TenantConfig, TenantRegistry
@@ -41,6 +39,5 @@ __all__ = [
     "TenantConfig",
     "TenantRegistry",
     "TokenBucket",
-    "WeightedFairLock",
     "WeightedFairQueue",
 ]

@@ -1,10 +1,11 @@
 """Weighted-fair queueing across tenants, priority-ordered within a tenant.
 
 :class:`WeightedFairQueue` implements start-time fair queueing (SFQ) over a
-single shared resource — the engine's batch lock, or a cluster worker's
-work queue.  Every queued item carries a ``cost`` (requests in the batch)
-and belongs to a tenant with a scheduling ``weight``; the queue maintains a
-global virtual time and one virtual-finish tag per tenant:
+single shared resource — the execution engine's task slots, or a cluster
+worker's work queue.  Every queued item carries a ``cost`` (1 per task at
+the engine, requests in the batch at a worker) and belongs to a tenant with
+a scheduling ``weight``; the queue maintains a global virtual time and one
+virtual-finish tag per tenant:
 
 * at ``push``, the item lands on its tenant's private heap, ordered by
   ``(-priority, arrival)`` — a plain priority heap, so **within** a
@@ -20,9 +21,11 @@ With a single tenant every bid is trivially the minimum, so the dequeue
 order collapses to the tenant heap's ``(-priority, arrival)`` — bit-identical
 to a priority heap (property-tested in ``tests/tenancy/test_fairqueue.py``).
 
-Three consumers wrap the queue:
+Two consumers hold the queue:
 
-* :class:`WeightedFairLock` — the fair mutex guarding the serving engine;
+* :class:`~repro.serving.engine.ExecutionEngine` — every task of every
+  caller waits in one queue for one of the engine's ``workers`` slots (on
+  the engine's loop thread, so it needs no lock of its own);
 * :class:`FairBlockingQueue` — the bounded blocking queue behind each
   cluster :class:`~repro.cluster.workers.ThreadWorker`.
 
@@ -35,8 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 #: Tenant every untagged item is accounted to.
 DEFAULT_TENANT = "default"
@@ -59,8 +61,8 @@ class _TenantQueue:
 class WeightedFairQueue:
     """Start-time fair queue: weighted across tenants, priority within.
 
-    Not thread-safe on its own — :class:`WeightedFairLock` and
-    :class:`FairBlockingQueue` wrap it in their own condition variables.
+    Not thread-safe on its own — the engine uses it from its one loop
+    thread, :class:`FairBlockingQueue` wraps it in a condition variable.
     """
 
     def __init__(self) -> None:
@@ -124,69 +126,6 @@ class WeightedFairQueue:
         return item
 
 
-class WeightedFairLock:
-    """A mutex whose waiters acquire weighted-fair across tenants.
-
-    With every caller on the ``default`` tenant (the untagged path) the
-    acquisition order is priority desc, then arrival.  Tagged callers are
-    scheduled by :class:`WeightedFairQueue`, so one tenant's backlog cannot
-    monopolise the resource.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._locked = False
-        self._queue = WeightedFairQueue()
-
-    def acquire(
-        self,
-        priority: int = 0,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        weight: float = 1.0,
-        cost: float = 1.0,
-    ) -> None:
-        with self._cond:
-            ticket = object()
-            self._queue.push(
-                ticket, tenant=tenant, weight=weight, priority=priority, cost=cost
-            )
-            while self._locked or self._queue.peek() is not ticket:
-                self._cond.wait()
-            popped = self._queue.pop()
-            assert popped is ticket  # peek() and pop() select identically
-            self._locked = True
-
-    def release(self) -> None:
-        with self._cond:
-            if not self._locked:
-                raise RuntimeError("release of an unheld WeightedFairLock")
-            self._locked = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def hold(
-        self,
-        priority: int = 0,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        weight: float = 1.0,
-        cost: float = 1.0,
-    ) -> Iterator[None]:
-        self.acquire(priority, tenant=tenant, weight=weight, cost=cost)
-        try:
-            yield
-        finally:
-            self.release()
-
-    def __enter__(self) -> "WeightedFairLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.release()
-
-
 class FairBlockingQueue:
     """Bounded blocking queue dequeued weighted-fair across tenants.
 
@@ -246,6 +185,5 @@ class FairBlockingQueue:
 __all__ = [
     "DEFAULT_TENANT",
     "FairBlockingQueue",
-    "WeightedFairLock",
     "WeightedFairQueue",
 ]

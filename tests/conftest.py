@@ -2,11 +2,101 @@
 
 from __future__ import annotations
 
+import gc
+import threading
+import time
+
 import pytest
 
 from repro.datalake import Attribute, AttributeType, Schema, Table
 from repro.datasets import load_dataset
 from repro.llm import SimulatedLLM, WorldKnowledge
+from repro.llm.base import LanguageModel
+
+
+#: The test whose teardown is running (see the fixture below).
+_finishing: list = []
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_teardown(item):
+    _finishing[:] = [item]
+
+
+#: Modules that may leave an engine running, with the reason.
+_PINNED_ENGINES = {
+    # Its ``serve_stats_in_thread`` server has no stop handle: the daemon
+    # thread holds the service's snapshot method for the life of the process.
+    "test_slo_chaos",
+}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_engine_thread_left_behind(request):
+    """A resident engine's loop thread must not outlive the module that made it.
+
+    An engine nobody closes is stopped when it is collected, so after a
+    collection only an engine something still holds keeps its thread: that
+    is a missing ``close()`` (or ``with``), reported where it was written.
+    """
+    before = set(threading.enumerate())  # an earlier module's leak is its own
+    yield
+    # pytest keeps the last test's fixture values until its teardown — this
+    # included — is over; their finalizers have run, so let go of them now.
+    for item in _finishing:
+        (getattr(item, "funcargs", None) or {}).clear()
+    gc.collect()
+    deadline = time.monotonic() + 5.0
+    leaked = [
+        thread
+        for thread in set(threading.enumerate()) - before
+        if thread.name == "repro-engine"
+    ]
+    for thread in leaked:  # a collected engine's loop is on its way out
+        thread.join(max(0.0, deadline - time.monotonic()))
+    leaked = [thread for thread in leaked if thread.is_alive()]
+    if request.module.__name__ not in _PINNED_ENGINES:
+        assert not leaked, f"{len(leaked)} repro-engine thread(s) left running"
+
+
+class GatedLLM(LanguageModel):
+    """Prompt-pure backend whose round trips wait for the test to open a gate.
+
+    Every ``complete_batch`` logs ``(kind, prompts)``, releases ``entered``
+    and then blocks until ``gate`` is set — so a test can hold the engine's
+    one LLM thread, line work up behind it, and let it all go at once.
+    """
+
+    name = "gated"
+
+    def __init__(self, open_gate: bool = False):
+        super().__init__()
+        self.gate = threading.Event()
+        if open_gate:
+            self.gate.set()
+        self.entered = threading.Semaphore(0)
+        self.batches: list[tuple[str, list[str]]] = []
+        self.prompts: list[str] = []
+
+    def _complete_text(self, prompt: str) -> str:
+        self.prompts.append(prompt)
+        if "Yes or No" in prompt:
+            return "Yes" if len(prompt) % 2 else "No"
+        return f"w{sum(ord(c) for c in prompt) % 89}"
+
+    def complete_batch(self, prompts, kind="other"):
+        self.batches.append((kind, list(prompts)))
+        self.entered.release()
+        if not self.gate.wait(30.0):
+            raise TimeoutError("the test never opened the gate")
+        return super().complete_batch(prompts, kind=kind)
+
+
+@pytest.fixture
+def gated_llm():
+    """Factory of :class:`GatedLLM` backends (closed unless ``open_gate=True``)."""
+    return GatedLLM
+
 
 CITY_ROWS = [
     {"city": "Florence", "country": "Italy", "population": 382000, "timezone": "Central European Time"},

@@ -118,7 +118,8 @@ def live_stats_port():
     )
     port = serve_stats_in_thread(service.stats_snapshot, "127.0.0.1", 0)
     assert port is not None
-    return port
+    yield port
+    service.close()  # the stats thread holds the service for good
 
 
 def _http_get(port: int, path: str, method: str = "GET") -> tuple[str, str]:

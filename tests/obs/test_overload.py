@@ -263,6 +263,9 @@ def test_thread_worker_dequeues_highest_priority_first():
             self.order.append(tag)
             return [{"tag": tag}]
 
+        def close(self):
+            pass
+
     stub = Stub()
     worker = ThreadWorker("w", stub, queue_depth=8, metrics=MetricsRegistry())
     try:

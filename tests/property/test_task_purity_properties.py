@@ -6,8 +6,13 @@ the paper's full configuration — retrieval sampling on.  Whatever the order,
 the cut, the engine shape or the number of cluster workers, every spec must
 come back exactly as a fresh ``UniDM.run(spec.to_task())`` answers it alone,
 the backends must have been asked exactly the prompts those lone runs issue,
-and submitting the whole list again must not reach a backend at all.
+and submitting the whole list again must not reach a backend at all.  Nor
+does it matter who else is calling: slices of the list submitted from several
+threads at once meet in the one engine and still answer as alone.
 """
+
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +30,8 @@ from repro.api import (
 )
 from repro.core import UniDM, UniDMConfig
 from repro.llm import CachedLLM
+from repro.obs import MetricsRegistry
+from repro.serving import EngineConfig, ExecutionEngine
 
 FULL_CONFIG = UniDMConfig.full(seed=0)
 
@@ -158,3 +165,61 @@ def test_each_spec_answers_as_it_would_alone(stack, order, cuts):
         again = client.submit_many([SPECS[i] for i in order])
         assert [r.answer for r in again] == [ALONE[i][0][0] for i in order]
         assert sum(backend.usage.calls for backend in backends) == calls
+
+
+class MeetingLLM(RecordingLLM):
+    """Holds its first round trip until every spec's first prompt has been
+    submitted — which can only happen if all callers are inside the one engine,
+    with all their tasks admitted, at the same time."""
+
+    def __init__(self, registry: MetricsRegistry, expected: int):
+        super().__init__()
+        self._registry = registry
+        self._expected = expected
+        self.met = False
+
+    def complete_batch(self, prompts, kind="other"):
+        deadline = time.monotonic() + 10.0
+        while not self.met and time.monotonic() < deadline:
+            submitted = self._registry.snapshot()["counters"].get("batcher.requests", 0)
+            self.met = submitted >= self._expected
+            time.sleep(0.001)
+        assert self.met, "the callers never met in one batcher"
+        return super().complete_batch(prompts, kind=kind)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    order=st.permutations(range(len(SPECS))),
+    cuts=st.sets(st.integers(1, len(SPECS) - 1), min_size=1, max_size=3),
+)
+def test_concurrent_callers_each_get_the_lone_run_answer(order, cuts):
+    """The spec list cut into 2–4 slices, each submitted from its own thread
+    to one service: same answers as alone, each distinct prompt asked once."""
+    bounds = [0, *sorted(cuts), len(order)]
+    slices = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+    registry = MetricsRegistry()
+    backend = MeetingLLM(registry, expected=len(SPECS))
+    # A slot for every spec, so every first prompt is submitted up front.
+    engine = ExecutionEngine(
+        EngineConfig(max_batch_size=8, workers=len(SPECS)), metrics=registry
+    )
+    pipeline = UniDM(CachedLLM(backend), FULL_CONFIG)
+    with Client.local(pipeline=pipeline, engine=engine) as client:
+        with ThreadPoolExecutor(max_workers=len(slices)) as callers:
+            answered = list(
+                callers.map(
+                    lambda batch: client.submit_many([SPECS[i] for i in batch]), slices
+                )
+            )
+    for batch, results in zip(slices, answered):
+        for i, result in zip(batch, results):
+            assert result.error is None
+            assert (
+                result.answer,
+                result.raw,
+                result.calls,
+                result.tokens,
+            ) == ALONE[i][0], i
+    assert len(backend.prompts) == len(set(backend.prompts))
+    assert set(backend.prompts) == set().union(*(prompts for _, prompts in ALONE))

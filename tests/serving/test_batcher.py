@@ -1,12 +1,14 @@
 """Unit tests for the micro-batching scheduler."""
 
 import asyncio
+import threading
 import time
 
 import pytest
 
 from repro.llm import EchoLLM
 from repro.serving import MicroBatcher
+from repro.serving.batcher import ORIGIN, Origin
 
 
 class RecordingLLM(EchoLLM):
@@ -133,6 +135,91 @@ def test_submissions_after_a_flush_form_new_batches():
 
     run(scenario())
     assert [len(prompts) for _, prompts in llm.batches] == [4, 2]
+
+
+# ------------------------------------------------- the shared-loop dispatch rule
+async def submit_as(batcher, origin, prompt, kind):
+    ORIGIN.set(origin)  # scoped to the task this coroutine is wrapped in
+    return await batcher.submit(prompt, kind)
+
+
+def test_holds_while_busy_then_serves_the_oldest_ticket_first(gated_llm):
+    llm = gated_llm()
+
+    async def scenario():
+        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=0.001)
+        loop = asyncio.get_running_loop()
+        holder = loop.create_task(submit_as(batcher, Origin(ticket=1), "h", "p_rm"))
+        await loop.run_in_executor(None, llm.entered.acquire)  # the thread is taken
+        young = [
+            loop.create_task(submit_as(batcher, Origin(ticket=10 + i), f"y{i}", "answer"))
+            for i in range(2)
+        ]
+        await asyncio.sleep(0.01)  # ten max_waits
+        old = loop.create_task(submit_as(batcher, Origin(ticket=2), "o", "p_cq"))
+        await asyncio.sleep(0.01)
+        # Busy: no idle, size or timeout flush queued anything behind the holder.
+        assert len(llm.batches) == 1
+        llm.gate.set()
+        await asyncio.gather(holder, old, *young)
+
+    run(scenario())
+    # Freed, the thread takes the kind of the oldest ticket, not of the oldest
+    # prompt; the two young prompts collected each other while they waited.
+    assert llm.batches == [("p_rm", ["h"]), ("p_cq", ["o"]), ("answer", ["y0", "y1"])]
+
+
+def test_delivers_before_it_dispatches(gated_llm):
+    llm = gated_llm()
+
+    async def scenario():
+        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0)
+        loop = asyncio.get_running_loop()
+
+        async def two_steps():
+            await submit_as(batcher, Origin(ticket=1), "first", "p_rm")
+            return await batcher.submit("second", "answer")
+
+        walker = loop.create_task(two_steps())
+        await loop.run_in_executor(None, llm.entered.acquire)
+        waiter = loop.create_task(submit_as(batcher, Origin(ticket=2), "other", "answer"))
+        await asyncio.sleep(0)
+        llm.gate.set()
+        await asyncio.gather(walker, waiter)
+
+    run(scenario())
+    # The task woken by the first round trip submitted its next prompt before
+    # the freed thread was handed a batch, so it rides with the one waiting.
+    assert llm.batches == [("p_rm", ["first"]), ("answer", ["other", "second"])]
+
+
+def test_routes_are_noted_on_the_llm_thread_before_the_call(gated_llm):
+    class Routed(gated_llm):
+        def __init__(self):
+            super().__init__(open_gate=True)
+            self.events = []
+
+        def note_route(self, prompt, route):
+            self.events.append(("note", prompt, route, threading.current_thread()))
+
+        def complete_batch(self, prompts, kind="other"):
+            self.events.append(("call", list(prompts), threading.current_thread()))
+            return super().complete_batch(prompts, kind=kind)
+
+    llm = Routed()
+
+    async def scenario():
+        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0)
+        loop = asyncio.get_running_loop()
+        await asyncio.gather(
+            loop.create_task(submit_as(batcher, Origin(route="spec-1"), "a", "answer")),
+            loop.create_task(submit_as(batcher, Origin(), "b", "answer")),
+        )
+
+    run(scenario())
+    (_, prompt, route, noted_on), (_, prompts, called_on) = llm.events
+    assert (prompt, route, prompts) == ("a", "spec-1", ["a", "b"])
+    assert noted_on is called_on is not threading.current_thread()
 
 
 def test_validates_configuration():

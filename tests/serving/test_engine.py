@@ -1,10 +1,16 @@
 """Tests for the execution engine: ordering, equivalence, concurrency."""
 
 import asyncio
+import gc
+import sys
+import threading
+import time
+from concurrent.futures import Future
+from contextlib import closing
 
 import pytest
 
-from repro.core import ImputationTask, UniDM, UniDMConfig
+from repro.core import ImputationTask, TransformationTask, UniDM, UniDMConfig
 from repro.llm import CachedLLM, SimulatedLLM
 from repro.serving import (
     EngineConfig,
@@ -126,8 +132,8 @@ def test_engine_config_validation():
 def test_run_many_falls_back_to_plain_loop_inside_event_loop(
     city_table, city_knowledge
 ):
-    # An engine's asyncio.run cannot nest, so the no-engine default must not
-    # need one: callers already inside a loop get the plain loop over run().
+    # The no-engine default needs no loop of its own: a caller already inside
+    # one gets the plain loop over run().
     pipeline = make_pipeline(city_knowledge, seed=5)
     reference = make_pipeline(city_knowledge, seed=5)
 
@@ -137,3 +143,226 @@ def test_run_many_falls_back_to_plain_loop_inside_event_loop(
     inside_loop = asyncio.run(scenario())
     expected = [reference.run(task) for task in city_tasks(city_table)]
     assert result_fingerprint(inside_loop) == result_fingerprint(expected)
+
+
+def test_engine_run_works_inside_another_running_loop(city_table, city_knowledge):
+    # The engine has its own loop thread, so a caller that is itself a
+    # coroutine of some other loop just blocks on it like any other thread.
+    pipeline = make_pipeline(city_knowledge, seed=5)
+    reference = make_pipeline(city_knowledge, seed=5)
+    expected = [reference.run(task) for task in city_tasks(city_table)]
+
+    async def scenario():
+        with closing(ExecutionEngine(EngineConfig(max_batch_size=1, workers=1))) as engine:
+            return engine.run(pipeline, city_tasks(city_table))
+
+    assert result_fingerprint(asyncio.run(scenario())) == result_fingerprint(expected)
+
+
+def test_engine_run_from_its_own_loop_thread_raises(gated_llm):
+    # A backend that re-enters the engine on the loop thread would wait for
+    # tasks only that thread can run; it gets an error instead of a deadlock.
+    engine = ExecutionEngine()
+    pipeline = UniDM(gated_llm(open_gate=True), UniDMConfig.full(seed=0))
+    with closing(engine):
+        resident = engine._started()
+        outcome = Future()
+
+        def reenter():
+            try:
+                outcome.set_result(engine.run(pipeline, [echo_task("x")]))
+            except RuntimeError as exc:
+                outcome.set_exception(exc)
+
+        resident._loop.call_soon_threadsafe(reenter)
+        with pytest.raises(RuntimeError, match="own loop thread"):
+            outcome.result(timeout=10)
+
+
+# ------------------------------------------------- concurrency and lifecycle
+def echo_task(tag):
+    return TransformationTask(f"<{tag}>", [("20000101", "2000-01-01")])
+
+
+def engine_threads():
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name == "repro-engine" or thread.name.startswith("repro-llm")
+    ]
+
+
+def test_a_hundred_runs_share_one_loop_thread_and_one_llm_thread(gated_llm):
+    before = set(engine_threads())
+    pipeline = UniDM(gated_llm(open_gate=True), UniDMConfig.full(seed=0))
+    with closing(ExecutionEngine()) as engine:
+        for index in range(100):
+            assert len(engine.run(pipeline, [echo_task(index)])) == 1
+        mine = set(engine_threads()) - before
+        assert sorted(thread.name.split("_")[0] for thread in mine) == [
+            "repro-engine",
+            "repro-llm",
+        ]
+        assert len(engine._started()._batchers) == 1
+    assert not set(engine_threads()) - before
+
+
+def test_report_belongs_to_the_run_that_finished_last(gated_llm):
+    backend = gated_llm()
+    pipeline = UniDM(backend, UniDMConfig.full(seed=0))
+    with closing(ExecutionEngine(EngineConfig(workers=8))) as engine:
+        reports = {}
+
+        def caller(name, n_tasks):
+            engine.run(pipeline, [echo_task(f"{name}-{i}") for i in range(n_tasks)])
+            reports[name] = engine.last_report
+
+        threads = [
+            threading.Thread(target=caller, args=("one", 1)),
+            threading.Thread(target=caller, args=("three", 3)),
+        ]
+        for thread in threads:
+            thread.start()
+        assert backend.entered.acquire(timeout=10)  # both callers' work overlaps
+        backend.gate.set()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+    # Whichever run finished last, a caller reads a whole report — one run's
+    # size, time and stats, never another run's object patched in place — and
+    # the stats count that run's own prompts (3 a task), not the batcher's.
+    assert engine.last_report in reports.values()
+    for report in reports.values():
+        assert report.n_tasks in (1, 3) and report.elapsed > 0
+        assert report.stats.requests == 3 * report.n_tasks
+        assert report.stats.max_batch <= 4
+
+
+def test_backend_failure_fails_only_that_batch_and_slots_come_back(gated_llm):
+    class FailsOnce(gated_llm):
+        def __init__(self):
+            super().__init__()
+            self.failed = False
+
+        def complete_batch(self, prompts, kind="other"):
+            completions = super().complete_batch(prompts, kind=kind)
+            if not self.failed:
+                self.failed = True
+                raise ConnectionError("backend hiccup")
+            return completions
+
+    backend = FailsOnce()
+    pipeline = UniDM(backend, UniDMConfig.full(seed=0))
+    with closing(ExecutionEngine(EngineConfig(max_batch_size=2, workers=2))) as engine:
+        outcomes = {}
+
+        def caller(name):
+            try:
+                outcomes[name] = engine.run(pipeline, [echo_task(f"{name}-{i}") for i in range(2)])
+            except ConnectionError as exc:
+                outcomes[name] = exc
+
+        first = threading.Thread(target=caller, args=("first",))
+        first.start()
+        # first's two tasks hold both slots; their first batch is in the backend.
+        assert backend.entered.acquire(timeout=10)
+        second = threading.Thread(target=caller, args=("second",))
+        second.start()
+        backend.gate.set()
+        for thread in (first, second):
+            thread.join(30)
+            assert not thread.is_alive()
+        # The batch that raised carried only first's prompts: first fails as a
+        # whole, its slots come back, and second — queued behind it — is served.
+        assert isinstance(outcomes["first"], ConnectionError)
+        assert [r.usage.calls for r in outcomes["second"]] == [3, 3]
+        assert len(engine.run(pipeline, [echo_task("after")])) == 1
+        assert engine._started()._free == 2
+
+
+def test_many_callers_under_a_short_switch_interval_lose_nothing(gated_llm):
+    # More caller threads than cores, preempted every 10 us: a lost update on
+    # the slot count, a run's results or its stats would show here.
+    backend = gated_llm(open_gate=True)
+    pipeline = UniDM(CachedLLM(backend), UniDMConfig.full(seed=0))
+    alone = UniDM(gated_llm(open_gate=True), UniDMConfig.full(seed=0))
+    expected = {tag: alone.run(echo_task(tag)).raw_answer for tag in range(12)}
+    failures = []
+
+    def caller(offset):
+        for round_ in range(10):
+            tags = [(offset + round_ + i) % 12 for i in range(3)]
+            results = engine.run(pipeline, [echo_task(tag) for tag in tags])
+            if [r.raw_answer for r in results] != [expected[tag] for tag in tags]:
+                failures.append((offset, round_))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with closing(ExecutionEngine(EngineConfig(workers=4))) as engine:
+            threads = [threading.Thread(target=caller, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            resident = engine._started()
+            assert resident._free == 4 and not resident._runs
+            assert len(resident._waiting) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures
+    assert len(backend.prompts) == len(set(backend.prompts))  # each asked once
+
+
+def test_close_is_idempotent_and_stops_the_threads(gated_llm):
+    before = set(engine_threads())
+    pipeline = UniDM(gated_llm(open_gate=True), UniDMConfig.full(seed=0))
+    engine = ExecutionEngine()
+    engine.close()  # never started: nothing to stop
+    engine.run(pipeline, [echo_task("a")])
+    assert set(engine_threads()) - before
+    engine.close()
+    engine.close()
+    assert not set(engine_threads()) - before
+    # A shared engine need not agree on who closes last: the next run restarts it.
+    assert len(engine.run(pipeline, [echo_task("b")])) == 1
+    engine.close()
+    assert not set(engine_threads()) - before
+
+
+def test_close_fails_the_runs_in_flight(gated_llm):
+    backend = gated_llm()
+    pipeline = UniDM(backend, UniDMConfig.full(seed=0))
+    engine = ExecutionEngine()
+    outcome = Future()
+
+    def caller():
+        try:
+            outcome.set_result(engine.run(pipeline, [echo_task("stuck")]))
+        except RuntimeError as exc:
+            outcome.set_exception(exc)
+
+    thread = threading.Thread(target=caller)
+    thread.start()
+    assert backend.entered.acquire(timeout=10)
+    closer = threading.Thread(target=engine.close)
+    closer.start()  # waits for the LLM thread, which waits for the gate
+    with pytest.raises(RuntimeError, match="closed"):
+        outcome.result(timeout=10)
+    backend.gate.set()
+    for waiting in (thread, closer):
+        waiting.join(10)
+        assert not waiting.is_alive()
+
+
+def test_dropped_engines_do_not_accumulate_threads(gated_llm):
+    pipeline = UniDM(gated_llm(open_gate=True), UniDMConfig.full(seed=0))
+    started = threading.active_count()
+    for index in range(200):
+        ExecutionEngine().run(pipeline, [echo_task(index)])
+    gc.collect()
+    deadline = time.monotonic() + 10.0
+    while threading.active_count() > started and time.monotonic() < deadline:
+        time.sleep(0.01)  # finalized engines' threads are on their way out
+    assert threading.active_count() == started

@@ -13,10 +13,15 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
-from repro.serving import build_service
+from repro.api import Client, TransformationSpec
+from repro.core import UniDM, UniDMConfig
+from repro.llm import CachedLLM
+from repro.obs import MetricsRegistry
+from repro.serving import EngineConfig, ExecutionEngine, ServingService, build_service
 from repro.serving.transport import (
     FRAME_BINARY,
     MAX_PENDING_REQUESTS,
@@ -287,3 +292,68 @@ def test_pool_reuses_released_connections(echo_port):
         pool.release(second)
     finally:
         pool.close()
+
+
+# ------------------------------------------- connections meet in one batcher
+def test_two_connections_share_round_trips_and_single_flight(gated_llm):
+    """Prompts of two connections ride one backend round trip, and a spec both
+    send while neither has an answer yet costs one backend call per prompt."""
+    registry = MetricsRegistry()
+    backend = gated_llm()
+    engine = ExecutionEngine(EngineConfig(workers=8), metrics=registry)
+    service = ServingService(
+        UniDM(CachedLLM(backend), UniDMConfig.full(seed=0)), engine, metrics=registry
+    )
+
+    def spec(tag):  # the tag marks every prompt the spec issues
+        return TransformationSpec(value=f"v-{tag}", examples=[[f"in-{tag}", f"out-{tag}"]])
+
+    def submitted():
+        return registry.snapshot()["counters"].get("batcher.requests", 0)
+
+    port, stop = _serve_on_thread(service.handle_batch)
+    answers = {}
+
+    def connection(name, tags):
+        with Client.remote("127.0.0.1", port) as client:
+            answers[name] = client.submit_many([spec(tag) for tag in tags])
+
+    threads = [
+        threading.Thread(target=connection, args=("holder", ["h"])),
+        threading.Thread(target=connection, args=("one", ["a", "s"])),
+        threading.Thread(target=connection, args=("two", ["b", "s"])),
+    ]
+    try:
+        threads[0].start()
+        assert backend.entered.acquire(timeout=10)  # the LLM thread is taken
+        for thread in threads[1:]:
+            thread.start()
+        deadline = time.monotonic() + 10.0
+        while submitted() < 5 and time.monotonic() < deadline:
+            time.sleep(0.002)
+        # Both connections' first prompts wait in the batcher, behind the
+        # holder's round trip, at the same time.
+        assert submitted() == 5
+        backend.gate.set()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+    finally:
+        backend.gate.set()
+        stop()
+        service.close()
+
+    assert all(result.ok for results in answers.values() for result in results)
+    assert any(
+        any("in-a" in p for p in prompts) and any("in-b" in p for p in prompts)
+        for _, prompts in backend.batches
+    )
+    # Single flight, with no table: the shared spec's prompts met in one batch
+    # (deduplicated there) or found the entry stored — five specs answered,
+    # and the backend was asked what four lone runs ask, each prompt once.
+    assert answers["one"][1].answer == answers["two"][1].answer
+    alone = gated_llm(open_gate=True)
+    for tag in "habs":
+        UniDM(alone, UniDMConfig.full(seed=0)).run(spec(tag).to_task())
+    assert len(backend.prompts) == len(set(backend.prompts))
+    assert set(backend.prompts) == set(alone.prompts)

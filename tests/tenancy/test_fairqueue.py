@@ -8,13 +8,15 @@ observes.
 
 import heapq
 import itertools
+import re
 import threading
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tenancy import FairBlockingQueue, WeightedFairLock, WeightedFairQueue
+from repro.core import TransformationTask, UniDM, UniDMConfig
+from repro.serving.engine import SHARE, EngineConfig, ExecutionEngine
+from repro.tenancy import DEFAULT_TENANT, FairBlockingQueue, WeightedFairQueue
 
 
 # ----------------------------------------------------------------- fair queue
@@ -117,40 +119,86 @@ def test_single_tenant_is_bit_identical_to_priority_heap(ops):
     assert len(fair) == 0
 
 
-# ------------------------------------------------------------------ fair lock
-def test_fair_lock_orders_default_tenant_like_priority_lock():
-    lock = WeightedFairLock()
+# ------------------------------------------------- the engine's slot admission
+# The orderings the fair queue promises, asserted where the serving stack
+# applies them: which waiting task gets the engine's next free slot.  One
+# slot (``workers=1``) makes admission order the order tasks reach the
+# backend; a gated backend holds that slot while the contenders line up, and
+# the resident's non-blocking ``submit`` (what ``run`` does before it waits)
+# queues them from this one thread, so arrival order is the call order.
+def tagged(tag):
+    return TransformationTask(f"<{tag}>", [("20000101", "2000-01-01")])
+
+
+def admission_order(backend, queue_up):
+    """Hold the one slot, let ``queue_up(submit)`` line runs up, release, and
+    return the tags in the order their tasks first reached the backend."""
+    pipeline = UniDM(backend, UniDMConfig.full(seed=0))
+    engine = ExecutionEngine(EngineConfig(workers=1))
+    runs = []
+
+    def submit(tags, tenant=DEFAULT_TENANT, weight=1.0, priority=0):
+        share = SHARE.set((tenant, weight, priority))
+        try:
+            runs.append(engine._started().submit(pipeline, [tagged(t) for t in tags]))
+        finally:
+            SHARE.reset(share)
+
+    try:
+        submit(["holder"])
+        assert backend.entered.acquire(timeout=10)  # the slot is taken
+        queue_up(submit)
+        backend.gate.set()
+        for run in runs:
+            run.future.result(timeout=30)
+    finally:
+        backend.gate.set()
+        engine.close()
     order = []
-    lock.acquire()
-
-    def waiter(priority, tag):
-        lock.acquire(priority)
-        order.append(tag)
-        lock.release()
-
-    threads = []
-    for priority, tag in [(0, "low-1"), (0, "low-2"), (5, "high"), (2, "mid")]:
-        thread = threading.Thread(target=waiter, args=(priority, tag))
-        thread.start()
-        threads.append(thread)
-        time.sleep(0.05)  # deterministic arrival order
-    lock.release()
-    for thread in threads:
-        thread.join()
-    assert order == ["high", "mid", "low-1", "low-2"]
+    for prompt in backend.prompts:
+        for tag in re.findall(r"<([^>]+)>", prompt):  # the task's source value
+            if tag not in order:
+                order.append(tag)
+    assert order[0] == "holder"
+    return order[1:]
 
 
-def test_fair_lock_release_requires_holder():
-    with pytest.raises(RuntimeError):
-        WeightedFairLock().release()
+def test_engine_slots_single_tenant_is_priority_then_arrival(gated_llm):
+    def queue_up(submit):
+        for priority, tag in [(0, "low-1"), (0, "low-2"), (5, "high"), (2, "mid")]:
+            submit([tag], priority=priority)
+
+    assert admission_order(gated_llm(), queue_up) == ["high", "mid", "low-1", "low-2"]
 
 
-def test_fair_lock_context_manager():
-    lock = WeightedFairLock()
-    with lock:
-        pass
-    with lock.hold(priority=3, tenant="t", weight=2.0, cost=4.0):
-        pass
+def test_engine_slots_weight_two_drains_two_tasks_per_weight_one_task(gated_llm):
+    def queue_up(submit):
+        submit([f"heavy-{i}" for i in range(8)], tenant="heavy", weight=2.0)
+        submit([f"light-{i}" for i in range(8)], tenant="light", weight=1.0)
+
+    first = [tag.split("-")[0] for tag in admission_order(gated_llm(), queue_up)[:9]]
+    assert first.count("heavy") == 6
+    assert first.count("light") == 3
+
+
+def test_engine_slots_priority_orders_within_a_tenant_only(gated_llm):
+    def queue_up(submit):
+        submit(["a-low"], tenant="a", priority=0)
+        submit(["a-high"], tenant="a", priority=9)
+        submit(["b-low"], tenant="b", priority=0)
+
+    order = admission_order(gated_llm(), queue_up)
+    assert order.index("a-high") < order.index("a-low")
+    # Tenant b keeps its fair share: a's priority does not outbid it.
+    assert order.index("b-low") < order.index("a-low")
+
+
+def test_engine_slots_a_flood_cannot_push_a_polite_tenant_past_second(gated_llm):
+    def queue_up(submit):
+        submit([f"flood-{i}" for i in range(10)], tenant="flooder")
+        submit(["polite"], tenant="polite")
+
+    assert admission_order(gated_llm(), queue_up).index("polite") <= 1
 
 
 # -------------------------------------------------------------- blocking queue

@@ -48,7 +48,7 @@ def test_non_string_tenant_is_a_protocol_error():
 
 def test_untagged_requests_ride_the_default_tenant():
     service = make_service(
-        TenantRegistry([TenantConfig("default", rate=100.0, burst=1.0)])
+        TenantRegistry([TenantConfig("default", rate=1.0, burst=1.0)])
     )
     first = service.handle_request(encode_request(SPEC, request_id=1))
     second = service.handle_request(encode_request(SPEC, request_id=2))
@@ -60,7 +60,7 @@ def test_untagged_requests_ride_the_default_tenant():
 
 def test_rate_limited_wire_shape_and_unwrap():
     service = make_service(
-        TenantRegistry([TenantConfig("t", rate=50.0, burst=1.0)])
+        TenantRegistry([TenantConfig("t", rate=1.0, burst=1.0)])
     )
     service.handle_request(encode_request(SPEC, request_id=1, tenant="t"))
     shed = service.handle_request(encode_request(SPEC, request_id=2, tenant="t"))
@@ -84,7 +84,7 @@ def test_mixed_tenant_batch_sheds_only_the_offender():
     service = make_service(
         TenantRegistry(
             [TenantConfig("good", rate=100.0, burst=50.0),
-             TenantConfig("bad", rate=100.0, burst=1.0)]
+             TenantConfig("bad", rate=1.0, burst=1.0)]
         )
     )
     # Spend the offender's only token so its bucket is no longer full (a
@@ -107,7 +107,7 @@ def test_mixed_tenant_batch_sheds_only_the_offender():
 
 def test_tenant_metrics_and_stats_narrowing():
     service = make_service(
-        TenantRegistry([TenantConfig("t", rate=100.0, burst=1.0)])
+        TenantRegistry([TenantConfig("t", rate=1.0, burst=1.0)])
     )
     service.handle_request(encode_request(SPEC, request_id=1, tenant="t"))
     service.handle_request(encode_request(SPEC, request_id=2, tenant="t"))
