@@ -9,7 +9,7 @@ Two claims are measured on a 50-task Restaurant imputation workload:
    per-query usage.
 2. **Cold micro-batching against a slow backend** — with a latency-bearing
    backend (one round-trip per ``complete_batch`` call, as for a remote API),
-   the engine coalesces same-kind prompts across in-flight tasks so the total
+   the engine coalesces prompts across in-flight tasks so the total
    number of round-trips collapses, beating the sequential loop.
 """
 
@@ -138,7 +138,7 @@ def test_cold_micro_batching_amortises_backend_round_trips(benchmark):
     t_sequential = time.perf_counter() - started
     assert seq_llm.round_trips == sum(r.usage.calls for r in sequential)
 
-    # Engine: concurrent tasks coalesce same-kind prompts into shared
+    # Engine: concurrent tasks coalesce their prompts into shared
     # round-trips.
     eng_llm = LatencyLLM(SimulatedLLM(knowledge=dataset.knowledge, seed=0), latency)
     engine_pipeline = UniDM(eng_llm, UniDMConfig.full(seed=0))

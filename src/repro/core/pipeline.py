@@ -65,7 +65,7 @@ class UniDM:
 
         Without an ``engine`` this is a plain loop over :meth:`run`; pass a
         serving :class:`~repro.serving.engine.ExecutionEngine` to overlap
-        tasks and micro-batch their same-kind prompts.  Each task's prompts
+        tasks and micro-batch their prompts, kinds mixed.  Each task's prompts
         are the same either way (see :meth:`plan_retrieval`).
         """
         if engine is None:

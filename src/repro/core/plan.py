@@ -11,7 +11,7 @@ I/O concerns; a driver decides how requests are actually executed:
 * :func:`drive` executes a plan against a :class:`~repro.llm.base.LanguageModel`
   synchronously (the classic ``UniDM.run`` path);
 * :func:`repro.serving.stages.drive_async` awaits each request through the
-  micro-batcher, which coalesces same-kind requests across in-flight tasks.
+  micro-batcher, which coalesces requests of any kinds across in-flight tasks.
 
 Because both drivers walk the identical generator code, the serving engine is
 equivalent to the sequential pipeline by construction.
@@ -33,8 +33,8 @@ class LLMRequest:
     """One LLM call a plan wants executed.
 
     ``kind`` is the accounting label (``p_rm``, ``p_ri``, ``p_dp``, ``p_cq``,
-    ``answer``) — the micro-batcher also uses it to coalesce only same-kind
-    prompts into one batched call.
+    ``answer``); it never selects behaviour — the micro-batcher coalesces
+    prompts of different kinds into one batched call and counts each under its own.
     """
 
     prompt: str

@@ -131,7 +131,11 @@ class LanguageModel(abc.ABC):
     def complete_batch(
         self, prompts: Sequence[str], kind: str = "other"
     ) -> list[Completion]:
-        """Run a batch of same-kind completions, preserving input order.
+        """Run a batch of completions, one per prompt, preserving input order.
+
+        ``kind`` is the prompts' common accounting label, or ``"mixed"`` when
+        they do not share one (the serving layer batches across kinds); it
+        never selects behaviour.
 
         The base implementation simply loops; backends that can amortise work
         across a batch (the simulated model's per-unique-prompt memoisation, a

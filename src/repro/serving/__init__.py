@@ -4,7 +4,7 @@ The pipeline modules under :mod:`repro.core` know how to solve *one* task;
 this package turns them into a serving system: the
 :class:`~repro.serving.engine.ExecutionEngine` runs many tasks concurrently
 with bounded workers, the :class:`~repro.serving.batcher.MicroBatcher`
-coalesces their same-kind prompts into batched LLM calls, the
+coalesces their prompts, oldest task first, into batched LLM calls, the
 :class:`~repro.serving.cache.PersistentCache` makes warmed reruns near-free
 across processes, and :mod:`~repro.serving.service` answers JSON task
 requests over stdin or a socket, speaking the versioned protocol of

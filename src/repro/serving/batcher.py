@@ -4,7 +4,7 @@ Concurrent task executions each need small, latency-sensitive LLM calls.  The
 :class:`MicroBatcher` sits between the async task coroutines and the
 synchronous :class:`~repro.llm.base.LanguageModel`: coroutines ``submit()``
 individual prompts and await their completions, while the batcher coalesces
-pending **same-kind** prompts into one ``complete_batch`` call.
+pending prompts — of any kinds — into one ``complete_batch`` call.
 
 One batcher serves every caller of a resident
 :class:`~repro.serving.engine.ExecutionEngine`, so *when* it dispatches
@@ -16,17 +16,19 @@ decides how full each backend round trip is.  The rule:
 * **Deliver, then dispatch.**  When a batch lands its waiters are resolved
   first and get the idle check's two loop turns to submit their next prompt;
   only then is the freed thread given the next batch.
-* **Oldest admitted task first.**  Every prompt carries the ticket its task
-  drew when the engine admitted it (:data:`ORIGIN`); a freed thread takes the
-  pending kind that holds the lowest ticket, up to ``max_batch_size`` in
-  queue order.  A younger task's prompt therefore never overtakes an older
-  one's, tasks admitted together advance in lock-step, reach the same stage
-  (same kind) together and share one round trip.
+* **Oldest admitted task first, whatever the kind.**  Every prompt carries
+  the ticket its task drew when the engine admitted it (:data:`ORIGIN`); a
+  freed thread takes the ``max_batch_size`` pending prompts that hold the
+  lowest tickets (equal tickets in arrival order).  A younger task's prompt
+  never leaves before an older one's, and tasks at different stages of their
+  chains fill one round trip together.  ``kind`` only labels the backend's
+  accounting: a batch goes down under its prompts' common kind, or as
+  :data:`MIXED`; completions are matched to waiters by position.
 
 With a free thread a batch is dispatched when the first of three triggers
 fires:
 
-* **size** — a kind accumulates ``max_batch_size`` pending prompts;
+* **size** — ``max_batch_size`` prompts are pending;
 * **idle** — the event loop drains its ready queue without any new
   submission arriving (every in-flight task is blocked), so waiting longer
   cannot grow the batch;
@@ -48,13 +50,16 @@ from collections import Counter
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Callable, Mapping
 
 from ..llm.base import Completion, LanguageModel
 from ..obs.export import get_default_exemplars
 from ..obs.metrics import MetricsRegistry, SIZE_BUCKETS, get_default_registry
 from ..obs.span import Span
 from ..obs.trace import Trace
+
+#: The label a batch goes down under when its prompts do not share a kind.
+MIXED = "mixed"
 
 
 @dataclass(eq=False)  # identity-hashed: batches are counted per run's stats object
@@ -75,12 +80,14 @@ class BatcherStats:
     def mean_batch(self) -> float:
         return self.requests / self.batches if self.batches else 0.0
 
-    def note(self, kind: str, prompts: int, batch_size: int | None = None) -> None:
-        """Count one batch carrying ``prompts`` of ours (``batch_size`` in all)."""
+    def note(self, kinds: Mapping[str, int], batch_size: int | None = None) -> None:
+        """Count one batch: ``kinds`` are our prompts in it, ``batch_size`` all."""
+        prompts = sum(kinds.values())
         self.requests += prompts
         self.batches += 1
         self.max_batch = max(self.max_batch, batch_size or prompts)
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + prompts
+        for kind, count in kinds.items():
+            self.by_kind[kind] = self.by_kind.get(kind, 0) + count
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,7 @@ class _Request:
 
 
 class MicroBatcher:
-    """Coalesces concurrent same-kind prompts into batched LLM calls.
+    """Coalesces concurrent prompts, oldest ticket first, into batched LLM calls.
 
     Must be used from a single running event loop; batch execution happens on
     ``executor`` (falls back to the loop's default executor when ``None``),
@@ -144,9 +151,8 @@ class MicroBatcher:
         self.max_wait = max_wait
         self.stats = BatcherStats()
         # Metric handles resolved once (the registry lock must stay off the
-        # per-submission path); per-kind latency histograms resolve lazily.
+        # per-submission path).
         metrics = metrics or get_default_registry()
-        self._metrics = metrics
         self._m_requests = metrics.counter("batcher.requests")
         self._m_batches = metrics.counter("batcher.batches")
         self._m_flush = {
@@ -155,12 +161,12 @@ class MicroBatcher:
         }
         self._m_batch_size = metrics.histogram("batcher.batch_size", SIZE_BUCKETS)
         self._m_queue_wait = metrics.histogram("batcher.queue_wait")
-        self._m_llm_latency: dict[str, Any] = {}
+        self._m_llm_latency = metrics.histogram("batcher.llm_latency")
         self._executor = executor
         self._llm_threads = llm_threads
         self._inflight = 0  # batches executing on the LLM threads
         self._executing: set[asyncio.Task[None]] = set()
-        self._pending: dict[str, list[_Request]] = {}
+        self._pending: list[_Request] = []
         self._generation = 0
         self._timer: asyncio.TimerHandle | None = None
 
@@ -177,15 +183,14 @@ class MicroBatcher:
         request = _Request(
             prompt, kind, loop.create_future(), ORIGIN.get(), time.perf_counter(), wait_span
         )
-        queue = self._pending.setdefault(kind, [])
-        queue.append(request)
+        self._pending.append(request)
         self._generation += 1
         self._m_requests.inc()
         # With every thread busy the prompt just waits: the batch in flight
         # dispatches the next one when it lands.
         if self._inflight < self._llm_threads:
-            if len(queue) >= self.max_batch_size:
-                self._dispatch(loop, kind, reason="size")
+            if len(self._pending) >= self.max_batch_size:
+                self._dispatch(loop, reason="size")
             else:
                 self._arm(loop)
         try:
@@ -219,34 +224,29 @@ class MicroBatcher:
 
     # ----------------------------------------------------------------- flushing
     def _flush(self, loop: asyncio.AbstractEventLoop, reason: str = "timeout") -> None:
-        """Give each free LLM thread the pending kind of the oldest task."""
+        """Give each free LLM thread the pending prompts of the oldest tasks."""
         self._cancel_timer()
         while self._pending and self._inflight < self._llm_threads:
-            kind = min(
-                self._pending,
-                key=lambda k: min(r.origin.ticket for r in self._pending[k]),
-            )
-            self._dispatch(loop, kind, reason)
+            self._dispatch(loop, reason)
 
-    def _dispatch(self, loop: asyncio.AbstractEventLoop, kind: str, reason: str) -> None:
-        # A waiter cancelled since it submitted (its run failed) drops out here.
-        queue = [r for r in self._pending.get(kind, ()) if not r.future.done()]
-        batch, rest = queue[: self.max_batch_size], queue[self.max_batch_size :]
-        if rest:
-            self._pending[kind] = rest
-        else:
-            self._pending.pop(kind, None)
-            if not self._pending:
-                self._cancel_timer()
+    def _dispatch(self, loop: asyncio.AbstractEventLoop, reason: str) -> None:
+        # A waiter cancelled since it submitted (its run failed) drops out
+        # here.  The sort is stable: equal tickets keep arrival order.
+        live = (r for r in self._pending if not r.future.done())
+        queue = sorted(live, key=lambda r: r.origin.ticket)
+        batch, self._pending = queue[: self.max_batch_size], queue[self.max_batch_size :]
+        if not self._pending:
+            self._cancel_timer()
         if not batch:
             return
-        self.stats.note(kind, len(batch))
-        runs: Counter[BatcherStats] = Counter()
+        kinds = Counter(request.kind for request in batch)
+        self.stats.note(kinds)
+        runs: dict[BatcherStats, Counter[str]] = {}
         for request in batch:
             if request.origin.stats is not None:
-                runs[request.origin.stats] += 1
-        for stats, prompts in runs.items():
-            stats.note(kind, prompts, len(batch))
+                runs.setdefault(request.origin.stats, Counter())[request.kind] += 1
+        for stats, ours in runs.items():
+            stats.note(ours, len(batch))
         self._m_batches.inc()
         self._m_flush[reason].inc()
         self._m_batch_size.observe(len(batch))
@@ -254,6 +254,7 @@ class MicroBatcher:
         for request in batch:
             self._m_queue_wait.observe(now - request.enqueued)
         self._inflight += 1
+        kind = next(iter(kinds)) if len(kinds) == 1 else MIXED
         task = loop.create_task(self._execute(loop, kind, batch))
         self._executing.add(task)
         task.add_done_callback(self._executing.discard)
@@ -268,13 +269,20 @@ class MicroBatcher:
 
         The route is recorded before the entry is stored, so a crash between
         the two leaves an attribution without an entry, never the reverse.
+        A reply of the wrong length fails the whole batch: matched by
+        position, its trailing waiters would otherwise stay pending for ever.
         """
         note = getattr(self.llm, "note_route", None)
         if note is not None:
             for request in batch:
                 if request.origin.route is not None:
                     note(request.prompt, request.origin.route)
-        return self.llm.complete_batch([request.prompt for request in batch], kind)
+        completions = self.llm.complete_batch([request.prompt for request in batch], kind)
+        if len(completions) != len(batch):
+            raise RuntimeError(
+                f"backend returned {len(completions)} completions for {len(batch)} prompts"
+            )
+        return completions
 
     async def _execute(
         self, loop: asyncio.AbstractEventLoop, kind: str, batch: list[_Request]
@@ -316,14 +324,8 @@ class MicroBatcher:
                 if not request.future.done():
                     request.future.set_exception(exc)
         else:
-            latency = self._m_llm_latency.get(kind)
-            if latency is None:
-                latency = self._metrics.histogram(f"batcher.llm_latency.{kind}")
-                self._m_llm_latency[kind] = latency
-            latency.observe(time.perf_counter() - started)
-            get_default_exemplars().note(
-                f"batcher.llm_latency.{kind}", Trace.current_id()
-            )
+            self._m_llm_latency.observe(time.perf_counter() - started)
+            get_default_exemplars().note("batcher.llm_latency", Trace.current_id())
             if call_span is not None:
                 call_span.finish()
             for request, completion in zip(batch, completions):
@@ -331,6 +333,6 @@ class MicroBatcher:
                     request.future.set_result(completion)
         # Deliver first, dispatch second: the waiters just resolved get the
         # idle check's two turns to submit their next prompt before the
-        # freed thread is handed the oldest task's kind.
+        # freed thread is handed the oldest tasks' prompts.
         if self._pending:
             self._arm(loop)

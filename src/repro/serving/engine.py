@@ -4,8 +4,8 @@
 concurrently: each task becomes a coroutine walking the pipeline's plan stages
 (meta-retrieval → instance-retrieval → parsing → answer, see
 :mod:`repro.serving.stages`) and every LLM call funnels through a
-:class:`~repro.serving.batcher.MicroBatcher`, which coalesces same-kind
-prompts across tasks into batched calls.
+:class:`~repro.serving.batcher.MicroBatcher`, which coalesces prompts
+across tasks — whatever their kinds — into batched calls.
 
 The engine is **resident**: the first ``run`` starts one daemon event-loop
 thread (``repro-engine``), one LLM executor (``repro-llm``, ``llm_threads``
@@ -64,7 +64,7 @@ SHARE: contextvars.ContextVar[tuple[str, float, int]] = contextvars.ContextVar(
 class EngineConfig:
     """Knobs of the execution engine."""
 
-    #: Maximum number of same-kind prompts coalesced into one LLM call.
+    #: Maximum number of prompts, of any kinds, coalesced into one LLM call.
     max_batch_size: int = 8
     #: Upper bound (seconds) a pending prompt waits for batch-mates.
     max_wait: float = 0.002

@@ -3,8 +3,8 @@
 :func:`execute_task` is the async twin of :meth:`repro.core.pipeline.UniDM.run`:
 it walks the *same* sans-IO plan generators (see :mod:`repro.core.plan`) the
 sync path uses, but satisfies each :class:`~repro.core.plan.LLMRequest` by
-awaiting the micro-batcher, so same-kind prompts from concurrent tasks
-coalesce into batched LLM calls.
+awaiting the micro-batcher, so prompts from concurrent tasks — whatever
+stage each is at — coalesce into batched LLM calls.
 
 Determinism: every plan stage is a pure function of ``(config.seed, task)``
 given its completions (the retrieval stage derives its generator from the

@@ -128,6 +128,8 @@ def cluster_stack(n_workers: int):
 STACKS = {
     "engine-1x1": lambda: local_stack(1, 1),
     "engine-8x8": lambda: local_stack(8, 8),
+    # Batches smaller than the cohort: cut mid-way across prompt kinds.
+    "engine-3x8": lambda: local_stack(3, 8),
     "cluster-1": lambda: cluster_stack(1),
     "cluster-2": lambda: cluster_stack(2),
     "cluster-4": lambda: cluster_stack(4),

@@ -8,7 +8,7 @@ import pytest
 
 from repro.llm import EchoLLM
 from repro.serving import MicroBatcher
-from repro.serving.batcher import ORIGIN, Origin
+from repro.serving.batcher import MIXED, ORIGIN, Origin
 
 
 class RecordingLLM(EchoLLM):
@@ -62,24 +62,29 @@ def test_idle_trigger_flushes_partial_batch_without_waiting():
     assert llm.batches and llm.batches[0][1] == ["p0", "p1", "p2"]
 
 
-def test_kinds_never_mix_within_a_batch():
+def test_kinds_mix_in_one_batch_in_ticket_order():
     llm = RecordingLLM()
+    submitted = [(3, "c", "answer"), (1, "a1", "p_rm"), (2, "b", "p_dp"), (4, "a2", "p_rm")]
 
     async def scenario():
         batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0)
-        await asyncio.gather(
-            batcher.submit("a1", "p_rm"),
-            batcher.submit("b1", "p_dp"),
-            batcher.submit("a2", "p_rm"),
-            batcher.submit("b2", "p_dp"),
+        loop = asyncio.get_running_loop()
+        completions = await asyncio.gather(
+            *(
+                loop.create_task(submit_as(batcher, Origin(ticket=ticket), prompt, kind))
+                for ticket, prompt, kind in submitted
+            )
         )
-        return batcher.stats
+        return batcher.stats, completions
 
-    stats = run(scenario())
-    for kind, prompts in llm.batches:
-        assert all(p.startswith("a" if kind == "p_rm" else "b") for p in prompts)
-    assert stats.by_kind == {"p_rm": 2, "p_dp": 2}
-    assert stats.requests == 4
+    stats, completions = run(scenario())
+    # One round trip for all three kinds, oldest ticket first, labelled mixed.
+    assert llm.batches == [(MIXED, ["a1", "b", "c", "a2"])]
+    # Matched by position: every waiter holds the completion of its own prompt.
+    assert [c.prompt for c in completions] == [prompt for _, prompt, _ in submitted]
+    # Per-kind accounting stays exact; the label is not a kind.
+    assert stats.by_kind == {"p_rm": 2, "p_dp": 1, "answer": 1}
+    assert (stats.requests, stats.batches, stats.max_batch) == (4, 1, 4)
 
 
 def test_stats_track_batch_shapes():
@@ -125,6 +130,25 @@ def test_backend_errors_propagate_to_every_waiter():
     assert all(isinstance(r, RuntimeError) for r in results)
 
 
+def test_a_short_reply_fails_every_waiter_of_its_batch():
+    class ShortLLM(EchoLLM):
+        def complete_batch(self, prompts, kind="other"):
+            return super().complete_batch(prompts[:-1], kind=kind)
+
+    async def scenario():
+        batcher = MicroBatcher(ShortLLM(), max_batch_size=2, max_wait=10.0)
+        return await asyncio.wait_for(
+            asyncio.gather(
+                batcher.submit("a", "p_rm"), batcher.submit("b", "answer"), return_exceptions=True
+            ),
+            timeout=5.0,  # at the parent the second waiter stayed pending for ever
+        )
+
+    results = run(scenario())
+    assert [type(r) for r in results] == [RuntimeError, RuntimeError]
+    assert "1 completions for 2 prompts" in str(results[0])
+
+
 def test_submissions_after_a_flush_form_new_batches():
     llm = RecordingLLM()
 
@@ -164,9 +188,9 @@ def test_holds_while_busy_then_serves_the_oldest_ticket_first(gated_llm):
         await asyncio.gather(holder, old, *young)
 
     run(scenario())
-    # Freed, the thread takes the kind of the oldest ticket, not of the oldest
-    # prompt; the two young prompts collected each other while they waited.
-    assert llm.batches == [("p_rm", ["h"]), ("p_cq", ["o"]), ("answer", ["y0", "y1"])]
+    # Freed, the thread takes everything that collected while it was held, in
+    # one batch, in ticket order rather than arrival order.
+    assert llm.batches == [("p_rm", ["h"]), (MIXED, ["o", "y0", "y1"])]
 
 
 def test_delivers_before_it_dispatches(gated_llm):
@@ -189,8 +213,36 @@ def test_delivers_before_it_dispatches(gated_llm):
 
     run(scenario())
     # The task woken by the first round trip submitted its next prompt before
-    # the freed thread was handed a batch, so it rides with the one waiting.
-    assert llm.batches == [("p_rm", ["first"]), ("answer", ["other", "second"])]
+    # the freed thread was handed a batch, so it rides with the one waiting —
+    # ahead of it: it belongs to the older task.
+    assert llm.batches == [("p_rm", ["first"]), ("answer", ["second", "other"])]
+
+
+def test_the_cut_follows_tickets_not_kinds_or_arrival(gated_llm):
+    llm = gated_llm()
+    submitted = [(5, "p_rm"), (1, "answer"), (3, "p_rm"), (2, "answer"), (3, "answer")]
+
+    async def scenario():
+        batcher = MicroBatcher(llm, max_batch_size=2, max_wait=10.0)
+        loop = asyncio.get_running_loop()
+        holder = loop.create_task(submit_as(batcher, Origin(ticket=0), "h", "p_cq"))
+        await loop.run_in_executor(None, llm.entered.acquire)
+        # Held behind "h", all five are pending when the thread comes free.
+        waiters = [
+            loop.create_task(submit_as(batcher, Origin(ticket=ticket), f"t{ticket}-{kind}", kind))
+            for ticket, kind in submitted
+        ]
+        await asyncio.sleep(0)
+        llm.gate.set()
+        await asyncio.gather(holder, *waiters)
+
+    run(scenario())
+    assert llm.batches == [
+        ("p_cq", ["h"]),
+        ("answer", ["t1-answer", "t2-answer"]),
+        (MIXED, ["t3-p_rm", "t3-answer"]),  # equal tickets: arrival order
+        ("p_rm", ["t5-p_rm"]),
+    ]
 
 
 def test_routes_are_noted_on_the_llm_thread_before_the_call(gated_llm):

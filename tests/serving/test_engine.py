@@ -2,6 +2,7 @@
 
 import asyncio
 import gc
+import math
 import sys
 import threading
 import time
@@ -10,6 +11,15 @@ from contextlib import closing
 
 import pytest
 
+from repro.api import (
+    EntityResolutionSpec,
+    ErrorDetectionSpec,
+    ExtractionSpec,
+    ImputationSpec,
+    JoinDiscoverySpec,
+    TableQASpec,
+    TransformationSpec,
+)
 from repro.core import ImputationTask, TransformationTask, UniDM, UniDMConfig
 from repro.llm import CachedLLM, SimulatedLLM
 from repro.serving import (
@@ -278,6 +288,92 @@ def test_backend_failure_fails_only_that_batch_and_slots_come_back(gated_llm):
         assert [r.usage.calls for r in outcomes["second"]] == [3, 3]
         assert len(engine.run(pipeline, [echo_task("after")])) == 1
         assert engine._started()._free == 2
+
+
+def test_a_short_reply_fails_the_run_and_slots_come_back(gated_llm):
+    class ShortOnce(gated_llm):
+        def __init__(self):
+            super().__init__(open_gate=True)
+            self.short = True
+
+        def complete_batch(self, prompts, kind="other"):
+            completions = super().complete_batch(prompts, kind=kind)
+            if self.short:
+                self.short = False
+                return completions[:-1]
+            return completions
+
+    pipeline = UniDM(ShortOnce(), UniDMConfig.full(seed=0))
+    with closing(ExecutionEngine(EngineConfig(max_batch_size=2, workers=2))) as engine:
+        outcome = Future()
+
+        def caller():  # at the parent the run never returned
+            try:
+                outcome.set_result(engine.run(pipeline, [echo_task("a"), echo_task("b")]))
+            except RuntimeError as exc:
+                outcome.set_exception(exc)
+
+        threading.Thread(target=caller, daemon=True).start()
+        with pytest.raises(RuntimeError, match="1 completions for 2 prompts"):
+            outcome.result(timeout=10)
+        assert engine._started()._free == 2
+        assert [r.usage.calls for r in engine.run(pipeline, [echo_task("after")])] == [3]
+
+
+# ------------------------------------------------------ kinds mix in the batcher
+ROWS = [
+    {"city": f"city-{i}", "country": f"country-{i % 4}", "zip": f"{10000 + 7 * i}"}
+    for i in range(12)
+]
+
+
+def seven_type_tasks(n):
+    """``n`` distinct tasks cycling over the seven types: chains of 2 to 5 prompts."""
+    makers = [
+        lambda i: ImputationSpec(
+            rows=ROWS, target={"city": ROWS[i % 12]["city"], "zip": str(i)}, attribute="country"
+        ),
+        lambda i: ErrorDetectionSpec(
+            rows=ROWS, target={**ROWS[i % 12], "zip": str(i)}, attribute="zip"
+        ),
+        lambda i: TableQASpec(rows=ROWS, question=f"which country is city-{i} in?"),
+        lambda i: TransformationSpec(value=f"1999{i:04d}", examples=[["20000101", "2000-01-01"]]),
+        lambda i: ExtractionSpec(document=f"city-{i} hosted the final.", attribute="city"),
+        lambda i: EntityResolutionSpec(
+            record_a={"name": f"item {i}", "brand": "apple"},
+            record_b={"name": f"Item {i}", "brand": "Apple"},
+        ),
+        lambda i: JoinDiscoverySpec(
+            table_a={"name": "rank", "rows": [{"abrv": f"C{i}", "rank": 1}]},
+            column_a="abrv",
+            table_b={"name": "geo", "rows": [{"ISO": f"C{i}", "area": "EU"}]},
+            column_b="ISO",
+        ),
+    ]
+    return [makers[i % len(makers)](i).to_task() for i in range(n)]
+
+
+@pytest.mark.parametrize("latency", [0.0, 0.003])
+def test_tasks_at_different_stages_fill_each_round_trip(gated_llm, latency):
+    class Backend(gated_llm):
+        def complete_batch(self, prompts, kind="other"):
+            time.sleep(latency)
+            return super().complete_batch(prompts, kind=kind)
+
+    backend = Backend(open_gate=True)
+    pipeline = UniDM(backend, UniDMConfig.full(seed=0))
+    with closing(ExecutionEngine(EngineConfig(max_batch_size=8, workers=8))) as engine:
+        results = engine.run(pipeline, seven_type_tasks(32))
+        stats = engine.last_report.stats
+    calls = [r.usage.calls for r in results]
+    assert len(set(calls)) >= 3  # slots refill at different moments
+    # Full batches but for each chain's tail; same-kind batching needed 25 here.
+    assert len(backend.batches) <= math.ceil(sum(calls) / 8) + max(calls)
+    assert len(backend.batches) == stats.batches == 15  # whatever the latency
+    # Per-kind accounting is per prompt: the batch label is not a kind.
+    assert sum(stats.by_kind.values()) == stats.requests == sum(calls)
+    assert set(stats.by_kind) == {"p_rm", "p_ri", "p_dp", "p_cq", "answer"}
+    assert "mixed" in {kind for kind, _ in backend.batches}
 
 
 def test_many_callers_under_a_short_switch_interval_lose_nothing(gated_llm):
