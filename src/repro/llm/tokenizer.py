@@ -13,8 +13,6 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-_WORD_RE = re.compile(r"[A-Za-z]+|\d+|[^\sA-Za-z\d]")
-
 #: Maximum characters per sub-word chunk; long words are split into pieces of
 #: this size, mimicking BPE splitting of rare words.
 _SUBWORD_LEN = 4
@@ -27,19 +25,16 @@ class SimpleTokenizer:
         if subword_length < 1:
             raise ValueError("subword_length must be positive")
         self.subword_length = subword_length
+        # One token per match: a run of letters matches greedily in chunks of
+        # ``subword_length`` (the last one shorter), a run of digits whole,
+        # any other non-space character alone.
+        self._token_re = re.compile(
+            rf"[A-Za-z]{{1,{subword_length}}}|\d+|[^\sA-Za-z\d]"
+        )
 
     def tokenize(self, text: str) -> list[str]:
         """Return the token strings of ``text``."""
-        tokens: list[str] = []
-        for piece in _WORD_RE.findall(str(text)):
-            if piece.isalpha() and len(piece) > self.subword_length:
-                tokens.extend(
-                    piece[i : i + self.subword_length]
-                    for i in range(0, len(piece), self.subword_length)
-                )
-            else:
-                tokens.append(piece)
-        return tokens
+        return self._token_re.findall(str(text))
 
     def count(self, text: str) -> int:
         """Number of tokens in ``text``."""

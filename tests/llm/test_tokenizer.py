@@ -1,6 +1,9 @@
 """Unit tests for the simple tokenizer."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.llm import SimpleTokenizer, count_tokens
 
@@ -38,3 +41,38 @@ def test_token_count_monotone_in_length():
     short = tokenizer.count("a few words")
     long = tokenizer.count("a few words " * 10)
     assert long > short
+
+
+# Token counts are results (``TaskResult.tokens``, Table 7), so the one-regex
+# tokenizer is held to the loop it replaced, kept here verbatim as the reference.
+_REFERENCE_WORD_RE = re.compile(r"[A-Za-z]+|\d+|[^\sA-Za-z\d]")
+
+
+def reference_tokenize(text: str, subword_length: int) -> list[str]:
+    tokens: list[str] = []
+    for piece in _REFERENCE_WORD_RE.findall(str(text)):
+        if piece.isalpha() and len(piece) > subword_length:
+            tokens.extend(
+                piece[i : i + subword_length]
+                for i in range(0, len(piece), subword_length)
+            )
+        else:
+            tokens.append(piece)
+    return tokens
+
+
+#: Weighted towards what decides a split: ASCII and non-ASCII letters and
+#: digits, whitespace of several kinds, punctuation — then any text at all.
+_ALPHABET = st.sampled_from("abcXYZ" * 4 + "éßΩж中" + "0123٣४" + " \t\n\u00a0" + ".,:;-_'\"()[]?!€")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(st.text(_ALPHABET, max_size=80), st.text(max_size=40)),
+    subword_length=st.integers(1, 8),
+)
+def test_tokenize_equals_the_reference_loop(text, subword_length):
+    tokenizer = SimpleTokenizer(subword_length=subword_length)
+    expected = reference_tokenize(text, subword_length)
+    assert tokenizer.tokenize(text) == expected
+    assert tokenizer.count(text) == len(expected)
