@@ -96,11 +96,11 @@ class CachedLLM(LanguageModel):
             self._note_hit(text)
             return text
         if self.persistent is not None:
-            text = self.persistent.get(prompt)
-            if text is not None:
-                self._note_hit(text, persistent=True)
-                self._remember(prompt, text)
-                return text
+            stored = self.persistent.get(prompt)
+            if stored is not None:
+                self._note_hit(stored, persistent=True)
+                self._remember(prompt, stored)
+                return stored
         self.misses += 1
         self._m_misses.inc()
         return None

@@ -335,7 +335,7 @@ def _parse_fm(prompt: str) -> ParsedAnswer:
         last = prompt.rfind("What is the")
         target_row = prompt[:last]
         # rows are separated by newlines in the FM baseline
-        lines = [l for l in target_row.splitlines() if l.strip()]
+        lines = [line for line in target_row.splitlines() if line.strip()]
         if lines:
             row_pairs = parse_pairs(lines[-1])
             if row_pairs:
