@@ -46,7 +46,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from functools import partial
@@ -241,10 +241,10 @@ class MicroBatcher:
             return
         kinds = Counter(request.kind for request in batch)
         self.stats.note(kinds)
-        runs: dict[BatcherStats, Counter[str]] = {}
+        runs: defaultdict[BatcherStats, Counter[str]] = defaultdict(Counter)
         for request in batch:
             if request.origin.stats is not None:
-                runs.setdefault(request.origin.stats, Counter())[request.kind] += 1
+                runs[request.origin.stats][request.kind] += 1
         for stats, ours in runs.items():
             stats.note(ours, len(batch))
         self._m_batches.inc()
