@@ -161,7 +161,7 @@ class MicroBatcher:
         }
         self._m_batch_size = metrics.histogram("batcher.batch_size", SIZE_BUCKETS)
         self._m_queue_wait = metrics.histogram("batcher.queue_wait")
-        self._m_llm_latency = metrics.histogram("batcher.llm_latency")
+        self._m_latency = metrics.histogram("batcher.llm_latency")
         self._executor = executor
         self._llm_threads = llm_threads
         self._inflight = 0  # batches executing on the LLM threads
@@ -324,7 +324,7 @@ class MicroBatcher:
                 if not request.future.done():
                     request.future.set_exception(exc)
         else:
-            self._m_llm_latency.observe(time.perf_counter() - started)
+            self._m_latency.observe(time.perf_counter() - started)
             get_default_exemplars().note("batcher.llm_latency", Trace.current_id())
             if call_span is not None:
                 call_span.finish()
