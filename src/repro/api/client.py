@@ -222,8 +222,8 @@ class Client:
                 shards (``<cache_dir>/worker-NN``).
             batch_size: Micro-batch size of each worker's engine.
             engine_workers: Concurrent tasks in flight per worker engine.
-            queue_depth: Bounded work-queue depth per thread worker
-                (backpressure bound).
+            queue_depth: Batches that may wait behind the first inside a
+                thread worker (backpressure bound).
             llm_factory: ``int -> LanguageModel`` building a custom backend
                 per thread worker (benchmarks, tests).
             config: Pipeline configuration override for thread workers.

@@ -17,7 +17,7 @@ spec's canonical wire form (:mod:`repro.cluster.hashing`), so:
   the unit the flow planner dedups — never split.)
 
 Per-worker batches are submitted concurrently; each
-:class:`~repro.cluster.workers.ThreadWorker` applies its own bounded-queue
+:class:`~repro.cluster.workers.ThreadWorker` applies its own bounded
 backpressure.  When a worker dies mid-batch (:class:`WorkerDeadError`), the
 router removes it from the ring and requeues the affected specs onto the
 surviving workers — consistent hashing keeps every other spec exactly where
@@ -171,8 +171,9 @@ class Router:
         self._m_workers.set(len(ids))
         # Tenancy is enforced once, at this front door; worker services run
         # tenancy-free so a spec is never double-charged.  The resolved
-        # tenant still rides every worker-bound envelope (with its weight)
-        # so thread workers dequeue weighted-fair across tenants.
+        # tenant still rides every worker-bound envelope, and its weight
+        # every submit, so thread workers' engines admit weighted-fair
+        # across tenants.
         self._door = FrontDoor(
             self._run,
             lambda: {
@@ -512,12 +513,14 @@ class Router:
             inflight.dec(n_tracked)
 
         for index, spec in plans:
-            # Wave submissions keep the plan's tenant and weight so
-            # worker-side weighted-fair queues see them (no re-admission:
-            # the plan was charged once at the front door).
+            # Wave submissions keep the plan's priority, tenant and weight
+            # so the workers' engines admit them on the plan's share (no
+            # re-admission: the plan was charged once at the front door).
             results[index] = run_pipeline_spec(
                 spec,
-                lambda wave: self._dispatch(wave, tenant=tenant, weight=weight),
+                lambda wave: self._dispatch(
+                    wave, priority=priority, trace=trace, tenant=tenant, weight=weight
+                ),
             )
         return [result for result in results if result is not None]
 

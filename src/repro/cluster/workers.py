@@ -7,10 +7,12 @@ implementations ship:
 
 * :class:`ThreadWorker` — a full serving stack
   (:class:`~repro.serving.service.ServingService` with its own pipeline,
-  engine and :class:`~repro.serving.cache.PersistentCache` shard) behind a
-  **bounded** work queue drained by one thread.  ``submit`` blocks while the
-  queue is full, so a slow shard exerts backpressure on the router instead
-  of buffering unboundedly.
+  engine and :class:`~repro.serving.cache.PersistentCache` shard) that every
+  caller enters on its own thread, up to a **bound**: ``submit`` blocks while
+  ``queue_depth + 1`` batches are inside, so a slow shard exerts backpressure
+  on the router instead of buffering unboundedly.  The batches inside share
+  the engine's slots and round trips; which task runs next is decided there,
+  at slot admission, on the share ``submit`` was given.
 * :class:`SubprocessWorker` — a spawned ``python -m repro serve --port``
   process spoken to over the existing v2 TCP line protocol; the process owns
   its cache shard directory, so shards stay disjoint across process
@@ -28,15 +30,16 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from ..obs.metrics import MetricsRegistry, get_default_registry
-from ..tenancy import DEFAULT_TENANT, FairBlockingQueue
+from ..serving.engine import SHARE
+from ..tenancy import DEFAULT_TENANT
 from .stats import WorkerStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.client import _RemoteBackend
     from ..serving.service import ServingService
 
 __all__ = [
@@ -60,10 +63,6 @@ class _StartupExit(ClusterError):
     """Internal: a spawned worker exited before its socket came up."""
 
 
-#: Queue sentinel telling a thread worker's loop to exit.
-_STOP = object()
-
-
 class Worker:
     """Contract every shard implements: ordered batches in, responses out."""
 
@@ -79,9 +78,11 @@ class Worker:
     ) -> "list[dict]":
         """Answer one wire-request batch in order.
 
-        ``priority`` (higher first) is honored at dequeue when batches
-        contend for the worker; ``tenant``/``weight`` let the router's
-        weighted-fair scheduling extend to per-worker queues.
+        ``priority`` (higher first) rides every request envelope, and the
+        engine behind the worker honors it at slot admission;
+        ``tenant``/``weight`` are the share the batch runs on where the
+        worker's engine can be told (a :class:`ThreadWorker`'s), so the
+        router's weighted-fair scheduling reaches the shard's slots.
         Implementations may ignore all three.
 
         Raises
@@ -123,7 +124,12 @@ class Worker:
 
 
 class ThreadWorker(Worker):
-    """An in-process serving stack behind a bounded work queue.
+    """An in-process serving stack its callers enter on their own threads.
+
+    ``submit`` runs the batch through the service on the calling thread, so
+    concurrent batches overlap in the worker's resident engine: their tasks
+    wait for its slots in one weighted-fair order (cost 1 per task, priority
+    then arrival within a tenant) and their prompts share its round trips.
 
     Parameters
     ----------
@@ -134,9 +140,15 @@ class ThreadWorker(Worker):
         (its pipeline, engine and persistent cache belong to this shard
         only).
     queue_depth:
-        Maximum batches waiting in the worker's queue.  ``submit`` blocks
-        when the queue is full — this is the cluster's backpressure bound.
+        Maximum batches waiting behind the first inside the worker: at most
+        ``queue_depth + 1`` are inside (running or waiting for engine
+        slots) and the next ``submit`` blocks — this is the cluster's
+        backpressure bound.
     """
+
+    #: Seconds ``close`` waits for the batches inside to leave before it
+    #: closes the service under them.
+    DRAIN_TIMEOUT = 5.0
 
     def __init__(
         self,
@@ -152,33 +164,14 @@ class ThreadWorker(Worker):
         self.service = service
         self.queue_depth = queue_depth
         metrics = metrics or get_default_registry()
-        self._m_depth = metrics.gauge(f"worker.queue_depth.{worker_id}")
-        # Weighted-fair queue: waiting batches dequeue fair-share across
-        # tenants; within one tenant the order is (-priority, arrival) —
-        # with all traffic on the default tenant that is exactly the old
-        # PriorityQueue order.  The stop sentinel drains after all work.
-        self._queue: "FairBlockingQueue" = FairBlockingQueue(maxsize=queue_depth)
+        self._m_inflight = metrics.gauge(f"worker.inflight.{worker_id}")
+        #: Guards ``_inside`` and ``_closed``; callers blocked at the bound
+        #: and a draining ``close`` both wait on it.
+        self._cond = threading.Condition()
+        self._inside = 0
         self._closed = False
-        self._thread = threading.Thread(
-            target=self._loop, name=f"repro-cluster-{worker_id}", daemon=True
-        )
-        self._thread.start()
 
     # ----------------------------------------------------------------- running
-    def _loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            self._m_depth.set(self._queue.qsize())
-            if item is _STOP:
-                return
-            requests, future = item
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                future.set_result(self.service.handle_batch(requests))
-            except BaseException as exc:  # surfaced to the submitting thread
-                future.set_exception(exc)
-
     def submit(
         self,
         requests: "list[dict]",
@@ -187,27 +180,35 @@ class ThreadWorker(Worker):
         tenant: str = DEFAULT_TENANT,
         weight: float = 1.0,
     ) -> "list[dict]":
-        if self._closed or not self._thread.is_alive():
-            raise WorkerDeadError(f"worker {self.worker_id} is not accepting work")
-        future: "Future[list[dict]]" = Future()
-        # Blocks while queue_depth batches are already waiting: backpressure.
-        self._queue.put(
-            (requests, future),
-            tenant=tenant,
-            weight=weight,
-            priority=priority,
-            cost=float(max(len(requests), 1)),
-        )
-        self._m_depth.set(self._queue.qsize())
-        if self._closed:
-            # close() raced the enqueue; the loop may never drain the item.
-            future.cancel()
-            raise WorkerDeadError(f"worker {self.worker_id} shut down mid-submit")
-        return future.result()
+        with self._cond:
+            # Blocks while queue_depth + 1 batches are inside: backpressure.
+            self._cond.wait_for(lambda: self._closed or self._inside <= self.queue_depth)
+            if self._closed:
+                raise WorkerDeadError(f"worker {self.worker_id} is not accepting work")
+            self._inside += 1
+            self._m_inflight.set(self._inside)
+        # The worker's service is tenancy-free, so its door resolves no
+        # tenant and the run keeps this share (priority is re-read from the
+        # envelopes): the engine orders contending batches task by task.
+        share = SHARE.set((tenant, weight, priority))
+        try:
+            return self.service.handle_batch(requests)
+        except Exception as exc:
+            if self._closed:
+                # close() gave up waiting and closed the engine under this
+                # batch; a survivor can still answer it.
+                raise WorkerDeadError(f"worker {self.worker_id} shut down mid-batch") from exc
+            raise
+        finally:
+            SHARE.reset(share)
+            with self._cond:
+                self._inside -= 1
+                self._m_inflight.set(self._inside)
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------ health
     def ping(self) -> bool:
-        return not self._closed and self._thread.is_alive()
+        return not self._closed
 
     def stats(self) -> WorkerStats:
         row = WorkerStats(worker_id=self.worker_id, alive=self.ping())
@@ -226,12 +227,14 @@ class ThreadWorker(Worker):
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        # Served after every admitted batch: pending work drains first.
-        self._queue.put_final(_STOP)
-        self._thread.join(timeout=5.0)
+        with self._cond:
+            if self._closed:
+                return
+            self._closed = True
+            # Callers blocked at the bound raise without entering; the
+            # batches already inside drain first.
+            self._cond.notify_all()
+            self._cond.wait_for(lambda: not self._inside, timeout=self.DRAIN_TIMEOUT)
         self.service.close()
 
 
@@ -270,7 +273,7 @@ class SubprocessWorker(Worker):
         #: Lazily-built pooled transport to the child (keep-alive, binary
         #: framing negotiated) — worker hops ride the same codepath as
         #: ``Client.remote`` instead of paying a connection per batch.
-        self._backend = None
+        self._backend: "_RemoteBackend | None" = None
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = os.pathsep.join(
@@ -341,7 +344,9 @@ class SubprocessWorker(Worker):
         weight: float = 1.0,
     ) -> "list[dict]":
         # ``priority`` and ``tenant`` already travel inside each request
-        # envelope; the child's engine honors them at slot admission.
+        # envelope.  The child's service is tenancy-free, so it resolves
+        # every envelope to ``default`` at weight 1: its engine honors only
+        # ``priority`` at slot admission.
         from ..api.errors import TransportError
 
         if not self.ping():
@@ -353,7 +358,7 @@ class SubprocessWorker(Worker):
                 f"worker {self.worker_id} dropped a batch: {exc}"
             ) from exc
 
-    def _transport(self):
+    def _transport(self) -> "_RemoteBackend":
         if self._backend is None:
             from ..api.client import _RemoteBackend
 

@@ -61,7 +61,7 @@ from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.slo import SLOSpec
 from ..obs.span import remote_span
 from ..obs.trace import Trace
-from ..tenancy import DEFAULT_TENANT, TenantRegistry
+from ..tenancy import TenantRegistry
 from .cache import PersistentCache
 from .engine import SHARE, EngineConfig, ExecutionEngine
 from .frontdoor import FrontDoor, InvalidRequest
@@ -182,7 +182,10 @@ class ServingService:
         span_parent: str | None,
     ) -> list[TaskResult]:
         """The front door's *run*: one admitted group on its tenant's share."""
-        tenant = tenant or DEFAULT_TENANT
+        if tenant is None:
+            # A tenancy-free door keeps the share its caller runs on: a
+            # cluster worker's batch, or the default tenant at weight 1.
+            tenant, weight, _ = SHARE.get()
         # The span covers the wait for engine slots too — that *is* the
         # service-side queueing a caller experiences.
         with remote_span(

@@ -9,9 +9,9 @@ process-wide.  This package adds the per-tenant layer:
   ``weight``, token-bucket ``rate``/``burst`` and ``max_inflight`` cap,
   with a catch-all ``default`` tenant for untagged traffic;
 * :class:`TokenBucket` — deterministic injectable-clock rate limiter;
-* :class:`WeightedFairQueue` / :class:`FairBlockingQueue` — start-time
-  fair queueing across tenants (priority still breaks ties *within* a
-  tenant, bit-identical to a plain priority heap for a single tenant);
+* :class:`WeightedFairQueue` — start-time fair queueing across tenants
+  (priority still breaks ties *within* a tenant, bit-identical to a plain
+  priority heap for a single tenant);
 * :class:`TenancyController` — the runtime a front door holds: bucket and
   cap enforcement at admission (structured ``rate_limited`` errors with
   ``retry_after``) plus ``tenant.<name>.*`` metrics.
@@ -25,16 +25,11 @@ exactly as before.  See ``docs/tenancy.md``.
 
 from .bucket import TokenBucket
 from .controller import TenancyController
-from .fairqueue import (
-    DEFAULT_TENANT,
-    FairBlockingQueue,
-    WeightedFairQueue,
-)
+from .fairqueue import DEFAULT_TENANT, WeightedFairQueue
 from .registry import TenantConfig, TenantRegistry
 
 __all__ = [
     "DEFAULT_TENANT",
-    "FairBlockingQueue",
     "TenancyController",
     "TenantConfig",
     "TenantRegistry",

@@ -1,11 +1,10 @@
 """Weighted-fair queueing across tenants, priority-ordered within a tenant.
 
 :class:`WeightedFairQueue` implements start-time fair queueing (SFQ) over a
-single shared resource — the execution engine's task slots, or a cluster
-worker's work queue.  Every queued item carries a ``cost`` (1 per task at
-the engine, requests in the batch at a worker) and belongs to a tenant with
-a scheduling ``weight``; the queue maintains a global virtual time and one
-virtual-finish tag per tenant:
+single shared resource — the execution engine's task slots.  Every queued
+item carries a ``cost`` (1 per task at the engine) and belongs to a tenant
+with a scheduling ``weight``; the queue maintains a global virtual time and
+one virtual-finish tag per tenant:
 
 * at ``push``, the item lands on its tenant's private heap, ordered by
   ``(-priority, arrival)`` — a plain priority heap, so **within** a
@@ -21,15 +20,14 @@ With a single tenant every bid is trivially the minimum, so the dequeue
 order collapses to the tenant heap's ``(-priority, arrival)`` — bit-identical
 to a priority heap (property-tested in ``tests/tenancy/test_fairqueue.py``).
 
-Two consumers hold the queue:
+One consumer holds the queue: :class:`~repro.serving.engine.ExecutionEngine`
+— every task of every caller waits in one queue for one of the engine's
+``workers`` slots (on the engine's loop thread, so it needs no lock of its
+own).  A cluster :class:`~repro.cluster.workers.ThreadWorker` queues nothing
+in front of its engine: its callers' batches meet in that same queue, on the
+share the router names.
 
-* :class:`~repro.serving.engine.ExecutionEngine` — every task of every
-  caller waits in one queue for one of the engine's ``workers`` slots (on
-  the engine's loop thread, so it needs no lock of its own);
-* :class:`FairBlockingQueue` — the bounded blocking queue behind each
-  cluster :class:`~repro.cluster.workers.ThreadWorker`.
-
-Neither consumer needs tenancy to be configured: untagged work rides the
+It does not need tenancy to be configured: untagged work rides the
 ``default`` tenant at weight 1 and observes today's exact semantics.
 """
 
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from typing import Any
 
 #: Tenant every untagged item is accounted to.
@@ -61,8 +58,7 @@ class _TenantQueue:
 class WeightedFairQueue:
     """Start-time fair queue: weighted across tenants, priority within.
 
-    Not thread-safe on its own — the engine uses it from its one loop
-    thread, :class:`FairBlockingQueue` wraps it in a condition variable.
+    Not thread-safe on its own — the engine uses it from its one loop thread.
     """
 
     def __init__(self) -> None:
@@ -126,64 +122,7 @@ class WeightedFairQueue:
         return item
 
 
-class FairBlockingQueue:
-    """Bounded blocking queue dequeued weighted-fair across tenants.
-
-    The cluster :class:`~repro.cluster.workers.ThreadWorker` spine:
-    ``put`` blocks while ``maxsize`` items wait (backpressure, exactly like
-    ``queue.PriorityQueue(maxsize=...)``), ``get`` blocks while empty, and
-    :meth:`put_final` enqueues a shutdown sentinel served only after every
-    real item drained — the fair-queue equivalent of the old
-    ``(float("inf"), seq, _STOP)`` trick.
-    """
-
-    def __init__(self, maxsize: int = 0):
-        self._maxsize = maxsize
-        self._cond = threading.Condition()
-        self._queue = WeightedFairQueue()
-        self._final: list[Any] = []
-
-    def qsize(self) -> int:
-        with self._cond:
-            return len(self._queue)
-
-    def put(
-        self,
-        item: Any,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        weight: float = 1.0,
-        priority: int = 0,
-        cost: float = 1.0,
-    ) -> None:
-        with self._cond:
-            while self._maxsize > 0 and len(self._queue) >= self._maxsize:
-                self._cond.wait()
-            self._queue.push(
-                item, tenant=tenant, weight=weight, priority=priority, cost=cost
-            )
-            self._cond.notify_all()
-
-    def put_final(self, item: Any) -> None:
-        """Enqueue ``item`` to be served only once the fair queue is drained."""
-        with self._cond:
-            self._final.append(item)
-            self._cond.notify_all()
-
-    def get(self) -> Any:
-        with self._cond:
-            while len(self._queue) == 0 and not self._final:
-                self._cond.wait()
-            if len(self._queue) > 0:
-                item = self._queue.pop()
-            else:
-                item = self._final.pop(0)
-            self._cond.notify_all()
-            return item
-
-
 __all__ = [
     "DEFAULT_TENANT",
-    "FairBlockingQueue",
     "WeightedFairQueue",
 ]

@@ -5,7 +5,7 @@ import pytest
 from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint, make_mixed_specs
 
 from repro.api import Client, PipelineSpec, TransformationSpec
-from repro.cluster import ClusterError, Router
+from repro.cluster import ClusterError, Router, Worker
 from repro.serving.service import InvalidRequest
 
 
@@ -188,6 +188,38 @@ def test_pipeline_request_counts_once_in_requests_served():
         router.submit_specs([spec])
         assert router.requests_served == 1  # matches the single service
         assert router.stats().routed > 1  # ...while the waves still routed
+
+
+def test_a_plans_waves_reach_the_workers_at_the_plans_priority():
+    calls: list = []
+
+    class RecordingWorker(Worker):
+        def __init__(self, inner):
+            self.inner = inner
+            self.worker_id = inner.worker_id
+
+        def submit(self, requests, priority=0, **share):
+            calls.append((priority, [request.get("priority") for request in requests]))
+            return self.inner.submit(requests, priority, **share)
+
+        def ping(self):
+            return self.inner.ping()
+
+        def close(self):
+            self.inner.close()
+
+    rows = [{"name": f"s-{i}", "city": None if i % 2 else "rome"} for i in range(8)]
+    spec = PipelineSpec(
+        rows=rows, stages=[{"op": "impute", "column": "city"}], partition_size=4
+    )
+    with make_router(2, worker_decorator=RecordingWorker) as router:
+        assert router.submit_specs([spec], priority=7)[0].error is None
+    # Every wave of the plan, as argument and in every envelope — what the
+    # single service does by running a plan's waves inside its share.
+    assert calls
+    for priority, envelope_priorities in calls:
+        assert priority == 7
+        assert envelope_priorities and set(envelope_priorities) == {7}
 
 
 # ------------------------------------------------------------------- stats

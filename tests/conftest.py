@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import gc
+import re
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.api import TransformationSpec, encode_request
+from repro.cluster.workers import ThreadWorker
+from repro.core import UniDM, UniDMConfig
 from repro.datalake import Attribute, AttributeType, Schema, Table
 from repro.datasets import load_dataset
 from repro.llm import SimulatedLLM, WorldKnowledge
 from repro.llm.base import LanguageModel
+from repro.serving.engine import ExecutionEngine
+from repro.serving.service import ServingService
 
 
 #: The test whose teardown is running (see the fixture below).
@@ -91,11 +98,123 @@ class GatedLLM(LanguageModel):
             raise TimeoutError("the test never opened the gate")
         return super().complete_batch(prompts, kind=kind)
 
+    def tag_order(self) -> list[str]:
+        """Tags (``<tag>`` in a task's source value) in the order their tasks
+        first reached the backend."""
+        order: list[str] = []
+        for prompt in self.prompts:
+            for tag in re.findall(r"<([^>]+)>", prompt):
+                if tag not in order:
+                    order.append(tag)
+        return order
+
 
 @pytest.fixture
 def gated_llm():
     """Factory of :class:`GatedLLM` backends (closed unless ``open_gate=True``)."""
     return GatedLLM
+
+
+class LineUpEngine(ExecutionEngine):
+    """An engine that says when a run's tasks are in line for its slots.
+
+    ``run`` blocks its caller, so a test that lines several callers up gives
+    each its own thread.  ``handed`` is released once a caller's tasks have
+    been handed to the engine's loop (which takes hand-offs in order), so a
+    test that waits for it before starting the next caller makes the line-up
+    order the call order, without sleeping.
+    """
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self.handed = threading.Semaphore(0)
+
+    def _started(self):
+        resident = super()._started()
+
+        def submit(pipeline, tasks):
+            run = resident.submit(pipeline, tasks)
+            self.handed.release()
+            return run
+
+        return SimpleNamespace(submit=submit)
+
+
+class Callers:
+    """Callers of one :class:`ThreadWorker` over a gated backend, one thread each.
+
+    The closed gate holds the engine's one LLM thread while batches line up
+    behind it; each batch is started only once the one before it is in the
+    engine's line, so arrival order is call order.
+    """
+
+    def __init__(self, engine_config=None, **worker_options):
+        self.backend = GatedLLM()
+        self.engine = LineUpEngine(engine_config)
+        service = ServingService(UniDM(self.backend, UniDMConfig.full(seed=0)), self.engine)
+        self.worker = ThreadWorker("w0", service, **worker_options)
+        self.outcomes: dict = {}
+        self.threads: dict = {}
+
+    def start(self, name, tags, **share):
+        """Submit one batch of ``<tag>``-valued transformation specs, the
+        share's priority in every envelope as the router sends it."""
+        requests = [
+            encode_request(
+                TransformationSpec(f"<{tag}>", [["20000101", "2000-01-01"]]),
+                request_id=index,
+                priority=share.get("priority", 0),
+            )
+            for index, tag in enumerate(tags)
+        ]
+
+        def call():
+            try:
+                self.outcomes[name] = self.worker.submit(requests, **share)
+            except Exception as exc:
+                self.outcomes[name] = exc
+
+        self.threads[name] = threading.Thread(target=call)
+        self.threads[name].start()
+
+    def line_up(self, name, tags, **share):
+        """``start``, and return once the batch waits in the engine's line."""
+        self.start(name, tags, **share)
+        assert self.engine.handed.acquire(timeout=10)
+
+    def hold(self, tag="holder"):
+        """One one-spec batch whose first round trip the closed gate holds."""
+        self.line_up(tag, [tag])
+        assert self.backend.entered.acquire(timeout=10)
+
+    def release(self, *names):
+        """Open the gate and wait for the named (default: all) callers."""
+        self.backend.gate.set()
+        self.finish(*names)
+
+    def finish(self, *names):
+        for name in names or list(self.threads):
+            self.threads[name].join(timeout=30)
+            assert not self.threads[name].is_alive()
+
+    def close(self):
+        self.release()
+        self.worker.close()
+
+
+@pytest.fixture
+def gated_worker():
+    """Factory of :class:`Callers` (``EngineConfig`` and worker options in);
+    every one made is released and its worker closed at teardown."""
+    made: list[Callers] = []
+
+    def make(engine_config=None, **worker_options):
+        made.append(Callers(engine_config, **worker_options))
+        return made[-1]
+
+    yield make
+    for callers in made:
+        callers.close()
 
 
 CITY_ROWS = [

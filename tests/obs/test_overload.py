@@ -18,7 +18,7 @@ from repro.core import UniDM, UniDMConfig
 from repro.llm import CachedLLM, LanguageModel, SimulatedLLM
 from repro.obs import AdmissionController, MetricsRegistry
 from repro.cluster.router import Router
-from repro.cluster.workers import ThreadWorker
+from repro.serving.engine import EngineConfig
 from repro.serving.service import ServingService
 
 SPEC = TransformationSpec(value="19990415", examples=[["20000101", "2000-01-01"]])
@@ -247,46 +247,12 @@ def test_cluster_client_surfaces_overloaded_error_code():
 
 
 # ------------------------------------------------------------------ priorities
-def test_thread_worker_dequeues_highest_priority_first():
-    hold = threading.Event()
-    processing = threading.Event()
-
-    class Stub:
-        def __init__(self):
-            self.order = []
-
-        def handle_batch(self, requests):
-            tag = requests[0]["tag"]
-            if tag == "first":
-                processing.set()
-                hold.wait(5)
-            self.order.append(tag)
-            return [{"tag": tag}]
-
-        def close(self):
-            pass
-
-    stub = Stub()
-    worker = ThreadWorker("w", stub, queue_depth=8, metrics=MetricsRegistry())
-    try:
-        threads = [
-            threading.Thread(
-                target=worker.submit, args=([{"tag": "first"}],), kwargs={"priority": 0}
-            )
-        ]
-        threads[0].start()
-        assert processing.wait(5)  # "first" is busy; the queue now backs up
-        for tag, priority in [("low", 0), ("high", 5)]:
-            thread = threading.Thread(
-                target=worker.submit, args=([{"tag": tag}],), kwargs={"priority": priority}
-            )
-            thread.start()
-            threads.append(thread)
-            time.sleep(0.05)
-        hold.set()
-        for thread in threads:
-            thread.join()
-        assert stub.order == ["first", "high", "low"]
-    finally:
-        hold.set()
-        worker.close()
+def test_thread_worker_dequeues_highest_priority_first(gated_worker):
+    # One slot, held by "first" at the backend's closed gate; "low" then
+    # "high" line up in the worker's engine, the priority in their envelopes.
+    callers = gated_worker(EngineConfig(workers=1), queue_depth=8)
+    callers.hold("first")
+    callers.line_up("low", ["low"], priority=0)
+    callers.line_up("high", ["high"], priority=5)
+    callers.release()
+    assert callers.backend.tag_order() == ["first", "high", "low"]

@@ -8,15 +8,13 @@ observes.
 
 import heapq
 import itertools
-import re
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import TransformationTask, UniDM, UniDMConfig
 from repro.serving.engine import SHARE, EngineConfig, ExecutionEngine
-from repro.tenancy import DEFAULT_TENANT, FairBlockingQueue, WeightedFairQueue
+from repro.tenancy import DEFAULT_TENANT, WeightedFairQueue
 
 
 # ----------------------------------------------------------------- fair queue
@@ -154,11 +152,7 @@ def admission_order(backend, queue_up):
     finally:
         backend.gate.set()
         engine.close()
-    order = []
-    for prompt in backend.prompts:
-        for tag in re.findall(r"<([^>]+)>", prompt):  # the task's source value
-            if tag not in order:
-                order.append(tag)
+    order = backend.tag_order()
     assert order[0] == "holder"
     return order[1:]
 
@@ -199,45 +193,3 @@ def test_engine_slots_a_flood_cannot_push_a_polite_tenant_past_second(gated_llm)
         submit(["polite"], tenant="polite")
 
     assert admission_order(gated_llm(), queue_up).index("polite") <= 1
-
-
-# -------------------------------------------------------------- blocking queue
-def test_blocking_queue_serves_final_item_after_draining():
-    queue = FairBlockingQueue()
-    stop = object()
-    queue.put_final(stop)
-    queue.put("work-1")
-    queue.put("work-2", priority=5)
-    assert queue.get() == "work-2"
-    assert queue.get() == "work-1"
-    assert queue.get() is stop
-
-
-def test_blocking_queue_bounded_put_blocks_until_get():
-    queue = FairBlockingQueue(maxsize=1)
-    queue.put("first")
-    unblocked = threading.Event()
-
-    def producer():
-        queue.put("second")
-        unblocked.set()
-
-    thread = threading.Thread(target=producer)
-    thread.start()
-    try:
-        assert not unblocked.wait(0.15), "put must block while the queue is full"
-        assert queue.get() == "first"
-        assert unblocked.wait(2.0), "put must resume once capacity frees up"
-        assert queue.get() == "second"
-    finally:
-        thread.join()
-
-
-def test_blocking_queue_dequeues_weighted_fair():
-    queue = FairBlockingQueue()
-    for index in range(6):
-        queue.put(("big", index), tenant="big", weight=3.0)
-        queue.put(("small", index), tenant="small", weight=1.0)
-    first = [queue.get()[0] for _ in range(8)]
-    assert first.count("big") == 6
-    assert first.count("small") == 2
