@@ -27,8 +27,9 @@ Commands
     (``--cluster-mode process`` spawns them as subprocesses).  With
     ``--max-inflight`` / ``--max-queue-depth`` admission control sheds
     excess load with structured ``overloaded`` errors, and
-    ``--stats-port N`` opens a side channel that answers one JSON metrics
-    snapshot per connection (readable even under overload).  With
+    ``--stats-port N`` opens an HTTP side channel (``GET /`` for the JSON
+    snapshot, ``/metrics``, ``/healthz``, ``/readyz``, ``/doctor``) that
+    stays readable under overload.  With
     ``--tenant NAME[,weight=W][,rate=R][,burst=B][,max_inflight=M]``
     (repeatable) and/or ``--tenants-file FILE`` (a JSON object of the same
     per-tenant keys) the front door enforces per-tenant token-bucket rate
@@ -37,7 +38,7 @@ Commands
 ``stats``
     Fetch and pretty-print the observability snapshot of a running service:
     either through the main port (a ``{"type": "stats"}`` request over the
-    line protocol) or from a ``--stats-port`` side channel.  With
+    line protocol) or from a ``--stats-port`` side channel (``GET /``).  With
     ``--format prom`` the snapshot is rendered as Prometheus text-format
     exposition (fetched as ``GET /metrics`` when a ``--stats-port`` is
     given); ``--reset`` zeroes the counters after the snapshot;
@@ -200,7 +201,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     llm = _maybe_cached(
         SimulatedLLM(knowledge=dataset.knowledge, seed=args.seed), args.cache_dir
     )
-    client = Client.local(llm=llm, config=UniDMConfig.full(seed=args.seed))
+    engine = _engine_from_args(args) if args.engine else None
+    client = Client.local(llm=llm, config=UniDMConfig.full(seed=args.seed), engine=engine)
     task = dataset.tasks[0]
     result = client.run_task(task)
     print("query        :", result.query)
@@ -209,9 +211,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print("answer       :", result.value)
     print("ground truth :", dataset.ground_truth[0])
     print("tokens       :", result.total_tokens)
-    if args.engine:
-        engine = _engine_from_args(args)
-        client.service.engine = engine
+    if engine is not None:
         started = time.perf_counter()
         results = client.run_tasks(dataset.tasks)
         elapsed = time.perf_counter() - started
@@ -248,10 +248,12 @@ def _demo_cluster(args: argparse.Namespace) -> int:
         )
         for task in dataset.tasks
     ]
+    knowledge = dataset.knowledge
     if args.cluster_mode == "process":
         # Subprocess workers build their own stacks; the dataset's knowledge
         # store cannot ship across the process boundary, so answers come
         # from the bare simulated model.
+        knowledge = None
         print(
             "note: process workers run without the demo's knowledge store; "
             "expect 'unknown' answers (use thread mode for the accuracy demo)",
@@ -261,7 +263,7 @@ def _demo_cluster(args: argparse.Namespace) -> int:
         workers=args.workers,
         mode=args.cluster_mode,
         seed=args.seed,
-        knowledge=dataset.knowledge,
+        knowledge=knowledge,
         cache_dir=args.cache_dir,
         batch_size=args.batch_size,
     ) as client:
@@ -280,42 +282,34 @@ def _demo_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_frontend(
-    handle_batch,
-    served_count,
-    args: argparse.Namespace,
-    snapshot=None,
-    monitor=None,
-    doctor_fn=None,
-) -> int:
-    """Run either front-end (TCP or stdin/stdout) over a batch handler.
+def _serve_frontend(host, args: argparse.Namespace, config: dict) -> int:
+    """Put ``host`` (a service or a router — one ``FrontDoor``) behind a front-end.
 
-    ``snapshot`` (a zero-argument callable returning the stats payload)
-    powers the ``--stats-port`` side channel: one JSON snapshot line per
-    connection, answered off the main request path.  ``monitor`` (the
-    front-end's :class:`~repro.obs.slo.HealthMonitor`) backs the side
-    channel's ``/healthz`` + ``/readyz`` probes and ``doctor_fn`` its
-    ``/doctor`` bundle.
+    ``--port`` serves its ``handle_batch`` on TCP, otherwise on stdin/stdout;
+    ``--stats-port`` adds the HTTP side channel over its ``stats_snapshot``
+    and ``monitor`` (``/``, ``/metrics``, ``/healthz``, ``/readyz`` and a
+    ``/doctor`` bundle recording ``config``), answered off the request path.
     """
+    from .obs import serve_stats_in_thread, start_stats_server
+    from .obs.diagnostics import build_bundle
     from .serving import serve_lines, start_line_server
 
-    stats_port = getattr(args, "stats_port", None)
+    probes = {
+        "monitor": host.monitor,
+        "doctor_fn": lambda: build_bundle(
+            snapshot_fn=host.stats_snapshot, monitor=host.monitor, config=config
+        ),
+    }
     if args.port is not None:
         import asyncio
 
         async def _run() -> None:
-            server = await start_line_server(handle_batch, args.host, args.port)
-            if stats_port is not None and snapshot is not None:
-                from .obs import start_stats_server
-
+            server = await start_line_server(host.handle_batch, args.host, args.port)
+            if args.stats_port is not None:
                 await start_stats_server(
-                    snapshot,
-                    args.host,
-                    stats_port,
-                    monitor=monitor,
-                    doctor_fn=doctor_fn,
+                    host.stats_snapshot, args.host, args.stats_port, **probes
                 )
-                print(f"stats on {args.host}:{stats_port}", file=sys.stderr)
+                print(f"stats on {args.host}:{args.stats_port}", file=sys.stderr)
             async with server:
                 await server.serve_forever()
 
@@ -328,20 +322,18 @@ def _serve_frontend(
             print(f"cannot bind {args.host}: {exc}", file=sys.stderr)
             return 1
         return 0
-    if stats_port is not None and snapshot is not None:
-        from .obs import serve_stats_in_thread
-
+    if args.stats_port is not None:
         bound = serve_stats_in_thread(
-            snapshot, args.host, stats_port, monitor=monitor, doctor_fn=doctor_fn
+            host.stats_snapshot, args.host, args.stats_port, **probes
         )
         if bound is None:
             print(
-                f"cannot bind stats port {args.host}:{stats_port}", file=sys.stderr
+                f"cannot bind stats port {args.host}:{args.stats_port}", file=sys.stderr
             )
             return 1
         print(f"stats on {args.host}:{bound}", file=sys.stderr)
-    served = serve_lines(handle_batch, sys.stdin, sys.stdout)
-    print(f"served {served_count() if served_count else served} requests", file=sys.stderr)
+    serve_lines(host.handle_batch, sys.stdin, sys.stdout)
+    print(f"served {host.requests_served} requests", file=sys.stderr)
     return 0
 
 
@@ -425,114 +417,67 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # process) inherit the sink, so one file collects the whole tree.
         configure_default_event_log(path=args.events_file, export_env=True)
 
-    def doctor_for(snapshot_fn, monitor):
-        from .obs.diagnostics import build_bundle
-
-        config = _serve_config(args, slos)
-        return lambda: build_bundle(
-            snapshot_fn=snapshot_fn, monitor=monitor, config=config
-        )
-
-    if args.cluster:
-        from .cluster import Router
-
-        if args.cluster_mode == "process":
-            router = Router.spawn(
-                args.workers,
-                seed=args.seed,
-                model=args.model,
-                cache_dir=args.cache_dir,
-                batch_size=args.batch_size,
-                max_inflight=args.max_inflight,
-                max_queue_depth=args.max_queue_depth,
-                tenants=tenants,
-                slos=slos,
-            )
-        else:
-            router = Router.local(
-                args.workers,
-                seed=args.seed,
-                model=args.model,
-                cache_dir=args.cache_dir,
-                batch_size=args.batch_size,
-                max_inflight=args.max_inflight,
-                max_queue_depth=args.max_queue_depth,
-                tenants=tenants,
-                slos=slos,
-            )
-        print(
-            f"cluster: {args.workers} {args.cluster_mode} workers", file=sys.stderr
-        )
-        router.monitor.start()
-        # Elasticity control loops: the Supervisor revives crashed workers
-        # in place (always on in cluster mode — a crash should never leave
-        # a hole in the ring), and --autoscale resizes the worker count
-        # between --min-workers/--max-workers from the rolling load windows.
-        from .cluster import Supervisor
-
-        supervisor = Supervisor(router)
-        supervisor.start()
-        autoscaler = None
-        if args.autoscale:
-            from .cluster import Autoscaler
-
-            try:
-                autoscaler = Autoscaler(
-                    router,
-                    min_workers=args.min_workers,
-                    max_workers=args.max_workers,
-                )
-            except ValueError as exc:
-                print(f"bad autoscale configuration: {exc}", file=sys.stderr)
-                supervisor.stop()
-                router.close()
-                return 2
-            autoscaler.start()
-            print(
-                f"autoscale: {args.min_workers}..{args.max_workers} workers",
-                file=sys.stderr,
-            )
-        try:
-            return _serve_frontend(
-                router.handle_batch,
-                lambda: router.requests_served,
-                args,
-                snapshot=router.stats_snapshot,
-                monitor=router.monitor,
-                doctor_fn=doctor_for(router.stats_snapshot, router.monitor),
-            )
-        finally:
-            if autoscaler is not None:
-                autoscaler.stop()
-            supervisor.stop()
-            router.close()
-
-    from .serving import build_service
-
-    service = build_service(
-        model=args.model,
-        seed=args.seed,
-        cache_dir=args.cache_dir,
-        batch_size=args.batch_size,
-        workers=args.workers,
+    door = dict(
         max_inflight=args.max_inflight,
         max_queue_depth=args.max_queue_depth,
         tenants=tenants,
         slos=slos,
     )
-    service.monitor.start()
-    try:
-        return _serve_frontend(
-            service.handle_batch,
-            lambda: service.requests_served,
-            args,
-            snapshot=service.stats_snapshot,
-            monitor=service.monitor,
-            doctor_fn=doctor_for(service.stats_snapshot, service.monitor),
+    loops = []
+    if args.cluster:
+        from .cluster import Autoscaler, Router, Supervisor
+
+        build = Router.spawn if args.cluster_mode == "process" else Router.local
+        host = build(
+            args.workers,
+            seed=args.seed,
+            model=args.model,
+            cache_dir=args.cache_dir,
+            batch_size=args.batch_size,
+            **door,
         )
+        print(
+            f"cluster: {args.workers} {args.cluster_mode} workers", file=sys.stderr
+        )
+        # Elasticity control loops: the Supervisor revives crashed workers
+        # in place (always on in cluster mode — a crash should never leave
+        # a hole in the ring), and --autoscale resizes the worker count
+        # between --min-workers/--max-workers from the rolling load windows.
+        loops.append(Supervisor(host))
+        if args.autoscale:
+            try:
+                loops.append(
+                    Autoscaler(
+                        host, min_workers=args.min_workers, max_workers=args.max_workers
+                    )
+                )
+            except ValueError as exc:
+                print(f"bad autoscale configuration: {exc}", file=sys.stderr)
+                host.close()
+                return 2
+            print(
+                f"autoscale: {args.min_workers}..{args.max_workers} workers",
+                file=sys.stderr,
+            )
+    else:
+        from .serving import build_service
+
+        host = build_service(
+            model=args.model,
+            seed=args.seed,
+            cache_dir=args.cache_dir,
+            batch_size=args.batch_size,
+            workers=args.workers,
+            **door,
+        )
+    try:
+        for loop in (host.monitor, *loops):
+            loop.start()
+        return _serve_frontend(host, args, _serve_config(args, slos))
     finally:
-        service.monitor.stop()
-        service.close()
+        for loop in loops:
+            loop.stop()
+        host.close()  # stops the monitor too
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -606,7 +551,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
     import json
-    import time
 
     from .cli import StatsUnreachable, fetch_probe
 
@@ -686,7 +630,9 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser = subparsers.add_parser("serve")
     serve_parser.add_argument("--model", default=None, help="simulated model profile")
     serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=None, help="TCP port (default: stdin/stdout)")
+    serve_parser.add_argument(
+        "--port", type=int, default=None, help="TCP port (default: stdin/stdout)"
+    )
     serve_parser.add_argument("--batch-size", type=_positive_int, default=8)
     serve_parser.add_argument("--workers", type=_positive_int, default=8)
     serve_parser.add_argument("--cache-dir", default=None)
@@ -694,7 +640,8 @@ def main(argv: list[str] | None = None) -> int:
         "--stats-port",
         type=int,
         default=None,
-        help="side-channel port answering one JSON metrics snapshot per connection",
+        help="HTTP side-channel port: GET / (JSON snapshot), /metrics, /healthz, "
+        "/readyz, /doctor",
     )
     serve_parser.add_argument(
         "--max-inflight",

@@ -10,7 +10,7 @@ the same semantics:
   :class:`~repro.api.errors.TaskFailedError` on an error response;
 * :meth:`Client.submit_many` — a batch of specs, answered in order, with
   per-item failures embedded as ``result.error`` (never raising mid-batch);
-* :meth:`Client.asubmit_many` — the async flavour of ``submit_many``.
+* :meth:`Client.asubmit_many` — ``submit_many`` run off the event loop.
 
 Both paths serialize specs through the same v2 wire encoding and decode the
 same response envelopes, so a spec answered locally and remotely is, by
@@ -25,6 +25,7 @@ the examples use.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import threading
 import time
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
@@ -45,7 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.types import ManipulationResult
     from ..llm.base import LanguageModel
     from ..serving.engine import ExecutionEngine
+    from ..serving.frontdoor import FrontDoor
     from ..serving.service import ServingService
+    from ..serving.transport import WireConnection
     from ..tenancy import TenantRegistry
 
 #: Error codes ``retries=`` may resubmit: the shed responses that carry a
@@ -63,7 +66,9 @@ class Client:
 
     def __init__(self, backend: "_Backend"):
         self._backend = backend
-        self._next_id = 0
+        #: ``next()`` on a count is atomic, so ``asubmit_many`` calls in
+        #: flight together never hand one id out twice.
+        self._ids = itertools.count()
         self._last_trace: str | None = None
 
     # ------------------------------------------------------------ constructors
@@ -108,7 +113,10 @@ class Client:
             A :class:`Client` whose submissions run on the local engine.
 
         Raises:
-            ValueError: If both ``pipeline`` and ``llm``/``config`` are given.
+            ValueError: If both ``pipeline`` and ``llm``/``config`` are given,
+                or ``model``/``knowledge``/``cache_dir`` (which configure the
+                default simulated model) together with the ``llm`` or
+                ``pipeline`` that replaces it.
 
         Example:
             >>> from repro.api import Client, TransformationSpec
@@ -121,41 +129,34 @@ class Client:
         from ..core.config import UniDMConfig
         from ..core.pipeline import UniDM
         from ..serving.engine import EngineConfig, ExecutionEngine
-        from ..serving.service import ServingService, build_service
+        from ..serving.service import ServingService, default_pipeline
 
-        if pipeline is not None:
-            if llm is not None or config is not None:
-                raise ValueError(
-                    "pass either pipeline= or llm=/config= to Client.local, not "
-                    "both — a ready pipeline already fixes its model and config"
-                )
-            if engine is None:
-                engine = ExecutionEngine(
-                    EngineConfig(max_batch_size=batch_size, workers=workers)
-                )
-            service = ServingService(pipeline, engine, tenants=tenants)
-        elif llm is not None:
-            pipeline = UniDM(llm, config or UniDMConfig.full(seed=seed))
-            if engine is None:
-                engine = ExecutionEngine(
-                    EngineConfig(max_batch_size=batch_size, workers=workers)
-                )
-            service = ServingService(pipeline, engine, tenants=tenants)
-        else:
-            service = build_service(
-                model=model,
-                seed=seed,
-                cache_dir=cache_dir,
-                batch_size=batch_size,
-                workers=workers,
-                knowledge=knowledge,
-                tenants=tenants,
+        if pipeline is not None and (llm is not None or config is not None):
+            raise ValueError(
+                "pass either pipeline= or llm=/config= to Client.local, not "
+                "both — a ready pipeline already fixes its model and config"
             )
-            if config is not None:
-                service.pipeline = UniDM(service.pipeline.llm, config)
-            if engine is not None:
-                service.engine = engine
-        return cls(_LocalBackend(service))
+        if pipeline is not None or llm is not None:
+            _reject_pairs(
+                "Client.local",
+                "pipeline=" if pipeline is not None else "llm=",
+                "a model you pass is used as given; these configure the default "
+                "simulated one (wrap yours in CachedLLM to cache it)",
+                model=model,
+                knowledge=knowledge,
+                cache_dir=cache_dir,
+            )
+        if pipeline is None:
+            pipeline = (
+                UniDM(llm, config or UniDMConfig.full(seed=seed))
+                if llm is not None
+                else default_pipeline(model, seed, cache_dir, knowledge, config=config)
+            )
+        if engine is None:
+            engine = ExecutionEngine(
+                EngineConfig(max_batch_size=batch_size, workers=workers)
+            )
+        return cls(_HostBackend(ServingService(pipeline, engine, tenants=tenants)))
 
     @classmethod
     def remote(
@@ -197,7 +198,7 @@ class Client:
         cache_dir: str | None = None,
         batch_size: int = 8,
         engine_workers: int = 8,
-        queue_depth: int = 32,
+        queue_depth: int | None = None,
         llm_factory: Any = None,
         config: "UniDMConfig | None" = None,
         router: "Router | None" = None,
@@ -223,7 +224,7 @@ class Client:
             batch_size: Micro-batch size of each worker's engine.
             engine_workers: Concurrent tasks in flight per worker engine.
             queue_depth: Batches that may wait behind the first inside a
-                thread worker (backpressure bound).
+                thread worker (backpressure bound; default 32).
             llm_factory: ``int -> LanguageModel`` building a custom backend
                 per thread worker (benchmarks, tests).
             config: Pipeline configuration override for thread workers.
@@ -237,7 +238,9 @@ class Client:
 
         Raises:
             ValueError: If ``mode`` is not ``"thread"`` or ``"process"``,
-                or ``workers`` is not positive.
+                ``workers`` is not positive, or ``mode="process"`` comes with
+                one of the thread-worker-only arguments (``knowledge``,
+                ``queue_depth``, ``llm_factory``, ``config``).
 
         Example:
             >>> from repro.api import Client, TransformationSpec
@@ -251,35 +254,37 @@ class Client:
         from ..cluster.router import Router
 
         if router is None:
+            options = dict(
+                seed=seed,
+                model=model,
+                cache_dir=cache_dir,
+                batch_size=batch_size,
+                engine_workers=engine_workers,
+                tenants=tenants,
+            )
+            thread_only = dict(
+                knowledge=knowledge,
+                queue_depth=queue_depth,
+                llm_factory=llm_factory,
+                config=config,
+            )
             if mode == "thread":
-                router = Router.local(
-                    workers,
-                    seed=seed,
-                    model=model,
-                    knowledge=knowledge,
-                    cache_dir=cache_dir,
-                    batch_size=batch_size,
-                    engine_workers=engine_workers,
-                    queue_depth=queue_depth,
-                    llm_factory=llm_factory,
-                    config=config,
-                    tenants=tenants,
-                )
+                given = {k: v for k, v in thread_only.items() if v is not None}
+                router = Router.local(workers, **options, **given)
             elif mode == "process":
-                router = Router.spawn(
-                    workers,
-                    seed=seed,
-                    model=model,
-                    cache_dir=cache_dir,
-                    batch_size=batch_size,
-                    engine_workers=engine_workers,
-                    tenants=tenants,
+                _reject_pairs(
+                    "Client.cluster",
+                    'mode="process"',
+                    "spawned workers build their own default stack; only thread "
+                    "workers can be handed in-process objects",
+                    **thread_only,
                 )
+                router = Router.spawn(workers, **options)
             else:
                 raise ValueError(
                     f"mode must be 'thread' or 'process', got {mode!r}"
                 )
-        return cls(_ClusterBackend(router))
+        return cls(_HostBackend(router))
 
     # -------------------------------------------------------------- spec path
     def submit(
@@ -351,23 +356,16 @@ class Client:
         tenant: str | None = None,
         retries: int = 0,
     ) -> list[TaskResult]:
-        """Async flavour of :meth:`submit_many` (same ordering/error rules).
+        """:meth:`submit_many`, off the event loop (same ordering/error rules).
 
-        Every backend runs its synchronous path on the loop's default
-        executor, so the event loop stays free while the batch is in flight.
+        The synchronous call runs on the loop's default executor inside a
+        copy of the caller's context — a bound :class:`~repro.obs.Trace` and
+        the caller's current span still apply — so the loop stays free while
+        the batch (and any ``retries`` back-off) is in flight.
         """
-        results = await self._asubmit_once(specs, priority, tenant)
-        for _ in range(retries):
-            positions = _retryable_positions(results)
-            if not positions:
-                break
-            await asyncio.sleep(_backoff_hint(results, positions))
-            retried = await self._asubmit_once(
-                [specs[position] for position in positions], priority, tenant
-            )
-            for position, result in zip(positions, retried):
-                results[position] = result
-        return results
+        return await asyncio.to_thread(
+            self.submit_many, specs, priority=priority, tenant=tenant, retries=retries
+        )
 
     def _submit_once(
         self, specs: Sequence[TaskSpec], priority: int, tenant: str | None
@@ -379,19 +377,6 @@ class Client:
             self._last_trace = requests[0].get("trace")
             started = time.perf_counter()
             responses = self._backend.send(requests)
-            elapsed = time.perf_counter() - started
-            return self._decode(responses, len(requests), elapsed)
-
-    async def _asubmit_once(
-        self, specs: Sequence[TaskSpec], priority: int, tenant: str | None
-    ) -> list[TaskResult]:
-        with span("client.submit", specs=len(specs)):
-            requests = self._encode(specs, priority=priority, tenant=tenant)
-            if not requests:
-                return []
-            self._last_trace = requests[0].get("trace")
-            started = time.perf_counter()
-            responses = await self._backend.asend(requests)
             elapsed = time.perf_counter() - started
             return self._decode(responses, len(requests), elapsed)
 
@@ -497,17 +482,24 @@ class Client:
     # ------------------------------------------------------------- life-cycle
     @property
     def is_local(self) -> bool:
-        return isinstance(self._backend, _LocalBackend)
+        """Whether this client runs on one in-process engine (``run_task`` works)."""
+        return hasattr(self._backend.in_process, "run_tasks")
 
     @property
     def service(self) -> "ServingService":
-        """The in-process service (local clients only)."""
-        return self._backend.service  # raises on remote backends
+        """The in-process service (local clients only).
+
+        Raises:
+            TransportError: When this client is not a local client.
+        """
+        if not self.is_local:
+            raise TransportError("this client has no service; use Client.local")
+        return self._backend.in_process
 
     @property
     def pipeline(self) -> "UniDM":
         """The in-process pipeline (local clients only)."""
-        return self._backend.service.pipeline
+        return self.service.pipeline
 
     @property
     def router(self) -> "Router":
@@ -516,10 +508,9 @@ class Client:
         Raises:
             TransportError: When this client is not a cluster client.
         """
-        backend = self._backend
-        if not isinstance(backend, _ClusterBackend):
+        if self.is_local or self._backend.in_process is None:
             raise TransportError("this client has no router; use Client.cluster")
-        return backend.router
+        return self._backend.in_process
 
     def close(self) -> None:
         self._backend.close()
@@ -541,12 +532,10 @@ class Client:
                     f"submit expects TaskSpec instances, got {type(spec).__name__}; "
                     "use run_task/run_tasks for pipeline Task objects"
                 )
-            request_id = self._next_id
-            self._next_id += 1
             requests.append(
                 encode_request(
                     spec,
-                    request_id,
+                    next(self._ids),
                     PROTOCOL_VERSION,
                     trace=Trace.current_id() or new_trace_id(),
                     priority=priority,
@@ -589,18 +578,24 @@ def _backoff_hint(results: "list[TaskResult]", positions: list[int]) -> float:
     return min(max(hint, _RETRY_FLOOR), _RETRY_CAP)
 
 
+def _reject_pairs(where: str, given: str, why: str, **dropped: Any) -> None:
+    """Refuse arguments that ``given`` would make ``where`` drop silently."""
+    for name, value in dropped.items():
+        if value is not None:
+            raise ValueError(
+                f"pass either {given} or {name}= to {where}, not both — {why}"
+            )
+
+
 # ------------------------------------------------------------------- backends
 class _Backend:
-    """Transport strategy: how encoded request batches reach the service."""
+    """Transport strategy: how encoded request batches reach a host."""
+
+    #: The host itself when it lives in this process (else ``None``).
+    in_process: "FrontDoor | None" = None
 
     def send(self, requests: list[dict]) -> list[dict]:
         raise NotImplementedError
-
-    async def asend(self, requests: list[dict]) -> list[dict]:
-        # Engine runs, worker batches and the wire connection all block:
-        # keep them off the caller's loop.
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.send, requests)
 
     def run_tasks(self, tasks: "list[Task]") -> "list[ManipulationResult]":
         raise TransportError("run_task/run_tasks need a local client; this one is remote")
@@ -609,56 +604,45 @@ class _Backend:
         pass
 
 
-class _LocalBackend(_Backend):
-    """Requests answered by an in-process :class:`ServingService`."""
+class _HostBackend(_Backend):
+    """Requests answered by a host in this process.
 
-    def __init__(self, service: "ServingService"):
-        self.service = service
-
-    def send(self, requests: list[dict]) -> list[dict]:
-        return self.service.handle_batch(requests)
-
-    def run_tasks(self, tasks: "list[Task]") -> "list[ManipulationResult]":
-        return self.service.run_tasks(tasks)
-
-    def close(self) -> None:
-        self.service.close()
-
-
-class _ClusterBackend(_Backend):
-    """Requests answered by a sharded :class:`~repro.cluster.router.Router`.
-
-    The router exposes the same ``handle_batch`` contract as the in-process
-    service, so the facade treats a cluster exactly like a bigger local
-    service — per-spec placement, backpressure and failover live entirely
-    inside the router.
+    A :class:`~repro.serving.service.ServingService` and a sharded
+    :class:`~repro.cluster.router.Router` are the same
+    :class:`~repro.serving.frontdoor.FrontDoor` to the facade — per-spec
+    placement, backpressure and failover live entirely inside the router —
+    except that only a service has the one engine ``run_tasks`` needs.
     """
 
-    def __init__(self, router: "Router"):
-        self.router = router
+    def __init__(self, host: "FrontDoor"):
+        self.in_process = host
 
     def send(self, requests: list[dict]) -> list[dict]:
-        return self.router.handle_batch(requests)
+        return self.in_process.handle_batch(requests)
 
     def run_tasks(self, tasks: "list[Task]") -> "list[ManipulationResult]":
-        raise TransportError(
-            "run_task/run_tasks need a single local engine; a cluster routes "
-            "typed specs only — use submit/submit_many"
-        )
+        if not hasattr(self.in_process, "run_tasks"):
+            raise TransportError(
+                "run_task/run_tasks need a single local engine; a cluster routes "
+                "typed specs only — use submit/submit_many"
+            )
+        return self.in_process.run_tasks(tasks)
 
     def close(self) -> None:
-        self.router.close()
+        self.in_process.close()
 
 
 class _RemoteBackend(_Backend):
     """Requests shipped over the binary-framed TCP wire transport.
 
-    Connections are **pooled and keep-alive**: the first batch pays one
+    Connections are **kept alive and reused**: the first batch pays one
     connect + handshake round trip (see
-    :class:`repro.serving.transport.WireConnection`), and every later batch
-    reuses a pooled connection, pipelining its requests over it.
+    :class:`repro.serving.transport.WireConnection`), a finished batch parks
+    its connection here (at most ``pool_size`` idle ones are kept, the rest
+    closed), and every later batch takes a parked one and pipelines its
+    requests over it.
 
-    A batch that fails on a pooled connection (the server restarted, a
+    A batch that fails on a reused connection (the server restarted, a
     keep-alive socket went stale) is retried once on a fresh connection
     before surfacing a :class:`TransportError`.
     """
@@ -670,27 +654,28 @@ class _RemoteBackend(_Backend):
         self.port = port
         self.timeout = timeout
         self.pool_size = pool_size
-        self._pool: Any = None
-        self._pool_lock = threading.Lock()
+        self._idle: "list[WireConnection]" = []
+        self._closed = False
+        self._lock = threading.Lock()
 
-    def _pool_handle(self) -> Any:
-        with self._pool_lock:
-            if self._pool is None:
-                from ..serving.transport import WireConnectionPool
+    def _acquire(self) -> "WireConnection":
+        from ..serving.transport import WireConnection
 
-                self._pool = WireConnectionPool(
-                    self.host, self.port, self.timeout, size=self.pool_size
-                )
-            return self._pool
+        with self._lock:
+            while self._idle:
+                conn = self._idle.pop()
+                if conn.alive:
+                    return conn
+                conn.close()
+        return WireConnection.open(self.host, self.port, self.timeout)
 
     def send(self, requests: list[dict]) -> list[dict]:
         from ..serving.transport import FrameError
 
-        pool = self._pool_handle()
         last_error: Exception | None = None
         for attempt in range(2):
             try:
-                conn = pool.acquire()
+                conn = self._acquire()
             except OSError as exc:
                 raise TransportError(
                     f"cannot reach service at {self.host}:{self.port}: {exc}"
@@ -703,17 +688,24 @@ class _RemoteBackend(_Backend):
                 conn.close()
                 last_error = exc
                 continue
-            pool.release(conn)
+            with self._lock:
+                keep = not self._closed and len(self._idle) < self.pool_size
+                if keep:
+                    self._idle.append(conn)
+            if not keep:
+                conn.close()
             return responses
         raise TransportError(
             f"service at {self.host}:{self.port} dropped the batch: {last_error}"
         ) from last_error
 
     def close(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
+        """Close the idle connections; one still in a batch closes on return."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
 __all__ = ["Client"]

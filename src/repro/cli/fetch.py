@@ -4,10 +4,9 @@ Two transports reach a serving front-end's observability state:
 
 * the **main port** — a :class:`~repro.api.stats_spec.StatsSpec` request
   over the line protocol (supports ``prefix``/``tenant``/``reset``);
-* the **stats side channel** (``serve --stats-port``) — either the legacy
-  one-JSON-line read or an HTTP GET (``/``, ``/metrics``, ``/healthz``,
-  ``/readyz``, ``/doctor``), readable even while the main port is
-  saturated.
+* the **stats side channel** (``serve --stats-port``) — an HTTP GET
+  (``/`` for the snapshot, ``/metrics``, ``/healthz``, ``/readyz``,
+  ``/doctor``), readable even while the main port is saturated.
 
 Every failure mode — connection refused, timeout, a non-HTTP peer, garbage
 JSON, a JSON payload that is not an object — raises
@@ -39,37 +38,25 @@ def fetch_snapshot(
 ) -> dict[str, Any]:
     """One stats snapshot from a running front-end (dict, or raises).
 
-    With ``stats_port`` the side channel is read (legacy one-line JSON
-    dialect — ``prefix``/``tenant``/``reset`` are main-port-only and
-    ignored there); otherwise a ``stats`` request goes through the main
-    port.
+    With ``stats_port`` the side channel's ``GET /`` is read (``prefix``/
+    ``tenant``/``reset`` are main-port-only and ignored there); otherwise a
+    ``stats`` request goes through the main port.
     """
     if stats_port is not None:
-        endpoint = f"stats port {host}:{stats_port}"
-        try:
-            with socket.create_connection((host, stats_port), timeout=timeout) as conn:
-                line = conn.makefile("r", encoding="utf-8").readline()
-        except OSError as exc:
-            raise StatsUnreachable(f"cannot reach {endpoint}: {exc}") from exc
-        try:
-            snapshot = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise StatsUnreachable(f"{endpoint} answered bad JSON: {exc}") from exc
-    else:
-        from ..api import ApiError, Client
+        return fetch_probe(host, stats_port, "/", timeout=timeout)[1]
+    from ..api import ApiError, Client
 
-        endpoint = f"service {host}:{port}"
-        try:
-            snapshot = Client.remote(host, port, timeout=timeout).stats(
-                prefix=prefix, tenant=tenant, reset=reset
-            )
-        except ApiError as exc:
-            # TransportError (unreachable) and structured error responses
-            # (e.g. an older service without the stats type) alike.
-            raise StatsUnreachable(str(exc)) from exc
+    try:
+        with Client.remote(host, port, timeout=timeout) as client:
+            snapshot = client.stats(prefix=prefix, tenant=tenant, reset=reset)
+    except ApiError as exc:
+        # TransportError (unreachable) and structured error responses
+        # (e.g. an older service without the stats type) alike.
+        raise StatsUnreachable(str(exc)) from exc
     if not isinstance(snapshot, dict):
         raise StatsUnreachable(
-            f"{endpoint} answered {type(snapshot).__name__}, expected a JSON object"
+            f"service {host}:{port} answered {type(snapshot).__name__}, "
+            "expected a JSON object"
         )
     return snapshot
 

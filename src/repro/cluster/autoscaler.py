@@ -24,19 +24,19 @@ hysteresis band that keeps the cluster from flapping.  Every decision is
 emitted as an ``autoscale.decision`` event and counted under
 ``cluster.autoscale.up`` / ``cluster.autoscale.down``.
 
-Drive it from a daemon thread (:meth:`start`/:meth:`stop`) in ``repro serve
---cluster --autoscale``, or deterministically from tests via :meth:`tick`
-with an injected ``clock``.
+``repro serve --cluster --autoscale`` runs it on its own daemon thread
+(``start``/``stop``, from :class:`~repro.obs.periodic.PeriodicLoop`); tests
+drive :meth:`tick` directly with an injected ``clock``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import TYPE_CHECKING, Callable
 
 from ..obs.events import emit_event
 from ..obs.metrics import MetricsRegistry, get_default_registry
+from ..obs.periodic import PeriodicLoop
 from ..obs.timeseries import parse_window
 from .workers import ClusterError
 
@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Autoscaler"]
 
 
-class Autoscaler:
+class Autoscaler(PeriodicLoop):
     """Scales a router between ``min_workers`` and ``max_workers``.
 
     Parameters
@@ -91,6 +91,7 @@ class Autoscaler:
             raise ValueError(
                 "scale_down_at must be below scale_up_at (hysteresis band)"
             )
+        super().__init__(self.tick, interval, "repro-autoscaler")
         self.router = router
         self.min_workers = min_workers
         self.max_workers = max_workers
@@ -99,14 +100,11 @@ class Autoscaler:
         self.window = window
         self._window_seconds = parse_window(window)
         self.cooldown = cooldown
-        self.interval = interval
         self._clock = clock
         metrics = metrics or get_default_registry()
         self._m_up = metrics.counter("cluster.autoscale.up")
         self._m_down = metrics.counter("cluster.autoscale.down")
         self._last_resize: float | None = None
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------ signal
     def load(self) -> float | None:
@@ -181,38 +179,3 @@ class Autoscaler:
         next scale-up reuses the id (and its still-warm shard directory).
         """
         return max(self.router.live_workers)
-
-    # --------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        """Run :meth:`tick` on a daemon thread every ``interval`` seconds."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-
-        def run() -> None:
-            while not self._stop.wait(self.interval):
-                try:
-                    self.tick()
-                except Exception:  # pragma: no cover - defensive
-                    # The control loop must survive transient errors; the
-                    # next interval retries with fresh signals.
-                    continue
-
-        self._thread = threading.Thread(
-            target=run, daemon=True, name="repro-autoscaler"
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "Autoscaler":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -1,9 +1,13 @@
 """The cluster router — sharded serving with cache affinity.
 
-:class:`Router` fans :class:`~repro.api.specs.TaskSpec` batches out over N
-workers (threads in-process, or spawned ``python -m repro serve`` processes
-speaking the v2 TCP protocol).  Placement is a consistent-hash ring over the
-spec's canonical wire form (:mod:`repro.cluster.hashing`), so:
+:class:`Router` is a :class:`~repro.serving.frontdoor.FrontDoor` (the same
+``handle_batch`` / ``submit_specs`` / ``stats_snapshot`` / ``close`` as the
+single-process service, so ``python -m repro serve --cluster`` and
+:meth:`repro.api.Client.cluster` hold it exactly like a service) whose *run*
+fans :class:`~repro.api.specs.TaskSpec` batches out over N workers (threads
+in-process, or spawned ``python -m repro serve`` processes speaking the v2
+TCP protocol).  Placement is a consistent-hash ring over the spec's
+canonical wire form (:mod:`repro.cluster.hashing`), so:
 
 * the same spec always lands on the same worker — its completions live in
   that worker's in-memory LRU and on-disk
@@ -45,17 +49,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..api.pipeline_spec import PipelineSpec
-from ..api.protocol import (
-    PROTOCOL_VERSION,
-    ParsedRequest,
-    decode_response,
-    encode_request,
-)
+from ..api.protocol import PROTOCOL_VERSION, decode_response, encode_request
 from ..api.results import TaskResult
 from ..api.specs import TaskSpec
 from ..obs.events import emit_event
 from ..obs.export import get_default_exemplars
-from ..obs.metrics import MetricsRegistry, get_default_registry
+from ..obs.periodic import PeriodicLoop
 from ..obs.slo import SLOSpec
 from ..obs.span import Span, remote_span, span
 from ..serving.cache import PersistentCache
@@ -72,8 +71,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Router"]
 
 
-class Router:
-    """Routes spec batches across workers by consistent hash of the spec.
+class Router(FrontDoor):
+    """The cluster host: a front door over consistent-hash-routed workers.
 
     Parameters
     ----------
@@ -83,9 +82,10 @@ class Router:
     replicas:
         Virtual nodes per worker on the hash ring.
     health_interval:
-        Seconds between background liveness sweeps (a daemon thread pings
-        every worker and un-rings the dead); ``None`` disables the sweep
-        thread, leaving death detection to failed submissions.
+        Seconds between background liveness sweeps (the ``repro-router-sweep``
+        thread pings every worker and un-rings the dead; :meth:`close` joins
+        it); ``None`` disables the sweep, leaving death detection to failed
+        submissions.
     worker_factory:
         ``worker_id -> Worker`` callable used by :meth:`add_worker` (when
         no pre-built worker is passed) and :meth:`revive_worker`; the
@@ -97,6 +97,14 @@ class Router:
     faults:
         Optional :class:`repro.cluster.faults.FaultInjector` hook point —
         deterministic tests arm torn-migration faults through it.
+    **door:
+        :class:`~repro.serving.frontdoor.FrontDoor`'s options, unchanged
+        (``max_inflight``, ``max_queue_depth``, ``retry_after``, ``metrics``,
+        ``tenants``, ``slos``, ``monitor_interval``).  Tenancy is enforced
+        once, here; worker services run tenancy-free so a spec is never
+        double-charged.  The resolved tenant still rides every worker-bound
+        envelope, and its weight every submit, so thread workers' engines
+        admit weighted-fair across tenants.
 
     Raises
     ------
@@ -110,16 +118,10 @@ class Router:
         *,
         replicas: int = 64,
         health_interval: float | None = 30.0,
-        max_inflight: int | None = None,
-        max_queue_depth: int | None = None,
-        retry_after: float = 0.05,
-        metrics: MetricsRegistry | None = None,
-        tenants: TenantRegistry | None = None,
-        slos: Sequence[SLOSpec] = (),
-        monitor_interval: float = 1.0,
         worker_factory: "Callable[[str], Worker] | None" = None,
         cache_dir: str | None = None,
         faults: Any = None,
+        **door: Any,
     ):
         if not workers:
             raise ValueError("a cluster needs at least one worker")
@@ -155,9 +157,7 @@ class Router:
         #: phase waits on this through _drain_cv.
         self._inflight_by: dict[str, int] = {wid: 0 for wid in ids}
         self._drain_cv = threading.Condition(self._lock)
-        self._health_interval = health_interval
-        self._closed = False
-        self._metrics = metrics or get_default_registry()
+        super().__init__("router", **door)
         self._m_routed = {
             wid: self._metrics.counter(f"router.routed.{wid}") for wid in ids
         }
@@ -169,49 +169,69 @@ class Router:
         self._m_restarts = self._metrics.counter("cluster.restarts")
         self._m_workers = self._metrics.gauge("cluster.workers")
         self._m_workers.set(len(ids))
-        # Tenancy is enforced once, at this front door; worker services run
-        # tenancy-free so a spec is never double-charged.  The resolved
-        # tenant still rides every worker-bound envelope, and its weight
-        # every submit, so thread workers' engines admit weighted-fair
-        # across tenants.
-        self._door = FrontDoor(
-            self._run,
-            lambda: {
-                "cluster": self.stats().to_payload(),
-                "admission": self.admission.snapshot(),
-            },
-            name="router",
-            metrics=self._metrics,
-            max_inflight=max_inflight,
-            max_queue_depth=max_queue_depth,
-            retry_after=retry_after,
-            tenants=tenants,
-            slos=slos,
-            monitor_interval=monitor_interval,
-            # Readiness in cluster mode additionally requires every
-            # *expected* worker alive.  Draining workers are expected-absent
-            # (a planned leave must not flip /readyz), while a crashed
-            # worker keeps readiness down until the Supervisor revives it.
-            workers_alive=lambda: (
-                len(self.live_workers),
-                len(self.workers) - len(self._draining),
-            ),
+        # Background health sweep, so gray failures are caught between
+        # submits too (built either way, started only when enabled).
+        self._sweep = PeriodicLoop(
+            self.check_health, health_interval or 30.0, "repro-router-sweep"
         )
-        self.admission = self._door.admission
-        self.tenancy = self._door.tenancy
-        self.monitor = self._door.monitor
-        # Background health sweep: pings every worker each interval and
-        # un-rings the dead, so gray failures are caught between submits
-        # too.  close() joins this thread.
-        self._sweep_stop = threading.Event()
-        self._sweep_thread: threading.Thread | None = None
         if health_interval is not None:
-            self._sweep_thread = threading.Thread(
-                target=self._sweep_loop, name="repro-router-sweep", daemon=True
-            )
-            self._sweep_thread.start()
+            self._sweep.start()
+
+    def _front_section(self) -> dict:
+        return {
+            "cluster": self.stats().to_payload(),
+            "admission": self.admission.snapshot(),
+        }
+
+    def _workers_alive(self) -> tuple[int, int]:
+        # Readiness in cluster mode additionally requires every *expected*
+        # worker alive.  Draining workers are expected-absent (a planned
+        # leave must not flip /readyz), while a crashed worker keeps
+        # readiness down until the Supervisor revives it.
+        return len(self.live_workers), len(self.workers) - len(self._draining)
 
     # ------------------------------------------------------------ constructors
+    @classmethod
+    def _assemble(
+        cls,
+        n_workers: int,
+        build: "Callable[[str, str | None], Worker]",
+        *,
+        cache_dir: str | None,
+        worker_decorator: "Callable[[Worker], Worker] | None",
+        **options: Any,
+    ) -> "Router":
+        """The body :meth:`local` and :meth:`spawn` share.
+
+        ``build(worker_id, shard_dir)`` makes one worker; everything else is
+        the same for both kinds: ids are ``worker-NN``, a worker's persistent
+        shard lives in ``<cache_dir>/<worker_id>`` (disjoint on disk, warm on
+        restart), ``worker_decorator`` wraps every built worker (fault
+        injection), a failed build closes the workers already built, and the
+        same recipe is installed as the router's ``worker_factory`` so
+        :meth:`add_worker` and :meth:`revive_worker` build identical workers
+        at runtime.
+        """
+        if n_workers < 1:
+            raise ValueError("n_workers must be positive")
+
+        def make_worker(worker_id: str) -> Worker:
+            shard_dir = (
+                str(Path(cache_dir) / worker_id) if cache_dir is not None else None
+            )
+            worker = build(worker_id, shard_dir)
+            return worker_decorator(worker) if worker_decorator is not None else worker
+
+        workers: list[Worker] = []
+        try:
+            for index in range(n_workers):
+                workers.append(make_worker(f"worker-{index:02d}"))
+        except Exception:
+            for worker in workers:
+                worker.close()
+            raise
+        return cls(workers, worker_factory=make_worker, cache_dir=cache_dir, **options)
+
     @classmethod
     def local(
         cls,
@@ -238,25 +258,15 @@ class Router:
         """A router over ``n_workers`` in-process thread workers.
 
         Every worker assembles its own serving stack (simulated LLM → cache
-        → engine) with the same ``seed``; with ``cache_dir`` each worker's
-        persistent shard lives in ``<cache_dir>/worker-NN``, so shards stay
-        disjoint on disk and re-open warm on restart.  ``llm_factory`` (an
-        ``int -> LanguageModel`` callable) substitutes a custom backend per
-        worker — benchmarks and parity tests use it.  The installed worker
-        factory reuses all of these knobs, so :meth:`add_worker` and
-        :meth:`revive_worker` build identical stacks at runtime;
-        ``worker_decorator`` wraps every built worker (fault injection).
+        → engine, :func:`~repro.serving.service.build_service`) with the
+        same ``seed`` and ``config``.  ``llm_factory`` (an ``int ->
+        LanguageModel`` callable, given the worker's index) substitutes a
+        custom backend per worker — benchmarks and parity tests use it.
+        Ids, shard directories, ``worker_decorator`` and the installed
+        worker factory are :meth:`_assemble`'s.
         """
-        from ..core.pipeline import UniDM
 
-        if n_workers < 1:
-            raise ValueError("n_workers must be positive")
-
-        def make_worker(worker_id: str) -> Worker:
-            index = _worker_index(worker_id)
-            shard_dir = (
-                str(Path(cache_dir) / worker_id) if cache_dir is not None else None
-            )
+        def build(worker_id: str, shard_dir: "str | None") -> Worker:
             service = build_service(
                 model=model,
                 seed=seed,
@@ -264,26 +274,22 @@ class Router:
                 batch_size=batch_size,
                 workers=engine_workers,
                 knowledge=knowledge,
-                llm=llm_factory(index) if llm_factory is not None else None,
+                llm=llm_factory(_worker_index(worker_id)) if llm_factory is not None else None,
+                config=config,
             )
-            if config is not None:
-                service.pipeline = UniDM(service.pipeline.llm, config)
-            worker: Worker = ThreadWorker(worker_id, service, queue_depth=queue_depth)
-            if worker_decorator is not None:
-                worker = worker_decorator(worker)
-            return worker
+            return ThreadWorker(worker_id, service, queue_depth=queue_depth)
 
-        workers = [make_worker(f"worker-{index:02d}") for index in range(n_workers)]
-        return cls(
-            workers,
+        return cls._assemble(
+            n_workers,
+            build,
+            cache_dir=cache_dir,
+            worker_decorator=worker_decorator,
             replicas=replicas,
             max_inflight=max_inflight,
             max_queue_depth=max_queue_depth,
             tenants=tenants,
             slos=slos,
             health_interval=health_interval,
-            worker_factory=make_worker,
-            cache_dir=cache_dir,
             faults=faults,
         )
 
@@ -309,21 +315,15 @@ class Router:
     ) -> "Router":
         """A router over ``n_workers`` spawned ``repro serve`` subprocesses.
 
-        Each child binds its own TCP port and owns the
-        ``<cache_dir>/worker-NN`` shard directory; the router speaks the
-        existing v2 line protocol to them, so a subprocess cluster exercises
-        exactly the wire path a remote deployment would.  The installed
-        worker factory respawns identical children for
-        :meth:`add_worker`/:meth:`revive_worker`.
+        Each child binds its own TCP port and owns its shard directory; the
+        router speaks the binary-framed wire transport to them, so a
+        subprocess cluster exercises exactly the path a remote deployment
+        would.  Ids, shard directories, ``worker_decorator`` and the
+        installed worker factory are :meth:`_assemble`'s.
         """
-        if n_workers < 1:
-            raise ValueError("n_workers must be positive")
 
-        def make_worker(worker_id: str) -> Worker:
-            shard_dir = (
-                str(Path(cache_dir) / worker_id) if cache_dir is not None else None
-            )
-            worker: Worker = SubprocessWorker(
+        def build(worker_id: str, shard_dir: "str | None") -> Worker:
+            return SubprocessWorker(
                 worker_id,
                 host=host,
                 seed=seed,
@@ -332,28 +332,18 @@ class Router:
                 batch_size=batch_size,
                 engine_workers=engine_workers,
             )
-            if worker_decorator is not None:
-                worker = worker_decorator(worker)
-            return worker
 
-        workers: list[Worker] = []
-        try:
-            for index in range(n_workers):
-                workers.append(make_worker(f"worker-{index:02d}"))
-        except Exception:
-            for worker in workers:
-                worker.close()
-            raise
-        return cls(
-            workers,
+        return cls._assemble(
+            n_workers,
+            build,
+            cache_dir=cache_dir,
+            worker_decorator=worker_decorator,
             replicas=replicas,
             max_inflight=max_inflight,
             max_queue_depth=max_queue_depth,
             tenants=tenants,
             slos=slos,
             health_interval=health_interval,
-            worker_factory=make_worker,
-            cache_dir=cache_dir,
             faults=faults,
         )
 
@@ -361,55 +351,6 @@ class Router:
     def worker_for(self, spec: TaskSpec) -> str:
         """The live worker id owning ``spec`` (affinity diagnostic)."""
         return self._ring.node_for(spec_key(spec))
-
-    def submit_specs(
-        self,
-        specs: Sequence[TaskSpec],
-        *,
-        priority: int = 0,
-        trace: str | None = None,
-        span_parent: str | None = None,
-        tenant: str | None = None,
-    ) -> list[TaskResult]:
-        """Execute specs across the cluster; results keep submission order.
-
-        The typed entrance to the same front door :meth:`handle_batch`
-        uses (:class:`~repro.serving.frontdoor.FrontDoor`): ``stats`` specs
-        are answered from the router itself before admission; with tenancy
-        on, the call is charged against ``tenant``'s token bucket and
-        inflight cap — excess comes back as per-spec ``rate_limited``
-        errors — and then global admission applies: a batch that would
-        exceed the pending bound comes back ``overloaded`` instead of
-        queueing.  Admitted specs are grouped by ring placement and the
-        per-worker groups run concurrently.  A worker death mid-batch
-        removes it from the ring and requeues only its group — every other
-        spec stays on the worker holding its cache.  Per-item failures come
-        back embedded as ``result.error`` (like
-        :meth:`repro.api.Client.submit_many`).
-
-        ``trace`` (one id for the batch) is forwarded on every worker-bound
-        envelope so the id survives the extra hop; ``span_parent`` (the
-        caller's span id) parents the router's ``router.submit`` span so the
-        hop joins the caller's span tree.
-
-        Raises
-        ------
-        ClusterError
-            When every worker has died.
-        """
-        return self._door.submit(
-            [
-                ParsedRequest(
-                    spec, priority=priority, trace=trace, span=span_parent, tenant=tenant
-                )
-                for spec in specs
-            ]
-        )
-
-    @property
-    def requests_served(self) -> int:
-        """Top-level requests answered (a pipeline plan counts once)."""
-        return self._door.requests_served
 
     def _run(
         self,
@@ -442,6 +383,14 @@ class Router:
         tenant: str | None = None,
         weight: float = 1.0,
     ) -> list[TaskResult]:
+        """Group specs by ring placement; per-worker groups run concurrently.
+
+        A worker death mid-batch removes it from the ring and requeues only
+        its group — every other spec stays on the worker holding its cache.
+        ``trace`` rides every worker-bound envelope so the id survives the
+        extra hop.  Raises :class:`ClusterError` once every worker has died
+        (or the router is closed).
+        """
         if self._closed:
             raise ClusterError("router is closed")
         results: list[TaskResult | None] = [None] * len(specs)
@@ -580,16 +529,6 @@ class Router:
         get_default_exemplars().note(f"router.routed.{worker_id}", wire_trace)
         return [decode_response(response) for response in responses]
 
-    # -------------------------------------------------------------- wire front
-    def handle_batch(self, requests: Sequence[Any]) -> list[dict]:
-        """Answer raw wire requests (either protocol generation) in order.
-
-        The same :class:`~repro.serving.frontdoor.FrontDoor` sequence the
-        single-process service runs, so the two front-ends answer identically
-        — ``python -m repro serve --cluster`` is this method behind a socket.
-        """
-        return self._door.handle_batch(requests)
-
     def _submit_group_tracked(
         self,
         worker_id: str,
@@ -626,14 +565,6 @@ class Router:
             if not ok and worker_id in self._ring:
                 self._mark_dead(worker_id, generation)
         return alive
-
-    def _sweep_loop(self) -> None:
-        interval = self._health_interval or 30.0
-        while not self._sweep_stop.wait(interval):
-            try:
-                self.check_health()
-            except Exception:  # pragma: no cover - defensive
-                continue
 
     def _mark_dead(self, worker_id: str, generation: int | None = None) -> None:
         """Un-ring a worker discovered dead (idempotent, generation-aware).
@@ -932,20 +863,6 @@ class Router:
             self._m_workers.set(len(self._ring.nodes))
 
     # ------------------------------------------------------------------- stats
-    def stats_snapshot(
-        self, prefix: str = "", *, reset: bool = False, tenant: str = ""
-    ) -> dict:
-        """The observability snapshot a ``stats`` request answers with.
-
-        Combines the aggregated :class:`ClusterStats` rows with the metric
-        registry (batcher/engine/cache counters of every thread worker live
-        in the same process registry) and the admission-control state.  With
-        ``reset`` the registry is zeroed in place after the snapshot; with
-        ``tenant`` (and tenancy on) the metrics narrow to that tenant's
-        ``tenant.<name>.*`` series and the tenancy section to its state.
-        """
-        return self._door.stats_snapshot(prefix, reset=reset, tenant=tenant)
-
     def stats(self) -> ClusterStats:
         """Aggregate a :class:`ClusterStats` snapshot across all workers."""
         rows: list[WorkerStats] = []
@@ -967,29 +884,15 @@ class Router:
             )
 
     # --------------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Shut the pool down and close every worker (idempotent).
+    def _shutdown(self) -> None:
+        """Join the sweep, shut the pool down, close every worker.
 
-        Joins the background health-sweep thread before tearing the pool
-        down so a sweep can never race worker shutdown.
+        The sweep goes first so it can never race worker shutdown.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._sweep_stop.set()
-        if self._sweep_thread is not None:
-            self._sweep_thread.join(timeout=5.0)
-            self._sweep_thread = None
-        self.monitor.stop()
+        self._sweep.stop()
         self._pool.shutdown(wait=True)
         for worker in list(self.workers.values()):
             worker.close()
-
-    def __enter__(self) -> "Router":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 def _worker_index(worker_id: str) -> int:

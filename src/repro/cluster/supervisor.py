@@ -17,19 +17,19 @@ first revival is immediate, each subsequent one of the same id waits
 Every attempt increments the ``cluster.restarts`` counter and emits
 ``cluster.restart`` / ``cluster.restart_failed`` events.
 
-Run it as a background daemon thread (:meth:`start`/:meth:`stop`) or drive
-it deterministically from tests with :meth:`check_once` and injected
-``clock``/``sleep``.
+Run it on its own daemon thread (``start``/``stop`` or the ``with`` form,
+from :class:`~repro.obs.periodic.PeriodicLoop`) or drive it deterministically
+from tests with :meth:`check_once` and an injected ``clock``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import TYPE_CHECKING, Callable
 
 from ..obs.events import emit_event
 from ..obs.metrics import MetricsRegistry, get_default_registry
+from ..obs.periodic import PeriodicLoop
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .router import Router
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Supervisor"]
 
 
-class Supervisor:
+class Supervisor(PeriodicLoop):
     """Auto-restarts crashed workers through the router's worker factory.
 
     Parameters
@@ -47,7 +47,8 @@ class Supervisor:
         :meth:`~repro.cluster.router.Router.local`/``spawn`` constructors
         install one).
     interval:
-        Seconds between background checks when :meth:`start` is used.
+        Seconds between :meth:`check_once` passes of the started loop
+        (thread ``repro-supervisor``).
     backoff_base / backoff_cap:
         Exponential-backoff schedule between restarts of one worker id:
         ``min(cap, base * 2^(attempts-1))`` seconds after each revival.
@@ -68,8 +69,8 @@ class Supervisor:
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
+        super().__init__(self.check_once, interval, "repro-supervisor")
         self.router = router
-        self.interval = interval
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.max_restarts = max_restarts
@@ -80,8 +81,6 @@ class Supervisor:
         self._attempts: dict[str, int] = {}
         #: Monotonic time before which a worker id must not be revived.
         self._not_before: dict[str, float] = {}
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------ policy
     def backoff(self, attempts: int) -> float:
@@ -141,38 +140,3 @@ class Supervisor:
         """Forget a worker's backoff history (it has proven stable)."""
         self._attempts.pop(worker_id, None)
         self._not_before.pop(worker_id, None)
-
-    # --------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        """Run :meth:`check_once` on a daemon thread every ``interval`` s."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-
-        def run() -> None:
-            while not self._stop.wait(self.interval):
-                try:
-                    self.check_once()
-                except Exception:  # pragma: no cover - defensive
-                    # Supervision must outlive transient errors: a failed
-                    # pass is retried next interval, never fatal.
-                    continue
-
-        self._thread = threading.Thread(
-            target=run, daemon=True, name="repro-supervisor"
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "Supervisor":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -31,7 +31,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..serving.engine import SHARE
@@ -412,7 +412,3 @@ def _free_port(host: str) -> int:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
         probe.bind((host, 0))
         return probe.getsockname()[1]
-
-
-#: Signature of the factory Router.local uses to build one shard's service.
-ServiceFactory = Callable[[int], "ServingService"]

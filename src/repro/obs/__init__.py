@@ -1,7 +1,7 @@
 """Observability layer: metrics, tracing, events, export, admission control.
 
 The serving stack (engine → batcher → cache → router) grew fast; this
-package is the measurement layer that keeps it honest.  Nine pieces:
+package is the measurement layer that keeps it honest.  Ten pieces:
 
 * :mod:`repro.obs.metrics` — a dependency-free metrics core: thread-safe
   :class:`Counter`, :class:`Gauge` and fixed-bucket latency
@@ -38,6 +38,9 @@ package is the measurement layer that keeps it honest.  Nine pieces:
   an ``alerts`` stats section and ``/healthz`` + ``/readyz`` probes.
 * :mod:`repro.obs.diagnostics` — one-shot ``repro doctor`` bundles
   (config, snapshot, rolling windows, alerts, event tail, thread stacks).
+* :mod:`repro.obs.periodic` — the one periodic loop (callable, interval,
+  named daemon thread) behind the monitor's tick, the cluster supervisor,
+  the autoscaler and the router's health sweep.
 
 Snapshots are exposed end-to-end: the ``stats`` wire type
 (:class:`repro.api.stats_spec.StatsSpec`), :meth:`repro.api.Client.stats`,

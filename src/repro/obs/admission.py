@@ -176,34 +176,37 @@ async def start_stats_server(
     monitor: Any = None,
     doctor_fn: Callable[[], dict] | None = None,
 ) -> asyncio.AbstractServer:
-    """The ``serve --stats-port`` side channel, with content negotiation.
+    """The ``serve --stats-port`` side channel: a minimal HTTP/1.0 endpoint.
 
-    The endpoint never touches the engine, so stats stay
-    readable while the main port is saturated (which is exactly when you
-    want them).  Two dialects share the port, sniffed from the first line:
+    The endpoint never touches the engine, so stats stay readable while the
+    main port is saturated (which is exactly when you want them).  It
+    answers ``GET`` and ``HEAD``; ``curl``-able and scrapeable by stock
+    Prometheus:
 
-    * **HTTP** (``GET``/``HEAD``) — ``/metrics`` answers the snapshot's
-      ``"metrics"`` section in Prometheus text format 0.0.4 (with exemplar
-      comments when the snapshot carries an ``"exemplars"`` section);
-      ``/healthz`` and ``/readyz`` are liveness/readiness probes backed by
-      the service's :class:`~repro.obs.slo.HealthMonitor` (``/readyz``
-      answers **503** while not ready — a page-severity alert firing,
-      admission saturated, or a cluster worker dead — so a stock HTTP
-      health check needs no JSON parsing); ``/doctor`` answers a one-shot
-      diagnostic bundle (:mod:`repro.obs.diagnostics`); any other path
-      answers the full snapshot as JSON.  ``curl``-able and scrapeable by
-      stock Prometheus.
-    * **legacy** — a client that connects and just reads (the pre-existing
-      ``repro stats --stats-port`` contract) receives one JSON snapshot
-      line after a short sniff timeout, exactly as before.
+    * ``/metrics`` — the snapshot's ``"metrics"`` section in Prometheus text
+      format 0.0.4 (with exemplar comments when the snapshot carries an
+      ``"exemplars"`` section);
+    * ``/healthz`` and ``/readyz`` — liveness/readiness probes backed by the
+      host's :class:`~repro.obs.slo.HealthMonitor` (``/readyz`` answers
+      **503** while not ready — a page-severity alert firing, admission
+      saturated, or a cluster worker dead — so a stock HTTP health check
+      needs no JSON parsing);
+    * ``/doctor`` — a one-shot diagnostic bundle
+      (:mod:`repro.obs.diagnostics`);
+    * any other path — the full snapshot as JSON (what ``repro stats`` and
+      ``repro top`` read with ``--stats-port``).
+
+    A first line that is not a ``GET``/``HEAD`` request line, or none within
+    0.25 s, is answered ``400`` and the connection closed.
     """
+
+    json_type = "application/json; charset=utf-8"
 
     def json_body(payload: Any) -> str:
         return json.dumps(payload, ensure_ascii=False) + "\n"
 
     def route(path: str) -> tuple[str, str, str]:
         """``(status, content-type, body)`` for one HTTP path."""
-        json_type = "application/json; charset=utf-8"
         if path in ("/metrics", "/metrics/"):
             from .export import render_prometheus
 
@@ -243,10 +246,9 @@ async def start_stats_server(
         try:
             first = await asyncio.wait_for(reader.readline(), timeout=0.25)
         except (asyncio.TimeoutError, ConnectionError):
-            first = b""  # silent client: legacy one-JSON-line dialect
+            first = b""
         try:
-            request = first.decode("latin-1", "replace").strip()
-            parts = request.split()
+            parts = first.decode("latin-1", "replace").split()
             if len(parts) >= 2 and parts[0] in ("GET", "HEAD"):
                 while True:  # consume request headers up to the blank line
                     try:
@@ -255,17 +257,16 @@ async def start_stats_server(
                         break
                     if line in (b"", b"\r\n", b"\n"):
                         break
-                head = parts[0] == "HEAD"
-                path = parts[1].split("?", 1)[0]
                 try:
-                    status, content_type, body = route(path)
+                    status, content_type, body = route(parts[1].split("?", 1)[0])
                 except Exception as exc:  # a broken route answers, not drops
-                    status = "500 Internal Server Error"
-                    content_type = "application/json; charset=utf-8"
+                    status, content_type = "500 Internal Server Error", json_type
                     body = json_body({"error": str(exc)})
-                writer.write(_http_response(status, content_type, body, head=head))
+                head = parts[0] == "HEAD"
             else:
-                writer.write(json_body(snapshot_payload()).encode())
+                status, content_type, head = "400 Bad Request", json_type, False
+                body = json_body({"error": "the stats port speaks HTTP: GET or HEAD"})
+            writer.write(_http_response(status, content_type, body, head=head))
             await writer.drain()
         except ConnectionError:
             pass

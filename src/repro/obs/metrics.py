@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 #: Default latency buckets (seconds): sub-millisecond to ten seconds.
 LATENCY_BUCKETS: tuple[float, ...] = (
@@ -303,11 +303,6 @@ class MetricsRegistry:
                 for name, metric in sorted(self._metrics.items())
                 if name.startswith(prefix)
             ]
-
-    def counter_values(self, prefix: str = "") -> Mapping[str, int]:
-        """Just the counter totals (convenient for assertions and CLIs)."""
-        snap = self.snapshot(prefix)
-        return snap["counters"]
 
     def reset(self) -> None:
         """Zero every metric **in place** (benchmarks, ``stats --reset``).

@@ -43,6 +43,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .events import emit_event
 from .metrics import MetricsRegistry, get_default_registry
+from .periodic import PeriodicLoop
 from .timeseries import TimeSeriesSampler, parse_window
 
 #: Severities, most urgent first.  ``page`` gates readiness; ``ticket``
@@ -421,8 +422,12 @@ class SLOEngine:
             return objectives
 
 
-class HealthMonitor:
+class HealthMonitor(PeriodicLoop):
     """One sampler + one SLO engine behind liveness/readiness answers.
+
+    ``start()``/``stop()`` (from :class:`~repro.obs.periodic.PeriodicLoop`) run
+    :meth:`tick` every ``interval`` seconds on the ``repro-slo`` thread;
+    without them the probes and stats sections tick on demand.
 
     Parameters
     ----------
@@ -459,6 +464,7 @@ class HealthMonitor:
         clock: Callable[[], float] = time.monotonic,
         sampler: TimeSeriesSampler | None = None,
     ):
+        super().__init__(self.tick, interval, "repro-slo")
         self.sampler = sampler or TimeSeriesSampler(
             registry, interval=interval, clock=clock
         )
@@ -467,14 +473,11 @@ class HealthMonitor:
         )
         self.admission = admission
         self.workers_alive = workers_alive
-        self.interval = interval
         self._clock = clock
         self._started_at = clock()
         self._ticks = 0
         self._last_tick: float | None = None
         self._tick_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------- ticks
     def tick(self) -> None:
@@ -491,31 +494,6 @@ class HealthMonitor:
         if last is not None and self._clock() - last < self.interval:
             return
         self.tick()
-
-    def start(self) -> None:
-        """Run the tick loop on a daemon thread (idempotent)."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-
-        def run() -> None:
-            while not self._stop.wait(self.interval):
-                try:
-                    self.tick()
-                except Exception:  # pragma: no cover - defensive
-                    # A transient evaluation error must not kill the ticker:
-                    # probes and alerting depend on this thread staying up.
-                    continue
-
-        self._thread = threading.Thread(target=run, daemon=True, name="repro-slo")
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
 
     # ------------------------------------------------------------------ probes
     def health(self) -> dict[str, Any]:
@@ -590,29 +568,10 @@ class HealthMonitor:
         }
 
 
-def monitor_for(
-    *,
-    registry: MetricsRegistry | None = None,
-    slos: Sequence[SLOSpec] = (),
-    interval: float = 1.0,
-    admission: Any = None,
-    workers_alive: Callable[[], tuple[int, int]] | None = None,
-) -> HealthMonitor:
-    """Convenience assembly used by ``build_service`` and the serve CLI."""
-    return HealthMonitor(
-        registry=registry,
-        slos=slos,
-        interval=interval,
-        admission=admission,
-        workers_alive=workers_alive,
-    )
-
-
 __all__ = [
     "HealthMonitor",
     "SEVERITIES",
     "SLOEngine",
     "SLOSpec",
     "load_slos",
-    "monitor_for",
 ]

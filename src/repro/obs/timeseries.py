@@ -5,11 +5,13 @@ start"; autoscalers, SLO burn-rate rules and ``repro top`` all need "how
 many *per second over the last minute*".  This module derives those views
 without touching the request hot path:
 
-* a :class:`TimeSeriesSampler` periodically (and on demand) walks the
-  registry and appends one ``(t, value)`` sample per metric into a
-  fixed-size ring buffer — counters keep their running total, gauges their
-  current value, histograms one consistent copy of their cumulative bucket
-  counts (:meth:`~repro.obs.metrics.Histogram.bucket_counts`);
+* a :class:`TimeSeriesSampler` walks the registry whenever it is asked to
+  (the :class:`~repro.obs.slo.HealthMonitor` tick, or an on-demand
+  :meth:`~TimeSeriesSampler.ensure_fresh`; it owns no thread) and appends
+  one ``(t, value)`` sample per metric into a fixed-size ring buffer —
+  counters keep their running total, gauges their current value, histograms
+  one consistent copy of their cumulative bucket counts
+  (:meth:`~repro.obs.metrics.Histogram.bucket_counts`);
 * window queries are pure functions over those samples: a counter's
   **rate/delta** over the last 10s/1m/5m, a gauge's latest/mean/max, and a
   histogram's **windowed p50/p95/p99** computed from the *difference* of
@@ -203,15 +205,15 @@ def _delta_quantile(
 
 
 class TimeSeriesSampler:
-    """Periodic (and on-demand) snapshots of a registry into rolling rings.
+    """Snapshots of a registry into rolling rings, one per :meth:`sample` call.
 
     Parameters
     ----------
     registry:
         The metrics registry to sample (process default when ``None``).
     interval:
-        Seconds between background samples; also the freshness bound of
-        :meth:`ensure_fresh`.
+        Expected seconds between samples (what the owner's tick runs at):
+        sizes the rings and is the freshness bound of :meth:`ensure_fresh`.
     horizon:
         Seconds of history each ring retains (sets ring capacity; default
         covers the longest default window with slack).
@@ -244,8 +246,6 @@ class TimeSeriesSampler:
         self._samples_taken = 0
         self._last_sample: float | None = None
         self._sample_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
 
     # ---------------------------------------------------------------- sampling
     def sample(self) -> float:
@@ -291,35 +291,14 @@ class TimeSeriesSampler:
         """Sample now unless one was taken within ``max_age`` (the interval).
 
         This is the on-demand path: a stats snapshot or an SLO evaluation
-        triggered between background ticks still sees current data, without
-        double-sampling when the background thread just ran.
+        triggered between the monitor's ticks still sees current data,
+        without double-sampling when a tick just ran.
         """
         age_bound = self.interval if max_age is None else max_age
         last = self._last_sample
         if last is not None and self._clock() - last < age_bound:
             return
         self.sample()
-
-    # -------------------------------------------------------------- background
-    def start(self) -> None:
-        """Run the sampling loop on a daemon thread (idempotent)."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-
-        def run() -> None:
-            while not self._stop.wait(self.interval):
-                self.sample()
-
-        self._thread = threading.Thread(target=run, daemon=True, name="repro-timeseries")
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
 
     # ----------------------------------------------------------------- queries
     @property

@@ -254,7 +254,7 @@ class _Resident:
             self._free -= 1
             run.starting += 1
             origin = Origin(
-                getattr(run.tasks[index], "route_key", None),
+                run.tasks[index].route_key,
                 next(self._tickets),
                 run.stats,
             )

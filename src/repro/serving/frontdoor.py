@@ -1,17 +1,21 @@
-"""The front door: the one request path of a service and of a cluster.
+"""The front door: what a serving host *is* — one request path, defined once.
 
-Every request — a wire batch to :class:`~repro.serving.service.ServingService`
-or :class:`~repro.cluster.router.Router`, or a typed batch through
-``Router.submit_specs`` — crosses the same sequence exactly once:
+Every request — a wire batch (:meth:`FrontDoor.handle_batch`) or a typed
+batch (:meth:`FrontDoor.submit_specs`) — crosses the same sequence exactly
+once:
 
     parse → ``stats`` short-circuit → per-tenant admission → global
     admission → *run* → release → latency observation → encode
 
 :class:`FrontDoor` implements that sequence and owns the state it needs
 (admission controller, tenancy controller, health monitor, the served
-counter).  The two hosts differ only in the *run* callable they hand it —
-the service's resident engine, the router's sharded dispatch —
-and in the head section of their stats snapshot.
+counter).  The two hosts, :class:`~repro.serving.service.ServingService` and
+:class:`~repro.cluster.router.Router`, subclass it and supply three methods:
+:meth:`FrontDoor._run` — the service's resident engine, the router's sharded
+dispatch — :meth:`FrontDoor._front_section`, the head of their stats
+snapshot, and :meth:`FrontDoor._shutdown`, what ``close()`` releases after
+the monitor.  Whatever holds a host (``repro serve``,
+:class:`repro.api.Client`, a cluster worker) therefore holds one type.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from typing import Any, Callable, Iterable, Sequence
 from ..api.errors import ApiError, ErrorInfo, InvalidRequestError
 from ..api.protocol import ParsedRequest, encode_error, encode_success, parse_request
 from ..api.results import TaskResult
+from ..api.specs import TaskSpec
 from ..api.stats_spec import StatsSpec
 from ..obs.admission import AdmissionController
 from ..obs.events import emit_event
 from ..obs.export import get_default_exemplars
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.slo import HealthMonitor, SLOSpec
 from ..tenancy import TenancyController, TenantRegistry
 
@@ -45,52 +50,53 @@ class InvalidRequest:
 
 
 class FrontDoor:
-    """Admits, runs and answers request batches for one host.
+    """A serving host: admits, runs and answers request batches.
 
     Parameters
     ----------
-    run:
-        The host's executor for one admitted tenant group:
-        ``run(specs, *, priority, tenant, weight, trace, span_parent)``
-        returns one :class:`TaskResult` per spec, in order, with per-item
-        failures embedded as ``result.error``.  ``tenant`` is the resolved
-        name (``None`` with tenancy off) and ``weight`` its fair share;
-        ``trace``/``span_parent`` are set only when the whole group rides
-        one caller trace (:func:`batch_span_context`).  An exception fails
-        the whole call; capacity is still released.
-    front_section:
-        Zero-argument callable returning the host-specific head of a stats
-        snapshot (``{"service": ...}`` or ``{"cluster": ..., ...}``).
     name:
         Metric prefix: ``<name>.requests`` and ``<name>.admission.*``.
-    workers_alive:
-        Cluster mode readiness input (see :class:`~repro.obs.slo.HealthMonitor`).
-
-    The remaining parameters are the admission / tenancy / monitoring
-    configuration both hosts expose unchanged.
+    metrics:
+        Registry every series of the host lands in (process default when
+        ``None``).
+    max_inflight / max_queue_depth / retry_after:
+        Global admission (off while both bounds are ``None``): a batch that
+        would push pending requests past their sum is shed with a structured
+        ``overloaded`` error carrying the ``retry_after`` hint.
+    tenants:
+        A :class:`~repro.tenancy.TenantRegistry` turns tenancy on: each
+        request's claimed tenant is charged against its token bucket and
+        inflight cap *before* global admission (excess is shed per tenant as
+        ``rate_limited``) and admitted groups run on their tenant's
+        weighted-fair share.
+    slos / monitor_interval:
+        Objectives and tick period of the host's
+        :class:`~repro.obs.slo.HealthMonitor`.
     """
+
+    #: Cluster hosts override this with a method returning ``(live, total)``
+    #: worker counts, the monitor's extra readiness input.
+    _workers_alive: "Callable[[], tuple[int, int]] | None" = None
 
     def __init__(
         self,
-        run: "Callable[..., list[TaskResult]]",
-        front_section: Callable[[], dict],
-        *,
         name: str,
-        metrics: MetricsRegistry,
+        *,
+        metrics: MetricsRegistry | None = None,
         max_inflight: int | None = None,
         max_queue_depth: int | None = None,
         retry_after: float = 0.05,
         tenants: TenantRegistry | None = None,
         slos: Sequence[SLOSpec] = (),
         monitor_interval: float = 1.0,
-        workers_alive: Callable[[], tuple[int, int]] | None = None,
     ):
-        self._run = run
-        self._front_section = front_section
-        self._metrics = metrics
+        self._metrics = metrics = metrics or get_default_registry()
         self._m_requests = metrics.counter(f"{name}.requests")
+        #: Requests answered through the door, errors included (a pipeline
+        #: plan counts once).
         self.requests_served = 0
         self._served_lock = threading.Lock()
+        self._closed = False
         self.admission = AdmissionController(
             max_inflight,
             max_queue_depth,
@@ -107,14 +113,48 @@ class FrontDoor:
         )
         # Always present (probes and the timeseries/alerts stats sections
         # work without any SLO configured); its background loop only runs
-        # when a front-end calls monitor.start().
+        # when a front-end calls monitor.start(), and close() stops it.
         self.monitor = HealthMonitor(
             registry=metrics,
             slos=slos,
             interval=monitor_interval,
             admission=self.admission,
-            workers_alive=workers_alive,
+            workers_alive=self._workers_alive,
         )
+
+    # ------------------------------------------------------- what a host adds
+    def _run(
+        self,
+        specs: Sequence[TaskSpec],
+        *,
+        priority: int,
+        tenant: str | None,
+        weight: float,
+        trace: str | None,
+        span_parent: str | None,
+    ) -> list[TaskResult]:
+        """The host's executor for one admitted tenant group.
+
+        Returns one :class:`TaskResult` per spec, in order, with per-item
+        failures embedded as ``result.error``.  ``tenant`` is the resolved
+        name (``None`` with tenancy off) and ``weight`` its fair share;
+        ``trace``/``span_parent`` are set only when the whole group rides
+        one caller trace (:func:`batch_span_context`).  An exception fails
+        the whole call; capacity is still released.
+        """
+        raise NotImplementedError
+
+    def _front_section(self) -> dict:
+        """The host-specific head of a stats snapshot.
+
+        ``{"service": ...}`` for a service; ``{"cluster": ..., "admission":
+        ...}`` for a router.
+        """
+        raise NotImplementedError
+
+    def _shutdown(self) -> None:
+        """Release what the host runs on (engine threads, workers)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------- entrances
     def handle_batch(self, requests: Iterable[Any]) -> list[dict]:
@@ -131,8 +171,37 @@ class FrontDoor:
         self._count(len(request_list))
         return [response for response in responses if response is not None]
 
-    def submit(self, entries: Sequence[ParsedRequest]) -> list[TaskResult]:
-        """The typed entrance: validated requests in, results in order."""
+    def handle_request(self, request: Any) -> dict:
+        """One raw wire request, answered (a batch of one)."""
+        return self.handle_batch([request])[0]
+
+    def submit_specs(
+        self,
+        specs: Sequence[TaskSpec],
+        *,
+        priority: int = 0,
+        trace: str | None = None,
+        span_parent: str | None = None,
+        tenant: str | None = None,
+    ) -> list[TaskResult]:
+        """The typed entrance: specs in, results in submission order.
+
+        The same sequence :meth:`handle_batch` runs, minus parse and encode:
+        ``stats`` specs are answered before admission; with tenancy on the
+        call is charged against ``tenant`` (excess comes back as per-spec
+        ``rate_limited`` errors), then global admission applies (a batch
+        over the pending bound comes back ``overloaded``).  Per-item
+        failures are embedded as ``result.error``, like
+        :meth:`repro.api.Client.submit_many`.  ``trace`` (one id for the
+        batch) and ``span_parent`` (the caller's span id) tie the host's
+        batch span into the caller's span tree.
+        """
+        entries = [
+            ParsedRequest(
+                spec, priority=priority, trace=trace, span=span_parent, tenant=tenant
+            )
+            for spec in specs
+        ]
         results = self._answer(entries)
         self._count(len(entries))
         return results
@@ -283,6 +352,21 @@ class FrontDoor:
         if reset:
             self._metrics.reset()
         return snapshot
+
+    # --------------------------------------------------------------- lifecycle
+    def close(self) -> None:
+        """Stop the monitor's loop, then the host's own machinery (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        self.monitor.stop()
+        self._shutdown()
+
+    def __enter__(self) -> "FrontDoor":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------- wire helpers

@@ -25,17 +25,14 @@ Responses mirror the request generation: v2 callers get
 the flat ``{"id", "ok", "answer", "raw", "tokens", "calls"}`` / bare-string
 ``"error"`` shapes.  A bad request never aborts its batch.
 
-``serve_tcp`` exposes the same protocol on a socket through the asyncio
-wire transport of :mod:`repro.serving.transport`: plain JSON-lines
-connections keep the exact semantics above, while connections opening with
-a handshake line are upgraded to multiplexed binary-framed service — many
-in-flight requests per connection, correlated by ``id``.
-
-Every request path — this service's and the cluster router's — enters
-through the one :class:`~repro.serving.frontdoor.FrontDoor`; what this
-module adds is the *run* behind it: the resident engine, told whose share
-each admitted group runs on.  Nothing here serialises callers — concurrent
-connections' tasks share the engine's slots and meet in its one batcher.
+:class:`ServingService` *is* a :class:`~repro.serving.frontdoor.FrontDoor`
+— the request path, admission, tenancy, stats and ``close()`` are the base
+class's, shared with the cluster router; what this module adds is the *run*
+behind it: the resident engine, told whose share each admitted group runs
+on.  Nothing here serialises callers — concurrent connections' tasks share
+the engine's slots and meet in its one batcher.  :func:`serve_lines` and
+:func:`start_line_server` put any host's ``handle_batch`` behind stdin or a
+socket.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Callable, IO, Iterable, Sequence
+from typing import Any, Callable, IO, Iterable, Sequence
 
 from ..api.errors import ApiError, ErrorInfo
 from ..api.pipeline_spec import PipelineSpec
@@ -55,9 +52,9 @@ from ..core.tasks.base import Task
 from ..core.types import ManipulationResult
 from ..llm.base import LanguageModel
 from ..llm.cache import CachedLLM
+from ..llm.profiles import DEFAULT_MODEL
 from ..llm.simulated import SimulatedLLM
 from ..obs.export import get_default_exemplars
-from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.slo import SLOSpec
 from ..obs.span import remote_span
 from ..obs.trace import Trace
@@ -78,70 +75,41 @@ def _route_key(spec: "TaskSpec") -> "str | None":
         return None
 
 
-class ServingService:
-    """Answers JSON task requests through the execution engine.
+class ServingService(FrontDoor):
+    """The single-process host: a front door over one execution engine.
 
-    Admission control (off by default): with ``max_inflight`` /
-    ``max_queue_depth`` set, a batch that would push pending requests past
-    their sum is shed immediately with a structured ``overloaded`` error
-    carrying a ``retry_after`` hint, instead of queueing unboundedly.
+    ``pipeline`` and ``engine`` are plain attributes read at every run (a
+    harness may wrap them in place before the first request); ``engine``
+    defaults to a fresh :class:`ExecutionEngine` on the host's registry.
+    ``**door`` are :class:`~repro.serving.frontdoor.FrontDoor`'s options,
+    unchanged: ``max_inflight`` / ``max_queue_depth`` / ``retry_after``
+    (admission control, off by default), ``tenants`` (tenancy, off by
+    default), ``slos`` / ``monitor_interval`` and ``metrics``.
+
     Admitted tasks contending for the engine's slots are admitted
-    highest-priority first (v2 envelope key ``"priority"``).  ``stats``
-    requests are answered before admission and never enter the engine, so
-    observability survives overload.
-
-    Tenancy (off by default): with a :class:`~repro.tenancy.TenantRegistry`
-    passed as ``tenants``, each request's claimed tenant (v2 envelope key
-    ``"tenant"``; untagged and unknown names resolve to ``default``) is
-    charged against that tenant's token bucket and ``max_inflight`` cap
-    *before* global admission — excess is shed per tenant with a structured
-    ``rate_limited`` error — and admitted tasks contend for the engine's
-    slots weighted-fair across tenants (priority still breaks ties within
-    one).
+    weighted-fair across tenants and highest-priority first within one (v2
+    envelope keys ``"tenant"`` and ``"priority"``; untagged and unknown
+    tenant names resolve to ``default``).
     """
 
     def __init__(
-        self,
-        pipeline: UniDM,
-        engine: ExecutionEngine | None = None,
-        *,
-        max_inflight: int | None = None,
-        max_queue_depth: int | None = None,
-        retry_after: float = 0.05,
-        metrics: MetricsRegistry | None = None,
-        tenants: TenantRegistry | None = None,
-        slos: Sequence[SLOSpec] = (),
-        monitor_interval: float = 1.0,
+        self, pipeline: UniDM, engine: ExecutionEngine | None = None, **door: Any
     ):
+        super().__init__("service", **door)
         self.pipeline = pipeline
-        self._metrics = metrics or get_default_registry()
         self._m_batch_latency = self._metrics.histogram("service.batch_latency")
         self.engine = engine or ExecutionEngine(metrics=self._metrics)
-        self._door = FrontDoor(
-            self._run,
-            lambda: {
-                "service": {
-                    "requests_served": self.requests_served,
-                    "admission": self.admission.snapshot(),
-                }
-            },
-            name="service",
-            metrics=self._metrics,
-            max_inflight=max_inflight,
-            max_queue_depth=max_queue_depth,
-            retry_after=retry_after,
-            tenants=tenants,
-            slos=slos,
-            monitor_interval=monitor_interval,
-        )
-        self.admission = self._door.admission
-        self.tenancy = self._door.tenancy
-        self.monitor = self._door.monitor
 
-    @property
-    def requests_served(self) -> int:
-        """Requests answered through the front door (errors included)."""
-        return self._door.requests_served
+    def _front_section(self) -> dict:
+        return {
+            "service": {
+                "requests_served": self.requests_served,
+                "admission": self.admission.snapshot(),
+            }
+        }
+
+    def _shutdown(self) -> None:
+        self.engine.close()
 
     def run_tasks(self, tasks: Iterable[Task]) -> list[ManipulationResult]:
         """Run pipeline tasks directly through the engine (in-process path).
@@ -152,23 +120,6 @@ class ServingService:
         to the JSON request path only.)
         """
         return self.pipeline.run_many(list(tasks), engine=self.engine)
-
-    def close(self) -> None:
-        """Stop the engine's threads (idempotent)."""
-        self.engine.close()
-
-    def handle_batch(self, requests: Iterable[dict]) -> list[dict]:
-        """Execute a batch of request objects; responses keep request order."""
-        return self._door.handle_batch(requests)
-
-    def handle_request(self, request: dict) -> dict:
-        return self.handle_batch([request])[0]
-
-    def stats_snapshot(
-        self, prefix: str = "", *, reset: bool = False, tenant: str = ""
-    ) -> dict:
-        """The observability snapshot a ``stats`` request answers with."""
-        return self._door.stats_snapshot(prefix, reset=reset, tenant=tenant)
 
     # --------------------------------------------------------------------- run
     def _run(
@@ -212,10 +163,10 @@ class ServingService:
         results: list[TaskResult | None] = [None] * len(specs)
         tasks: list[Task] = []
         slots: list[int] = []
-        plans: list[int] = []
+        plans: list[tuple[int, PipelineSpec]] = []
         for index, spec in enumerate(specs):
             if isinstance(spec, PipelineSpec):
-                plans.append(index)
+                plans.append((index, spec))
                 continue
             try:
                 task = spec.to_task()
@@ -238,8 +189,8 @@ class ServingService:
             get_default_exemplars().note("service.batch_latency", Trace.current_id())
             for index, outcome in zip(slots, outcomes):
                 results[index] = TaskResult.from_manipulation(outcome)
-        for index in plans:
-            results[index] = run_pipeline_spec(specs[index], self._run_specs)
+        for index, plan in plans:
+            results[index] = run_pipeline_spec(plan, self._run_specs)
         return [result for result in results if result is not None]
 
     # ----------------------------------------------------------------- fronts
@@ -251,12 +202,6 @@ class ServingService:
         """
         serve_lines(self.handle_batch, in_stream, out_stream)
         return self.requests_served
-
-    async def serve_tcp(self, host: str = "127.0.0.1", port: int = 8765) -> None:
-        """Socket server speaking the same line protocol, one batch per blank line."""
-        server = await self.start_tcp(host, port)
-        async with server:
-            await server.serve_forever()
 
     async def start_tcp(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.AbstractServer:
         """Bind the socket server and return it without blocking (for embedding)."""
@@ -356,6 +301,21 @@ def run_pipeline_spec(spec: PipelineSpec, submit: "Callable") -> TaskResult:
     )
 
 
+def default_pipeline(
+    model: str | None = None,
+    seed: int = 0,
+    cache_dir: str | None = None,
+    knowledge=None,
+    llm: LanguageModel | None = None,
+    config: UniDMConfig | None = None,
+) -> UniDM:
+    """The default model stack: simulated LLM (or ``llm``) → cache → pipeline."""
+    if llm is None:
+        llm = SimulatedLLM(model or DEFAULT_MODEL, knowledge=knowledge, seed=seed)
+    persistent = PersistentCache(cache_dir) if cache_dir else None
+    return UniDM(CachedLLM(llm, persistent=persistent), config or UniDMConfig.full(seed=seed))
+
+
 def build_service(
     model: str | None = None,
     seed: int = 0,
@@ -369,17 +329,12 @@ def build_service(
     tenants: TenantRegistry | None = None,
     slos: Sequence[SLOSpec] = (),
     monitor_interval: float = 1.0,
+    config: UniDMConfig | None = None,
 ) -> ServingService:
-    """Assemble the default serving stack: simulated LLM → cache → engine."""
-    if llm is None:
-        llm = SimulatedLLM(**({"profile": model} if model else {}), knowledge=knowledge, seed=seed)
-    persistent = PersistentCache(cache_dir) if cache_dir else None
-    cached = CachedLLM(llm, persistent=persistent)
-    pipeline = UniDM(cached, UniDMConfig.full(seed=seed))
-    engine = ExecutionEngine(EngineConfig(max_batch_size=batch_size, workers=workers))
+    """Assemble the default serving stack: :func:`default_pipeline` → engine."""
     return ServingService(
-        pipeline,
-        engine,
+        default_pipeline(model, seed, cache_dir, knowledge, llm=llm, config=config),
+        ExecutionEngine(EngineConfig(max_batch_size=batch_size, workers=workers)),
         max_inflight=max_inflight,
         max_queue_depth=max_queue_depth,
         tenants=tenants,

@@ -45,7 +45,6 @@ import asyncio
 import json
 import socket
 import struct
-import threading
 from typing import Any, Callable
 
 from .frontdoor import InvalidRequest
@@ -57,7 +56,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_REVISION",
     "WireConnection",
-    "WireConnectionPool",
     "client_hello",
     "decode_frame_payload",
     "encode_frame",
@@ -460,7 +458,8 @@ class WireConnection:
 
     ``open`` performs the connect-time handshake — one hello line out, one
     reply line back — and the same object then carries any number of
-    request batches.
+    request batches, one at a time (``Client.remote`` keeps idle ones for
+    reuse, which is what makes the handshake a one-time cost).
     """
 
     def __init__(self, sock: "socket.socket", reader: _SocketReader, max_frame: int):
@@ -545,45 +544,3 @@ class WireConnection:
                 f"service answered a non-object response: {payload!r}"
             )
         return payload
-
-
-class WireConnectionPool:
-    """Thread-safe keep-alive pool of :class:`WireConnection` objects.
-
-    ``acquire`` hands out an idle healthy connection or opens a fresh one;
-    ``release`` returns it for reuse (up to ``size`` idle connections are
-    retained).  Pooling is what turns the connect+handshake round trip into
-    a one-time cost instead of a per-batch one.
-    """
-
-    def __init__(self, host: str, port: int, timeout: float = 30.0, *, size: int = 4):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.size = size
-        self._idle: "list[WireConnection]" = []
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def acquire(self) -> WireConnection:
-        with self._lock:
-            while self._idle:
-                conn = self._idle.pop()
-                if conn.alive:
-                    return conn
-                conn.close()
-        return WireConnection.open(self.host, self.port, self.timeout)
-
-    def release(self, conn: WireConnection) -> None:
-        with self._lock:
-            if not self._closed and conn.alive and len(self._idle) < self.size:
-                self._idle.append(conn)
-                return
-        conn.close()
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()

@@ -100,6 +100,31 @@ def test_asubmit_many_matches_sync(all_seven):
     assert all(r.ok for r in async_results)
 
 
+def test_request_ids_stay_unique_when_batches_are_encoded_together(client):
+    """``asubmit_many`` calls in flight together encode on executor threads."""
+    import sys
+    import threading
+
+    spec = TransformationSpec(value="x", examples=[["a", "A"]])
+    ids, threads = [], []
+
+    def encode():
+        ids.extend(r["id"] for r in client._encode([spec] * 400))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=encode) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(ids) == len(set(ids)) == 2400
+
+
 def test_empty_batch(client):
     assert client.submit_many([]) == []
     assert asyncio.run(client.asubmit_many([])) == []
@@ -120,6 +145,39 @@ def test_local_rejects_pipeline_combined_with_llm_or_config():
         Client.local(pipeline=pipeline, config=UniDMConfig.full(seed=5))
     with pytest.raises(ValueError, match="not both"):
         Client.local(pipeline=pipeline, llm=SimulatedLLM(seed=1))
+
+
+@pytest.mark.parametrize("given", ["llm", "pipeline"])
+@pytest.mark.parametrize(
+    "dropped", [{"cache_dir": "c"}, {"model": "gpt-3-175b"}, {"knowledge": object()}]
+)
+def test_local_rejects_default_stack_arguments_next_to_a_model(given, dropped):
+    """They configure the default simulated model; silently dropping them ran
+    ``llm=real_model, cache_dir="c"`` uncached."""
+    from repro.core import UniDM, UniDMConfig
+    from repro.llm import SimulatedLLM
+
+    llm = SimulatedLLM(seed=0)
+    model = {"llm": llm} if given == "llm" else {"pipeline": UniDM(llm, UniDMConfig.full())}
+    (name,) = dropped
+    with pytest.raises(ValueError, match=f"either {given}= or {name}= .* not both"):
+        Client.local(**model, **dropped)
+
+
+@pytest.mark.parametrize(
+    "dropped",
+    [
+        {"config": object()},
+        {"llm_factory": lambda index: None},
+        {"knowledge": object()},
+        {"queue_depth": 4},
+    ],
+    ids=lambda dropped: next(iter(dropped)),
+)
+def test_process_cluster_rejects_thread_worker_only_arguments(dropped):
+    (name,) = dropped
+    with pytest.raises(ValueError, match=f'mode="process" or {name}= .* not both'):
+        Client.cluster(workers=1, mode="process", **dropped)  # raises before spawning
 
 
 def test_v1_flat_requests_still_work_through_the_service(client):

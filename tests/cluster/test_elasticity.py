@@ -291,13 +291,16 @@ def test_death_detection_is_idempotent_across_sweep_and_submit(mixed_specs):
 
 
 def test_close_joins_the_health_sweep_thread(mixed_specs):
+    before = set(threading.enumerate())
     router = make_router(2, health_interval=0.05)
-    thread = router._sweep_thread
-    assert thread is not None and thread.is_alive()
+    (thread,) = [
+        thread
+        for thread in set(threading.enumerate()) - before
+        if thread.name == "repro-router-sweep"
+    ]
     router.submit_specs(mixed_specs)
     router.close()
     assert not thread.is_alive()
-    assert router._sweep_thread is None
 
 
 # ------------------------------------------------------------------ autoscale

@@ -122,6 +122,26 @@ def test_handle_batch_mirrors_service_semantics():
         assert responses[4]["error"]["code"] == "unknown_task_type"
 
 
+def test_local_closes_the_workers_built_before_a_failed_build():
+    """A router that was never made owns nothing: the caller gets the error
+    and no running engines."""
+    built = []
+
+    def remember(worker):
+        built.append(worker)
+        return worker
+
+    def llm_factory(index):
+        if index == 2:
+            raise RuntimeError("no backend for the third worker")
+        return PromptPureLLM()
+
+    with pytest.raises(RuntimeError, match="third worker"):
+        Router.local(3, llm_factory=llm_factory, worker_decorator=remember)
+    assert [worker.worker_id for worker in built] == ["worker-00", "worker-01"]
+    assert not any(worker.ping() for worker in built)
+
+
 def test_cluster_client_is_specs_only():
     with Client.cluster(
         workers=2, llm_factory=lambda i: PromptPureLLM(), config=FULL_CONFIG

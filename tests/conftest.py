@@ -30,14 +30,6 @@ def pytest_runtest_teardown(item):
     _finishing[:] = [item]
 
 
-#: Modules that may leave an engine running, with the reason.
-_PINNED_ENGINES = {
-    # Its ``serve_stats_in_thread`` server has no stop handle: the daemon
-    # thread holds the service's snapshot method for the life of the process.
-    "test_slo_chaos",
-}
-
-
 @pytest.fixture(autouse=True, scope="module")
 def no_engine_thread_left_behind(request):
     """A resident engine's loop thread must not outlive the module that made it.
@@ -62,8 +54,7 @@ def no_engine_thread_left_behind(request):
     for thread in leaked:  # a collected engine's loop is on its way out
         thread.join(max(0.0, deadline - time.monotonic()))
     leaked = [thread for thread in leaked if thread.is_alive()]
-    if request.module.__name__ not in _PINNED_ENGINES:
-        assert not leaked, f"{len(leaked)} repro-engine thread(s) left running"
+    assert not leaked, f"{len(leaked)} repro-engine thread(s) left running"
 
 
 class GatedLLM(LanguageModel):

@@ -1,5 +1,5 @@
 """Prometheus exposition tests: renderer structure, real-parser round trip,
-and the stats-port content negotiation (HTTP /metrics + legacy JSON line).
+and the stats port's HTTP endpoints (/metrics, /, HEAD, 400 for anything else).
 
 Acceptance criterion: the ``--stats-port`` side channel serves text the
 reference ``prometheus_client`` parser accepts — verified when that package
@@ -165,12 +165,22 @@ def test_stats_port_head_request_omits_the_body(live_stats_port):
     assert body == ""
 
 
-def test_stats_port_legacy_silent_client_still_gets_json(live_stats_port):
-    # The pre-HTTP contract: connect, send nothing, read one JSON line.
+@pytest.mark.parametrize(
+    "opening", [b"", b'{"type": "stats"}\n'], ids=["silent", "not-http"]
+)
+def test_stats_port_answers_400_to_a_client_that_does_not_speak_http(
+    live_stats_port, opening
+):
+    # HTTP is the port's only dialect: a silent client (the old one-JSON-line
+    # read) and a non-HTTP first line both get 400 and a close.
     with socket.create_connection(("127.0.0.1", live_stats_port), timeout=10) as conn:
-        line = conn.makefile("r", encoding="utf-8").readline()
-    payload = json.loads(line)
-    assert "metrics" in payload
+        conn.sendall(opening)
+        raw = b""
+        while chunk := conn.recv(65536):
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 400")
+    assert "HTTP" in json.loads(body)["error"]
 
 
 # ----------------------------------------------------------------------- CLI

@@ -6,7 +6,6 @@ read path, never answers negative rates (even across a registry reset), and
 its payload renders every window the SLO engine and ``repro top`` consume.
 """
 
-import threading
 
 import pytest
 
@@ -221,22 +220,6 @@ def test_ensure_fresh_samples_at_most_once_per_interval():
     clock.advance(1.5)
     sampler.ensure_fresh()
     assert sampler.samples_taken == 2
-
-
-def test_background_thread_starts_and_stops():
-    registry = MetricsRegistry()
-    registry.counter("c")
-    sampler = TimeSeriesSampler(registry, interval=0.01)
-    sampler.start()
-    try:
-        deadline = threading.Event()
-        deadline.wait(0.2)
-        assert sampler.samples_taken >= 2
-    finally:
-        sampler.stop()
-    taken = sampler.samples_taken
-    threading.Event().wait(0.05)
-    assert sampler.samples_taken == taken  # ticker actually stopped
 
 
 def test_windows_payload_shape():

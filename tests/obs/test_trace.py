@@ -153,3 +153,28 @@ def test_local_client_echoes_one_trace_id_per_batch_context():
         results = client.submit_many([SPEC, SPEC])
         ids = {r.trace_id for r in results}
         assert None not in ids and len(ids) == 2
+
+
+def test_asubmit_many_runs_inside_the_callers_trace():
+    """``asubmit_many`` runs ``submit_many`` on an executor thread; the bound
+    trace and span parent reach it through a copy of the caller's context."""
+    import asyncio
+
+    from repro.api import Client
+    from repro.obs import configure_default_event_log
+
+    log = configure_default_event_log(capacity=4096)
+    try:
+        with Client.local(seed=0) as client:
+            with Trace.start() as trace:
+                results = asyncio.run(client.asubmit_many([SPEC, SPEC]))
+            assert [r.trace_id for r in results] == [trace.trace_id] * 2
+            submits = [
+                event
+                for event in log.events(kind="span")
+                if event["name"] == "client.submit"
+            ]
+            assert [event["trace"] for event in submits] == [trace.trace_id]
+    finally:
+        configure_default_event_log(capacity=8192)
+

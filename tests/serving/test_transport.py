@@ -27,7 +27,6 @@ from repro.serving.transport import (
     MAX_PENDING_REQUESTS,
     FrameError,
     WireConnection,
-    WireConnectionPool,
     client_hello,
     decode_frame_payload,
     encode_frame,
@@ -282,16 +281,41 @@ def test_read_frame_raises_on_oversized_length():
     asyncio.run(scenario())
 
 
-def test_pool_reuses_released_connections(echo_port):
-    pool = WireConnectionPool("127.0.0.1", echo_port, timeout=10, size=2)
+def test_pool_reuses_released_connections():
+    """``Client.remote`` keeps its own idle connections: a finished batch's
+    connection carries the next one, at most ``pool_size`` stay parked, one
+    that died while parked is skipped, and ``close()`` closes the parked."""
+    together = threading.Barrier(3)
+
+    def echo(requests):
+        if requests[0]["id"] == "together":
+            together.wait(10)  # three batches, three connections, all open
+        return [{"v": 2, "id": r["id"], "ok": True, "result": {}} for r in requests]
+
+    port, stop = _serve_on_thread(echo)
+    backend = Client.remote("127.0.0.1", port, timeout=10, pool_size=2)._backend
     try:
-        first = pool.acquire()
-        pool.release(first)
-        second = pool.acquire()
-        assert second is first  # keep-alive: no reconnect, no re-handshake
-        pool.release(second)
+        backend.send([{"v": 2, "id": 0}])
+        (first,) = backend._idle
+        backend.send([{"v": 2, "id": 1}])
+        assert backend._idle == [first]  # keep-alive: no reconnect, no re-handshake
+
+        threads = [
+            threading.Thread(target=backend.send, args=([{"v": 2, "id": "together"}],))
+            for _ in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        survivor, dead = backend._idle  # the third was closed, not parked
+        dead.close()
+        backend.send([{"v": 2, "id": 2}])
+        assert backend._idle == [survivor]
     finally:
-        pool.close()
+        backend.close()
+        stop()
+    assert backend._idle == [] and not survivor.alive
 
 
 # ------------------------------------------- connections meet in one batcher

@@ -74,67 +74,69 @@ def make_service():
 
 
 def test_flood_pages_the_abuser_slo_and_flips_readiness():
-    service = make_service()
-    monitor = service.monitor
+    # Closed on the way out: the stats thread below has no stop handle and
+    # holds the service for good, so nothing else would stop its engine.
+    with make_service() as service:
+        monitor = service.monitor
 
-    def submit(spec, tenant):
-        response = service.handle_request(
-            encode_request(spec, request_id=0, tenant=tenant)
-        )
-        return decode_response(response)
+        def submit(spec, tenant):
+            response = service.handle_request(
+                encode_request(spec, request_id=0, tenant=tenant)
+            )
+            return decode_response(response)
 
-    port = serve_stats_in_thread(
-        service.stats_snapshot,
-        "127.0.0.1",
-        0,
-        monitor=monitor,
-        doctor_fn=lambda: build_bundle(
-            snapshot_fn=service.stats_snapshot,
+        port = serve_stats_in_thread(
+            service.stats_snapshot,
+            "127.0.0.1",
+            0,
             monitor=monitor,
-            config={"command": "chaos-test"},
-        ),
-    )
-    assert port is not None
+            doctor_fn=lambda: build_bundle(
+                snapshot_fn=service.stats_snapshot,
+                monitor=monitor,
+                config={"command": "chaos-test"},
+            ),
+        )
+        assert port is not None
 
-    # Baseline sample, then the flood, then one evaluation tick: the
-    # abuser's objective must already be firing.
-    monitor.tick()
-    abuser_results = run_phase(submit, with_abuse=True)
-    assert any(r.error is not None for r in abuser_results)
-    monitor.tick()
-
-    firing = {alert["slo"] for alert in monitor.engine.alerts()}
-    assert "abuser-shed" in firing
-    # The well-behaved tenant's objectives never fire.
-    assert "good-a-shed" not in firing
-    assert "good-a-p99" not in firing
-
-    # Readiness gates on the page alert: 503 with the reason spelled out.
-    status, payload = fetch_probe("127.0.0.1", port, "/readyz")
-    assert status == 503
-    assert any("abuser-shed" in reason for reason in payload["reasons"])
-
-    # A diagnostic bundle pulled mid-breach carries the whole story.
-    status, bundle = fetch_probe("127.0.0.1", port, "/doctor")
-    assert status == 200
-    assert "abuser-shed" in {alert["slo"] for alert in bundle["alerts"]}
-    series = bundle["timeseries"]["series"]
-    assert f"tenant.{ABUSER}.rate_limited" in series
-    assert "Thread" in bundle["thread_stacks"]
-    assert bundle["config"] == {"command": "chaos-test"}
-
-    # After the flood stops, quiet ticks age the breach out of the window
-    # and readiness recovers.
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline and monitor.engine.alerts():
-        time.sleep(0.25)
+        # Baseline sample, then the flood, then one evaluation tick: the
+        # abuser's objective must already be firing.
         monitor.tick()
-    assert monitor.engine.alerts() == []
-    status, payload = fetch_probe("127.0.0.1", port, "/readyz")
-    assert status == 200
-    assert payload["ready"] is True
+        abuser_results = run_phase(submit, with_abuse=True)
+        assert any(r.error is not None for r in abuser_results)
+        monitor.tick()
 
-    # The breach/recovery lifecycle landed in the metrics.
-    counters = service.stats_snapshot()["metrics"]["counters"]
-    assert counters["slo.breaches"] >= 1
-    assert counters["slo.recoveries"] >= 1
+        firing = {alert["slo"] for alert in monitor.engine.alerts()}
+        assert "abuser-shed" in firing
+        # The well-behaved tenant's objectives never fire.
+        assert "good-a-shed" not in firing
+        assert "good-a-p99" not in firing
+
+        # Readiness gates on the page alert: 503 with the reason spelled out.
+        status, payload = fetch_probe("127.0.0.1", port, "/readyz")
+        assert status == 503
+        assert any("abuser-shed" in reason for reason in payload["reasons"])
+
+        # A diagnostic bundle pulled mid-breach carries the whole story.
+        status, bundle = fetch_probe("127.0.0.1", port, "/doctor")
+        assert status == 200
+        assert "abuser-shed" in {alert["slo"] for alert in bundle["alerts"]}
+        series = bundle["timeseries"]["series"]
+        assert f"tenant.{ABUSER}.rate_limited" in series
+        assert "Thread" in bundle["thread_stacks"]
+        assert bundle["config"] == {"command": "chaos-test"}
+
+        # After the flood stops, quiet ticks age the breach out of the window
+        # and readiness recovers.
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and monitor.engine.alerts():
+            time.sleep(0.25)
+            monitor.tick()
+        assert monitor.engine.alerts() == []
+        status, payload = fetch_probe("127.0.0.1", port, "/readyz")
+        assert status == 200
+        assert payload["ready"] is True
+
+        # The breach/recovery lifecycle landed in the metrics.
+        counters = service.stats_snapshot()["metrics"]["counters"]
+        assert counters["slo.breaches"] >= 1
+        assert counters["slo.recoveries"] >= 1

@@ -155,10 +155,12 @@ def test_cli_stats_non_dict_side_channel_fails_cleanly(capsys):
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
     port = listener.getsockname()[1]
+    asked = []
 
     def answer():
         conn, _ = listener.accept()
-        conn.sendall(b"[1, 2, 3]\n")
+        asked.append(conn.recv(65536))
+        conn.sendall(b"HTTP/1.0 200 OK\r\n\r\n[1, 2, 3]\n")
         conn.close()
 
     thread = threading.Thread(target=answer, daemon=True)
@@ -169,6 +171,8 @@ def test_cli_stats_non_dict_side_channel_fails_cleanly(capsys):
     finally:
         listener.close()
         thread.join(5)
+    # It asks with GET /, so the port's first-line timeout is never waited out.
+    assert asked[0].startswith(b"GET / HTTP/1.0\r\n")
 
 
 def test_cli_doctor_writes_bundle(tmp_path, capsys, live_stats_port):
