@@ -226,7 +226,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         if stats is not None:
             print(
                 f"batching     : {stats.requests} LLM calls in {stats.batches} "
-                f"batches (mean {stats.mean_batch:.2f}, max {stats.max_batch})"
+                f"batches (mean {stats.mean_batch:.2f}, max {stats.max_batch}) "
+                f"+ {stats.cached} answered from cache"
             )
         if args.cache_dir is not None:
             print(f"cache        : hit rate {llm.hit_rate:.2f} ({args.cache_dir})")

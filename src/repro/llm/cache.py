@@ -6,9 +6,14 @@ cost and makes reruns deterministic.  The wrapper preserves the
 :class:`~repro.llm.base.LanguageModel` interface, so it can be dropped in front
 of the simulated model or a real API client alike.
 
-The wrapper is thread-safe: the serving engine's micro-batcher executes
-batches on worker threads, so lookups, inner-model calls and usage recording
-all happen under one re-entrant lock.  An optional *persistent* backend (see
+The wrapper is thread-safe under two locks.  The *fetch* lock is held across
+a whole lookup-or-compute (lookup, inner-model call, store), so two callers
+never compute one prompt twice; the short *state* lock guards the LRU, the
+counters and the usage tracker, and is never held across the inner call.
+:meth:`CachedLLM.cached` — the serving engine's micro-batcher asks it from
+its event loop before it queues a prompt — takes the state lock only, so a
+hit is answered while another thread's round trip is still in flight.  An
+optional *persistent* backend (see
 :class:`~repro.serving.cache.PersistentCache`) spills completions to disk so
 that a warmed cache survives across processes; any object with
 ``get(prompt) -> str | None`` and ``put(prompt, text)`` works.
@@ -71,13 +76,17 @@ class CachedLLM(LanguageModel):
         self.misses = 0
         self.persistent_hits = 0
         self._cache: OrderedDict[str, str] = OrderedDict()
-        # Re-entrant so that complete() -> _lookup()/_store() nests safely and
-        # the whole lookup-or-compute is one critical section: concurrent
-        # callers never compute the same prompt twice.  The lock is held
-        # across the inner-model call, so traffic through one wrapper is
+        # ``_fetch_lock`` makes the whole lookup-or-compute one critical
+        # section: concurrent callers never compute the same prompt twice.
+        # It is held across the inner-model call, so traffic that computes is
         # serialized — exact-once semantics traded against backend
         # parallelism, which the offline simulated backend cannot use anyway.
-        self._lock = threading.RLock()
+        # ``_lock`` guards the LRU, the counters and the usage tracker, and is
+        # never held across the inner call or a persistent ``put``: ``cached``
+        # takes it alone.  Order: ``_fetch_lock`` -> ``_lock`` -> the
+        # persistent store's own; nothing takes them the other way round.
+        self._fetch_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ lookup
     def _note_hit(self, text: str, persistent: bool = False) -> None:
@@ -88,11 +97,15 @@ class CachedLLM(LanguageModel):
             self.persistent_hits += 1
             self._m_persistent_hits.inc()
 
-    def _lookup(self, prompt: str) -> str | None:
-        """Memory then persistent lookup; updates hit/miss counters."""
-        if prompt in self._cache:
+    def _find(self, prompt: str) -> str | None:
+        """Memory then persistent lookup, counting a hit; needs ``_lock``.
+
+        A miss is not counted here: ``cached`` leaves that to the batch that
+        will carry the prompt, so every prompt is counted exactly once.
+        """
+        text = self._cache.get(prompt)
+        if text is not None:
             self._cache.move_to_end(prompt)
-            text = self._cache[prompt]
             self._note_hit(text)
             return text
         if self.persistent is not None:
@@ -101,9 +114,15 @@ class CachedLLM(LanguageModel):
                 self._note_hit(stored, persistent=True)
                 self._remember(prompt, stored)
                 return stored
-        self.misses += 1
-        self._m_misses.inc()
         return None
+
+    def _lookup(self, prompt: str) -> str | None:
+        """``_find``, counting what it does not find as a miss; needs ``_lock``."""
+        text = self._find(prompt)
+        if text is None:
+            self.misses += 1
+            self._m_misses.inc()
+        return text
 
     def _remember(self, prompt: str, text: str) -> None:
         self._cache[prompt] = text
@@ -112,10 +131,29 @@ class CachedLLM(LanguageModel):
             self._cache.popitem(last=False)
 
     def _store(self, prompt: str, text: str) -> None:
-        self._remember(prompt, text)
-        self._m_bytes_stored.inc(len(text))
+        """Persist, then remember; needs ``_fetch_lock`` and not ``_lock``.
+
+        The ``put`` (a file append) runs outside the state lock; a reader
+        that slips in before ``_remember`` finds the entry in the persistent
+        store — a persistent hit — never a half-state.
+        """
         if self.persistent is not None:
             self.persistent.put(prompt, text)
+        with self._lock:
+            self._remember(prompt, text)
+            self._m_bytes_stored.inc(len(text))
+
+    def cached(self, prompt: str, kind: str = "other") -> Completion | None:
+        """The completion of ``prompt`` if it is stored, else ``None``.
+
+        A hit is counted and recorded exactly as ``complete`` would (under
+        the prompt's own ``kind``); a miss counts nothing — the caller is
+        expected to ask again through ``complete``/``complete_batch``.  Takes
+        the state lock only: it returns while a computation is in flight.
+        """
+        with self._lock:
+            text = self._find(prompt)
+            return None if text is None else self._record(prompt, text, kind)
 
     def note_route(self, prompt: str, route: str) -> None:
         """Attribute ``prompt`` to a spec (route) key for shard migration.
@@ -130,26 +168,28 @@ class CachedLLM(LanguageModel):
             note(prompt, route)
 
     # --------------------------------------------------------------- interface
+    def _fetch(self, prompt: str, kind: str) -> str:
+        """Lookup-or-compute for one prompt; needs ``_fetch_lock``."""
+        with self._lock:
+            text = self._lookup(prompt)
+        if text is None:
+            self._m_backend_calls.inc()
+            text = self.inner.complete(prompt, kind=kind).text
+            self._store(prompt, text)
+        return text
+
     def _complete_text(self, prompt: str) -> str:
         # Retained for the LanguageModel contract; ``kind`` is unavailable at
         # this layer so the overridden complete()/complete_batch() are the
         # real entry points.
-        with self._lock:
-            text = self._lookup(prompt)
-            if text is None:
-                self._m_backend_calls.inc()
-                text = self.inner.complete(prompt).text
-                self._store(prompt, text)
-            return text
+        with self._fetch_lock:
+            return self._fetch(prompt, "other")
 
     def complete(self, prompt: str, kind: str = "other") -> Completion:
-        with self._lock:
-            text = self._lookup(prompt)
-            if text is None:
-                self._m_backend_calls.inc()
-                text = self.inner.complete(prompt, kind=kind).text
-                self._store(prompt, text)
-            return self._record(prompt, text, kind)
+        with self._fetch_lock:
+            text = self._fetch(prompt, kind)
+            with self._lock:
+                return self._record(prompt, text, kind)
 
     def complete_batch(
         self, prompts: Sequence[str], kind: str = "other"
@@ -161,11 +201,11 @@ class CachedLLM(LanguageModel):
         accounting is identical whether the prompts arrive one by one or
         coalesced.
         """
-        with self._lock:
+        with self._fetch_lock:
             texts: list[str | None] = []
             miss_order: list[str] = []
             pending: set[str] = set()
-            with span("cache.lookup", prompts=len(prompts)) as lookup_span:
+            with span("cache.lookup", prompts=len(prompts)) as lookup_span, self._lock:
                 for prompt in prompts:
                     if prompt in pending:
                         # Served by the in-flight miss ahead of it in this
@@ -187,19 +227,27 @@ class CachedLLM(LanguageModel):
                 self._m_backend_calls.inc(len(miss_order))
                 with span("llm.backend", kind=kind, prompts=len(miss_order)):
                     fetched = self.inner.complete_batch(miss_order, kind=kind)
+                # Checked before anything is stored: paired by position, a
+                # short reply would be stored under the wrong prompts.
+                if len(fetched) != len(miss_order):
+                    raise RuntimeError(
+                        f"backend returned {len(fetched)} completions "
+                        f"for {len(miss_order)} prompts"
+                    )
                 for prompt, completion in zip(miss_order, fetched):
                     fetched_texts[prompt] = completion.text
                     self._store(prompt, completion.text)
             # Resolve misses from the fetched results, not the LRU: storing a
             # large batch can already have evicted its own earliest entries.
-            return [
-                self._record(
-                    prompt,
-                    text if text is not None else fetched_texts[prompt],
-                    kind,
-                )
-                for prompt, text in zip(prompts, texts)
-            ]
+            with self._lock:
+                return [
+                    self._record(
+                        prompt,
+                        text if text is not None else fetched_texts[prompt],
+                        kind,
+                    )
+                    for prompt, text in zip(prompts, texts)
+                ]
 
     # --------------------------------------------------------------- statistics
     @property
@@ -209,7 +257,7 @@ class CachedLLM(LanguageModel):
 
     def clear(self) -> None:
         """Drop the in-memory cache and counters (the persistent store survives)."""
-        with self._lock:
+        with self._fetch_lock, self._lock:
             self._cache.clear()
             self.hits = 0
             self.misses = 0

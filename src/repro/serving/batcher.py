@@ -10,6 +10,14 @@ One batcher serves every caller of a resident
 :class:`~repro.serving.engine.ExecutionEngine`, so *when* it dispatches
 decides how full each backend round trip is.  The rule:
 
+* **Hits never queue.**  ``submit`` first asks the backend for a stored
+  answer (``cached(prompt, kind)``, where the backend offers it — a
+  :class:`~repro.llm.cache.CachedLLM` does).  A hit is returned at once, on
+  the loop thread, without suspending the coroutine: no queue entry, no seat
+  in a batch, no wait for the round trip in flight — so only misses ride
+  round trips, and a task whose next prompts are all stored runs on to its
+  next miss in one loop step.  A hit is not a submission for the triggers
+  below: it can never join a batch.
 * **Hold while busy.**  While every LLM thread (``llm_threads``) is executing
   a batch nothing is dispatched — no trigger fires; pending prompts keep
   collecting batch-mates.  The batch in flight is the progress guarantee.
@@ -35,10 +43,14 @@ fires:
 * **timeout** — ``max_wait`` seconds elapsed since the oldest pending prompt
   (the formal progress guarantee behind the idle heuristic).
 
-Batches execute on a worker thread pool so the event loop stays responsive;
-nothing here opens a file or takes a ``threading`` lock of its own on the
-loop thread (route notes — file appends under the cache's lock — are made on
-the LLM thread, at dispatch).
+Batches execute on a worker thread pool so the event loop stays responsive.
+What the loop thread may touch is bounded by the hit path: the cache's short
+state lock (never held across a backend call), behind it the persistent
+store's lock for at most one append the LLM thread is making
+(``pcache.put_us``, 60–90 µs), and one route-index append the first time a
+given spec asks a given stored prompt (a replayed spec: never).  A miss's
+route note — a file append under the store's lock — is made on the LLM
+thread, at dispatch.
 """
 
 from __future__ import annotations
@@ -68,12 +80,15 @@ class BatcherStats:
 
     The batcher's own ``stats`` count every batch it dispatched; a run's
     stats (:attr:`Origin.stats`) count that run's prompts only, and each
-    batch that carried at least one of them.
+    batch that carried at least one of them.  A *request* is a prompt that
+    asked for a seat in a batch; one answered from the cache at submission
+    is counted under ``cached`` instead.  ``by_kind`` counts both.
     """
 
     requests: int = 0
     batches: int = 0
     max_batch: int = 0
+    cached: int = 0
     by_kind: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -88,6 +103,11 @@ class BatcherStats:
         self.max_batch = max(self.max_batch, batch_size or prompts)
         for kind, count in kinds.items():
             self.by_kind[kind] = self.by_kind.get(kind, 0) + count
+
+    def note_cached(self, kind: str) -> None:
+        """Count one prompt answered from the cache at submission."""
+        self.cached += 1
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
 
 
 @dataclass(frozen=True)
@@ -147,6 +167,16 @@ class MicroBatcher:
         if llm_threads < 1:
             raise ValueError("llm_threads must be positive")
         self.llm = llm
+        # Found on the backend object, not declared on LanguageModel: a
+        # wrapper that forwards unknown attributes to its inner model keeps
+        # offering what the inner one offers, and a backend with no cache
+        # (or no route index) offers neither.
+        self._cached: Callable[[str, str], Completion | None] | None = getattr(
+            llm, "cached", None
+        )
+        self._note_route: Callable[[str, str], None] | None = getattr(
+            llm, "note_route", None
+        )
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait
         self.stats = BatcherStats()
@@ -154,6 +184,7 @@ class MicroBatcher:
         # per-submission path).
         metrics = metrics or get_default_registry()
         self._m_requests = metrics.counter("batcher.requests")
+        self._m_cached = metrics.counter("batcher.cached")
         self._m_batches = metrics.counter("batcher.batches")
         self._m_flush = {
             reason: metrics.counter(f"batcher.flush.{reason}")
@@ -172,16 +203,32 @@ class MicroBatcher:
 
     # ----------------------------------------------------------------- client
     async def submit(self, prompt: str, kind: str = "other") -> Completion:
-        """Enqueue one prompt and await its completion.
+        """Answer one prompt: from the cache at once, else from a batch.
 
-        The whole stay in the batcher — coalesce wait plus the batched LLM
-        call — is timed under a per-request ``batcher.wait`` span (parented
-        by the submitting task's span via the ambient context).
+        A prompt the backend has stored is returned without suspending (see
+        the module docstring); it did not wait, so it gets no span and no
+        ``queue_wait`` observation.  Any other is enqueued, and its whole
+        stay in the batcher — coalesce wait plus the batched LLM call — is
+        timed under a per-request ``batcher.wait`` span (parented by the
+        submitting task's span via the ambient context).
         """
+        origin = ORIGIN.get()
+        if self._cached is not None:
+            hit = self._cached(prompt, kind)
+            if hit is not None:
+                # The route index stays complete for hits too: idempotent,
+                # and a file append only the first time this spec asks.
+                if self._note_route is not None and origin.route is not None:
+                    self._note_route(prompt, origin.route)
+                self.stats.note_cached(kind)
+                if origin.stats is not None:
+                    origin.stats.note_cached(kind)
+                self._m_cached.inc()
+                return hit
         loop = asyncio.get_running_loop()
         wait_span = Span.begin("batcher.wait", attrs={"kind": kind})
         request = _Request(
-            prompt, kind, loop.create_future(), ORIGIN.get(), time.perf_counter(), wait_span
+            prompt, kind, loop.create_future(), origin, time.perf_counter(), wait_span
         )
         self._pending.append(request)
         self._generation += 1
@@ -272,11 +319,10 @@ class MicroBatcher:
         A reply of the wrong length fails the whole batch: matched by
         position, its trailing waiters would otherwise stay pending for ever.
         """
-        note = getattr(self.llm, "note_route", None)
-        if note is not None:
+        if self._note_route is not None:
             for request in batch:
                 if request.origin.route is not None:
-                    note(request.prompt, request.origin.route)
+                    self._note_route(request.prompt, request.origin.route)
         completions = self.llm.complete_batch([request.prompt for request in batch], kind)
         if len(completions) != len(batch):
             raise RuntimeError(

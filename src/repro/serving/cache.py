@@ -136,9 +136,24 @@ class PersistentCache:
             )
 
     def _append(self, key: str, text: str) -> None:
+        """Write first, remember second (``_append_route`` likewise).
+
+        An append that raises (a full disk, a vanished directory) leaves
+        memory as it was, so a retry appends again instead of being skipped
+        as "already durable": what ``get`` serves is on disk.
+        """
         line = json.dumps({"key": key, "text": text}, ensure_ascii=False)
         with open(self._shard_file(key), "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
+        self._entries[key] = text
+        self._m_puts.inc()
+        self._m_bytes.inc(len(text))
+
+    def _append_route(self, key: str, route: str) -> None:
+        line = json.dumps({"key": key, "route": route}, ensure_ascii=False)
+        with open(self._routes_file, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        self._routes.setdefault(key, set()).add(route)
 
     # ------------------------------------------------------------ cache API
     def get(self, prompt: str) -> str | None:
@@ -150,10 +165,7 @@ class PersistentCache:
         with self._lock:
             if self._entries.get(key) == text:
                 return  # already durable; skip the duplicate append
-            self._entries[key] = text
             self._append(key, text)
-            self._m_puts.inc()
-            self._m_bytes.inc(len(text))
             self._m_entries.set(len(self._entries))
 
     # ------------------------------------------------------------ routing
@@ -166,13 +178,8 @@ class PersistentCache:
         """
         key = prompt_key(prompt)
         with self._lock:
-            routes = self._routes.setdefault(key, set())
-            if route in routes:
-                return
-            routes.add(route)
-            line = json.dumps({"key": key, "route": route}, ensure_ascii=False)
-            with open(self._routes_file, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            if route not in self._routes.get(key, ()):
+                self._append_route(key, route)
 
     def route_keys(self) -> set[str]:
         """Every distinct spec key this shard has cached prompts for."""
@@ -213,20 +220,10 @@ class PersistentCache:
                 if not isinstance(key, str) or not isinstance(text, str):
                     continue
                 if self._entries.get(key) != text:
-                    self._entries[key] = text
                     self._append(key, text)
-                    self._m_puts.inc()
-                    self._m_bytes.inc(len(text))
                     added += 1
-                if isinstance(route, str) and route not in self._routes.get(
-                    key, set()
-                ):
-                    self._routes.setdefault(key, set()).add(route)
-                    line = json.dumps(
-                        {"key": key, "route": route}, ensure_ascii=False
-                    )
-                    with open(self._routes_file, "a", encoding="utf-8") as handle:
-                        handle.write(line + "\n")
+                if isinstance(route, str) and route not in self._routes.get(key, ()):
+                    self._append_route(key, route)
             self._m_entries.set(len(self._entries))
         return added
 

@@ -1,6 +1,6 @@
 """Unit tests for the caching LLM wrapper."""
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
 
@@ -128,6 +128,65 @@ def test_thread_safety_under_concurrent_completions():
     assert cached.misses == 10
     assert cached.hits == 190
     assert cached.usage.calls == 200
+
+
+def test_cached_serves_a_hit_and_counts_nothing_for_a_miss(tmp_path):
+    inner = EchoLLM(reply="pong")
+    first = CachedLLM(inner, persistent=PersistentCache(tmp_path / "cache"))
+    assert first.cached("a", "p_rm") is None
+    # The miss is counted when the prompt is asked for real, not here.
+    assert (first.hits, first.misses, first.usage.calls) == (0, 0, 0)
+    first.complete("a", kind="p_rm")
+    hit = first.cached("a", "answer")
+    assert (hit.prompt, hit.text, hit.model) == ("a", "pong", first.name)
+    assert (first.hits, first.misses, first.persistent_hits) == (1, 1, 0)
+    # Recorded like any hit: wrapper usage, under the kind it was asked as.
+    assert first.usage.calls == 2 and inner.usage.calls == 1
+    assert set(first.usage.per_prompt_kind) == {"p_rm", "answer"}
+
+    # A fresh wrapper finds it in the persistent store and promotes it.
+    second = CachedLLM(EchoLLM(), persistent=PersistentCache(tmp_path / "cache"))
+    assert second.cached("a").text == "pong" and second.cached("a").text == "pong"
+    assert (second.hits, second.persistent_hits, second.misses) == (2, 1, 0)
+
+
+def test_a_reader_does_not_wait_for_the_fetch_in_flight_but_a_fetcher_does(gated_llm):
+    inner = gated_llm()
+    llm = CachedLLM(inner)
+    warm = llm.complete("H", kind="p_rm")  # only complete_batch waits at the gate
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        try:
+            in_flight = pool.submit(llm.complete_batch, ["M"], "answer")
+            assert inner.entered.acquire(timeout=10)  # held inside inner.complete_batch
+            hit = pool.submit(llm.cached, "H", "p_rm").result(timeout=10)
+            assert hit.text == warm.text and not inner.gate.is_set()
+            # Not stored yet: a peek finds nothing and counts nothing ...
+            assert pool.submit(llm.cached, "M", "answer").result(timeout=10) is None
+            assert (llm.hits, llm.misses) == (1, 2)
+            # ... and whoever would compute it waits for the one computing it.
+            again = pool.submit(llm.complete, "M", "answer")
+            assert wait([again], timeout=0.05).not_done
+        finally:
+            inner.gate.set()
+        assert again.result(timeout=10).text == in_flight.result(timeout=10)[0].text
+    assert inner.prompts == ["H", "M"]  # exactly once each
+    assert (llm.hits, llm.misses, llm.usage.calls) == (2, 2, 4)
+
+
+def test_a_short_backend_reply_stores_nothing(tmp_path):
+    class DropsItsFirstReply(EchoLLM):
+        def complete_batch(self, prompts, kind="other"):
+            return [self._record(p, f"T:{p}", kind) for p in prompts][1:]
+
+    store = PersistentCache(tmp_path / "cache")
+    cached = CachedLLM(DropsItsFirstReply(), persistent=store)
+    # At the parent: {'a': 'T:b', 'b': 'T:c'} stored, then KeyError('c').
+    with pytest.raises(RuntimeError, match="2 completions for 3 prompts"):
+        cached.complete_batch(["a", "b", "c"], kind="answer")
+    assert cached.misses == 3 and cached.hits == 0
+    assert len(store) == 0 and len(PersistentCache(tmp_path / "cache")) == 0
+    assert [cached.cached(prompt) for prompt in "abc"] == [None, None, None]
+    assert cached.usage.calls == 0  # no hit was served, before or after
 
 
 def test_persistent_backend_survives_new_wrapper(tmp_path):

@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from repro.llm import EchoLLM
-from repro.serving import MicroBatcher
-from repro.serving.batcher import MIXED, ORIGIN, Origin
+from repro.llm import CachedLLM, EchoLLM
+from repro.obs.metrics import MetricsRegistry
+from repro.serving import MicroBatcher, PersistentCache
+from repro.serving.batcher import MIXED, ORIGIN, BatcherStats, Origin
 
 
 class RecordingLLM(EchoLLM):
@@ -272,6 +273,105 @@ def test_routes_are_noted_on_the_llm_thread_before_the_call(gated_llm):
     (_, prompt, route, noted_on), (_, prompts, called_on) = llm.events
     assert (prompt, route, prompts) == ("a", "spec-1", ["a", "b"])
     assert noted_on is called_on is not threading.current_thread()
+
+
+# --------------------------------------------------------- hits never queue
+def test_a_hit_does_not_wait_for_the_round_trip_in_flight(gated_llm):
+    backend = gated_llm()
+    metrics = MetricsRegistry()
+    llm = CachedLLM(backend, metrics=metrics)
+    warm = llm.complete("H", kind="p_rm")  # only complete_batch waits at the gate
+    run_stats = BatcherStats()
+
+    async def scenario():
+        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
+        loop = asyncio.get_running_loop()
+        miss = loop.create_task(submit_as(batcher, Origin(stats=run_stats), "M", "answer"))
+        await loop.run_in_executor(None, backend.entered.acquire)  # the one thread is held
+        try:
+            # At the parent "H" took a seat behind the held round trip.
+            hit = await asyncio.wait_for(
+                loop.create_task(submit_as(batcher, Origin(stats=run_stats), "H", "p_rm")), 5.0
+            )
+            assert not backend.gate.is_set() and not miss.done()
+            stats = batcher.stats
+            assert (stats.cached, stats.requests, stats.batches) == (1, 1, 1)
+        finally:
+            backend.gate.set()
+        return hit, await miss, stats
+
+    hit, missed, stats = run(scenario())
+    assert hit.text == warm.text and missed.prompt == "M"
+    assert backend.prompts == ["H", "M"] and backend.batches == [("answer", ["M"])]
+    # A request asked for a seat in a batch; a hit is counted beside it, for
+    # the batcher and for its run alike, and by_kind counts every prompt.
+    for counted in (stats, run_stats):
+        assert (counted.cached, counted.requests, counted.batches) == (1, 1, 1)
+        assert counted.by_kind == {"answer": 1, "p_rm": 1}
+        assert counted.mean_batch == 1.0
+    assert metrics.counter("batcher.cached").value == 1
+    assert metrics.counter("batcher.requests").value == 1
+    assert metrics.histogram("batcher.queue_wait").count == 1  # the hit did not wait
+    assert "mixed" not in llm.usage.per_prompt_kind
+
+
+def test_a_prompt_asked_again_while_in_flight_is_computed_once(gated_llm):
+    backend = gated_llm()
+    metrics = MetricsRegistry()
+    llm = CachedLLM(backend, metrics=metrics)
+
+    async def scenario():
+        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
+        loop = asyncio.get_running_loop()
+        first = loop.create_task(batcher.submit("P", "p_rm"))
+        await loop.run_in_executor(None, backend.entered.acquire)
+        second = loop.create_task(batcher.submit("P", "p_rm"))
+        await asyncio.sleep(0)
+        backend.gate.set()
+        # Not stored yet: the second asker found nothing and queued.
+        assert metrics.counter("batcher.requests").value == 2 and batcher.stats.cached == 0
+        return await asyncio.gather(first, second), batcher.stats
+
+    (first, second), stats = run(scenario())
+    assert first.text == second.text
+    # Its own batch's lookup serves it as a hit: one backend call, as before.
+    assert backend.batches == [("p_rm", ["P"])] and backend.prompts == ["P"]
+    assert metrics.counter("llm.calls").value == 1
+    assert (llm.hits, llm.misses, llm.usage.calls) == (1, 1, 2)
+    assert (stats.cached, stats.requests, stats.batches) == (0, 2, 2)
+
+
+def test_a_hit_is_attributed_to_the_route_that_asked(tmp_path, gated_llm):
+    store = PersistentCache(tmp_path / "cache")
+    llm = CachedLLM(gated_llm(open_gate=True), persistent=store)
+
+    async def scenario():
+        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0)
+        loop = asyncio.get_running_loop()
+        for route in ("spec-1", "spec-2", None):
+            await loop.create_task(submit_as(batcher, Origin(route=route), "shared", "p_rm"))
+        return batcher.stats
+
+    stats = run(scenario())
+    assert (stats.requests, stats.cached) == (1, 2)
+    # The entry moves with either spec on a resize — and the note is on disk.
+    for cache in (store, PersistentCache(tmp_path / "cache")):
+        for route in ("spec-1", "spec-2"):
+            assert [row["route"] for row in cache.entries_for_routes({route})] == [route]
+        assert cache.route_keys() == {"spec-1", "spec-2"}
+
+
+def test_a_backend_without_a_cache_takes_the_queue(gated_llm):
+    llm = gated_llm(open_gate=True)
+
+    async def scenario():
+        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0)
+        await batcher.submit("a")
+        await batcher.submit("a")
+        return batcher.stats
+
+    stats = run(scenario())
+    assert (stats.cached, stats.requests, stats.batches) == (0, 2, 2)
 
 
 def test_validates_configuration():

@@ -112,7 +112,7 @@ def test_engine_report_counts_requests(city_table, city_knowledge):
     assert report.tasks_per_second > 0
     # Every pipeline stage went through the batcher.
     assert report.stats is not None
-    assert report.stats.requests == sum(r.usage.calls for r in results)
+    assert report.stats.requests + report.stats.cached == sum(r.usage.calls for r in results)
     assert set(report.stats.by_kind) <= {"p_rm", "p_ri", "p_dp", "p_cq", "answer"}
 
 
@@ -371,9 +371,88 @@ def test_tasks_at_different_stages_fill_each_round_trip(gated_llm, latency):
     assert len(backend.batches) <= math.ceil(sum(calls) / 8) + max(calls)
     assert len(backend.batches) == stats.batches == 15  # whatever the latency
     # Per-kind accounting is per prompt: the batch label is not a kind.
-    assert sum(stats.by_kind.values()) == stats.requests == sum(calls)
+    assert sum(stats.by_kind.values()) == stats.requests + stats.cached == sum(calls)
     assert set(stats.by_kind) == {"p_rm", "p_ri", "p_dp", "p_cq", "answer"}
     assert "mixed" in {kind for kind, _ in backend.batches}
+
+
+# ------------------------------------------------------- hits never queue
+def test_a_warm_run_returns_while_another_run_holds_the_llm_thread(gated_llm):
+    backend = gated_llm()
+    pipeline = UniDM(CachedLLM(backend), UniDMConfig.full(seed=0))
+    warm = [echo_task(f"warm-{i}") for i in range(3)]
+    expected = [pipeline.run(task) for task in warm]  # the sequential loop is not gated
+    asked = list(backend.prompts)
+    outcome = Future()
+
+    def warm_caller():
+        try:
+            outcome.set_result((engine.run(pipeline, warm), engine.last_report))
+        except BaseException as exc:
+            outcome.set_exception(exc)
+
+    with closing(ExecutionEngine(EngineConfig(workers=8))) as engine:
+        holder = threading.Thread(target=engine.run, args=(pipeline, [echo_task("cold")]))
+        holder.start()
+        try:
+            assert backend.entered.acquire(timeout=10)  # the one LLM thread is held
+            threading.Thread(target=warm_caller).start()
+            # At the parent every warm prompt queued behind the held round trip.
+            results, report = outcome.result(timeout=10)
+            assert not backend.gate.is_set() and holder.is_alive()
+        finally:
+            backend.gate.set()
+        holder.join(30)
+        assert not holder.is_alive()
+    assert result_fingerprint(results) == result_fingerprint(expected)
+    assert backend.prompts[: len(asked)] == asked and "warm" not in "".join(
+        backend.prompts[len(asked) :]
+    )
+    stats = report.stats
+    assert (stats.batches, stats.requests, stats.max_batch) == (0, 0, 0)
+    assert stats.cached == sum(r.usage.calls for r in results) == sum(stats.by_kind.values())
+
+
+@pytest.mark.parametrize("warmed", [0, 7, 14], ids=["cold", "half-warm", "warm"])
+def test_hits_and_misses_count_as_in_the_sequential_loop(gated_llm, tmp_path, warmed):
+    tasks = seven_type_tasks(14)
+
+    def fresh(side):
+        # Its own store, pre-filled by another wrapper (as another process
+        # would have) with the first ``warmed`` tasks' prompts.
+        store = tmp_path / side
+        filler = CachedLLM(gated_llm(open_gate=True), persistent=PersistentCache(store))
+        for task in tasks[:warmed]:
+            UniDM(filler, UniDMConfig.full(seed=0)).run(task)
+        backend = gated_llm(open_gate=True)
+        llm = CachedLLM(backend, persistent=PersistentCache(store))
+        return backend, llm, UniDM(llm, UniDMConfig.full(seed=0))
+
+    loop_backend, loop_llm, loop_pipeline = fresh("loop")
+    sequential = [loop_pipeline.run(task) for task in tasks]
+    backend, llm, pipeline = fresh("engine")
+    with closing(ExecutionEngine(EngineConfig(max_batch_size=8, workers=8))) as engine:
+        concurrent = engine.run(pipeline, tasks)
+        stats = engine.last_report.stats
+
+    # Every prompt is counted exactly once, as a hit or as a miss, whether it
+    # was answered at submission or rode a batch.
+    assert result_fingerprint(concurrent) == result_fingerprint(sequential)
+    assert (llm.hits, llm.misses, llm.persistent_hits) == (
+        loop_llm.hits,
+        loop_llm.misses,
+        loop_llm.persistent_hits,
+    )
+    assert llm.usage.snapshot() == loop_llm.usage.snapshot()
+    assert sorted(backend.prompts) == sorted(loop_backend.prompts)
+    calls = sum(r.usage.calls for r in concurrent)
+    assert stats.requests + stats.cached == calls == llm.hits + llm.misses
+    if warmed == len(tasks):
+        assert (stats.cached, stats.batches, backend.prompts) == (calls, 0, [])
+        # A hit is recorded under its own kind, never under a batch's label.
+        assert llm.usage.per_prompt_kind == loop_llm.usage.per_prompt_kind
+    elif warmed:
+        assert 0 < stats.cached < calls and llm.persistent_hits > 0
 
 
 def test_many_callers_under_a_short_switch_interval_lose_nothing(gated_llm):

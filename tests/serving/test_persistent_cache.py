@@ -1,6 +1,8 @@
 """Unit tests for the disk-backed completion cache."""
 
+import errno
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +152,47 @@ def test_reopen_after_crash_with_torn_line_mid_file(tmp_path):
     assert reopened.get("before") == "kept"
     assert reopened.get("after") == "also kept"
     assert len(reopened) == 2
+
+
+ROW = {"key": prompt_key("p"), "text": "t", "route": "spec-1"}
+
+
+@pytest.mark.parametrize(
+    "write, failing_file, expected",
+    [
+        (lambda cache: cache.put("p", "t"), "shard-", ("t", set())),
+        (lambda cache: cache.note_route("p", "spec-1"), "routes", (None, {"spec-1"})),
+        (lambda cache: cache.absorb([ROW]), "shard-", ("t", {"spec-1"})),
+        (lambda cache: cache.absorb([ROW]), "routes", ("t", {"spec-1"})),
+    ],
+    ids=["put", "note_route", "absorb-entry", "absorb-route"],
+)
+def test_a_failed_append_is_retried_not_forgotten(
+    tmp_path, monkeypatch, write, failing_file, expected
+):
+    """Write first, remember second: what memory holds is on disk.
+
+    At the parent the entry (or route) was remembered before its append, so
+    after one failed append the retry was skipped as "already durable" and a
+    reopened cache never had it.
+    """
+    failed = []
+
+    def full_disk_once(file, mode="r", *args, **kwargs):
+        if "a" in mode and Path(file).name.startswith(failing_file) and not failed:
+            failed.append(file)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return open(file, mode, *args, **kwargs)
+
+    def state(cache):
+        return cache.get("p"), cache.route_keys()
+
+    cache = PersistentCache(tmp_path / "c", shards=1)
+    monkeypatch.setattr("repro.serving.cache.open", full_disk_once, raising=False)
+    with pytest.raises(OSError):
+        write(cache)
+    assert failed
+    assert state(cache) == state(PersistentCache(tmp_path / "c", shards=1))
+    write(cache)  # the retry lands ...
+    assert state(cache) == expected
+    assert state(PersistentCache(tmp_path / "c", shards=1)) == expected  # ... and survives
