@@ -44,8 +44,9 @@ have always been legal.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import ErrorInfo, ProtocolError
 from .results import TaskResult

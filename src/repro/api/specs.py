@@ -20,8 +20,9 @@ the CLI all consult — replacing the if/elif ladder the PR 1 service used
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, ClassVar, Mapping, Sequence
+from typing import Any, ClassVar
 
 from ..core.tasks.base import Task
 from ..core.tasks.entity_resolution import EntityResolutionTask
@@ -101,13 +102,12 @@ def _check_rows(rows: Any, field_name: str = "rows") -> tuple[list[dict], list[s
     names = list(out[0])
     known = set(names)
     for row in out[1:]:
-        unknown = set(row) - known
-        _require(
-            not unknown,
-            f"row has attributes {sorted(map(str, unknown))} outside the "
-            f"first row's columns {names}",
-            field_name,
-        )
+        if not known.issuperset(row):  # the message is built for a bad row only
+            unknown = sorted(map(str, set(row) - known))
+            raise InvalidRequestError(
+                f"row has attributes {unknown} outside the first row's columns {names}",
+                field=field_name,
+            )
     return out, names
 
 

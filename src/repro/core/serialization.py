@@ -9,9 +9,30 @@ row is about".
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from ..datalake.schema import Schema
 from ..datalake.table import Record, is_missing
+
+
+def _ordered_names(schema: Schema, attributes: Sequence[str] | None) -> list[str]:
+    """The schema's attributes among ``attributes`` (all by default), subject first."""
+    names = schema.names if attributes is None else [n for n in attributes if n in schema]
+    pk = schema.primary_key()
+    if pk is not None and pk.name in names:
+        names = [pk.name] + [n for n in names if n != pk.name]
+    return names
+
+
+def _pairs(record: Record, ordered: Sequence[str], include_missing: bool) -> list[tuple[str, str]]:
+    pairs: list[tuple[str, str]] = []
+    for name in ordered:
+        value = record[name]
+        if not is_missing(value):
+            pairs.append((name, str(value)))
+        elif include_missing:
+            pairs.append((name, "?"))
+    return pairs
 
 
 def record_pairs(
@@ -20,20 +41,11 @@ def record_pairs(
     include_missing: bool = False,
 ) -> list[tuple[str, str]]:
     """The (attribute, value) pairs of a record, subject attribute first."""
-    names = list(attributes) if attributes is not None else record.schema.names
-    pk = record.schema.primary_key()
-    ordered = names
-    if pk is not None and pk.name in names:
-        ordered = [pk.name] + [n for n in names if n != pk.name]
-    pairs: list[tuple[str, str]] = []
-    for name in ordered:
-        if name not in record.schema:
-            continue
-        value = record[name]
-        if is_missing(value) and not include_missing:
-            continue
-        pairs.append((name, "?" if is_missing(value) else str(value)))
-    return pairs
+    return _pairs(record, _ordered_names(record.schema, attributes), include_missing)
+
+
+def _line(pairs: Sequence[tuple[str, str]], pair_separator: str = ", ") -> str:
+    return pair_separator.join(f"{attr}: {value}" for attr, value in pairs)
 
 
 def serialize_record(
@@ -43,10 +55,20 @@ def serialize_record(
     pair_separator: str = ", ",
 ) -> str:
     """Serialize one record as ``"attr: value, attr: value"``."""
-    return pair_separator.join(
-        f"{attr}: {value}"
-        for attr, value in record_pairs(record, attributes, include_missing)
-    )
+    return _line(record_pairs(record, attributes, include_missing), pair_separator)
+
+
+def _record_lines(
+    records: Sequence[Record], attributes: Sequence[str] | None, include_missing: bool
+) -> Iterator[str]:
+    """One line per record; the attribute order is derived per schema met, not per record."""
+    schema: Schema | None = None
+    ordered: list[str] = []
+    for record in records:
+        if record.schema is not schema:
+            schema = record.schema
+            ordered = _ordered_names(schema, attributes)
+        yield _line(_pairs(record, ordered, include_missing))
 
 
 def serialize_records(
@@ -55,16 +77,12 @@ def serialize_records(
     include_missing: bool = False,
 ) -> str:
     """Serialize several records, one per line (the ``V`` of Section 4.3)."""
-    return "\n".join(
-        serialize_record(r, attributes, include_missing) for r in records
-    )
+    return "\n".join(_record_lines(records, attributes, include_missing))
 
 
 def serialize_rows(rows: Sequence[Sequence[tuple[str, str]]]) -> str:
     """Serialize pre-built (attribute, value) rows, one per line."""
-    return "\n".join(
-        ", ".join(f"{attr}: {value}" for attr, value in row) for row in rows if row
-    )
+    return "\n".join(_line(row) for row in rows if row)
 
 
 def numbered_instances(
@@ -73,6 +91,6 @@ def numbered_instances(
 ) -> str:
     """Render candidate records as the numbered list used in prompt ``p_ri``."""
     return "\n".join(
-        f"{index}) {serialize_record(record, attributes)}"
-        for index, record in enumerate(records, start=1)
+        f"{index}) {line}"
+        for index, line in enumerate(_record_lines(records, attributes, False), start=1)
     )

@@ -2,7 +2,7 @@
 
 from .lake import DataLake
 from .schema import Attribute, AttributeType, Schema
-from .table import MISSING_VALUES, Record, Table, is_missing
+from .table import Record, Table, is_missing
 from .sampling import (
     make_rng,
     sample_items,
@@ -24,7 +24,6 @@ __all__ = [
     "Attribute",
     "AttributeType",
     "DataLake",
-    "MISSING_VALUES",
     "Record",
     "Schema",
     "Table",

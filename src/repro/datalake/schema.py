@@ -75,6 +75,7 @@ class Schema:
             raise ValueError(f"duplicate attribute names in schema: {dupes}")
         self._attributes: tuple[Attribute, ...] = tuple(attrs)
         self._by_name: dict[str, Attribute] = {a.name: a for a in attrs}
+        self._index: dict[str, int] = {name: i for i, name in enumerate(names)}
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
@@ -107,8 +108,8 @@ class Schema:
     # -- accessors ----------------------------------------------------------
     @property
     def names(self) -> list[str]:
-        """Attribute names in declaration order."""
-        return [a.name for a in self._attributes]
+        """Attribute names in declaration order (a fresh list each time)."""
+        return list(self._by_name)
 
     @property
     def attributes(self) -> tuple[Attribute, ...]:
@@ -125,10 +126,7 @@ class Schema:
         return None
 
     def index_of(self, name: str) -> int:
-        for i, a in enumerate(self._attributes):
-            if a.name == name:
-                return i
-        raise KeyError(name)
+        return self._index[name]
 
     # -- derivation ---------------------------------------------------------
     def project(self, names: Sequence[str]) -> "Schema":

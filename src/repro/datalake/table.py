@@ -10,28 +10,24 @@ string ``"?"`` when rendering prompts).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from .schema import Attribute, AttributeType, Schema
 
-#: Values treated as "missing" throughout the library.
-MISSING_VALUES = (None, "", "?", "nan", "NaN", "null", "NULL", "N/A", "NA")
+#: The strings treated as "missing" throughout the library, stripped and
+#: lower-cased (``None`` and a float NaN are missing too).
+_MISSING_STRINGS = frozenset({"", "?", "nan", "null", "n/a", "na", "none"})
 
 
 def is_missing(value: Any) -> bool:
     """Return True when ``value`` should be treated as a missing cell."""
     if value is None:
         return True
+    if isinstance(value, str):
+        return value.strip().lower() in _MISSING_STRINGS
     if isinstance(value, float):
         return value != value  # NaN
-    if isinstance(value, str):
-        return value.strip() in ("", "?") or value.strip().lower() in (
-            "nan",
-            "null",
-            "n/a",
-            "na",
-            "none",
-        )
     return False
 
 
@@ -53,7 +49,7 @@ class Record:
         self._schema = schema
         if isinstance(values, Mapping):
             self._values = [values.get(name) for name in schema.names]
-            unknown = set(values) - set(schema.names)
+            unknown = [name for name in values if schema.get(name) is None]
             if unknown:
                 raise KeyError(f"values for unknown attributes: {sorted(unknown)}")
         else:

@@ -17,6 +17,10 @@ optional *persistent* backend (see
 :class:`~repro.serving.cache.PersistentCache`) spills completions to disk so
 that a warmed cache survives across processes; any object with
 ``get(prompt) -> str | None`` and ``put(prompt, text)`` works.
+
+An LRU entry carries its token counts — ``(text, prompt_tokens,
+completion_tokens)``, counted when the entry is made (a miss stored, a
+persistent hit promoted) and evicted with it — so a hit tokenizes nothing.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class CachedLLM(LanguageModel):
         self.hits = 0
         self.misses = 0
         self.persistent_hits = 0
-        self._cache: OrderedDict[str, str] = OrderedDict()
+        self._cache: OrderedDict[str, tuple[str, int, int]] = OrderedDict()
         # ``_fetch_lock`` makes the whole lookup-or-compute one critical
         # section: concurrent callers never compute the same prompt twice.
         # It is held across the inner-model call, so traffic that computes is
@@ -103,11 +107,11 @@ class CachedLLM(LanguageModel):
         A miss is not counted here: ``cached`` leaves that to the batch that
         will carry the prompt, so every prompt is counted exactly once.
         """
-        text = self._cache.get(prompt)
-        if text is not None:
+        entry = self._cache.get(prompt)
+        if entry is not None:
             self._cache.move_to_end(prompt)
-            self._note_hit(text)
-            return text
+            self._note_hit(entry[0])
+            return entry[0]
         if self.persistent is not None:
             stored = self.persistent.get(prompt)
             if stored is not None:
@@ -125,10 +129,21 @@ class CachedLLM(LanguageModel):
         return text
 
     def _remember(self, prompt: str, text: str) -> None:
-        self._cache[prompt] = text
+        entry = self._cache.get(prompt)
+        if entry is None or entry[0] != text:
+            self._cache[prompt] = (text, self.tokenizer.count(prompt), self.tokenizer.count(text))
         self._cache.move_to_end(prompt)
         if len(self._cache) > self.max_entries:
             self._cache.popitem(last=False)
+
+    def _record(self, prompt: str, text: str, kind: str) -> Completion:
+        """``LanguageModel._record`` on the entry's counts; needs ``_lock``."""
+        entry = self._cache.get(prompt)
+        if entry is None or entry[0] != text:  # evicted by the rest of its own batch
+            return super()._record(prompt, text, kind)
+        completion = Completion(prompt, text, entry[1], entry[2], self.name)
+        self.usage.record(completion, kind=kind)
+        return completion
 
     def _store(self, prompt: str, text: str) -> None:
         """Persist, then remember; needs ``_fetch_lock`` and not ``_lock``.
@@ -210,9 +225,7 @@ class CachedLLM(LanguageModel):
                     if prompt in pending:
                         # Served by the in-flight miss ahead of it in this
                         # batch — sequentially this occurrence would have
-                        # been a hit.
-                        self.hits += 1
-                        self._m_hits.inc()
+                        # been a hit; counted once the text it serves is here.
                         texts.append(None)
                         continue
                     text = self._lookup(prompt)
@@ -240,14 +253,16 @@ class CachedLLM(LanguageModel):
             # Resolve misses from the fetched results, not the LRU: storing a
             # large batch can already have evicted its own earliest entries.
             with self._lock:
-                return [
-                    self._record(
-                        prompt,
-                        text if text is not None else fetched_texts[prompt],
-                        kind,
-                    )
-                    for prompt, text in zip(prompts, texts)
-                ]
+                completions = []
+                for prompt, text in zip(prompts, texts):
+                    if text is None:
+                        text = fetched_texts[prompt]
+                        if prompt in pending:
+                            pending.discard(prompt)  # the miss, counted at lookup
+                        else:
+                            self._note_hit(text)
+                    completions.append(self._record(prompt, text, kind))
+                return completions
 
     # --------------------------------------------------------------- statistics
     @property

@@ -29,8 +29,10 @@ the flat ``{"id", "ok", "answer", "raw", "tokens", "calls"}`` / bare-string
 — the request path, admission, tenancy, stats and ``close()`` are the base
 class's, shared with the cluster router; what this module adds is the *run*
 behind it: the resident engine, told whose share each admitted group runs
-on.  Nothing here serialises callers — concurrent connections' tasks share
-the engine's slots and meet in its one batcher.  :func:`serve_lines` and
+on, and each task's spec-key tag — set only when the backend's persistent
+store keeps a route index (``note_route``) to read it.  Nothing here
+serialises callers — concurrent connections' tasks share the engine's slots
+and meet in its one batcher.  :func:`serve_lines` and
 :func:`start_line_server` put any host's ``handle_batch`` behind stdin or a
 socket.
 """
@@ -164,6 +166,12 @@ class ServingService(FrontDoor):
         tasks: list[Task] = []
         slots: list[int] = []
         plans: list[tuple[int, PipelineSpec]] = []
+        # The spec-key tag rides engine -> batcher so every prompt lands in the
+        # shard's route index (what hash-minimal migration moves entries by).
+        # Computed only when the backend keeps such an index: resolved per run
+        # through the object, so a wrapper forwarding ``persistent`` decides alike.
+        store = getattr(self.pipeline.llm, "persistent", None)
+        keyed = getattr(store, "note_route", None) is not None
         for index, spec in enumerate(specs):
             if isinstance(spec, PipelineSpec):
                 plans.append((index, spec))
@@ -176,10 +184,8 @@ class ServingService(FrontDoor):
                 )
                 results[index] = TaskResult(answer=None, error=info)
                 continue
-            # Spec-key tag the engine propagates to the batcher so every
-            # prompt lands in the shard's route index — the attribution
-            # the cluster's hash-minimal migration moves entries by.
-            task.route_key = _route_key(spec)
+            if keyed:
+                task.route_key = _route_key(spec)
             tasks.append(task)
             slots.append(index)
         if tasks:

@@ -42,3 +42,16 @@ def test_numbered_instances_start_at_one(city_table):
     text = numbered_instances(city_table.records[:2], ["city"])
     assert text.splitlines()[0].startswith("1) ")
     assert text.splitlines()[1].startswith("2) ")
+
+
+def test_many_records_serialize_as_each_would_alone(city_table):
+    # The attribute order is derived once per schema met, not per record: a
+    # run of records over different schemas must still get each its own.
+    other = city_table.project(["country", "city"]).records
+    records = [city_table[0], other[1], other[2], city_table[5]]
+    for attributes in (None, ["country", "city", "unknown", "country"], ["timezone"]):
+        for include_missing in (False, True):
+            lines = [serialize_record(r, attributes, include_missing) for r in records]
+            assert serialize_records(records, attributes, include_missing) == "\n".join(lines)
+        numbered = [f"{i}) {serialize_record(r, attributes)}" for i, r in enumerate(records, 1)]
+        assert numbered_instances(records, attributes) == "\n".join(numbered)

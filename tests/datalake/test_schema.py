@@ -56,6 +56,27 @@ def test_schema_index_of(city_schema):
         city_schema.index_of("nope")
 
 
+def test_schema_names_is_a_fresh_list(city_schema):
+    names = city_schema.names
+    names.append("extra")
+    names[0] = "changed"
+    assert city_schema.names == ["city", "country", "population", "timezone"]
+    assert city_schema.index_of("city") == 0 and "extra" not in city_schema
+
+
+def test_derived_schemas_index_their_own_order(city_schema):
+    for derived in (
+        city_schema.project(["timezone", "city"]),
+        city_schema.drop(["city"]),
+        city_schema.rename({"city": "town", "timezone": "tz"}),
+    ):
+        assert [derived.index_of(name) for name in derived.names] == list(range(len(derived)))
+        assert [derived[index].name for index in range(len(derived))] == derived.names
+    renamed = city_schema.rename({"city": "town"})
+    with pytest.raises(KeyError):
+        renamed.index_of("city")
+
+
 def test_schema_project_preserves_order(city_schema):
     projected = city_schema.project(["timezone", "city"])
     assert projected.names == ["timezone", "city"]

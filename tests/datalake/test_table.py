@@ -15,6 +15,20 @@ def test_is_missing_values():
     assert not is_missing(0)
 
 
+@pytest.mark.parametrize(
+    "value, missing",
+    [(value, True) for value in (None, float("nan"), "", "   ", "?", " ? ", "nan", " NaN ", "NULL",
+                                 "Null", "N/A", "n/a", "NA", "na", "none", "None", "\tNONE\n")]
+    + [(value, False) for value in (0, 0.0, False, "0", "nah", "n a", "??", "nil", "-", "value",
+                                    float("inf"), [], ("?",))],
+    ids=repr,
+)
+def test_is_missing_has_one_definition(value, missing):
+    """Both directions: every spelling of "no value", in any case and padding,
+    is missing; a falsy or look-alike value is a value."""
+    assert is_missing(value) is missing
+
+
 def test_record_from_mapping(city_schema):
     record = Record(city_schema, {"city": "Oslo", "country": "Norway"})
     assert record["city"] == "Oslo"

@@ -4,7 +4,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
 
-from repro.llm import CachedLLM, EchoLLM
+from repro.llm import CachedLLM, EchoLLM, SimpleTokenizer
+from repro.obs.metrics import MetricsRegistry
 from repro.serving import PersistentCache
 
 
@@ -216,3 +217,125 @@ def test_clear_keeps_persistent_store(tmp_path):
     cached.complete("a")  # memory cleared, but the disk store still has it
     assert inner.usage.calls == 1
     assert cached.persistent_hits == 1
+
+
+# ------------------------------------------------- an entry carries its counts
+class CountingTokenizer(SimpleTokenizer):
+    """Remembers every text it is asked to count."""
+
+    def __init__(self):
+        super().__init__()
+        self.counted: list[str] = []
+
+    def count(self, text):
+        self.counted.append(text)
+        return super().count(text)
+
+
+def _counting(cached: CachedLLM) -> CountingTokenizer:
+    """Give the wrapper alone a counting tokenizer (the inner model keeps its
+    own, so only the wrapper's accounting is seen)."""
+    cached.tokenizer = CountingTokenizer()
+    return cached.tokenizer
+
+
+def _tokens(completion) -> tuple[int, int]:
+    return completion.prompt_tokens, completion.completion_tokens
+
+
+def _plain_tokens(prompt: str, text: str) -> tuple[int, int]:
+    return SimpleTokenizer().count(prompt), SimpleTokenizer().count(text)
+
+
+def test_a_miss_is_tokenized_once_and_a_hit_never():
+    cached = CachedLLM(EchoLLM(reply="pong pong, pong"))
+    tokenizer = _counting(cached)
+    prompt = "impute: city, timezone of Copenhagen 1234?"
+    expected = _plain_tokens(prompt, "pong pong, pong")
+
+    miss = cached.complete(prompt, kind="p_rm")
+    assert tokenizer.counted == [prompt, "pong pong, pong"]
+    # Every way to a hit: the loop thread's peek, a lone call, a batch lookup,
+    # and a duplicate behind a miss of its own batch.
+    hits = [cached.cached(prompt, "p_rm"), cached.complete(prompt)]
+    hits += cached.complete_batch([prompt, prompt, "other", "other"], kind="answer")[:2]
+    assert tokenizer.counted == [prompt, "pong pong, pong", "other", "pong pong, pong"]
+    assert [_tokens(c) for c in [miss, *hits]] == [expected] * 5
+    other = SimpleTokenizer().count("other")
+    assert cached.usage.snapshot() == (7, 5 * expected[0] + 2 * other, 7 * expected[1])
+
+
+def test_a_persistent_hit_is_tokenized_when_promoted_and_not_again(tmp_path):
+    store = PersistentCache(tmp_path / "cache")
+    store.put("stored prompt", "stored text")
+    cached = CachedLLM(EchoLLM(), persistent=store)
+    tokenizer = _counting(cached)
+    first = cached.cached("stored prompt")
+    assert tokenizer.counted == ["stored prompt", "stored text"]
+    second, third = cached.complete("stored prompt"), cached.complete_batch(["stored prompt"])[0]
+    assert tokenizer.counted == ["stored prompt", "stored text"]
+    assert (cached.persistent_hits, cached.hits, cached.misses) == (1, 3, 0)
+    expected = _plain_tokens("stored prompt", "stored text")
+    assert [_tokens(c) for c in (first, second, third)] == [expected] * 3
+
+
+def test_counts_are_evicted_with_their_entry():
+    cached = CachedLLM(EchoLLM(reply="x y"), max_entries=2)
+    tokenizer = _counting(cached)
+    for prompt in ("a a", "b", "c"):  # "a a" is evicted by "c"
+        cached.complete(prompt)
+    assert len(cached._cache) == 2 and len(tokenizer.counted) == 6
+    again = cached.complete("a a")
+    assert tokenizer.counted[6:] == ["a a", "x y"] and len(cached._cache) == 2
+    assert _tokens(again) == (2, 2)
+    # A batch that evicts its own first entries still reports their counts.
+    batch = cached.complete_batch(["d d d", "e", "f", "d d d"])
+    assert [_tokens(c) for c in batch] == [(3, 2), (1, 2), (1, 2), (3, 2)]
+    assert len(cached._cache) == 2
+
+
+def test_a_different_text_under_a_stored_prompt_is_recounted():
+    cached = CachedLLM(EchoLLM(reply="one"))
+    tokenizer = _counting(cached)
+    assert _tokens(cached.complete("p")) == (1, 1)
+    cached._store("p", "one")  # the same text again: the entry stands
+    assert tokenizer.counted == ["p", "one"]
+    cached._store("p", "two words, more")  # what a racing fetch would do
+    assert tokenizer.counted == ["p", "one", "p", "two words, more"]
+    hit = cached.cached("p")
+    assert (hit.text, _tokens(hit)) == ("two words, more", (1, 5))
+
+
+# ------------------------------------- one by one or coalesced, the same counts
+def _cache_counters(registry: MetricsRegistry) -> dict:
+    counters = registry.snapshot()["counters"]
+    return {name: value for name, value in counters.items() if name.startswith("cache.")}
+
+
+@pytest.mark.parametrize("persistent", [False, True])
+def test_a_duplicate_inside_a_batch_is_counted_like_a_sequential_hit(tmp_path, persistent):
+    prompts = ["A", "B", "A", "A", "C", "B"]
+    seen = []
+    for name, coalesced in (("one-by-one", False), ("batch", True)):
+        registry = MetricsRegistry()
+        store = PersistentCache(tmp_path / name) if persistent else None
+        if store is not None:
+            store.put("C", "stored")
+        cached = CachedLLM(EchoLLM(reply="hello"), persistent=store, metrics=registry)
+        if coalesced:
+            completions = cached.complete_batch(prompts)
+        else:
+            completions = [cached.complete(prompt) for prompt in prompts]
+        seen.append(
+            (
+                _cache_counters(registry),
+                (cached.hits, cached.misses, cached.persistent_hits),
+                cached.usage.snapshot(),
+                [(c.prompt, c.text) for c in completions],
+            )
+        )
+    assert seen[0] == seen[1]
+    # At the parent the batch served its three duplicates' 15 bytes uncounted.
+    served = 15 + (len("stored") if persistent else 0)
+    assert seen[1][0]["cache.bytes_served"] == served
+    assert seen[1][0]["cache.hits"] == 3 + persistent

@@ -76,3 +76,36 @@ def test_tokenize_equals_the_reference_loop(text, subword_length):
     expected = reference_tokenize(text, subword_length)
     assert tokenizer.tokenize(text) == expected
     assert tokenizer.count(text) == len(expected)
+
+
+#: Every class boundary of the pattern over ASCII — letters, digits, each
+#: ASCII whitespace (``\s`` takes ``\x1c``-``\x1f`` too), punctuation and the
+#: controls at both ends — which is all the byte-class path ever sees ...
+_ASCII_BOUNDARIES = (
+    "abzAZ" * 3 + "0189" * 2 + " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f" + ".,;:-_'\"/\\" + "\x00\x7f"
+)
+#: ... and a non-ASCII member of each class (a letter, a digit, two spaces),
+#: any one of which sends the whole text to the regex.
+_ALL_BOUNDARIES = _ASCII_BOUNDARIES + "\u00e9\u0663\u00a0\u2003"
+
+
+@settings(max_examples=1500, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(st.sampled_from(_ASCII_BOUNDARIES), max_size=60),
+        st.text(st.sampled_from(_ALL_BOUNDARIES), max_size=12),
+        st.text(max_size=40),
+    ),
+    subword_length=st.integers(1, 6),
+)
+def test_count_is_the_length_of_tokenize(text, subword_length):
+    """``count`` never builds the token list for ASCII text; it must still be
+    its length — token counts are results."""
+    tokenizer = SimpleTokenizer(subword_length=subword_length)
+    assert tokenizer.count(text) == len(tokenizer.tokenize(text))
+
+
+def test_count_of_long_ascii_runs_and_non_text_input():
+    tokenizer = SimpleTokenizer()
+    for text in ("a" * 9 + "1" * 9 + "!" * 3, "abcd" * 50, "x 12 y\x1c34\x1fz", "", 12345, None):
+        assert tokenizer.count(text) == len(tokenizer.tokenize(text))
