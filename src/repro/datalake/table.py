@@ -228,8 +228,9 @@ class Table:
         The last partition may be shorter; records keep their original
         ``record_id``, so per-partition results can be written back to the
         source rows.  This is the streaming unit of the flow executor: a large
-        table is processed partition-at-a-time so that prompt material is
-        bounded by the partition size, never the table size.
+        table is processed a few partitions at a time so that prompt material
+        is bounded by ``max(batch_size, partition size)`` rows, never the
+        table size.
         """
         if size < 1:
             raise ValueError("partition size must be positive")

@@ -7,25 +7,28 @@ The executor walks a pipeline's stages in three structural layers:
   :class:`~repro.flow.operators.Ask`) and at
   :class:`~repro.flow.operators.Partition` markers (which change the
   streaming chunk size);
-* **partitions** — each segment streams its input table partition-at-a-time,
-  so the prompt material in flight is bounded by the partition size, never
-  the table size;
-* **waves** — within a partition, conflict-free LLM stages submit as one
-  combined batch (see :func:`repro.flow.planner.independent_waves`), after
-  cross-stage deduplication against the run-wide result cache.
+* **partition groups** — each segment streams its input table in
+  partitions, and consecutive partitions totalling at most ``batch_size``
+  rows (at least one partition) move through the segment together: at most
+  ``max(batch_size, partition size)`` rows are compiled at once;
+* **waves** — conflict-free LLM stages (see
+  :func:`repro.flow.planner.independent_waves`) compile over every
+  partition of a group against one shared dedup set and the run-wide result
+  cache; their new specs leave in one submission (chunked at
+  ``batch_size``), so a spec key is submitted at most once per run.
 
 The backend is any callable ``submit(list[TaskSpec]) -> list[TaskResult]``
 answering in order — :meth:`repro.api.Client.submit_many` (local engine or
 TCP service alike) or the serving service's internal plan runner.  A failed
 item aborts the run with a :class:`~repro.flow.operators.FlowError` naming
-the stage.
+the stage credited with submitting it (the first to compile its key).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..datalake.table import Table
 from ..obs.metrics import MetricsRegistry, SIZE_BUCKETS, get_default_registry
@@ -184,19 +187,16 @@ class FlowExecutor:
         for kind, size, stages in _segments(pipeline):
             if kind == "barrier":
                 report.waves += 1
-                current = self._run_waves(
-                    [[stages]], current, planner, report, answers
+                (current,) = self._run_waves(
+                    [[stages]], [current], planner, report, answers
                 )
                 continue
             waves = independent_waves(stages)
             report.waves += len(waves)
             parts_out: list[Table] = []
-            for part in _chunks(current, size):
-                parts_out.append(
-                    self._run_waves(waves, part, planner, report, answers)
-                )
-            if parts_out:
-                current = Table.concat(parts_out, name=current.name)
+            for group in _groups(_chunks(current, size), self.batch_size):
+                parts_out += self._run_waves(waves, group, planner, report, answers)
+            current = Table.concat(parts_out, name=current.name)
         report.rows_out = len(current)
         report.elapsed = time.perf_counter() - started
         return FlowResult(table=current, answers=answers, report=report)
@@ -205,51 +205,51 @@ class FlowExecutor:
     def _run_waves(
         self,
         waves: "list[list[tuple[int, Operator]]]",
-        part: Table,
+        parts: list[Table],
         planner: Planner,
         report: FlowReport,
         answers: dict[str, Any],
-    ) -> Table:
+    ) -> list[Table]:
+        """Move a partition group through ``waves``: one submission per LLM wave."""
+        # The bound on rows compiled at once: max(batch_size, partition size).
+        assert len(parts) == 1 or sum(map(len, parts)) <= self.batch_size
         for wave in waves:
             if len(wave) == 1 and not wave[0][1].needs_llm:
                 index, operator = wave[0]
-                part = operator.transform(part)
-                report.stages[index].partitions += 1
+                parts = [operator.transform(part) for part in parts]
+                report.stages[index].partitions += len(parts)
                 continue
-            plan = planner.plan_wave(wave, part)
+            queued: set[str] = set()
+            plans = [planner.plan_wave(wave, part, queued) for part in parts]
             self._m_waves.inc()
-            total_specs = sum(len(stage_plan.items) for stage_plan in plan.plans)
+            total_specs = sum(len(sp.items) for plan in plans for sp in plan.plans)
             self._m_wave_specs.observe(total_specs)
-            # One span per LLM wave: submissions made inside inherit it via
-            # the ambient context, so cluster dispatch spans nest beneath it.
-            with span("flow.wave", specs=total_specs, stages=len(plan.plans)):
-                self._submit_new(plan, planner, report)
-                for stage_plan in plan.plans:
-                    metrics = report.stages[stage_plan.index]
-                    metrics.items += len(stage_plan.items)
-                    metrics.submitted += stage_plan.fresh
-                    metrics.reused += len(stage_plan.items) - stage_plan.fresh
-                    metrics.partitions += 1
-                    report.specs += len(stage_plan.items)
-                    report.submitted += stage_plan.fresh
-                    self._m_specs.inc(len(stage_plan.items))
-                    self._m_submitted.inc(stage_plan.fresh)
-                    self._m_reused.inc(len(stage_plan.items) - stage_plan.fresh)
-                    values = [planner.answer(key) for key in stage_plan.keys]
-                    part = stage_plan.operator.apply(
-                        part, list(zip(stage_plan.items, values)), answers
-                    )
-        return part
+            # One span per (group, LLM wave): submissions made inside inherit
+            # it via the ambient context, so cluster dispatch spans nest beneath.
+            with span("flow.wave", specs=total_specs, stages=len(wave), partitions=len(parts)):
+                self._submit_new(plans, planner, report)
+                for i, plan in enumerate(plans):
+                    for stage_plan in plan.plans:
+                        metrics = report.stages[stage_plan.index]
+                        metrics.items += len(stage_plan.items)
+                        metrics.submitted += stage_plan.fresh
+                        metrics.reused += len(stage_plan.items) - stage_plan.fresh
+                        metrics.partitions += 1
+                        report.specs += len(stage_plan.items)
+                        report.submitted += stage_plan.fresh
+                        self._m_specs.inc(len(stage_plan.items))
+                        self._m_submitted.inc(stage_plan.fresh)
+                        self._m_reused.inc(len(stage_plan.items) - stage_plan.fresh)
+                        values = [planner.answer(key) for key in stage_plan.keys]
+                        parts[i] = stage_plan.operator.apply(
+                            parts[i], list(zip(stage_plan.items, values)), answers
+                        )
+        return parts
 
     def _submit_new(
-        self, plan: WavePlan, planner: Planner, report: FlowReport
+        self, plans: list[WavePlan], planner: Planner, report: FlowReport
     ) -> None:
-        pending = plan.new
-        stage_of = {
-            key: (stage_plan.index, stage_plan.operator.op)
-            for stage_plan in plan.plans
-            for key in stage_plan.keys
-        }
+        pending = [pair for plan in plans for pair in plan.new]
         for start in range(0, len(pending), self.batch_size):
             chunk = pending[start : start + self.batch_size]
             results = self.submit([spec for _, spec in chunk])
@@ -260,7 +260,13 @@ class FlowExecutor:
                 )
             for (key, _), result in zip(chunk, results):
                 if result.error is not None:
-                    index, op = stage_of.get(key, ("?", "?"))
+                    # Blame the stage credited with the submission: the first to compile it.
+                    index, op = next(
+                        (sp.index, sp.operator.op)
+                        for plan in plans
+                        for sp in plan.plans
+                        if key in sp.keys
+                    )
                     raise FlowError(
                         f"stage {index} ({op}) failed: "
                         f"[{result.error.code}] {result.error.message}"
@@ -303,6 +309,23 @@ def _segments(
         buffer.append((index, operator))
     flush()
     return segments
+
+
+def _groups(parts: Iterable[Table], rows: int) -> Iterator[list[Table]]:
+    """Runs of consecutive partitions totalling at most ``rows`` rows.
+
+    A partition larger than ``rows`` is a group of one, so a group never
+    holds more than ``max(rows, partition size)`` rows.
+    """
+    group: list[Table] = []
+    total = 0
+    for part in parts:
+        if group and total + len(part) > rows:
+            yield group
+            group, total = [], 0
+        group.append(part)
+        total += len(part)
+    yield group
 
 
 def _chunks(table: Table, size: int | None) -> Iterable[Table]:

@@ -134,7 +134,10 @@ class Pipeline:
             table: The input table (validated statically before any LLM call).
             client: Any :class:`~repro.api.Client`; when omitted a local
                 stack is assembled with ``seed`` and closed afterwards.
-            batch_size: Specs per ``submit_many`` round.
+            batch_size: Specs per ``submit_many`` round, and the row budget
+                of a partition group: consecutive partitions totalling at
+                most this many rows move through each wave in one
+                submission (a larger partition goes alone).
             seed: Seed of the implicit local stack (ignored with ``client``).
 
         Returns:

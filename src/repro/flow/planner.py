@@ -13,8 +13,10 @@ Two jobs live here:
 * **Cross-stage prompt deduplication** — every compiled
   :class:`~repro.flow.operators.WorkItem` is keyed by a digest of the
   canonical JSON of its spec's wire form; a spec already answered earlier in
-  the run (another stage, another partition, or earlier in the same wave)
-  reuses the recorded result instead of re-submitting (:class:`Planner`).
+  the run (another stage, another partition group, an earlier wave) or
+  already queued for the same submission (earlier in the wave, or by another
+  partition of the group) reuses the recorded result instead of
+  re-submitting (:class:`Planner`).
   On lake tables with duplicated rows or repeated values this is where most
   of the LLM-call savings come from.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..api.specs import TaskSpec
 from .operators import Operator, WorkItem
@@ -95,7 +97,7 @@ class StagePlan:
 
 @dataclass
 class WavePlan:
-    """One submission round: several stage plans plus their combined new work."""
+    """One partition's share of a submission round: its stage plans and new work."""
 
     plans: list[StagePlan]
     #: First-seen (key, spec) pairs across the wave, in compile order.
@@ -110,10 +112,18 @@ class Planner:
         self.results: dict[str, "TaskResult"] = {}
 
     def plan_wave(
-        self, stages: Sequence[tuple[int, Operator]], table: "Table"
+        self,
+        stages: Sequence[tuple[int, Operator]],
+        table: "Table",
+        queued: set[str] | None = None,
     ) -> WavePlan:
-        """Compile every stage of a wave over ``table``, deduplicating specs."""
-        queued: set[str] = set()
+        """Compile every stage of a wave over ``table``, deduplicating specs.
+
+        ``queued`` holds the keys already planned for the same submission:
+        the partitions of one group share it, so a key compiled by several
+        of them is new in the first plan only.
+        """
+        queued = set() if queued is None else queued
         wave = WavePlan(plans=[])
         for index, operator in stages:
             items = operator.compile(table)
@@ -133,7 +143,7 @@ class Planner:
     def record(self, key: str, result: "TaskResult") -> None:
         self.results[key] = result
 
-    def answer(self, key: str):
+    def answer(self, key: str) -> Any:
         return self.results[key].answer
 
 

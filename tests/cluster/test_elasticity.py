@@ -134,13 +134,23 @@ def test_leave_waits_for_slow_inflight_work(tmp_path, mixed_specs):
         victim = sorted(router.live_workers)[0]
         injector.slow_drain(victim, 0.2)
         outcome: dict = {}
+        reached = threading.Event()
+        on_submit = injector.on_submit
+
+        def noting_on_submit(worker) -> None:
+            if worker.worker_id == victim:
+                reached.set()
+            on_submit(worker)
+
+        injector.on_submit = noting_on_submit
 
         def pound() -> None:
             outcome["fp"] = fingerprint(router.submit_specs(mixed_specs))
 
         load = threading.Thread(target=pound)
         load.start()
-        time.sleep(0.05)  # let the slow submit reach the victim
+        # The slow submit has reached the victim before the drain starts.
+        assert reached.wait(timeout=30)
         router.remove_worker(victim, drain=True, drain_timeout=30.0)
         load.join(timeout=60)
         assert not load.is_alive()

@@ -242,6 +242,58 @@ def test_a_plans_waves_reach_the_workers_at_the_plans_priority():
         assert envelope_priorities and set(envelope_priorities) == {7}
 
 
+
+def test_a_plans_wave_fans_out_once_not_once_per_partition():
+    calls: list = []
+
+    class RecordingWorker(Worker):
+        def __init__(self, inner):
+            self.inner = inner
+            self.worker_id = inner.worker_id
+
+        def submit(self, requests, priority=0, **share):
+            calls.append((self.worker_id, len(requests)))
+            return self.inner.submit(requests, priority, **share)
+
+        def ping(self):
+            return self.inner.ping()
+
+        def close(self):
+            self.inner.close()
+
+    rows = [
+        {"name": f"shop-{i}", "city": None if i % 3 else "rome", "phone": f"06-{i}"}
+        for i in range(12)
+    ]
+    spec = PipelineSpec(
+        rows=rows,
+        stages=[
+            {"op": "detect_errors", "column": "phone"},
+            {"op": "impute", "column": "city"},
+            {
+                "op": "transform",
+                "column": "phone",
+                "examples": [["06-1", "+39 06 1"]],
+                "output_column": "intl",
+            },
+        ],
+        partition_size=4,
+    )
+    with Client.local(llm=PromptPureLLM(), config=FULL_CONFIG) as local:
+        expected = local.submit(spec).answer
+    with make_router(4, worker_decorator=RecordingWorker) as router:
+        (result,) = router.submit_specs([spec])
+    assert result.error is None
+    report = result.answer["report"]
+    assert report["waves"] == 2
+    # Three partitions, two waves: each wave is one dispatch over the ring
+    # (<= 4 worker calls), not one per partition.
+    assert 0 < len(calls) <= 4 * report["waves"]
+    assert sum(n for _, n in calls) == report["submitted"]
+    assert result.answer["rows"] == expected["rows"]
+    assert result.answer["columns"] == expected["columns"]
+
+
 # ------------------------------------------------------------------- stats
 def test_stats_aggregate_routed_and_cache_counters(mixed_specs):
     with make_router(3) as router:

@@ -216,3 +216,149 @@ def test_validation_failure_happens_before_any_submission(client, table):
     with pytest.raises(FlowError):
         executor.run(Pipeline([Impute("zipcode")]), table)
     assert calls == []
+
+
+def test_failed_spec_blames_the_stage_credited_with_its_submission():
+    from repro.api.errors import ErrorInfo
+    from repro.api.results import TaskResult
+
+    def failing_backend(specs):
+        return [
+            TaskResult(answer=None, error=ErrorInfo(code="boom", message="backend down"))
+            for _ in specs
+        ]
+
+    # Both stages compile the same spec; stage 0 submits it, stage 1 reuses it.
+    examples = [["p", "P"]]
+    flow = Pipeline(
+        [
+            Transform("a", examples=examples, output_column="a2"),
+            Transform("b", examples=examples, output_column="b2"),
+        ]
+    )
+    table = Table.from_dicts("t", [{"a": "x", "b": "x"}])
+    with pytest.raises(FlowError, match=r"stage 0 \(transform\).*boom"):
+        FlowExecutor(failing_backend).run(flow, table)
+
+
+# ------------------------------------------------- partition groups move together
+def lake():
+    """Twelve rows, three partitions of four: a missing city in each partition,
+    phone values repeating across partitions."""
+    rows = [
+        {"name": f"shop-{i}", "city": None if i % 3 == 0 else "rome", "phone": f"06-{i % 6}"}
+        for i in range(12)
+    ]
+    return Table.from_dicts("lake", rows)
+
+
+def three_stage_flow(partition_size=4):
+    return Pipeline(
+        [
+            DetectErrors("phone"),
+            Impute("city"),
+            Transform("phone", examples=[["06-1", "+39 06 1"]], output_column="intl"),
+        ],
+        partition_size=partition_size,
+    )
+
+
+def spied_run(monkeypatch, batch_size, partition_size=4):
+    """Run the three-stage flow, logging every plan (rows compiled) and every
+    submission (spec keys) in order, on a fresh local stack."""
+    from repro.flow.planner import Planner, spec_key
+
+    events = []
+    plan_wave = Planner.plan_wave
+
+    def spying_plan_wave(self, stages, table, *shared):
+        events.append(("plan", len(table)))
+        return plan_wave(self, stages, table, *shared)
+
+    monkeypatch.setattr(Planner, "plan_wave", spying_plan_wave)
+    with Client.local(llm=PromptHashLLM(), batch_size=4, workers=4) as client:
+
+        def submit(specs):
+            events.append(("submit", [spec_key(spec) for spec in specs]))
+            return client.submit_many(specs)
+
+        result = FlowExecutor(submit, batch_size=batch_size).run(
+            three_stage_flow(partition_size), lake()
+        )
+    return result, events
+
+
+def submissions(events):
+    return [keys for kind, keys in events if kind == "submit"]
+
+
+def rows_per_submission(events):
+    """Rows compiled by the plans each submission was drawn from."""
+    out, rows, fresh_round = [], 0, True
+    for kind, value in events:
+        if kind == "plan":
+            rows = value if fresh_round else rows + value
+            fresh_round = False
+        else:
+            out.append(rows)
+            fresh_round = True
+    return out
+
+
+def test_a_waves_partitions_leave_in_one_submission(monkeypatch):
+    result, events = spied_run(monkeypatch, batch_size=64)
+    # Two LLM waves (DetectErrors | Impute + Transform), all three
+    # partitions in one group: one submission per wave, not per partition.
+    assert result.report.waves == 2
+    assert len(submissions(events)) == 2
+    assert rows_per_submission(events) == [12, 12]
+
+
+def test_groups_are_cut_at_batch_size_rows(monkeypatch):
+    result, events = spied_run(monkeypatch, batch_size=8)
+    sent = submissions(events)
+    # Groups {0, 1} (8 rows) and {2} (4 rows); per (group, wave) the new
+    # specs leave in ceil(new / 8) submissions: 8 | 9 new for the first
+    # group (1 + 2 submissions), 4 | 1 for the second (1 + 1) — its phones
+    # were all answered by the first group.
+    assert [len(keys) for keys in sent] == [8, 8, 1, 4, 1]
+    assert rows_per_submission(events) == [8, 8, 8, 4, 4]
+    assert sum(map(len, sent)) == result.report.submitted
+
+
+@pytest.mark.parametrize(
+    "batch_size, partition_size, attained",
+    [(8, 4, 8), (6, 4, 4), (64, 4, 12), (4, 4, 4), (3, 4, 4), (5, 2, 4), (1, 12, 12)],
+)
+def test_rows_compiled_per_submission_are_bounded(
+    monkeypatch, batch_size, partition_size, attained
+):
+    _, events = spied_run(monkeypatch, batch_size, partition_size)
+    rows = rows_per_submission(events)
+    assert max(rows) <= max(batch_size, partition_size)
+    # ...and the bound is what groups reach, not one partition at a time.
+    assert max(rows) == attained
+
+
+@pytest.mark.parametrize("batch_size", [1, 8, 64])
+def test_a_spec_key_is_submitted_at_most_once_per_run(monkeypatch, batch_size):
+    result, events = spied_run(monkeypatch, batch_size)
+    keys = [key for batch in submissions(events) for key in batch]
+    assert len(keys) == len(set(keys)) == result.report.submitted
+    # The repeated phone values were compiled in several partitions.
+    transform = result.report.stages[2]
+    assert transform.reused > 0
+
+
+def test_grouped_run_matches_one_partition_at_a_time(monkeypatch):
+    grouped, _ = spied_run(monkeypatch, batch_size=64)
+    single, _ = spied_run(monkeypatch, batch_size=1)
+    assert grouped.table.to_dicts() == single.table.to_dicts()
+    assert grouped.table.schema.names == single.table.schema.names
+    assert grouped.answers == single.answers
+    totals = lambda r: (  # noqa: E731 - tiny local projection
+        r.specs, r.submitted, r.reused, r.dedup_factor, r.llm_calls,
+        r.llm_tokens, r.rows_in, r.rows_out, r.waves,
+        [stage.partitions for stage in r.stages],
+    )
+    assert totals(grouped.report) == totals(single.report)
