@@ -59,9 +59,9 @@ frame sync (torn frame, oversized declared length), receives a best-effort
 matrix, handshake, length-prefix layout, multiplexing and backpressure
 semantics — lives in `docs/wire-transport.md`.
 
-Two request generations coexist on the channel:
+## Envelope
 
-## v2 envelope (native)
+Every request and every response is a v2 envelope:
 
 ```json
 {"v": 2, "id": 7, "task": {"type": "transformation",
@@ -80,7 +80,7 @@ Responses mirror the id and carry either a result or a structured error:
             non-empty list of [input, output] pairs", "field": "examples"}}
 ```
 
-Three optional v2 envelope keys carry the observability layer (see
+Three optional envelope keys carry the observability layer (see
 `docs/observability.md`): `"trace"` — a client-stamped trace id, echoed on
 the response envelope so calls correlate end to end; `"span"` — the id of
 the caller's active span, adopted as the parent of the receiver's spans so
@@ -104,20 +104,7 @@ bucket refills and whose `details` object reports the decision
 (`tenant`, `reason` — `"rate"` or `"inflight"` — `requests`, `rate`,
 `burst`, `max_inflight`, `inflight`).  Admitted work is scheduled
 weighted-fair across tenants, with `"priority"` breaking ties within a
-tenant.  All of these keys are ignored by older peers.
-
-## v1 envelope (accepted for compatibility)
-
-A flat object without a `"v"` key: `{"id": 3, "type": "transformation",
-...task fields}`.  v1 callers get flat responses
-(`{"id", "ok", "answer", "raw", "tokens", "calls"}`) with errors as bare
-strings; the response generation always mirrors the request generation.
-
-**Migrating a v1 caller:** wrap the task payload as
-`{"v": 2, "id": ..., "task": {...}}`, read answers from
-`response["result"]`, and switch error handling from string matching to
-`error["code"]` / `error["field"]`.  In Python, replace hand-built dicts
-with `repro.api` specs and `Client`.
+tenant.  Unknown envelope keys are ignored.
 
 ## Error codes
 """

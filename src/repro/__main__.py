@@ -19,9 +19,9 @@ Commands
     aggregated :class:`~repro.cluster.ClusterStats` are printed.
 ``serve``
     Answer JSON task requests (newline-delimited; blank line flushes a batch)
-    on stdin/stdout, or on a TCP socket with ``--port``.  Speaks the
-    versioned protocol of :mod:`repro.api.protocol` (v2 envelopes natively,
-    flat v1 requests still accepted) and covers all seven task types.  With
+    on stdin/stdout, or on a TCP socket with ``--port``.  Speaks the v2
+    envelopes of :mod:`repro.api.protocol` and covers all seven task
+    types.  With
     ``--cluster``, ``--workers N`` serving stacks shard the work by
     consistent hash with disjoint persistent-cache shards
     (``--cluster-mode process`` spawns them as subprocesses).  With

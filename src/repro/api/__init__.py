@@ -6,8 +6,8 @@ this package is that interface at the system level.  It has three layers:
 * :mod:`repro.api.specs` — one typed ``TaskSpec`` per task (all seven),
   validating requests and round-tripping through the wire form via a single
   registry;
-* :mod:`repro.api.protocol` — the versioned envelope (v2 native, v1 still
-  accepted) and structured :class:`~repro.api.errors.ErrorInfo` objects;
+* :mod:`repro.api.protocol` — the v2 request/response envelope and
+  structured :class:`~repro.api.errors.ErrorInfo` objects;
 * :mod:`repro.api.client` — the :class:`Client` facade, offering identical
   ``submit`` / ``submit_many`` / ``asubmit_many`` semantics over the
   in-process engine (``Client.local``) and the TCP service
@@ -39,14 +39,12 @@ from .errors import (
 )
 from .protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     ParsedRequest,
     decode_response,
     encode_error,
     encode_request,
     encode_success,
     parse_request,
-    request_version,
 )
 from .pipeline_spec import PipelineSpec
 from .results import TaskResult
@@ -84,7 +82,6 @@ __all__ = [
     "ProtocolError",
     "RateLimitedError",
     "SPEC_TYPES",
-    "SUPPORTED_VERSIONS",
     "StatsSpec",
     "TableQASpec",
     "TaskFailedError",
@@ -98,7 +95,6 @@ __all__ = [
     "encode_request",
     "encode_success",
     "parse_request",
-    "request_version",
     "register_spec",
     "spec_from_request",
     "task_types",

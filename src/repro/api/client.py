@@ -34,7 +34,7 @@ from ..obs.events import get_default_event_log
 from ..obs.span import span
 from ..obs.trace import Trace, new_trace_id
 from .errors import TransportError
-from .protocol import PROTOCOL_VERSION, decode_response, encode_request
+from .protocol import decode_response, encode_request
 from .results import TaskResult
 from .specs import TaskSpec
 
@@ -536,7 +536,6 @@ class Client:
                 encode_request(
                     spec,
                     next(self._ids),
-                    PROTOCOL_VERSION,
                     trace=Trace.current_id() or new_trace_id(),
                     priority=priority,
                     tenant=tenant,

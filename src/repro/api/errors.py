@@ -41,8 +41,6 @@ class ErrorInfo:
 
     @classmethod
     def from_payload(cls, payload: Any) -> "ErrorInfo":
-        if isinstance(payload, str):  # v1 responses carry a bare string
-            return cls(code="error", message=payload)
         if not isinstance(payload, dict):
             return cls(code="error", message=str(payload))
         retry_after = payload.get("retry_after")
@@ -173,7 +171,7 @@ class RateLimitedError(ApiError):
 ERROR_CODES: dict[str, str] = {
     "invalid_request": "A task payload failed validation; `field` names the offending key.",
     "unknown_task_type": "The request named a `type` outside the spec registry.",
-    "protocol_error": "The envelope itself was malformed (bad `v`, missing `task` object).",
+    "protocol_error": "The envelope itself was malformed (a `v` other than the integer 2, a missing `task` object, a non-finite `priority`, a non-string `tenant`). A flat request without `\"v\": 2` gets this with `field: \"v\"`: wrap its task fields as `{\"v\": 2, \"id\": ..., \"task\": {...}}`.",
     "bad_json": "A request line never parsed as JSON (reported in position).",
     "bad_frame": "A binary-framed connection lost frame sync (torn frame, oversized declared length, undecodable payload), or a handshake did not offer the `bin` framing; the response is best-effort with `id: null` and the connection closes — reconnect to recover.",
     "pipeline_failed": "A `pipeline` request's plan failed mid-execution; the message names the stage.",
@@ -181,5 +179,5 @@ ERROR_CODES: dict[str, str] = {
     "rate_limited": "The request's tenant exceeded its token-bucket rate or `max_inflight` cap; `retry_after` hints the back-off in seconds and `details` carries the tenant state at shed time (`tenant`, `reason` — `rate` or `inflight` —, `rate`, `burst`, `max_inflight`, `inflight`).",
     "task_failed": "Client-side marker for an error response surfaced through `submit`.",
     "transport_error": "Client-side: the service was unreachable or answered garbage.",
-    "error": "Catch-all used when a v1 bare-string error is lifted into the structured shape.",
+    "error": "Catch-all for a peer's error field that is not a structured object.",
 }

@@ -264,7 +264,7 @@ class TransformationSpec(TaskSpec):
 
     type: ClassVar[str] = "transformation"
 
-    #: ``value`` was optional (defaulting to "") in the v1 protocol; keep it so.
+    #: ``value`` is optional and defaults to "".
     value: str = ""
     examples: Sequence[Sequence[str]] = ()
     name: str = ""
@@ -298,7 +298,7 @@ class ExtractionSpec(TaskSpec):
 
     type: ClassVar[str] = "extraction"
 
-    #: ``document`` was optional (defaulting to "") in the v1 protocol.
+    #: ``document`` is optional and defaults to "".
     document: str = ""
     attribute: str = ""
     max_chunk_chars: int = 2000
@@ -451,6 +451,13 @@ class JoinDiscoverySpec(TaskSpec):
                 str(column) in names,
                 f"column {column!r} not in table {table_name!r}",
                 column_field,
+            )
+        for field_name in ("n_sample_values", "n_sample_records", "seed"):
+            value = getattr(self, field_name)
+            _require(
+                type(value) is int and value >= 0,
+                f"'{field_name}' must be a non-negative integer",
+                field_name,
             )
 
     def _tables(self) -> tuple[Table, Table]:

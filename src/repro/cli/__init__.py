@@ -7,7 +7,7 @@ live here:
 * :mod:`repro.cli.fetch` — one snapshot-fetching path for every stats
   consumer (``repro stats``, ``repro top``, ``repro doctor``): main-port
   :class:`~repro.api.stats_spec.StatsSpec` requests, ``--stats-port``
-  side-channel reads (legacy JSON line and HTTP), and probe/doctor GETs —
+  side-channel HTTP reads, and probe/doctor GETs —
   all failing with a :class:`~repro.cli.fetch.StatsUnreachable` that the
   commands turn into a clear message and a non-zero exit instead of a raw
   traceback.

@@ -50,8 +50,7 @@ def fetch_snapshot(
         with Client.remote(host, port, timeout=timeout) as client:
             snapshot = client.stats(prefix=prefix, tenant=tenant, reset=reset)
     except ApiError as exc:
-        # TransportError (unreachable) and structured error responses
-        # (e.g. an older service without the stats type) alike.
+        # TransportError (unreachable) and structured error responses alike.
         raise StatsUnreachable(str(exc)) from exc
     if not isinstance(snapshot, dict):
         raise StatsUnreachable(

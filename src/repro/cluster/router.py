@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..api.pipeline_spec import PipelineSpec
-from ..api.protocol import PROTOCOL_VERSION, decode_response, encode_request
+from ..api.protocol import decode_response, encode_request
 from ..api.results import TaskResult
 from ..api.specs import TaskSpec
 from ..obs.events import emit_event
@@ -502,7 +502,6 @@ class Router(FrontDoor):
                 encode_request(
                     spec,
                     request_id=local_id,
-                    version=PROTOCOL_VERSION,
                     trace=wire_trace,
                     priority=priority,
                     span=(

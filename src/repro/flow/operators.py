@@ -585,7 +585,13 @@ class Join(Operator):
                     name in self.other[0],
                     f"join column {name!r} not present in the 'other' rows",
                 )
-        _require(self.n_probe_rows > 0, "'n_probe_rows' must be positive")
+        _require(
+            type(self.n_probe_rows) is int and self.n_probe_rows > 0,
+            "'n_probe_rows' must be a positive integer",
+        )
+        for name in ("n_sample_values", "n_sample_records", "seed"):
+            value = getattr(self, name)
+            _require(type(value) is int and value >= 0, f"'{name}' must be a non-negative integer")
 
     @property
     def brought_columns(self) -> list[str]:

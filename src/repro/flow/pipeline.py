@@ -188,8 +188,6 @@ class Pipeline:
             out = Table(table.name, [str(c) for c in columns])
             for row in rows:
                 out.append({c: row.get(c) for c in columns})
-        elif rows:  # older service: infer the schema from the rows
-            out = Table.from_dicts(table.name, rows)
         else:
             out = Table(table.name, table.schema)
         return FlowResult(

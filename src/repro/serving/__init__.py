@@ -7,9 +7,9 @@ with bounded workers, the :class:`~repro.serving.batcher.MicroBatcher`
 coalesces their prompts, oldest task first, into batched LLM calls, the
 :class:`~repro.serving.cache.PersistentCache` makes warmed reruns near-free
 across processes, and :mod:`~repro.serving.service` answers JSON task
-requests over stdin or a socket, speaking the versioned protocol of
-:mod:`repro.api.protocol` (v2 envelopes natively, flat v1 requests still
-accepted) across all seven task types of the unified framework.
+requests over stdin or a socket, speaking the v2 envelopes of
+:mod:`repro.api.protocol` across all seven task types of the unified
+framework.
 """
 
 from .batcher import BatcherStats, MicroBatcher

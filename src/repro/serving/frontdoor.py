@@ -158,10 +158,10 @@ class FrontDoor:
 
     # ------------------------------------------------------------- entrances
     def handle_batch(self, requests: Iterable[Any]) -> list[dict]:
-        """Answer raw wire requests (either generation); request order kept.
+        """Answer raw wire requests with response envelopes; order kept.
 
         A bad request never aborts its batch: it is answered in position
-        with a structured error in its own protocol generation.
+        with a structured error.
         """
         request_list = list(requests)
         parsed_entries, responses = parse_batch(request_list)
@@ -375,10 +375,9 @@ def parse_batch(
 ) -> "tuple[list[tuple[int, ParsedRequest]], list[dict | None]]":
     """Parse raw wire requests into specs, encoding failures in position.
 
-    Unparseable lines (:class:`InvalidRequest`) become ``bad_json`` errors,
-    validation failures carry their :class:`~repro.api.errors.ApiError`
-    info, and all error responses use the request's claimed protocol
-    generation.
+    Unparseable lines (:class:`InvalidRequest`) become ``bad_json`` errors
+    and validation failures carry their :class:`~repro.api.errors.ApiError`
+    info.
 
     Returns:
         ``(parsed, responses)`` where ``parsed`` holds ``(position,
@@ -395,35 +394,18 @@ def parse_batch(
                 raise InvalidRequestError(request.error, code="bad_json")
             parsed_entries.append((position, parse_request(request)))
         except ApiError as exc:
-            version = claimed_version(request)
-            responses[position] = encode_error(exc.info, request_id, version)
+            responses[position] = encode_error(exc.info, request_id)
         except (ValueError, KeyError, TypeError, IndexError) as exc:
-            version = claimed_version(request)
             error = ErrorInfo(code="invalid_request", message=str(exc))
-            responses[position] = encode_error(error, request_id, version)
+            responses[position] = encode_error(error, request_id)
     return parsed_entries, responses
 
 
 def encode_result(result: TaskResult, parsed: ParsedRequest) -> dict:
-    """One result as a wire response in its request's protocol generation."""
+    """One result as a response envelope."""
     if result.error is not None:
-        return encode_error(
-            result.error,
-            parsed.id,
-            parsed.version,
-            trace=parsed.trace,
-            tenant=parsed.tenant,
-        )
-    return encode_success(
-        result, parsed.id, parsed.version, trace=parsed.trace, tenant=parsed.tenant
-    )
-
-
-def claimed_version(request: Any) -> int:
-    """Best-effort protocol generation of a failed request (for its response)."""
-    if isinstance(request, dict) and isinstance(request.get("v"), int) and request["v"] >= 2:
-        return 2
-    return 1
+        return encode_error(result.error, parsed.id, trace=parsed.trace, tenant=parsed.tenant)
+    return encode_success(result, parsed.id, trace=parsed.trace, tenant=parsed.tenant)
 
 
 def overloaded_error(admission: AdmissionController) -> ErrorInfo:

@@ -12,18 +12,13 @@ full micro-batching while an interactive session can flush at will:
          "value": "19990415", "examples": [["20000101", "2000-01-01"]]}}' \
      | python -m repro serve
 
-Requests follow the versioned protocol of :mod:`repro.api.protocol`: the
-native form is the v2 envelope ``{"v": 2, "id": ..., "task": {...}}``, and
-flat v1 objects (the PR 1 format) are still accepted.  All seven task types
-of the unified framework are served — the task payload schema is defined by
-the :class:`~repro.api.specs.TaskSpec` registry, which replaced the service's
-former if/elif request builder (that builder only understood four types).
-
-Responses mirror the request generation: v2 callers get
-``{"v": 2, "id", "ok", "result": {...}}`` or a structured
-``"error": {"code", "message", "field"?}`` object; v1 callers keep getting
-the flat ``{"id", "ok", "answer", "raw", "tokens", "calls"}`` / bare-string
-``"error"`` shapes.  A bad request never aborts its batch.
+Requests follow the protocol of :mod:`repro.api.protocol`: the v2 envelope
+``{"v": 2, "id": ..., "task": {...}}``.  All seven task types of the unified
+framework are served — the task payload schema is defined by the
+:class:`~repro.api.specs.TaskSpec` registry.  Responses are
+``{"v": 2, "id", "ok", "result": {...}}`` or carry a structured
+``"error": {"code", "message", "field"?}`` object.  A bad request never
+aborts its batch.
 
 :class:`ServingService` *is* a :class:`~repro.serving.frontdoor.FrontDoor`
 — the request path, admission, tenancy, stats and ``close()`` are the base

@@ -47,6 +47,8 @@ import socket
 import struct
 from typing import Any, Callable
 
+from ..api.errors import ErrorInfo
+from ..api.protocol import encode_error
 from .frontdoor import InvalidRequest
 
 __all__ = [
@@ -172,16 +174,6 @@ def server_hello(max_frame: int = MAX_FRAME_BYTES) -> dict:
 def is_handshake(payload: Any) -> bool:
     """Whether a first-line JSON object is a transport handshake."""
     return isinstance(payload, dict) and HANDSHAKE_KEY in payload
-
-
-def _bad_frame_response(message: str) -> dict:
-    """The best-effort error envelope sent before a framing-fatal close."""
-    return {
-        "v": 2,
-        "id": None,
-        "ok": False,
-        "error": {"code": "bad_frame", "message": message},
-    }
 
 
 # ------------------------------------------------------------------- server
@@ -359,7 +351,7 @@ class _Connection:
         try:
             # The error travels in the connection's framing: a binary peer
             # reads one last well-formed frame, then EOF.
-            self.writer.write(self._encode(_bad_frame_response(message)))
+            self.writer.write(self._encode(encode_error(ErrorInfo("bad_frame", message), None)))
             await self.writer.drain()
         except (ConnectionError, RuntimeError):  # pragma: no cover
             pass
@@ -390,7 +382,7 @@ def order_responses(requests: "list[dict]", responses: "list[dict]") -> "list[di
 
     Multiplexed connections only promise id correlation, not ordering.  When
     every request carries a unique, echoed id the responses are returned in
-    request order; otherwise (v1 callers without ids, duplicate ids) the
+    request order; otherwise (missing or duplicate ids) the
     arrival order is preserved — which the in-order server dispatcher makes
     correct for those callers anyway.
     """

@@ -4,7 +4,7 @@
 scheduling ``weight`` (fair-share proportion at dequeue), token-bucket
 ``rate``/``burst`` (admission rate limiting) and ``max_inflight`` (a hard
 cap on that tenant's concurrently admitted requests).  A registry always
-contains a catch-all ``default`` tenant, so untagged v1/v2 traffic keeps
+contains a catch-all ``default`` tenant, so untagged traffic keeps
 working, and *unknown* tenant names resolve to it too — an adversarial
 client inventing fresh names per request shares one bucket and one metric
 series instead of minting unbounded per-name state.

@@ -178,18 +178,3 @@ def test_process_cluster_rejects_thread_worker_only_arguments(dropped):
     (name,) = dropped
     with pytest.raises(ValueError, match=f'mode="process" or {name}= .* not both'):
         Client.cluster(workers=1, mode="process", **dropped)  # raises before spawning
-
-
-def test_v1_flat_requests_still_work_through_the_service(client):
-    # PR 1 clients speak the flat format and expect flat responses.
-    response = client.service.handle_request(
-        {
-            "id": 9,
-            "type": "transformation",
-            "value": "19990415",
-            "examples": [["20000101", "2000-01-01"]],
-        }
-    )
-    assert response["ok"] is True
-    assert set(response) == {"id", "ok", "answer", "raw", "tokens", "calls"}
-    assert response["id"] == 9

@@ -80,16 +80,6 @@ def test_remote_errors_are_structured(remote_port):
     assert results[0].error.field == "examples"
 
 
-def test_remote_v1_flat_request_still_served(remote_port):
-    # Drive the raw v1 line protocol through the remote backend's socket path.
-    remote = Client.remote("127.0.0.1", remote_port)
-    responses = remote._backend.send(
-        [{"id": 5, "type": "extraction", "document": "Ada wrote programs.", "attribute": "name"}]
-    )
-    assert responses[0]["ok"] is True
-    assert "answer" in responses[0] and "result" not in responses[0]
-
-
 def test_unreachable_service_raises_transport_error():
     client = Client.remote("127.0.0.1", 1, timeout=0.5)
     with pytest.raises(TransportError):

@@ -14,7 +14,9 @@ from repro.api import (
     TableQASpec,
     TaskSpec,
     TransformationSpec,
+    ProtocolError,
     UnknownTaskTypeError,
+    decode_response,
     spec_from_request,
     task_types,
 )
@@ -32,6 +34,11 @@ ROWS = [
     {"city": "Florence", "country": "Italy"},
     {"city": "Madrid", "country": "Spain"},
 ]
+JOIN_DISCOVERY = {
+    "type": "join_discovery",
+    "table_a": {"rows": [{"a": 1}]}, "column_a": "a",
+    "table_b": {"rows": [{"b": 2}]}, "column_b": "b",
+}
 
 
 # ---------------------------------------------------------------------- registry
@@ -159,6 +166,20 @@ def test_transformation_rejects_short_example_pairs_cleanly():
              "table_b": {"rows": [{"b": 2}]}, "column_b": "b"},
             "table_a",
         ),
+        # Fields the engine would choke on mid-batch are refused at parse.
+        ({**JOIN_DISCOVERY, "seed": -1}, "seed"),
+        ({**JOIN_DISCOVERY, "seed": 1.5}, "seed"),
+        ({**JOIN_DISCOVERY, "seed": "7"}, "seed"),
+        ({**JOIN_DISCOVERY, "n_sample_values": 1.5}, "n_sample_values"),
+        ({**JOIN_DISCOVERY, "n_sample_values": "3"}, "n_sample_values"),
+        ({**JOIN_DISCOVERY, "n_sample_records": -1}, "n_sample_records"),
+        ({**JOIN_DISCOVERY, "n_sample_records": True}, "n_sample_records"),
+        (
+            {"type": "pipeline", "rows": [{"city": "rome"}],
+             "stages": [{"op": "join", "other": [{"town": "rome"}], "on": "city",
+                         "other_on": "town", "seed": -1}]},
+            "stages",
+        ),
     ],
 )
 def test_invalid_requests_name_the_offending_field(payload, field):
@@ -269,3 +290,20 @@ def test_error_info_payload_round_trip():
     assert ErrorInfo.from_payload(info.to_payload()) == info
     assert ErrorInfo.from_payload("bare string").message == "bare string"
     assert ErrorInfo.from_payload(None).code == "error"
+
+
+@pytest.mark.parametrize(
+    "response",
+    [
+        "not an object",
+        {"v": 2, "id": 1, "ok": True, "result": None},
+        {"v": 2, "id": 1, "ok": True, "result": [1]},
+        {"v": 2, "id": 1, "ok": True},
+        {"v": 2, "id": 1, "ok": True, "result": {"answer": "a", "tokens": "x"}},
+        {"v": 2, "id": 1, "ok": True, "result": {"answer": "a", "calls": float("inf")}},
+        {"v": 2, "id": 1, "ok": False, "error": {"code": "overloaded", "retry_after": "soon"}},
+    ],
+)
+def test_a_malformed_response_raises_a_protocol_error(response):
+    with pytest.raises(ProtocolError):
+        decode_response(response)

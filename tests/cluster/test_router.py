@@ -104,7 +104,7 @@ def test_handle_batch_mirrors_service_semantics():
                                            "value": "x", "examples": [["a", "b"]]}},
                 {"v": 2, "id": 2, "task": {"type": "transformation"}},  # missing field
                 {"id": 3, "type": "transformation", "value": "x",
-                 "examples": [["a", "b"]]},  # flat v1
+                 "examples": [["a", "b"]]},  # flat: no "v": 2
                 InvalidRequest("bad JSON: boom"),
                 {"v": 2, "id": 5, "task": {"type": "no_such_task"}},
             ]
@@ -113,13 +113,13 @@ def test_handle_batch_mirrors_service_semantics():
         assert responses[0]["ok"] is True
         assert responses[1]["error"]["code"] == "invalid_request"
         assert responses[1]["error"]["field"] == "examples"
-        assert responses[2]["ok"] is True and "answer" in responses[2]  # v1 shape
-        assert "v" not in responses[2]
-        # Unparseable lines claim no version, so the error keeps the flat
-        # v1 shape (a bare string) — the same behaviour as the service.
-        assert responses[3]["ok"] is False
-        assert responses[3]["error"] == "bad JSON: boom"
+        assert responses[2]["error"]["code"] == "protocol_error"
+        assert responses[2]["error"]["field"] == "v"
+        # An unparseable line gets a structured error in position too — the
+        # same behaviour as the service.
+        assert responses[3]["error"] == {"code": "bad_json", "message": "bad JSON: boom"}
         assert responses[4]["error"]["code"] == "unknown_task_type"
+        assert all(r["v"] == 2 and r["ok"] is (i == 0) for i, r in enumerate(responses))
 
 
 def test_local_closes_the_workers_built_before_a_failed_build():

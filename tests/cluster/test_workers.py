@@ -19,7 +19,7 @@ def make_service() -> ServingService:
 
 
 def wire(spec, request_id=0):
-    return encode_request(spec, request_id=request_id, version=2)
+    return encode_request(spec, request_id=request_id)
 
 
 # ------------------------------------------------------------- thread worker

@@ -71,12 +71,6 @@ def test_encode_request_without_context_has_no_trace_key():
     assert parse_request(wire).trace is None
 
 
-def test_v1_requests_never_carry_a_trace():
-    with Trace.start():
-        wire = encode_request(SPEC, request_id=1, version=1)
-    assert "trace" not in wire
-
-
 def test_priority_round_trips_through_the_envelope():
     wire = encode_request(SPEC, request_id=1, priority=5)
     assert wire["priority"] == 5
@@ -86,28 +80,19 @@ def test_priority_round_trips_through_the_envelope():
 
 def test_responses_echo_the_trace_and_decode_surfaces_it():
     result = TaskResult(answer="x", task_type="transformation")
-    ok = encode_success(result, request_id=1, version=2, trace="aa" * 8)
+    ok = encode_success(result, request_id=1, trace="aa" * 8)
     assert ok["trace"] == "aa" * 8
     assert decode_response(ok).trace_id == "aa" * 8
 
     err = encode_error(
         ErrorInfo(code="overloaded", message="m", retry_after=0.5),
         request_id=2,
-        version=2,
         trace="bb" * 8,
     )
     decoded = decode_response(err)
     assert decoded.trace_id == "bb" * 8
     assert decoded.error.code == "overloaded"
     assert decoded.error.retry_after == 0.5
-
-
-def test_v1_responses_stay_flat_without_trace():
-    result = TaskResult(answer="x")
-    assert "trace" not in encode_success(result, request_id=1, version=1, trace="cc" * 8)
-    assert "trace" not in encode_error(
-        ErrorInfo(code="error", message="m"), request_id=1, version=1, trace="cc" * 8
-    )
 
 
 # ------------------------------------------------------------------ end to end
@@ -126,7 +111,6 @@ def test_router_forwards_a_batch_trace_to_its_workers():
                 encode_success(
                     TaskResult(answer="x", task_type="transformation"),
                     request.get("id"),
-                    2,
                 )
                 for request in requests
             ]
@@ -177,4 +161,3 @@ def test_asubmit_many_runs_inside_the_callers_trace():
             assert [event["trace"] for event in submits] == [trace.trace_id]
     finally:
         configure_default_event_log(capacity=8192)
-

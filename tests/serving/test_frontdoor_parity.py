@@ -95,7 +95,7 @@ def observe(front: Front, batch: list, log) -> dict:
     responses = front.target.handle_batch(batch)
     return {
         "codes": [
-            "ok" if r["ok"] else (r["error"]["code"] if isinstance(r["error"], dict) else "v1-error")
+            ("ok" if r["ok"] else r["error"]["code"]) if r["v"] == 2 else "not-v2"
             for r in responses
         ],
         "ids": [r.get("id") for r in responses],
@@ -119,8 +119,9 @@ def request(tag: str, request_id, **envelope) -> dict:
 
 
 def mixed_batch() -> list:
-    """Two tenants, a stats request mid-batch, an unparseable line, a flat v1
-    request, a spec whose ``to_task`` fails, and one tenant over its bucket."""
+    """Two tenants, a stats request mid-batch, an unparseable line, a flat
+    request without ``"v": 2``, a spec whose ``to_task`` fails, and one tenant
+    over its bucket."""
     return [
         request("g1", 1, tenant="gold"),
         InvalidRequest("bad JSON: boom"),
@@ -203,12 +204,12 @@ def held(front: Front):
 SCENARIOS = {
     "mixed": (
         mixed_batch,
-        ["ok", "v1-error", "ok", "rate_limited", "rate_limited",
-         "invalid_request", "ok", "unknown_task_type"],
+        ["ok", "bad_json", "ok", "rate_limited", "rate_limited",
+         "invalid_request", "protocol_error", "unknown_task_type"],
         # One shed event for the bronze group, tagged with the group's trace.
         [("tenancy.shed", TRACE)],
-        # gold's two (the failing to_task included) and the untagged v1 one.
-        {"admission.admitted": 3, "tenant.bronze.rate_limited": 2},
+        # gold's two (the failing to_task included); the flat one never parses.
+        {"admission.admitted": 2, "tenant.bronze.rate_limited": 2},
     ),
     "pipeline": (pipeline_batch, ["ok", "ok"], [], {"admission.admitted": 2}),
     # Global admission is all-or-nothing over the batch's surviving tenant

@@ -24,6 +24,12 @@ def from_request(request):
     return spec_from_request(request).to_task()
 
 
+def v2(request: dict) -> dict:
+    """Wrap task fields (and an optional ``id`` beside them) in a v2 envelope."""
+    fields = dict(request)
+    return {"v": 2, "id": fields.pop("id", None), "task": fields}
+
+
 # ------------------------------------------------------------- request parsing
 def test_build_transformation_task():
     task = from_request(
@@ -149,20 +155,20 @@ def service(tmp_path):
 def test_handle_batch_mixes_good_and_bad_requests(service):
     responses = service.handle_batch(
         [
-            {
+            v2({
                 "id": "t1",
                 "type": "transformation",
                 "value": "19990415",
                 "examples": [["20000101", "2000-01-01"], ["20101231", "2010-12-31"]],
-            },
-            {"id": "bad", "type": "nope"},
-            {"id": "t2", "type": "extraction", "document": "Kevin Durant plays basketball.", "attribute": "player"},
+            }),
+            v2({"id": "bad", "type": "nope"}),
+            v2({"id": "t2", "type": "extraction", "document": "Kevin Durant plays basketball.", "attribute": "player"}),
         ]
     )
     assert [r["id"] for r in responses] == ["t1", "bad", "t2"]
-    assert responses[0]["ok"] and responses[0]["answer"] == "1999-04-15"
-    assert responses[0]["tokens"] > 0 and responses[0]["calls"] > 0
-    assert not responses[1]["ok"] and "nope" in responses[1]["error"]
+    assert responses[0]["ok"] and responses[0]["result"]["answer"] == "1999-04-15"
+    assert responses[0]["result"]["tokens"] > 0 and responses[0]["result"]["calls"] > 0
+    assert not responses[1]["ok"] and "nope" in responses[1]["error"]["message"]
     assert responses[2]["ok"]
     assert service.requests_served == 3
 
@@ -172,10 +178,7 @@ def test_underscore_keys_in_requests_are_harmless(service):
     # out-of-band and must not collide with them.
     response = service.handle_request(
         {
-            "id": 9,
-            "type": "transformation",
-            "value": "x",
-            "examples": [["a", "A"]],
+            **v2({"id": 9, "type": "transformation", "value": "x", "examples": [["a", "A"]]}),
             "_invalid": "just a client field",
         }
     )
@@ -185,7 +188,7 @@ def test_underscore_keys_in_requests_are_harmless(service):
 def test_concurrent_batches_are_serialized(service):
     from concurrent.futures import ThreadPoolExecutor
 
-    request = {"type": "transformation", "value": "x", "examples": [["a", "A"]]}
+    request = v2({"type": "transformation", "value": "x", "examples": [["a", "A"]]})
     with ThreadPoolExecutor(max_workers=4) as pool:
         outcomes = list(pool.map(service.handle_batch, [[request]] * 8))
     assert all(batch[0]["ok"] for batch in outcomes)
@@ -194,17 +197,17 @@ def test_concurrent_batches_are_serialized(service):
 
 def test_handle_request_single(service):
     response = service.handle_request(
-        {"type": "transformation", "value": "abc", "examples": [["a", "A"], ["b", "B"]]}
+        v2({"type": "transformation", "value": "abc", "examples": [["a", "A"], ["b", "B"]]})
     )
     assert response["ok"]
 
 
 def test_serve_stream_flushes_on_blank_line_and_eof(service):
     lines = [
-        json.dumps({"id": 1, "type": "transformation", "value": "1", "examples": [["1", "one"]]}),
+        json.dumps(v2({"id": 1, "type": "transformation", "value": "1", "examples": [["1", "one"]]})),
         "",
         "not json at all {",
-        json.dumps({"id": 2, "type": "extraction", "document": "d", "attribute": "a"}),
+        json.dumps(v2({"id": 2, "type": "extraction", "document": "d", "attribute": "a"})),
     ]
     out = io.StringIO()
     served = service.serve_stream(io.StringIO("\n".join(lines) + "\n"), out)
@@ -212,13 +215,14 @@ def test_serve_stream_flushes_on_blank_line_and_eof(service):
     assert served == 3
     assert [r.get("id") for r in responses] == [1, None, 2]
     assert responses[0]["ok"]
-    assert not responses[1]["ok"] and "bad JSON" in responses[1]["error"]
+    assert responses[1]["v"] == 2 and responses[1]["error"]["code"] == "bad_json"
+    assert "bad JSON" in responses[1]["error"]["message"]
     assert responses[2]["ok"]
 
 
 def test_serve_stream_reuses_cache_across_batches(service):
     request = json.dumps(
-        {"id": 1, "type": "transformation", "value": "x", "examples": [["a", "A"]]}
+        v2({"id": 1, "type": "transformation", "value": "x", "examples": [["a", "A"]]})
     )
     stream = "\n".join([request, "", request]) + "\n"
     out = io.StringIO()
@@ -234,8 +238,8 @@ def test_tcp_round_trip(service):
         async with server:
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             payload = [
-                json.dumps({"id": 1, "type": "transformation", "value": "7", "examples": [["1", "one"]]}),
-                json.dumps({"id": 2, "type": "bogus"}),
+                json.dumps(v2({"id": 1, "type": "transformation", "value": "7", "examples": [["1", "one"]]})),
+                json.dumps(v2({"id": 2, "type": "bogus"})),
                 "",  # flush the batch
             ]
             writer.write(("\n".join(payload) + "\n").encode())
@@ -269,7 +273,7 @@ def test_all_seven_task_types_served_over_the_wire(service):
          "table_a": {"name": "t1", "rows": [{"abrv": "GER"}]}, "column_a": "abrv",
          "table_b": {"name": "t2", "rows": [{"iso": "GER"}]}, "column_b": "iso"},
     ]
-    responses = service.handle_batch(requests)
+    responses = service.handle_batch([v2(request) for request in requests])
     assert [r["id"] for r in responses] == ["imp", "tra", "ext", "tqa", "er", "ed", "jd"]
     assert all(r["ok"] for r in responses), responses
 
@@ -292,30 +296,31 @@ def test_v2_envelope_success_and_error_shapes(service):
 
 
 def test_v2_requires_task_object_and_known_version(service):
-    missing_task, bad_version = service.handle_batch(
-        [{"v": 2, "id": 1}, {"v": 3, "id": 2, "task": {"type": "extraction"}}]
+    task = {"type": "transformation", "value": "a", "examples": [["x", "X"]]}
+    flat = {"id": 3, **task}  # no "v" at all
+    missing_task, *bad_versions = service.handle_batch(
+        [{"v": 2, "id": 1}, {"v": 3, "id": 2, "task": {"type": "extraction"}}, flat]
+        + [{"v": v, "id": 4, "task": task} for v in (1, True, "2", [2], 2.0)]
     )
     assert not missing_task["ok"] and missing_task["error"]["code"] == "protocol_error"
-    assert not bad_version["ok"] and bad_version["error"]["code"] == "protocol_error"
-    assert "version" in bad_version["error"]["message"]
+    for bad_version in bad_versions:
+        assert bad_version["v"] == 2 and not bad_version["ok"]
+        assert bad_version["error"]["code"] == "protocol_error"
+        assert bad_version["error"]["field"] == "v"
+        assert "version" in bad_version["error"]["message"]
+        assert '{"v": 2' in bad_version["error"]["message"]
 
 
-def test_v1_and_v2_responses_mirror_their_request_generation(service):
-    v1, v2 = service.handle_batch(
-        [
-            {"id": "old", "type": "transformation", "value": "a", "examples": [["x", "X"]]},
-            {"v": 2, "id": "new",
-             "task": {"type": "transformation", "value": "a", "examples": [["x", "X"]]}},
-        ]
+def test_a_non_finite_priority_is_answered_in_position(service):
+    task = {"type": "transformation", "value": "a", "examples": [["x", "X"]]}
+    # json.loads("1e400") is inf, which int() refuses with OverflowError: it
+    # must be answered in position, not abort the batch.
+    responses = service.handle_batch(
+        [{"v": 2, "id": p, "task": task, "priority": json.loads(p)} for p in ("1e400", "NaN")]
+        + [{"v": 2, "id": "ok", "task": task, "priority": 2.9}]
     )
-    assert set(v1) == {"id", "ok", "answer", "raw", "tokens", "calls"}
-    assert set(v2) == {"v", "id", "ok", "result"}
-    assert v1["answer"] == v2["result"]["answer"]
-
-
-def test_v1_error_stays_a_bare_string(service):
-    response = service.handle_request({"id": 1, "type": "transformation",
-                                       "value": "a", "examples": [["x"]]})
-    assert response["ok"] is False
-    assert isinstance(response["error"], str)
-    assert "examples" in response["error"]
+    assert [r["id"] for r in responses] == ["1e400", "NaN", "ok"]
+    for bad in responses[:2]:
+        assert bad["error"]["code"] == "protocol_error"
+        assert bad["error"]["field"] == "priority"
+    assert responses[2]["ok"]

@@ -162,16 +162,6 @@ def test_mixed_protocol_clients_bit_identical(service_port):
     assert all(r["ok"] for r in outcome["legacy"])
 
 
-def test_legacy_v1_flat_requests_still_served(service_port):
-    sock = socket.create_connection(("127.0.0.1", service_port), timeout=30)
-    request = {"id": 5, "type": "extraction", "document": "Ada wrote.", "attribute": "name"}
-    sock.sendall(encode_line(request) + b"\n")
-    response = json.loads(sock.makefile("rb").readline())
-    sock.close()
-    assert response["id"] == 5 and response["ok"]
-    assert "answer" in response and "result" not in response  # flat v1 shape
-
-
 def test_legacy_v2_envelope_still_served(service_port):
     sock = socket.create_connection(("127.0.0.1", service_port), timeout=30)
     sock.sendall(encode_line({"v": 2, "id": "a", "task": dict(V2_TRANSFORM)}) + b"\n")

@@ -59,9 +59,10 @@ def test_cli_run_experiment_engine(capsys):
 
 def test_cli_serve_stdin(capsys, monkeypatch):
     requests = [
-        {"id": 1, "type": "transformation", "value": "19990415",
-         "examples": [["20000101", "2000-01-01"], ["20101231", "2010-12-31"]]},
-        {"id": 2, "type": "nope"},
+        {"v": 2, "id": 1, "task": {
+            "type": "transformation", "value": "19990415",
+            "examples": [["20000101", "2000-01-01"], ["20101231", "2010-12-31"]]}},
+        {"v": 2, "id": 2, "task": {"type": "nope"}},
     ]
     stdin = io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n")
     monkeypatch.setattr(sys, "stdin", stdin)
@@ -69,7 +70,7 @@ def test_cli_serve_stdin(capsys, monkeypatch):
     captured = capsys.readouterr()
     responses = [json.loads(line) for line in captured.out.splitlines()]
     assert [r["id"] for r in responses] == [1, 2]
-    assert responses[0]["ok"] and responses[0]["answer"] == "1999-04-15"
+    assert responses[0]["ok"] and responses[0]["result"]["answer"] == "1999-04-15"
     assert not responses[1]["ok"]
     assert "served 2 requests" in captured.err
 
@@ -210,8 +211,8 @@ def test_cli_serve_with_slos_reports_them(capsys, monkeypatch, tmp_path):
         "svc-p99": {"kind": "latency", "metric": "service.batch_latency",
                     "threshold": 0.5, "windows": "10s"},
     }))
-    request = {"id": 1, "type": "transformation", "value": "19990415",
-               "examples": [["20000101", "2000-01-01"]]}
+    request = {"v": 2, "id": 1, "task": {"type": "transformation", "value": "19990415",
+                                         "examples": [["20000101", "2000-01-01"]]}}
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request) + "\n"))
     assert main(["serve", "--slos-file", str(slos_file)]) == 0
     captured = capsys.readouterr()
