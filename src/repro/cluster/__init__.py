@@ -27,7 +27,7 @@ See ``docs/architecture.md`` for where the cluster tier sits in the stack.
 
 from .autoscaler import Autoscaler
 from .faults import FaultInjector, FaultyWorker
-from .hashing import HashRing, minimal_moved_keys, spec_key
+from .hashing import HashRing, spec_key
 from .router import Router
 from .stats import ClusterStats, WorkerStats
 from .supervisor import Supervisor
@@ -53,6 +53,5 @@ __all__ = [
     "Worker",
     "WorkerDeadError",
     "WorkerStats",
-    "minimal_moved_keys",
     "spec_key",
 ]

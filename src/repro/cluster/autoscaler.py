@@ -156,7 +156,7 @@ class Autoscaler(PeriodicLoop):
                 self._m_up.inc()
             else:
                 worker_id = self._pick_victim()
-                self.router.remove_worker(worker_id, drain=True)
+                self.router.remove_worker(worker_id)
                 self._m_down.inc()
         except ClusterError as exc:
             emit_event("autoscale.decision", action=action, error=str(exc))

@@ -14,7 +14,7 @@ observed by luck.  :class:`FaultInjector` is the seedable harness
 * **torn-migration** — the next shard-to-shard migration truncates its
   target mid-line, exercising the JSONL loader's torn-line tolerance;
 * **slow-drain** — every submit to a worker crawls, stretching the window
-  ``remove_worker(drain=True)`` must wait out.
+  ``remove_worker``'s drain must wait out.
 
 Everything is deterministic: rules fire at exact counters, and the only
 randomness — :meth:`FaultInjector.plan_kill` choosing a victim and a kill
@@ -147,7 +147,7 @@ class FaultInjector:
             time.sleep(hang)
 
     def maybe_tear(self, shard: "PersistentCache") -> None:
-        """Truncate the shard's newest entry file mid-line if a tear is armed.
+        """Truncate the shard's log mid-line if a tear is armed.
 
         Models a migration writer crashing mid-append: the torn final line
         must be skipped by the loader, costing at most one cache miss —
@@ -157,14 +157,10 @@ class FaultInjector:
             if self._tears_armed <= 0:
                 return
             self._tears_armed -= 1
-        files = sorted(
-            (p for p in shard.path.glob("shard-*.jsonl") if p.stat().st_size > 0),
-            key=lambda p: p.stat().st_mtime,
-        )
-        if not files:
+        target = shard.log_path
+        raw = target.read_bytes() if target.exists() else b""
+        if not raw:
             return
-        target = files[-1]
-        raw = target.read_bytes()
         last_line_start = raw.rstrip(b"\n").rfind(b"\n") + 1
         cut = last_line_start + max(1, (len(raw) - last_line_start) // 2)
         target.write_bytes(raw[:cut])

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from ..flow.planner import spec_key
 
-__all__ = ["HashRing", "minimal_moved_keys", "spec_key"]
+__all__ = ["HashRing", "spec_key"]
 
 
 def _digest(value: str) -> int:
@@ -126,29 +126,3 @@ class HashRing:
         ring = HashRing(self._nodes, replicas=self.replicas)
         ring.add(node)
         return ring
-
-    def without_node(self, node: str) -> "HashRing":
-        """A copy of this ring with ``node`` removed (placement what-if)."""
-        ring = HashRing(self._nodes, replicas=self.replicas)
-        ring.remove(node)
-        return ring
-
-
-def minimal_moved_keys(
-    before: HashRing, after: HashRing, keys: Iterable[str]
-) -> dict[str, tuple[str, str]]:
-    """Keys whose owner differs between two ring states.
-
-    Returns ``key -> (old_owner, new_owner)`` for exactly the keys that
-    relocate — the consistent-hash-minimal migration set the router copies
-    shard entries for on a resize.  Consistent hashing guarantees this set
-    only ever involves the node that joined or left: surviving pairs never
-    trade keys (``tests/cluster/test_hashing.py`` proves it property-based).
-    """
-    moved: dict[str, tuple[str, str]] = {}
-    for key in keys:
-        old_owner = before.node_for(key)
-        new_owner = after.node_for(key)
-        if old_owner != new_owner:
-            moved[key] = (old_owner, new_owner)
-    return moved

@@ -43,7 +43,6 @@ wave by wave.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -61,7 +60,7 @@ from ..serving.cache import PersistentCache
 from ..serving.frontdoor import FrontDoor
 from ..serving.service import build_service, run_pipeline_spec
 from ..tenancy import DEFAULT_TENANT, TenantRegistry
-from .hashing import HashRing, minimal_moved_keys, spec_key
+from .hashing import HashRing, spec_key
 from .stats import ClusterStats, WorkerStats
 from .workers import ClusterError, SubprocessWorker, ThreadWorker, Worker, WorkerDeadError
 
@@ -79,8 +78,6 @@ class Router(FrontDoor):
     workers:
         The shard workers (see :mod:`repro.cluster.workers`).  The router
         owns them: :meth:`close` closes every worker.
-    replicas:
-        Virtual nodes per worker on the hash ring.
     health_interval:
         Seconds between background liveness sweeps (the ``repro-router-sweep``
         thread pings every worker and un-rings the dead; :meth:`close` joins
@@ -112,11 +109,14 @@ class Router(FrontDoor):
         If no workers are given or two workers share an id.
     """
 
+    #: Seconds :meth:`remove_worker` waits for the leaver's in-flight groups
+    #: before it migrates and closes the worker anyway.
+    DRAIN_TIMEOUT = 30.0
+
     def __init__(
         self,
         workers: Sequence[Worker],
         *,
-        replicas: int = 64,
         health_interval: float | None = 30.0,
         worker_factory: "Callable[[str], Worker] | None" = None,
         cache_dir: str | None = None,
@@ -129,8 +129,7 @@ class Router(FrontDoor):
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate worker ids: {ids}")
         self.workers: dict[str, Worker] = {w.worker_id: w for w in workers}
-        self._ring = HashRing(ids, replicas=replicas)
-        self._replicas = replicas
+        self._ring = HashRing(ids)
         self._worker_factory = worker_factory
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._faults = faults
@@ -246,7 +245,6 @@ class Router(FrontDoor):
         queue_depth: int = 32,
         llm_factory: "Any | None" = None,
         config: "UniDMConfig | None" = None,
-        replicas: int = 64,
         max_inflight: int | None = None,
         max_queue_depth: int | None = None,
         tenants: TenantRegistry | None = None,
@@ -284,7 +282,6 @@ class Router(FrontDoor):
             build,
             cache_dir=cache_dir,
             worker_decorator=worker_decorator,
-            replicas=replicas,
             max_inflight=max_inflight,
             max_queue_depth=max_queue_depth,
             tenants=tenants,
@@ -304,7 +301,6 @@ class Router(FrontDoor):
         batch_size: int = 8,
         engine_workers: int = 8,
         host: str = "127.0.0.1",
-        replicas: int = 64,
         max_inflight: int | None = None,
         max_queue_depth: int | None = None,
         tenants: TenantRegistry | None = None,
@@ -338,7 +334,6 @@ class Router(FrontDoor):
             build,
             cache_dir=cache_dir,
             worker_decorator=worker_decorator,
-            replicas=replicas,
             max_inflight=max_inflight,
             max_queue_depth=max_queue_depth,
             tenants=tenants,
@@ -607,12 +602,11 @@ class Router(FrontDoor):
         """Join a worker to the ring at runtime; returns its id.
 
         The live-resize half of elasticity: while requests are in flight,
-        the consistent-hash-minimal set of moved spec keys is computed from
-        every live shard's route index, exactly those ``PersistentCache``
-        entries are copied into the joining worker's shard (before the
-        worker opens it when the router builds the worker itself, so the
-        join starts warm), the sources drop the moved entries, and only
-        then does the new node enter the ring.
+        every live shard's entries whose spec keys the grown ring places on
+        the joiner are copied into the joiner's shard (before the worker
+        opens it when the router builds the worker itself, so the join
+        starts warm), the sources drop the moved routes, and only then does
+        the new node enter the ring.
 
         Pass a pre-built ``worker`` or let the router build one through its
         worker factory (installed by :meth:`local`/:meth:`spawn`).
@@ -627,71 +621,42 @@ class Router(FrontDoor):
         with self._lock:
             if new_id in self.workers:
                 raise ValueError(f"duplicate worker id: {new_id}")
-        # Placement what-if: where will keys live once new_id joins?
-        with self._lock:
+            # Placement what-if: where will keys live once new_id joins?
             new_ring = self._ring.with_node(new_id)
-        moved_rows, moved_by_source = self._collect_moved_for_join(new_id, new_ring)
-        migrated = 0
+        # The joiner's shard: its live one, else the directory it names,
+        # else the router's <cache_dir>/<id> a router-built worker opens.
+        target = worker.shard() if worker is not None else None
+        if target is None:
+            path = worker.shard_path() if worker is not None else None
+            if path is None and self._cache_dir is not None:
+                path = self._cache_dir / new_id
+            if path is not None:
+                target = PersistentCache(path, metrics=self._metrics)
+        migrated, moved = self._move_entries(
+            self._live_shards(), new_ring, {new_id: target} if target is not None else {}
+        )
         if worker is None:
-            # Migrate on disk *before* the worker opens its shard: the
-            # freshly built worker loads the moved entries warm.
-            target_dir = self._shard_dir_for(new_id)
-            if target_dir is not None and moved_rows:
-                target = PersistentCache(target_dir, metrics=self._metrics)
-                migrated = target.absorb(moved_rows)
-                self._maybe_tear(target)
             worker = self._worker_factory(new_id)  # type: ignore[misc]
-        elif moved_rows:
-            shard = worker.shard()
-            if shard is not None:
-                migrated = shard.absorb(moved_rows)
-                self._maybe_tear(shard)
-            else:
-                target_dir = worker.shard_path() or self._shard_dir_for(new_id)
-                if target_dir is not None:
-                    target = PersistentCache(target_dir, metrics=self._metrics)
-                    migrated = target.absorb(moved_rows)
-                    self._maybe_tear(target)
         # Sources stop holding what they no longer own (live shards only:
         # a subprocess source keeps stale copies rather than racing its
         # own appends — harmless duplicates, documented in architecture.md).
-        for source_id, moved_routes in moved_by_source.items():
+        for source_id, routes in moved.items():
             source = self.workers.get(source_id)
             shard = source.shard() if source is not None else None
             if shard is not None:
-                shard.remove_routes(moved_routes)
+                shard.remove_routes(routes)
         self._register_worker(worker)
-        with self._lock:
-            self._resizes += 1
-            self._migrations += migrated
-        self._m_resizes.inc()
-        if migrated:
-            self._m_migrations.inc(migrated)
-        emit_event(
-            "cluster.resize",
-            action="join",
-            worker=new_id,
-            migrated_entries=migrated,
-            workers=len(self._ring.nodes),
-        )
+        self._note_resize("join", new_id, migrated)
         return new_id
 
-    def remove_worker(
-        self,
-        worker_id: str,
-        *,
-        drain: bool = True,
-        migrate: bool = True,
-        drain_timeout: float = 30.0,
-    ) -> int:
+    def remove_worker(self, worker_id: str) -> int:
         """Leave the ring at runtime; returns the number of migrated entries.
 
         The worker is un-ringed first (new dispatches immediately re-route
         to survivors), its in-flight groups drain (bounded by
-        ``drain_timeout``), its shard entries migrate to their new
-        consistent-hash owners, and only then is the worker closed and
-        forgotten.  With ``drain=False`` in-flight work is abandoned to the
-        requeue path instead (a forced leave).
+        :attr:`DRAIN_TIMEOUT`; the requeue path covers what is left), its
+        shard entries migrate to their new consistent-hash owners, and only
+        then is the worker closed and forgotten.
         """
         with self._drain_cv:
             if worker_id not in self.workers:
@@ -699,37 +664,25 @@ class Router(FrontDoor):
             if len(self._ring.nodes) <= 1 and worker_id in self._ring:
                 raise ClusterError("cannot remove the last live worker")
             self._draining.add(worker_id)
-            if worker_id in self._ring:
-                self._ring.remove(worker_id)
+            self._ring.remove(worker_id)
             self._m_workers.set(len(self._ring.nodes))
-            if drain:
-                deadline = time.monotonic() + drain_timeout
-                while self._inflight_by.get(worker_id, 0) > 0:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break  # give up waiting; requeue path covers the rest
-                    self._drain_cv.wait(timeout=remaining)
+            self._drain_cv.wait_for(
+                lambda: self._inflight_by.get(worker_id, 0) <= 0,
+                timeout=self.DRAIN_TIMEOUT,
+            )
         worker = self.workers[worker_id]
+        shard = self._shard_of(worker)
         migrated = 0
-        if migrate:
-            migrated = self._migrate_out(worker)
+        if shard is not None:
+            migrated, _ = self._move_entries(
+                {worker_id: shard}, self._ring, self._live_shards()
+            )
         worker.close()
         with self._drain_cv:
             self.workers.pop(worker_id, None)
             self._draining.discard(worker_id)
             self._inflight_by.pop(worker_id, None)
-            self._resizes += 1
-            self._migrations += migrated
-        self._m_resizes.inc()
-        if migrated:
-            self._m_migrations.inc(migrated)
-        emit_event(
-            "cluster.resize",
-            action="leave",
-            worker=worker_id,
-            migrated_entries=migrated,
-            workers=len(self._ring.nodes),
-        )
+        self._note_resize("leave", worker_id, migrated)
         return migrated
 
     def revive_worker(self, worker_id: str) -> Worker:
@@ -775,11 +728,6 @@ class Router(FrontDoor):
             index += 1
         return f"worker-{index:02d}"
 
-    def _shard_dir_for(self, worker_id: str) -> "Path | None":
-        if self._cache_dir is None:
-            return None
-        return self._cache_dir / worker_id
-
     def _shard_of(self, worker: Worker) -> "PersistentCache | None":
         """The worker's shard: live object preferred, else opened from disk."""
         shard = worker.shard()
@@ -790,62 +738,67 @@ class Router(FrontDoor):
             return PersistentCache(path, metrics=self._metrics)
         return None
 
-    def _collect_moved_for_join(
-        self, new_id: str, new_ring: HashRing
-    ) -> "tuple[list[dict], dict[str, set[str]]]":
-        """Rows relocating to ``new_id`` and which source shard owns them."""
-        moved_rows: list[dict] = []
-        moved_by_source: dict[str, set[str]] = {}
-        for source_id, source in list(self.workers.items()):
-            if source_id not in self._ring:
-                continue
-            shard = self._shard_of(source)
-            if shard is None:
-                continue
-            routes = shard.route_keys()
-            moved = {
-                key
-                for key, (_, new_owner) in minimal_moved_keys(
-                    self._ring, new_ring, routes
-                ).items()
-                if new_owner == new_id
-            }
-            if moved:
-                moved_rows.extend(shard.entries_for_routes(moved))
-                moved_by_source[source_id] = moved
-        return moved_rows, moved_by_source
+    def _live_shards(self) -> "dict[str, PersistentCache]":
+        """Every ringed worker's shard, by worker id."""
+        shards = {}
+        for worker_id, worker in list(self.workers.items()):
+            shard = self._shard_of(worker) if worker_id in self._ring else None
+            if shard is not None:
+                shards[worker_id] = shard
+        return shards
 
-    def _migrate_out(self, worker: Worker) -> int:
-        """Copy a leaving worker's entries to their new ring owners."""
-        shard = self._shard_of(worker)
-        if shard is None or not self._ring.nodes:
-            return 0
-        routes = shard.route_keys()
-        if not routes:
-            return 0
-        by_target: dict[str, set[str]] = {}
-        for key in routes:
-            try:
-                by_target.setdefault(self._ring.node_for(key), set()).add(key)
-            except LookupError:  # pragma: no cover - ring emptied mid-leave
-                return 0
+    def _move_entries(
+        self,
+        sources: "dict[str, PersistentCache]",
+        ring: HashRing,
+        targets: "dict[str, PersistentCache]",
+    ) -> "tuple[int, dict[str, set[str]]]":
+        """Copy each source's entries that ``ring`` places on a target.
+
+        The one mover of both resizes: a join passes the live shards and
+        the joiner as the only target, a leave the leaver and every live
+        shard.  A spec key moves when ``ring`` places it on an accepted
+        target other than its source.  Returns the entries added and, per
+        source, the spec keys that moved.
+        """
+        rows_for: dict[str, list[dict]] = {}
+        moved: dict[str, set[str]] = {}
+        if not targets:
+            return 0, moved
+        for source_id, source in sources.items():
+            by_target: dict[str, set[str]] = {}
+            for route in source.route_keys():
+                owner = ring.node_for(route)
+                if owner != source_id and owner in targets:
+                    by_target.setdefault(owner, set()).add(route)
+            for target_id, routes in by_target.items():
+                rows_for.setdefault(target_id, []).extend(
+                    source.entries_for_routes(routes)
+                )
+                moved.setdefault(source_id, set()).update(routes)
         migrated = 0
-        for target_id, moved in by_target.items():
-            rows = shard.entries_for_routes(moved)
-            if not rows:
-                continue
-            target = self.workers.get(target_id)
-            target_shard = self._shard_of(target) if target is not None else None
-            if target_shard is None:
-                continue
-            migrated += target_shard.absorb(rows)
-            self._maybe_tear(target_shard)
-        return migrated
+        for target_id, rows in rows_for.items():
+            if rows:
+                migrated += targets[target_id].absorb(rows)
+                # Fault hook: a torn-migration injection truncates the target.
+                if self._faults is not None:
+                    self._faults.maybe_tear(targets[target_id])
+        return migrated, moved
 
-    def _maybe_tear(self, shard: "PersistentCache") -> None:
-        """Fault hook: a torn-migration injection truncates the target."""
-        if self._faults is not None:
-            self._faults.maybe_tear(shard)
+    def _note_resize(self, action: str, worker_id: str, migrated: int) -> None:
+        with self._lock:
+            self._resizes += 1
+            self._migrations += migrated
+        self._m_resizes.inc()
+        if migrated:
+            self._m_migrations.inc(migrated)
+        emit_event(
+            "cluster.resize",
+            action=action,
+            worker=worker_id,
+            migrated_entries=migrated,
+            workers=len(self._ring.nodes),
+        )
 
     def _register_worker(self, worker: Worker) -> None:
         worker_id = worker.worker_id

@@ -2,28 +2,29 @@
 
 The in-memory LRU of :class:`~repro.llm.cache.CachedLLM` dies with the
 process; re-running an experiment or restarting the service re-bills every
-prompt.  :class:`PersistentCache` spills completions to append-only JSONL
-shard files keyed by prompt hash, so a warmed cache makes reruns near-free:
+prompt.  :class:`PersistentCache` spills completions to one append-only JSONL
+log per directory, ``cache.jsonl``, so a warmed cache makes reruns near-free:
 
 * **append-only** — a put is one ``O_APPEND`` write of one JSON line; there is
-  no rewrite-in-place, so a crash can at worst truncate the final line (which
-  the loader skips);
-* **sharded** — keys are spread over ``shards`` files by hash prefix, keeping
-  individual files small and letting several processes warm disjoint shards
-  with less write contention;
+  no rewrite-in-place, so after a crash what is left is a prefix of the log,
+  whose torn final line the loader skips;
 * **last-wins** — re-putting a prompt appends a new line; on load the latest
-  line for a key is the value served.
+  line for a key is the value served;
+* **write-then-rename compaction** — :meth:`PersistentCache.compact` writes
+  the live state to ``cache.jsonl.tmp`` and renames it over the log, so a
+  failed compaction leaves the old log whole.
 
 The class satisfies the ``CacheBackend`` protocol of
 :class:`~repro.llm.cache.CachedLLM` (``get``/``put``) and is thread-safe.
 
-Elasticity support: alongside the entry shards the cache keeps a **route
-index** (``routes.jsonl``) attributing each prompt key to the spec key that
-issued it (see :func:`repro.flow.planner.spec_key` — the same digest the
-cluster ring places by).  When the ring resizes, the router computes the
-consistent-hash-minimal set of moved spec keys and uses
-:meth:`PersistentCache.entries_for_routes` / :meth:`PersistentCache.absorb`
-to copy exactly those entries shard-to-shard — no attribution, no migration.
+Elasticity support: the same log carries a **route index** — records
+``{"key", "route"}`` beside the entry records ``{"key", "text"}`` —
+attributing each prompt key to the spec key that issued it (see
+:func:`repro.flow.planner.spec_key` — the same digest the cluster ring
+places by).  When the ring resizes, the router asks each shard which spec
+keys it holds and uses :meth:`PersistentCache.entries_for_routes` /
+:meth:`PersistentCache.absorb` to copy exactly the moved entries
+shard-to-shard — no attribution, no migration.
 """
 
 from __future__ import annotations
@@ -43,28 +44,29 @@ def prompt_key(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+def _line(record: dict[str, str]) -> str:
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
 class PersistentCache:
-    """Disk-backed prompt → completion store (JSONL shard files).
+    """Disk-backed prompt → completion store (one JSONL log per directory).
 
     Parameters
     ----------
     path:
-        Directory holding the shard files (created if missing).
-    shards:
-        Number of shard files keys are spread over.
+        Directory holding the log (created if missing).
     """
 
     def __init__(
         self,
         path: str | os.PathLike,
-        shards: int = 16,
         metrics: MetricsRegistry | None = None,
     ):
-        if shards < 1:
-            raise ValueError("shards must be positive")
         self.path = Path(path)
-        self.shards = shards
         self.path.mkdir(parents=True, exist_ok=True)
+        #: The log every record is appended to; the only file of the cache
+        #: (``cache.jsonl.tmp`` exists only while :meth:`compact` runs).
+        self.log_path = self.path / "cache.jsonl"
         metrics = metrics or get_default_registry()
         self._m_puts = metrics.counter("pcache.puts")
         self._m_bytes = metrics.counter("pcache.bytes_written")
@@ -82,51 +84,46 @@ class PersistentCache:
         self._m_entries.set(len(self._entries))
 
     # -------------------------------------------------------------------- io
-    def _shard_file(self, key: str) -> Path:
-        shard = int(key[:8], 16) % self.shards
-        return self.path / f"shard-{shard:02d}.jsonl"
-
-    @property
-    def _routes_file(self) -> Path:
-        return self.path / "routes.jsonl"
+    def _apply(self, record: object) -> bool:
+        """Fold one log record into memory; ``False`` if it is not a record."""
+        if not isinstance(record, dict) or not isinstance(record.get("key"), str):
+            return False
+        key, text, route = record["key"], record.get("text"), record.get("route")
+        if isinstance(text, str):
+            self._entries[key] = text
+        elif isinstance(route, str):
+            self._routes.setdefault(key, set()).add(route)
+        else:
+            return False
+        return True
 
     def _load(self) -> None:
         torn = 0
-        stale = 0
-        for shard_path in sorted(self.path.glob("shard-*.jsonl")):
-            with open(shard_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        torn += 1
-                        continue  # torn final line from a crashed writer
-                    key, text = entry.get("key"), entry.get("text")
-                    if isinstance(key, str) and isinstance(text, str):
-                        if key in self._entries:
-                            stale += 1  # superseded line; compact() would drop it
-                        self._entries[key] = text
-        if self._routes_file.exists():
-            with open(self._routes_file, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        torn += 1
-                        continue
-                    key, route = entry.get("key"), entry.get("route")
-                    if isinstance(key, str) and isinstance(route, str):
-                        self._routes.setdefault(key, set()).add(route)
+        applied = 0
+        try:
+            # A UTF-8 sequence cut by a crash decodes to lone surrogates, so
+            # its line fails as JSON below instead of failing the open.
+            handle = open(self.log_path, encoding="utf-8", errors="surrogateescape")
+        except FileNotFoundError:
+            return
+        with handle:
+            for line in handle:
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:  # torn final line of a crashed writer
+                    record = None
+                if self._apply(record):
+                    applied += 1
+                else:
+                    torn += 1
+        # Records a compaction would drop: superseded entries, repeated routes.
+        stale = applied - len(self._entries) - sum(map(len, self._routes.values()))
         if torn or stale:
             # Compaction-worthy anomalies: torn lines mean a writer crashed
             # mid-append, stale lines mean superseded history is bloating the
-            # shards.  Surface both in the event log so operators notice.
+            # log.  Surface both in the event log so operators notice.
             emit_event(
                 "pcache.anomaly",
                 path=str(self.path),
@@ -135,25 +132,34 @@ class PersistentCache:
                 live_entries=len(self._entries),
             )
 
-    def _append(self, key: str, text: str) -> None:
-        """Write first, remember second (``_append_route`` likewise).
+    def _append(self, record: dict[str, str]) -> None:
+        """Write first, remember second; ``record`` is an entry or a route.
 
         An append that raises (a full disk, a vanished directory) leaves
         memory as it was, so a retry appends again instead of being skipped
         as "already durable": what ``get`` serves is on disk.
         """
-        line = json.dumps({"key": key, "text": text}, ensure_ascii=False)
-        with open(self._shard_file(key), "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-        self._entries[key] = text
-        self._m_puts.inc()
-        self._m_bytes.inc(len(text))
+        with open(self.log_path, "a", encoding="utf-8") as handle:
+            handle.write(_line(record))
+        self._apply(record)
+        if "text" in record:
+            self._m_puts.inc()
+            self._m_bytes.inc(len(record["text"]))
 
-    def _append_route(self, key: str, route: str) -> None:
-        line = json.dumps({"key": key, "route": route}, ensure_ascii=False)
-        with open(self._routes_file, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-        self._routes.setdefault(key, set()).add(route)
+    def _rewrite(self, entries: dict[str, str], routes: dict[str, set[str]]) -> None:
+        """Replace the log with one record per entry and route (write, rename)."""
+        tmp = self.path / "cache.jsonl.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                for key, text in entries.items():
+                    handle.write(_line({"key": key, "text": text}))
+                for key, key_routes in routes.items():
+                    for route in sorted(key_routes):
+                        handle.write(_line({"key": key, "route": route}))
+            os.replace(tmp, self.log_path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     # ------------------------------------------------------------ cache API
     def get(self, prompt: str) -> str | None:
@@ -165,7 +171,7 @@ class PersistentCache:
         with self._lock:
             if self._entries.get(key) == text:
                 return  # already durable; skip the duplicate append
-            self._append(key, text)
+            self._append({"key": key, "text": text})
             self._m_entries.set(len(self._entries))
 
     # ------------------------------------------------------------ routing
@@ -179,7 +185,7 @@ class PersistentCache:
         key = prompt_key(prompt)
         with self._lock:
             if route not in self._routes.get(key, ()):
-                self._append_route(key, route)
+                self._append({"key": key, "route": route})
 
     def route_keys(self) -> set[str]:
         """Every distinct spec key this shard has cached prompts for."""
@@ -220,40 +226,41 @@ class PersistentCache:
                 if not isinstance(key, str) or not isinstance(text, str):
                     continue
                 if self._entries.get(key) != text:
-                    self._append(key, text)
+                    self._append({"key": key, "text": text})
                     added += 1
                 if isinstance(route, str) and route not in self._routes.get(key, ()):
-                    self._append_route(key, route)
+                    self._append({"key": key, "route": route})
             self._m_entries.set(len(self._entries))
         return added
 
     def remove_routes(self, routes: "set[str]") -> int:
-        """Drop every entry attributed *only* to ``routes``; compact after.
+        """Drop every entry attributed *only* to ``routes``; compact the log.
 
         The source-side half of a migration: once the new owner has
         absorbed the moved rows, the old shard stops holding them so shard
         contents stay disjoint at the spec level.  An entry shared with a
         route that stays keeps living here (only the moved attribution is
         forgotten) — dropping it would cost the staying spec a cache miss.
-        Returns entries dropped.
+        The compacted log is written before memory changes, so a failed
+        rewrite leaves both as they were.  Returns entries dropped.
         """
         with self._lock:
-            touched = False
-            dropped = 0
-            for key in list(self._routes):
-                remaining = self._routes[key] - routes
-                if remaining == self._routes[key]:
-                    continue
-                touched = True
+            if not any(key_routes & routes for key_routes in self._routes.values()):
+                return 0
+            kept: dict[str, set[str]] = {}
+            for key, key_routes in self._routes.items():
+                remaining = key_routes - routes
                 if remaining:
-                    self._routes[key] = remaining
-                else:
-                    del self._routes[key]
-                    if self._entries.pop(key, None) is not None:
-                        dropped += 1
-            self._m_entries.set(len(self._entries))
-        if touched:
-            self.compact()
+                    kept[key] = remaining
+            entries = {
+                key: text
+                for key, text in self._entries.items()
+                if key in kept or key not in self._routes
+            }
+            self._rewrite(entries, kept)
+            dropped = len(self._entries) - len(entries)
+            self._entries, self._routes = entries, kept
+            self._m_entries.set(len(entries))
         return dropped
 
     # ---------------------------------------------------------- maintenance
@@ -265,39 +272,17 @@ class PersistentCache:
         return self.get(prompt) is not None
 
     def clear(self) -> None:
-        """Delete all shard files and forget every entry."""
+        """Delete the log and forget every entry."""
         with self._lock:
+            self.log_path.unlink(missing_ok=True)
             self._entries.clear()
             self._routes.clear()
-            for shard_path in self.path.glob("shard-*.jsonl"):
-                shard_path.unlink()
-            if self._routes_file.exists():
-                self._routes_file.unlink()
 
     def compact(self) -> None:
-        """Rewrite shards with one line per live key (drops superseded lines)."""
+        """Rewrite the log with one line per live entry and route.
+
+        Write-then-rename: the new log is written to ``cache.jsonl.tmp`` and
+        renamed over the old one, so a failure leaves the old log whole.
+        """
         with self._lock:
-            by_shard: dict[Path, list[tuple[str, str]]] = {}
-            for key, text in self._entries.items():
-                by_shard.setdefault(self._shard_file(key), []).append((key, text))
-            for shard_path in self.path.glob("shard-*.jsonl"):
-                shard_path.unlink()
-            for shard_path, entries in by_shard.items():
-                with open(shard_path, "w", encoding="utf-8") as handle:
-                    for key, text in entries:
-                        handle.write(
-                            json.dumps({"key": key, "text": text}, ensure_ascii=False)
-                            + "\n"
-                        )
-            if self._routes:
-                with open(self._routes_file, "w", encoding="utf-8") as handle:
-                    for key, key_routes in self._routes.items():
-                        for route in sorted(key_routes):
-                            handle.write(
-                                json.dumps(
-                                    {"key": key, "route": route}, ensure_ascii=False
-                                )
-                                + "\n"
-                            )
-            elif self._routes_file.exists():
-                self._routes_file.unlink()
+            self._rewrite(self._entries, self._routes)

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint, make_mixed_specs
+from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint
 
 from repro.cluster import (
     ClusterError,
@@ -109,7 +109,7 @@ def test_drained_leave_migrates_shard_to_survivors(tmp_path, mixed_specs):
     with make_router(3, cache_dir=str(tmp_path)) as router:
         assert fingerprint(router.submit_specs(mixed_specs)) == reference
         victim = sorted(router.live_workers)[-1]
-        migrated = router.remove_worker(victim, drain=True)
+        migrated = router.remove_worker(victim)
         assert victim not in router.workers
         assert len(router.live_workers) == 2
         assert router.stats().draining == 0
@@ -151,7 +151,7 @@ def test_leave_waits_for_slow_inflight_work(tmp_path, mixed_specs):
         load.start()
         # The slow submit has reached the victim before the drain starts.
         assert reached.wait(timeout=30)
-        router.remove_worker(victim, drain=True, drain_timeout=30.0)
+        router.remove_worker(victim)
         load.join(timeout=60)
         assert not load.is_alive()
         assert outcome["fp"] == reference

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint, make_mixed_specs
+from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint
 
 from repro.api import Client, PipelineSpec, TransformationSpec
 from repro.cluster import ClusterError, Router, Worker

@@ -2,7 +2,6 @@
 
 import errno
 import json
-from pathlib import Path
 
 import pytest
 
@@ -37,29 +36,20 @@ def test_last_write_wins_across_processes(tmp_path):
 
 
 def test_identical_put_is_not_reappended(tmp_path):
-    cache = PersistentCache(tmp_path / "c", shards=1)
+    cache = PersistentCache(tmp_path / "c")
     cache.put("p", "same")
     cache.put("p", "same")
-    shard = tmp_path / "c" / "shard-00.jsonl"
+    shard = tmp_path / "c" / "cache.jsonl"
     assert len(shard.read_text().strip().splitlines()) == 1
 
 
-def test_keys_spread_over_shards(tmp_path):
-    cache = PersistentCache(tmp_path / "c", shards=4)
-    for i in range(40):
-        cache.put(f"prompt {i}", "x")
-    shards = list((tmp_path / "c").glob("shard-*.jsonl"))
-    assert len(shards) > 1
-    assert len(PersistentCache(tmp_path / "c", shards=4)) == 40
-
-
 def test_torn_final_line_is_skipped(tmp_path):
-    cache = PersistentCache(tmp_path / "c", shards=1)
+    cache = PersistentCache(tmp_path / "c")
     cache.put("p", "ok")
-    shard = tmp_path / "c" / "shard-00.jsonl"
+    shard = tmp_path / "c" / "cache.jsonl"
     with open(shard, "a", encoding="utf-8") as handle:
         handle.write('{"key": "abc", "te')  # simulated crash mid-write
-    reopened = PersistentCache(tmp_path / "c", shards=1)
+    reopened = PersistentCache(tmp_path / "c")
     assert reopened.get("p") == "ok"
     assert len(reopened) == 1
 
@@ -69,25 +59,20 @@ def test_clear_deletes_shards(tmp_path):
     cache.put("p", "x")
     cache.clear()
     assert len(cache) == 0
-    assert not list((tmp_path / "c").glob("shard-*.jsonl"))
+    assert list((tmp_path / "c").iterdir()) == []
     assert PersistentCache(tmp_path / "c").get("p") is None
 
 
 def test_compact_rewrites_one_line_per_key(tmp_path):
-    cache = PersistentCache(tmp_path / "c", shards=1)
+    cache = PersistentCache(tmp_path / "c")
     for value in ("v1", "v2", "v3"):
         cache.put("p", value)
-    shard = tmp_path / "c" / "shard-00.jsonl"
+    shard = tmp_path / "c" / "cache.jsonl"
     assert len(shard.read_text().strip().splitlines()) == 3
     cache.compact()
     lines = shard.read_text().strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"key": prompt_key("p"), "text": "v3"}
-
-
-def test_rejects_nonpositive_shards(tmp_path):
-    with pytest.raises(ValueError):
-        PersistentCache(tmp_path / "c", shards=0)
 
 
 # ------------------------------------------------------- cluster shard handoff
@@ -117,7 +102,7 @@ def test_concurrent_writers_through_one_cache_instance(tmp_path):
     """Thread-safety of one shard under parallel appends (engine threads)."""
     import threading
 
-    cache = PersistentCache(tmp_path / "c", shards=4)
+    cache = PersistentCache(tmp_path / "c")
 
     def write(prefix: str) -> None:
         for i in range(50):
@@ -129,7 +114,7 @@ def test_concurrent_writers_through_one_cache_instance(tmp_path):
     for thread in threads:
         thread.join()
     assert len(cache) == 400
-    reopened = PersistentCache(tmp_path / "c", shards=4)
+    reopened = PersistentCache(tmp_path / "c")
     assert len(reopened) == 400
     assert reopened.get("t3 prompt 17") == "t3 answer 17"
 
@@ -141,14 +126,14 @@ def test_reopen_after_crash_with_torn_line_mid_file(tmp_path):
     append after (the cluster handoff case: a worker dies mid-put and a
     fresh worker re-opens + extends the same shard directory).
     """
-    cache = PersistentCache(tmp_path / "c", shards=1)
+    cache = PersistentCache(tmp_path / "c")
     cache.put("before", "kept")
-    shard = tmp_path / "c" / "shard-00.jsonl"
+    shard = tmp_path / "c" / "cache.jsonl"
     with open(shard, "a", encoding="utf-8") as handle:
         handle.write('{"key": "deadbeef", "text": "tru\n')  # crash mid-record
-    survivor = PersistentCache(tmp_path / "c", shards=1)
+    survivor = PersistentCache(tmp_path / "c")
     survivor.put("after", "also kept")
-    reopened = PersistentCache(tmp_path / "c", shards=1)
+    reopened = PersistentCache(tmp_path / "c")
     assert reopened.get("before") == "kept"
     assert reopened.get("after") == "also kept"
     assert len(reopened) == 2
@@ -158,17 +143,17 @@ ROW = {"key": prompt_key("p"), "text": "t", "route": "spec-1"}
 
 
 @pytest.mark.parametrize(
-    "write, failing_file, expected",
+    "write, failing_append, expected",
     [
-        (lambda cache: cache.put("p", "t"), "shard-", ("t", set())),
-        (lambda cache: cache.note_route("p", "spec-1"), "routes", (None, {"spec-1"})),
-        (lambda cache: cache.absorb([ROW]), "shard-", ("t", {"spec-1"})),
-        (lambda cache: cache.absorb([ROW]), "routes", ("t", {"spec-1"})),
+        (lambda cache: cache.put("p", "t"), 1, ("t", set())),
+        (lambda cache: cache.note_route("p", "spec-1"), 1, (None, {"spec-1"})),
+        (lambda cache: cache.absorb([ROW]), 1, ("t", {"spec-1"})),
+        (lambda cache: cache.absorb([ROW]), 2, ("t", {"spec-1"})),
     ],
     ids=["put", "note_route", "absorb-entry", "absorb-route"],
 )
 def test_a_failed_append_is_retried_not_forgotten(
-    tmp_path, monkeypatch, write, failing_file, expected
+    tmp_path, monkeypatch, write, failing_append, expected
 ):
     """Write first, remember second: what memory holds is on disk.
 
@@ -176,23 +161,99 @@ def test_a_failed_append_is_retried_not_forgotten(
     after one failed append the retry was skipped as "already durable" and a
     reopened cache never had it.
     """
-    failed = []
+    appends = []
 
     def full_disk_once(file, mode="r", *args, **kwargs):
-        if "a" in mode and Path(file).name.startswith(failing_file) and not failed:
-            failed.append(file)
-            raise OSError(errno.ENOSPC, "No space left on device")
+        if "a" in mode:
+            appends.append(file)
+            if len(appends) == failing_append:
+                raise OSError(errno.ENOSPC, "No space left on device")
         return open(file, mode, *args, **kwargs)
 
     def state(cache):
         return cache.get("p"), cache.route_keys()
 
-    cache = PersistentCache(tmp_path / "c", shards=1)
+    cache = PersistentCache(tmp_path / "c")
     monkeypatch.setattr("repro.serving.cache.open", full_disk_once, raising=False)
     with pytest.raises(OSError):
         write(cache)
-    assert failed
-    assert state(cache) == state(PersistentCache(tmp_path / "c", shards=1))
+    assert len(appends) == failing_append
+    assert state(cache) == state(PersistentCache(tmp_path / "c"))
     write(cache)  # the retry lands ...
     assert state(cache) == expected
-    assert state(PersistentCache(tmp_path / "c", shards=1)) == expected  # ... and survives
+    assert state(PersistentCache(tmp_path / "c")) == expected  # ... and survives
+
+
+@pytest.mark.parametrize("line", ["null", "[1]", '"x"', "5"])
+def test_a_json_line_that_is_not_an_object_is_skipped(tmp_path, line):
+    """Valid JSON that is not a record counts as torn; neighbours survive.
+
+    At the parent such a line raised ``AttributeError`` at open, so the
+    directory could not be opened at all.
+    """
+    cache = PersistentCache(tmp_path / "c")
+    cache.put("before", "kept")
+    with open(cache.log_path, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    PersistentCache(tmp_path / "c").put("after", "also kept")
+    reopened = PersistentCache(tmp_path / "c")
+    assert (reopened.get("before"), reopened.get("after")) == ("kept", "also kept")
+    assert len(reopened) == 2
+
+
+def test_a_failed_compaction_leaves_the_log_whole(tmp_path, monkeypatch):
+    """Write-then-rename: a rewrite that fails changes neither disk nor memory.
+
+    At the parent the shard files were unlinked before the rewrite, so a
+    full disk during a join's ``remove_routes`` lost the whole shard.
+    """
+    cache = PersistentCache(tmp_path / "c")
+    for i in range(5):
+        cache.note_route(f"p{i}", f"r{i}")
+        cache.put(f"p{i}", f"t{i}")
+
+    def full_disk_on_rewrite(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("repro.serving.cache.open", full_disk_on_rewrite, raising=False)
+    with pytest.raises(OSError):
+        cache.remove_routes({"r1"})
+    monkeypatch.undo()
+    assert [path.name for path in (tmp_path / "c").iterdir()] == ["cache.jsonl"]
+    for state in (cache, PersistentCache(tmp_path / "c")):
+        assert [state.get(f"p{i}") for i in range(5)] == [f"t{i}" for i in range(5)]
+        assert state.route_keys() == {f"r{i}" for i in range(5)}
+    assert cache.remove_routes({"r1"}) == 1  # the retry lands ...
+    reopened = PersistentCache(tmp_path / "c")  # ... and survives
+    assert len(reopened) == 4 and reopened.get("p1") is None
+    assert reopened.route_keys() == {"r0", "r2", "r3", "r4"}
+
+
+def test_every_byte_prefix_of_the_log_opens_to_a_state_that_was_written(tmp_path):
+    """A crash leaves a prefix of the one log; every prefix opens consistently."""
+    written = PersistentCache(tmp_path / "full")
+    written.note_route("p", "spec-1")
+    written.put("p", "première")  # non-ASCII: some cuts split a UTF-8 sequence
+    written.note_route("q", "spec-2")
+    written.absorb([{"key": prompt_key("r"), "text": "t-r", "route": "spec-3"}])
+    written.put("p", "second")
+    texts = {"p": {"première", "second"}, "q": set(), "r": {"t-r"}}
+    routes = {"spec-1", "spec-2", "spec-3"}
+    log = written.log_path.read_bytes()
+    crashed = tmp_path / "crashed"
+    crashed.mkdir()
+    for cut in range(len(log) + 1):
+        prefix = log[:cut]
+        (crashed / "cache.jsonl").write_bytes(prefix)
+        cache = PersistentCache(crashed)
+        for prompt, allowed in texts.items():
+            assert cache.get(prompt) in allowed | {None}
+        assert cache.route_keys() <= routes
+        for row in cache.entries_for_routes(routes):
+            entry = {"key": row["key"], "text": row["text"]}
+            route = {"key": row["key"], "route": row["route"]}
+            for record in (entry, route):
+                assert json.dumps(record, ensure_ascii=False).encode() in prefix
+    assert (cache.get("p"), cache.get("r"), cache.route_keys()) == ("second", "t-r", routes)

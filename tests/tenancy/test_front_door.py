@@ -1,6 +1,5 @@
 """Tenancy through the wire: envelope echo, structured sheds, client retries."""
 
-import threading
 import time
 
 import pytest

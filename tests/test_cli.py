@@ -130,7 +130,6 @@ def test_cli_top_unreachable_fails_cleanly(capsys):
 
 
 def test_cli_stats_watch_shares_the_top_renderer(capsys, live_stats_port):
-    import threading
     import repro.cli.top as top_module
 
     # One frame then interrupt: patch sleep to raise like a real Ctrl-C.

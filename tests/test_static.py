@@ -1,4 +1,4 @@
-"""The stdlib static check (``scripts/check_static.py``) passes on CI's lint paths."""
+"""The stdlib static check (``scripts/check_static.py``) passes on CI's lint paths and tests."""
 
 import importlib.util
 from pathlib import Path
@@ -12,4 +12,4 @@ def test_no_unused_imports_or_compile_warnings_on_the_lint_paths():
     spec.loader.exec_module(check_static)
     paths = check_static.ruff_paths()
     assert "src/repro/api" in paths
-    assert check_static.scan(paths) == []
+    assert check_static.scan([*paths, "tests"]) == []
