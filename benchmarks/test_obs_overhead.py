@@ -78,7 +78,7 @@ def test_span_and_event_overhead_is_bounded(benchmark, tmp_path):
         pipeline = fresh_pipeline()
         engine = ExecutionEngine(EngineConfig(max_batch_size=8, workers=8))
         started = time.perf_counter()
-        pipeline.run_many(dataset.tasks, engine=engine)
+        engine.run(pipeline, dataset.tasks)
         return time.perf_counter() - started
 
     def run_monitored_arm() -> float:

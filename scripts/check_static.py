@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""Stdlib-only static check: unused imports and compile warnings.
+"""Stdlib-only static check: unused imports, unresolved imports, compile warnings.
 
-CI's lint job runs ruff; this script runs the two of its checks that catch
-what a deletion most often leaves behind, with nothing but the standard
-library, so the tier-1 suite (``tests/test_static.py``) runs them too:
+CI's lint job runs ruff; this script runs the checks that catch what a
+deletion most often leaves behind, with nothing but the standard library,
+so the tier-1 suite (``tests/test_static.py``) runs them too:
 
 * **F401** — an import whose bound name is never used in its scope.  A name
   counts as used when it is read anywhere in the scope that imports it,
@@ -14,6 +14,13 @@ library, so the tier-1 suite (``tests/test_static.py``) runs them too:
 * **compile under** ``-W error`` — every file must compile without a
   warning (invalid escape sequences, ``is`` against a literal, ...).  A
   syntax error is reported too (ruff's E9).
+* **unresolved imports** — for every ``from repro... import name`` (absolute,
+  or relative inside ``src/repro``), at module level, under
+  ``TYPE_CHECKING`` or inside a function, the target module is imported and
+  must exist and define ``name`` (an attribute or a submodule).  Neither
+  ruff nor ``compile`` resolves names across modules, so a function-local
+  import of a deleted name would otherwise fail only when its branch runs.
+  ``import repro.x`` must name an importable module.
 
 Not covered — ruff still owns these: the rest of the ``F`` rules (F811
 redefinitions, F841 unused locals, F821 undefined names, F541 placeholder-
@@ -32,12 +39,17 @@ Exits 1 listing every ``file:line: message``.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import sys
 import warnings
 from pathlib import Path
+from types import ModuleType
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CI_FILE = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+SRC = REPO_ROOT / "src"
+PACKAGE = "repro"
 
 
 def ruff_paths() -> list[str]:
@@ -106,8 +118,7 @@ def _imports(scope: ast.AST):
         stack.extend((child, inner) for child in ast.iter_child_nodes(node))
 
 
-def unused_imports(path: Path, source: str) -> list[str]:
-    tree = ast.parse(source, str(path))
+def unused_imports(path: Path, source: str, tree: ast.AST) -> list[str]:
     lines = source.splitlines()
     used_in: dict[int, set[str]] = {}
     findings = []
@@ -126,6 +137,62 @@ def unused_imports(path: Path, source: str) -> list[str]:
     return findings
 
 
+def _target_module(file_path: Path, node: ast.ImportFrom) -> str | None:
+    """The absolute module a ``from ... import`` names, if it is in the package."""
+    if node.level == 0:
+        module = node.module or ""
+        return module if module.partition(".")[0] == PACKAGE else None
+    if not file_path.is_relative_to(SRC / PACKAGE):
+        return None
+    parts = list(file_path.relative_to(SRC).parent.parts)
+    base = parts[: len(parts) - (node.level - 1)]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _load(module: str) -> ModuleType | str:
+    """The imported module, or the error text."""
+    try:
+        return importlib.import_module(module)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _has(module: ModuleType, name: str) -> bool:
+    if hasattr(module, name):
+        return True
+    try:
+        return importlib.util.find_spec(f"{module.__name__}.{name}") is not None
+    except ImportError:
+        return False
+
+
+def unresolved_imports(path: Path, file_path: Path, tree: ast.AST) -> list[str]:
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [
+                (alias.name, None)
+                for alias in node.names
+                if alias.name.partition(".")[0] == PACKAGE
+            ]
+        elif isinstance(node, ast.ImportFrom):
+            module = _target_module(file_path, node)
+            targets = [(module, node.names)] if module is not None else []
+        else:
+            continue
+        for module, names in targets:
+            found = _load(module)
+            if isinstance(found, str):
+                findings.append(f"{path}:{node.lineno}: cannot import '{module}': {found}")
+                continue
+            for alias in names or ():
+                if alias.name != "*" and not _has(found, alias.name):
+                    findings.append(
+                        f"{path}:{node.lineno}: '{alias.name}' not found in '{module}'"
+                    )
+    return findings
+
+
 def check_file(file_path: Path) -> list[str]:
     source = file_path.read_text(encoding="utf-8")
     path = file_path.relative_to(REPO_ROOT) if file_path.is_relative_to(REPO_ROOT) else file_path
@@ -137,10 +204,13 @@ def check_file(file_path: Path) -> list[str]:
         return [f"{path}:{exc.lineno}: compile: {exc.msg}"]
     except Warning as exc:
         return [f"{path}: compile: {exc}"]
-    return unused_imports(path, source)
+    tree = ast.parse(source, str(path))
+    return unused_imports(path, source, tree) + unresolved_imports(path, file_path, tree)
 
 
 def scan(paths: list[str]) -> list[str]:
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
     findings: list[str] = []
     for root in paths:
         root_path = REPO_ROOT / root

@@ -41,10 +41,9 @@ Commands
     line protocol) or from a ``--stats-port`` side channel (``GET /``).  With
     ``--format prom`` the snapshot is rendered as Prometheus text-format
     exposition (fetched as ``GET /metrics`` when a ``--stats-port`` is
-    given); ``--reset`` zeroes the counters after the snapshot;
-    ``--tenant NAME`` narrows it to one tenant (main-port mode only).
-    ``--watch SECONDS`` polls and repaints the compact health table (the
-    same renderer as ``top``) instead of printing once.
+    given); ``--reset`` zeroes the counters after the snapshot,
+    ``--tenant NAME`` narrows it to one tenant and ``--prefix`` to one
+    metric prefix (main port only: with ``--stats-port`` they exit 2).
 ``top``
     Live refreshing per-tenant health table against a running service:
     windowed QPS, p99 latency, shed rate, error-budget headroom and SLO
@@ -212,23 +211,29 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print("ground truth :", dataset.ground_truth[0])
     print("tokens       :", result.total_tokens)
     if engine is not None:
+        from .obs.metrics import get_default_registry
+
+        counters = [
+            get_default_registry().counter(f"batcher.{name}")
+            for name in ("requests", "batches", "cached")
+        ]
+        before = [counter.value for counter in counters]
         started = time.perf_counter()
         results = client.run_tasks(dataset.tasks)
         elapsed = time.perf_counter() - started
+        requests, batches, cached = (c.value - b for c, b in zip(counters, before))
         correct = sum(
             1 for r, truth in zip(results, dataset.ground_truth) if r.value == truth
         )
-        stats = engine.last_report.stats
         print(
             f"engine       : {len(results)} tasks in {elapsed:.3f}s "
             f"({len(results) / elapsed:.1f} tasks/s), {correct}/{len(results)} correct"
         )
-        if stats is not None:
-            print(
-                f"batching     : {stats.requests} LLM calls in {stats.batches} "
-                f"batches (mean {stats.mean_batch:.2f}, max {stats.max_batch}) "
-                f"+ {stats.cached} answered from cache"
-            )
+        mean = requests / batches if batches else 0.0
+        print(
+            f"batching     : {requests} LLM calls in {batches} batches "
+            f"(mean {mean:.2f}) + {cached} answered from cache"
+        )
         if args.cache_dir is not None:
             print(f"cache        : hit rate {llm.hit_rate:.2f} ({args.cache_dir})")
     return 0
@@ -484,8 +489,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json
 
-    from .cli import StatsUnreachable, fetch_snapshot, render_top, watch_loop
+    from .cli import StatsUnreachable, fetch_snapshot
     from .cli.fetch import fetch_prometheus
+
+    if args.stats_port is not None:
+        for flag, value in (
+            ("--reset", args.reset), ("--tenant", args.tenant), ("--prefix", args.prefix)
+        ):
+            if value:
+                print(
+                    f"repro stats: {flag} needs the main port; drop it or --stats-port",
+                    file=sys.stderr,
+                )
+                return 2
 
     def fetch() -> dict:
         return fetch_snapshot(
@@ -499,14 +515,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         )
 
     try:
-        if args.watch is not None:
-            return watch_loop(
-                fetch,
-                render_top,
-                interval=args.watch,
-                out=sys.stdout,
-                err=sys.stderr,
-            )
         if args.format == "prom":
             if args.stats_port is not None:
                 body = fetch_prometheus(
@@ -711,7 +719,9 @@ def main(argv: list[str] | None = None) -> int:
         help="read the serve --stats-port side channel instead of the main port",
     )
     stats_parser.add_argument(
-        "--prefix", default="", help="restrict metrics to this dotted name prefix"
+        "--prefix",
+        default="",
+        help="restrict metrics to this dotted name prefix (main-port mode only)",
     )
     stats_parser.add_argument("--timeout", type=float, default=10.0)
     stats_parser.add_argument(
@@ -731,13 +741,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="narrow the snapshot to one tenant's metrics and state "
         "(main-port mode only)",
-    )
-    stats_parser.add_argument(
-        "--watch",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="redraw the repro-top table every SECONDS instead of printing once",
     )
     stats_parser.set_defaults(fn=_cmd_stats)
 

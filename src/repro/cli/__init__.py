@@ -13,7 +13,7 @@ live here:
   traceback.
 * :mod:`repro.cli.top` — the ``repro top`` live table (per-tenant QPS,
   windowed p99, shed rate, error-budget headroom, SLO state) and the
-  shared watch loop ``repro stats --watch`` reuses.
+  watch loop that repaints it.
 """
 
 from .fetch import StatsUnreachable, fetch_probe, fetch_snapshot

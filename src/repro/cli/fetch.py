@@ -38,11 +38,13 @@ def fetch_snapshot(
 ) -> dict[str, Any]:
     """One stats snapshot from a running front-end (dict, or raises).
 
-    With ``stats_port`` the side channel's ``GET /`` is read (``prefix``/
-    ``tenant``/``reset`` are main-port-only and ignored there); otherwise a
-    ``stats`` request goes through the main port.
+    With ``stats_port`` the side channel's ``GET /`` is read; ``prefix``/
+    ``tenant``/``reset`` are main-port-only, so giving one with it is a
+    ``ValueError``.  Otherwise a ``stats`` request goes through the main port.
     """
     if stats_port is not None:
+        if prefix or tenant or reset:
+            raise ValueError("prefix, tenant and reset need the main port, not stats_port")
         return fetch_probe(host, stats_port, "/", timeout=timeout)[1]
     from ..api import ApiError, Client
 

@@ -7,10 +7,8 @@ rate (rate-limit + admission), remaining error budget and SLO state, plus a
 header line with readiness and firing alerts.  Everything is computed
 service-side by the rolling time-series layer; this module only formats.
 
-:func:`watch_loop` is the shared polling driver — ``repro top`` runs it
-with this renderer, and ``repro stats --watch`` reuses it so both commands
-refresh identically (ANSI home+clear between frames, ``--once`` for
-scripts and CI).
+:func:`watch_loop` is ``repro top``'s polling driver: ANSI home+clear
+between frames, ``--once`` for scripts and CI.
 """
 
 from __future__ import annotations
@@ -169,12 +167,11 @@ def watch_loop(
 ) -> int:
     """Poll ``fetch`` and paint ``render`` until interrupted.
 
-    The shared driver of ``repro top`` and ``repro stats --watch``: one
-    frame per ``interval`` seconds (screen cleared between frames),
-    ``once`` prints a single frame with no clearing (scripts, CI smoke).
-    An unreachable endpoint prints its message and exits 1 — on the first
-    frame immediately; mid-watch it also ends the loop (the service went
-    away).
+    The driver of ``repro top``: one frame per ``interval`` seconds
+    (screen cleared between frames), ``once`` prints a single frame with
+    no clearing (scripts, CI smoke).  An unreachable endpoint prints its
+    message and exits 1 — on the first frame immediately; mid-watch it also
+    ends the loop (the service went away).
     """
     from .fetch import StatsUnreachable
 

@@ -16,20 +16,17 @@ comparison of Table 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
 from ..datalake.sampling import make_rng
 from ..llm.base import LanguageModel, UsageDelta
 from .cloze import TargetPromptBuilder
 from .config import UniDMConfig
 from .parsing import ContextParser, ParsedContext
-from .plan import Plan, drive
+from .plan import LLMRequest, Plan, drive
 from .retrieval import ContextRetriever, RetrievedContext
 from .tasks.base import Task
 from .types import ManipulationResult, PromptTrace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving imports core)
-    from ..serving.engine import ExecutionEngine
 
 
 class UniDM:
@@ -44,46 +41,34 @@ class UniDM:
 
     # ------------------------------------------------------------------ running
     def run(self, task: Task) -> ManipulationResult:
-        """Solve one task instance (Algorithm 1)."""
+        """Solve one task instance (Algorithm 1), one LLM call at a time."""
         trace = PromptTrace()
         usage_before = self.llm.usage.snapshot()
-
-        context = self._build_context(task, trace)
-        target = drive(self.plan_target(task, context.text, trace), self.llm)
-        completion = self.llm.complete(target.text, kind="answer")
-        trace.answer = completion.text
-
+        context = drive(self.plan(task, trace), self.llm)
         usage = self.llm.usage.delta_since(usage_before)
-        return self.finish(task, context, completion.text, trace, usage)
+        return self.finish(task, context, trace, usage)
 
-    def run_many(
-        self,
-        tasks: Iterable[Task],
-        engine: "ExecutionEngine | None" = None,
-    ) -> list[ManipulationResult]:
-        """Solve a sequence of task instances.
+    # ------------------------------------------------------------------ the plan
+    # Algorithm 1 as one sans-IO plan (see repro.core.plan).  ``run`` drives it
+    # synchronously and the serving engine drives it through its micro-batcher;
+    # every step is a pure function of (config.seed, task) given its
+    # completions, so a task issues the same prompts on either path.
+    def plan(self, task: Task, trace: PromptTrace) -> Plan:
+        """Every LLM request of ``task`` in Algorithm 1 order, the answer last.
 
-        Without an ``engine`` this is a plain loop over :meth:`run`; pass a
-        serving :class:`~repro.serving.engine.ExecutionEngine` to overlap
-        tasks and micro-batch their prompts, kinds mixed.  Each task's prompts
-        are the same either way (see :meth:`plan_retrieval`).
+        Context retrieval (``p_rm`` / ``p_ri``), context parsing (``p_dp``),
+        target-prompt construction (``p_cq``), then ``LLMRequest(p_as,
+        "answer")``.  The plan returns the assembled context; the answer text
+        lands in ``trace.answer``.
         """
-        if engine is None:
-            return [self.run(task) for task in tasks]
-        return engine.run(self, tasks)
+        pre = yield from self._plan_retrieval(task, trace)
+        context = yield from self._plan_context(pre, trace)
+        target = yield from self.prompt_builder.plan(task, context.text, trace)
+        trace.answer = yield LLMRequest(target.text, "answer")
+        return context
 
-    # ------------------------------------------------------------- context assembly
-    def _build_context(self, task: Task, trace: PromptTrace) -> "_Context":
-        pre = drive(self.plan_retrieval(task, trace), self.llm)
-        return drive(self.plan_context(pre, trace), self.llm)
-
-    # ----------------------------------------------------------------- plan stages
-    # Algorithm 1 decomposed into sans-IO stages (see repro.core.plan).  The
-    # sync path above and the async serving engine both execute these exact
-    # generators, and every stage is a pure function of (config.seed, task)
-    # given its completions.
-    def plan_retrieval(self, task: Task, trace: PromptTrace) -> Plan:
-        """Stage 1+2: context retrieval (``p_rm`` / ``p_ri``).
+    def _plan_retrieval(self, task: Task, trace: PromptTrace) -> Plan:
+        """Context retrieval (``p_rm`` / ``p_ri``).
 
         The candidate pool (and the random-context ablations) draw from a
         generator derived here from ``config.seed`` and the task's own
@@ -106,8 +91,8 @@ class UniDM:
         retrieved = yield from self.retriever.plan(task, rng, trace)
         return _PreContext(retrieved=retrieved)
 
-    def plan_context(self, pre: "_PreContext", trace: PromptTrace) -> Plan:
-        """Stage 3: context data parsing (``p_dp``)."""
+    def _plan_context(self, pre: "_PreContext", trace: PromptTrace) -> Plan:
+        """Context data parsing (``p_dp``)."""
         if pre.raw_text is not None:
             parsed = self.parser.parse_raw_text(pre.raw_text, trace)
             return _Context(text=parsed.text, attributes=[])
@@ -123,19 +108,15 @@ class UniDM:
         )
         return _Context(text=parsed.text, attributes=retrieved.attributes)
 
-    def plan_target(self, task: Task, context_text: str, trace: PromptTrace) -> Plan:
-        """Stage 4: target prompt construction (``p_cq``)."""
-        return (yield from self.prompt_builder.plan(task, context_text, trace))
-
     def finish(
         self,
         task: Task,
         context: "_Context",
-        answer_text: str,
         trace: PromptTrace,
         usage: UsageDelta,
     ) -> ManipulationResult:
-        """Assemble the result record once the answer completion is in."""
+        """Assemble the result record once :meth:`plan` has run to completion."""
+        answer_text = trace.answer or ""
         return ManipulationResult(
             task_type=task.task_type,
             raw_answer=answer_text,

@@ -9,18 +9,20 @@ receives the completion text back via ``send()``.  The component stays free of
 I/O concerns; a driver decides how requests are actually executed:
 
 * :func:`drive` executes a plan against a :class:`~repro.llm.base.LanguageModel`
-  synchronously (the classic ``UniDM.run`` path);
-* :func:`repro.serving.stages.drive_async` awaits each request through the
-  micro-batcher, which coalesces requests of any kinds across in-flight tasks.
+  synchronously (the ``UniDM.run`` path);
+* :func:`drive_async` awaits each request through a callable — the serving
+  engine's is the micro-batcher, which coalesces requests of any kinds across
+  in-flight tasks.
 
-Because both drivers walk the identical generator code, the serving engine is
-equivalent to the sequential pipeline by construction.
+Algorithm 1 is written once, as :meth:`repro.core.pipeline.UniDM.plan`; both
+drivers walk that one generator, so the serving engine is equivalent to the
+sequential pipeline by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any, Awaitable, Callable, Generator
 
 from ..llm.base import LanguageModel
 
@@ -52,4 +54,16 @@ def drive(plan: Plan, llm: LanguageModel) -> Any:
         return stop.value
 
 
-__all__ = ["LLMRequest", "Plan", "drive"]
+
+async def drive_async(plan: Plan, call: Callable[[LLMRequest], Awaitable[str]]) -> Any:
+    """Run ``plan`` to completion, satisfying each request via ``await call(...)``."""
+    try:
+        request = next(plan)
+        while True:
+            text = await call(request)
+            request = plan.send(text)
+    except StopIteration as stop:
+        return stop.value
+
+
+__all__ = ["LLMRequest", "Plan", "drive", "drive_async"]

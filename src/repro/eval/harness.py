@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
+from ..core.pipeline import UniDM
 from ..core.types import TaskType
 from ..datasets.base import BenchmarkDataset
 from .metrics import accuracy, confusion, f1_score, mean_text_f1
@@ -181,12 +182,8 @@ def _engine_for(batch_size: int | None, workers: int | None):
 
 def _pipeline_of(method: Any):
     """The engine-capable pipeline behind ``method``, if it has one."""
-    pipeline = getattr(method, "pipeline", None)
-    if pipeline is None and hasattr(method, "plan_retrieval"):
-        pipeline = method  # a bare UniDM passed directly
-    if pipeline is not None and hasattr(pipeline, "run_many"):
-        return pipeline
-    return None
+    pipeline = method if isinstance(method, UniDM) else getattr(method, "pipeline", None)
+    return pipeline if isinstance(pipeline, UniDM) else None
 
 
 def _usage_of(method: Any) -> tuple[int, int]:

@@ -12,9 +12,9 @@ requests over stdin or a socket, speaking the v2 envelopes of
 framework.
 """
 
-from .batcher import BatcherStats, MicroBatcher
+from .batcher import MicroBatcher
 from .cache import PersistentCache, prompt_key
-from .engine import EngineConfig, EngineReport, ExecutionEngine
+from .engine import EngineConfig, ExecutionEngine
 from .service import (
     ServingService,
     build_service,
@@ -22,7 +22,6 @@ from .service import (
     serve_lines,
     start_line_server,
 )
-from .stages import drive_async, execute_task
 from .transport import (
     FRAME_BINARY,
     MAX_FRAME_BYTES,
@@ -31,19 +30,15 @@ from .transport import (
 )
 
 __all__ = [
-    "BatcherStats",
     "FRAME_BINARY",
     "FrameError",
     "MAX_FRAME_BYTES",
     "EngineConfig",
-    "EngineReport",
     "ExecutionEngine",
     "MicroBatcher",
     "PersistentCache",
     "ServingService",
     "build_service",
-    "drive_async",
-    "execute_task",
     "prompt_key",
     "run_pipeline_spec",
     "serve_lines",

@@ -58,11 +58,10 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import time
-from collections import Counter, defaultdict
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable
 
 from ..llm.base import Completion, LanguageModel
 from ..obs.export import get_default_exemplars
@@ -72,42 +71,6 @@ from ..obs.trace import Trace
 
 #: The label a batch goes down under when its prompts do not share a kind.
 MIXED = "mixed"
-
-
-@dataclass(eq=False)  # identity-hashed: batches are counted per run's stats object
-class BatcherStats:
-    """Counters describing how well coalescing worked.
-
-    The batcher's own ``stats`` count every batch it dispatched; a run's
-    stats (:attr:`Origin.stats`) count that run's prompts only, and each
-    batch that carried at least one of them.  A *request* is a prompt that
-    asked for a seat in a batch; one answered from the cache at submission
-    is counted under ``cached`` instead.  ``by_kind`` counts both.
-    """
-
-    requests: int = 0
-    batches: int = 0
-    max_batch: int = 0
-    cached: int = 0
-    by_kind: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def mean_batch(self) -> float:
-        return self.requests / self.batches if self.batches else 0.0
-
-    def note(self, kinds: Mapping[str, int], batch_size: int | None = None) -> None:
-        """Count one batch: ``kinds`` are our prompts in it, ``batch_size`` all."""
-        prompts = sum(kinds.values())
-        self.requests += prompts
-        self.batches += 1
-        self.max_batch = max(self.max_batch, batch_size or prompts)
-        for kind, count in kinds.items():
-            self.by_kind[kind] = self.by_kind.get(kind, 0) + count
-
-    def note_cached(self, kind: str) -> None:
-        """Count one prompt answered from the cache at submission."""
-        self.cached += 1
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
 
 
 @dataclass(frozen=True)
@@ -120,8 +83,6 @@ class Origin:
     route: str | None = None
     #: The task's place in the engine's admission order (lower = older).
     ticket: int = 0
-    #: The counters of the ``run`` the task belongs to.
-    stats: BatcherStats | None = None
 
 
 #: The origin of the task currently executing, set by the engine inside each
@@ -179,7 +140,6 @@ class MicroBatcher:
         )
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait
-        self.stats = BatcherStats()
         # Metric handles resolved once (the registry lock must stay off the
         # per-submission path).
         metrics = metrics or get_default_registry()
@@ -220,9 +180,6 @@ class MicroBatcher:
                 # and a file append only the first time this spec asks.
                 if self._note_route is not None and origin.route is not None:
                     self._note_route(prompt, origin.route)
-                self.stats.note_cached(kind)
-                if origin.stats is not None:
-                    origin.stats.note_cached(kind)
                 self._m_cached.inc()
                 return hit
         loop = asyncio.get_running_loop()
@@ -286,14 +243,6 @@ class MicroBatcher:
             self._cancel_timer()
         if not batch:
             return
-        kinds = Counter(request.kind for request in batch)
-        self.stats.note(kinds)
-        runs: defaultdict[BatcherStats, Counter[str]] = defaultdict(Counter)
-        for request in batch:
-            if request.origin.stats is not None:
-                runs[request.origin.stats][request.kind] += 1
-        for stats, ours in runs.items():
-            stats.note(ours, len(batch))
         self._m_batches.inc()
         self._m_flush[reason].inc()
         self._m_batch_size.observe(len(batch))
@@ -301,7 +250,8 @@ class MicroBatcher:
         for request in batch:
             self._m_queue_wait.observe(now - request.enqueued)
         self._inflight += 1
-        kind = next(iter(kinds)) if len(kinds) == 1 else MIXED
+        kinds = {request.kind for request in batch}
+        kind = kinds.pop() if len(kinds) == 1 else MIXED
         task = loop.create_task(self._execute(loop, kind, batch))
         self._executing.add(task)
         task.add_done_callback(self._executing.discard)

@@ -1,11 +1,13 @@
 """The resident, batched async execution engine.
 
-``ExecutionEngine.run(pipeline, tasks)`` executes many task instances
-concurrently: each task becomes a coroutine walking the pipeline's plan stages
-(meta-retrieval → instance-retrieval → parsing → answer, see
-:mod:`repro.serving.stages`) and every LLM call funnels through a
-:class:`~repro.serving.batcher.MicroBatcher`, which coalesces prompts
-across tasks — whatever their kinds — into batched calls.
+``ExecutionEngine.run(pipeline, tasks)`` is the one way into the engine.  It
+executes many task instances concurrently: each task becomes a coroutine
+driving the pipeline's one plan, :meth:`~repro.core.pipeline.UniDM.plan`
+(Algorithm 1: retrieval → parsing → target prompt → answer), and every LLM
+call funnels through a :class:`~repro.serving.batcher.MicroBatcher`, which
+coalesces prompts across tasks — whatever their kinds — into batched calls.
+``run`` returns the results only; what the batcher did is counted on the
+engine's metrics registry (``batcher.*``).
 
 The engine is **resident**: the first ``run`` starts one daemon event-loop
 thread (``repro-engine``), one LLM executor (``repro-llm``, ``llm_threads``
@@ -36,16 +38,18 @@ import threading
 import time
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
+from ..core.plan import LLMRequest, drive_async
+from ..core.types import PromptTrace
+from ..llm.base import UsageTracker
 from ..obs.export import get_default_exemplars
 from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.span import span
 from ..obs.trace import Trace
 from ..tenancy.fairqueue import DEFAULT_TENANT, WeightedFairQueue
-from .batcher import ORIGIN, BatcherStats, MicroBatcher, Origin
-from .stages import execute_task
+from .batcher import ORIGIN, MicroBatcher, Origin
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.pipeline import UniDM
@@ -83,22 +87,6 @@ class EngineConfig:
         if self.max_wait < 0:
             raise ValueError("max_wait must be non-negative")
 
-    def with_updates(self, **changes) -> "EngineConfig":
-        return replace(self, **changes)
-
-
-@dataclass
-class EngineReport:
-    """What happened during one ``run``: timing plus batching statistics."""
-
-    n_tasks: int = 0
-    elapsed: float = 0.0
-    stats: BatcherStats | None = None
-
-    @property
-    def tasks_per_second(self) -> float:
-        return self.n_tasks / self.elapsed if self.elapsed else 0.0
-
 
 @dataclass(eq=False)
 class _Run:
@@ -111,7 +99,6 @@ class _Run:
     context: contextvars.Context
     share: tuple[str, float, int]
     results: "list[ManipulationResult | None]"
-    stats: BatcherStats = field(default_factory=BatcherStats)
     future: "Future[list[ManipulationResult]]" = field(default_factory=Future)
     #: Tasks admitted but not yet at their first step / running / finished.
     starting: int = 0
@@ -253,11 +240,7 @@ class _Resident:
                 continue  # its run already failed; the slot goes to the next
             self._free -= 1
             run.starting += 1
-            origin = Origin(
-                run.tasks[index].route_key,
-                next(self._tickets),
-                run.stats,
-            )
+            origin = Origin(run.tasks[index].route_key, next(self._tickets))
             # Created inside the caller's context: the task copies it, so
             # ORIGIN set within scopes to this task's prompts only.
             # (``create_task(context=)`` needs Python 3.11; CI runs 3.10.)
@@ -313,7 +296,7 @@ class _Resident:
         started = time.perf_counter()
         try:
             with span("engine.task", kind=kind, index=index):
-                run.results[index] = await execute_task(run.pipeline, task, batcher)
+                run.results[index] = await _solve(run.pipeline, task, batcher)
         finally:
             self._m_inflight.dec()
             tasks_counter.inc()
@@ -321,6 +304,27 @@ class _Resident:
             get_default_exemplars().note(
                 f"engine.task_latency.{kind}", Trace.current_id()
             )
+
+
+async def _solve(
+    pipeline: "UniDM", task: "Task", batcher: MicroBatcher
+) -> "ManipulationResult":
+    """Drive ``pipeline.plan(task)`` with every request answered by the batcher.
+
+    Usage is counted on a private tracker (the shared tracker of
+    ``pipeline.llm`` keeps aggregating inside ``complete_batch``): with tasks
+    interleaved, ``run``'s snapshot/delta would bill other tasks' tokens here.
+    """
+    trace = PromptTrace()
+    tracker = UsageTracker()
+
+    async def call(request: LLMRequest) -> str:
+        completion = await batcher.submit(request.prompt, request.kind)
+        tracker.record(completion, kind=request.kind)
+        return completion.text
+
+    context = await drive_async(pipeline.plan(task, trace), call)
+    return pipeline.finish(task, context, trace, tracker.delta_since((0, 0, 0)))
 
 
 class ExecutionEngine:
@@ -336,8 +340,6 @@ class ExecutionEngine:
         metrics: MetricsRegistry | None = None,
     ):
         self.config = config or EngineConfig()
-        #: The report of the ``run`` that finished last.
-        self.last_report = EngineReport()
         self._metrics = metrics or get_default_registry()
         self._lock = threading.Lock()
         self._resident: _Resident | None = None
@@ -363,18 +365,11 @@ class ExecutionEngine:
         """
         task_list = list(tasks)
         if not task_list:
-            self.last_report = EngineReport()
             return []
-        started = time.perf_counter()
         # The run's context is copied inside the span, so the engine.run span
         # (and any wire-carried trace above it) parents every per-task span.
         with span("engine.run", tasks=len(task_list)):
-            run = self._started().submit(pipeline, task_list)
-            results = run.future.result()
-        self.last_report = EngineReport(
-            len(task_list), time.perf_counter() - started, run.stats
-        )
-        return results
+            return self._started().submit(pipeline, task_list).future.result()
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> None:

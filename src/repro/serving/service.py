@@ -59,7 +59,7 @@ from ..tenancy import TenantRegistry
 from .cache import PersistentCache
 from .engine import SHARE, EngineConfig, ExecutionEngine
 from .frontdoor import FrontDoor, InvalidRequest
-from .transport import start_wire_server
+from .transport import answer_group, start_wire_server
 
 
 def _route_key(spec: "TaskSpec") -> "str | None":
@@ -116,7 +116,7 @@ class ServingService(FrontDoor):
         JSON request path, on the default tenant.  (Admission control applies
         to the JSON request path only.)
         """
-        return self.pipeline.run_many(list(tasks), engine=self.engine)
+        return self.engine.run(self.pipeline, tasks)
 
     # --------------------------------------------------------------------- run
     def _run(
@@ -185,7 +185,7 @@ class ServingService(FrontDoor):
             slots.append(index)
         if tasks:
             started = time.perf_counter()
-            outcomes = self.pipeline.run_many(tasks, engine=self.engine)
+            outcomes = self.engine.run(self.pipeline, tasks)
             self._m_batch_latency.observe(time.perf_counter() - started)
             get_default_exemplars().note("service.batch_latency", Trace.current_id())
             for index, outcome in zip(slots, outcomes):
@@ -193,20 +193,6 @@ class ServingService(FrontDoor):
         for index, plan in plans:
             results[index] = run_pipeline_spec(plan, self._run_specs)
         return [result for result in results if result is not None]
-
-    # ----------------------------------------------------------------- fronts
-    def serve_stream(self, in_stream: IO[str], out_stream: IO[str]) -> int:
-        """Blocking request loop over text streams (stdin/stdout by default).
-
-        Blank lines flush the accumulated batch through the engine; EOF
-        flushes and returns the number of requests served.
-        """
-        serve_lines(self.handle_batch, in_stream, out_stream)
-        return self.requests_served
-
-    async def start_tcp(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.AbstractServer:
-        """Bind the socket server and return it without blocking (for embedding)."""
-        return await start_line_server(self.handle_batch, host, port)
 
 
 #: Contract of a batch handler: raw request objects in, responses in order.
@@ -232,7 +218,7 @@ def serve_lines(
         if not batch:
             return
         forwarded += len(batch)
-        for response in handle_batch(list(batch)):
+        for response in answer_group(handle_batch, list(batch)):
             out_stream.write(json.dumps(response, ensure_ascii=False) + "\n")
         out_stream.flush()
         batch.clear()

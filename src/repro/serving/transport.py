@@ -36,7 +36,9 @@ prefix, a stream that ends mid-frame or an undecodable payload gets a
 best-effort ``bad_frame`` error response and the connection closes,
 because a byte stream that lost frame sync cannot be re-entered.  In
 lines mode a bad JSON line is answered per line (``bad_json``) and the
-connection lives on.
+connection lives on.  A handler that raises fails only its group: every
+request of it is answered with ``internal_error`` (:func:`answer_group`)
+and the connection serves the next one.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from typing import Any, Callable
 
 from ..api.errors import ErrorInfo
 from ..api.protocol import encode_error
+from ..obs.events import emit_event
 from .frontdoor import InvalidRequest
 
 __all__ = [
@@ -58,6 +61,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_REVISION",
     "WireConnection",
+    "answer_group",
     "client_hello",
     "decode_frame_payload",
     "encode_frame",
@@ -103,6 +107,25 @@ _Handler = Callable[[list], "list[dict]"]
 
 class FrameError(Exception):
     """A binary frame violated the framing layer (oversized or torn)."""
+
+
+def answer_group(handle_batch: _Handler, group: list) -> "list[dict]":
+    """``handle_batch(group)``; if it raises, one ``internal_error`` per request.
+
+    Every connection loop answers through this: an exception escaping one
+    would leave the peer waiting for responses that never come, and a client
+    that retries a dropped batch would then run it a second time.
+    """
+    try:
+        return handle_batch(group)
+    except Exception as exc:
+        message = f"batch failed: {type(exc).__name__}: {exc}"
+        emit_event("transport.batch_failed", error=message, requests=len(group))
+        info = ErrorInfo("internal_error", message)
+        return [
+            encode_error(info, request.get("id") if isinstance(request, dict) else None)
+            for request in group
+        ]
 
 
 # ----------------------------------------------------------------- encoding
@@ -273,7 +296,7 @@ class _Connection:
             if not batch:
                 return
             responses = await loop.run_in_executor(
-                None, self.handle_batch, list(batch)
+                None, answer_group, self.handle_batch, list(batch)
             )
             batch.clear()
             for response in responses:
@@ -330,12 +353,9 @@ class _Connection:
             group, self._inbox = self._inbox, []
             self._inbox_drained.set()
             if group:
-                try:
-                    responses = await loop.run_in_executor(
-                        None, self.handle_batch, group
-                    )
-                except ConnectionError:  # pragma: no cover - peer vanished
-                    return
+                responses = await loop.run_in_executor(
+                    None, answer_group, self.handle_batch, group
+                )
                 try:
                     for response in responses:
                         self.writer.write(encode_frame(response))

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.api import Client, TransformationSpec, TransportError
-from repro.serving import build_service
+from repro.serving import build_service, start_line_server
 
 
 @pytest.fixture
@@ -25,7 +25,7 @@ def remote_port():
 
     def run() -> None:
         asyncio.set_event_loop(loop)
-        server = loop.run_until_complete(service.start_tcp("127.0.0.1", 0))
+        server = loop.run_until_complete(start_line_server(service.handle_batch, "127.0.0.1", 0))
         holder["port"] = server.sockets[0].getsockname()[1]
         ready.set()
         loop.run_forever()

@@ -7,7 +7,7 @@ construction, at the paper's full configuration (``FULL_CONFIG``); the
 backend must be too, hence :class:`PromptPureLLM` — the completion depends
 only on the prompt text (no noise stream, no call-order state).
 
-Cluster results must then be bit-identical to a single engine's ``run_many``
+Cluster results must then be bit-identical to a single engine's ``run``
 at any worker count — the cluster acceptance contract.
 """
 

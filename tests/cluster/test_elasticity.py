@@ -2,7 +2,7 @@
 
 Every transition the elastic ring supports — live join, drained leave,
 crash + supervised restart, autoscale up/down — must leave results
-bit-identical to a single engine's ``run_many`` (the parity contract of
+bit-identical to a single engine's ``run`` (the parity contract of
 ``tests/cluster/test_parity.py`` extended to *moving* worker sets), migrate
 only the consistent-hash-minimal shard entries, and keep readiness healthy.
 The :class:`repro.cluster.FaultInjector` harness drives the failure modes

@@ -6,7 +6,7 @@ results are bit-identical at any batch size and worker count.  The cluster
 extends that guarantee across shards, and these tests enforce it three ways:
 
 1. cluster ``submit_many`` ≡ single-engine ``Client.local`` ``submit_many``
-   ≡ sequential ``UniDM.run_many`` over the same mixed workload;
+   ≡ sequential ``UniDM.run`` over the same mixed workload;
 2. a restarted cluster re-opens its per-worker persistent shards and
    reproduces the first run bit-for-bit *without a single LLM miss*
    (affinity across restarts);
@@ -27,10 +27,8 @@ def test_cluster_matches_single_engine_bitwise(mixed_specs):
         single_engine = local.submit_many(mixed_specs)
     sequential_pipeline = UniDM(PromptPureLLM(), FULL_CONFIG)
     sequential = [
-        TaskResult.from_manipulation(result)
-        for result in sequential_pipeline.run_many(
-            [spec.to_task() for spec in mixed_specs]
-        )
+        TaskResult.from_manipulation(sequential_pipeline.run(spec.to_task()))
+        for spec in mixed_specs
     ]
     for n_workers in (2, 3, 5):
         with Client.cluster(

@@ -12,6 +12,8 @@ from repro.core import (
     UniDMConfig,
     solve,
 )
+from repro.core.plan import drive
+from repro.core.types import PromptTrace
 from repro.llm import SimulatedLLM
 
 
@@ -70,7 +72,7 @@ def test_run_many_and_solve(city_table, city_llm):
         ImputationTask(city_table, city_table[0], "timezone"),
     ]
     pipeline = UniDM(city_llm, UniDMConfig.random_context(candidate_sample_size=4, top_k_instances=2))
-    results = pipeline.run_many(tasks)
+    results = [pipeline.run(task) for task in tasks]
     assert len(results) == 2
     single = solve(tasks[0], city_llm, UniDMConfig.random_context(candidate_sample_size=4, top_k_instances=2))
     assert isinstance(single.value, str)
@@ -96,3 +98,79 @@ def test_token_accounting_is_per_query(city_table, city_llm):
     assert first.usage.total_tokens > 0
     assert second.usage.total_tokens > 0
     assert city_llm.usage.total_tokens >= first.usage.total_tokens + second.usage.total_tokens
+
+
+# ------------------------------------------------------------ the one plan
+ROWS = [
+    {"city": f"city-{i}", "country": f"country-{i % 4}", "zip": f"{10000 + 7 * i}"}
+    for i in range(12)
+]
+STAGE_ORDER = ["p_rm", "p_ri", "p_dp", "p_cq", "answer"]
+
+
+def one_task_per_type():
+    from repro.api import (
+        EntityResolutionSpec,
+        ErrorDetectionSpec,
+        ExtractionSpec,
+        ImputationSpec,
+        JoinDiscoverySpec,
+        TableQASpec,
+        TransformationSpec,
+    )
+
+    specs = [
+        ImputationSpec(rows=ROWS, target={"city": "city-3", "zip": "9"}, attribute="country"),
+        ErrorDetectionSpec(rows=ROWS, target={**ROWS[2], "zip": "0"}, attribute="zip"),
+        TableQASpec(rows=ROWS, question="which country is city-5 in?"),
+        TransformationSpec(value="19990415", examples=[["20000101", "2000-01-01"]]),
+        ExtractionSpec(document="city-4 hosted the final.", attribute="city"),
+        EntityResolutionSpec(
+            record_a={"name": "item 1", "brand": "apple"},
+            record_b={"name": "Item 1", "brand": "Apple"},
+        ),
+        JoinDiscoverySpec(
+            table_a={"name": "rank", "rows": [{"abrv": "C1", "rank": 1}]},
+            column_a="abrv",
+            table_b={"name": "geo", "rows": [{"ISO": "C1", "area": "EU"}]},
+            column_b="ISO",
+        ),
+    ]
+    return [spec.to_task() for spec in specs]
+
+
+def tap(plan, seen):
+    """Pass ``plan`` through, noting each ``(prompt, kind)`` it yields."""
+    try:
+        request = next(plan)
+        while True:
+            seen.append((request.prompt, request.kind))
+            request = plan.send((yield request))
+    except StopIteration as stop:
+        return stop.value
+
+
+def test_the_plan_yields_what_run_asks_with_the_answer_last(gated_llm):
+    class Recording(gated_llm):
+        def __init__(self):
+            super().__init__(open_gate=True)
+            self.asked = []
+
+        def complete(self, prompt, kind="other"):
+            self.asked.append((prompt, kind))
+            return super().complete(prompt, kind=kind)
+
+    tasks = one_task_per_type()
+    assert len({task.task_type for task in tasks}) == 7
+    for task in tasks:
+        ran = Recording()
+        result = UniDM(ran, UniDMConfig.full(seed=0)).run(task)
+        planned, seen, trace = Recording(), [], PromptTrace()
+        plan = UniDM(planned, UniDMConfig.full(seed=0)).plan(task, trace)
+        context = drive(tap(plan, seen), planned)
+        assert seen == planned.asked == ran.asked, task.task_type
+        assert seen[-1] == (trace.target_prompt, "answer")
+        ranks = [STAGE_ORDER.index(kind) for _, kind in seen]
+        assert ranks == sorted(ranks), task.task_type  # Algorithm 1 order
+        assert trace.answer == result.raw_answer and trace == result.trace
+        assert context.text == result.context_text

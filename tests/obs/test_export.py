@@ -200,7 +200,7 @@ def test_cli_stats_format_prom_renders_local_snapshot(capsys):
     import threading
 
     from repro.__main__ import main
-    from repro.serving import build_service
+    from repro.serving import build_service, start_line_server
 
     service = build_service(seed=0)
     service.handle_batch(
@@ -212,7 +212,7 @@ def test_cli_stats_format_prom_renders_local_snapshot(capsys):
 
     def run() -> None:
         asyncio.set_event_loop(loop)
-        server = loop.run_until_complete(service.start_tcp("127.0.0.1", 0))
+        server = loop.run_until_complete(start_line_server(service.handle_batch, "127.0.0.1", 0))
         holder["port"] = server.sockets[0].getsockname()[1]
         ready.set()
         loop.run_forever()

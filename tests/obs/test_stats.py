@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.api import Client, StatsSpec, TransformationSpec
-from repro.serving import build_service
+from repro.serving import build_service, start_line_server
 
 SPEC = TransformationSpec(value="19990415", examples=[["20000101", "2000-01-01"]])
 
@@ -94,7 +94,7 @@ def test_remote_client_stats_matches_local_shape():
 
     def run() -> None:
         asyncio.set_event_loop(loop)
-        server = loop.run_until_complete(service.start_tcp("127.0.0.1", 0))
+        server = loop.run_until_complete(start_line_server(service.handle_batch, "127.0.0.1", 0))
         holder["port"] = server.sockets[0].getsockname()[1]
         ready.set()
         loop.run_forever()
@@ -161,7 +161,7 @@ def test_cli_stats_reads_a_live_service(capsys):
 
     def run() -> None:
         asyncio.set_event_loop(loop)
-        server = loop.run_until_complete(service.start_tcp("127.0.0.1", 0))
+        server = loop.run_until_complete(start_line_server(service.handle_batch, "127.0.0.1", 0))
         holder["port"] = server.sockets[0].getsockname()[1]
         ready.set()
         loop.run_forever()

@@ -9,7 +9,7 @@ import pytest
 from repro.llm import CachedLLM, EchoLLM
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import MicroBatcher, PersistentCache
-from repro.serving.batcher import MIXED, ORIGIN, BatcherStats, Origin
+from repro.serving.batcher import MIXED, ORIGIN, Origin
 
 
 class RecordingLLM(EchoLLM):
@@ -67,40 +67,42 @@ def test_kinds_mix_in_one_batch_in_ticket_order():
     llm = RecordingLLM()
     submitted = [(3, "c", "answer"), (1, "a1", "p_rm"), (2, "b", "p_dp"), (4, "a2", "p_rm")]
 
+    metrics = MetricsRegistry()
+
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0)
+        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
         loop = asyncio.get_running_loop()
-        completions = await asyncio.gather(
+        return await asyncio.gather(
             *(
                 loop.create_task(submit_as(batcher, Origin(ticket=ticket), prompt, kind))
                 for ticket, prompt, kind in submitted
             )
         )
-        return batcher.stats, completions
 
-    stats, completions = run(scenario())
+    completions = run(scenario())
     # One round trip for all three kinds, oldest ticket first, labelled mixed.
     assert llm.batches == [(MIXED, ["a1", "b", "c", "a2"])]
     # Matched by position: every waiter holds the completion of its own prompt.
     assert [c.prompt for c in completions] == [prompt for _, prompt, _ in submitted]
-    # Per-kind accounting stays exact; the label is not a kind.
-    assert stats.by_kind == {"p_rm": 2, "p_dp": 1, "answer": 1}
-    assert (stats.requests, stats.batches, stats.max_batch) == (4, 1, 4)
+    assert counts(metrics) == (4, 0, 1)
+    assert metrics.histogram("batcher.batch_size").sum == 4
 
 
 def test_stats_track_batch_shapes():
     llm = RecordingLLM()
+    metrics = MetricsRegistry()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=2, max_wait=10.0)
+        batcher = MicroBatcher(llm, max_batch_size=2, max_wait=10.0, metrics=metrics)
         await asyncio.gather(*(batcher.submit(f"p{i}", "answer") for i in range(5)))
-        return batcher.stats
 
-    stats = run(scenario())
-    assert stats.requests == 5
-    assert stats.max_batch == 2
-    assert stats.batches >= 3
-    assert stats.mean_batch == pytest.approx(5 / stats.batches)
+    run(scenario())
+    requests, _, batches = counts(metrics)
+    sizes = metrics.histogram("batcher.batch_size")
+    assert requests == 5
+    assert max(len(prompts) for _, prompts in llm.batches) == 2
+    assert batches == len(llm.batches) >= 3
+    assert (sizes.count, sizes.sum) == (batches, 5)
 
 
 def test_usage_accounting_flows_to_the_model():
@@ -160,6 +162,13 @@ def test_submissions_after_a_flush_form_new_batches():
 
     run(scenario())
     assert [len(prompts) for _, prompts in llm.batches] == [4, 2]
+
+
+def counts(metrics):
+    """``(requests, cached, batches)``: the batcher's counters on ``metrics``."""
+    return tuple(
+        metrics.counter(f"batcher.{name}").value for name in ("requests", "cached", "batches")
+    )
 
 
 # ------------------------------------------------- the shared-loop dispatch rule
@@ -281,36 +290,29 @@ def test_a_hit_does_not_wait_for_the_round_trip_in_flight(gated_llm):
     metrics = MetricsRegistry()
     llm = CachedLLM(backend, metrics=metrics)
     warm = llm.complete("H", kind="p_rm")  # only complete_batch waits at the gate
-    run_stats = BatcherStats()
 
     async def scenario():
         batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
         loop = asyncio.get_running_loop()
-        miss = loop.create_task(submit_as(batcher, Origin(stats=run_stats), "M", "answer"))
+        miss = loop.create_task(submit_as(batcher, Origin(), "M", "answer"))
         await loop.run_in_executor(None, backend.entered.acquire)  # the one thread is held
         try:
             # At the parent "H" took a seat behind the held round trip.
             hit = await asyncio.wait_for(
-                loop.create_task(submit_as(batcher, Origin(stats=run_stats), "H", "p_rm")), 5.0
+                loop.create_task(submit_as(batcher, Origin(), "H", "p_rm")), 5.0
             )
             assert not backend.gate.is_set() and not miss.done()
-            stats = batcher.stats
-            assert (stats.cached, stats.requests, stats.batches) == (1, 1, 1)
+            assert counts(metrics) == (1, 1, 1)
         finally:
             backend.gate.set()
-        return hit, await miss, stats
+        return hit, await miss
 
-    hit, missed, stats = run(scenario())
+    hit, missed = run(scenario())
     assert hit.text == warm.text and missed.prompt == "M"
     assert backend.prompts == ["H", "M"] and backend.batches == [("answer", ["M"])]
-    # A request asked for a seat in a batch; a hit is counted beside it, for
-    # the batcher and for its run alike, and by_kind counts every prompt.
-    for counted in (stats, run_stats):
-        assert (counted.cached, counted.requests, counted.batches) == (1, 1, 1)
-        assert counted.by_kind == {"answer": 1, "p_rm": 1}
-        assert counted.mean_batch == 1.0
-    assert metrics.counter("batcher.cached").value == 1
-    assert metrics.counter("batcher.requests").value == 1
+    # A request asked for a seat in a batch; a hit is counted beside it.
+    assert counts(metrics) == (1, 1, 1)
+    assert metrics.histogram("batcher.batch_size").sum == 1
     assert metrics.histogram("batcher.queue_wait").count == 1  # the hit did not wait
     assert "mixed" not in llm.usage.per_prompt_kind
 
@@ -329,31 +331,31 @@ def test_a_prompt_asked_again_while_in_flight_is_computed_once(gated_llm):
         await asyncio.sleep(0)
         backend.gate.set()
         # Not stored yet: the second asker found nothing and queued.
-        assert metrics.counter("batcher.requests").value == 2 and batcher.stats.cached == 0
-        return await asyncio.gather(first, second), batcher.stats
+        assert counts(metrics)[:2] == (2, 0)
+        return await asyncio.gather(first, second)
 
-    (first, second), stats = run(scenario())
+    first, second = run(scenario())
     assert first.text == second.text
     # Its own batch's lookup serves it as a hit: one backend call, as before.
     assert backend.batches == [("p_rm", ["P"])] and backend.prompts == ["P"]
     assert metrics.counter("llm.calls").value == 1
     assert (llm.hits, llm.misses, llm.usage.calls) == (1, 1, 2)
-    assert (stats.cached, stats.requests, stats.batches) == (0, 2, 2)
+    assert counts(metrics) == (2, 0, 2)
 
 
 def test_a_hit_is_attributed_to_the_route_that_asked(tmp_path, gated_llm):
     store = PersistentCache(tmp_path / "cache")
     llm = CachedLLM(gated_llm(open_gate=True), persistent=store)
+    metrics = MetricsRegistry()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0)
+        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
         loop = asyncio.get_running_loop()
         for route in ("spec-1", "spec-2", None):
             await loop.create_task(submit_as(batcher, Origin(route=route), "shared", "p_rm"))
-        return batcher.stats
 
-    stats = run(scenario())
-    assert (stats.requests, stats.cached) == (1, 2)
+    run(scenario())
+    assert counts(metrics)[:2] == (1, 2)
     # The entry moves with either spec on a resize — and the note is on disk.
     for cache in (store, PersistentCache(tmp_path / "cache")):
         for route in ("spec-1", "spec-2"):
@@ -363,15 +365,15 @@ def test_a_hit_is_attributed_to_the_route_that_asked(tmp_path, gated_llm):
 
 def test_a_backend_without_a_cache_takes_the_queue(gated_llm):
     llm = gated_llm(open_gate=True)
+    metrics = MetricsRegistry()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0)
+        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
         await batcher.submit("a")
         await batcher.submit("a")
-        return batcher.stats
 
-    stats = run(scenario())
-    assert (stats.cached, stats.requests, stats.batches) == (0, 2, 2)
+    run(scenario())
+    assert counts(metrics) == (2, 0, 2)
 
 
 def test_validates_configuration():

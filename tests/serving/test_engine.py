@@ -22,6 +22,7 @@ from repro.api import (
 )
 from repro.core import ImputationTask, TransformationTask, UniDM, UniDMConfig
 from repro.llm import CachedLLM, SimulatedLLM
+from repro.obs.metrics import MetricsRegistry
 from repro.serving import (
     EngineConfig,
     ExecutionEngine,
@@ -62,14 +63,6 @@ def result_fingerprint(results):
 
 
 # --------------------------------------------------------------- equivalence
-def test_default_run_many_matches_run_loop_bitwise(city_table, city_knowledge):
-    a = make_pipeline(city_knowledge, seed=5)
-    b = make_pipeline(city_knowledge, seed=5)
-    loop_results = [a.run(task) for task in city_tasks(city_table)]
-    engine_results = b.run_many(city_tasks(city_table))
-    assert result_fingerprint(loop_results) == result_fingerprint(engine_results)
-
-
 def test_concurrent_engine_matches_sequential_on_warmed_cache(
     city_table, city_knowledge, tmp_path
 ):
@@ -80,7 +73,7 @@ def test_concurrent_engine_matches_sequential_on_warmed_cache(
     # Fresh wrapper + fresh inner model, as a new process would have.
     cold = make_pipeline(city_knowledge, seed=5, persistent=PersistentCache(store))
     engine = ExecutionEngine(EngineConfig(max_batch_size=8, workers=4))
-    concurrent = cold.run_many(city_tasks(city_table), engine=engine)
+    concurrent = engine.run(cold, city_tasks(city_table))
 
     assert result_fingerprint(sequential) == result_fingerprint(concurrent)
     assert cold.llm.hit_rate == 1.0  # everything served from the warmed store
@@ -89,38 +82,36 @@ def test_concurrent_engine_matches_sequential_on_warmed_cache(
 def test_results_preserve_input_order(city_table, city_knowledge):
     pipeline = make_pipeline(city_knowledge)
     tasks = city_tasks(city_table)
-    results = pipeline.run_many(
-        tasks, engine=ExecutionEngine(EngineConfig(max_batch_size=4, workers=4))
-    )
+    results = ExecutionEngine(EngineConfig(max_batch_size=4, workers=4)).run(pipeline, tasks)
     assert [r.query for r in results] == [task.query() for task in tasks]
 
 
 def test_empty_task_list(city_knowledge):
     pipeline = make_pipeline(city_knowledge)
-    engine = ExecutionEngine()
-    assert pipeline.run_many([], engine=engine) == []
-    assert engine.last_report.n_tasks == 0
+    metrics = MetricsRegistry()
+    engine = ExecutionEngine(metrics=metrics)
+    assert engine.run(pipeline, []) == []
+    assert batcher_counts(metrics) == (0, 0, 0)
 
 
 def test_engine_report_counts_requests(city_table, city_knowledge):
     pipeline = make_pipeline(city_knowledge)
-    engine = ExecutionEngine(EngineConfig(max_batch_size=4, workers=4))
+    metrics = MetricsRegistry()
+    engine = ExecutionEngine(EngineConfig(max_batch_size=4, workers=4), metrics=metrics)
+    started = time.perf_counter()
     results = engine.run(pipeline, city_tasks(city_table))
-    report = engine.last_report
-    assert report.n_tasks == len(results) == 4
-    assert report.elapsed > 0
-    assert report.tasks_per_second > 0
+    elapsed = time.perf_counter() - started
+    assert len(results) == 4
+    assert elapsed > 0
     # Every pipeline stage went through the batcher.
-    assert report.stats is not None
-    assert report.stats.requests + report.stats.cached == sum(r.usage.calls for r in results)
-    assert set(report.stats.by_kind) <= {"p_rm", "p_ri", "p_dp", "p_cq", "answer"}
+    requests, cached, _ = batcher_counts(metrics)
+    assert requests + cached == sum(r.usage.calls for r in results)
 
 
 def test_per_task_usage_is_isolated(city_table, city_knowledge):
     pipeline = make_pipeline(city_knowledge)
-    results = pipeline.run_many(
-        city_tasks(city_table),
-        engine=ExecutionEngine(EngineConfig(max_batch_size=4, workers=4)),
+    results = ExecutionEngine(EngineConfig(max_batch_size=4, workers=4)).run(
+        pipeline, city_tasks(city_table)
     )
     total = sum(r.usage.total_tokens for r in results)
     assert all(r.usage.total_tokens > 0 for r in results)
@@ -136,23 +127,6 @@ def test_engine_config_validation():
         EngineConfig(llm_threads=0)
     with pytest.raises(ValueError):
         EngineConfig(max_wait=-1.0)
-    assert EngineConfig().with_updates(workers=2).workers == 2
-
-
-def test_run_many_falls_back_to_plain_loop_inside_event_loop(
-    city_table, city_knowledge
-):
-    # The no-engine default needs no loop of its own: a caller already inside
-    # one gets the plain loop over run().
-    pipeline = make_pipeline(city_knowledge, seed=5)
-    reference = make_pipeline(city_knowledge, seed=5)
-
-    async def scenario():
-        return pipeline.run_many(city_tasks(city_table))
-
-    inside_loop = asyncio.run(scenario())
-    expected = [reference.run(task) for task in city_tasks(city_table)]
-    assert result_fingerprint(inside_loop) == result_fingerprint(expected)
 
 
 def test_engine_run_works_inside_another_running_loop(city_table, city_knowledge):
@@ -190,6 +164,13 @@ def test_engine_run_from_its_own_loop_thread_raises(gated_llm):
 
 
 # ------------------------------------------------- concurrency and lifecycle
+def batcher_counts(metrics):
+    """``(requests, cached, batches)``: the batcher's counters on ``metrics``."""
+    return tuple(
+        metrics.counter(f"batcher.{name}").value for name in ("requests", "cached", "batches")
+    )
+
+
 def echo_task(tag):
     return TransformationTask(f"<{tag}>", [("20000101", "2000-01-01")])
 
@@ -215,37 +196,6 @@ def test_a_hundred_runs_share_one_loop_thread_and_one_llm_thread(gated_llm):
         ]
         assert len(engine._started()._batchers) == 1
     assert not set(engine_threads()) - before
-
-
-def test_report_belongs_to_the_run_that_finished_last(gated_llm):
-    backend = gated_llm()
-    pipeline = UniDM(backend, UniDMConfig.full(seed=0))
-    with closing(ExecutionEngine(EngineConfig(workers=8))) as engine:
-        reports = {}
-
-        def caller(name, n_tasks):
-            engine.run(pipeline, [echo_task(f"{name}-{i}") for i in range(n_tasks)])
-            reports[name] = engine.last_report
-
-        threads = [
-            threading.Thread(target=caller, args=("one", 1)),
-            threading.Thread(target=caller, args=("three", 3)),
-        ]
-        for thread in threads:
-            thread.start()
-        assert backend.entered.acquire(timeout=10)  # both callers' work overlaps
-        backend.gate.set()
-        for thread in threads:
-            thread.join(30)
-            assert not thread.is_alive()
-    # Whichever run finished last, a caller reads a whole report — one run's
-    # size, time and stats, never another run's object patched in place — and
-    # the stats count that run's own prompts (3 a task), not the batcher's.
-    assert engine.last_report in reports.values()
-    for report in reports.values():
-        assert report.n_tasks in (1, 3) and report.elapsed > 0
-        assert report.stats.requests == 3 * report.n_tasks
-        assert report.stats.max_batch <= 4
 
 
 def test_backend_failure_fails_only_that_batch_and_slots_come_back(gated_llm):
@@ -362,17 +312,17 @@ def test_tasks_at_different_stages_fill_each_round_trip(gated_llm, latency):
 
     backend = Backend(open_gate=True)
     pipeline = UniDM(backend, UniDMConfig.full(seed=0))
-    with closing(ExecutionEngine(EngineConfig(max_batch_size=8, workers=8))) as engine:
+    metrics = MetricsRegistry()
+    config = EngineConfig(max_batch_size=8, workers=8)
+    with closing(ExecutionEngine(config, metrics=metrics)) as engine:
         results = engine.run(pipeline, seven_type_tasks(32))
-        stats = engine.last_report.stats
+    requests, cached, batches = batcher_counts(metrics)
     calls = [r.usage.calls for r in results]
     assert len(set(calls)) >= 3  # slots refill at different moments
     # Full batches but for each chain's tail; same-kind batching needed 25 here.
     assert len(backend.batches) <= math.ceil(sum(calls) / 8) + max(calls)
-    assert len(backend.batches) == stats.batches == 15  # whatever the latency
-    # Per-kind accounting is per prompt: the batch label is not a kind.
-    assert sum(stats.by_kind.values()) == stats.requests + stats.cached == sum(calls)
-    assert set(stats.by_kind) == {"p_rm", "p_ri", "p_dp", "p_cq", "answer"}
+    assert len(backend.batches) == batches == 15  # whatever the latency
+    assert requests + cached == sum(calls)
     assert "mixed" in {kind for kind, _ in backend.batches}
 
 
@@ -384,21 +334,24 @@ def test_a_warm_run_returns_while_another_run_holds_the_llm_thread(gated_llm):
     expected = [pipeline.run(task) for task in warm]  # the sequential loop is not gated
     asked = list(backend.prompts)
     outcome = Future()
+    metrics = MetricsRegistry()
 
     def warm_caller():
         try:
-            outcome.set_result((engine.run(pipeline, warm), engine.last_report))
+            outcome.set_result(engine.run(pipeline, warm))
         except BaseException as exc:
             outcome.set_exception(exc)
 
-    with closing(ExecutionEngine(EngineConfig(workers=8))) as engine:
+    with closing(ExecutionEngine(EngineConfig(workers=8), metrics=metrics)) as engine:
         holder = threading.Thread(target=engine.run, args=(pipeline, [echo_task("cold")]))
         holder.start()
         try:
             assert backend.entered.acquire(timeout=10)  # the one LLM thread is held
+            before = batcher_counts(metrics)
             threading.Thread(target=warm_caller).start()
             # At the parent every warm prompt queued behind the held round trip.
-            results, report = outcome.result(timeout=10)
+            results = outcome.result(timeout=10)
+            warm_counts = tuple(n - m for n, m in zip(batcher_counts(metrics), before))
             assert not backend.gate.is_set() and holder.is_alive()
         finally:
             backend.gate.set()
@@ -408,9 +361,8 @@ def test_a_warm_run_returns_while_another_run_holds_the_llm_thread(gated_llm):
     assert backend.prompts[: len(asked)] == asked and "warm" not in "".join(
         backend.prompts[len(asked) :]
     )
-    stats = report.stats
-    assert (stats.batches, stats.requests, stats.max_batch) == (0, 0, 0)
-    assert stats.cached == sum(r.usage.calls for r in results) == sum(stats.by_kind.values())
+    # The warm run's prompts were all answered at submission: none took a seat.
+    assert warm_counts == (0, sum(r.usage.calls for r in results), 0)
 
 
 @pytest.mark.parametrize("warmed", [0, 7, 14], ids=["cold", "half-warm", "warm"])
@@ -431,9 +383,11 @@ def test_hits_and_misses_count_as_in_the_sequential_loop(gated_llm, tmp_path, wa
     loop_backend, loop_llm, loop_pipeline = fresh("loop")
     sequential = [loop_pipeline.run(task) for task in tasks]
     backend, llm, pipeline = fresh("engine")
-    with closing(ExecutionEngine(EngineConfig(max_batch_size=8, workers=8))) as engine:
+    metrics = MetricsRegistry()
+    config = EngineConfig(max_batch_size=8, workers=8)
+    with closing(ExecutionEngine(config, metrics=metrics)) as engine:
         concurrent = engine.run(pipeline, tasks)
-        stats = engine.last_report.stats
+    requests, cached, batches = batcher_counts(metrics)
 
     # Every prompt is counted exactly once, as a hit or as a miss, whether it
     # was answered at submission or rode a batch.
@@ -446,13 +400,13 @@ def test_hits_and_misses_count_as_in_the_sequential_loop(gated_llm, tmp_path, wa
     assert llm.usage.snapshot() == loop_llm.usage.snapshot()
     assert sorted(backend.prompts) == sorted(loop_backend.prompts)
     calls = sum(r.usage.calls for r in concurrent)
-    assert stats.requests + stats.cached == calls == llm.hits + llm.misses
+    assert requests + cached == calls == llm.hits + llm.misses
     if warmed == len(tasks):
-        assert (stats.cached, stats.batches, backend.prompts) == (calls, 0, [])
+        assert (cached, batches, backend.prompts) == (calls, 0, [])
         # A hit is recorded under its own kind, never under a batch's label.
         assert llm.usage.per_prompt_kind == loop_llm.usage.per_prompt_kind
     elif warmed:
-        assert 0 < stats.cached < calls and llm.persistent_hits > 0
+        assert 0 < cached < calls and llm.persistent_hits > 0
 
 
 def test_many_callers_under_a_short_switch_interval_lose_nothing(gated_llm):

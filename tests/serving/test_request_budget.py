@@ -24,7 +24,7 @@ from repro.core import UniDM  # noqa: E402
 from repro.datalake import Table  # noqa: E402
 from repro.flow import planner  # noqa: E402
 from repro.llm import CachedLLM, SimpleTokenizer  # noqa: E402
-from repro.serving import PersistentCache  # noqa: E402
+from repro.serving import ExecutionEngine, PersistentCache  # noqa: E402
 from repro.serving.service import ServingService  # noqa: E402
 
 #: Four specs of each of the seven task types.
@@ -89,13 +89,14 @@ def test_the_jobs_of_a_batch_are_each_done_once(calls):
 
 def test_a_spec_is_keyed_only_where_the_key_is_read(calls, tmp_path, monkeypatch):
     tagged: list = []
-    run_many = UniDM.run_many
+    run = ExecutionEngine.run
 
-    def recording(self, tasks, engine=None):
+    def recording(self, pipeline, tasks):
+        tasks = list(tasks)
         tagged.extend(task.route_key for task in tasks)
-        return run_many(self, tasks, engine=engine)
+        return run(self, pipeline, tasks)
 
-    monkeypatch.setattr(UniDM, "run_many", recording)
+    monkeypatch.setattr(ExecutionEngine, "run", recording)
     specs = SPECS[:14]
     requests = [encode_request(spec, request_id=index) for index, spec in enumerate(specs)]
 

@@ -16,7 +16,7 @@ from repro.core import (
     TransformationTask,
 )
 from repro.api import spec_from_request
-from repro.serving import build_service
+from repro.serving import build_service, serve_lines, start_line_server
 
 
 def from_request(request):
@@ -210,7 +210,7 @@ def test_serve_stream_flushes_on_blank_line_and_eof(service):
         json.dumps(v2({"id": 2, "type": "extraction", "document": "d", "attribute": "a"})),
     ]
     out = io.StringIO()
-    served = service.serve_stream(io.StringIO("\n".join(lines) + "\n"), out)
+    served = serve_lines(service.handle_batch, io.StringIO("\n".join(lines) + "\n"), out)
     responses = [json.loads(line) for line in out.getvalue().splitlines()]
     assert served == 3
     assert [r.get("id") for r in responses] == [1, None, 2]
@@ -226,14 +226,14 @@ def test_serve_stream_reuses_cache_across_batches(service):
     )
     stream = "\n".join([request, "", request]) + "\n"
     out = io.StringIO()
-    service.serve_stream(io.StringIO(stream), out)
+    serve_lines(service.handle_batch, io.StringIO(stream), out)
     assert service.pipeline.llm.hits > 0  # second batch served from cache
 
 
 # ----------------------------------------------------------------------- tcp
 def test_tcp_round_trip(service):
     async def scenario():
-        server = await service.start_tcp("127.0.0.1", 0)
+        server = await start_line_server(service.handle_batch, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         async with server:
             reader, writer = await asyncio.open_connection("127.0.0.1", port)

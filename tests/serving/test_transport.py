@@ -9,6 +9,7 @@ response, and the server lives on.
 """
 
 import asyncio
+import io
 import json
 import socket
 import struct
@@ -20,8 +21,14 @@ import pytest
 from repro.api import Client, TransformationSpec
 from repro.core import UniDM, UniDMConfig
 from repro.llm import CachedLLM
-from repro.obs import MetricsRegistry
-from repro.serving import EngineConfig, ExecutionEngine, ServingService, build_service
+from repro.obs import MetricsRegistry, get_default_event_log
+from repro.serving import (
+    EngineConfig,
+    ExecutionEngine,
+    ServingService,
+    build_service,
+    serve_lines,
+)
 from repro.serving.transport import (
     FRAME_BINARY,
     MAX_PENDING_REQUESTS,
@@ -371,3 +378,79 @@ def test_two_connections_share_round_trips_and_single_flight(gated_llm):
         UniDM(alone, UniDMConfig.full(seed=0)).run(spec(tag).to_task())
     assert len(backend.prompts) == len(set(backend.prompts))
     assert set(backend.prompts) == set(alone.prompts)
+
+
+# ------------------------------------------------- a batch that raises
+def _line_sender(port):
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    reader = sock.makefile("rb")
+
+    def send(requests):
+        sock.sendall(b"".join(encode_line(r) for r in requests) + b"\n")
+        return [json.loads(reader.readline()) for _ in requests]
+
+    return send, sock.close
+
+
+@pytest.mark.parametrize("framing", ["binary", "lines", "stdin"])
+def test_a_batch_that_raises_is_answered_once_and_the_connection_lives_on(
+    gated_llm, framing
+):
+    class FailsFirstCall(gated_llm):
+        def __init__(self):
+            super().__init__(open_gate=True)
+            self.calls = 0
+
+        def complete_batch(self, prompts, kind="other"):
+            self.calls += 1
+            if self.calls == 1:
+                raise ConnectionError(f"backend down ({framing})")
+            return super().complete_batch(prompts, kind=kind)
+
+    backend = FailsFirstCall()
+    service = ServingService(UniDM(backend, UniDMConfig.full(seed=0)))
+
+    def request(request_id, value):
+        return {"v": 2, "id": request_id, "task": {**V2_TRANSFORM, "value": value}}
+
+    first, second = [request(1, "7"), request(2, "8")], [request(3, "9")]
+    stop = close = lambda: None
+    try:
+        if framing == "stdin":
+            out = io.StringIO()
+            lines = [*first, None, *second]
+            text = "".join("\n" if r is None else json.dumps(r) + "\n" for r in lines)
+            assert serve_lines(service.handle_batch, io.StringIO(text), out) == 3
+            responses = [json.loads(line) for line in out.getvalue().splitlines()]
+            failed, served = responses[:2], responses[2:]
+        else:
+            port, stop = _serve_on_thread(service.handle_batch)
+            if framing == "binary":
+                conn = WireConnection.open("127.0.0.1", port, timeout=10)
+                send, close = conn.send_batch, conn.close
+            else:
+                send, close = _line_sender(port)
+            started = time.monotonic()
+            # At the parent no answer came: the client waited out its timeout.
+            failed = send(first)
+            assert time.monotonic() - started < 5.0
+            served = send(second)  # the same connection serves the next batch
+    finally:
+        close()
+        stop()
+        service.close()
+
+    assert [r["id"] for r in failed] == [1, 2]
+    for response in failed:
+        assert not response["ok"] and response["error"]["code"] == "internal_error"
+        assert "backend down" in response["error"]["message"]
+    assert [(r["id"], r["ok"]) for r in served] == [(3, True)]
+    # The operator still learns of it: one event for the failed group.
+    [event] = [
+        event
+        for event in get_default_event_log().events(kind="transport.batch_failed")
+        if f"backend down ({framing})" in event["error"]
+    ]
+    assert event["requests"] == 2
+    # The failed group ran once: one backend call, then the next batch's own.
+    assert backend.calls == 1 + len(backend.batches)

@@ -129,7 +129,7 @@ def test_cli_top_unreachable_fails_cleanly(capsys):
     assert "cannot reach" in capsys.readouterr().err
 
 
-def test_cli_stats_watch_shares_the_top_renderer(capsys, live_stats_port):
+def test_cli_top_repaints_until_interrupted(capsys, live_stats_port):
     import repro.cli.top as top_module
 
     # One frame then interrupt: patch sleep to raise like a real Ctrl-C.
@@ -139,12 +139,23 @@ def test_cli_stats_watch_shares_the_top_renderer(capsys, live_stats_port):
     original = top_module.time.sleep
     top_module.time.sleep = fake_sleep
     try:
-        assert main(
-            ["stats", "--stats-port", str(live_stats_port), "--watch", "5"]
-        ) == 0
+        assert main(["top", "--stats-port", str(live_stats_port), "--interval", "5"]) == 0
     finally:
         top_module.time.sleep = original
     assert "repro top" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--reset"], ["--tenant", "nobody"], ["--prefix", "batcher"], ["--format", "prom", "--reset"]],
+)
+def test_cli_stats_refuses_main_port_flags_on_the_side_channel(capsys, live_stats_port, flags):
+    # At the parent these were dropped silently: exit 0, nothing reset, every metric.
+    assert main(["stats", "--stats-port", str(live_stats_port), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = next(flag for flag in flags if flag in ("--reset", "--tenant", "--prefix"))
+    assert flag in captured.err and "--stats-port" in captured.err
 
 
 def test_cli_stats_non_dict_side_channel_fails_cleanly(capsys):
