@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Stdlib-only static check: unused imports, unresolved imports, compile warnings.
+"""Stdlib-only static check: unused imports and locals, redefinitions,
+unresolved imports, compile warnings.
 
 CI's lint job runs ruff; this script runs the checks that catch what a
 deletion most often leaves behind, with nothing but the standard library,
@@ -11,6 +12,18 @@ so the tier-1 suite (``tests/test_static.py``) runs them too:
   ``import x as x``, imported under ``if TYPE_CHECKING:``, or when the
   import's line carries ``# noqa``.  Scopes are module and function bodies;
   a name read only in a sibling function does not count.
+* **F811** — a ``def`` or ``class`` that rebinds a name its scope bound
+  before (a ``def``, ``class`` or import) with no read of the name in
+  between, so the first binding can never be used: a test redefined under
+  its own name silently never runs.  Only bindings directly in one body are
+  compared (not across ``if``/``try`` branches); a read in the new
+  definition's decorators (``@x.setter``) counts, and ``@overload`` stubs
+  are skipped.
+* **F841** — a local of a function that is assigned (``x = ...``,
+  ``x: T = ...``, ``(x := ...)`` or ``except E as x``) but never read in
+  the function or a scope nested in it.  Names starting with ``_``, names
+  declared ``global``/``nonlocal`` and functions that call ``locals()`` are
+  skipped; unpacking targets are not checked.
 * **compile under** ``-W error`` — every file must compile without a
   warning (invalid escape sequences, ``is`` against a literal, ...).  A
   syntax error is reported too (ruff's E9).
@@ -22,9 +35,9 @@ so the tier-1 suite (``tests/test_static.py``) runs them too:
   import of a deleted name would otherwise fail only when its branch runs.
   ``import repro.x`` must name an importable module.
 
-Not covered — ruff still owns these: the rest of the ``F`` rules (F811
-redefinitions, F841 unused locals, F821 undefined names, F541 placeholder-
-less f-strings, ...), ``E4`` (import placement), ``E7`` (statement style:
+Not covered — ruff still owns these: the rest of the ``F`` rules (F821
+undefined names, F541 placeholder-less f-strings, ...), ``E4`` (import
+placement), ``E7`` (statement style:
 E711/E712 comparisons, E722 bare ``except``, E731 lambda assignment, ...)
 and the ``W`` whitespace rules other than W605 (which compile catches).
 
@@ -137,6 +150,102 @@ def unused_imports(path: Path, source: str, tree: ast.AST) -> list[str]:
     return findings
 
 
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(nodes) -> set[str]:
+    return {
+        sub.id
+        for node in nodes
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)
+    }
+
+
+def _bound_names(statement: ast.stmt) -> list[str]:
+    if isinstance(statement, _DEFINITIONS):
+        return [statement.name]
+    if isinstance(statement, (ast.Import, ast.ImportFrom)):
+        return [
+            alias.asname or alias.name.partition(".")[0]
+            for alias in statement.names
+            if alias.name != "*"
+        ]
+    return []
+
+
+def redefinitions(path: Path, tree: ast.AST) -> list[str]:
+    findings = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, _SCOPES):
+            continue
+        body = scope.body
+        bound_at: dict[str, int] = {}  # name -> index of its latest binding
+        for index, statement in enumerate(body):
+            if isinstance(statement, _DEFINITIONS) and statement.name in bound_at:
+                first = bound_at[statement.name]
+                decorators = getattr(statement, "decorator_list", [])
+                between = body[first + 1 : index] + decorators
+                if statement.name not in _reads(between) and "overload" not in _reads(decorators):
+                    findings.append(
+                        f"{path}:{statement.lineno}: F811 redefinition of unused "
+                        f"'{statement.name}' from line {body[first].lineno}"
+                    )
+            for name in _bound_names(statement):
+                bound_at[name] = index
+    return findings
+
+
+def _own_nodes(function: ast.AST):
+    """The nodes of ``function``'s own scope: nested functions, lambdas and
+    classes are skipped (their names and defaults are not)."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*_DEFINITIONS, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(path: Path, tree: ast.AST) -> list[str]:
+    findings = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        assigned: dict[str, int] = {}
+        declared: set[str] = set()
+        for node in _own_nodes(function):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, ast.Assign):
+                targets = [t for t in node.targets if isinstance(t, ast.Name)]
+                for target in targets:
+                    assigned.setdefault(target.id, target.lineno)
+            elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)) and isinstance(
+                node.target, ast.Name
+            ):
+                if not isinstance(node, ast.AnnAssign) or node.value is not None:
+                    assigned.setdefault(node.target.id, node.lineno)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                assigned.setdefault(node.name, node.lineno)
+        # A nested scope's ``nonlocal x`` reaches this function's ``x``.
+        reads = _reads(function.body) | {
+            name
+            for node in ast.walk(function)
+            if isinstance(node, ast.Nonlocal)
+            for name in node.names
+        }
+        if "locals" in reads:
+            continue
+        for name, lineno in sorted(assigned.items(), key=lambda item: item[1]):
+            if name not in reads and name not in declared and not name.startswith("_"):
+                findings.append(
+                    f"{path}:{lineno}: F841 local variable '{name}' is assigned to but never used"
+                )
+    return findings
+
+
 def _target_module(file_path: Path, node: ast.ImportFrom) -> str | None:
     """The absolute module a ``from ... import`` names, if it is in the package."""
     if node.level == 0:
@@ -205,7 +314,12 @@ def check_file(file_path: Path) -> list[str]:
     except Warning as exc:
         return [f"{path}: compile: {exc}"]
     tree = ast.parse(source, str(path))
-    return unused_imports(path, source, tree) + unresolved_imports(path, file_path, tree)
+    return (
+        unused_imports(path, source, tree)
+        + redefinitions(path, tree)
+        + unused_locals(path, tree)
+        + unresolved_imports(path, file_path, tree)
+    )
 
 
 def scan(paths: list[str]) -> list[str]:

@@ -24,7 +24,7 @@ from ..core.tasks.entity_resolution import EntityResolutionTask
 from ..core.tasks.error_detection import ErrorDetectionTask
 from ..core.tasks.imputation import ImputationTask
 from ..core.tasks.transformation import TransformationTask
-from ..datalake.table import Record, is_missing
+from ..datalake.table import is_missing
 from ..datalake.text import string_similarity
 from ..llm.base import LanguageModel
 from ..llm.finetune import LabeledPair
@@ -154,8 +154,3 @@ class FMMethod:
             return [candidates[int(i)] for i in np.atleast_1d(indices)]
         scored = sorted(candidates, key=key, reverse=True)
         return list(scored[:k])
-
-
-def demonstrations_from_records(records: Sequence[Record]) -> list[str]:
-    """Utility: serialized demonstration strings (used in docs and tests)."""
-    return [serialize_record(record) for record in records]

@@ -6,26 +6,26 @@ single-process service, so ``python -m repro serve --cluster`` and
 :meth:`repro.api.Client.cluster` hold it exactly like a service) whose *run*
 fans :class:`~repro.api.specs.TaskSpec` batches out over N workers (threads
 in-process, or spawned ``python -m repro serve`` processes speaking the v2
-TCP protocol).  Placement is a consistent-hash ring over the spec's
-canonical wire form (:mod:`repro.cluster.hashing`), so:
+TCP protocol).  Placement is one consistent-hash ring
+(:mod:`repro.cluster.hashing`) that places two things:
 
-* the same spec always lands on the same worker — its completions live in
-  that worker's in-memory LRU and on-disk
-  :class:`~repro.serving.cache.PersistentCache` shard, and cache hits never
-  cross a shard boundary;
-* shard contents stay disjoint at the spec level — a worker only ever warms
-  prompts arising from specs it owns, so N workers hold N shards of the
-  cache, not N copies.  (Two *different* specs on different workers can
-  still issue one identical sub-prompt; that is duplicated work across
-  shards, not a correctness problem, and it is rare because whole specs —
-  the unit the flow planner dedups — never split.)
+* a **spec**, by its canonical wire form: the same spec always runs on the
+  same worker;
+* a **prompt**, by its :func:`~repro.serving.cache.prompt_key`: its entry,
+  in the LRU and the :class:`~repro.serving.cache.PersistentCache` shard,
+  lives on the worker the ring names, so N workers hold N disjoint shards.
+  The in-process workers of :meth:`local` share one
+  :class:`~repro.cluster.hashing.PromptOwners` map and look up, claim and
+  store every prompt at its owner: a sub-prompt that specs on different
+  workers share is computed once per cluster.  Subprocess workers
+  (:meth:`spawn`) cannot reach a peer's cache and compute into their own.
 
 Per-worker batches are submitted concurrently; each
 :class:`~repro.cluster.workers.ThreadWorker` applies its own bounded
 backpressure.  When a worker dies mid-batch (:class:`WorkerDeadError`), the
 router removes it from the ring and requeues the affected specs onto the
-surviving workers — consistent hashing keeps every other spec exactly where
-its cache is.
+surviving workers — consistent hashing keeps every other spec, and every
+prompt the dead worker did not own, where it was.
 
 Determinism: each worker is a complete serving stack, and a result is a pure
 function of its spec (see :mod:`repro.serving.engine`), so cluster results
@@ -60,7 +60,7 @@ from ..serving.cache import PersistentCache
 from ..serving.frontdoor import FrontDoor
 from ..serving.service import build_service, run_pipeline_spec
 from ..tenancy import DEFAULT_TENANT, TenantRegistry
-from .hashing import HashRing, spec_key
+from .hashing import HashRing, PromptOwners, spec_key
 from .stats import ClusterStats, WorkerStats
 from .workers import ClusterError, SubprocessWorker, ThreadWorker, Worker, WorkerDeadError
 
@@ -152,6 +152,8 @@ class Router(FrontDoor):
         #: Worker ids draining out (un-ringed but still finishing work);
         #: readiness treats them as expected-absent, not dead.
         self._draining: set[str] = set()
+        #: Worker ids an unfinished add_worker has taken.
+        self._joining: set[str] = set()
         #: In-flight dispatch groups per worker; remove_worker's drain
         #: phase waits on this through _drain_cv.
         self._inflight_by: dict[str, int] = {wid: 0 for wid in ids}
@@ -260,9 +262,12 @@ class Router(FrontDoor):
         same ``seed`` and ``config``.  ``llm_factory`` (an ``int ->
         LanguageModel`` callable, given the worker's index) substitutes a
         custom backend per worker — benchmarks and parity tests use it.
+        Every worker's cache, a joiner's or revival's too, is registered in
+        one :class:`~repro.cluster.hashing.PromptOwners` over the ring.
         Ids, shard directories, ``worker_decorator`` and the installed
         worker factory are :meth:`_assemble`'s.
         """
+        owners = PromptOwners()
 
         def build(worker_id: str, shard_dir: "str | None") -> Worker:
             service = build_service(
@@ -275,9 +280,11 @@ class Router(FrontDoor):
                 llm=llm_factory(_worker_index(worker_id)) if llm_factory is not None else None,
                 config=config,
             )
+            # Here, before worker_decorator may wrap the pipeline's model.
+            owners.register(worker_id, service.pipeline.llm)
             return ThreadWorker(worker_id, service, queue_depth=queue_depth)
 
-        return cls._assemble(
+        router = cls._assemble(
             n_workers,
             build,
             cache_dir=cache_dir,
@@ -289,6 +296,8 @@ class Router(FrontDoor):
             health_interval=health_interval,
             faults=faults,
         )
+        owners.ring = router._ring
+        return router
 
     @classmethod
     def spawn(
@@ -602,50 +611,56 @@ class Router(FrontDoor):
         """Join a worker to the ring at runtime; returns its id.
 
         The live-resize half of elasticity: while requests are in flight,
-        every live shard's entries whose spec keys the grown ring places on
-        the joiner are copied into the joiner's shard (before the worker
+        every live shard's entries whose prompt keys the grown ring places
+        on the joiner are copied into the joiner's shard (before the worker
         opens it when the router builds the worker itself, so the join
-        starts warm), the sources drop the moved routes, and only then does
-        the new node enter the ring.
+        starts warm), the sources drop them, and only then does the new
+        node enter the ring.
 
         Pass a pre-built ``worker`` or let the router build one through its
-        worker factory (installed by :meth:`local`/:meth:`spawn`).
+        worker factory (installed by :meth:`local`/:meth:`spawn`).  The id
+        is taken at entry, so concurrent joins never share one.
         """
         if worker is None and self._worker_factory is None:
             raise ClusterError(
                 "add_worker needs a pre-built worker or a worker_factory"
             )
-        new_id = worker.worker_id if worker is not None else (
-            worker_id or self._next_worker_id()
-        )
         with self._lock:
-            if new_id in self.workers:
+            new_id = worker.worker_id if worker is not None else (
+                worker_id or self._free_worker_id()
+            )
+            if new_id in self.workers or new_id in self._joining:
                 raise ValueError(f"duplicate worker id: {new_id}")
+            self._joining.add(new_id)
             # Placement what-if: where will keys live once new_id joins?
             new_ring = self._ring.with_node(new_id)
-        # The joiner's shard: its live one, else the directory it names,
-        # else the router's <cache_dir>/<id> a router-built worker opens.
-        target = worker.shard() if worker is not None else None
-        if target is None:
-            path = worker.shard_path() if worker is not None else None
-            if path is None and self._cache_dir is not None:
-                path = self._cache_dir / new_id
-            if path is not None:
-                target = PersistentCache(path, metrics=self._metrics)
-        migrated, moved = self._move_entries(
-            self._live_shards(), new_ring, {new_id: target} if target is not None else {}
-        )
-        if worker is None:
-            worker = self._worker_factory(new_id)  # type: ignore[misc]
-        # Sources stop holding what they no longer own (live shards only:
-        # a subprocess source keeps stale copies rather than racing its
-        # own appends — harmless duplicates, documented in architecture.md).
-        for source_id, routes in moved.items():
-            source = self.workers.get(source_id)
-            shard = source.shard() if source is not None else None
-            if shard is not None:
-                shard.remove_routes(routes)
-        self._register_worker(worker)
+        try:
+            # The joiner's shard: its live one, else the directory it names,
+            # else the router's <cache_dir>/<id> a router-built worker opens.
+            target = worker.shard() if worker is not None else None
+            if target is None:
+                path = worker.shard_path() if worker is not None else None
+                if path is None and self._cache_dir is not None:
+                    path = self._cache_dir / new_id
+                if path is not None:
+                    target = PersistentCache(path, metrics=self._metrics)
+            migrated, moved = self._move_entries(
+                self._live_shards(), new_ring, {new_id: target} if target is not None else {}
+            )
+            if worker is None:
+                worker = self._worker_factory(new_id)  # type: ignore[misc]
+            # Sources stop holding what they no longer own (live shards only:
+            # a subprocess source keeps stale copies rather than racing its
+            # own appends — harmless duplicates, documented in architecture.md).
+            for source_id, keys in moved.items():
+                source = self.workers.get(source_id)
+                shard = source.shard() if source is not None else None
+                if shard is not None:
+                    shard.drop(keys)
+            self._register_worker(worker)
+        finally:
+            with self._lock:
+                self._joining.discard(new_id)
         self._note_resize("join", new_id, migrated)
         return new_id
 
@@ -720,9 +735,9 @@ class Router(FrontDoor):
         return worker
 
     # ----------------------------------------------------- migration internals
-    def _next_worker_id(self) -> str:
-        with self._lock:
-            taken = {_worker_index(wid) for wid in self.workers}
+    def _free_worker_id(self) -> str:
+        """The lowest ``worker-NN`` no worker holds or joins as; needs ``_lock``."""
+        taken = {_worker_index(wid) for wid in (*self.workers, *self._joining)}
         index = 0
         while index in taken:
             index += 1
@@ -757,32 +772,26 @@ class Router(FrontDoor):
 
         The one mover of both resizes: a join passes the live shards and
         the joiner as the only target, a leave the leaver and every live
-        shard.  A spec key moves when ``ring`` places it on an accepted
-        target other than its source.  Returns the entries added and, per
-        source, the spec keys that moved.
+        shard.  An entry moves when ``ring.node_for(key)`` — its prompt
+        key — is a target other than its source.  Returns the entries added
+        and, per source, the keys that moved.
         """
         rows_for: dict[str, list[dict]] = {}
         moved: dict[str, set[str]] = {}
         if not targets:
             return 0, moved
         for source_id, source in sources.items():
-            by_target: dict[str, set[str]] = {}
-            for route in source.route_keys():
-                owner = ring.node_for(route)
+            for key, text in source.items():
+                owner = ring.node_for(key)
                 if owner != source_id and owner in targets:
-                    by_target.setdefault(owner, set()).add(route)
-            for target_id, routes in by_target.items():
-                rows_for.setdefault(target_id, []).extend(
-                    source.entries_for_routes(routes)
-                )
-                moved.setdefault(source_id, set()).update(routes)
+                    rows_for.setdefault(owner, []).append({"key": key, "text": text})
+                    moved.setdefault(source_id, set()).add(key)
         migrated = 0
         for target_id, rows in rows_for.items():
-            if rows:
-                migrated += targets[target_id].absorb(rows)
-                # Fault hook: a torn-migration injection truncates the target.
-                if self._faults is not None:
-                    self._faults.maybe_tear(targets[target_id])
+            migrated += targets[target_id].absorb(rows)
+            # Fault hook: a torn-migration injection truncates the target.
+            if self._faults is not None:
+                self._faults.maybe_tear(targets[target_id])
         return migrated, moved
 
     def _note_resize(self, action: str, worker_id: str, migrated: int) -> None:

@@ -21,10 +21,6 @@ class Task(abc.ABC):
 
     task_type: TaskType
 
-    #: Routing digest of the spec the task came from; the serving tier sets
-    #: it so the task's prompts land in its shard's route index.
-    route_key: "str | None" = None
-
     # -- prompt ingredients ------------------------------------------------------
     @property
     def description(self) -> str:

@@ -83,19 +83,6 @@ class PromptTrace:
     target_prompt: str | None = None
     answer: str | None = None
 
-    def as_dict(self) -> dict[str, str | None]:
-        return {
-            "p_rm": self.meta_retrieval,
-            "p_rm_output": self.meta_retrieval_output,
-            "p_ri": self.instance_retrieval,
-            "p_ri_output": self.instance_retrieval_output,
-            "p_dp": self.data_parsing,
-            "p_dp_output": self.data_parsing_output,
-            "p_cq": self.cloze_construction,
-            "p_as": self.target_prompt,
-            "answer": self.answer,
-        }
-
 
 @dataclass
 class ManipulationResult:

@@ -58,10 +58,6 @@ class DataLake:
         return self._tables.get(name)
 
     @property
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
-
-    @property
     def tables(self) -> list[Table]:
         return [self._tables[n] for n in sorted(self._tables)]
 
@@ -69,22 +65,3 @@ class DataLake:
     def find_tables_with_attribute(self, attribute: str) -> list[Table]:
         """All tables whose schema contains ``attribute``."""
         return [t for t in self.tables if attribute in t.schema]
-
-    def attribute_index(self) -> dict[str, list[str]]:
-        """Map attribute name -> list of table names containing it."""
-        index: dict[str, list[str]] = {}
-        for table in self.tables:
-            for attr in table.schema.names:
-                index.setdefault(attr, []).append(table.name)
-        return index
-
-    def total_records(self) -> int:
-        return sum(len(t) for t in self.tables)
-
-    def qualified_columns(self) -> list[tuple[str, str]]:
-        """All ``(table, attribute)`` pairs in the lake, sorted."""
-        return [
-            (table.name, attr)
-            for table in self.tables
-            for attr in table.schema.names
-        ]

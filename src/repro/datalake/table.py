@@ -297,13 +297,6 @@ class Table:
         return out
 
     # -- statistics -------------------------------------------------------------
-    def missing_count(self, name: str | None = None) -> int:
-        """Number of missing cells, optionally restricted to one attribute."""
-        names = [name] if name else self.schema.names
-        return sum(
-            1 for r in self._records for n in names if is_missing(r[n])
-        )
-
     def value_counts(self, name: str) -> dict[Any, int]:
         counts: dict[Any, int] = {}
         for value in self.column(name):

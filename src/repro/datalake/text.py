@@ -50,14 +50,6 @@ def trigram_jaccard(a: object, b: object) -> float:
     return jaccard(char_ngrams(a), char_ngrams(b))
 
 
-def overlap_coefficient(a: Iterable[str], b: Iterable[str]) -> float:
-    """|A ∩ B| / min(|A|, |B|) — the containment measure used for joins."""
-    sa, sb = set(a), set(b)
-    if not sa or not sb:
-        return 0.0
-    return len(sa & sb) / min(len(sa), len(sb))
-
-
 #: Cap on the string length fed to the quadratic edit-distance computation;
 #: longer values are truncated (similarity of long texts is dominated by the
 #: token/trigram components anyway).
@@ -143,14 +135,6 @@ def embed_values(values: Sequence[object], dim: int = 256, n: int = 3) -> np.nda
     if not values:
         return np.zeros((0, dim), dtype=np.float64)
     return np.vstack([hashed_ngram_vector(v, dim=dim, n=n) for v in values])
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors, 0 when either is a zero vector."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 def attribute_name_similarity(a: str, b: str) -> float:

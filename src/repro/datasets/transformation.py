@@ -23,7 +23,7 @@ between the two columns of Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

@@ -87,10 +87,6 @@ class WorldKnowledge:
         self._facts[(normalize(subject), str(relation))] = fact
         return fact
 
-    def add_facts(self, facts: Iterable[Fact]) -> None:
-        for fact in facts:
-            self._facts[(normalize(fact.subject), fact.relation)] = fact
-
     def lookup(self, subject: str, relation: str, fuzzy: bool = True) -> Fact | None:
         """Find the fact for ``(subject, relation)``; optionally fuzzy on subject.
 

@@ -301,23 +301,11 @@ class TimeSeriesSampler:
         self.sample()
 
     # ----------------------------------------------------------------- queries
-    @property
-    def samples_taken(self) -> int:
-        return self._samples_taken
-
     def series(self, name: str) -> Series | None:
         return self._series.get(name)
 
     def names(self) -> list[str]:
         return sorted(self._series)
-
-    def counter_rate(self, name: str, window: float) -> float | None:
-        """Windowed per-second rate of one counter (``None`` = no data)."""
-        series = self._series.get(name)
-        if series is None or series.kind != "counter":
-            return None
-        stats = counter_window(series, window)
-        return None if stats is None else stats["rate"]
 
     def counter_delta(self, name: str, window: float) -> float | None:
         series = self._series.get(name)
@@ -339,12 +327,6 @@ class TimeSeriesSampler:
             return None
         stats = histogram_window(series, window, (("q", q),))
         return None if stats is None else stats["q"]
-
-    def histogram_stats(self, name: str, window: float) -> dict[str, float] | None:
-        series = self._series.get(name)
-        if series is None or series.kind != "histogram":
-            return None
-        return histogram_window(series, window)
 
     def windows_payload(
         self, windows: Mapping[str, float] | None = None, prefix: str = ""

@@ -18,6 +18,12 @@ decides how full each backend round trip is.  The rule:
   round trips, and a task whose next prompts are all stored runs on to its
   next miss in one loop step.  A hit is not a submission for the triggers
   below: it can never join a batch.
+* **A miss is computed once.**  Where the backend offers claims
+  (``claim``/``release``), a miss is claimed for this batcher before it
+  queues.  A prompt another batcher holds (another worker's engine, in a
+  cluster) is awaited, not queued, and then answered by ``cached``; this
+  batcher's own repeated asks queue as they always did.  The claim is
+  released when the request ends, with the batch's exception if it failed.
 * **Hold while busy.**  While every LLM thread (``llm_threads``) is executing
   a batch nothing is dispatched — no trigger fires; pending prompts keep
   collecting batch-mates.  The batch in flight is the progress guarantee.
@@ -44,13 +50,10 @@ fires:
   (the formal progress guarantee behind the idle heuristic).
 
 Batches execute on a worker thread pool so the event loop stays responsive.
-What the loop thread may touch is bounded by the hit path: the cache's short
-state lock (never held across a backend call), behind it the persistent
-store's lock for at most one append the LLM thread is making
-(``pcache.put_us``, 60–90 µs), and one route-index append the first time a
-given spec asks a given stored prompt (a replayed spec: never).  A miss's
-route note — a file append under the store's lock — is made on the LLM
-thread, at dispatch.
+What the loop thread may touch is bounded by the hit path: a cache's short
+state lock (never held across a backend call), and behind it the persistent
+store's lock for at most one append an LLM thread is making
+(``pcache.put_us``, 60–90 µs).
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from functools import partial
 from typing import Callable
 
 from ..llm.base import Completion, LanguageModel
+from ..llm.cache import Claim
 from ..obs.export import get_default_exemplars
 from ..obs.metrics import MetricsRegistry, SIZE_BUCKETS, get_default_registry
 from ..obs.span import Span
@@ -77,10 +81,6 @@ MIXED = "mixed"
 class Origin:
     """What a prompt inherits from the task that issued it."""
 
-    #: Spec (route) key — the attribution the cluster's shard-migration path
-    #: needs, captured here because this is the last layer where a prompt
-    #: still belongs to exactly one task (batches mix tasks).
-    route: str | None = None
     #: The task's place in the engine's admission order (lower = older).
     ticket: int = 0
 
@@ -102,6 +102,10 @@ class _Request:
     enqueued: float = 0.0
     #: ``batcher.wait`` span opened at submission (None when unsampled).
     span: "Span | None" = None
+    #: The claim this request holds at the prompt's owner, if any.
+    claim: "Claim | None" = None
+    #: Set once a batch carries it: the batch then settles the claim.
+    dispatched: bool = False
 
 
 class MicroBatcher:
@@ -131,13 +135,12 @@ class MicroBatcher:
         # Found on the backend object, not declared on LanguageModel: a
         # wrapper that forwards unknown attributes to its inner model keeps
         # offering what the inner one offers, and a backend with no cache
-        # (or no route index) offers neither.
+        # offers none of them.
         self._cached: Callable[[str, str], Completion | None] | None = getattr(
             llm, "cached", None
         )
-        self._note_route: Callable[[str, str], None] | None = getattr(
-            llm, "note_route", None
-        )
+        self._claim: Callable[[str, object], Claim] | None = getattr(llm, "claim", None)
+        self._release: Callable[..., None] | None = getattr(llm, "release", None)
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait
         # Metric handles resolved once (the registry lock must stay off the
@@ -145,6 +148,7 @@ class MicroBatcher:
         metrics = metrics or get_default_registry()
         self._m_requests = metrics.counter("batcher.requests")
         self._m_cached = metrics.counter("batcher.cached")
+        self._m_awaited = metrics.counter("batcher.awaited")
         self._m_batches = metrics.counter("batcher.batches")
         self._m_flush = {
             reason: metrics.counter(f"batcher.flush.{reason}")
@@ -170,22 +174,37 @@ class MicroBatcher:
         ``queue_wait`` observation.  Any other is enqueued, and its whole
         stay in the batcher — coalesce wait plus the batched LLM call — is
         timed under a per-request ``batcher.wait`` span (parented by the
-        submitting task's span via the ambient context).
+        submitting task's span via the ambient context).  A miss another
+        batcher has claimed is awaited, not queued (see the module docstring).
         """
-        origin = ORIGIN.get()
+        claim = None
         if self._cached is not None:
-            hit = self._cached(prompt, kind)
-            if hit is not None:
-                # The route index stays complete for hits too: idempotent,
-                # and a file append only the first time this spec asks.
-                if self._note_route is not None and origin.route is not None:
-                    self._note_route(prompt, origin.route)
-                self._m_cached.inc()
-                return hit
+            while True:
+                hit = self._cached(prompt, kind)
+                if hit is not None:
+                    self._m_cached.inc()
+                    return hit
+                if self._claim is None:
+                    break
+                claim = self._claim(prompt, self)
+                if claim.holder is self:
+                    break
+                assert claim.future is not None
+                self._m_awaited.inc()
+                # Shielded: a cancelled waiter must not cancel the future
+                # other waiters share.  A failed claim raises its error.
+                await asyncio.shield(asyncio.wrap_future(claim.future))
+                claim = None
         loop = asyncio.get_running_loop()
         wait_span = Span.begin("batcher.wait", attrs={"kind": kind})
         request = _Request(
-            prompt, kind, loop.create_future(), origin, time.perf_counter(), wait_span
+            prompt,
+            kind,
+            loop.create_future(),
+            ORIGIN.get(),
+            time.perf_counter(),
+            wait_span,
+            claim,
         )
         self._pending.append(request)
         self._generation += 1
@@ -202,6 +221,8 @@ class MicroBatcher:
         except BaseException:
             if wait_span is not None:
                 wait_span.finish(status="error")
+            if not request.dispatched:  # ended without a batch
+                self._settle([request], None)
             raise
         if wait_span is not None:
             wait_span.finish()
@@ -248,31 +269,38 @@ class MicroBatcher:
         self._m_batch_size.observe(len(batch))
         now = time.perf_counter()
         for request in batch:
+            request.dispatched = True
             self._m_queue_wait.observe(now - request.enqueued)
         self._inflight += 1
         kinds = {request.kind for request in batch}
         kind = kinds.pop() if len(kinds) == 1 else MIXED
         task = loop.create_task(self._execute(loop, kind, batch))
         self._executing.add(task)
-        task.add_done_callback(self._executing.discard)
+        task.add_done_callback(partial(self._executed, batch))
+
+    def _executed(self, batch: list[_Request], task: "asyncio.Task[None]") -> None:
+        self._executing.discard(task)
+        if task.cancelled():  # the engine closed, maybe before the task started
+            self._settle(batch, None)  # its claims' waiters claim again
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
 
-    def _call(self, kind: str, batch: list[_Request]) -> list[Completion]:
-        """The LLM thread's side of a batch: note routes, then complete.
+    def _settle(self, batch: list[_Request], error: BaseException | None) -> None:
+        """Release the claims ``batch`` holds (see the module docstring)."""
+        if self._release is not None:
+            for request in batch:
+                if request.claim is not None:
+                    self._release(request.prompt, request.claim, error)
 
-        The route is recorded before the entry is stored, so a crash between
-        the two leaves an attribution without an entry, never the reverse.
+    def _call(self, kind: str, batch: list[_Request]) -> list[Completion]:
+        """The LLM thread's side of a batch.
+
         A reply of the wrong length fails the whole batch: matched by
         position, its trailing waiters would otherwise stay pending for ever.
         """
-        if self._note_route is not None:
-            for request in batch:
-                if request.origin.route is not None:
-                    self._note_route(request.prompt, request.origin.route)
         completions = self.llm.complete_batch([request.prompt for request in batch], kind)
         if len(completions) != len(batch):
             raise RuntimeError(
@@ -308,12 +336,14 @@ class MicroBatcher:
             with call_span.bind():
                 call = partial(contextvars.copy_context().run, call)
         started = time.perf_counter()
+        error: BaseException | None = None
         try:
             try:
                 completions = await loop.run_in_executor(self._executor, call)
             finally:
                 self._inflight -= 1
         except Exception as exc:  # propagate to every waiter of this batch
+            error = exc
             if call_span is not None:
                 call_span.finish(status="error")
             for request in batch:
@@ -327,6 +357,7 @@ class MicroBatcher:
             for request, completion in zip(batch, completions):
                 if not request.future.done():
                     request.future.set_result(completion)
+        self._settle(batch, error)
         # Deliver first, dispatch second: the waiters just resolved get the
         # idle check's two turns to submit their next prompt before the
         # freed thread is handed the oldest tasks' prompts.

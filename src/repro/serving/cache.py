@@ -17,14 +17,15 @@ log per directory, ``cache.jsonl``, so a warmed cache makes reruns near-free:
 The class satisfies the ``CacheBackend`` protocol of
 :class:`~repro.llm.cache.CachedLLM` (``get``/``put``) and is thread-safe.
 
-Elasticity support: the same log carries a **route index** — records
-``{"key", "route"}`` beside the entry records ``{"key", "text"}`` —
-attributing each prompt key to the spec key that issued it (see
-:func:`repro.flow.planner.spec_key` — the same digest the cluster ring
-places by).  When the ring resizes, the router asks each shard which spec
-keys it holds and uses :meth:`PersistentCache.entries_for_routes` /
-:meth:`PersistentCache.absorb` to copy exactly the moved entries
-shard-to-shard — no attribution, no migration.
+Elasticity support: entries are keyed by :func:`prompt_key`, and the cluster
+ring places a prompt by that same key (see
+:class:`~repro.cluster.hashing.PromptOwners`).  When the ring resizes, the
+router reads each shard's :meth:`PersistentCache.items`, copies the entries
+the new ring places elsewhere into their owners' shards
+(:meth:`PersistentCache.absorb`) and drops them from the source
+(:meth:`PersistentCache.drop`, a compaction).  A log written before entries
+were placed by their own key may still hold ``{"key", "route"}`` records;
+they are skipped, counted stale, and gone after the next compaction.
 """
 
 from __future__ import annotations
@@ -74,31 +75,13 @@ class PersistentCache:
         self._m_entries = metrics.gauge(f"pcache.entries.{self.path.name}")
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {}
-        #: prompt key -> spec (route) keys that issued the prompt; the
-        #: unit the cluster ring places by, so resizes can move exactly the
-        #: entries whose owner changed.  A set because two different specs
-        #: can issue one identical sub-prompt — the entry then belongs to
-        #: every route and may only be dropped once *all* of them leave.
-        self._routes: dict[str, set[str]] = {}
         self._load()
         self._m_entries.set(len(self._entries))
 
     # -------------------------------------------------------------------- io
-    def _apply(self, record: object) -> bool:
-        """Fold one log record into memory; ``False`` if it is not a record."""
-        if not isinstance(record, dict) or not isinstance(record.get("key"), str):
-            return False
-        key, text, route = record["key"], record.get("text"), record.get("route")
-        if isinstance(text, str):
-            self._entries[key] = text
-        elif isinstance(route, str):
-            self._routes.setdefault(key, set()).add(route)
-        else:
-            return False
-        return True
-
     def _load(self) -> None:
         torn = 0
+        stale = 0
         applied = 0
         try:
             # A UTF-8 sequence cut by a crash decodes to lone surrogates, so
@@ -114,12 +97,17 @@ class PersistentCache:
                     record = json.loads(line)
                 except json.JSONDecodeError:  # torn final line of a crashed writer
                     record = None
-                if self._apply(record):
+                if not isinstance(record, dict) or not isinstance(record.get("key"), str):
+                    torn += 1
+                elif isinstance(record.get("text"), str):
+                    self._entries[record["key"]] = record["text"]
                     applied += 1
+                elif isinstance(record.get("route"), str):
+                    stale += 1  # an older log's route record
                 else:
                     torn += 1
-        # Records a compaction would drop: superseded entries, repeated routes.
-        stale = applied - len(self._entries) - sum(map(len, self._routes.values()))
+        # Records a compaction would drop: superseded entries, old routes.
+        stale += applied - len(self._entries)
         if torn or stale:
             # Compaction-worthy anomalies: torn lines mean a writer crashed
             # mid-append, stale lines mean superseded history is bloating the
@@ -132,30 +120,26 @@ class PersistentCache:
                 live_entries=len(self._entries),
             )
 
-    def _append(self, record: dict[str, str]) -> None:
-        """Write first, remember second; ``record`` is an entry or a route.
+    def _append(self, key: str, text: str) -> None:
+        """Write first, remember second.
 
         An append that raises (a full disk, a vanished directory) leaves
         memory as it was, so a retry appends again instead of being skipped
         as "already durable": what ``get`` serves is on disk.
         """
         with open(self.log_path, "a", encoding="utf-8") as handle:
-            handle.write(_line(record))
-        self._apply(record)
-        if "text" in record:
-            self._m_puts.inc()
-            self._m_bytes.inc(len(record["text"]))
+            handle.write(_line({"key": key, "text": text}))
+        self._entries[key] = text
+        self._m_puts.inc()
+        self._m_bytes.inc(len(text))
 
-    def _rewrite(self, entries: dict[str, str], routes: dict[str, set[str]]) -> None:
-        """Replace the log with one record per entry and route (write, rename)."""
+    def _rewrite(self, entries: dict[str, str]) -> None:
+        """Replace the log with one record per entry (write, then rename)."""
         tmp = self.path / "cache.jsonl.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
                 for key, text in entries.items():
                     handle.write(_line({"key": key, "text": text}))
-                for key, key_routes in routes.items():
-                    for route in sorted(key_routes):
-                        handle.write(_line({"key": key, "route": route}))
             os.replace(tmp, self.log_path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -171,96 +155,50 @@ class PersistentCache:
         with self._lock:
             if self._entries.get(key) == text:
                 return  # already durable; skip the duplicate append
-            self._append({"key": key, "text": text})
+            self._append(key, text)
             self._m_entries.set(len(self._entries))
 
-    # ------------------------------------------------------------ routing
-    def note_route(self, prompt: str, route: str) -> None:
-        """Attribute ``prompt`` to the spec key that issued it (idempotent).
-
-        Called by the serving engine for every prompt a spec submits, so
-        the route index stays complete even for prompts that were cache
-        hits (their entries may still need to move on a resize).
-        """
-        key = prompt_key(prompt)
+    # ------------------------------------------------------------ migration
+    def items(self) -> list[tuple[str, str]]:
+        """Every entry as ``(prompt key, text)``: what a resize places."""
         with self._lock:
-            if route not in self._routes.get(key, ()):
-                self._append({"key": key, "route": route})
-
-    def route_keys(self) -> set[str]:
-        """Every distinct spec key this shard has cached prompts for."""
-        with self._lock:
-            return set().union(*self._routes.values()) if self._routes else set()
-
-    def entries_for_routes(self, routes: "set[str]") -> list[dict]:
-        """The migratable rows for ``routes``: ``{"key", "text", "route"}``.
-
-        Prompts attributed to a moved spec key but with no stored entry
-        (the completion errored, or the writer crashed first) are skipped —
-        the new owner recomputes them on first miss.
-        """
-        rows: list[dict] = []
-        with self._lock:
-            for key, key_routes in self._routes.items():
-                text = self._entries.get(key)
-                if text is None:
-                    continue
-                # One row per moved attribution: a shared prompt travels
-                # with each of its moving routes (absorb dedups the entry).
-                for route in sorted(key_routes & routes):
-                    rows.append({"key": key, "text": text, "route": route})
-        return rows
+            return list(self._entries.items())
 
     def absorb(self, rows: "list[dict]") -> int:
-        """Import migrated rows (memory **and** disk); returns entries added.
+        """Import migrated ``{"key", "text"}`` rows (memory **and** disk).
 
-        The shard-to-shard copy half of a resize: rows come from another
-        shard's :meth:`entries_for_routes`.  Existing identical entries are
-        skipped, so re-running a torn migration is safe (last-wins on load
-        covers genuine conflicts).
+        The shard-to-shard copy half of a resize; returns entries added.
+        Existing identical entries are skipped, so re-running a torn
+        migration is safe (last-wins on load covers genuine conflicts).
         """
         added = 0
         with self._lock:
             for row in rows:
-                key, text, route = row.get("key"), row.get("text"), row.get("route")
+                key, text = row.get("key"), row.get("text")
                 if not isinstance(key, str) or not isinstance(text, str):
                     continue
                 if self._entries.get(key) != text:
-                    self._append({"key": key, "text": text})
+                    self._append(key, text)
                     added += 1
-                if isinstance(route, str) and route not in self._routes.get(key, ()):
-                    self._append({"key": key, "route": route})
             self._m_entries.set(len(self._entries))
         return added
 
-    def remove_routes(self, routes: "set[str]") -> int:
-        """Drop every entry attributed *only* to ``routes``; compact the log.
+    def drop(self, keys: "set[str]") -> int:
+        """Forget the entries under ``keys``; compact the log.
 
-        The source-side half of a migration: once the new owner has
-        absorbed the moved rows, the old shard stops holding them so shard
-        contents stay disjoint at the spec level.  An entry shared with a
-        route that stays keeps living here (only the moved attribution is
-        forgotten) — dropping it would cost the staying spec a cache miss.
-        The compacted log is written before memory changes, so a failed
-        rewrite leaves both as they were.  Returns entries dropped.
+        The source-side half of a migration: once the new owners have
+        absorbed the moved entries, the old shard stops holding them, so
+        shards stay disjoint.  The compacted log is written before memory
+        changes, so a failed rewrite leaves both as they were.  Returns
+        entries dropped.
         """
         with self._lock:
-            if not any(key_routes & routes for key_routes in self._routes.values()):
-                return 0
-            kept: dict[str, set[str]] = {}
-            for key, key_routes in self._routes.items():
-                remaining = key_routes - routes
-                if remaining:
-                    kept[key] = remaining
-            entries = {
-                key: text
-                for key, text in self._entries.items()
-                if key in kept or key not in self._routes
-            }
-            self._rewrite(entries, kept)
-            dropped = len(self._entries) - len(entries)
-            self._entries, self._routes = entries, kept
-            self._m_entries.set(len(entries))
+            kept = {key: text for key, text in self._entries.items() if key not in keys}
+            dropped = len(self._entries) - len(kept)
+            if dropped:
+                self._rewrite(kept)
+                self._entries = kept
+                self._m_entries.set(len(kept))
         return dropped
 
     # ---------------------------------------------------------- maintenance
@@ -276,13 +214,12 @@ class PersistentCache:
         with self._lock:
             self.log_path.unlink(missing_ok=True)
             self._entries.clear()
-            self._routes.clear()
 
     def compact(self) -> None:
-        """Rewrite the log with one line per live entry and route.
+        """Rewrite the log with one line per live entry.
 
         Write-then-rename: the new log is written to ``cache.jsonl.tmp`` and
         renamed over the old one, so a failure leaves the old log whole.
         """
         with self._lock:
-            self._rewrite(self._entries, self._routes)
+            self._rewrite(self._entries)

@@ -240,7 +240,7 @@ class _Resident:
                 continue  # its run already failed; the slot goes to the next
             self._free -= 1
             run.starting += 1
-            origin = Origin(run.tasks[index].route_key, next(self._tickets))
+            origin = Origin(next(self._tickets))
             # Created inside the caller's context: the task copies it, so
             # ORIGIN set within scopes to this task's prompts only.
             # (``create_task(context=)`` needs Python 3.11; CI runs 3.10.)

@@ -24,8 +24,8 @@ aborts its batch.
 — the request path, admission, tenancy, stats and ``close()`` are the base
 class's, shared with the cluster router; what this module adds is the *run*
 behind it: the resident engine, told whose share each admitted group runs
-on, and each task's spec-key tag — set only when the backend's persistent
-store keeps a route index (``note_route``) to read it.  Nothing here
+on.  The run keys no spec: the engine, its batcher and the cache (a
+cluster's prompt owners included) work on prompts alone.  Nothing here
 serialises callers — concurrent connections' tasks share the engine's slots
 and meet in its one batcher.  :func:`serve_lines` and
 :func:`start_line_server` put any host's ``handle_batch`` behind stdin or a
@@ -60,16 +60,6 @@ from .cache import PersistentCache
 from .engine import SHARE, EngineConfig, ExecutionEngine
 from .frontdoor import FrontDoor, InvalidRequest
 from .transport import answer_group, start_wire_server
-
-
-def _route_key(spec: "TaskSpec") -> "str | None":
-    """The spec's routing digest (``None`` when the spec cannot hash)."""
-    from ..flow.planner import spec_key
-
-    try:
-        return spec_key(spec)
-    except Exception:  # pragma: no cover - defensive: tagging is best-effort
-        return None
 
 
 class ServingService(FrontDoor):
@@ -161,12 +151,6 @@ class ServingService(FrontDoor):
         tasks: list[Task] = []
         slots: list[int] = []
         plans: list[tuple[int, PipelineSpec]] = []
-        # The spec-key tag rides engine -> batcher so every prompt lands in the
-        # shard's route index (what hash-minimal migration moves entries by).
-        # Computed only when the backend keeps such an index: resolved per run
-        # through the object, so a wrapper forwarding ``persistent`` decides alike.
-        store = getattr(self.pipeline.llm, "persistent", None)
-        keyed = getattr(store, "note_route", None) is not None
         for index, spec in enumerate(specs):
             if isinstance(spec, PipelineSpec):
                 plans.append((index, spec))
@@ -179,8 +163,6 @@ class ServingService(FrontDoor):
                 )
                 results[index] = TaskResult(answer=None, error=info)
                 continue
-            if keyed:
-                task.route_key = _route_key(spec)
             tasks.append(task)
             slots.append(index)
         if tasks:

@@ -13,6 +13,7 @@ at any worker count — the cluster acceptance contract.
 
 from __future__ import annotations
 
+import random
 
 from repro.api import (
     EntityResolutionSpec,
@@ -20,10 +21,12 @@ from repro.api import (
     ExtractionSpec,
     ImputationSpec,
     JoinDiscoverySpec,
+    PipelineSpec,
     TableQASpec,
     TransformationSpec,
 )
 from repro.core import UniDMConfig
+from repro.flow import DetectErrors, Impute, Pipeline, Transform
 from repro.llm.base import LanguageModel
 
 #: The paper's full pipeline, retrieval included.
@@ -100,6 +103,58 @@ def make_mixed_specs(n_rounds: int = 4) -> list:
             ]
         )
     return specs
+
+
+def make_pipeline_specs(n_plans: int = 6, listings: int = 8) -> list[PipelineSpec]:
+    """Duplicated-table plans shaped like the ``pipeline_cluster`` benchmark's.
+
+    Each plan runs three stages — detect phone errors, impute the missing
+    city, reformat the phone — over a table whose ``listings`` distinct rows
+    each appear three times, in partitions of ``listings`` rows.  Specs of
+    one plan share retrieval and parsing sub-prompts, and the router spreads
+    those specs over its workers: the prompts a cluster of private caches
+    computed once per shard that met them.
+    """
+    syllables = ("ka", "lo", "mi", "ne", "ru", "sa", "to", "vi")
+    plans = []
+    for index in range(n_plans):
+        rng = random.Random(f"plan:{index}")
+        rows = [
+            {
+                "name": f"{''.join(rng.choices(syllables, k=3))} p{index} {listing}",
+                "city": None,
+                "phone": f"{rng.randrange(200, 999)}-555-{rng.randrange(10000):04d}",
+                "cuisine": rng.choice(("thai", "diner", "sushi", "tapas")),
+                "price": f"${rng.randrange(8, 80)}",
+            }
+            for listing in range(listings)
+        ]
+        table = []
+        for _ in range(3):
+            copy = [dict(row) for row in rows]
+            rng.shuffle(copy)
+            table.extend(copy)
+        flow = Pipeline(
+            [
+                DetectErrors("phone"),
+                Impute("city"),
+                Transform(
+                    "phone",
+                    examples=[["212-555-0199", "(212) 555 0199"]],
+                    output_column="intl",
+                ),
+            ],
+            partition_size=listings,
+        )
+        plans.append(
+            PipelineSpec(
+                rows=table,
+                stages=flow.to_payload()["stages"],
+                table_name=f"lake_{index}",
+                partition_size=listings,
+            )
+        )
+    return plans
 
 
 def fingerprint(results) -> list[tuple]:

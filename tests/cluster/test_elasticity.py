@@ -20,6 +20,7 @@ from repro.cluster import (
     ClusterError,
     Autoscaler,
     FaultInjector,
+    HashRing,
     Router,
     Supervisor,
 )
@@ -69,17 +70,64 @@ def test_live_join_is_bit_identical_and_migrates_entries(tmp_path, mixed_specs):
 def test_join_migration_is_hash_minimal(tmp_path, mixed_specs):
     with make_router(2, cache_dir=str(tmp_path)) as router:
         router.submit_specs(mixed_specs)
-        total_entries = sum(
-            row.cache_entries
-            for row in router.stats().workers
-            if row.cache_entries > 0
-        )
-        migrated = 0
-        router.add_worker()
-        migrated = router.stats().migrations
-        # Consistent hashing moves ~1/3 of the keys to a third worker —
-        # far below the ~2/3 a naive mod-N resharding would relocate.
-        assert 0 < migrated <= 0.6 * total_entries
+        before = HashRing(router.live_workers)
+        keys = [key for worker in router.workers.values() for key, _ in worker.shard().items()]
+        joined = router.add_worker()
+        # Entries are placed by their own prompt key and the shards are
+        # disjoint, so a join moves exactly the entries the grown ring
+        # places on the joiner, each once.  Consistent hashing makes that
+        # ~1/3 of them at a third worker — far below the ~2/3 a naive mod-N
+        # resharding would relocate.
+        grown = before.with_node(joined)
+        expected = sum(grown.node_for(key) == joined for key in keys)
+        assert router.stats().migrations == expected
+        assert 0 < expected <= 0.6 * len(keys)
+        # The sources dropped what moved: every shard holds what it owns.
+        for worker_id, worker in router.workers.items():
+            assert all(grown.node_for(key) == worker_id for key, _ in worker.shard().items())
+
+
+def test_concurrent_joins_take_distinct_ids():
+    """Two ``add_worker`` calls at once: each takes its id at entry.
+
+    At the parent the lowest free id was taken only at registration, so both
+    joins built ``worker-02``; the first one built was overwritten, never
+    closed, and the router ended with three workers after two resizes.
+    """
+    with make_router(2) as router:
+        build = router._worker_factory
+        building = threading.Semaphore(0)
+        release = threading.Event()
+
+        def gated(worker_id):
+            building.release()
+            assert release.wait(10)
+            return build(worker_id)
+
+        router._worker_factory = gated
+        joined: list = []
+        joins = [
+            threading.Thread(target=lambda: joined.append(router.add_worker())) for _ in range(2)
+        ]
+        for join in joins:
+            join.start()
+        for _ in joins:  # both joins are building their workers
+            assert building.acquire(timeout=10)
+        release.set()
+        for join in joins:
+            join.join(10)
+        assert sorted(joined) == ["worker-02", "worker-03"]
+        assert len(router.workers) == 4 and router.stats().resizes == 2
+
+        def broken(worker_id):
+            raise RuntimeError("no worker today")
+
+        # A join that fails gives its id back.
+        router._worker_factory = broken
+        with pytest.raises(RuntimeError):
+            router.add_worker()
+        router._worker_factory = build
+        assert router.add_worker() == "worker-04"
 
 
 def test_join_under_inflight_load_loses_nothing(tmp_path, mixed_specs):

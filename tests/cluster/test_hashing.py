@@ -1,5 +1,8 @@
 """Unit tests for the consistent-hash ring and the spec routing key."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.api import TransformationSpec
@@ -145,3 +148,43 @@ def test_join_moved_fraction_is_about_one_over_n():
         fraction = len(moved) / len(keys)
         expected = 1.0 / (n_nodes + 1)
         assert 0.3 * expected <= fraction <= 3.0 * expected
+
+
+def test_a_reader_never_sees_a_ring_half_resized():
+    """Readers see the ring before or after a resize, never between.
+
+    At the parent ``add`` inserted into the points list and then into the
+    owners list, and ``remove`` replaced them one after the other; a reader
+    in between paired a point with the wrong node (thousands of impossible
+    answers in this loop).
+    """
+    ring = HashRing([f"w{i}" for i in range(4)])
+    grown = ring.with_node("w9")
+    keys = [f"key-{i}" for i in range(64)]
+    allowed = {key: {ring.node_for(key), grown.node_for(key)} for key in keys}
+    stop = threading.Event()
+    impossible: list = []
+
+    def read() -> None:
+        while not stop.is_set():
+            impossible.extend(
+                (key, owner)
+                for key in keys
+                if (owner := ring.node_for(key)) not in allowed[key]
+            )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    try:
+        for reader in readers:
+            reader.start()
+        for _ in range(300):
+            ring.add("w9")
+            ring.remove("w9")
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(10)
+        sys.setswitchinterval(interval)
+    assert not impossible

@@ -7,9 +7,10 @@ extends that guarantee across shards, and these tests enforce it three ways:
 
 1. cluster ``submit_many`` ≡ single-engine ``Client.local`` ``submit_many``
    ≡ sequential ``UniDM.run`` over the same mixed workload;
-2. a restarted cluster re-opens its per-worker persistent shards and
-   reproduces the first run bit-for-bit *without a single LLM miss*
-   (affinity across restarts);
+2. a restarted cluster re-opens its per-worker persistent shards — disjoint,
+   each holding the prompts the ring places on its worker — and reproduces
+   the first run bit-for-bit *without a single LLM miss* (affinity across
+   restarts);
 3. ``CachedLLM`` statistics stay consistent under the router (the satellite
    regression: counters add up per shard and in aggregate).
 """
@@ -18,6 +19,7 @@ from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint, make_mixed_
 
 from repro.api import Client
 from repro.api.results import TaskResult
+from repro.cluster import HashRing
 from repro.core import UniDM
 from repro.datasets import load_dataset
 
@@ -61,15 +63,17 @@ def test_restarted_cluster_replays_from_disjoint_shards(tmp_path):
         first = cold.submit_many(specs)
         cold_rows = cold.router.stats().workers
         assert sum(row.cache_misses for row in cold_rows) > 0
-        # Every worker persisted its own shard directory, and only workers
-        # that actually routed specs wrote anything (spec-level ownership;
-        # distinct specs may still share the odd sub-prompt across shards).
-        for row in cold_rows:
-            log = tmp_path / "shards" / row.worker_id / "cache.jsonl"
-            if row.routed:
-                assert log.exists(), f"{row.worker_id} routed specs but wrote no shard"
-            else:
-                assert not log.exists(), f"{row.worker_id} wrote a shard without work"
+        # Every worker persisted its own shard directory, and every entry of
+        # a shard is one its worker owns (the ring's node for its prompt
+        # key): the shards are disjoint, whichever worker asked the prompt.
+        ring = HashRing(row.worker_id for row in cold_rows)
+        keys = []
+        for worker_id, worker in cold.router.workers.items():
+            shard_keys = [key for key, _ in worker.shard().items()]
+            assert shard_keys, f"{worker_id} owns no entry"
+            assert {ring.node_for(key) for key in shard_keys} == {worker_id}
+            keys.extend(shard_keys)
+        assert len(keys) == len(set(keys))
 
     with build() as warm:
         second = warm.submit_many(specs)

@@ -1,6 +1,6 @@
 """Unit tests for the core result / trace types."""
 
-from repro.core.types import TASK_DESCRIPTIONS, ManipulationResult, PromptTrace, TaskType
+from repro.core.types import TASK_DESCRIPTIONS, ManipulationResult, TaskType
 from repro.llm.base import UsageDelta
 
 
@@ -15,17 +15,6 @@ def test_binary_task_flag():
     assert TaskType.ENTITY_RESOLUTION.is_binary
     assert TaskType.JOIN_DISCOVERY.is_binary
     assert not TaskType.DATA_IMPUTATION.is_binary
-
-
-def test_prompt_trace_as_dict_keys():
-    trace = PromptTrace(meta_retrieval="p", answer="a")
-    payload = trace.as_dict()
-    assert payload["p_rm"] == "p"
-    assert payload["answer"] == "a"
-    assert set(payload) == {
-        "p_rm", "p_rm_output", "p_ri", "p_ri_output", "p_dp", "p_dp_output",
-        "p_cq", "p_as", "answer",
-    }
 
 
 def test_manipulation_result_token_total():

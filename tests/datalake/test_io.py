@@ -47,5 +47,5 @@ def test_lake_directory_round_trip(tmp_path, city_table):
     lake = DataLake([city_table], name="demo")
     directory = lake_to_directory(lake, tmp_path / "lake")
     loaded = lake_from_directory(directory, name="demo")
-    assert loaded.table_names == ["cities"]
+    assert [table.name for table in loaded.tables] == ["cities"]
     assert len(loaded["cities"]) == len(city_table)

@@ -45,20 +45,6 @@ def test_lake_find_tables_with_attribute(city_table):
     assert lake.find_tables_with_attribute("mayor")[0].name == "other"
 
 
-def test_lake_attribute_index_and_columns(city_table):
-    other = make_table("other", ["city", "mayor"])
-    lake = DataLake([city_table, other])
-    index = lake.attribute_index()
-    assert sorted(index["city"]) == ["cities", "other"]
-    assert ("other", "mayor") in lake.qualified_columns()
-
-
-def test_lake_total_records(city_table):
-    lake = DataLake([city_table])
-    assert lake.total_records() == len(city_table)
-
-
 def test_lake_iteration_sorted_by_name(city_table):
     lake = DataLake([make_table("zzz", ["a"]), city_table])
     assert [t.name for t in lake.tables] == ["cities", "zzz"]
-    assert lake.table_names == ["cities", "zzz"]

@@ -107,11 +107,6 @@ def test_table_head_and_copy_are_independent(city_table):
     assert city_table[0]["city"] != "CHANGED"
 
 
-def test_table_missing_count(city_table):
-    assert city_table.missing_count("timezone") == 1
-    assert city_table.missing_count() >= 1
-
-
 def test_table_value_counts_and_mode(city_table):
     counts = city_table.value_counts("timezone")
     assert counts["Central European Time"] == 3

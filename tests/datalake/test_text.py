@@ -28,11 +28,6 @@ def test_jaccard_basics():
     assert text.token_jaccard("red fox", "red dog") == pytest.approx(1 / 3)
 
 
-def test_overlap_coefficient_containment():
-    assert text.overlap_coefficient(["a", "b"], ["a", "b", "c", "d"]) == 1.0
-    assert text.overlap_coefficient([], ["a"]) == 0.0
-
-
 def test_levenshtein_known_values():
     assert text.levenshtein("kitten", "sitting") == 3
     assert text.levenshtein("abc", "abc") == 0
@@ -71,13 +66,6 @@ def test_embed_values_shapes():
     matrix = text.embed_values(["a", "b", "c"], dim=32)
     assert matrix.shape == (3, 32)
     assert text.embed_values([], dim=32).shape == (0, 32)
-
-
-def test_cosine_similarity_zero_vector():
-    a = np.zeros(4)
-    b = np.ones(4)
-    assert text.cosine_similarity(a, b) == 0.0
-    assert text.cosine_similarity(b, b) == pytest.approx(1.0)
 
 
 def test_attribute_name_similarity_handles_underscores():

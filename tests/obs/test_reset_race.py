@@ -10,7 +10,7 @@ across the reset.
 import threading
 
 from repro.obs import MetricsRegistry, render_prometheus
-from repro.obs.timeseries import TimeSeriesSampler
+from repro.obs.timeseries import TimeSeriesSampler, counter_window, histogram_window
 
 
 def _run_race(work, seconds=0.5, threads=4):
@@ -84,11 +84,11 @@ def test_timeseries_rates_stay_nonnegative_across_reset():
         for _ in range(300):
             sampler.sample()
             for window in (0.05, 1.0, 10.0):
-                rate = sampler.counter_rate("requests", window)
-                assert rate is None or rate >= 0.0
+                counts = counter_window(sampler.series("requests"), window)
+                assert counts is None or counts["rate"] >= 0.0
                 delta = sampler.counter_delta("requests", window)
                 assert delta is None or delta >= 0.0
-                stats = sampler.histogram_stats("latency", window)
+                stats = histogram_window(sampler.series("latency"), window)
                 if stats is not None:
                     assert stats["count"] >= 0.0
                     assert stats["rate"] >= 0.0

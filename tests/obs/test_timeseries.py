@@ -66,7 +66,6 @@ def test_counter_rate_and_delta():
         sampler.sample()
 
     assert sampler.counter_delta("service.requests", 10.0) == 30.0
-    assert sampler.counter_rate("service.requests", 10.0) == pytest.approx(10.0)
     stats = counter_window(sampler.series("service.requests"), 10.0)
     assert stats == {"delta": 30.0, "rate": pytest.approx(10.0)}
 
@@ -75,9 +74,9 @@ def test_counter_needs_two_samples():
     registry = MetricsRegistry()
     registry.counter("c").inc()
     sampler, _ = make_sampler(registry)
-    assert sampler.counter_rate("c", 10.0) is None
+    assert sampler.counter_delta("c", 10.0) is None
     sampler.sample()
-    assert sampler.counter_rate("c", 10.0) is None  # one point: no delta yet
+    assert sampler.counter_delta("c", 10.0) is None  # one point: no delta yet
 
 
 def test_counter_rate_never_negative_after_reset():
@@ -92,8 +91,8 @@ def test_counter_rate_never_negative_after_reset():
     counter.inc(1)
     sampler.sample()
 
-    rate = sampler.counter_rate("c", 10.0)
-    assert rate is not None and rate >= 0.0
+    stats = counter_window(sampler.series("c"), 10.0)
+    assert stats is not None and stats["rate"] >= 0.0
 
 
 # ---------------------------------------------------------------------- gauges
@@ -139,12 +138,10 @@ def test_histogram_windowed_quantiles_and_rate():
     # Interpolated inside the fast bucket [0, 0.01] — not the stale 1.0.
     assert p99 is not None and 0.005 < p99 <= 0.01
 
-    stats = sampler.histogram_stats("latency", 10.0)
+    stats = histogram_window(sampler.series("latency"), 10.0)
     assert stats["count"] == 100.0
     assert stats["rate"] == pytest.approx(10.0)  # 100 obs over a 10s span
     assert stats["p50"] is not None and 0.0 < stats["p50"] <= 0.01
-    window = histogram_window(sampler.series("latency"), 10.0)
-    assert window == stats
 
 
 def test_histogram_overflow_bucket_answers_top_bound():
@@ -216,10 +213,10 @@ def test_ensure_fresh_samples_at_most_once_per_interval():
     sampler, clock = make_sampler(registry, interval=1.0)
     sampler.ensure_fresh()
     sampler.ensure_fresh()  # same instant: no second sample
-    assert sampler.samples_taken == 1
+    assert sampler.windows_payload()["samples"] == 1
     clock.advance(1.5)
     sampler.ensure_fresh()
-    assert sampler.samples_taken == 2
+    assert sampler.windows_payload()["samples"] == 2
 
 
 def test_windows_payload_shape():

@@ -1,14 +1,13 @@
 """Unit tests for the micro-batching scheduler."""
 
 import asyncio
-import threading
 import time
 
 import pytest
 
 from repro.llm import CachedLLM, EchoLLM
 from repro.obs.metrics import MetricsRegistry
-from repro.serving import MicroBatcher, PersistentCache
+from repro.serving import MicroBatcher
 from repro.serving.batcher import MIXED, ORIGIN, Origin
 
 
@@ -255,35 +254,6 @@ def test_the_cut_follows_tickets_not_kinds_or_arrival(gated_llm):
     ]
 
 
-def test_routes_are_noted_on_the_llm_thread_before_the_call(gated_llm):
-    class Routed(gated_llm):
-        def __init__(self):
-            super().__init__(open_gate=True)
-            self.events = []
-
-        def note_route(self, prompt, route):
-            self.events.append(("note", prompt, route, threading.current_thread()))
-
-        def complete_batch(self, prompts, kind="other"):
-            self.events.append(("call", list(prompts), threading.current_thread()))
-            return super().complete_batch(prompts, kind=kind)
-
-    llm = Routed()
-
-    async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0)
-        loop = asyncio.get_running_loop()
-        await asyncio.gather(
-            loop.create_task(submit_as(batcher, Origin(route="spec-1"), "a", "answer")),
-            loop.create_task(submit_as(batcher, Origin(), "b", "answer")),
-        )
-
-    run(scenario())
-    (_, prompt, route, noted_on), (_, prompts, called_on) = llm.events
-    assert (prompt, route, prompts) == ("a", "spec-1", ["a", "b"])
-    assert noted_on is called_on is not threading.current_thread()
-
-
 # --------------------------------------------------------- hits never queue
 def test_a_hit_does_not_wait_for_the_round_trip_in_flight(gated_llm):
     backend = gated_llm()
@@ -341,26 +311,6 @@ def test_a_prompt_asked_again_while_in_flight_is_computed_once(gated_llm):
     assert metrics.counter("llm.calls").value == 1
     assert (llm.hits, llm.misses, llm.usage.calls) == (1, 1, 2)
     assert counts(metrics) == (2, 0, 2)
-
-
-def test_a_hit_is_attributed_to_the_route_that_asked(tmp_path, gated_llm):
-    store = PersistentCache(tmp_path / "cache")
-    llm = CachedLLM(gated_llm(open_gate=True), persistent=store)
-    metrics = MetricsRegistry()
-
-    async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
-        loop = asyncio.get_running_loop()
-        for route in ("spec-1", "spec-2", None):
-            await loop.create_task(submit_as(batcher, Origin(route=route), "shared", "p_rm"))
-
-    run(scenario())
-    assert counts(metrics)[:2] == (1, 2)
-    # The entry moves with either spec on a resize — and the note is on disk.
-    for cache in (store, PersistentCache(tmp_path / "cache")):
-        for route in ("spec-1", "spec-2"):
-            assert [row["route"] for row in cache.entries_for_routes({route})] == [route]
-        assert cache.route_keys() == {"spec-1", "spec-2"}
 
 
 def test_a_backend_without_a_cache_takes_the_queue(gated_llm):

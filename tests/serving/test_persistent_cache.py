@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.obs import configure_default_event_log
 from repro.serving import PersistentCache, prompt_key
 
 
@@ -139,49 +140,39 @@ def test_reopen_after_crash_with_torn_line_mid_file(tmp_path):
     assert len(reopened) == 2
 
 
-ROW = {"key": prompt_key("p"), "text": "t", "route": "spec-1"}
+ROW = {"key": prompt_key("p"), "text": "t"}
 
 
 @pytest.mark.parametrize(
-    "write, failing_append, expected",
-    [
-        (lambda cache: cache.put("p", "t"), 1, ("t", set())),
-        (lambda cache: cache.note_route("p", "spec-1"), 1, (None, {"spec-1"})),
-        (lambda cache: cache.absorb([ROW]), 1, ("t", {"spec-1"})),
-        (lambda cache: cache.absorb([ROW]), 2, ("t", {"spec-1"})),
-    ],
-    ids=["put", "note_route", "absorb-entry", "absorb-route"],
+    "write",
+    [lambda cache: cache.put("p", "t"), lambda cache: cache.absorb([ROW])],
+    ids=["put", "absorb-entry"],
 )
-def test_a_failed_append_is_retried_not_forgotten(
-    tmp_path, monkeypatch, write, failing_append, expected
-):
+def test_a_failed_append_is_retried_not_forgotten(tmp_path, monkeypatch, write):
     """Write first, remember second: what memory holds is on disk.
 
-    At the parent the entry (or route) was remembered before its append, so
-    after one failed append the retry was skipped as "already durable" and a
-    reopened cache never had it.
+    At the parent the entry was remembered before its append, so after one
+    failed append the retry was skipped as "already durable" and a reopened
+    cache never had it.
     """
     appends = []
 
     def full_disk_once(file, mode="r", *args, **kwargs):
         if "a" in mode:
             appends.append(file)
-            if len(appends) == failing_append:
+            if len(appends) == 1:
                 raise OSError(errno.ENOSPC, "No space left on device")
         return open(file, mode, *args, **kwargs)
-
-    def state(cache):
-        return cache.get("p"), cache.route_keys()
 
     cache = PersistentCache(tmp_path / "c")
     monkeypatch.setattr("repro.serving.cache.open", full_disk_once, raising=False)
     with pytest.raises(OSError):
         write(cache)
-    assert len(appends) == failing_append
-    assert state(cache) == state(PersistentCache(tmp_path / "c"))
+    assert len(appends) == 1
+    assert cache.get("p") is PersistentCache(tmp_path / "c").get("p") is None
     write(cache)  # the retry lands ...
-    assert state(cache) == expected
-    assert state(PersistentCache(tmp_path / "c")) == expected  # ... and survives
+    assert cache.get("p") == "t"
+    assert PersistentCache(tmp_path / "c").get("p") == "t"  # ... and survives
 
 
 @pytest.mark.parametrize("line", ["null", "[1]", '"x"', "5"])
@@ -205,11 +196,10 @@ def test_a_failed_compaction_leaves_the_log_whole(tmp_path, monkeypatch):
     """Write-then-rename: a rewrite that fails changes neither disk nor memory.
 
     At the parent the shard files were unlinked before the rewrite, so a
-    full disk during a join's ``remove_routes`` lost the whole shard.
+    full disk during the source-side drop of a join lost the whole shard.
     """
     cache = PersistentCache(tmp_path / "c")
     for i in range(5):
-        cache.note_route(f"p{i}", f"r{i}")
         cache.put(f"p{i}", f"t{i}")
 
     def full_disk_on_rewrite(file, mode="r", *args, **kwargs):
@@ -219,28 +209,24 @@ def test_a_failed_compaction_leaves_the_log_whole(tmp_path, monkeypatch):
 
     monkeypatch.setattr("repro.serving.cache.open", full_disk_on_rewrite, raising=False)
     with pytest.raises(OSError):
-        cache.remove_routes({"r1"})
+        cache.drop({prompt_key("p1")})
     monkeypatch.undo()
     assert [path.name for path in (tmp_path / "c").iterdir()] == ["cache.jsonl"]
     for state in (cache, PersistentCache(tmp_path / "c")):
         assert [state.get(f"p{i}") for i in range(5)] == [f"t{i}" for i in range(5)]
-        assert state.route_keys() == {f"r{i}" for i in range(5)}
-    assert cache.remove_routes({"r1"}) == 1  # the retry lands ...
+    assert cache.drop({prompt_key("p1")}) == 1  # the retry lands ...
     reopened = PersistentCache(tmp_path / "c")  # ... and survives
     assert len(reopened) == 4 and reopened.get("p1") is None
-    assert reopened.route_keys() == {"r0", "r2", "r3", "r4"}
 
 
 def test_every_byte_prefix_of_the_log_opens_to_a_state_that_was_written(tmp_path):
     """A crash leaves a prefix of the one log; every prefix opens consistently."""
     written = PersistentCache(tmp_path / "full")
-    written.note_route("p", "spec-1")
     written.put("p", "première")  # non-ASCII: some cuts split a UTF-8 sequence
-    written.note_route("q", "spec-2")
-    written.absorb([{"key": prompt_key("r"), "text": "t-r", "route": "spec-3"}])
+    written.absorb([{"key": prompt_key("r"), "text": "t-r"}])
+    written.put("q", "t-q")
     written.put("p", "second")
-    texts = {"p": {"première", "second"}, "q": set(), "r": {"t-r"}}
-    routes = {"spec-1", "spec-2", "spec-3"}
+    texts = {"p": {"première", "second"}, "q": {"t-q"}, "r": {"t-r"}}
     log = written.log_path.read_bytes()
     crashed = tmp_path / "crashed"
     crashed.mkdir()
@@ -250,10 +236,28 @@ def test_every_byte_prefix_of_the_log_opens_to_a_state_that_was_written(tmp_path
         cache = PersistentCache(crashed)
         for prompt, allowed in texts.items():
             assert cache.get(prompt) in allowed | {None}
-        assert cache.route_keys() <= routes
-        for row in cache.entries_for_routes(routes):
-            entry = {"key": row["key"], "text": row["text"]}
-            route = {"key": row["key"], "route": row["route"]}
-            for record in (entry, route):
-                assert json.dumps(record, ensure_ascii=False).encode() in prefix
-    assert (cache.get("p"), cache.get("r"), cache.route_keys()) == ("second", "t-r", routes)
+        for key, text in cache.items():
+            record = {"key": key, "text": text}
+            assert json.dumps(record, ensure_ascii=False).encode() in prefix
+    assert [cache.get(prompt) for prompt in "pqr"] == ["second", "t-q", "t-r"]
+
+
+def test_an_older_logs_route_records_are_skipped_and_compacted_away(tmp_path):
+    """A log written while entries were attributed to spec keys still opens:
+    its ``{"key", "route"}`` lines are counted stale and the next
+    compaction leaves entries only."""
+    log = configure_default_event_log(capacity=64)
+    try:
+        cache = PersistentCache(tmp_path / "c")
+        cache.put("p", "t")
+        with open(cache.log_path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"key": prompt_key("p"), "route": "spec-1"}) + "\n")
+        reopened = PersistentCache(tmp_path / "c")
+        (event,) = log.events(kind="pcache.anomaly")
+        assert (event["torn_lines"], event["stale_lines"]) == (0, 1)
+        assert reopened.items() == [(prompt_key("p"), "t")]
+        reopened.compact()
+        lines = reopened.log_path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [{"key": prompt_key("p"), "text": "t"}]
+    finally:
+        configure_default_event_log(capacity=8192)

@@ -1,8 +1,8 @@
 """The CPU budget of a request, held by counts instead of a stopwatch.
 
 A served spec's per-request jobs are each done once: a prompt is tokenized
-when its cache entry is made and never on a hit, a spec is hashed only when
-a route index will read the key, a wire table is built once.  The counts of
+when its cache entry is made and never on a hit, a spec is never hashed (no
+layer of the service path reads its key), a wire table is built once.  The counts of
 those jobs over a fixed batch repeat exactly, so a pass that creeps back in
 fails here without a timing.  The token *numbers* are results (Table 7):
 the same file pins them, sequential against engine, cold against warm.
@@ -24,7 +24,7 @@ from repro.core import UniDM  # noqa: E402
 from repro.datalake import Table  # noqa: E402
 from repro.flow import planner  # noqa: E402
 from repro.llm import CachedLLM, SimpleTokenizer  # noqa: E402
-from repro.serving import ExecutionEngine, PersistentCache  # noqa: E402
+from repro.serving import PersistentCache  # noqa: E402
 from repro.serving.service import ServingService  # noqa: E402
 
 #: Four specs of each of the seven task types.
@@ -87,39 +87,23 @@ def test_the_jobs_of_a_batch_are_each_done_once(calls):
         service.close()
 
 
-def test_a_spec_is_keyed_only_where_the_key_is_read(calls, tmp_path, monkeypatch):
-    tagged: list = []
-    run = ExecutionEngine.run
-
-    def recording(self, pipeline, tasks):
-        tasks = list(tasks)
-        tagged.extend(task.route_key for task in tasks)
-        return run(self, pipeline, tasks)
-
-    monkeypatch.setattr(ExecutionEngine, "run", recording)
+def test_a_spec_is_keyed_only_where_the_key_is_read(calls, tmp_path):
+    """No layer of the service path reads a spec key — the cache keeps and
+    places entries by prompt key — so no spec is keyed, with or without a
+    persistent store."""
     specs = SPECS[:14]
     requests = [encode_request(spec, request_id=index) for index, spec in enumerate(specs)]
-
-    service, _, _ = _service()
-    try:
-        assert all(response["ok"] for response in service.handle_batch(requests))
-    finally:
-        service.close()
-    assert calls["spec_key"] == 0 and calls["dumps"] == 0
-    assert tagged == [None] * 14
-
-    del tagged[:]
-    store = PersistentCache(tmp_path / "shard")
-    service, llm, _ = _service(store)
-    try:
-        assert all(response["ok"] for response in service.handle_batch(requests))
-    finally:
-        service.close()
-    keys = [planner.spec_key(spec) for spec in specs]
-    assert calls["spec_key"] == 14 + len(keys) and tagged == keys
-    # Every prompt asked, hit or miss, is attributed to a spec that asked it.
-    routed = {row["key"] for row in store.entries_for_routes(set(keys))}
-    assert len(routed) == len(store) == llm.misses > 14
+    for store in (None, PersistentCache(tmp_path / "shard")):
+        calls.clear()
+        service, llm, _ = _service(store)
+        try:
+            assert all(response["ok"] for response in service.handle_batch(requests))
+        finally:
+            service.close()
+        # The one JSON job left is the store's: a line per entry it keeps.
+        assert calls["spec_key"] == 0
+        assert calls["dumps"] == (0 if store is None else llm.misses)
+    assert len(store) == llm.misses > 14
 
 
 def _usage(result):

@@ -54,13 +54,6 @@ def test_build_imputation_task():
     assert task.query() == "Milan, country"
 
 
-def test_build_transformation_task():
-    task = from_request(
-        {"type": "transformation", "value": "a", "examples": [["x", "y"]]}
-    )
-    assert isinstance(task, TransformationTask)
-
-
 def test_build_extraction_and_table_qa_tasks():
     assert isinstance(
         from_request({"type": "extraction", "document": "doc", "attribute": "name"}),

@@ -103,13 +103,11 @@ def test_single_tenant_is_bit_identical_to_priority_heap(ops):
     fair = WeightedFairQueue()
     reference: list = []
     sequence = itertools.count()
-    pushed = 0
     for op, priority in ops:
         if op == "push":
             item = next(sequence)
             fair.push(item, priority=priority)
             heapq.heappush(reference, (-priority, item))
-            pushed += 1
         elif reference:
             assert fair.pop() == heapq.heappop(reference)[1]
     while reference:

@@ -29,3 +29,40 @@ def test_a_function_local_import_of_a_missing_name_is_reported(tmp_path):
         "cannot import 'repro.serving.stages': "
         "ModuleNotFoundError: No module named 'repro.serving.stages'",
     ]
+
+
+def test_a_redefinition_and_an_unused_local_are_reported(tmp_path):
+    source = tmp_path / "stale.py"
+    source.write_text(
+        "import os\n"
+        "\n"
+        "\n"
+        "def test_a():\n"
+        "    store = os.getcwd()\n"
+        "    kept = 1\n"
+        "    try:\n"
+        "        pass\n"
+        "    except OSError as error:\n"
+        "        pass\n"
+        "    return kept\n"
+        "\n"
+        "\n"
+        "def test_a():\n"
+        "    _ignored = 1\n"
+        "\n"
+        "\n"
+        "class Box:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "\n"
+        "    @size.setter\n"
+        "    def size(self, value):\n"
+        "        pass\n"
+    )
+    findings = check_static.scan([str(source)])
+    assert [finding.split(": ", 1)[1] for finding in findings] == [
+        "F811 redefinition of unused 'test_a' from line 4",
+        "F841 local variable 'store' is assigned to but never used",
+        "F841 local variable 'error' is assigned to but never used",
+    ]
