@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Stdlib-only static check: unused imports and locals, redefinitions,
-unresolved imports, compile warnings.
+undefined names, unresolved imports, compile warnings.
 
 CI's lint job runs ruff; this script runs the checks that catch what a
 deletion most often leaves behind, with nothing but the standard library,
@@ -24,6 +24,13 @@ so the tier-1 suite (``tests/test_static.py``) runs them too:
   the function or a scope nested in it.  Names starting with ``_``, names
   declared ``global``/``nonlocal`` and functions that call ``locals()`` are
   skipped; unpacking targets are not checked.
+* **F821** — a name read (or deleted) in a scope where it resolves to a
+  module global, that the module never binds (assignment, import, ``def``,
+  ``class``, or ``global`` in a function) and that is not a builtin.  Scopes
+  are resolved by :mod:`symtable`, the compiler's own; annotations that are
+  not evaluated (``from __future__ import annotations``, string ones) are
+  not checked, a module with a star import is skipped, and a line carrying
+  ``# noqa`` is too.
 * **compile under** ``-W error`` — every file must compile without a
   warning (invalid escape sequences, ``is`` against a literal, ...).  A
   syntax error is reported too (ruff's E9).
@@ -35,11 +42,11 @@ so the tier-1 suite (``tests/test_static.py``) runs them too:
   import of a deleted name would otherwise fail only when its branch runs.
   ``import repro.x`` must name an importable module.
 
-Not covered — ruff still owns these: the rest of the ``F`` rules (F821
-undefined names, F541 placeholder-less f-strings, ...), ``E4`` (import
-placement), ``E7`` (statement style:
-E711/E712 comparisons, E722 bare ``except``, E731 lambda assignment, ...)
-and the ``W`` whitespace rules other than W605 (which compile catches).
+Not covered — ruff still owns these: the rest of the ``F`` rules (F541
+placeholder-less f-strings, ...), ``E4`` (import placement), ``E7``
+(statement style: E711/E712 comparisons, E722 bare ``except``, E731 lambda
+assignment, ...) and the ``W`` whitespace rules other than W605 (which
+compile catches).
 
 Usage::
 
@@ -52,8 +59,10 @@ Exits 1 listing every ``file:line: message``.
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import importlib.util
+import symtable
 import sys
 import warnings
 from pathlib import Path
@@ -246,6 +255,96 @@ def unused_locals(path: Path, tree: ast.AST) -> list[str]:
     return findings
 
 
+#: Names every module or class body can read without binding them.
+_IMPLICIT = set(dir(builtins)) | {
+    "__file__", "__path__", "__builtins__", "__cached__", "__module__", "__qualname__", "__class__",
+}
+
+
+def _scope_parts(node: ast.AST) -> tuple[list, list]:
+    """A scope node's parts evaluated in the enclosing scope, and its own."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        outer = [*args.defaults, *(d for d in args.kw_defaults if d is not None)]
+        if isinstance(node, ast.Lambda):
+            return outer, [node.body]
+        arguments = (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg)
+        annotations = [a.annotation for a in arguments if a is not None and a.annotation]
+        return [*node.decorator_list, *outer, *annotations, node.returns], node.body
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords], node.body
+    first, *rest = node.generators
+    own = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+    return [first.iter], [*own, first.target, *first.ifs, *rest]
+
+
+_SCOPE_NAMES = {
+    ast.Lambda: "lambda",
+    ast.ListComp: "listcomp",
+    ast.SetComp: "setcomp",
+    ast.DictComp: "dictcomp",
+    ast.GeneratorExp: "genexpr",
+}
+
+
+def _scoped_reads(nodes: list, table: symtable.SymbolTable):
+    """``(table, Name)`` for every name read or deleted in ``nodes``, paired
+    with the symbol table of the scope it is resolved in."""
+    children: dict[tuple[str, int], list] = {}
+    for child in table.get_children():
+        children.setdefault((child.get_name(), child.get_lineno()), []).append(child)
+    stack = list(reversed(nodes))
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        if isinstance(node, (*_DEFINITIONS, *_SCOPE_NAMES)):
+            outer, own = _scope_parts(node)
+            name = getattr(node, "name", None) or _SCOPE_NAMES[type(node)]
+            matches = children.get((name, node.lineno))
+            if matches:
+                yield from _scoped_reads(own, matches.pop(0))
+            stack.extend(reversed(outer))
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield table, node
+        stack.extend(reversed(list(ast.iter_child_nodes(node))))
+
+
+def _tables(table: symtable.SymbolTable):
+    yield table
+    for child in table.get_children():
+        yield from _tables(child)
+
+
+def undefined_names(path: Path, source: str, tree: ast.Module) -> list[str]:
+    if any(
+        isinstance(node, ast.ImportFrom) and node.names[0].name == "*" for node in tree.body
+    ):
+        return []
+    module = symtable.symtable(source, str(path), "exec")
+    bound = {
+        symbol.get_name()
+        for table in _tables(module)
+        for symbol in table.get_symbols()
+        if (table is module or symbol.is_declared_global())
+        and (symbol.is_assigned() or symbol.is_imported())
+    }
+    lines = source.splitlines()
+    findings = []
+    for table, node in _scoped_reads(tree.body, module):
+        name = node.id
+        if name in bound or name in _IMPLICIT or "# noqa" in lines[node.lineno - 1]:
+            continue
+        try:
+            symbol = table.lookup(name)
+        except KeyError:  # an annotation that is never evaluated
+            continue
+        if symbol.is_global():
+            findings.append(f"{path}:{node.lineno}: F821 undefined name '{name}'")
+    return findings
+
+
 def _target_module(file_path: Path, node: ast.ImportFrom) -> str | None:
     """The absolute module a ``from ... import`` names, if it is in the package."""
     if node.level == 0:
@@ -318,6 +417,7 @@ def check_file(file_path: Path) -> list[str]:
         unused_imports(path, source, tree)
         + redefinitions(path, tree)
         + unused_locals(path, tree)
+        + undefined_names(path, source, tree)
         + unresolved_imports(path, file_path, tree)
     )
 

@@ -298,7 +298,7 @@ def _serve_frontend(host, args: argparse.Namespace, config: dict) -> int:
     """
     from .obs import serve_stats_in_thread, start_stats_server
     from .obs.diagnostics import build_bundle
-    from .serving import serve_lines, start_line_server
+    from .serving import serve_lines, start_wire_server
 
     probes = {
         "monitor": host.monitor,
@@ -310,7 +310,7 @@ def _serve_frontend(host, args: argparse.Namespace, config: dict) -> int:
         import asyncio
 
         async def _run() -> None:
-            server = await start_line_server(host.handle_batch, args.host, args.port)
+            server = await start_wire_server(host.handle_batch, args.host, args.port)
             if args.stats_port is not None:
                 await start_stats_server(
                     host.stats_snapshot, args.host, args.stats_port, **probes

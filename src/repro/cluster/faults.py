@@ -28,12 +28,14 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..tenancy import DEFAULT_TENANT
 from .workers import Worker, WorkerDeadError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.results import TaskResult
+    from ..api.specs import TaskSpec
     from ..serving.cache import PersistentCache
 
 __all__ = ["FaultInjector", "FaultyWorker"]
@@ -192,16 +194,14 @@ class FaultyWorker(Worker):
 
     def submit(
         self,
-        requests: "list[dict]",
+        specs: "Sequence[TaskSpec]",
         priority: int = 0,
         *,
         tenant: str = DEFAULT_TENANT,
         weight: float = 1.0,
-    ) -> "list[dict]":
+    ) -> "list[TaskResult]":
         self.injector.on_submit(self.inner)
-        return self.inner.submit(
-            requests, priority, tenant=tenant, weight=weight
-        )
+        return self.inner.submit(specs, priority, tenant=tenant, weight=weight)
 
     def ping(self) -> bool:
         self.injector.on_ping(self.inner)

@@ -1,12 +1,14 @@
 """The cluster router — sharded serving with cache affinity.
 
 :class:`Router` is a :class:`~repro.serving.frontdoor.FrontDoor` (the same
-``handle_batch`` / ``submit_specs`` / ``stats_snapshot`` / ``close`` as the
-single-process service, so ``python -m repro serve --cluster`` and
+``handle_batch`` / ``stats_snapshot`` / ``close`` as the single-process
+service, so ``python -m repro serve --cluster`` and
 :meth:`repro.api.Client.cluster` hold it exactly like a service) whose *run*
 fans :class:`~repro.api.specs.TaskSpec` batches out over N workers (threads
 in-process, or spawned ``python -m repro serve`` processes speaking the v2
-TCP protocol).  Placement is one consistent-hash ring
+TCP protocol).  Workers take the specs typed, on the caller's trace context:
+a request is parsed once, at the router's door, and only a subprocess
+worker encodes what it sends.  Placement is one consistent-hash ring
 (:mod:`repro.cluster.hashing`) that places two things:
 
 * a **spec**, by its canonical wire form: the same spec always runs on the
@@ -48,14 +50,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..api.pipeline_spec import PipelineSpec
-from ..api.protocol import decode_response, encode_request
 from ..api.results import TaskResult
 from ..api.specs import TaskSpec
 from ..obs.events import emit_event
 from ..obs.export import get_default_exemplars
 from ..obs.periodic import PeriodicLoop
 from ..obs.slo import SLOSpec
-from ..obs.span import Span, remote_span, span
+from ..obs.span import Span, remote_span
 from ..serving.cache import PersistentCache
 from ..serving.frontdoor import FrontDoor
 from ..serving.service import build_service, run_pipeline_spec
@@ -98,10 +99,10 @@ class Router(FrontDoor):
         :class:`~repro.serving.frontdoor.FrontDoor`'s options, unchanged
         (``max_inflight``, ``max_queue_depth``, ``retry_after``, ``metrics``,
         ``tenants``, ``slos``, ``monitor_interval``).  Tenancy is enforced
-        once, here; worker services run tenancy-free so a spec is never
-        double-charged.  The resolved tenant still rides every worker-bound
-        envelope, and its weight every submit, so thread workers' engines
-        admit weighted-fair across tenants.
+        once, here: workers are handed admitted specs, so a spec is never
+        double-charged.  The resolved tenant and its weight ride every
+        submit, so thread workers' engines admit weighted-fair across
+        tenants.
 
     Raises
     ------
@@ -133,8 +134,8 @@ class Router(FrontDoor):
         self._worker_factory = worker_factory
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._faults = faults
-        # The pool is sized generously so scale-ups never starve dispatch:
-        # groups for distinct workers must be able to run concurrently.
+        # Groups for distinct workers must run concurrently, two dispatches
+        # over; a join raises the bound (_register_worker).
         self._pool = ThreadPoolExecutor(
             max_workers=max(len(workers) * 2, 8), thread_name_prefix="repro-router"
         )
@@ -356,15 +357,15 @@ class Router(FrontDoor):
         """The live worker id owning ``spec`` (affinity diagnostic)."""
         return self._ring.node_for(spec_key(spec))
 
-    def _run(
+    def run(
         self,
         specs: Sequence[TaskSpec],
         *,
-        priority: int,
-        tenant: str | None,
-        weight: float,
-        trace: str | None,
-        span_parent: str | None,
+        priority: int = 0,
+        tenant: str | None = None,
+        weight: float = 1.0,
+        trace: str | None = None,
+        span_parent: str | None = None,
     ) -> list[TaskResult]:
         """The front door's *run*: one admitted group, fanned out by the ring."""
         with remote_span(
@@ -391,7 +392,7 @@ class Router(FrontDoor):
 
         A worker death mid-batch removes it from the ring and requeues only
         its group — every other spec stays on the worker holding its cache.
-        ``trace`` rides every worker-bound envelope so the id survives the
+        ``trace`` is bound around every worker submit so the id survives the
         extra hop.  Raises :class:`ClusterError` once every worker has died
         (or the router is closed).
         """
@@ -489,48 +490,35 @@ class Router(FrontDoor):
     ) -> list[TaskResult]:
         worker = self.workers[worker_id]
         # Runs on a pool thread: the dispatch span is re-rooted from the
-        # captured caller span, and its id rides the envelope's "span" key so
-        # the worker-side subtree (possibly in another process, over TCP)
-        # parents under this hop.
+        # captured caller span, and the trace is bound around it, so the
+        # worker's spans and exemplars take both from context (a subprocess
+        # worker puts them in its envelopes).
         wire_trace = trace if trace is not None else (
             parent.trace_id if parent is not None else None
         )
-        with span(
+        with remote_span(
             "router.dispatch",
             trace_id=wire_trace,
             parent_id=parent.span_id if parent is not None else None,
             worker=worker_id,
             specs=len(group),
-        ) as dispatch_span:
-            requests = [
-                encode_request(
-                    spec,
-                    request_id=local_id,
-                    trace=wire_trace,
-                    priority=priority,
-                    span=(
-                        dispatch_span.span_id if dispatch_span is not None else None
-                    ),
-                    tenant=tenant,
-                )
-                for local_id, (_, spec) in enumerate(group)
-            ]
-            responses = worker.submit(
-                requests,
+        ):
+            results = worker.submit(
+                [spec for _, spec in group],
                 priority=priority,
                 tenant=tenant or DEFAULT_TENANT,
                 weight=weight,
             )
-            if len(responses) != len(requests):
+            if len(results) != len(group):
                 raise WorkerDeadError(
-                    f"worker {worker_id} answered {len(responses)} responses "
-                    f"for {len(requests)} requests"
+                    f"worker {worker_id} answered {len(results)} results "
+                    f"for {len(group)} specs"
                 )
         with self._lock:
             self._routed[worker_id] += len(group)
         self._m_routed[worker_id].inc(len(group))
         get_default_exemplars().note(f"router.routed.{worker_id}", wire_trace)
-        return [decode_response(response) for response in responses]
+        return results
 
     def _submit_group_tracked(
         self,
@@ -822,6 +810,12 @@ class Router(FrontDoor):
                 )
             self._ring.add(worker_id)
             self._m_workers.set(len(self._ring.nodes))
+            # The executor starts threads lazily up to this bound, so
+            # raising it is all a join needs for one dispatch to run a group
+            # on every worker, two dispatches over.
+            self._pool._max_workers = max(
+                self._pool._max_workers, 2 * len(self._ring.nodes)
+            )
 
     # ------------------------------------------------------------------- stats
     def stats(self) -> ClusterStats:

@@ -1,22 +1,25 @@
 """Cluster workers — the execution shards behind the router.
 
-A worker is anything that answers v2 wire-protocol request batches in order
-(:meth:`Worker.submit`), can say whether it is alive (:meth:`Worker.ping`)
-and can report a :class:`~repro.cluster.stats.WorkerStats` row.  Two
-implementations ship:
+A worker is anything that answers batches of typed
+:class:`~repro.api.specs.TaskSpec` in order with
+:class:`~repro.api.results.TaskResult` (:meth:`Worker.submit`), can say
+whether it is alive (:meth:`Worker.ping`) and can report a
+:class:`~repro.cluster.stats.WorkerStats` row.  Two implementations ship:
 
 * :class:`ThreadWorker` — a full serving stack
   (:class:`~repro.serving.service.ServingService` with its own pipeline,
   engine and :class:`~repro.serving.cache.PersistentCache` shard) that every
   caller enters on its own thread, up to a **bound**: ``submit`` blocks while
   ``queue_depth + 1`` batches are inside, so a slow shard exerts backpressure
-  on the router instead of buffering unboundedly.  The batches inside share
-  the engine's slots and round trips; which task runs next is decided there,
-  at slot admission, on the share ``submit`` was given.
+  on the router instead of buffering unboundedly.  The specs go straight to
+  the service's run (the router admitted them already), and the batches
+  inside share the engine's slots and round trips; which task runs next is
+  decided there, at slot admission, on the share ``submit`` was given.
 * :class:`SubprocessWorker` — a spawned ``python -m repro serve --port``
-  process spoken to over the existing v2 TCP line protocol; the process owns
-  its cache shard directory, so shards stay disjoint across process
-  boundaries too.
+  process spoken to over the v2 wire transport; the process owns its cache
+  shard directory, so shards stay disjoint across process boundaries too.
+  It is the one worker whose specs leave the process, and so the one that
+  encodes them.
 
 Both raise :class:`WorkerDeadError` from ``submit`` once they are closed,
 killed or crashed — the router's requeue-on-death path keys off it.
@@ -31,10 +34,11 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
+from ..api.results import TaskResult
+from ..api.specs import TaskSpec
 from ..obs.metrics import MetricsRegistry, get_default_registry
-from ..serving.engine import SHARE
 from ..tenancy import DEFAULT_TENANT
 from .stats import WorkerStats
 
@@ -64,26 +68,27 @@ class _StartupExit(ClusterError):
 
 
 class Worker:
-    """Contract every shard implements: ordered batches in, responses out."""
+    """Contract every shard implements: ordered specs in, results out."""
 
     worker_id: str
 
     def submit(
         self,
-        requests: "list[dict]",
+        specs: Sequence[TaskSpec],
         priority: int = 0,
         *,
         tenant: str = DEFAULT_TENANT,
         weight: float = 1.0,
-    ) -> "list[dict]":
-        """Answer one wire-request batch in order.
+    ) -> list[TaskResult]:
+        """Answer one batch of specs in order, failures embedded per result.
 
-        ``priority`` (higher first) rides every request envelope, and the
-        engine behind the worker honors it at slot admission;
-        ``tenant``/``weight`` are the share the batch runs on where the
-        worker's engine can be told (a :class:`ThreadWorker`'s), so the
-        router's weighted-fair scheduling reaches the shard's slots.
-        Implementations may ignore all three.
+        ``priority`` (higher first) is honored by the engine behind the
+        worker at slot admission; ``tenant``/``weight`` are the share the
+        batch runs on where the worker's engine can be told (a
+        :class:`ThreadWorker`'s), so the router's weighted-fair scheduling
+        reaches the shard's slots.  Implementations may ignore all three.
+        The caller's bound :class:`~repro.obs.trace.Trace` and span are the
+        batch's trace context.
 
         Raises
         ------
@@ -126,10 +131,11 @@ class Worker:
 class ThreadWorker(Worker):
     """An in-process serving stack its callers enter on their own threads.
 
-    ``submit`` runs the batch through the service on the calling thread, so
-    concurrent batches overlap in the worker's resident engine: their tasks
-    wait for its slots in one weighted-fair order (cost 1 per task, priority
-    then arrival within a tenant) and their prompts share its round trips.
+    ``submit`` runs the specs through the service's run on the calling
+    thread (no door: no parse, admission or encode), so concurrent batches
+    overlap in the worker's resident engine: their tasks wait for its slots
+    in one weighted-fair order (cost 1 per task, priority then arrival
+    within a tenant) and their prompts share its round trips.
 
     Parameters
     ----------
@@ -165,21 +171,23 @@ class ThreadWorker(Worker):
         self.queue_depth = queue_depth
         metrics = metrics or get_default_registry()
         self._m_inflight = metrics.gauge(f"worker.inflight.{worker_id}")
-        #: Guards ``_inside`` and ``_closed``; callers blocked at the bound
-        #: and a draining ``close`` both wait on it.
+        #: Guards ``_inside``, ``_closed`` and ``requests_served``; callers
+        #: blocked at the bound and a draining ``close`` both wait on it.
         self._cond = threading.Condition()
         self._inside = 0
         self._closed = False
+        #: Specs this worker has answered (its stats row's count).
+        self.requests_served = 0
 
     # ----------------------------------------------------------------- running
     def submit(
         self,
-        requests: "list[dict]",
+        specs: Sequence[TaskSpec],
         priority: int = 0,
         *,
         tenant: str = DEFAULT_TENANT,
         weight: float = 1.0,
-    ) -> "list[dict]":
+    ) -> list[TaskResult]:
         with self._cond:
             # Blocks while queue_depth + 1 batches are inside: backpressure.
             self._cond.wait_for(lambda: self._closed or self._inside <= self.queue_depth)
@@ -187,12 +195,13 @@ class ThreadWorker(Worker):
                 raise WorkerDeadError(f"worker {self.worker_id} is not accepting work")
             self._inside += 1
             self._m_inflight.set(self._inside)
-        # The worker's service is tenancy-free, so its door resolves no
-        # tenant and the run keeps this share (priority is re-read from the
-        # envelopes): the engine orders contending batches task by task.
-        share = SHARE.set((tenant, weight, priority))
+        answered = 0
         try:
-            return self.service.handle_batch(requests)
+            # The run uses this share: the engine orders contending batches
+            # task by task.
+            results = self.service.run(specs, priority=priority, tenant=tenant, weight=weight)
+            answered = len(results)
+            return results
         except Exception as exc:
             if self._closed:
                 # close() gave up waiting and closed the engine under this
@@ -200,9 +209,9 @@ class ThreadWorker(Worker):
                 raise WorkerDeadError(f"worker {self.worker_id} shut down mid-batch") from exc
             raise
         finally:
-            SHARE.reset(share)
             with self._cond:
                 self._inside -= 1
+                self.requests_served += answered
                 self._m_inflight.set(self._inside)
                 self._cond.notify_all()
 
@@ -212,7 +221,7 @@ class ThreadWorker(Worker):
 
     def stats(self) -> WorkerStats:
         row = WorkerStats(worker_id=self.worker_id, alive=self.ping())
-        row.requests_served = self.service.requests_served
+        row.requests_served = self.requests_served
         llm = self.service.pipeline.llm
         row.cache_hits = getattr(llm, "hits", 0)
         row.cache_misses = getattr(llm, "misses", 0)
@@ -337,26 +346,34 @@ class SubprocessWorker(Worker):
     # ----------------------------------------------------------------- running
     def submit(
         self,
-        requests: "list[dict]",
+        specs: Sequence[TaskSpec],
         priority: int = 0,
         *,
         tenant: str = DEFAULT_TENANT,
         weight: float = 1.0,
-    ) -> "list[dict]":
-        # ``priority`` and ``tenant`` already travel inside each request
-        # envelope.  The child's service is tenancy-free, so it resolves
-        # every envelope to ``default`` at weight 1: its engine honors only
-        # ``priority`` at slot admission.
+    ) -> list[TaskResult]:
+        # The specs leave the process here, as v2 envelopes carrying
+        # ``priority``, ``tenant`` and the bound trace and span (the
+        # envelope's defaults), so the child's subtree parents under the
+        # caller's span.  The child's service is tenancy-free, so it
+        # resolves every envelope to ``default`` at weight 1: its engine
+        # honors only ``priority``.
         from ..api.errors import TransportError
+        from ..api.protocol import decode_response, encode_request
 
         if not self.ping():
             raise WorkerDeadError(f"worker {self.worker_id} process is gone")
+        requests = [
+            encode_request(spec, request_id, priority=priority, tenant=tenant)
+            for request_id, spec in enumerate(specs)
+        ]
         try:
-            return self._transport().send(requests)
+            responses = self._transport().send(requests)
         except TransportError as exc:
             raise WorkerDeadError(
                 f"worker {self.worker_id} dropped a batch: {exc}"
             ) from exc
+        return [decode_response(response) for response in responses]
 
     def _transport(self) -> "_RemoteBackend":
         if self._backend is None:

@@ -25,8 +25,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Any, Callable, Iterator
-from contextlib import contextmanager
+from typing import Any, Callable
 
 from .metrics import MetricsRegistry, get_default_registry
 
@@ -142,16 +141,6 @@ class AdmissionController:
             "queue_depth": self.queued,
             "retry_after": self.retry_after,
         }
-
-    @contextmanager
-    def admitted(self, n: int = 1) -> Iterator[bool]:
-        """``with`` form: yields whether the work was admitted."""
-        ok = self.try_acquire(n)
-        try:
-            yield ok
-        finally:
-            if ok:
-                self.release(n)
 
 
 # --------------------------------------------------------------- stats server

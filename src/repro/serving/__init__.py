@@ -20,7 +20,6 @@ from .service import (
     build_service,
     run_pipeline_spec,
     serve_lines,
-    start_line_server,
 )
 from .transport import (
     FRAME_BINARY,
@@ -42,6 +41,5 @@ __all__ = [
     "prompt_key",
     "run_pipeline_spec",
     "serve_lines",
-    "start_line_server",
     "start_wire_server",
 ]

@@ -1,8 +1,7 @@
 """The front door: what a serving host *is* — one request path, defined once.
 
-Every request — a wire batch (:meth:`FrontDoor.handle_batch`) or a typed
-batch (:meth:`FrontDoor.submit_specs`) — crosses the same sequence exactly
-once:
+Every request batch (:meth:`FrontDoor.handle_batch`) crosses the same
+sequence exactly once:
 
     parse → ``stats`` short-circuit → per-tenant admission → global
     admission → *run* → release → latency observation → encode
@@ -11,11 +10,13 @@ once:
 (admission controller, tenancy controller, health monitor, the served
 counter).  The two hosts, :class:`~repro.serving.service.ServingService` and
 :class:`~repro.cluster.router.Router`, subclass it and supply three methods:
-:meth:`FrontDoor._run` — the service's resident engine, the router's sharded
+:meth:`FrontDoor.run` — the service's resident engine, the router's sharded
 dispatch — :meth:`FrontDoor._front_section`, the head of their stats
 snapshot, and :meth:`FrontDoor._shutdown`, what ``close()`` releases after
 the monitor.  Whatever holds a host (``repro serve``,
-:class:`repro.api.Client`, a cluster worker) therefore holds one type.
+:class:`repro.api.Client`) therefore holds one type.  A cluster's thread
+worker calls its service's ``run`` directly: the router's door admitted the
+specs already.
 """
 
 from __future__ import annotations
@@ -123,15 +124,15 @@ class FrontDoor:
         )
 
     # ------------------------------------------------------- what a host adds
-    def _run(
+    def run(
         self,
         specs: Sequence[TaskSpec],
         *,
-        priority: int,
-        tenant: str | None,
-        weight: float,
-        trace: str | None,
-        span_parent: str | None,
+        priority: int = 0,
+        tenant: str | None = None,
+        weight: float = 1.0,
+        trace: str | None = None,
+        span_parent: str | None = None,
     ) -> list[TaskResult]:
         """The host's executor for one admitted tenant group.
 
@@ -139,8 +140,10 @@ class FrontDoor:
         failures embedded as ``result.error``.  ``tenant`` is the resolved
         name (``None`` with tenancy off) and ``weight`` its fair share;
         ``trace``/``span_parent`` are set only when the whole group rides
-        one caller trace (:func:`batch_span_context`).  An exception fails
-        the whole call; capacity is still released.
+        one caller trace (:func:`batch_span_context`); without them the
+        caller's bound trace context applies.  It admits and counts
+        nothing: that is the door's.  An exception fails the whole call;
+        capacity is still released.
         """
         raise NotImplementedError
 
@@ -174,37 +177,6 @@ class FrontDoor:
     def handle_request(self, request: Any) -> dict:
         """One raw wire request, answered (a batch of one)."""
         return self.handle_batch([request])[0]
-
-    def submit_specs(
-        self,
-        specs: Sequence[TaskSpec],
-        *,
-        priority: int = 0,
-        trace: str | None = None,
-        span_parent: str | None = None,
-        tenant: str | None = None,
-    ) -> list[TaskResult]:
-        """The typed entrance: specs in, results in submission order.
-
-        The same sequence :meth:`handle_batch` runs, minus parse and encode:
-        ``stats`` specs are answered before admission; with tenancy on the
-        call is charged against ``tenant`` (excess comes back as per-spec
-        ``rate_limited`` errors), then global admission applies (a batch
-        over the pending bound comes back ``overloaded``).  Per-item
-        failures are embedded as ``result.error``, like
-        :meth:`repro.api.Client.submit_many`.  ``trace`` (one id for the
-        batch) and ``span_parent`` (the caller's span id) tie the host's
-        batch span into the caller's span tree.
-        """
-        entries = [
-            ParsedRequest(
-                spec, priority=priority, trace=trace, span=span_parent, tenant=tenant
-            )
-            for spec in specs
-        ]
-        results = self._answer(entries)
-        self._count(len(entries))
-        return results
 
     def _count(self, n: int) -> None:
         # Every request handed in counts as served — a structured error is
@@ -291,7 +263,7 @@ class FrontDoor:
         trace, span_parent = batch_span_context(group)
         started = time.perf_counter()
         try:
-            answered = self._run(
+            answered = self.run(
                 [parsed.spec for parsed in group],
                 priority=max(parsed.priority for parsed in group),
                 tenant=tenant,

@@ -24,17 +24,17 @@ aborts its batch.
 — the request path, admission, tenancy, stats and ``close()`` are the base
 class's, shared with the cluster router; what this module adds is the *run*
 behind it: the resident engine, told whose share each admitted group runs
-on.  The run keys no spec: the engine, its batcher and the cache (a
-cluster's prompt owners included) work on prompts alone.  Nothing here
-serialises callers — concurrent connections' tasks share the engine's slots
-and meet in its one batcher.  :func:`serve_lines` and
-:func:`start_line_server` put any host's ``handle_batch`` behind stdin or a
-socket.
+on.  A cluster's :class:`~repro.cluster.workers.ThreadWorker` calls that run
+directly with typed specs and the share the router resolved.  The run keys
+no spec: the engine, its batcher and the cache (a cluster's prompt owners
+included) work on prompts alone.  Nothing here serialises callers —
+concurrent connections' tasks share the engine's slots and meet in its one
+batcher.  :func:`serve_lines` puts any host's ``handle_batch`` behind stdin,
+:func:`~repro.serving.transport.start_wire_server` behind a socket.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import time
 from typing import Any, Callable, IO, Iterable, Sequence
@@ -55,7 +55,7 @@ from ..obs.export import get_default_exemplars
 from ..obs.slo import SLOSpec
 from ..obs.span import remote_span
 from ..obs.trace import Trace
-from ..tenancy import TenantRegistry
+from ..tenancy import DEFAULT_TENANT, TenantRegistry
 from .cache import PersistentCache
 from .engine import SHARE, EngineConfig, ExecutionEngine
 from .frontdoor import FrontDoor, InvalidRequest
@@ -109,21 +109,21 @@ class ServingService(FrontDoor):
         return self.engine.run(self.pipeline, tasks)
 
     # --------------------------------------------------------------------- run
-    def _run(
+    def run(
         self,
         specs: Sequence[TaskSpec],
         *,
-        priority: int,
-        tenant: str | None,
-        weight: float,
-        trace: str | None,
-        span_parent: str | None,
+        priority: int = 0,
+        tenant: str | None = None,
+        weight: float = 1.0,
+        trace: str | None = None,
+        span_parent: str | None = None,
     ) -> list[TaskResult]:
-        """The front door's *run*: one admitted group on its tenant's share."""
-        if tenant is None:
-            # A tenancy-free door keeps the share its caller runs on: a
-            # cluster worker's batch, or the default tenant at weight 1.
-            tenant, weight, _ = SHARE.get()
+        """The front door's *run*: one admitted group on its tenant's share.
+
+        A tenancy-free door passes no tenant: the group runs on ``default``.
+        """
+        tenant = tenant or DEFAULT_TENANT
         # The span covers the wait for engine slots too — that *is* the
         # service-side queueing a caller experiences.
         with remote_span(
@@ -218,21 +218,8 @@ def serve_lines(
     return forwarded
 
 
-async def start_line_server(
-    handle_batch: BatchHandler, host: str = "127.0.0.1", port: int = 0
-) -> asyncio.AbstractServer:
-    """Bind the TCP wire server over any batch handler.
-
-    This is the asyncio-native transport of :mod:`repro.serving.transport`:
-    connections that open with a handshake line get multiplexed,
-    binary-framed service (many in-flight requests per connection,
-    responses correlated by ``id``); connections that don't speak plain
-    JSON lines — request lines accumulate and flush on blank lines.  Either
-    way batches execute on a worker thread (``handle_batch`` blocks until
-    the engine has answered) so the accept loop stays responsive.  See
-    ``docs/wire-transport.md`` for the handshake and framing spec.
-    """
-    return await start_wire_server(handle_batch, host, port)
+#: The wire server under the name ``bench/wire.py`` imports.
+start_line_server = start_wire_server
 
 
 def run_pipeline_spec(spec: PipelineSpec, submit: "Callable") -> TaskResult:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 
 from repro.api import (
+    Client,
     EntityResolutionSpec,
     ErrorDetectionSpec,
     ExtractionSpec,
@@ -42,6 +43,12 @@ class PromptPureLLM(LanguageModel):
         if "Yes or No" in prompt:
             return "Yes" if len(prompt) % 2 else "No"
         return f"w{sum(ord(c) for c in prompt) % 89}"
+
+
+def submit(router, specs, **options) -> list:
+    """``specs`` through ``router``'s front door, as a client sends them
+    (``options``: ``submit_many``'s ``priority``/``tenant``)."""
+    return Client.cluster(router=router).submit_many(specs, **options)
 
 
 def make_mixed_specs(n_rounds: int = 4) -> list:

@@ -9,13 +9,15 @@ The :class:`repro.cluster.FaultInjector` harness drives the failure modes
 on a schedule (seeded, reproducible) instead of waiting for luck.
 """
 
+import itertools
 import threading
 import time
 
 import pytest
 
-from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint
+from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint, submit
 
+from repro.api import TransformationSpec
 from repro.cluster import (
     ClusterError,
     Autoscaler,
@@ -23,6 +25,7 @@ from repro.cluster import (
     HashRing,
     Router,
     Supervisor,
+    Worker,
 )
 from repro.obs import configure_default_event_log
 from repro.obs.metrics import get_default_registry
@@ -41,7 +44,7 @@ def make_router(n_workers: int = 2, **overrides) -> Router:
 def reference_fingerprint(specs) -> list:
     """What a single-engine run answers — the bit-parity oracle."""
     with make_router(1) as router:
-        return fingerprint(router.submit_specs(specs))
+        return fingerprint(submit(router, specs))
 
 
 def llm_calls() -> int:
@@ -52,14 +55,14 @@ def llm_calls() -> int:
 def test_live_join_is_bit_identical_and_migrates_entries(tmp_path, mixed_specs):
     reference = reference_fingerprint(mixed_specs)
     with make_router(2, cache_dir=str(tmp_path)) as router:
-        assert fingerprint(router.submit_specs(mixed_specs)) == reference
+        assert fingerprint(submit(router, mixed_specs)) == reference
         joined = router.add_worker()
         assert joined in router.live_workers
         assert len(router.live_workers) == 3
         # The joiner's shard was warmed by migration before it opened, so
         # re-running the workload recomputes nothing anywhere.
         before = llm_calls()
-        assert fingerprint(router.submit_specs(mixed_specs)) == reference
+        assert fingerprint(submit(router, mixed_specs)) == reference
         assert llm_calls() == before
         stats = router.stats()
         assert stats.resizes == 1
@@ -67,9 +70,43 @@ def test_live_join_is_bit_identical_and_migrates_entries(tmp_path, mixed_specs):
         assert router.monitor.ready()[0]
 
 
+def test_one_dispatch_runs_a_group_on_every_joined_worker_at_once():
+    """The router's dispatch pool grows with the ring: after nine joins to
+    one worker, all ten groups of one dispatch are in flight together."""
+    barrier = threading.Barrier(10, timeout=10)
+
+    class Gated(Worker):
+        def __init__(self, inner):
+            self.inner = inner
+            self.worker_id = inner.worker_id
+
+        def submit(self, specs, priority=0, **share):
+            barrier.wait()  # broken unless all ten submits are in flight
+            return self.inner.submit(specs, priority, **share)
+
+        def ping(self):
+            return self.inner.ping()
+
+        def close(self):
+            self.inner.close()
+
+    with make_router(1, worker_decorator=Gated) as router:
+        for _ in range(9):
+            router.add_worker()
+        owned: dict = {}
+        for index in itertools.count():
+            spec = TransformationSpec(value=f"v{index}", examples=[["a", "b"]])
+            owned.setdefault(router.worker_for(spec), spec)
+            if len(owned) == 10:
+                break
+        results = submit(router, list(owned.values()))
+    assert all(result.error is None for result in results)
+    assert barrier.n_waiting == 0 and not barrier.broken
+
+
 def test_join_migration_is_hash_minimal(tmp_path, mixed_specs):
     with make_router(2, cache_dir=str(tmp_path)) as router:
-        router.submit_specs(mixed_specs)
+        submit(router, mixed_specs)
         before = HashRing(router.live_workers)
         keys = [key for worker in router.workers.values() for key, _ in worker.shard().items()]
         joined = router.add_worker()
@@ -138,7 +175,7 @@ def test_join_under_inflight_load_loses_nothing(tmp_path, mixed_specs):
 
         def pound() -> None:
             for _ in range(6):
-                batch = router.submit_specs(mixed_specs)
+                batch = submit(router, mixed_specs)
                 results.append(fingerprint(batch))
                 errors.extend(r for r in batch if r.error is not None)
 
@@ -155,7 +192,7 @@ def test_join_under_inflight_load_loses_nothing(tmp_path, mixed_specs):
 def test_drained_leave_migrates_shard_to_survivors(tmp_path, mixed_specs):
     reference = reference_fingerprint(mixed_specs)
     with make_router(3, cache_dir=str(tmp_path)) as router:
-        assert fingerprint(router.submit_specs(mixed_specs)) == reference
+        assert fingerprint(submit(router, mixed_specs)) == reference
         victim = sorted(router.live_workers)[-1]
         migrated = router.remove_worker(victim)
         assert victim not in router.workers
@@ -164,7 +201,7 @@ def test_drained_leave_migrates_shard_to_survivors(tmp_path, mixed_specs):
         # Whatever the leaver owned now lives on the survivors: rerunning
         # the workload is all cache hits, zero backend calls.
         before = llm_calls()
-        assert fingerprint(router.submit_specs(mixed_specs)) == reference
+        assert fingerprint(submit(router, mixed_specs)) == reference
         assert llm_calls() == before
         assert migrated >= 0
         assert router.monitor.ready()[0]
@@ -178,7 +215,7 @@ def test_leave_waits_for_slow_inflight_work(tmp_path, mixed_specs):
         worker_decorator=injector.wrap,
         faults=injector,
     ) as router:
-        reference = fingerprint(router.submit_specs(mixed_specs))
+        reference = fingerprint(submit(router, mixed_specs))
         victim = sorted(router.live_workers)[0]
         injector.slow_drain(victim, 0.2)
         outcome: dict = {}
@@ -193,7 +230,7 @@ def test_leave_waits_for_slow_inflight_work(tmp_path, mixed_specs):
         injector.on_submit = noting_on_submit
 
         def pound() -> None:
-            outcome["fp"] = fingerprint(router.submit_specs(mixed_specs))
+            outcome["fp"] = fingerprint(submit(router, mixed_specs))
 
         load = threading.Thread(target=pound)
         load.start()
@@ -219,7 +256,7 @@ def test_crash_mid_pipeline_requeues_exactly_once(tmp_path, mixed_specs):
     # backend calls for the workload.
     with make_router(2, cache_dir=str(tmp_path / "oracle")) as router:
         before = llm_calls()
-        reference = fingerprint(router.submit_specs(mixed_specs))
+        reference = fingerprint(submit(router, mixed_specs))
         cold_calls = llm_calls() - before
 
     injector = FaultInjector(seed=11)
@@ -233,7 +270,7 @@ def test_crash_mid_pipeline_requeues_exactly_once(tmp_path, mixed_specs):
         ) as router:
             victim, nth = injector.plan_kill(router.live_workers, max_submit=1)
             before = llm_calls()
-            results = router.submit_specs(mixed_specs)
+            results = submit(router, mixed_specs)
             # Bit-identical despite the crash, and exactly once: the victim
             # died *before* any backend work and the requeued group ran once
             # on the survivor, so the crash run can never call the backend
@@ -265,9 +302,9 @@ def test_supervisor_restart_replays_shard_with_zero_misses(tmp_path, mixed_specs
             worker_decorator=injector.wrap,
             faults=injector,
         ) as router:
-            reference = fingerprint(router.submit_specs(mixed_specs))
+            reference = fingerprint(submit(router, mixed_specs))
             victim, _ = injector.plan_kill(router.live_workers, max_submit=1)
-            router.submit_specs(mixed_specs)  # the crash + requeue round
+            submit(router, mixed_specs)  # the crash + requeue round
             assert victim not in router.live_workers
             ready, detail = router.monitor.ready()
             assert not ready  # a crash (unlike a drain) degrades readiness
@@ -284,7 +321,7 @@ def test_supervisor_restart_replays_shard_with_zero_misses(tmp_path, mixed_specs
             # Warm-restart replay: the revived worker re-opened its shard,
             # so re-submitting the workload costs zero backend calls.
             before = llm_calls()
-            assert fingerprint(router.submit_specs(mixed_specs)) == reference
+            assert fingerprint(submit(router, mixed_specs)) == reference
             assert llm_calls() == before
     finally:
         configure_default_event_log(capacity=8192)
@@ -336,7 +373,7 @@ def test_death_detection_is_idempotent_across_sweep_and_submit(mixed_specs):
         victim = sorted(router.live_workers)[0]
         stale_generation = router._generation[victim]
         router.workers[victim].kill()
-        router.submit_specs(mixed_specs)  # failed submit discovers it
+        submit(router, mixed_specs)  # failed submit discovers it
         router.check_health()  # ...and so does a sweep, concurrently-ish
         router.check_health()
         assert router.stats().deaths == 1
@@ -356,7 +393,7 @@ def test_close_joins_the_health_sweep_thread(mixed_specs):
         for thread in set(threading.enumerate()) - before
         if thread.name == "repro-router-sweep"
     ]
-    router.submit_specs(mixed_specs)
+    submit(router, mixed_specs)
     router.close()
     assert not thread.is_alive()
 
@@ -401,7 +438,7 @@ def test_autoscaler_scales_up_then_down_with_cooldown(tmp_path, mixed_specs):
             cooldown=30.0,
             clock=lambda: clock["now"],
         )
-        router.submit_specs(mixed_specs)
+        submit(router, mixed_specs)
 
         drive_load_signal(router, inflight=20.0)  # 10 per live worker
         assert autoscaler.decide() == "up"
@@ -424,7 +461,7 @@ def test_autoscaler_scales_up_then_down_with_cooldown(tmp_path, mixed_specs):
         assert len(router.live_workers) == 2
         assert router.monitor.ready()[0]
         # Results stay bit-identical across the whole up/down cycle.
-        assert fingerprint(router.submit_specs(mixed_specs)) == reference
+        assert fingerprint(submit(router, mixed_specs)) == reference
 
 
 def test_autoscaler_holds_inside_the_hysteresis_band(tmp_path):
@@ -466,14 +503,14 @@ def test_torn_migration_costs_at_most_one_entry(tmp_path, mixed_specs):
     with make_router(
         2, cache_dir=str(tmp_path), faults=injector
     ) as router:
-        router.submit_specs(mixed_specs)
+        submit(router, mixed_specs)
         injector.torn_migration()
         router.add_worker()
         torn = [e for e in injector.log if e["fault"] == "torn_migration"]
         assert len(torn) == 1
         # The torn trailing line is skipped by the loader: results stay
         # bit-identical, and at most one entry needs recomputation.
-        assert fingerprint(router.submit_specs(mixed_specs)) == reference
+        assert fingerprint(submit(router, mixed_specs)) == reference
 
 
 def test_hang_ping_does_not_kill_a_live_worker(tmp_path):

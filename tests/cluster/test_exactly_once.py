@@ -27,6 +27,7 @@ from cluster_testing import (
     fingerprint,
     make_mixed_specs,
     make_pipeline_specs,
+    submit,
 )
 
 from repro.api import Client
@@ -71,7 +72,7 @@ def test_a_cluster_asks_the_backend_what_one_engine_asks(workload):
             config=FULL_CONFIG,
             health_interval=None,
         ) as router:
-            assert answers(router.submit_specs(specs)) == expected, n_workers
+            assert answers(submit(router, specs)) == expected, n_workers
         assert billed(backends) == billed([alone]), n_workers
 
 
@@ -92,7 +93,7 @@ def test_concurrent_callers_still_compute_each_prompt_once():
             4, llm_factory=backends.__getitem__, config=FULL_CONFIG, health_interval=None
         ) as router:
             callers = [
-                threading.Thread(target=lambda: answered.append(router.submit_specs(specs)))
+                threading.Thread(target=lambda: answered.append(submit(router, specs)))
                 for _ in range(6)
             ]
             for caller in callers:

@@ -5,9 +5,8 @@ import threading
 
 import pytest
 
-from cluster_testing import FULL_CONFIG, PromptPureLLM, make_mixed_specs
+from cluster_testing import FULL_CONFIG, PromptPureLLM, make_mixed_specs, submit
 
-from repro.api.protocol import encode_request
 from repro.cluster import Router, SubprocessWorker, ThreadWorker, WorkerDeadError
 from repro.core import UniDM
 from repro.obs import MetricsRegistry
@@ -18,18 +17,17 @@ def make_service() -> ServingService:
     return ServingService(UniDM(PromptPureLLM(), FULL_CONFIG), ExecutionEngine())
 
 
-def wire(spec, request_id=0):
-    return encode_request(spec, request_id=request_id)
-
-
 # ------------------------------------------------------------- thread worker
 def test_thread_worker_answers_batches_in_order():
     worker = ThreadWorker("w0", make_service())
     try:
         specs = make_mixed_specs(1)
-        responses = worker.submit([wire(s, i) for i, s in enumerate(specs)])
-        assert [r["id"] for r in responses] == list(range(len(specs)))
-        assert all(r["ok"] for r in responses)
+        results = worker.submit(specs)
+        assert all(r.error is None for r in results)
+        # Position i answers spec i: what that spec gets submitted alone.
+        alone = [worker.submit([spec])[0] for spec in specs]
+        assert [(r.task_type, r.raw) for r in results] == [(r.task_type, r.raw) for r in alone]
+        assert len({r.task_type for r in results}) == len(specs)
     finally:
         worker.close()
 
@@ -41,7 +39,7 @@ def test_thread_worker_bounded_queue_applies_backpressure():
         outcomes: list = []
 
         def one_batch(spec):
-            outcomes.append(worker.submit([wire(spec)]))
+            outcomes.append(worker.submit([spec]))
 
         threads = [
             threading.Thread(target=one_batch, args=(spec,)) for spec in specs * 4
@@ -52,7 +50,7 @@ def test_thread_worker_bounded_queue_applies_backpressure():
             thread.join(timeout=30)
         # Every submission eventually completed despite the depth-1 queue.
         assert len(outcomes) == len(threads)
-        assert all(batch[0]["ok"] for batch in outcomes)
+        assert all(batch[0].error is None for batch in outcomes)
     finally:
         worker.close()
 
@@ -67,13 +65,13 @@ def test_closed_thread_worker_raises_worker_dead():
     worker.close()
     assert worker.ping() is False
     with pytest.raises(WorkerDeadError):
-        worker.submit([wire(make_mixed_specs(1)[0])])
+        worker.submit(make_mixed_specs(1)[:1])
 
 
 def test_thread_worker_stats_expose_serving_internals():
     worker = ThreadWorker("w0", make_service())
     try:
-        worker.submit([wire(make_mixed_specs(1)[0])])
+        worker.submit(make_mixed_specs(1)[:1])
         row = worker.stats()
         assert row.alive is True
         assert row.requests_served == 1
@@ -93,14 +91,14 @@ def test_wire_batches_of_two_callers_share_round_trips(gated_worker):
     callers.line_up("a", [f"a-{i}" for i in range(4)])
     callers.line_up("b", [f"b-{i}" for i in range(4)])
     callers.release()
-    assert all(r["ok"] for name in "ab" for r in callers.outcomes[name])
+    assert all(r.error is None for name in "ab" for r in callers.outcomes[name])
     round_trips = [prompts for _, prompts in callers.backend.batches]
     # Nine tasks of three prompts each: one worker-wide consumer would serve
-    # the two wire batches one after the other, four prompts a round trip at
+    # the two batches one after the other, four prompts a round trip at
     # best (nine round trips).
     assert sum(len(prompts) for prompts in round_trips) == 27
     assert len(round_trips) <= 7
-    # ...and some round trip carries prompts of both wire batches.
+    # ...and some round trip carries prompts of both batches.
     assert {"a", "b"} in [
         set(re.findall(r"<([ab])-\d>", " ".join(prompts))) for prompts in round_trips
     ]
@@ -143,7 +141,7 @@ def test_the_bound_holds_the_next_caller_outside(gated_worker):
     callers.backend.gate.set()  # the two inside leave: there is room
     assert callers.engine.handed.acquire(timeout=10)
     callers.finish()
-    assert all(batch[0]["ok"] for batch in callers.outcomes.values())
+    assert all(batch[0].error is None for batch in callers.outcomes.values())
     assert gauge.value == 0
 
 
@@ -167,8 +165,8 @@ def test_close_turns_away_a_caller_blocked_at_the_bound_and_drains_the_rest(
     closing.join(timeout=30)
     assert not closing.is_alive()
     # close() waited for the batches inside: they were answered.
-    assert callers.outcomes["holder"][0]["ok"]
-    assert callers.outcomes["second"][0]["ok"]
+    assert callers.outcomes["holder"][0].error is None
+    assert callers.outcomes["second"][0].error is None
 
 
 def test_a_batch_cut_off_by_close_requeues_onto_a_survivor(gated_llm, monkeypatch):
@@ -181,7 +179,7 @@ def test_a_batch_cut_off_by_close_requeues_onto_a_survivor(gated_llm, monkeypatc
         victim_id = "worker-00"
         assert any(router.worker_for(spec) == victim_id for spec in specs)
         outcome: list = []
-        call = threading.Thread(target=lambda: outcome.append(router.submit_specs(specs)))
+        call = threading.Thread(target=lambda: outcome.append(submit(router, specs)))
         call.start()
         # The victim's batch is in its engine, held at the backend's gate;
         # close() gives up waiting for it and closes the engine under it.
@@ -205,7 +203,7 @@ def test_subprocess_cluster_round_trip_and_failover(tmp_path):
     specs = make_mixed_specs(2)
     router = Router.spawn(2, seed=0, cache_dir=str(tmp_path / "shards"))
     try:
-        first = router.submit_specs(specs)
+        first = submit(router, specs)
         assert all(result.error is None for result in first)
         assert len(first) == len(specs)
 
@@ -214,7 +212,7 @@ def test_subprocess_cluster_round_trip_and_failover(tmp_path):
         victim_id = sorted(router.live_workers)[0]
         router.workers[victim_id].kill()  # returns once the child has exited
         assert not router.workers[victim_id].ping()
-        second = router.submit_specs(specs)
+        second = submit(router, specs)
         assert len(second) == len(specs)
         assert all(result.error is None for result in second)
         stats = router.stats()
@@ -229,10 +227,10 @@ def test_subprocess_worker_ping_and_close(tmp_path):
     worker = SubprocessWorker("w0", seed=0, cache_dir=str(tmp_path / "shard"))
     try:
         assert worker.ping() is True
-        responses = worker.submit([wire(make_mixed_specs(1)[0])])
-        assert responses[0]["ok"] is True
+        (result,) = worker.submit(make_mixed_specs(1)[:1])
+        assert result.error is None and result.answer is not None
     finally:
         worker.close()
     assert worker.ping() is False
     with pytest.raises(WorkerDeadError):
-        worker.submit([wire(make_mixed_specs(1)[0])])
+        worker.submit(make_mixed_specs(1)[:1])

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.api import TransformationSpec, encode_request
+from repro.api import TransformationSpec
 from repro.cluster.workers import ThreadWorker
 from repro.core import UniDM, UniDMConfig
 from repro.datalake import Attribute, AttributeType, Schema, Table
@@ -148,20 +148,13 @@ class Callers:
         self.threads: dict = {}
 
     def start(self, name, tags, **share):
-        """Submit one batch of ``<tag>``-valued transformation specs, the
-        share's priority in every envelope as the router sends it."""
-        requests = [
-            encode_request(
-                TransformationSpec(f"<{tag}>", [["20000101", "2000-01-01"]]),
-                request_id=index,
-                priority=share.get("priority", 0),
-            )
-            for index, tag in enumerate(tags)
-        ]
+        """Submit one batch of ``<tag>``-valued transformation specs on
+        ``share`` (``priority``, ``tenant``, ``weight``), as the router does."""
+        specs = [TransformationSpec(f"<{tag}>", [["20000101", "2000-01-01"]]) for tag in tags]
 
         def call():
             try:
-                self.outcomes[name] = self.worker.submit(requests, **share)
+                self.outcomes[name] = self.worker.submit(specs, **share)
             except Exception as exc:
                 self.outcomes[name] = exc
 

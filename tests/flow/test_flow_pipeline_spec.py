@@ -20,7 +20,7 @@ import pytest
 from repro.api import Client, InvalidRequestError, PipelineSpec
 from repro.datalake import Table
 from repro.flow import DetectErrors, Filter, Impute, Pipeline, Transform
-from repro.serving import build_service, start_line_server
+from repro.serving import build_service, start_wire_server
 
 ROWS = [
     {"name": "ada's diner", "city": "rome", "phone": "06-555-0101"},
@@ -58,7 +58,7 @@ def remote_port():
 
     def run() -> None:
         asyncio.set_event_loop(loop)
-        server = loop.run_until_complete(start_line_server(service.handle_batch, "127.0.0.1", 0))
+        server = loop.run_until_complete(start_wire_server(service.handle_batch, "127.0.0.1", 0))
         holder["port"] = server.sockets[0].getsockname()[1]
         ready.set()
         loop.run_forever()

@@ -68,11 +68,16 @@ def test_admission_controller_unbounded_by_default():
 def test_oversized_batch_is_admitted_when_idle():
     # A batch larger than the whole capacity must not be shed forever: with
     # nothing pending it is admitted (the bound is on concurrent work).
-    controller = AdmissionController(max_queue_depth=2, metrics=MetricsRegistry())
+    registry = MetricsRegistry()
+    controller = AdmissionController(max_queue_depth=2, metrics=registry)
     assert controller.try_acquire(10)
     assert not controller.try_acquire(1)  # saturated while it runs
     controller.release(10)
     assert controller.try_acquire(1)
+    controller.release(1)
+    assert controller.pending == 0
+    assert registry.counter("admission.admitted").value == 11
+    assert registry.counter("admission.shed").value == 1
 
 
 def test_service_serves_oversized_batch_instead_of_starving():
@@ -80,18 +85,6 @@ def test_service_serves_oversized_batch_instead_of_starving():
     requests = [encode_request(SPEC, request_id=i) for i in range(5)]
     responses = service.handle_batch(requests)
     assert all(response["ok"] for response in responses)
-
-
-def test_admission_controller_context_manager_releases():
-    registry = MetricsRegistry()
-    controller = AdmissionController(max_queue_depth=1, metrics=registry)
-    with controller.admitted(1) as ok:
-        assert ok
-        with controller.admitted(1) as nested:
-            assert not nested
-    assert controller.pending == 0
-    assert registry.counter("admission.admitted").value == 1
-    assert registry.counter("admission.shed").value == 1
 
 
 def test_admission_controller_rejects_bad_knobs():
@@ -187,11 +180,12 @@ def test_router_sheds_and_recovers_under_bounded_queue():
     with Router.local(
         2, llm_factory=llm_factory, max_queue_depth=1
     ) as router:
+        client = Client.cluster(router=router)
         n_threads = 6
         outcomes = {}
 
         def call(index):
-            outcomes[index] = router.submit_specs([SPEC])[0]
+            outcomes[index] = client.submit_many([SPEC])[0]
 
         threads = [
             threading.Thread(target=call, args=(i,)) for i in range(n_threads)
@@ -208,7 +202,7 @@ def test_router_sheds_and_recovers_under_bounded_queue():
             assert result.error.code == "overloaded"
             assert result.error.retry_after > 0
         # Recovery after drain.
-        assert router.submit_specs([SPEC])[0].error is None
+        assert client.submit_many([SPEC])[0].error is None
         assert router.admission.pending == 0
         assert router.requests_served == n_threads + 1
 
@@ -249,7 +243,8 @@ def test_cluster_client_surfaces_overloaded_error_code():
 # ------------------------------------------------------------------ priorities
 def test_thread_worker_dequeues_highest_priority_first(gated_worker):
     # One slot, held by "first" at the backend's closed gate; "low" then
-    # "high" line up in the worker's engine, the priority in their envelopes.
+    # "high" line up in the worker's engine at the priority they were
+    # submitted with.
     callers = gated_worker(EngineConfig(workers=1), queue_depth=8)
     callers.hold("first")
     callers.line_up("low", ["low"], priority=0)

@@ -101,19 +101,15 @@ def test_router_forwards_a_batch_trace_to_its_workers():
     from repro.cluster.workers import Worker
 
     class RecordingWorker(Worker):
+        """An in-process worker: it reads the batch's trace from context."""
+
         def __init__(self, worker_id):
             self.worker_id = worker_id
             self.seen = []
 
-        def submit(self, requests, priority=0, **kwargs):
-            self.seen.extend(requests)
-            return [
-                encode_success(
-                    TaskResult(answer="x", task_type="transformation"),
-                    request.get("id"),
-                )
-                for request in requests
-            ]
+        def submit(self, specs, priority=0, **kwargs):
+            self.seen.append(Trace.current_id())
+            return [TaskResult(answer="x", task_type="transformation") for _ in specs]
 
         def ping(self):
             return True
@@ -123,7 +119,24 @@ def test_router_forwards_a_batch_trace_to_its_workers():
         wire = encode_request(SPEC, request_id=1, trace="ab" * 8)
         response = router.handle_batch([wire])[0]
     assert response["trace"] == "ab" * 8  # echoed to the caller...
-    assert worker.seen[0]["trace"] == "ab" * 8  # ...and forwarded inward
+    assert worker.seen == ["ab" * 8]  # ...and bound around the worker's submit
+
+    # A spawned worker is the one whose specs leave the process: the trace
+    # rides its envelopes.
+    sent = []
+    with Router.spawn(1, health_interval=None) as router:
+        (spawned,) = router.workers.values()
+        transport = spawned._transport()
+        send = transport.send
+
+        def recording_send(requests):
+            sent.extend(requests)
+            return send(requests)
+
+        transport.send = recording_send
+        response = router.handle_batch([wire])[0]
+    assert response["ok"] and response["trace"] == "ab" * 8
+    assert [request["trace"] for request in sent] == ["ab" * 8]
 
 
 def test_local_client_echoes_one_trace_id_per_batch_context():

@@ -74,11 +74,7 @@ class Front:
             self.target.close()
 
     def counters(self) -> dict:
-        """Front-door counters, with the host's metric prefix stripped.
-
-        (The router's worker runs a tenancy-free inner service whose own
-        ``service.*`` series share the registry; they are not the router's.)
-        """
+        """Front-door counters, with the host's metric prefix stripped."""
         prefix = f"{self.kind}."
         return {
             name[len(prefix):] if name.startswith(prefix) else name: value
@@ -244,49 +240,3 @@ def test_service_and_router_answer_a_batch_identically(fronts, event_log, name):
     # Every request handed in counts, unparseable lines too.
     assert service["served"] == service["counters"]["requests"] == len(batch())
     assert counters.items() <= service["counters"].items()
-
-
-def test_the_typed_entrance_answers_identically_on_both_hosts(fronts, event_log):
-    """``submit_specs`` is the door's, not a host's: same admission, same
-    tenancy, same counting as ``handle_batch``, minus parse and encode."""
-    from repro.api.stats_spec import StatsSpec
-    from repro.serving.frontdoor import FrontDoor
-
-    observed = []
-    for front in fronts:
-        host = front.target
-        assert isinstance(host, FrontDoor)
-        assert type(host).submit_specs is FrontDoor.submit_specs
-        host.submit_specs([spec("b0")], tenant="bronze")  # spend bronze's only token
-        event_log.clear()
-        get_default_registry().reset()
-        served = host.requests_served
-        gold = host.submit_specs(
-            [spec("t1"), StatsSpec(), spec("boom")], tenant="gold", trace=TRACE, priority=1
-        )
-        bronze = host.submit_specs([spec("t2"), spec("t3")], tenant="bronze", trace=TRACE)
-        observed.append(
-            {
-                "answers": [r.answer for r in (gold[0], *bronze)],
-                "codes": [r.error.code if r.error else "ok" for r in (*gold, *bronze)],
-                "tenants": [r.tenant for r in (*gold, *bronze)],
-                "served": host.requests_served - served,
-                "counters": front.counters(),
-                "events": sorted(
-                    (event["kind"], event.get("trace"))
-                    for event in event_log.events()
-                    if event["kind"] != "span"
-                ),
-            }
-        )
-        assert gold[1].task_type == "stats" and "metrics" in gold[1].answer
-    service, router = observed
-    assert service == router
-    assert service["codes"] == ["ok", "ok", "invalid_request", "rate_limited", "rate_limited"]
-    assert service["tenants"] == ["gold"] * 3 + ["bronze"] * 2
-    assert service["served"] == service["counters"]["requests"] == 5
-    assert service["events"] == [("tenancy.shed", TRACE)]
-    assert {"admission.admitted": 2, "tenant.bronze.rate_limited": 2}.items() <= (
-        service["counters"].items()
-    )
-

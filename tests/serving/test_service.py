@@ -16,7 +16,7 @@ from repro.core import (
     TransformationTask,
 )
 from repro.api import spec_from_request
-from repro.serving import build_service, serve_lines, start_line_server
+from repro.serving import build_service, serve_lines, start_wire_server
 
 
 def from_request(request):
@@ -226,7 +226,7 @@ def test_serve_stream_reuses_cache_across_batches(service):
 # ----------------------------------------------------------------------- tcp
 def test_tcp_round_trip(service):
     async def scenario():
-        server = await start_line_server(service.handle_batch, "127.0.0.1", 0)
+        server = await start_wire_server(service.handle_batch, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         async with server:
             reader, writer = await asyncio.open_connection("127.0.0.1", port)

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.api import TransformationSpec
+from repro.api import Client, TransformationSpec
 from repro.api.protocol import decode_response, encode_request
 from repro.core import UniDM, UniDMConfig
 from repro.llm import CachedLLM, LanguageModel, SimulatedLLM
@@ -181,8 +181,10 @@ def test_cluster_isolates_well_behaved_tenants_from_a_flood():
         tenants=tenant_registry(),
     ) as router:
 
+        client = Client.cluster(router=router)
+
         def submit(spec, tenant):
-            return router.submit_specs([spec], tenant=tenant)[0]
+            return client.submit_many([spec], tenant=tenant)[0]
 
         def snapshot(reset=False):
             return router.stats_snapshot(reset=reset)

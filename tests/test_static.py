@@ -12,7 +12,7 @@ _SPEC.loader.exec_module(check_static)
 def test_no_unused_imports_or_compile_warnings_on_the_lint_paths():
     paths = check_static.ruff_paths()
     assert "src/repro/api" in paths
-    assert check_static.scan([*paths, "tests"]) == []
+    assert check_static.scan([*paths, "tests", "bench", "benchmarks"]) == []
 
 
 def test_a_function_local_import_of_a_missing_name_is_reported(tmp_path):
@@ -65,4 +65,37 @@ def test_a_redefinition_and_an_unused_local_are_reported(tmp_path):
         "F811 redefinition of unused 'test_a' from line 4",
         "F841 local variable 'store' is assigned to but never used",
         "F841 local variable 'error' is assigned to but never used",
+    ]
+
+
+def test_an_undefined_name_is_reported_in_the_scope_that_reads_it(tmp_path):
+    source = tmp_path / "stale.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "\n"
+        "\n"
+        "def run(spec: NotEvaluated) -> list:\n"
+        "    local = [spec for _ in range(2)]\n"
+        "    return local + [gone(item) for item in local]\n"
+        "\n"
+        "\n"
+        "class Box:\n"
+        "    size = 1\n"
+        "\n"
+        "    def area(self):\n"
+        "        return size * len(__class__.__name__)\n"
+        "\n"
+        "\n"
+        "def outer():\n"
+        "    captured = run\n"
+        "    return lambda: captured(missing)\n"
+        "\n"
+        "\n"
+        "printed = print(__file__, silenced)  # noqa\n"
+    )
+    findings = check_static.scan([str(source)])
+    assert [finding.split(": ", 1)[1] for finding in findings] == [
+        "F821 undefined name 'gone'",
+        "F821 undefined name 'size'",
+        "F821 undefined name 'missing'",
     ]
