@@ -134,12 +134,16 @@ def _table_from_rows(
     table_name: str,
     primary_key: str | None,
 ) -> Table:
-    """Build a :class:`Table` from pre-validated wire rows."""
-    rows = [dict(row) for row in rows]
+    """Build a :class:`Table` from pre-validated wire rows.
+
+    ``_check_rows`` has checked every row's columns against the first's, so
+    each row goes in by position (a missing cell is ``None``): no copy of
+    the row, and no per-key check in ``Record``.
+    """
     names = list(rows[0])
     key = primary_key if primary_key is not None else names[0]
     schema = Schema([Attribute(name, primary_key=(name == key)) for name in names])
-    return Table(str(table_name), schema, rows)
+    return Table(str(table_name), schema, [[row.get(name) for name in names] for row in rows])
 
 
 def _record_for(table: Table, values: Any, field_name: str) -> Record:

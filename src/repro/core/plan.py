@@ -2,17 +2,17 @@
 
 Algorithm 1 interleaves pure computation (sampling, parsing completions,
 assembling prompts) with LLM calls.  To let the exact same logic run both
-synchronously (one task at a time) and inside the async serving engine (many
-tasks with micro-batched LLM calls), each pipeline component expresses its
-work as a *plan*: a generator that yields :class:`LLMRequest` objects and
-receives the completion text back via ``send()``.  The component stays free of
-I/O concerns; a driver decides how requests are actually executed:
+synchronously (one task at a time) and inside the serving engine (many tasks
+with micro-batched LLM calls), each pipeline component expresses its work as
+a *plan*: a generator that yields :class:`LLMRequest` objects and receives
+the completion text back via ``send()``.  The component stays free of I/O
+concerns; a driver decides how requests are actually executed:
 
 * :func:`drive` executes a plan against a :class:`~repro.llm.base.LanguageModel`
   synchronously (the ``UniDM.run`` path);
-* :func:`drive_async` awaits each request through a callable — the serving
-  engine's is the micro-batcher, which coalesces requests of any kinds across
-  in-flight tasks.
+* the serving engine's :class:`~repro.serving.batcher.MicroBatcher` steps
+  many plans at once: it sends each its completion when a batched call lands
+  (or at once, for a cached prompt) and queues the next request it yields.
 
 Algorithm 1 is written once, as :meth:`repro.core.pipeline.UniDM.plan`; both
 drivers walk that one generator, so the serving engine is equivalent to the
@@ -22,7 +22,7 @@ sequential pipeline by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Generator
+from typing import Any, Generator
 
 from ..llm.base import LanguageModel
 
@@ -54,16 +54,4 @@ def drive(plan: Plan, llm: LanguageModel) -> Any:
         return stop.value
 
 
-
-async def drive_async(plan: Plan, call: Callable[[LLMRequest], Awaitable[str]]) -> Any:
-    """Run ``plan`` to completion, satisfying each request via ``await call(...)``."""
-    try:
-        request = next(plan)
-        while True:
-            text = await call(request)
-            request = plan.send(text)
-    except StopIteration as stop:
-        return stop.value
-
-
-__all__ = ["LLMRequest", "Plan", "drive", "drive_async"]
+__all__ = ["LLMRequest", "Plan", "drive"]

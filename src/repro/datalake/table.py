@@ -47,7 +47,9 @@ class Record:
         record_id: int | None = None,
     ):
         self._schema = schema
-        if isinstance(values, Mapping):
+        # A list is checked first: positional rows (the wire's) skip the ABC
+        # ``Mapping`` check.
+        if not isinstance(values, list) and isinstance(values, Mapping):
             self._values = [values.get(name) for name in schema.names]
             unknown = [name for name in values if schema.get(name) is None]
             if unknown:

@@ -228,7 +228,7 @@ class CachedLLM(LanguageModel):
         :meth:`release`.  Any other has a ``future``: wait for it, then ask
         :meth:`cached` again.
         """
-        owner = self._owner(prompt)
+        owner = self if self.owners is None else self._owner(prompt)
         with owner._lock:
             claim = owner._claims.get(prompt)
             if claim is None:

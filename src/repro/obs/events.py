@@ -118,7 +118,7 @@ class EventLog:
     # ------------------------------------------------------------------ emit
     def sampled(self, trace_id: str | None) -> bool:
         """Whether events of this trace are recorded (None → always)."""
-        if trace_id is None:
+        if trace_id is None or self.sample_rate >= 1.0:
             return True
         return sample_decision(trace_id, self.sample_rate)
 
@@ -135,11 +135,11 @@ class EventLog:
     def emit_span(self, span: Any) -> bool:
         """Record one completed :class:`~repro.obs.span.Span`.
 
-        Builds the event dict in one go (no kwargs round trip through
-        :meth:`emit`) — this runs once per span on every instrumented path.
+        Not sampled here: a span carries its trace's verdict (it was only
+        made because ``Span.begin`` found the trace sampled).  Builds the
+        event dict in one go (no kwargs round trip through :meth:`emit`) —
+        this runs once per span on every instrumented path.
         """
-        if not self.sampled(span.trace_id):
-            return False
         event: dict[str, Any] = {
             "kind": "span",
             "trace": span.trace_id,
@@ -147,7 +147,7 @@ class EventLog:
             "parent": span.parent_id,
             "name": span.name,
             "start": span.start,
-            "dur": span.duration,
+            "dur": span.end - span.start,
             "status": span.status,
         }
         if span.attrs:

@@ -151,6 +151,17 @@ class Histogram:
             self._min = min(self._min, value)
             self._max = max(self._max, value)
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """``observe`` each of ``values``, under one lock acquisition."""
+        bounds, counts = self.bounds, self._counts
+        with self._lock:
+            for value in values:
+                counts[bisect.bisect_left(bounds, value)] += 1
+                self._sum += value
+                self._min = min(self._min, value)
+                self._max = max(self._max, value)
+            self._count += len(values)
+
     @property
     def count(self) -> int:
         with self._lock:

@@ -20,7 +20,11 @@ Design notes:
 * **Sampling** — ``Span.begin`` consults the default event log's head-based
   verdict for the trace; an unsampled trace produces *no* span objects at
   all (in any process — the verdict is deterministic by id), so disabled
-  and sampled-out paths cost one dict lookup and one hash.
+  and sampled-out paths cost one dict lookup and one hash.  The verdict is
+  decided once and carried by the span itself: a span exists only if its
+  trace was sampled, so ``finish`` records it without asking again, and a
+  child begun in the same trace as its live parent (the bound span, or
+  :meth:`Span.child`) is sampled because the parent is.
 * **Kill switch** — ``set_tracing(False)`` (or ``REPRO_TRACING=0``) makes
   every ``begin``/``span`` a no-op returning ``None``; instrumentation
   sites must tolerate a ``None`` span.
@@ -28,6 +32,7 @@ Design notes:
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import os
 import time
@@ -130,14 +135,34 @@ class Span:
                 trace_id = context_parent.trace_id
         if trace_id is None:
             trace_id = Trace.current_id() or new_trace_id()
-        if not get_default_event_log().sampled(trace_id):
+        if (
+            context_parent is None or trace_id != context_parent.trace_id
+        ) and not get_default_event_log().sampled(trace_id):
             return None
         return cls(
-            name=name,
-            trace_id=trace_id,
-            span_id=new_span_id(),
-            parent_id=parent_id,
-            start=time.monotonic(),
+            name,
+            trace_id,
+            f"{_pid_prefix}{next(_counter):x}",  # new_span_id(), inlined: once per span
+            parent_id,
+            time.monotonic(),
+            attrs=dict(attrs) if attrs else {},
+        )
+
+    def child(self, name: str, attrs: dict[str, Any] | None = None) -> "Span | None":
+        """Start a span under this one, in its trace (``None`` when tracing
+        is off).
+
+        This span exists, so its trace was sampled: the child is too, and no
+        verdict is asked for again.
+        """
+        if not _enabled:
+            return None
+        return Span(
+            name,
+            self.trace_id,
+            f"{_pid_prefix}{next(_counter):x}",
+            self.span_id,
+            time.monotonic(),
             attrs=dict(attrs) if attrs else {},
         )
 
@@ -148,7 +173,11 @@ class Span:
         return (self.end - self.start) if self.end is not None else 0.0
 
     def finish(self, status: str | None = None, **attrs: Any) -> None:
-        """Stamp the end time and emit once; later calls are no-ops."""
+        """Stamp the end time and emit once; later calls are no-ops.
+
+        The span was admitted by its trace's verdict when it began; the
+        event log records it without sampling again.
+        """
         if self.end is not None:
             return
         self.end = time.monotonic()
@@ -157,6 +186,13 @@ class Span:
         if attrs:
             self.attrs.update(attrs)
         get_default_event_log().emit_span(self)
+
+    def bound_context(self) -> contextvars.Context:
+        """A copy of the current context with this span bound: what runs in
+        it (on another thread, say) nests its spans beneath this one."""
+        context = contextvars.copy_context()
+        context.run(_current_span.set, self)
+        return context
 
     @contextmanager
     def bind(self) -> Iterator["Span"]:

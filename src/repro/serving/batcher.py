@@ -1,53 +1,63 @@
 """Micro-batching scheduler for LLM calls.
 
 Concurrent task executions each need small, latency-sensitive LLM calls.  The
-:class:`MicroBatcher` sits between the async task coroutines and the
-synchronous :class:`~repro.llm.base.LanguageModel`: coroutines ``submit()``
-individual prompts and await their completions, while the batcher coalesces
-pending prompts — of any kinds — into one ``complete_batch`` call.
+:class:`MicroBatcher` sits between the tasks' plans and the synchronous
+:class:`~repro.llm.base.LanguageModel`, and it *steps the plans itself*: a
+task is a :class:`Walk` over its plan (the generator of
+:class:`~repro.core.plan.LLMRequest` that :mod:`repro.core.plan` describes),
+and ``start(walk)`` runs it to its first miss.  Misses — of any kinds — are
+coalesced into one ``complete_batch`` call; when a batch lands, its delivery
+step sends each waiter its completion and runs that plan on to its next miss,
+in the same step.  No coroutine, asyncio task or future is made per task or
+per prompt; a batch costs one executor hop.
 
 One batcher serves every caller of a resident
 :class:`~repro.serving.engine.ExecutionEngine`, so *when* it dispatches
 decides how full each backend round trip is.  The rule:
 
-* **Hits never queue.**  ``submit`` first asks the backend for a stored
-  answer (``cached(prompt, kind)``, where the backend offers it — a
-  :class:`~repro.llm.cache.CachedLLM` does).  A hit is returned at once, on
-  the loop thread, without suspending the coroutine: no queue entry, no seat
-  in a batch, no wait for the round trip in flight — so only misses ride
-  round trips, and a task whose next prompts are all stored runs on to its
-  next miss in one loop step.  A hit is not a submission for the triggers
-  below: it can never join a batch.
+* **Hits never queue.**  Before a prompt queues, the batcher asks the backend
+  for a stored answer (``cached(prompt, kind)``, where the backend offers it
+  — a :class:`~repro.llm.cache.CachedLLM` does).  A hit is sent into the plan
+  at once, on the loop thread: no queue entry, no seat in a batch, no wait
+  for the round trip in flight — so only misses ride round trips, and a task
+  whose next prompts are all stored runs on to its next miss in one step.  A
+  hit is not a submission for the triggers below: it can never join a batch.
 * **A miss is computed once.**  Where the backend offers claims
   (``claim``/``release``), a miss is claimed for this batcher before it
-  queues.  A prompt another batcher holds (another worker's engine, in a
-  cluster) is awaited, not queued, and then answered by ``cached``; this
-  batcher's own repeated asks queue as they always did.  The claim is
-  released when the request ends, with the batch's exception if it failed.
+  queues.  A walk whose prompt another batcher holds (another worker's
+  engine, in a cluster) is parked on the claim's future, not queued, and
+  asks ``cached`` again when it resolves; this batcher's own repeated asks
+  queue as they always did.  The claim is released when the request ends,
+  with the batch's exception if it failed.
 * **Hold while busy.**  While every LLM thread (``llm_threads``) is executing
   a batch nothing is dispatched — no trigger fires; pending prompts keep
   collecting batch-mates.  The batch in flight is the progress guarantee.
-* **Deliver, then dispatch.**  When a batch lands its waiters are resolved
-  first and get the idle check's two loop turns to submit their next prompt;
-  only then is the freed thread given the next batch.
-* **Oldest admitted task first, whatever the kind.**  Every prompt carries
-  the ticket its task drew when the engine admitted it (:data:`ORIGIN`); a
-  freed thread takes the ``max_batch_size`` pending prompts that hold the
-  lowest tickets (equal tickets in arrival order).  A younger task's prompt
-  never leaves before an older one's, and tasks at different stages of their
-  chains fill one round trip together.  ``kind`` only labels the backend's
-  accounting: a batch goes down under its prompts' common kind, or as
-  :data:`MIXED`; completions are matched to waiters by position.
+* **Deliver, then dispatch.**  When a batch lands every waiter is stepped to
+  its next miss first (its owner admits new work a loop turn later, as it
+  would have started a task), and the idle check's two loop turns run before
+  the freed thread is given the next batch.
+* **Oldest admitted task first, whatever the kind.**  Every walk carries the
+  ``ticket`` its task drew when the engine admitted it; a freed thread takes
+  the ``max_batch_size`` pending prompts that hold the lowest tickets (equal
+  tickets in arrival order).  A younger task's prompt never leaves before an
+  older one's, and tasks at different stages of their chains fill one round
+  trip together.  ``kind`` only labels the backend's accounting: a batch goes
+  down under its prompts' common kind, or as :data:`MIXED`; completions are
+  matched to waiters by position.
 
 With a free thread a batch is dispatched when the first of three triggers
 fires:
 
 * **size** — ``max_batch_size`` prompts are pending;
-* **idle** — the event loop drains its ready queue without any new
-  submission arriving (every in-flight task is blocked), so waiting longer
-  cannot grow the batch;
+* **idle** — two loop turns pass without any new submission arriving (every
+  walk is waiting on a round trip or a claim), so waiting longer cannot grow
+  the batch;
 * **timeout** — ``max_wait`` seconds elapsed since the oldest pending prompt
   (the formal progress guarantee behind the idle heuristic).
+
+The first failure of a plan (an exception out of ``send``) or of its batch
+goes to its walk's ``failed``; a walk its owner marks ``dead`` (its run
+failed) is dropped with :meth:`MicroBatcher.drop` and never stepped again.
 
 Batches execute on a worker thread pool so the event loop stays responsive.
 What the loop thread may touch is bounded by the hit path: a cache's short
@@ -59,61 +69,172 @@ store's lock for at most one append an LLM thread is making
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import time
+import queue
+import threading
 from concurrent.futures import Executor
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from operator import attrgetter
+from typing import Any, Callable, Sequence
 
+from ..core.plan import LLMRequest, Plan
 from ..llm.base import Completion, LanguageModel
 from ..llm.cache import Claim
 from ..obs.export import get_default_exemplars
 from ..obs.metrics import MetricsRegistry, SIZE_BUCKETS, get_default_registry
 from ..obs.span import Span
-from ..obs.trace import Trace
 
 #: The label a batch goes down under when its prompts do not share a kind.
 MIXED = "mixed"
 
-
-@dataclass(frozen=True)
-class Origin:
-    """What a prompt inherits from the task that issued it."""
-
-    #: The task's place in the engine's admission order (lower = older).
-    ticket: int = 0
+_TICKET = attrgetter("ticket")
 
 
-#: The origin of the task currently executing, set by the engine inside each
-#: task coroutine; ``submit`` reads it once per prompt.
-ORIGIN: contextvars.ContextVar[Origin] = contextvars.ContextVar(
-    "repro_prompt_origin", default=Origin()
-)
+class Walk:
+    """One plan the batcher steps, and where its outcome goes.
+
+    The owner makes one per task, hands it to :meth:`MicroBatcher.start`, and
+    overrides :meth:`finished` and :meth:`failed`.  The batcher keeps the
+    plan's outstanding request on the walk (a plan asks one at a time) and
+    counts the usage of every completion it sends in.
+    """
+
+    __slots__ = (
+        "plan",
+        "ticket",
+        "span",
+        "trace_id",
+        "dead",
+        "request",
+        "claim",
+        "enqueued",
+        "wait_span",
+        "dispatched",
+        "calls",
+        "prompt_tokens",
+        "completion_tokens",
+    )
+
+    def __init__(
+        self,
+        plan: Plan,
+        ticket: int = 0,
+        span: Span | None = None,
+        trace_id: str | None = None,
+    ):
+        self.plan = plan
+        #: The task's place in its owner's admission order (lower = older).
+        self.ticket = ticket
+        #: The task's span: its prompts' ``batcher.wait`` spans nest under it.
+        self.span = span
+        #: The trace the task runs for (exemplars of the batches it rides).
+        self.trace_id = trace_id
+        #: Set by the owner when it gives up on the walk (see ``drop``).
+        self.dead = False
+        self.request: LLMRequest | None = None
+        #: The claim the queued request holds at the prompt's owner, if any.
+        self.claim: Claim | None = None
+        #: ``perf_counter`` at queueing; queue wait is measured at dispatch.
+        self.enqueued = 0.0
+        #: ``batcher.wait`` span of the queued request (None when unsampled).
+        self.wait_span: Span | None = None
+        #: Set once a batch carries the request: the batch then settles the claim.
+        self.dispatched = False
+        self.calls = 0
+        self.prompt_tokens = 0
+        self.completion_tokens = 0
+
+    def answered(self, completion: Completion) -> None:
+        """Count one completion sent into the plan (a hit or a batch's)."""
+        self.calls += 1
+        self.prompt_tokens += completion.prompt_tokens
+        self.completion_tokens += completion.completion_tokens
+
+    def finished(self, value: Any) -> None:
+        """The plan returned ``value``."""
+
+    def failed(self, error: BaseException) -> None:
+        """The plan raised ``error``, or a batch carrying its request failed."""
 
 
-@dataclass
-class _Request:
-    prompt: str
-    kind: str
-    future: "asyncio.Future[Completion]"
-    origin: Origin
-    #: ``perf_counter`` at submission; queue wait is measured at dispatch.
-    enqueued: float = 0.0
-    #: ``batcher.wait`` span opened at submission (None when unsampled).
-    span: "Span | None" = None
-    #: The claim this request holds at the prompt's owner, if any.
-    claim: "Claim | None" = None
-    #: Set once a batch carries it: the batch then settles the claim.
-    dispatched: bool = False
+class _Ask(Walk):
+    """The walk of :meth:`MicroBatcher.submit`: one request, one future."""
+
+    __slots__ = ("future", "completion")
+
+    def __init__(self, request: LLMRequest, ticket: int, future: "asyncio.Future[Completion]"):
+        super().__init__(self._plan(request), ticket)
+        self.future = future
+        self.completion: Completion | None = None
+
+    @staticmethod
+    def _plan(request: LLMRequest) -> Plan:
+        yield request
+
+    def answered(self, completion: Completion) -> None:
+        super().answered(completion)
+        self.completion = completion
+
+    def finished(self, value: Any) -> None:
+        if not self.future.done():
+            self.future.set_result(self.completion)  # type: ignore[arg-type]
+
+    def failed(self, error: BaseException) -> None:
+        if not self.future.done():
+            self.future.set_exception(error)
+
+
+class LLMThreads:
+    """The threads batches run on: ``size`` daemon threads taking jobs in order.
+
+    A job is a plain callable that reports its own outcome (a batch posts
+    its landing to the loop): no future per batch, and none of the idle-thread
+    bookkeeping a ``ThreadPoolExecutor`` does on every ``submit``.
+    """
+
+    def __init__(self, size: int, name: str):
+        self._jobs: queue.SimpleQueue[Callable[[], None] | None] = queue.SimpleQueue()
+        self._closed = False
+        self._threads = [
+            threading.Thread(target=self._work, name=f"{name}_{index}", daemon=True)
+            for index in range(size)
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    def submit(self, job: Callable[[], None]) -> None:
+        if self._closed:
+            raise RuntimeError("cannot run a job after shutdown")
+        self._jobs.put(job)
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Take no more jobs, drop those not yet started, and stop the
+        threads once their running job is done (joined when ``wait``)."""
+        self._closed = True
+        for _ in self._threads:
+            self._jobs.put(None)
+        if wait:
+            for thread in self._threads:
+                if thread is not threading.current_thread():
+                    thread.join()
+
+    def _work(self) -> None:
+        while True:
+            job = self._jobs.get()
+            if job is None:
+                return
+            if not self._closed:
+                job()
 
 
 class MicroBatcher:
-    """Coalesces concurrent prompts, oldest ticket first, into batched LLM calls.
+    """Steps plans and coalesces their misses, oldest ticket first, into batched LLM calls.
 
     Must be used from a single running event loop; batch execution happens on
-    ``executor`` (falls back to the loop's default executor when ``None``),
-    at most ``llm_threads`` batches at a time.
+    ``executor`` (:class:`LLMThreads`, any ``concurrent.futures`` executor, or
+    the loop's default executor when ``None``), at most ``llm_threads``
+    batches at a time.  A batch is one job on it, which posts its own
+    landing back to the loop.
     """
 
     def __init__(
@@ -121,7 +242,7 @@ class MicroBatcher:
         llm: LanguageModel,
         max_batch_size: int = 8,
         max_wait: float = 0.002,
-        executor: Executor | None = None,
+        executor: "LLMThreads | Executor | None" = None,
         metrics: MetricsRegistry | None = None,
         llm_threads: int = 1,
     ):
@@ -144,7 +265,7 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait
         # Metric handles resolved once (the registry lock must stay off the
-        # per-submission path).
+        # per-prompt path).
         metrics = metrics or get_default_registry()
         self._m_requests = metrics.counter("batcher.requests")
         self._m_cached = metrics.counter("batcher.cached")
@@ -159,106 +280,181 @@ class MicroBatcher:
         self._m_latency = metrics.histogram("batcher.llm_latency")
         self._executor = executor
         self._llm_threads = llm_threads
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._inflight = 0  # batches executing on the LLM threads
-        self._executing: set[asyncio.Task[None]] = set()
-        self._pending: list[_Request] = []
-        self._generation = 0
+        #: Batches on the LLM threads, by ``id`` (until they land or close()).
+        self._executing: dict[int, list[Walk]] = {}
+        self._pending: list[Walk] = []
+        self._generation = 0  # bumped by every queued request
+        self._idle_armed = False
         self._timer: asyncio.TimerHandle | None = None
 
-    # ----------------------------------------------------------------- client
-    async def submit(self, prompt: str, kind: str = "other") -> Completion:
-        """Answer one prompt: from the cache at once, else from a batch.
+    # ----------------------------------------------------------------- callers
+    async def submit(self, prompt: str, kind: str = "other", ticket: int = 0) -> Completion:
+        """Answer one prompt, awaited: a one-request walk with ``ticket``.
 
-        A prompt the backend has stored is returned without suspending (see
-        the module docstring); it did not wait, so it gets no span and no
-        ``queue_wait`` observation.  Any other is enqueued, and its whole
-        stay in the batcher — coalesce wait plus the batched LLM call — is
-        timed under a per-request ``batcher.wait`` span (parented by the
-        submitting task's span via the ambient context).  A miss another
-        batcher has claimed is awaited, not queued (see the module docstring).
+        For a caller that awaits a single prompt; the engine steps its
+        tasks' plans with :meth:`start` instead.  Cancelling the await
+        drops the walk (a queued request releases its claim at once).
         """
-        claim = None
-        if self._cached is not None:
+        walk = _Ask(LLMRequest(prompt, kind), ticket, asyncio.get_running_loop().create_future())
+        self.start(walk)
+        try:
+            return await walk.future
+        except asyncio.CancelledError:
+            walk.dead = True
+            self.drop(walk)
+            raise
+
+    # ----------------------------------------------------------------- owner
+    def start(self, walk: Walk) -> None:
+        """Run ``walk``'s plan from its first request to its first miss.
+
+        Called on the loop thread.  Hits are sent in at once; the miss
+        queues (or parks on another batcher's claim); a plan that needs no
+        round trip at all finishes here.
+        """
+        if self._loop is None:
+            self._loop = asyncio.get_running_loop()
+        self._advance(walk, None)
+
+    def drop(self, walk: Walk) -> None:
+        """Let go of a ``dead`` walk: a queued request releases its claim now
+        and leaves at the next dispatch; one in flight is not delivered."""
+        if not walk.dispatched and walk.request is not None:
+            if walk.wait_span is not None:
+                walk.wait_span.finish(status="error")
+                walk.wait_span = None
+            self._settle([walk], None)
+            walk.claim = None
+
+    def close(self) -> None:
+        """The loop is stopping: release every claim still held and stop
+        waiting for the batches in flight (idempotent, loop thread)."""
+        self._cancel_timer()
+        for batch in self._executing.values():
+            self._settle(batch, None)
+        self._executing.clear()
+        self._settle(self._pending, None)
+        self._pending = []
+
+    # ----------------------------------------------------------------- stepping
+    def _advance(self, walk: Walk, text: str | None, request: LLMRequest | None = None) -> None:
+        """Send ``text`` into the plan (or ask ``request`` again) and run it
+        on to its next miss; see the module docstring."""
+        plan = walk.plan
+        cached = self._cached
+        try:
+            if request is None:
+                request = plan.send(text)
             while True:
-                hit = self._cached(prompt, kind)
-                if hit is not None:
-                    self._m_cached.inc()
-                    return hit
-                if self._claim is None:
-                    break
-                claim = self._claim(prompt, self)
-                if claim.holder is self:
-                    break
-                assert claim.future is not None
-                self._m_awaited.inc()
-                # Shielded: a cancelled waiter must not cancel the future
-                # other waiters share.  A failed claim raises its error.
-                await asyncio.shield(asyncio.wrap_future(claim.future))
                 claim = None
-        loop = asyncio.get_running_loop()
-        wait_span = Span.begin("batcher.wait", attrs={"kind": kind})
-        request = _Request(
-            prompt,
-            kind,
-            loop.create_future(),
-            ORIGIN.get(),
-            time.perf_counter(),
-            wait_span,
-            claim,
+                if cached is not None:
+                    hit = cached(request.prompt, request.kind)
+                    if hit is not None:
+                        self._m_cached.inc()
+                        walk.answered(hit)
+                        request = plan.send(hit.text)
+                        continue
+                    if self._claim is not None:
+                        claim = self._claim(request.prompt, self)
+                        if claim.holder is not self:
+                            self._park(walk, request, claim)
+                            return
+                self._enqueue(walk, request, claim)
+                return
+        except StopIteration as stop:
+            walk.request = None
+            walk.finished(stop.value)
+        except Exception as error:
+            walk.request = None
+            walk.failed(error)
+
+    def _park(self, walk: Walk, request: LLMRequest, claim: Claim) -> None:
+        """Wait for another batcher's claim on ``request``, then ask again."""
+        assert claim.future is not None
+        self._m_awaited.inc()
+        walk.request = request
+        walk.claim = None
+        loop = self._loop
+        assert loop is not None
+
+        def resolved(future: Any) -> None:  # on the claimant's thread
+            try:
+                loop.call_soon_threadsafe(self._resume, walk, request, future)
+            except RuntimeError:
+                pass  # this loop is closed: the engine, and the walk, are gone
+
+        claim.future.add_done_callback(resolved)
+
+    def _resume(self, walk: Walk, request: LLMRequest, future: Any) -> None:
+        if walk.dead:
+            return
+        error = future.exception()
+        if error is not None:  # the claimant's batch failed: so does this ask
+            walk.request = None
+            walk.failed(error)
+        else:
+            self._advance(walk, None, request)
+
+    def _enqueue(self, walk: Walk, request: LLMRequest, claim: Claim | None) -> None:
+        walk.request = request
+        walk.claim = claim
+        walk.dispatched = False
+        walk.enqueued = time.perf_counter()
+        span = walk.span
+        walk.wait_span = (
+            span.child("batcher.wait", {"kind": request.kind}) if span is not None else None
         )
-        self._pending.append(request)
+        self._pending.append(walk)
         self._generation += 1
         self._m_requests.inc()
         # With every thread busy the prompt just waits: the batch in flight
         # dispatches the next one when it lands.
         if self._inflight < self._llm_threads:
             if len(self._pending) >= self.max_batch_size:
-                self._dispatch(loop, reason="size")
-            else:
-                self._arm(loop)
-        try:
-            completion = await request.future
-        except BaseException:
-            if wait_span is not None:
-                wait_span.finish(status="error")
-            if not request.dispatched:  # ended without a batch
-                self._settle([request], None)
-            raise
-        if wait_span is not None:
-            wait_span.finish()
-        return completion
+                self._dispatch("size")
+            elif self._timer is None or not self._idle_armed:
+                self._arm()
 
     # ----------------------------------------------------------------- triggers
-    def _arm(self, loop: asyncio.AbstractEventLoop) -> None:
+    def _arm(self) -> None:
+        loop = self._loop
+        assert loop is not None
         if self._timer is None:
-            self._timer = loop.call_later(self.max_wait, partial(self._flush, loop))
-        # Two call_soon hops let every currently-runnable coroutine advance to
-        # its next await; if no new submission arrived by then, nothing can
-        # grow the batch and waiting out max_wait would be pure latency.
-        loop.call_soon(self._idle_check, loop, self._generation, 0)
+            self._timer = loop.call_later(self.max_wait, self._flush, "timeout")
+        # Two quiet loop turns: if no submission arrived by then, nothing can
+        # grow the batch and waiting out max_wait would be pure latency.  One
+        # check is armed at a time; a submission restarts its count.
+        if not self._idle_armed:
+            self._idle_armed = True
+            loop.call_soon(self._idle_check, self._generation, 0)
 
-    def _idle_check(
-        self, loop: asyncio.AbstractEventLoop, generation: int, phase: int
-    ) -> None:
-        if generation != self._generation or not self._pending:
-            return  # superseded by a newer submission, or nothing to do
-        if phase == 0:
-            loop.call_soon(self._idle_check, loop, generation, 1)
+    def _idle_check(self, generation: int, phase: int) -> None:
+        loop = self._loop
+        assert loop is not None
+        if not self._pending:
+            self._idle_armed = False
+        elif generation != self._generation:
+            loop.call_soon(self._idle_check, self._generation, 0)
+        elif phase == 0:
+            loop.call_soon(self._idle_check, generation, 1)
         else:
-            self._flush(loop, reason="idle")
+            self._idle_armed = False
+            self._flush("idle")
 
     # ----------------------------------------------------------------- flushing
-    def _flush(self, loop: asyncio.AbstractEventLoop, reason: str = "timeout") -> None:
+    def _flush(self, reason: str) -> None:
         """Give each free LLM thread the pending prompts of the oldest tasks."""
         self._cancel_timer()
         while self._pending and self._inflight < self._llm_threads:
-            self._dispatch(loop, reason)
+            self._dispatch(reason)
 
-    def _dispatch(self, loop: asyncio.AbstractEventLoop, reason: str) -> None:
-        # A waiter cancelled since it submitted (its run failed) drops out
-        # here.  The sort is stable: equal tickets keep arrival order.
-        live = (r for r in self._pending if not r.future.done())
-        queue = sorted(live, key=lambda r: r.origin.ticket)
+    def _dispatch(self, reason: str) -> None:
+        # A walk dropped since it queued (its run failed) leaves here.  The
+        # sort is stable: equal tickets keep arrival order.
+        queue = [walk for walk in self._pending if not walk.dead]
+        queue.sort(key=_TICKET)
         batch, self._pending = queue[: self.max_batch_size], queue[self.max_batch_size :]
         if not self._pending:
             self._cancel_timer()
@@ -268,98 +464,136 @@ class MicroBatcher:
         self._m_flush[reason].inc()
         self._m_batch_size.observe(len(batch))
         now = time.perf_counter()
-        for request in batch:
-            request.dispatched = True
-            self._m_queue_wait.observe(now - request.enqueued)
-        self._inflight += 1
-        kinds = {request.kind for request in batch}
+        self._m_queue_wait.observe_many([now - walk.enqueued for walk in batch])
+        # One llm.call span per dispatched batch.  It is parented by the
+        # first waiter's batcher.wait span — a batch belongs to all its
+        # waiters, but a tree needs one parent, and the first waiter is the
+        # one whose coalesce wait the batch closed out.
+        first = None
+        prompts, kinds = [], set()
+        for walk in batch:
+            walk.dispatched = True
+            prompts.append(walk.request.prompt)  # type: ignore[union-attr]
+            kinds.add(walk.request.kind)  # type: ignore[union-attr]
+            if first is None:
+                first = walk.wait_span
         kind = kinds.pop() if len(kinds) == 1 else MIXED
-        task = loop.create_task(self._execute(loop, kind, batch))
-        self._executing.add(task)
-        task.add_done_callback(partial(self._executed, batch))
-
-    def _executed(self, batch: list[_Request], task: "asyncio.Task[None]") -> None:
-        self._executing.discard(task)
-        if task.cancelled():  # the engine closed, maybe before the task started
-            self._settle(batch, None)  # its claims' waiters claim again
+        call: Callable[[], list[Completion]] = partial(self._call, kind, prompts)
+        call_span = None
+        if first is not None:
+            call_span = first.child("llm.call", {"kind": kind, "batch": len(batch)})
+            if call_span is not None:
+                # An LLM thread does NOT inherit contextvars: run the call in
+                # a context under the call span, so spans opened inside the
+                # LLM stack (cache.lookup, llm.backend) nest beneath it.
+                call = partial(call_span.bound_context().run, call)
+        job = partial(self._execute, batch, call, call_span, time.perf_counter())
+        self._inflight += 1
+        self._executing[id(batch)] = batch
+        try:
+            if self._executor is None:
+                self._loop.run_in_executor(None, job)  # type: ignore[union-attr]
+            else:
+                self._executor.submit(job)
+        except RuntimeError as error:  # the executor is shut down: the engine is closing
+            self._inflight -= 1
+            del self._executing[id(batch)]
+            self._land(batch, call_span, 0.0, error)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
 
-    def _settle(self, batch: list[_Request], error: BaseException | None) -> None:
+    def _settle(self, batch: list[Walk], error: BaseException | None) -> None:
         """Release the claims ``batch`` holds (see the module docstring)."""
         if self._release is not None:
-            for request in batch:
-                if request.claim is not None:
-                    self._release(request.prompt, request.claim, error)
+            for walk in batch:
+                if walk.claim is not None:
+                    self._release(walk.request.prompt, walk.claim, error)  # type: ignore[union-attr]
 
-    def _call(self, kind: str, batch: list[_Request]) -> list[Completion]:
+    def _call(self, kind: str, prompts: list[str]) -> list[Completion]:
         """The LLM thread's side of a batch.
 
         A reply of the wrong length fails the whole batch: matched by
         position, its trailing waiters would otherwise stay pending for ever.
         """
-        completions = self.llm.complete_batch([request.prompt for request in batch], kind)
-        if len(completions) != len(batch):
+        completions = self.llm.complete_batch(prompts, kind)
+        if len(completions) != len(prompts):
             raise RuntimeError(
-                f"backend returned {len(completions)} completions for {len(batch)} prompts"
+                f"backend returned {len(completions)} completions for {len(prompts)} prompts"
             )
         return completions
 
-    async def _execute(
-        self, loop: asyncio.AbstractEventLoop, kind: str, batch: list[_Request]
+    # ----------------------------------------------------------------- delivery
+    def _execute(
+        self,
+        batch: list[Walk],
+        call: Callable[[], list[Completion]],
+        call_span: Span | None,
+        started: float,
     ) -> None:
-        # One llm.call span per dispatched batch.  It is parented by the
-        # first waiter's batcher.wait span — a batch belongs to all its
-        # waiters, but a tree needs one parent, and the first waiter is the
-        # one whose coalesce wait the batch closed out.
-        first_span = next(
-            (request.span for request in batch if request.span is not None), None
-        )
-        call_span = (
-            Span.begin(
-                "llm.call",
-                trace_id=first_span.trace_id,
-                parent_id=first_span.span_id,
-                attrs={"kind": kind, "batch": len(batch)},
-            )
-            if first_span is not None
-            else None
-        )
-        call: Callable[[], list[Completion]] = partial(self._call, kind, batch)
-        if call_span is not None:
-            # run_in_executor does NOT propagate contextvars; capture the
-            # context under the call span so spans opened inside the LLM
-            # stack (cache.lookup, llm.backend) nest beneath it.
-            with call_span.bind():
-                call = partial(contextvars.copy_context().run, call)
-        started = time.perf_counter()
-        error: BaseException | None = None
+        """An LLM thread's job: make the call, and post its outcome to the
+        loop — unless the loop is closed, and ``close`` settled the batch."""
+        completions: Sequence[Completion] = ()
+        error = None
         try:
-            try:
-                completions = await loop.run_in_executor(self._executor, call)
-            finally:
-                self._inflight -= 1
-        except Exception as exc:  # propagate to every waiter of this batch
+            completions = call()
+        except Exception as exc:  # delivered to every waiter of the batch
             error = exc
+        try:
+            self._loop.call_soon_threadsafe(  # type: ignore[union-attr]
+                self._landed, batch, call_span, started, error, completions
+            )
+        except RuntimeError:
+            pass
+
+    def _landed(
+        self,
+        batch: list[Walk],
+        call_span: Span | None,
+        started: float,
+        error: BaseException | None,
+        completions: Sequence[Completion],
+    ) -> None:
+        if self._executing.pop(id(batch), None) is None:
+            return  # settled by close()
+        self._inflight -= 1
+        self._land(batch, call_span, started, error, completions)
+
+    def _land(
+        self,
+        batch: list[Walk],
+        call_span: Span | None,
+        started: float,
+        error: BaseException | None,
+        completions: Sequence[Completion] = (),
+    ) -> None:
+        """Deliver a landed batch: step every live waiter to its next miss,
+        then give the freed thread its idle check."""
+        self._settle(batch, error)
+        if error is not None:
             if call_span is not None:
                 call_span.finish(status="error")
-            for request in batch:
-                if not request.future.done():
-                    request.future.set_exception(exc)
+            for walk in batch:
+                if walk.wait_span is not None:
+                    walk.wait_span.finish(status="error")
+                if not walk.dead:
+                    walk.request = None
+                    walk.failed(error)
         else:
             self._m_latency.observe(time.perf_counter() - started)
-            get_default_exemplars().note("batcher.llm_latency", Trace.current_id())
+            get_default_exemplars().note("batcher.llm_latency", batch[0].trace_id)
             if call_span is not None:
                 call_span.finish()
-            for request, completion in zip(batch, completions):
-                if not request.future.done():
-                    request.future.set_result(completion)
-        self._settle(batch, error)
-        # Deliver first, dispatch second: the waiters just resolved get the
-        # idle check's two turns to submit their next prompt before the
-        # freed thread is handed the oldest tasks' prompts.
+            for walk, completion in zip(batch, completions):
+                if walk.wait_span is not None:
+                    walk.wait_span.finish(status="error" if walk.dead else None)
+                if not walk.dead:
+                    walk.answered(completion)
+                    self._advance(walk, completion.text)
         if self._pending:
-            self._arm(loop)
+            self._arm()
+
+
+__all__ = ["LLMThreads", "MIXED", "MicroBatcher", "Walk"]

@@ -1,13 +1,17 @@
-"""The resident, batched async execution engine.
+"""The resident, batched execution engine.
 
 ``ExecutionEngine.run(pipeline, tasks)`` is the one way into the engine.  It
-executes many task instances concurrently: each task becomes a coroutine
-driving the pipeline's one plan, :meth:`~repro.core.pipeline.UniDM.plan`
-(Algorithm 1: retrieval → parsing → target prompt → answer), and every LLM
-call funnels through a :class:`~repro.serving.batcher.MicroBatcher`, which
-coalesces prompts across tasks — whatever their kinds — into batched calls.
-``run`` returns the results only; what the batcher did is counted on the
-engine's metrics registry (``batcher.*``).
+executes many task instances concurrently: each admitted task is a
+:class:`~repro.serving.batcher.Walk` over the pipeline's one plan,
+:meth:`~repro.core.pipeline.UniDM.plan` (Algorithm 1: retrieval → parsing →
+target prompt → answer), and the :class:`~repro.serving.batcher.MicroBatcher`
+steps every plan itself — to its first miss at admission, and on to the
+next miss in the step that delivers a batch — coalescing prompts across
+tasks, whatever their kinds, into batched calls.  No coroutine, asyncio task
+or future is made per task or per prompt.  A task that finishes returns its
+slot in that same step; the tasks waiting for slots are admitted one loop
+turn later, as one step.  ``run`` returns the results only; what the batcher
+did is counted on the engine's metrics registry (``batcher.*``).
 
 The engine is **resident**: the first ``run`` starts one daemon event-loop
 thread (``repro-engine``), one LLM executor (``repro-llm``, ``llm_threads``
@@ -37,19 +41,18 @@ import itertools
 import threading
 import time
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
-from ..core.plan import LLMRequest, drive_async
 from ..core.types import PromptTrace
-from ..llm.base import UsageTracker
+from ..llm.base import UsageDelta
 from ..obs.export import get_default_exemplars
 from ..obs.metrics import MetricsRegistry, get_default_registry
-from ..obs.span import span
+from ..obs.span import Span, span
 from ..obs.trace import Trace
 from ..tenancy.fairqueue import DEFAULT_TENANT, WeightedFairQueue
-from .batcher import ORIGIN, MicroBatcher, Origin
+from .batcher import LLMThreads, MicroBatcher, Walk
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.pipeline import UniDM
@@ -94,25 +97,19 @@ class _Run:
 
     pipeline: "UniDM"
     tasks: "list[Task]"
-    #: The caller's context: every task of the run is created inside it, so
-    #: the ``engine.run`` span and a wire-carried trace parent per-task spans.
+    #: The caller's context: every task's span begins inside it, so the
+    #: ``engine.run`` span and a wire-carried trace parent per-task spans.
     context: contextvars.Context
+    #: The caller's trace id (exemplars of the run's tasks and batches).
+    trace_id: str | None
     share: tuple[str, float, int]
     results: "list[ManipulationResult | None]"
     future: "Future[list[ManipulationResult]]" = field(default_factory=Future)
-    #: Tasks admitted but not yet at their first step / running / finished.
-    starting: int = 0
-    live: "set[asyncio.Task[None]]" = field(default_factory=set)
+    batcher: MicroBatcher | None = None
+    #: Tasks admitted and not yet ended.
+    live: "set[_Task]" = field(default_factory=set)
     done: int = 0
     error: BaseException | None = None
-
-    def fail(self, error: BaseException) -> None:
-        """First failure wins: the run's other running tasks are cancelled
-        (one not yet at its first step sees ``error`` there and stops)."""
-        if self.error is None:
-            self.error = error
-            for task in self.live:
-                task.cancel()
 
     def resolve(self) -> None:
         if self.future.done():
@@ -121,6 +118,57 @@ class _Run:
             self.future.set_exception(self.error)
         else:
             self.future.set_result(list(self.results))  # type: ignore[arg-type]
+
+
+class _Task(Walk):
+    """One admitted task: its plan, stepped by the batcher, in one slot."""
+
+    __slots__ = ("resident", "run", "index", "trace", "meters", "started")
+
+    def __init__(
+        self,
+        resident: "_Resident",
+        run: _Run,
+        index: int,
+        ticket: int,
+        meters: "_Meters",
+    ):
+        task = run.tasks[index]
+        trace = PromptTrace()
+        span = run.context.run(
+            Span.begin, "engine.task", attrs={"kind": meters[0], "index": index}
+        )
+        super().__init__(run.pipeline.plan(task, trace), ticket, span, run.trace_id)
+        self.resident = resident
+        self.run = run
+        self.index = index
+        self.trace = trace
+        self.meters = meters
+        self.started = time.perf_counter()
+
+    def finished(self, value: Any) -> None:
+        run = self.run
+        usage = UsageDelta(self.calls, self.prompt_tokens, self.completion_tokens)
+        try:
+            result = run.pipeline.finish(run.tasks[self.index], value, self.trace, usage)
+        except Exception as error:
+            self.failed(error)
+            return
+        run.results[self.index] = result
+        self.resident._end(self, None)
+        run.done += 1
+        if run.done == len(run.tasks):
+            self.resident._runs.discard(run)
+            run.resolve()
+
+    def failed(self, error: BaseException) -> None:
+        self.resident._end(self, "error")
+        self.resident._fail(self.run, error)
+
+
+#: A task kind's name and handles: ``(kind, tasks counter, latency
+#: histogram, exemplar name)``.
+_Meters = tuple[str, Any, Any, str]
 
 
 class _Resident:
@@ -135,16 +183,15 @@ class _Resident:
         self._config = config
         self._metrics = metrics
         self._m_inflight = metrics.gauge("engine.inflight")
-        self._per_kind: dict[str, tuple[Any, Any]] = {}  # kind -> (counter, hist)
-        self._executor = ThreadPoolExecutor(
-            max_workers=config.llm_threads, thread_name_prefix="repro-llm"
-        )
+        self._per_kind: dict[Any, _Meters] = {}  # task type -> meters
+        self._executor = LLMThreads(config.llm_threads, "repro-llm")
         #: One batcher per backend object: pipelines may be swapped under a
         #: service, and several may share the engine.  Kept for the engine's
         #: life (the batcher pins its backend, so an ``id`` is never reused).
         self._batchers: dict[int, MicroBatcher] = {}
         self._waiting = WeightedFairQueue()  # (run, index) awaiting a slot
         self._free = config.workers
+        self._admitting = False  # an _admit is scheduled
         self._tickets = itertools.count(1)
         self._runs: set[_Run] = set()
         self._lock = threading.Lock()  # orders submit against close
@@ -161,13 +208,8 @@ class _Resident:
         try:
             loop.run_forever()
         finally:
-            leftover = asyncio.all_tasks(loop)
-            for task in leftover:
-                task.cancel()
-            if leftover:
-                loop.run_until_complete(
-                    asyncio.gather(*leftover, return_exceptions=True)
-                )
+            for batcher in self._batchers.values():
+                batcher.close()
             loop.close()
 
     # ----------------------------------------------------------- any thread
@@ -179,7 +221,12 @@ class _Resident:
                 "it would wait for tasks only this thread can execute"
             )
         run = _Run(
-            pipeline, tasks, contextvars.copy_context(), SHARE.get(), [None] * len(tasks)
+            pipeline,
+            tasks,
+            contextvars.copy_context(),
+            Trace.current_id(),
+            SHARE.get(),
+            [None] * len(tasks),
         )
         with self._lock:
             if self._closed:
@@ -200,18 +247,17 @@ class _Resident:
             self._loop.call_soon_threadsafe(self._shutdown)
         if wait:
             self.thread.join()
-        self._executor.shutdown(wait=wait, cancel_futures=True)
+        self._executor.shutdown(wait=wait)
 
     # ----------------------------------------------------------- loop thread
     def _shutdown(self) -> None:
         for run in list(self._runs):
-            run.fail(RuntimeError("ExecutionEngine was closed during run"))
-            run.resolve()
-        self._runs.clear()
+            self._fail(run, RuntimeError("ExecutionEngine was closed during run"))
         self._loop.stop()
 
     def _enqueue(self, run: _Run) -> None:
         self._runs.add(run)
+        run.batcher = self._batcher_for(run.pipeline.llm)
         tenant, weight, priority = run.share
         for index in range(len(run.tasks)):
             self._waiting.push(
@@ -233,98 +279,62 @@ class _Resident:
         return batcher
 
     def _admit(self) -> None:
-        """Hand free slots to waiting tasks in the one admission order."""
-        while self._free and len(self._waiting):
-            run, index = self._waiting.pop()
+        """Hand free slots to waiting tasks in the one admission order; each
+        is stepped to its first miss at once."""
+        self._admitting = False
+        while self._free:
+            try:
+                run, index = self._waiting.pop()
+            except IndexError:
+                break  # nothing waits
             if run.error is not None:
                 continue  # its run already failed; the slot goes to the next
             self._free -= 1
-            run.starting += 1
-            origin = Origin(next(self._tickets))
-            # Created inside the caller's context: the task copies it, so
-            # ORIGIN set within scopes to this task's prompts only.
-            # (``create_task(context=)`` needs Python 3.11; CI runs 3.10.)
-            run.context.run(self._loop.create_task, self._execute(run, index, origin))
+            meters = self._per_kind.get(run.tasks[index].task_type)
+            if meters is None:
+                meters = self._meters(run.tasks[index])
+            task = _Task(self, run, index, next(self._tickets), meters)
+            run.live.add(task)
+            self._m_inflight.inc()
+            run.batcher.start(task)  # type: ignore[union-attr]
 
-    def _kind_metrics(self, kind: str) -> tuple[Any, Any]:
-        handles = self._per_kind.get(kind)
-        if handles is None:
-            handles = self._per_kind[kind] = (
-                self._metrics.counter(f"engine.tasks.{kind}"),
-                self._metrics.histogram(f"engine.task_latency.{kind}"),
-            )
-        return handles
-
-    async def _execute(self, run: _Run, index: int, origin: Origin) -> None:
-        """One task in one slot, from admission to the slot's return.
-
-        The slot is returned here, in the task's own last step, not in a done
-        callback a loop turn later: the task admitted in its place submits
-        its first prompt within the two turns the batcher waits after a
-        delivery, and rides the next round trip.
-        """
-        me = asyncio.current_task()
-        assert me is not None
-        run.starting -= 1
-        run.live.add(me)
-        try:
-            if run.error is None:  # else: admitted in the turn its run failed
-                await self._run_task(run, index, origin)
-                run.done += 1
-        except asyncio.CancelledError:
-            if run.error is None:
-                raise  # not a sibling's failure: the loop is shutting down
-        except Exception as error:
-            run.fail(error)
-        finally:
-            run.live.discard(me)
-            self._free += 1
-            if run.done == len(run.tasks) or (
-                run.error is not None and not run.live and not run.starting
-            ):
-                self._runs.discard(run)
-                run.resolve()
-            self._admit()
-
-    async def _run_task(self, run: _Run, index: int, origin: Origin) -> None:
-        task = run.tasks[index]
-        batcher = self._batcher_for(run.pipeline.llm)
+    def _meters(self, task: "Task") -> _Meters:
         kind = task.task_type.name.lower()
-        tasks_counter, latency = self._kind_metrics(kind)
-        self._m_inflight.inc()
-        ORIGIN.set(origin)
-        started = time.perf_counter()
-        try:
-            with span("engine.task", kind=kind, index=index):
-                run.results[index] = await _solve(run.pipeline, task, batcher)
-        finally:
-            self._m_inflight.dec()
-            tasks_counter.inc()
-            latency.observe(time.perf_counter() - started)
-            get_default_exemplars().note(
-                f"engine.task_latency.{kind}", Trace.current_id()
-            )
+        meters = self._per_kind[task.task_type] = (
+            kind,
+            self._metrics.counter(f"engine.tasks.{kind}"),
+            self._metrics.histogram(f"engine.task_latency.{kind}"),
+            f"engine.task_latency.{kind}",
+        )
+        return meters
 
+    def _fail(self, run: _Run, error: BaseException) -> None:
+        """First failure wins: the run's other tasks are dropped, their slots
+        returned, and the run resolves with ``error``."""
+        if run.error is None:
+            run.error = error
+            for task in list(run.live):
+                self._end(task, "error")
+                run.batcher.drop(task)  # type: ignore[union-attr]
+        self._runs.discard(run)
+        run.resolve()
 
-async def _solve(
-    pipeline: "UniDM", task: "Task", batcher: MicroBatcher
-) -> "ManipulationResult":
-    """Drive ``pipeline.plan(task)`` with every request answered by the batcher.
-
-    Usage is counted on a private tracker (the shared tracker of
-    ``pipeline.llm`` keeps aggregating inside ``complete_batch``): with tasks
-    interleaved, ``run``'s snapshot/delta would bill other tasks' tokens here.
-    """
-    trace = PromptTrace()
-    tracker = UsageTracker()
-
-    async def call(request: LLMRequest) -> str:
-        completion = await batcher.submit(request.prompt, request.kind)
-        tracker.record(completion, kind=request.kind)
-        return completion.text
-
-    context = await drive_async(pipeline.plan(task, trace), call)
-    return pipeline.finish(task, context, trace, tracker.delta_since((0, 0, 0)))
+    def _end(self, task: _Task, status: str | None) -> None:
+        """Return ``task``'s slot (the next admission runs a loop turn later)
+        and close its span and meters; the batcher steps it no more."""
+        task.dead = True
+        task.run.live.discard(task)
+        self._free += 1
+        if not self._admitting:
+            self._admitting = True
+            self._loop.call_soon(self._admit)
+        self._m_inflight.dec()
+        _, counter, latency, exemplar = task.meters
+        counter.inc()
+        latency.observe(time.perf_counter() - task.started)
+        get_default_exemplars().note(exemplar, task.trace_id)
+        if task.span is not None:
+            task.span.finish(status=status)
 
 
 class ExecutionEngine:

@@ -357,8 +357,9 @@ class _Connection:
                     None, answer_group, self.handle_batch, group
                 )
                 try:
-                    for response in responses:
-                        self.writer.write(encode_frame(response))
+                    # One write for the group: a write per frame is a send
+                    # syscall (and a GIL drop) per response.
+                    self.writer.write(b"".join([encode_frame(r) for r in responses]))
                     await self.writer.drain()
                 except (ConnectionError, RuntimeError):
                     return  # peer went away; nothing left to answer

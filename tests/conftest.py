@@ -131,6 +131,12 @@ class LineUpEngine(ExecutionEngine):
         return SimpleNamespace(submit=submit)
 
 
+@pytest.fixture
+def line_up_engine():
+    """The :class:`LineUpEngine` class (``EngineConfig`` in)."""
+    return LineUpEngine
+
+
 class Callers:
     """Callers of one :class:`ThreadWorker` over a gated backend, one thread each.
 

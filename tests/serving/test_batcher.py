@@ -8,7 +8,7 @@ import pytest
 from repro.llm import CachedLLM, EchoLLM
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import MicroBatcher
-from repro.serving.batcher import MIXED, ORIGIN, Origin
+from repro.serving.batcher import MIXED
 
 
 class RecordingLLM(EchoLLM):
@@ -73,7 +73,7 @@ def test_kinds_mix_in_one_batch_in_ticket_order():
         loop = asyncio.get_running_loop()
         return await asyncio.gather(
             *(
-                loop.create_task(submit_as(batcher, Origin(ticket=ticket), prompt, kind))
+                loop.create_task(batcher.submit(prompt, kind, ticket=ticket))
                 for ticket, prompt, kind in submitted
             )
         )
@@ -171,25 +171,20 @@ def counts(metrics):
 
 
 # ------------------------------------------------- the shared-loop dispatch rule
-async def submit_as(batcher, origin, prompt, kind):
-    ORIGIN.set(origin)  # scoped to the task this coroutine is wrapped in
-    return await batcher.submit(prompt, kind)
-
-
 def test_holds_while_busy_then_serves_the_oldest_ticket_first(gated_llm):
     llm = gated_llm()
 
     async def scenario():
         batcher = MicroBatcher(llm, max_batch_size=8, max_wait=0.001)
         loop = asyncio.get_running_loop()
-        holder = loop.create_task(submit_as(batcher, Origin(ticket=1), "h", "p_rm"))
+        holder = loop.create_task(batcher.submit("h", "p_rm", ticket=1))
         await loop.run_in_executor(None, llm.entered.acquire)  # the thread is taken
         young = [
-            loop.create_task(submit_as(batcher, Origin(ticket=10 + i), f"y{i}", "answer"))
+            loop.create_task(batcher.submit(f"y{i}", "answer", ticket=10 + i))
             for i in range(2)
         ]
         await asyncio.sleep(0.01)  # ten max_waits
-        old = loop.create_task(submit_as(batcher, Origin(ticket=2), "o", "p_cq"))
+        old = loop.create_task(batcher.submit("o", "p_cq", ticket=2))
         await asyncio.sleep(0.01)
         # Busy: no idle, size or timeout flush queued anything behind the holder.
         assert len(llm.batches) == 1
@@ -210,12 +205,12 @@ def test_delivers_before_it_dispatches(gated_llm):
         loop = asyncio.get_running_loop()
 
         async def two_steps():
-            await submit_as(batcher, Origin(ticket=1), "first", "p_rm")
-            return await batcher.submit("second", "answer")
+            await batcher.submit("first", "p_rm", ticket=1)
+            return await batcher.submit("second", "answer", ticket=1)
 
         walker = loop.create_task(two_steps())
         await loop.run_in_executor(None, llm.entered.acquire)
-        waiter = loop.create_task(submit_as(batcher, Origin(ticket=2), "other", "answer"))
+        waiter = loop.create_task(batcher.submit("other", "answer", ticket=2))
         await asyncio.sleep(0)
         llm.gate.set()
         await asyncio.gather(walker, waiter)
@@ -234,11 +229,11 @@ def test_the_cut_follows_tickets_not_kinds_or_arrival(gated_llm):
     async def scenario():
         batcher = MicroBatcher(llm, max_batch_size=2, max_wait=10.0)
         loop = asyncio.get_running_loop()
-        holder = loop.create_task(submit_as(batcher, Origin(ticket=0), "h", "p_cq"))
+        holder = loop.create_task(batcher.submit("h", "p_cq", ticket=0))
         await loop.run_in_executor(None, llm.entered.acquire)
         # Held behind "h", all five are pending when the thread comes free.
         waiters = [
-            loop.create_task(submit_as(batcher, Origin(ticket=ticket), f"t{ticket}-{kind}", kind))
+            loop.create_task(batcher.submit(f"t{ticket}-{kind}", kind, ticket=ticket))
             for ticket, kind in submitted
         ]
         await asyncio.sleep(0)
@@ -264,12 +259,12 @@ def test_a_hit_does_not_wait_for_the_round_trip_in_flight(gated_llm):
     async def scenario():
         batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
         loop = asyncio.get_running_loop()
-        miss = loop.create_task(submit_as(batcher, Origin(), "M", "answer"))
+        miss = loop.create_task(batcher.submit("M", "answer"))
         await loop.run_in_executor(None, backend.entered.acquire)  # the one thread is held
         try:
             # At the parent "H" took a seat behind the held round trip.
             hit = await asyncio.wait_for(
-                loop.create_task(submit_as(batcher, Origin(), "H", "p_rm")), 5.0
+                loop.create_task(batcher.submit("H", "p_rm")), 5.0
             )
             assert not backend.gate.is_set() and not miss.done()
             assert counts(metrics) == (1, 1, 1)

@@ -22,6 +22,7 @@ from repro.api import (
 )
 from repro.core import ImputationTask, TransformationTask, UniDM, UniDMConfig
 from repro.llm import CachedLLM, SimulatedLLM
+from repro.llm.base import LanguageModel
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import (
     EngineConfig,
@@ -324,6 +325,70 @@ def test_tasks_at_different_stages_fill_each_round_trip(gated_llm, latency):
     assert len(backend.batches) == batches == 15  # whatever the latency
     assert requests + cached == sum(calls)
     assert "mixed" in {kind for kind, _ in backend.batches}
+
+
+def test_a_mixed_run_goes_down_in_the_batches_it_always_did(gated_llm, line_up_engine):
+    """The batching rule, pinned: sixteen tasks of seven types through eight
+    slots, behind a cache, every round trip let go only once the engine's
+    loop is quiet — so each batch is what the rule alone puts in it.  A
+    prompt is labelled ``<task>.<kind>`` by the first task (in input order)
+    that asks it alone."""
+
+    class Stepped(gated_llm):
+        def complete_batch(self, prompts, kind="other"):
+            self.batches.append((kind, list(prompts)))
+            self.entered.release()
+            assert self.turns.acquire(timeout=30)
+            return LanguageModel.complete_batch(self, prompts, kind=kind)
+
+    labels = {}
+
+    class Alone(gated_llm):
+        def complete(self, prompt, kind="other"):
+            labels.setdefault(prompt, f"{index}.{kind}")
+            return super().complete(prompt, kind=kind)
+
+    tasks = seven_type_tasks(16)
+    for index, task in enumerate(tasks):
+        UniDM(Alone(open_gate=True), UniDMConfig.full(seed=0)).run(task)
+
+    backend = Stepped()
+    backend.turns = threading.Semaphore(0)
+    pipeline = UniDM(CachedLLM(backend), UniDMConfig.full(seed=0))
+    engine = line_up_engine(EngineConfig(max_batch_size=8, workers=8, max_wait=10.0))
+    results = []
+    with closing(engine):
+        caller = threading.Thread(target=lambda: results.extend(engine.run(pipeline, tasks)))
+        caller.start()
+        assert engine.handed.acquire(timeout=10)
+        loop = engine._resident._loop
+        while True:
+            if backend.entered.acquire(timeout=0.02):
+                quiet = threading.Event()
+
+                def hop(left):
+                    if left:
+                        loop.call_soon(hop, left - 1)
+                    else:
+                        quiet.set()
+
+                loop.call_soon_threadsafe(hop, 12)
+                assert quiet.wait(10)
+                backend.turns.release()
+            elif not caller.is_alive():
+                break
+    assert len(results) == len(tasks)
+    batches = [[labels[prompt] for prompt in prompts] for _, prompts in backend.batches]
+    assert [len(batch) for batch in batches] == [8, 8, 8, 8, 4, 3, 2]
+    assert batches == [
+        ["0.p_rm", "1.p_rm", "2.p_rm", "3.p_dp", "4.p_cq", "5.p_cq", "6.p_dp", "7.p_rm"],
+        ["0.p_ri", "1.p_ri", "2.p_cq", "3.p_cq", "2.answer", "0.answer", "6.p_cq", "7.p_ri"],
+        ["0.p_dp", "1.p_dp", "7.p_dp", "8.p_rm", "9.p_rm", "10.p_cq", "11.p_cq", "12.p_cq"],
+        ["0.p_cq", "1.p_cq", "7.p_cq", "8.p_ri", "9.p_cq", "13.p_dp", "14.p_rm", "15.p_rm"],
+        ["8.p_dp", "13.p_cq", "14.p_ri", "15.p_ri"],
+        ["8.p_cq", "14.p_dp", "15.p_dp"],
+        ["14.p_cq", "15.p_cq"],
+    ]
 
 
 # ------------------------------------------------------- hits never queue

@@ -1,5 +1,9 @@
 """The CPU budget of a request, held by counts instead of a stopwatch.
 
+The engine's own cost is held the same way: the Python calls it makes a
+spec, over what the sequential pipeline makes on the same batch
+(``scripts/call_budget.py``), stay under a fixed bound and repeat exactly.
+
 A served spec's per-request jobs are each done once: a prompt is tokenized
 when its cache entry is made and never on a hit, a spec is never hashed (no
 layer of the service path reads its key), a wire table is built once.  The counts of
@@ -15,8 +19,11 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "cluster"))
+ROOT = Path(__file__).resolve().parent.parent.parent
+sys.path.insert(0, str(ROOT / "tests" / "cluster"))
+sys.path.insert(0, str(ROOT / "scripts"))
 
+from call_budget import measure  # noqa: E402
 from cluster_testing import FULL_CONFIG, PromptPureLLM, make_mixed_specs  # noqa: E402
 
 from repro.api import TaskResult, encode_request  # noqa: E402
@@ -139,3 +146,16 @@ def test_token_numbers_are_the_same_on_every_path():
     tokens = [TaskResult.from_manipulation(result).tokens for result in cold]
     assert tokens == [sum(usage[1:]) for usage in expected]
     assert tokens[:7] == [875, 946, 817, 870, 839, 993, 895] and sum(tokens) == 24940
+
+
+#: Python calls a spec the engine may add to the sequential pipeline's on
+#: ``SPECS`` (it added 206 when every task was a coroutine and every miss
+#: a future).
+ENGINE_CALLS_OVER_SEQUENTIAL = 90
+
+
+def test_the_engine_adds_a_bounded_number_of_calls_a_spec():
+    first, again = measure(SPECS), measure(SPECS)
+    assert first == again  # a count, not a stopwatch: it repeats exactly
+    sequential, engine = first["sequential"].per_spec, first["engine"].per_spec
+    assert engine <= sequential + ENGINE_CALLS_OVER_SEQUENTIAL, (sequential, engine)

@@ -34,6 +34,7 @@ from repro.serving.transport import (
     MAX_PENDING_REQUESTS,
     FrameError,
     WireConnection,
+    _Connection,
     client_hello,
     decode_frame_payload,
     encode_frame,
@@ -251,6 +252,42 @@ def test_batch_larger_than_the_server_inbox_completes(echo_port):
 
 
 # ----------------------------------------------------------------- unit level
+def test_a_dispatch_of_n_requests_is_one_write_that_still_correlates_by_id():
+    class RecordingWriter:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+
+        async def drain(self):
+            pass
+
+    def handle_batch(group):  # answers out of order: only ids pair them up
+        return [
+            {"v": 2, "id": r["id"], "ok": True, "result": {"echo": r["n"]}}
+            for r in reversed(group)
+        ]
+
+    requests = [{"v": 2, "id": f"r{n}", "n": n} for n in range(32)]
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(b"".join(encode_frame(request) for request in requests))
+        reader.feed_eof()
+        writer = RecordingWriter()
+        await _Connection(handle_batch, reader, writer, max_frame=64 * 1024)._run_multiplexed()
+        return writer.writes
+
+    writes = asyncio.run(scenario())
+    assert len(writes) == 1  # one dispatch, one write: not 32 sends
+    stream = io.BytesIO(writes[0])
+    responses = [_read_raw_frame(stream) for _ in requests]
+    assert stream.read() == b""
+    ordered = order_responses(requests, responses)
+    assert [(r["id"], r["result"]["echo"]) for r in ordered] == [(f"r{n}", n) for n in range(32)]
+
+
 def test_order_responses_reorders_by_id():
     requests = [{"id": "a"}, {"id": "b"}, {"id": "c"}]
     shuffled = [{"id": "c"}, {"id": "a"}, {"id": "b"}]
