@@ -25,8 +25,8 @@ lands, as it does behind a real backend; the engine's ``max_wait`` is a
 second, so the timeout trigger (which fires on the clock, not on the work)
 stays out of the count; and the count starts and stops :data:`LATENCY`
 after the loop's last callback of a pass could have run, so work the loop
-does after a run returned lands in that run's count.  Batch sizes, workers
-and LLM threads are the defaults.
+does after a run returned lands in that run's count.  Batch sizes and
+workers are the defaults.
 
 Usage::
 

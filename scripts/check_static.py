@@ -34,6 +34,11 @@ so the tier-1 suite (``tests/test_static.py``) runs them too:
 * **compile under** ``-W error`` — every file must compile without a
   warning (invalid escape sequences, ``is`` against a literal, ...).  A
   syntax error is reported too (ruff's E9).
+* **E7** (statement style) — E711/E712 ``==``/``!=`` against ``None`` or
+  ``True``/``False``; E713/E714 ``not x in y`` / ``not x is y``; E721
+  ``==``/``!=`` on a ``type(x)`` call; E722 a bare ``except:``; E731 a
+  lambda assigned to a name; E741 a variable, argument or ``as`` target
+  named ``l``, ``O`` or ``I``.  A line carrying ``# noqa`` is skipped.
 * **unresolved imports** — for every ``from repro... import name`` (absolute,
   or relative inside ``src/repro``), at module level, under
   ``TYPE_CHECKING`` or inside a function, the target module is imported and
@@ -43,10 +48,8 @@ so the tier-1 suite (``tests/test_static.py``) runs them too:
   ``import repro.x`` must name an importable module.
 
 Not covered — ruff still owns these: the rest of the ``F`` rules (F541
-placeholder-less f-strings, ...), ``E4`` (import placement), ``E7``
-(statement style: E711/E712 comparisons, E722 bare ``except``, E731 lambda
-assignment, ...) and the ``W`` whitespace rules other than W605 (which
-compile catches).
+placeholder-less f-strings, ...), ``E4`` (import placement), line length
+and the ``W`` whitespace rules other than W605 (which compile catches).
 
 Usage::
 
@@ -345,6 +348,74 @@ def undefined_names(path: Path, source: str, tree: ast.Module) -> list[str]:
     return findings
 
 
+_AMBIGUOUS = {"l", "O", "I"}
+
+
+def _is_type_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "type"
+        and len(node.args) == 1
+    )
+
+
+def _style(node: ast.AST) -> list[tuple[int, str]]:
+    """The E7 findings ``(line, message)`` of one node."""
+    if isinstance(node, ast.Compare):
+        found = []
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if not isinstance(op, (ast.Eq, ast.NotEq)):
+                continue
+            for side in (left, right):
+                if isinstance(side, ast.Constant) and side.value is None:
+                    found.append((node.lineno, "E711 comparison to None"))
+                elif isinstance(side, ast.Constant) and isinstance(side.value, bool):
+                    found.append((node.lineno, f"E712 comparison to {side.value}"))
+            if _is_type_call(left) or _is_type_call(right):
+                found.append((node.lineno, "E721 type comparison with == or !="))
+        return found
+    if (
+        isinstance(node, ast.UnaryOp)
+        and isinstance(node.op, ast.Not)
+        and isinstance(node.operand, ast.Compare)
+        and len(node.operand.ops) == 1
+    ):
+        test = node.operand.ops[0]
+        if isinstance(test, ast.In):
+            return [(node.lineno, "E713 test for membership should be 'not in'")]
+        if isinstance(test, ast.Is):
+            return [(node.lineno, "E714 test for object identity should be 'is not'")]
+    if isinstance(node, ast.ExceptHandler):
+        found = [] if node.type is not None else [(node.lineno, "E722 bare 'except'")]
+        if node.name in _AMBIGUOUS:
+            found.append((node.lineno, f"E741 ambiguous variable name '{node.name}'"))
+        return found
+    if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Lambda):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if len(targets) == 1 and isinstance(targets[0], ast.Name):
+            return [(node.lineno, "E731 lambda assigned to a name: use a def")]
+    name = (
+        node.id
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        else node.arg if isinstance(node, ast.arg) else None
+    )
+    if name in _AMBIGUOUS:
+        return [(node.lineno, f"E741 ambiguous variable name '{name}'")]
+    return []
+
+
+def statement_style(path: Path, source: str, tree: ast.AST) -> list[str]:
+    lines = source.splitlines()
+    found = sorted(finding for node in ast.walk(tree) for finding in _style(node))
+    return [
+        f"{path}:{lineno}: {message}"
+        for lineno, message in found
+        if "# noqa" not in lines[lineno - 1]
+    ]
+
+
 def _target_module(file_path: Path, node: ast.ImportFrom) -> str | None:
     """The absolute module a ``from ... import`` names, if it is in the package."""
     if node.level == 0:
@@ -418,6 +489,7 @@ def check_file(file_path: Path) -> list[str]:
         + redefinitions(path, tree)
         + unused_locals(path, tree)
         + undefined_names(path, source, tree)
+        + statement_style(path, source, tree)
         + unresolved_imports(path, file_path, tree)
     )
 

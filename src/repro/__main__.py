@@ -294,28 +294,34 @@ def _serve_frontend(host, args: argparse.Namespace, config: dict) -> int:
     ``--port`` serves its ``handle_batch`` on TCP, otherwise on stdin/stdout;
     ``--stats-port`` adds the HTTP side channel over its ``stats_snapshot``
     and ``monitor`` (``/``, ``/metrics``, ``/healthz``, ``/readyz`` and a
-    ``/doctor`` bundle recording ``config``), answered off the request path.
+    ``/doctor`` bundle recording ``config``), answered on a thread of its
+    own, off the request path, in both modes.
     """
-    from .obs import serve_stats_in_thread, start_stats_server
+    from .obs import serve_stats_in_thread
     from .obs.diagnostics import build_bundle
     from .serving import serve_lines, start_wire_server
 
-    probes = {
-        "monitor": host.monitor,
-        "doctor_fn": lambda: build_bundle(
-            snapshot_fn=host.stats_snapshot, monitor=host.monitor, config=config
-        ),
-    }
+    if args.stats_port is not None:
+        bound = serve_stats_in_thread(
+            host.stats_snapshot,
+            args.host,
+            args.stats_port,
+            monitor=host.monitor,
+            doctor_fn=lambda: build_bundle(
+                snapshot_fn=host.stats_snapshot, monitor=host.monitor, config=config
+            ),
+        )
+        if bound is None:
+            print(
+                f"cannot bind stats port {args.host}:{args.stats_port}", file=sys.stderr
+            )
+            return 1
+        print(f"stats on {args.host}:{bound}", file=sys.stderr)
     if args.port is not None:
         import asyncio
 
         async def _run() -> None:
             server = await start_wire_server(host.handle_batch, args.host, args.port)
-            if args.stats_port is not None:
-                await start_stats_server(
-                    host.stats_snapshot, args.host, args.stats_port, **probes
-                )
-                print(f"stats on {args.host}:{args.stats_port}", file=sys.stderr)
             async with server:
                 await server.serve_forever()
 
@@ -328,60 +334,38 @@ def _serve_frontend(host, args: argparse.Namespace, config: dict) -> int:
             print(f"cannot bind {args.host}: {exc}", file=sys.stderr)
             return 1
         return 0
-    if args.stats_port is not None:
-        bound = serve_stats_in_thread(
-            host.stats_snapshot, args.host, args.stats_port, **probes
-        )
-        if bound is None:
-            print(
-                f"cannot bind stats port {args.host}:{args.stats_port}", file=sys.stderr
-            )
-            return 1
-        print(f"stats on {args.host}:{bound}", file=sys.stderr)
     serve_lines(host.handle_batch, sys.stdin, sys.stdout)
     print(f"served {host.requests_served} requests", file=sys.stderr)
     return 0
 
 
-def _tenants_from_args(args: argparse.Namespace):
-    """Build the tenant registry from --tenants-file and --tenant flags.
-
-    Returns ``None`` (tenancy off) when neither flag was given.  Inline
-    ``--tenant`` specs override same-named entries from the file.
-    """
-    inline = getattr(args, "tenants", None) or []
-    path = getattr(args, "tenants_file", None)
+def _named_from_args(args: argparse.Namespace, flag: str, load, parse) -> list | None:
+    """The records of ``--{flag}s-file`` (read by ``load``), then those of
+    the inline ``--{flag}`` specs (read by ``parse``), which override
+    same-named ones; ``None`` when neither flag was given."""
+    inline = getattr(args, f"{flag}s", None) or []
+    path = getattr(args, f"{flag}s_file", None)
     if not inline and path is None:
         return None
+    by_name = {record.name: record for record in (load(path) if path is not None else ())}
+    by_name.update((record.name, record) for record in map(parse, inline))
+    return list(by_name.values())
+
+
+def _tenants_from_args(args: argparse.Namespace):
+    """The tenant registry of --tenants-file and --tenant, or ``None``
+    (tenancy off) when neither flag was given."""
     from .tenancy import TenantConfig, TenantRegistry
 
-    registry = (
-        TenantRegistry.from_file(path) if path is not None else TenantRegistry()
-    )
-    for spec in inline:
-        registry.register(TenantConfig.parse_inline(spec))
-    return registry
+    configs = _named_from_args(args, "tenant", TenantRegistry.from_file, TenantConfig.parse_inline)
+    return None if configs is None else TenantRegistry(configs)
 
 
 def _slos_from_args(args: argparse.Namespace) -> list:
-    """Build the SLO list from --slos-file and --slo flags.
-
-    Inline ``--slo`` specs override same-named entries from the file.
-    """
-    inline = getattr(args, "slos", None) or []
-    path = getattr(args, "slos_file", None)
-    if not inline and path is None:
-        return []
+    """The SLO list of --slos-file and --slo."""
     from .obs.slo import SLOSpec, load_slos
 
-    by_name = {}
-    if path is not None:
-        for spec in load_slos(path):
-            by_name[spec.name] = spec
-    for text in inline:
-        spec = SLOSpec.parse_inline(text)
-        by_name[spec.name] = spec
-    return list(by_name.values())
+    return _named_from_args(args, "slo", load_slos, SLOSpec.parse_inline) or []
 
 
 def _serve_config(args: argparse.Namespace, slos) -> dict:

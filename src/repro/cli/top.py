@@ -100,7 +100,7 @@ def render_top(snapshot: Mapping[str, Any], *, window: str = DEFAULT_WINDOW) -> 
     lines = [
         f"repro top — window {window} | ready: {ready_text}{workers_text} | "
         f"alerts firing: {len(alerts)} | pending: {admission.get('pending', 0)} | "
-        f"served: {front.get('requests_served', snapshot.get('requests_served', 0))}",
+        f"served: {front.get('requests_served', 0)}",
         f"{'TENANT':<16} {'QPS':>8} {'P99_MS':>8} {'SHED_PS':>8} "
         f"{'BUDGET':>7} {'SLO':>7}",
     ]

@@ -181,7 +181,7 @@ class Router(FrontDoor):
 
     def _front_section(self) -> dict:
         return {
-            "cluster": self.stats().to_payload(),
+            "cluster": {**self.stats().to_payload(), "requests_served": self.requests_served},
             "admission": self.admission.snapshot(),
         }
 

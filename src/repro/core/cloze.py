@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..llm.base import LanguageModel
 from ..prompting.templates import (
     CLOZE_CONSTRUCTION,
     DIRECT_ANSWER,
     render_demonstrations,
 )
 from .config import UniDMConfig
-from .plan import LLMRequest, Plan, drive
+from .plan import LLMRequest, Plan
 from .tasks.base import Task
 from .types import PromptTrace
 
@@ -37,17 +36,8 @@ class TargetPrompt:
 class TargetPromptBuilder:
     """Builds the final answer prompt for a task instance."""
 
-    def __init__(self, llm: LanguageModel, config: UniDMConfig):
-        self.llm = llm
+    def __init__(self, config: UniDMConfig):
         self.config = config
-
-    def build(
-        self,
-        task: Task,
-        context_text: str,
-        trace: PromptTrace | None = None,
-    ) -> TargetPrompt:
-        return drive(self.plan(task, context_text, trace), self.llm)
 
     def plan(
         self,

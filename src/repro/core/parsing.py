@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..llm.base import LanguageModel
 from ..prompting.templates import DATA_PARSING
 from .config import UniDMConfig
-from .plan import LLMRequest, Plan, drive
+from .plan import LLMRequest, Plan
 from .serialization import serialize_records, serialize_rows
 from .types import PromptTrace
 
@@ -35,15 +34,8 @@ class ParsedContext:
 class ContextParser:
     """Serializes context rows and optionally rewrites them into fluent text."""
 
-    def __init__(self, llm: LanguageModel, config: UniDMConfig):
-        self.llm = llm
+    def __init__(self, config: UniDMConfig):
         self.config = config
-
-    def parse_records(self, records, attributes, trace: PromptTrace | None = None) -> ParsedContext:
-        return drive(self.plan_records(records, attributes, trace), self.llm)
-
-    def parse_rows(self, rows, trace: PromptTrace | None = None) -> ParsedContext:
-        return drive(self.plan_rows(rows, trace), self.llm)
 
     def parse_raw_text(self, text: str, trace: PromptTrace | None = None) -> ParsedContext:
         """Raw document context bypasses serialization and the parsing prompt."""

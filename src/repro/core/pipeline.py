@@ -35,9 +35,9 @@ class UniDM:
     def __init__(self, llm: LanguageModel, config: UniDMConfig | None = None):
         self.llm = llm
         self.config = config or UniDMConfig()
-        self.retriever = ContextRetriever(llm, self.config)
-        self.parser = ContextParser(llm, self.config)
-        self.prompt_builder = TargetPromptBuilder(llm, self.config)
+        self.retriever = ContextRetriever(self.config)
+        self.parser = ContextParser(self.config)
+        self.prompt_builder = TargetPromptBuilder(self.config)
 
     # ------------------------------------------------------------------ running
     def run(self, task: Task) -> ManipulationResult:

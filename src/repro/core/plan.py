@@ -5,14 +5,15 @@ assembling prompts) with LLM calls.  To let the exact same logic run both
 synchronously (one task at a time) and inside the serving engine (many tasks
 with micro-batched LLM calls), each pipeline component expresses its work as
 a *plan*: a generator that yields :class:`LLMRequest` objects and receives
-the completion text back via ``send()``.  The component stays free of I/O
-concerns; a driver decides how requests are actually executed:
+the completion text back via ``send()``.  A component holds no model, only
+its config; one of two drivers decides how requests are actually executed:
 
 * :func:`drive` executes a plan against a :class:`~repro.llm.base.LanguageModel`
   synchronously (the ``UniDM.run`` path);
 * the serving engine's :class:`~repro.serving.batcher.MicroBatcher` steps
   many plans at once: it sends each its completion when a batched call lands
-  (or at once, for a cached prompt) and queues the next request it yields.
+  (or at once, for a cached prompt) and queues the next request it yields,
+  with one batch in flight per batcher.
 
 Algorithm 1 is written once, as :meth:`repro.core.pipeline.UniDM.plan`; both
 drivers walk that one generator, so the serving engine is equivalent to the

@@ -21,10 +21,9 @@ import numpy as np
 
 from ..datalake.sampling import sample_items, sample_records
 from ..datalake.table import Record, Table
-from ..llm.base import LanguageModel
 from ..prompting.templates import INSTANCE_RETRIEVAL, META_RETRIEVAL
 from .config import UniDMConfig
-from .plan import LLMRequest, Plan, drive
+from .plan import LLMRequest, Plan
 from .serialization import numbered_instances
 from .tasks.base import Task, restrict_attributes
 from .types import PromptTrace
@@ -50,20 +49,10 @@ class RetrievedContext:
 class ContextRetriever:
     """Implements both retrieval stages of the pipeline."""
 
-    def __init__(self, llm: LanguageModel, config: UniDMConfig):
-        self.llm = llm
+    def __init__(self, config: UniDMConfig):
         self.config = config
 
     # ------------------------------------------------------------------ public
-    def retrieve(
-        self,
-        task: Task,
-        rng: np.random.Generator,
-        trace: PromptTrace | None = None,
-    ) -> RetrievedContext:
-        """Run meta-wise + instance-wise retrieval for ``task``."""
-        return drive(self.plan(task, rng, trace), self.llm)
-
     def plan(
         self,
         task: Task,

@@ -65,6 +65,39 @@ _SPEC_KEYS = (
 )
 
 
+def parse_inline(
+    text: str, what: str, keys: Sequence[str], numeric: Mapping[str, type]
+) -> tuple[str, dict[str, Any]]:
+    """Split the CLI form ``name[,knob=value,...]`` into ``(name, knobs)``.
+
+    ``what`` names the record in errors (``tenant``, ``SLO``); a knob must
+    be one of ``keys``, and one in ``numeric`` is converted by its type
+    (others keep their stripped text).
+    """
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise ValueError(f"empty {what} specification")
+    name, knobs = parts[0], {}
+    for part in parts[1:]:
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"{what} {name!r}: expected knob=value, got {part!r}")
+        key = key.strip()
+        if key not in keys:
+            raise ValueError(
+                f"{what} {name!r}: unknown knob {key!r}; expected one of {list(keys)}"
+            )
+        convert = numeric.get(key)
+        if convert is None:
+            knobs[key] = value.strip()
+            continue
+        try:
+            knobs[key] = convert(value)
+        except ValueError:
+            raise ValueError(f"{what} {name!r}: {key} must be numeric, got {value!r}") from None
+    return name, knobs
+
+
 @dataclass(frozen=True)
 class SLOSpec:
     """One declarative objective (see the module docstring for semantics)."""
@@ -188,30 +221,8 @@ class SLOSpec:
         ``,`` separates knobs.  Percentiles accept both fractions and
         percents (``percentile=0.99`` ≡ ``percentile=99``).
         """
-        parts = [part.strip() for part in text.split(",") if part.strip()]
-        if not parts:
-            raise ValueError("empty SLO specification")
-        name, payload = parts[0], {}
-        for part in parts[1:]:
-            key, sep, value = part.partition("=")
-            if not sep:
-                raise ValueError(f"SLO {name!r}: expected knob=value, got {part!r}")
-            key = key.strip()
-            if key not in _SPEC_KEYS:
-                raise ValueError(
-                    f"SLO {name!r}: unknown knob {key!r}; "
-                    f"expected one of {list(_SPEC_KEYS)}"
-                )
-            if key in ("percentile", "threshold", "budget", "burn_rate"):
-                try:
-                    payload[key] = float(value)
-                except ValueError:
-                    raise ValueError(
-                        f"SLO {name!r}: {key} must be numeric, got {value!r}"
-                    ) from None
-            else:
-                payload[key] = value.strip()
-        return cls.from_payload(name, payload)
+        numeric = dict.fromkeys(("percentile", "threshold", "budget", "burn_rate"), float)
+        return cls.from_payload(*parse_inline(text, "SLO", _SPEC_KEYS, numeric))
 
 
 def _fraction(name: str, value: Any) -> float:
@@ -574,4 +585,5 @@ __all__ = [
     "SLOEngine",
     "SLOSpec",
     "load_slos",
+    "parse_inline",
 ]

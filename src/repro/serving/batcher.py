@@ -29,15 +29,15 @@ decides how full each backend round trip is.  The rule:
   asks ``cached`` again when it resolves; this batcher's own repeated asks
   queue as they always did.  The claim is released when the request ends,
   with the batch's exception if it failed.
-* **Hold while busy.**  While every LLM thread (``llm_threads``) is executing
-  a batch nothing is dispatched — no trigger fires; pending prompts keep
-  collecting batch-mates.  The batch in flight is the progress guarantee.
+* **One batch in flight.**  While its batch is executing a batcher
+  dispatches nothing — no trigger fires; pending prompts keep collecting
+  batch-mates.  The batch in flight is the progress guarantee.
 * **Deliver, then dispatch.**  When a batch lands every waiter is stepped to
   its next miss first (its owner admits new work a loop turn later, as it
   would have started a task), and the idle check's two loop turns run before
-  the freed thread is given the next batch.
+  the next batch is dispatched.
 * **Oldest admitted task first, whatever the kind.**  Every walk carries the
-  ``ticket`` its task drew when the engine admitted it; a freed thread takes
+  ``ticket`` its task drew when the engine admitted it; the next batch takes
   the ``max_batch_size`` pending prompts that hold the lowest tickets (equal
   tickets in arrival order).  A younger task's prompt never leaves before an
   older one's, and tasks at different stages of their chains fill one round
@@ -45,8 +45,8 @@ decides how full each backend round trip is.  The rule:
   down under its prompts' common kind, or as :data:`MIXED`; completions are
   matched to waiters by position.
 
-With a free thread a batch is dispatched when the first of three triggers
-fires:
+With no batch in flight a batch is dispatched when the first of three
+triggers fires:
 
 * **size** — ``max_batch_size`` prompts are pending;
 * **idle** — two loop turns pass without any new submission arriving (every
@@ -59,11 +59,11 @@ The first failure of a plan (an exception out of ``send``) or of its batch
 goes to its walk's ``failed``; a walk its owner marks ``dead`` (its run
 failed) is dropped with :meth:`MicroBatcher.drop` and never stepped again.
 
-Batches execute on a worker thread pool so the event loop stays responsive.
-What the loop thread may touch is bounded by the hit path: a cache's short
-state lock (never held across a backend call), and behind it the persistent
-store's lock for at most one append an LLM thread is making
-(``pcache.put_us``, 60–90 µs).
+Batches execute on an :class:`LLMThreads` thread, which the batchers of one
+engine share, so the event loop stays responsive.  What the loop thread may
+touch is bounded by the hit path: a cache's short state lock (never held
+across a backend call), and behind it the persistent store's lock for at
+most one append the LLM thread is making (``pcache.put_us``, 60–90 µs).
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ import asyncio
 import time
 import queue
 import threading
-from concurrent.futures import Executor
 from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Sequence
@@ -157,50 +156,19 @@ class Walk:
         """The plan raised ``error``, or a batch carrying its request failed."""
 
 
-class _Ask(Walk):
-    """The walk of :meth:`MicroBatcher.submit`: one request, one future."""
-
-    __slots__ = ("future", "completion")
-
-    def __init__(self, request: LLMRequest, ticket: int, future: "asyncio.Future[Completion]"):
-        super().__init__(self._plan(request), ticket)
-        self.future = future
-        self.completion: Completion | None = None
-
-    @staticmethod
-    def _plan(request: LLMRequest) -> Plan:
-        yield request
-
-    def answered(self, completion: Completion) -> None:
-        super().answered(completion)
-        self.completion = completion
-
-    def finished(self, value: Any) -> None:
-        if not self.future.done():
-            self.future.set_result(self.completion)  # type: ignore[arg-type]
-
-    def failed(self, error: BaseException) -> None:
-        if not self.future.done():
-            self.future.set_exception(error)
-
-
 class LLMThreads:
-    """The threads batches run on: ``size`` daemon threads taking jobs in order.
+    """The thread batches run on: one daemon thread taking jobs in order.
 
     A job is a plain callable that reports its own outcome (a batch posts
     its landing to the loop): no future per batch, and none of the idle-thread
     bookkeeping a ``ThreadPoolExecutor`` does on every ``submit``.
     """
 
-    def __init__(self, size: int, name: str):
+    def __init__(self, name: str):
         self._jobs: queue.SimpleQueue[Callable[[], None] | None] = queue.SimpleQueue()
         self._closed = False
-        self._threads = [
-            threading.Thread(target=self._work, name=f"{name}_{index}", daemon=True)
-            for index in range(size)
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._thread = threading.Thread(target=self._work, name=name, daemon=True)
+        self._thread.start()
 
     def submit(self, job: Callable[[], None]) -> None:
         if self._closed:
@@ -209,14 +177,11 @@ class LLMThreads:
 
     def shutdown(self, wait: bool = True) -> None:
         """Take no more jobs, drop those not yet started, and stop the
-        threads once their running job is done (joined when ``wait``)."""
+        thread once its running job is done (joined when ``wait``)."""
         self._closed = True
-        for _ in self._threads:
-            self._jobs.put(None)
-        if wait:
-            for thread in self._threads:
-                if thread is not threading.current_thread():
-                    thread.join()
+        self._jobs.put(None)
+        if wait and self._thread is not threading.current_thread():
+            self._thread.join()
 
     def _work(self) -> None:
         while True:
@@ -230,28 +195,20 @@ class LLMThreads:
 class MicroBatcher:
     """Steps plans and coalesces their misses, oldest ticket first, into batched LLM calls.
 
-    Must be used from a single running event loop; batch execution happens on
-    ``executor`` (:class:`LLMThreads`, any ``concurrent.futures`` executor, or
-    the loop's default executor when ``None``), at most ``llm_threads``
-    batches at a time.  A batch is one job on it, which posts its own
-    landing back to the loop.
+    Must be used from a single running event loop; its batches execute on
+    ``executor``, one at a time.  A batch is one job on it, which posts its
+    own landing back to the loop.  ``max_batch_size`` and ``max_wait`` come
+    checked from an :class:`~repro.serving.engine.EngineConfig`.
     """
 
     def __init__(
         self,
         llm: LanguageModel,
-        max_batch_size: int = 8,
-        max_wait: float = 0.002,
-        executor: "LLMThreads | Executor | None" = None,
+        executor: LLMThreads,
+        max_batch_size: int,
+        max_wait: float,
         metrics: MetricsRegistry | None = None,
-        llm_threads: int = 1,
     ):
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be positive")
-        if max_wait < 0:
-            raise ValueError("max_wait must be non-negative")
-        if llm_threads < 1:
-            raise ValueError("llm_threads must be positive")
         self.llm = llm
         # Found on the backend object, not declared on LanguageModel: a
         # wrapper that forwards unknown attributes to its inner model keeps
@@ -279,32 +236,13 @@ class MicroBatcher:
         self._m_queue_wait = metrics.histogram("batcher.queue_wait")
         self._m_latency = metrics.histogram("batcher.llm_latency")
         self._executor = executor
-        self._llm_threads = llm_threads
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._inflight = 0  # batches executing on the LLM threads
-        #: Batches on the LLM threads, by ``id`` (until they land or close()).
-        self._executing: dict[int, list[Walk]] = {}
+        #: The batch on the LLM thread (until it lands or close()).
+        self._executing: list[Walk] | None = None
         self._pending: list[Walk] = []
         self._generation = 0  # bumped by every queued request
         self._idle_armed = False
         self._timer: asyncio.TimerHandle | None = None
-
-    # ----------------------------------------------------------------- callers
-    async def submit(self, prompt: str, kind: str = "other", ticket: int = 0) -> Completion:
-        """Answer one prompt, awaited: a one-request walk with ``ticket``.
-
-        For a caller that awaits a single prompt; the engine steps its
-        tasks' plans with :meth:`start` instead.  Cancelling the await
-        drops the walk (a queued request releases its claim at once).
-        """
-        walk = _Ask(LLMRequest(prompt, kind), ticket, asyncio.get_running_loop().create_future())
-        self.start(walk)
-        try:
-            return await walk.future
-        except asyncio.CancelledError:
-            walk.dead = True
-            self.drop(walk)
-            raise
 
     # ----------------------------------------------------------------- owner
     def start(self, walk: Walk) -> None:
@@ -330,11 +268,11 @@ class MicroBatcher:
 
     def close(self) -> None:
         """The loop is stopping: release every claim still held and stop
-        waiting for the batches in flight (idempotent, loop thread)."""
+        waiting for the batch in flight (idempotent, loop thread)."""
         self._cancel_timer()
-        for batch in self._executing.values():
-            self._settle(batch, None)
-        self._executing.clear()
+        if self._executing is not None:
+            self._settle(self._executing, None)
+            self._executing = None
         self._settle(self._pending, None)
         self._pending = []
 
@@ -409,9 +347,9 @@ class MicroBatcher:
         self._pending.append(walk)
         self._generation += 1
         self._m_requests.inc()
-        # With every thread busy the prompt just waits: the batch in flight
+        # With a batch in flight the prompt just waits: that batch
         # dispatches the next one when it lands.
-        if self._inflight < self._llm_threads:
+        if self._executing is None:
             if len(self._pending) >= self.max_batch_size:
                 self._dispatch("size")
             elif self._timer is None or not self._idle_armed:
@@ -445,9 +383,9 @@ class MicroBatcher:
 
     # ----------------------------------------------------------------- flushing
     def _flush(self, reason: str) -> None:
-        """Give each free LLM thread the pending prompts of the oldest tasks."""
+        """Dispatch the pending prompts of the oldest tasks, unless a batch is in flight."""
         self._cancel_timer()
-        while self._pending and self._inflight < self._llm_threads:
+        if self._pending and self._executing is None:
             self._dispatch(reason)
 
     def _dispatch(self, reason: str) -> None:
@@ -488,16 +426,11 @@ class MicroBatcher:
                 # LLM stack (cache.lookup, llm.backend) nest beneath it.
                 call = partial(call_span.bound_context().run, call)
         job = partial(self._execute, batch, call, call_span, time.perf_counter())
-        self._inflight += 1
-        self._executing[id(batch)] = batch
+        self._executing = batch
         try:
-            if self._executor is None:
-                self._loop.run_in_executor(None, job)  # type: ignore[union-attr]
-            else:
-                self._executor.submit(job)
+            self._executor.submit(job)
         except RuntimeError as error:  # the executor is shut down: the engine is closing
-            self._inflight -= 1
-            del self._executing[id(batch)]
+            self._executing = None
             self._land(batch, call_span, 0.0, error)
 
     def _cancel_timer(self) -> None:
@@ -556,9 +489,9 @@ class MicroBatcher:
         error: BaseException | None,
         completions: Sequence[Completion],
     ) -> None:
-        if self._executing.pop(id(batch), None) is None:
+        if self._executing is not batch:
             return  # settled by close()
-        self._inflight -= 1
+        self._executing = None
         self._land(batch, call_span, started, error, completions)
 
     def _land(
@@ -570,7 +503,7 @@ class MicroBatcher:
         completions: Sequence[Completion] = (),
     ) -> None:
         """Deliver a landed batch: step every live waiter to its next miss,
-        then give the freed thread its idle check."""
+        then arm the idle check for the next batch."""
         self._settle(batch, error)
         if error is not None:
             if call_span is not None:

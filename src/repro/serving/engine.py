@@ -14,10 +14,11 @@ turn later, as one step.  ``run`` returns the results only; what the batcher
 did is counted on the engine's metrics registry (``batcher.*``).
 
 The engine is **resident**: the first ``run`` starts one daemon event-loop
-thread (``repro-engine``), one LLM executor (``repro-llm``, ``llm_threads``
-wide) and one batcher per backend, and every later ``run`` — from any number
-of threads at once: TCP connections, ``Client.local``, the flow executor, a
-cluster worker — hands its tasks to that loop and waits.  Tasks of all
+thread (``repro-engine``), one LLM thread (``repro-llm``) and one batcher per
+backend, each with at most one batch in flight on that thread; every later
+``run`` — from any number of threads at once: TCP connections,
+``Client.local``, the flow executor, a cluster worker — hands its tasks to
+that loop and waits.  Tasks of all
 callers wait for one of the ``workers`` slots in **one admission order**
 (weighted-fair across tenants, priority then arrival within one — the
 :class:`~repro.tenancy.WeightedFairQueue`, cost 1 per task), each draws a
@@ -77,16 +78,12 @@ class EngineConfig:
     max_wait: float = 0.002
     #: Maximum number of tasks in flight at once (backpressure).
     workers: int = 8
-    #: Threads executing batched LLM calls (towards the backend).
-    llm_threads: int = 1
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.llm_threads < 1:
-            raise ValueError("llm_threads must be positive")
         if self.max_wait < 0:
             raise ValueError("max_wait must be non-negative")
 
@@ -184,7 +181,7 @@ class _Resident:
         self._metrics = metrics
         self._m_inflight = metrics.gauge("engine.inflight")
         self._per_kind: dict[Any, _Meters] = {}  # task type -> meters
-        self._executor = LLMThreads(config.llm_threads, "repro-llm")
+        self._executor = LLMThreads("repro-llm")
         #: One batcher per backend object: pipelines may be swapped under a
         #: service, and several may share the engine.  Kept for the engine's
         #: life (the batcher pins its backend, so an ``id`` is never reused).
@@ -270,11 +267,10 @@ class _Resident:
         if batcher is None:
             batcher = self._batchers[id(llm)] = MicroBatcher(
                 llm,
-                max_batch_size=self._config.max_batch_size,
-                max_wait=self._config.max_wait,
-                executor=self._executor,
-                metrics=self._metrics,
-                llm_threads=self._config.llm_threads,
+                self._executor,
+                self._config.max_batch_size,
+                self._config.max_wait,
+                self._metrics,
             )
         return batcher
 

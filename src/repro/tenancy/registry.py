@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
+from ..obs.slo import parse_inline
 from .fairqueue import DEFAULT_TENANT
 
 #: Knobs the serialized forms accept, in canonical order.
@@ -89,29 +90,8 @@ class TenantConfig:
     @classmethod
     def parse_inline(cls, text: str) -> "TenantConfig":
         """Parse the CLI form ``name[,knob=value,...]``."""
-        parts = [part.strip() for part in text.split(",") if part.strip()]
-        if not parts:
-            raise ValueError("empty tenant specification")
-        name, payload = parts[0], {}
-        for part in parts[1:]:
-            key, sep, value = part.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"tenant {name!r}: expected knob=value, got {part!r}"
-                )
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(
-                    f"tenant {name!r}: unknown knob {key!r}; "
-                    f"expected one of {list(_CONFIG_KEYS)}"
-                )
-            try:
-                payload[key] = float(value) if key != "max_inflight" else int(value)
-            except ValueError:
-                raise ValueError(
-                    f"tenant {name!r}: {key} must be numeric, got {value!r}"
-                ) from None
-        return cls.from_payload(name, payload)
+        numeric = {"weight": float, "rate": float, "burst": float, "max_inflight": int}
+        return cls.from_payload(*parse_inline(text, "tenant", _CONFIG_KEYS, numeric))
 
 
 def _opt_float(name: str, key: str, value: Any) -> float | None:

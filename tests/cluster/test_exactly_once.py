@@ -16,7 +16,6 @@ computed once per cluster, not once per shard that meets it.  Two gates:
 import asyncio
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -34,7 +33,6 @@ from repro.api import Client
 from repro.cluster import Router
 from repro.llm import CachedLLM
 from repro.obs.metrics import MetricsRegistry
-from repro.serving import MicroBatcher
 
 WORKLOADS = {"mixed": lambda: make_mixed_specs(6), "pipelines": make_pipeline_specs}
 
@@ -111,14 +109,12 @@ def test_concurrent_callers_still_compute_each_prompt_once():
 class Side:
     """One worker's cache, asked through a batcher on an event loop of its own."""
 
-    def __init__(self, cache, backend):
+    def __init__(self, cache, backend, batcher_for, ask):
         self.cache = cache
         self.backend = backend
         self.metrics = MetricsRegistry()
-        self.executor = ThreadPoolExecutor(1)
-        self.batcher = MicroBatcher(
-            cache, max_batch_size=8, max_wait=10.0, executor=self.executor, metrics=self.metrics
-        )
+        self.batcher = batcher_for(cache, max_batch_size=8, max_wait=10.0, metrics=self.metrics)
+        self._ask = ask
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
         self.thread.start()
@@ -128,7 +124,7 @@ class Side:
         a wait); returns a future of its completion."""
 
         async def begin():
-            task = asyncio.get_running_loop().create_task(self.batcher.submit(prompt, "p_rm"))
+            task = asyncio.get_running_loop().create_task(self._ask(self.batcher, prompt, "p_rm"))
             await asyncio.sleep(0)
             return task
 
@@ -145,18 +141,17 @@ class Side:
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10)
         self.loop.close()
-        self.executor.shutdown()
 
 
 @pytest.fixture
-def pair(gated_llm):
+def pair(gated_llm, batcher_for, ask):
     """Worker 0's backend is gated shut, worker 1's is open."""
     backends = [gated_llm(), gated_llm(open_gate=True)]
     router = Router.local(
         2, llm_factory=backends.__getitem__, config=FULL_CONFIG, health_interval=None
     )
     sides = [
-        Side(router.workers[worker_id].service.pipeline.llm, backend)
+        Side(router.workers[worker_id].service.pipeline.llm, backend, batcher_for, ask)
         for worker_id, backend in zip(sorted(router.workers), backends)
     ]
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import re
 import threading
@@ -13,10 +14,12 @@ import pytest
 from repro.api import TransformationSpec
 from repro.cluster.workers import ThreadWorker
 from repro.core import UniDM, UniDMConfig
+from repro.core.plan import LLMRequest
 from repro.datalake import Attribute, AttributeType, Schema, Table
 from repro.datasets import load_dataset
 from repro.llm import SimulatedLLM, WorldKnowledge
 from repro.llm.base import LanguageModel
+from repro.serving.batcher import LLMThreads, MicroBatcher, Walk
 from repro.serving.engine import ExecutionEngine
 from repro.serving.service import ServingService
 
@@ -104,6 +107,67 @@ class GatedLLM(LanguageModel):
 def gated_llm():
     """Factory of :class:`GatedLLM` backends (closed unless ``open_gate=True``)."""
     return GatedLLM
+
+
+class Ask(Walk):
+    """A one-prompt walk: its completion, or its failure, lands on a future."""
+
+    __slots__ = ("future", "completion")
+
+    def __init__(self, prompt: str, kind: str, ticket: int):
+        super().__init__(self._plan(LLMRequest(prompt, kind)), ticket)
+        self.future = asyncio.get_running_loop().create_future()
+        self.completion = None
+
+    @staticmethod
+    def _plan(request):
+        yield request
+
+    def answered(self, completion):
+        super().answered(completion)
+        self.completion = completion
+
+    def finished(self, value):
+        if not self.future.done():
+            self.future.set_result(self.completion)
+
+    def failed(self, error):
+        if not self.future.done():
+            self.future.set_exception(error)
+
+
+async def _ask(batcher, prompt, kind="other", ticket=0):
+    walk = Ask(prompt, kind, ticket)
+    batcher.start(walk)
+    try:
+        return await walk.future
+    except asyncio.CancelledError:
+        walk.dead = True
+        batcher.drop(walk)
+        raise
+
+
+@pytest.fixture
+def ask():
+    """``await ask(batcher, prompt, kind, ticket)``: one prompt's completion,
+    asked as an :class:`Ask` walk through ``batcher.start``.  Cancelling the
+    await drops the walk (a queued request releases its claim at once)."""
+    return _ask
+
+
+@pytest.fixture
+def batcher_for():
+    """Factory of :class:`MicroBatcher`s, each on an LLM thread of its own
+    (stopped at teardown)."""
+    threads: list[LLMThreads] = []
+
+    def make(llm, max_batch_size, max_wait, metrics=None):
+        threads.append(LLMThreads("test-llm"))
+        return MicroBatcher(llm, threads[-1], max_batch_size, max_wait, metrics)
+
+    yield make
+    for thread in threads:
+        thread.shutdown()
 
 
 class LineUpEngine(ExecutionEngine):

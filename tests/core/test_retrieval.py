@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core import ImputationTask, UniDMConfig
+from repro.core.plan import drive
 from repro.core.retrieval import ContextRetriever
 from repro.core.types import PromptTrace
 from repro.llm import EchoLLM
@@ -14,9 +15,10 @@ def make_task(city_table):
 
 def test_retrieval_selects_llm_suggested_attribute(city_table, city_llm):
     config = UniDMConfig.full(candidate_sample_size=5, top_k_instances=2)
-    retriever = ContextRetriever(city_llm, config)
+    retriever = ContextRetriever(config)
     trace = PromptTrace()
-    context = retriever.retrieve(make_task(city_table), np.random.default_rng(0), trace)
+    plan = retriever.plan(make_task(city_table), np.random.default_rng(0), trace)
+    context = drive(plan, city_llm)
     assert not context.is_empty
     assert context.selected_by_llm == ["country"]
     # context attributes: pk + helpful + target
@@ -29,8 +31,8 @@ def test_retrieval_selects_llm_suggested_attribute(city_table, city_llm):
 
 def test_retrieval_excludes_target_record(city_table, city_llm):
     config = UniDMConfig.full(candidate_sample_size=10, top_k_instances=5)
-    retriever = ContextRetriever(city_llm, config)
-    context = retriever.retrieve(make_task(city_table), np.random.default_rng(0))
+    retriever = ContextRetriever(config)
+    context = drive(retriever.plan(make_task(city_table), np.random.default_rng(0)), city_llm)
     target_id = city_table[5].record_id
     assert all(record.record_id != target_id for record in context.records)
 
@@ -38,8 +40,8 @@ def test_retrieval_excludes_target_record(city_table, city_llm):
 def test_random_variants_do_not_call_llm(city_table):
     llm = EchoLLM(reply="")
     config = UniDMConfig.random_context(candidate_sample_size=5, top_k_instances=2)
-    retriever = ContextRetriever(llm, config)
-    context = retriever.retrieve(make_task(city_table), np.random.default_rng(0))
+    retriever = ContextRetriever(config)
+    context = drive(retriever.plan(make_task(city_table), np.random.default_rng(0)), llm)
     assert llm.usage.calls == 0
     assert len(context.records) == 2
     assert len(context.selected_by_llm) == 0 or context.selected_by_llm
@@ -48,16 +50,16 @@ def test_random_variants_do_not_call_llm(city_table):
 def test_llm_garbage_reply_falls_back_to_random(city_table):
     llm = EchoLLM(reply="this mentions no attribute at all")
     config = UniDMConfig.full(candidate_sample_size=5, top_k_instances=2)
-    retriever = ContextRetriever(llm, config)
-    context = retriever.retrieve(make_task(city_table), np.random.default_rng(0))
+    retriever = ContextRetriever(config)
+    context = drive(retriever.plan(make_task(city_table), np.random.default_rng(0)), llm)
     # One attribute is still chosen (randomly) despite the useless reply.
     assert len(context.selected_by_llm) == 1
 
 
 def test_zero_topk_returns_no_records(city_table, city_llm):
     config = UniDMConfig.full(candidate_sample_size=5, top_k_instances=0)
-    retriever = ContextRetriever(city_llm, config)
-    context = retriever.retrieve(make_task(city_table), np.random.default_rng(0))
+    retriever = ContextRetriever(config)
+    context = drive(retriever.plan(make_task(city_table), np.random.default_rng(0)), city_llm)
     assert context.records == []
 
 
@@ -80,16 +82,16 @@ def test_score_parser_ranks_by_fractional_scores(city_table):
     # Decimal scores must actually order the pool: "2" outranks "1".
     llm = EchoLLM(reply="1: 1.25\n2: 2.75")
     config = UniDMConfig.full(candidate_sample_size=2, top_k_instances=1)
-    retriever = ContextRetriever(llm, config)
-    context = retriever.retrieve(make_task(city_table), np.random.default_rng(0))
+    retriever = ContextRetriever(config)
+    context = drive(retriever.plan(make_task(city_table), np.random.default_rng(0)), llm)
     assert len(context.records) == 1
 
 
 def test_no_table_task_yields_empty_context(city_llm):
     from repro.core import TransformationTask
 
-    retriever = ContextRetriever(city_llm, UniDMConfig.full())
-    context = retriever.retrieve(
-        TransformationTask("a", [("x", "y")]), np.random.default_rng(0)
+    retriever = ContextRetriever(UniDMConfig.full())
+    context = drive(
+        retriever.plan(TransformationTask("a", [("x", "y")]), np.random.default_rng(0)), city_llm
     )
     assert context.is_empty

@@ -79,10 +79,12 @@ def test_multi_stage_pipeline_end_to_end(client, table):
 
 
 def test_partitioned_run_matches_whole_table_run(client, table):
-    stages = lambda: [  # noqa: E731 - tiny local factory
-        Impute("city"),
-        Transform("phone", examples=[["06-1", "+39 06 1"]], output_column="intl"),
-    ]
+    def stages():
+        return [
+            Impute("city"),
+            Transform("phone", examples=[["06-1", "+39 06 1"]], output_column="intl"),
+        ]
+
     whole = Pipeline(stages()).run(table, client=client)
     parts = Pipeline(stages(), partition_size=2).run(table, client=client)
     # The backend is a pure function of the prompt and imputation evidence is
@@ -356,9 +358,11 @@ def test_grouped_run_matches_one_partition_at_a_time(monkeypatch):
     assert grouped.table.to_dicts() == single.table.to_dicts()
     assert grouped.table.schema.names == single.table.schema.names
     assert grouped.answers == single.answers
-    totals = lambda r: (  # noqa: E731 - tiny local projection
-        r.specs, r.submitted, r.reused, r.dedup_factor, r.llm_calls,
-        r.llm_tokens, r.rows_in, r.rows_out, r.waves,
-        [stage.partitions for stage in r.stages],
-    )
+    def totals(r):
+        return (
+            r.specs, r.submitted, r.reused, r.dedup_factor, r.llm_calls,
+            r.llm_tokens, r.rows_in, r.rows_out, r.waves,
+            [stage.partitions for stage in r.stages],
+        )
+
     assert totals(grouped.report) == totals(single.report)

@@ -145,8 +145,8 @@ def test_render_waterfall_tree_offsets_and_critical_path():
     assert "kind=x" in rendered
     assert "[ERROR]" in rendered
     # Children are indented beneath the root.
-    root_line = next(l for l in lines if "root" in l)
-    child_line = next(l for l in lines if "slow" in l)
+    root_line = next(line for line in lines if "root" in line)
+    child_line = next(line for line in lines if "slow" in line)
     assert child_line.index("*slow") > root_line.index("*root")
 
 

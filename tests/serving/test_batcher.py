@@ -3,11 +3,8 @@
 import asyncio
 import time
 
-import pytest
-
 from repro.llm import CachedLLM, EchoLLM
 from repro.obs.metrics import MetricsRegistry
-from repro.serving import MicroBatcher
 from repro.serving.batcher import MIXED
 
 
@@ -30,13 +27,13 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def test_size_trigger_coalesces_full_batches():
+def test_size_trigger_coalesces_full_batches(batcher_for, ask):
     llm = RecordingLLM()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=4, max_wait=10.0)
+        batcher = batcher_for(llm, max_batch_size=4, max_wait=10.0)
         return await asyncio.gather(
-            *(batcher.submit(f"p{i}", "answer") for i in range(8))
+            *(ask(batcher, f"p{i}", "answer") for i in range(8))
         )
 
     completions = run(scenario())
@@ -45,12 +42,12 @@ def test_size_trigger_coalesces_full_batches():
     assert [len(prompts) for _, prompts in llm.batches] == [4, 4]
 
 
-def test_idle_trigger_flushes_partial_batch_without_waiting():
+def test_idle_trigger_flushes_partial_batch_without_waiting(batcher_for, ask):
     llm = RecordingLLM()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=100, max_wait=30.0)
-        return await asyncio.gather(*(batcher.submit(f"p{i}") for i in range(3)))
+        batcher = batcher_for(llm, max_batch_size=100, max_wait=30.0)
+        return await asyncio.gather(*(ask(batcher, f"p{i}") for i in range(3)))
 
     started = time.perf_counter()
     completions = run(scenario())
@@ -62,18 +59,18 @@ def test_idle_trigger_flushes_partial_batch_without_waiting():
     assert llm.batches and llm.batches[0][1] == ["p0", "p1", "p2"]
 
 
-def test_kinds_mix_in_one_batch_in_ticket_order():
+def test_kinds_mix_in_one_batch_in_ticket_order(batcher_for, ask):
     llm = RecordingLLM()
     submitted = [(3, "c", "answer"), (1, "a1", "p_rm"), (2, "b", "p_dp"), (4, "a2", "p_rm")]
 
     metrics = MetricsRegistry()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
+        batcher = batcher_for(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
         loop = asyncio.get_running_loop()
         return await asyncio.gather(
             *(
-                loop.create_task(batcher.submit(prompt, kind, ticket=ticket))
+                loop.create_task(ask(batcher, prompt, kind, ticket=ticket))
                 for ticket, prompt, kind in submitted
             )
         )
@@ -87,13 +84,13 @@ def test_kinds_mix_in_one_batch_in_ticket_order():
     assert metrics.histogram("batcher.batch_size").sum == 4
 
 
-def test_stats_track_batch_shapes():
+def test_stats_track_batch_shapes(batcher_for, ask):
     llm = RecordingLLM()
     metrics = MetricsRegistry()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=2, max_wait=10.0, metrics=metrics)
-        await asyncio.gather(*(batcher.submit(f"p{i}", "answer") for i in range(5)))
+        batcher = batcher_for(llm, max_batch_size=2, max_wait=10.0, metrics=metrics)
+        await asyncio.gather(*(ask(batcher, f"p{i}", "answer") for i in range(5)))
 
     run(scenario())
     requests, _, batches = counts(metrics)
@@ -104,27 +101,27 @@ def test_stats_track_batch_shapes():
     assert (sizes.count, sizes.sum) == (batches, 5)
 
 
-def test_usage_accounting_flows_to_the_model():
+def test_usage_accounting_flows_to_the_model(batcher_for, ask):
     llm = RecordingLLM()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=4, max_wait=10.0)
-        await asyncio.gather(*(batcher.submit(f"p{i}", "p_cq") for i in range(4)))
+        batcher = batcher_for(llm, max_batch_size=4, max_wait=10.0)
+        await asyncio.gather(*(ask(batcher, f"p{i}", "p_cq") for i in range(4)))
 
     run(scenario())
     assert llm.usage.calls == 4
     assert set(llm.usage.per_prompt_kind) == {"p_cq"}
 
 
-def test_backend_errors_propagate_to_every_waiter():
+def test_backend_errors_propagate_to_every_waiter(batcher_for, ask):
     class FailingLLM(EchoLLM):
         def complete_batch(self, prompts, kind="other"):
             raise RuntimeError("backend down")
 
     async def scenario():
-        batcher = MicroBatcher(FailingLLM(), max_batch_size=2, max_wait=10.0)
+        batcher = batcher_for(FailingLLM(), max_batch_size=2, max_wait=10.0)
         results = await asyncio.gather(
-            batcher.submit("a"), batcher.submit("b"), return_exceptions=True
+            ask(batcher, "a"), ask(batcher, "b"), return_exceptions=True
         )
         return results
 
@@ -132,16 +129,16 @@ def test_backend_errors_propagate_to_every_waiter():
     assert all(isinstance(r, RuntimeError) for r in results)
 
 
-def test_a_short_reply_fails_every_waiter_of_its_batch():
+def test_a_short_reply_fails_every_waiter_of_its_batch(batcher_for, ask):
     class ShortLLM(EchoLLM):
         def complete_batch(self, prompts, kind="other"):
             return super().complete_batch(prompts[:-1], kind=kind)
 
     async def scenario():
-        batcher = MicroBatcher(ShortLLM(), max_batch_size=2, max_wait=10.0)
+        batcher = batcher_for(ShortLLM(), max_batch_size=2, max_wait=10.0)
         return await asyncio.wait_for(
             asyncio.gather(
-                batcher.submit("a", "p_rm"), batcher.submit("b", "answer"), return_exceptions=True
+                ask(batcher, "a", "p_rm"), ask(batcher, "b", "answer"), return_exceptions=True
             ),
             timeout=5.0,  # at the parent the second waiter stayed pending for ever
         )
@@ -151,13 +148,13 @@ def test_a_short_reply_fails_every_waiter_of_its_batch():
     assert "1 completions for 2 prompts" in str(results[0])
 
 
-def test_submissions_after_a_flush_form_new_batches():
+def test_submissions_after_a_flush_form_new_batches(batcher_for, ask):
     llm = RecordingLLM()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=4, max_wait=10.0)
-        await asyncio.gather(*(batcher.submit(f"x{i}") for i in range(4)))
-        await asyncio.gather(*(batcher.submit(f"y{i}") for i in range(2)))
+        batcher = batcher_for(llm, max_batch_size=4, max_wait=10.0)
+        await asyncio.gather(*(ask(batcher, f"x{i}") for i in range(4)))
+        await asyncio.gather(*(ask(batcher, f"y{i}") for i in range(2)))
 
     run(scenario())
     assert [len(prompts) for _, prompts in llm.batches] == [4, 2]
@@ -171,20 +168,20 @@ def counts(metrics):
 
 
 # ------------------------------------------------- the shared-loop dispatch rule
-def test_holds_while_busy_then_serves_the_oldest_ticket_first(gated_llm):
+def test_holds_while_busy_then_serves_the_oldest_ticket_first(gated_llm, batcher_for, ask):
     llm = gated_llm()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=0.001)
+        batcher = batcher_for(llm, max_batch_size=8, max_wait=0.001)
         loop = asyncio.get_running_loop()
-        holder = loop.create_task(batcher.submit("h", "p_rm", ticket=1))
+        holder = loop.create_task(ask(batcher, "h", "p_rm", ticket=1))
         await loop.run_in_executor(None, llm.entered.acquire)  # the thread is taken
         young = [
-            loop.create_task(batcher.submit(f"y{i}", "answer", ticket=10 + i))
+            loop.create_task(ask(batcher, f"y{i}", "answer", ticket=10 + i))
             for i in range(2)
         ]
         await asyncio.sleep(0.01)  # ten max_waits
-        old = loop.create_task(batcher.submit("o", "p_cq", ticket=2))
+        old = loop.create_task(ask(batcher, "o", "p_cq", ticket=2))
         await asyncio.sleep(0.01)
         # Busy: no idle, size or timeout flush queued anything behind the holder.
         assert len(llm.batches) == 1
@@ -197,20 +194,20 @@ def test_holds_while_busy_then_serves_the_oldest_ticket_first(gated_llm):
     assert llm.batches == [("p_rm", ["h"]), (MIXED, ["o", "y0", "y1"])]
 
 
-def test_delivers_before_it_dispatches(gated_llm):
+def test_delivers_before_it_dispatches(gated_llm, batcher_for, ask):
     llm = gated_llm()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0)
+        batcher = batcher_for(llm, max_batch_size=8, max_wait=10.0)
         loop = asyncio.get_running_loop()
 
         async def two_steps():
-            await batcher.submit("first", "p_rm", ticket=1)
-            return await batcher.submit("second", "answer", ticket=1)
+            await ask(batcher, "first", "p_rm", ticket=1)
+            return await ask(batcher, "second", "answer", ticket=1)
 
         walker = loop.create_task(two_steps())
         await loop.run_in_executor(None, llm.entered.acquire)
-        waiter = loop.create_task(batcher.submit("other", "answer", ticket=2))
+        waiter = loop.create_task(ask(batcher, "other", "answer", ticket=2))
         await asyncio.sleep(0)
         llm.gate.set()
         await asyncio.gather(walker, waiter)
@@ -222,18 +219,18 @@ def test_delivers_before_it_dispatches(gated_llm):
     assert llm.batches == [("p_rm", ["first"]), ("answer", ["second", "other"])]
 
 
-def test_the_cut_follows_tickets_not_kinds_or_arrival(gated_llm):
+def test_the_cut_follows_tickets_not_kinds_or_arrival(gated_llm, batcher_for, ask):
     llm = gated_llm()
     submitted = [(5, "p_rm"), (1, "answer"), (3, "p_rm"), (2, "answer"), (3, "answer")]
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=2, max_wait=10.0)
+        batcher = batcher_for(llm, max_batch_size=2, max_wait=10.0)
         loop = asyncio.get_running_loop()
-        holder = loop.create_task(batcher.submit("h", "p_cq", ticket=0))
+        holder = loop.create_task(ask(batcher, "h", "p_cq", ticket=0))
         await loop.run_in_executor(None, llm.entered.acquire)
         # Held behind "h", all five are pending when the thread comes free.
         waiters = [
-            loop.create_task(batcher.submit(f"t{ticket}-{kind}", kind, ticket=ticket))
+            loop.create_task(ask(batcher, f"t{ticket}-{kind}", kind, ticket=ticket))
             for ticket, kind in submitted
         ]
         await asyncio.sleep(0)
@@ -250,21 +247,21 @@ def test_the_cut_follows_tickets_not_kinds_or_arrival(gated_llm):
 
 
 # --------------------------------------------------------- hits never queue
-def test_a_hit_does_not_wait_for_the_round_trip_in_flight(gated_llm):
+def test_a_hit_does_not_wait_for_the_round_trip_in_flight(gated_llm, batcher_for, ask):
     backend = gated_llm()
     metrics = MetricsRegistry()
     llm = CachedLLM(backend, metrics=metrics)
     warm = llm.complete("H", kind="p_rm")  # only complete_batch waits at the gate
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
+        batcher = batcher_for(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
         loop = asyncio.get_running_loop()
-        miss = loop.create_task(batcher.submit("M", "answer"))
+        miss = loop.create_task(ask(batcher, "M", "answer"))
         await loop.run_in_executor(None, backend.entered.acquire)  # the one thread is held
         try:
             # At the parent "H" took a seat behind the held round trip.
             hit = await asyncio.wait_for(
-                loop.create_task(batcher.submit("H", "p_rm")), 5.0
+                loop.create_task(ask(batcher, "H", "p_rm")), 5.0
             )
             assert not backend.gate.is_set() and not miss.done()
             assert counts(metrics) == (1, 1, 1)
@@ -282,17 +279,17 @@ def test_a_hit_does_not_wait_for_the_round_trip_in_flight(gated_llm):
     assert "mixed" not in llm.usage.per_prompt_kind
 
 
-def test_a_prompt_asked_again_while_in_flight_is_computed_once(gated_llm):
+def test_a_prompt_asked_again_while_in_flight_is_computed_once(gated_llm, batcher_for, ask):
     backend = gated_llm()
     metrics = MetricsRegistry()
     llm = CachedLLM(backend, metrics=metrics)
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
+        batcher = batcher_for(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
         loop = asyncio.get_running_loop()
-        first = loop.create_task(batcher.submit("P", "p_rm"))
+        first = loop.create_task(ask(batcher, "P", "p_rm"))
         await loop.run_in_executor(None, backend.entered.acquire)
-        second = loop.create_task(batcher.submit("P", "p_rm"))
+        second = loop.create_task(ask(batcher, "P", "p_rm"))
         await asyncio.sleep(0)
         backend.gate.set()
         # Not stored yet: the second asker found nothing and queued.
@@ -308,21 +305,14 @@ def test_a_prompt_asked_again_while_in_flight_is_computed_once(gated_llm):
     assert counts(metrics) == (2, 0, 2)
 
 
-def test_a_backend_without_a_cache_takes_the_queue(gated_llm):
+def test_a_backend_without_a_cache_takes_the_queue(gated_llm, batcher_for, ask):
     llm = gated_llm(open_gate=True)
     metrics = MetricsRegistry()
 
     async def scenario():
-        batcher = MicroBatcher(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
-        await batcher.submit("a")
-        await batcher.submit("a")
+        batcher = batcher_for(llm, max_batch_size=8, max_wait=10.0, metrics=metrics)
+        await ask(batcher, "a")
+        await ask(batcher, "a")
 
     run(scenario())
     assert counts(metrics) == (2, 0, 2)
-
-
-def test_validates_configuration():
-    with pytest.raises(ValueError):
-        MicroBatcher(EchoLLM(), max_batch_size=0)
-    with pytest.raises(ValueError):
-        MicroBatcher(EchoLLM(), max_wait=-1.0)

@@ -125,8 +125,6 @@ def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(workers=0)
     with pytest.raises(ValueError):
-        EngineConfig(llm_threads=0)
-    with pytest.raises(ValueError):
         EngineConfig(max_wait=-1.0)
 
 

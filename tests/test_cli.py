@@ -145,6 +145,17 @@ def test_cli_top_repaints_until_interrupted(capsys, live_stats_port):
     assert "repro top" in capsys.readouterr().out
 
 
+def test_cli_top_counts_what_a_cluster_served():
+    from repro.cli import render_top
+    from repro.cluster import Router
+
+    task = {"type": "transformation", "value": "19990415", "examples": [["20000101", "2000-01-01"]]}
+    with Router.local(2, health_interval=None) as router:
+        router.handle_batch([{"v": 2, "id": index, "task": task} for index in range(3)])
+        header = render_top(router.stats_snapshot()).splitlines()[0]
+    assert header.endswith("served: 3")
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--reset"], ["--tenant", "nobody"], ["--prefix", "batcher"], ["--format", "prom", "--reset"]],

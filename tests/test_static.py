@@ -99,3 +99,39 @@ def test_an_undefined_name_is_reported_in_the_scope_that_reads_it(tmp_path):
         "F821 undefined name 'size'",
         "F821 undefined name 'missing'",
     ]
+
+
+def test_each_statement_style_rule_is_reported(tmp_path):
+    source = tmp_path / "stale.py"
+    source.write_text(
+        "def f(x, y):\n"
+        "    if x == None:\n"
+        "        pass\n"
+        "    if y != False:\n"
+        "        pass\n"
+        "    if not x in y:\n"
+        "        pass\n"
+        "    if not x is y:\n"
+        "        pass\n"
+        "    if type(x) == type(y):\n"
+        "        pass\n"
+        "    try:\n"
+        "        pass\n"
+        "    except:\n"
+        "        pass\n"
+        "    double = lambda v: 2 * v\n"
+        "    l = double(x)\n"
+        "    kept = lambda v: v  # noqa\n"
+        "    return l, kept, x not in y, x is not y, type(x) is type(y)\n"
+    )
+    findings = check_static.scan([str(source)])
+    assert [finding.split(": ", 1)[1] for finding in findings] == [
+        "E711 comparison to None",
+        "E712 comparison to False",
+        "E713 test for membership should be 'not in'",
+        "E714 test for object identity should be 'is not'",
+        "E721 type comparison with == or !=",
+        "E722 bare 'except'",
+        "E731 lambda assigned to a name: use a def",
+        "E741 ambiguous variable name 'l'",
+    ]
