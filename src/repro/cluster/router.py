@@ -57,7 +57,7 @@ from ..obs.export import get_default_exemplars
 from ..obs.periodic import PeriodicLoop
 from ..obs.slo import SLOSpec
 from ..obs.span import Span, remote_span
-from ..serving.cache import PersistentCache
+from ..serving.cache import PersistentCache, entry_record
 from ..serving.frontdoor import FrontDoor
 from ..serving.service import build_service, run_pipeline_spec
 from ..tenancy import DEFAULT_TENANT, TenantRegistry
@@ -769,10 +769,10 @@ class Router(FrontDoor):
         if not targets:
             return 0, moved
         for source_id, source in sources.items():
-            for key, text in source.items():
+            for key, entry in source.items():
                 owner = ring.node_for(key)
                 if owner != source_id and owner in targets:
-                    rows_for.setdefault(owner, []).append({"key": key, "text": text})
+                    rows_for.setdefault(owner, []).append(entry_record(key, entry))
                     moved.setdefault(source_id, set()).add(key)
         migrated = 0
         for target_id, rows in rows_for.items():

@@ -14,13 +14,15 @@ inner call.  :meth:`CachedLLM.cached` — the serving engine's micro-batcher
 asks it from its event loop before it queues a prompt — takes state locks
 only, so a hit is answered while another thread's round trip is still in
 flight.  An optional *persistent* backend (see
-:class:`~repro.serving.cache.PersistentCache`) spills completions to disk so
+:class:`~repro.serving.cache.PersistentCache`) spills entries to disk so
 that a warmed cache survives across processes; any object with
-``get(prompt) -> str | None`` and ``put(prompt, text)`` works.
+``get(prompt) -> Entry | None`` and ``put(prompt, entry)`` works.
 
-An LRU entry carries its token counts — ``(text, prompt_tokens,
-completion_tokens)``, counted when the entry is made (a miss stored, a
-persistent hit promoted) and evicted with it — so a hit tokenizes nothing.
+An entry is ``(text, prompt_tokens, completion_tokens)``: the text and the
+counts of the :class:`~repro.llm.base.Completion` the inner model returned
+for the miss, kept with the entry in the LRU and the persistent store and
+evicted with it.  The cache tokenizes nothing: what a hit reports is what
+the backend billed.
 
 **Owners.**  The in-process workers of a cluster share one owner map
 (:class:`~repro.cluster.hashing.PromptOwners`, set as ``owners``; without
@@ -68,11 +70,11 @@ class Claim:
 
 @runtime_checkable
 class CacheBackend(Protocol):
-    """Duck type of a persistent completion store."""
+    """Duck type of a persistent completion store: entries by prompt."""
 
-    def get(self, prompt: str) -> str | None: ...
+    def get(self, prompt: str) -> Entry | None: ...
 
-    def put(self, prompt: str, text: str) -> None: ...
+    def put(self, prompt: str, entry: Entry) -> None: ...
 
 
 class CachedLLM(LanguageModel):
@@ -149,10 +151,7 @@ class CachedLLM(LanguageModel):
             stored = owner.persistent.get(prompt) if owner.persistent is not None else None
             if stored is None:
                 return None, False
-            return owner._remember(prompt, owner._entry(prompt, stored)), True
-
-    def _entry(self, prompt: str, text: str) -> Entry:
-        return text, self.tokenizer.count(prompt), self.tokenizer.count(text)
+            return owner._remember(prompt, stored), True
 
     def _remember(self, prompt: str, entry: Entry) -> Entry:
         """Put ``entry`` in this cache's LRU; needs ``_lock``."""
@@ -162,25 +161,22 @@ class CachedLLM(LanguageModel):
             self._cache.popitem(last=False)
         return entry
 
-    def _store(self, prompt: str, text: str) -> Entry:
-        """Persist, then remember, at the owner; needs ``_fetch_lock``.
+    def _store(self, prompt: str, completion: Completion) -> Entry:
+        """Persist, then remember, the inner model's ``completion`` at the
+        owner; needs ``_fetch_lock``.
 
-        The ``put`` (a file append) and the token counts of a new entry are
-        made outside the owner's state lock, which other workers' engines
-        take to look up; a reader that slips in before ``_remember`` finds
-        the entry in the persistent store — a persistent hit — or nothing,
-        never a half-state.
+        The ``put`` (a file append) is made outside the owner's state lock,
+        which other workers' engines take to look up; a reader that slips in
+        before ``_remember`` finds the entry in the persistent store — a
+        persistent hit — or nothing, never a half-state.
         """
+        entry = (completion.text, completion.prompt_tokens, completion.completion_tokens)
         owner = self._owner(prompt)
         if owner.persistent is not None:
-            owner.persistent.put(prompt, text)
-        with owner._lock:
-            entry = owner._cache.get(prompt)
-        if entry is None or entry[0] != text:
-            entry = self._entry(prompt, text)
+            owner.persistent.put(prompt, entry)
         with owner._lock:
             owner._remember(prompt, entry)
-        self._m_bytes_stored.inc(len(text))
+        self._m_bytes_stored.inc(len(entry[0]))
         return entry
 
     # ----------------------------------------------------------- the asker's
@@ -258,7 +254,7 @@ class CachedLLM(LanguageModel):
             self._count(entry, persistent)
         if entry is None:
             self._m_backend_calls.inc()
-            entry = self._store(prompt, self.inner.complete(prompt, kind=kind).text)
+            entry = self._store(prompt, self.inner.complete(prompt, kind=kind))
         return entry
 
     def _complete_text(self, prompt: str) -> str:
@@ -324,7 +320,7 @@ class CachedLLM(LanguageModel):
                         f"for {len(miss_order)} prompts"
                     )
                 for prompt, completion in zip(miss_order, completions):
-                    fetched[prompt] = self._store(prompt, completion.text)
+                    fetched[prompt] = self._store(prompt, completion)
             with self._lock:
                 served = []
                 for prompt, entry in zip(prompts, entries):

@@ -16,7 +16,6 @@ no token list: it counts per character class with ``bytes.translate`` and
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 #: Maximum characters per sub-word chunk; long words are split into pieces of
 #: this size, mimicking BPE splitting of rare words.
@@ -66,9 +65,6 @@ class SimpleTokenizer:
         digit_runs = (raw.translate(_DIGITS) + b"x").count(b"dx")
         letters = (raw.translate(_LETTERS) + b"x").replace(b"ax", chunk + b"x")
         return len(raw.translate(None, _PLAIN)) + digit_runs + letters.count(chunk)
-
-    def count_many(self, texts: Iterable[str]) -> int:
-        return sum(self.count(t) for t in texts)
 
 
 #: Shared default tokenizer instance.

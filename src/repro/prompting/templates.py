@@ -17,7 +17,7 @@ defined exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from string import Formatter
 from typing import Any
 
@@ -28,26 +28,32 @@ class PromptTemplate:
 
     ``render`` refuses missing/extra fields so that a template change that
     breaks the pipeline fails loudly instead of producing a silently malformed
-    prompt.
+    prompt.  The slots are parsed once, when the template is made: every
+    prompt of the pipeline is rendered through here.
     """
 
     name: str
     template: str
+    _fields: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _field_set: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        fields = tuple(
+            name for _, name, _, _ in Formatter().parse(self.template) if name is not None
+        )
+        object.__setattr__(self, "_fields", fields)
+        object.__setattr__(self, "_field_set", frozenset(fields))
 
     @property
     def fields(self) -> list[str]:
-        return [
-            field
-            for _, field, _, _ in Formatter().parse(self.template)
-            if field is not None
-        ]
+        return list(self._fields)
 
     def render(self, **values: Any) -> str:
-        missing = [f for f in self.fields if f not in values]
-        if missing:
-            raise KeyError(f"prompt {self.name!r} missing fields: {missing}")
-        extra = [k for k in values if k not in self.fields]
-        if extra:
+        if values.keys() != self._field_set:
+            missing = [f for f in self._fields if f not in values]
+            if missing:
+                raise KeyError(f"prompt {self.name!r} missing fields: {missing}")
+            extra = [k for k in values if k not in self._field_set]
             raise KeyError(f"prompt {self.name!r} got unexpected fields: {extra}")
         return self.template.format(**values)
 

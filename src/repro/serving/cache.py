@@ -3,7 +3,10 @@
 The in-memory LRU of :class:`~repro.llm.cache.CachedLLM` dies with the
 process; re-running an experiment or restarting the service re-bills every
 prompt.  :class:`PersistentCache` spills completions to one append-only JSONL
-log per directory, ``cache.jsonl``, so a warmed cache makes reruns near-free:
+log per directory, ``cache.jsonl``, so a warmed cache makes reruns near-free.
+One record is one entry: its text and the token counts the backend billed
+for it, ``{"key": prompt_key(prompt), "text": ..., "tokens": [prompt_tokens,
+completion_tokens]}``.  The log is:
 
 * **append-only** — a put is one ``O_APPEND`` write of one JSON line; there is
   no rewrite-in-place, so after a crash what is left is a prefix of the log,
@@ -15,7 +18,8 @@ log per directory, ``cache.jsonl``, so a warmed cache makes reruns near-free:
   failed compaction leaves the old log whole.
 
 The class satisfies the ``CacheBackend`` protocol of
-:class:`~repro.llm.cache.CachedLLM` (``get``/``put``) and is thread-safe.
+:class:`~repro.llm.cache.CachedLLM` (``get``/``put`` of ``(text,
+prompt_tokens, completion_tokens)`` entries) and is thread-safe.
 
 Elasticity support: entries are keyed by :func:`prompt_key`, and the cluster
 ring places a prompt by that same key (see
@@ -23,9 +27,12 @@ ring places a prompt by that same key (see
 router reads each shard's :meth:`PersistentCache.items`, copies the entries
 the new ring places elsewhere into their owners' shards
 (:meth:`PersistentCache.absorb`) and drops them from the source
-(:meth:`PersistentCache.drop`, a compaction).  A log written before entries
-were placed by their own key may still hold ``{"key", "route"}`` records;
-they are skipped, counted stale, and gone after the next compaction.
+(:meth:`PersistentCache.drop`, a compaction); a moved entry keeps its
+counts.  An older log's records are skipped, counted stale, and gone after
+the next compaction: ``{"key", "route"}`` records, from before entries were
+placed by their own key, and ``{"key", "text"}`` records without
+``tokens``, from before entries kept the backend's counts — such a
+directory opens cold.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import os
 import threading
 from pathlib import Path
 
+from ..llm.cache import Entry
 from ..obs.events import emit_event
 from ..obs.metrics import MetricsRegistry, get_default_registry
 
@@ -45,12 +53,32 @@ def prompt_key(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def _line(record: dict[str, str]) -> str:
-    return json.dumps(record, ensure_ascii=False) + "\n"
+def entry_record(key: str, entry: Entry) -> dict:
+    """The log record (and migration row) of ``entry`` under ``key``."""
+    text, prompt_tokens, completion_tokens = entry
+    return {"key": key, "text": text, "tokens": [prompt_tokens, completion_tokens]}
+
+
+def _entry(record: dict) -> Entry | None:
+    """The entry of a record, or ``None`` if its text or counts are not valid."""
+    text, tokens = record.get("text"), record.get("tokens")
+    if not isinstance(text, str) or not isinstance(tokens, list) or len(tokens) != 2:
+        return None
+    prompt_tokens, completion_tokens = tokens
+    # ``type(...) is int``: JSON ``true`` loads as a bool, which is an int.
+    if type(prompt_tokens) is not int or type(completion_tokens) is not int:
+        return None
+    if prompt_tokens < 0 or completion_tokens < 0:
+        return None
+    return text, prompt_tokens, completion_tokens
+
+
+def _line(key: str, entry: Entry) -> str:
+    return json.dumps(entry_record(key, entry), ensure_ascii=False) + "\n"
 
 
 class PersistentCache:
-    """Disk-backed prompt → completion store (one JSONL log per directory).
+    """Disk-backed prompt → entry store (one JSONL log per directory).
 
     Parameters
     ----------
@@ -74,7 +102,7 @@ class PersistentCache:
         # Per-directory gauge: cluster shards each report their own size.
         self._m_entries = metrics.gauge(f"pcache.entries.{self.path.name}")
         self._lock = threading.Lock()
-        self._entries: dict[str, str] = {}
+        self._entries: dict[str, Entry] = {}
         self._load()
         self._m_entries.set(len(self._entries))
 
@@ -99,14 +127,18 @@ class PersistentCache:
                     record = None
                 if not isinstance(record, dict) or not isinstance(record.get("key"), str):
                     torn += 1
-                elif isinstance(record.get("text"), str):
-                    self._entries[record["key"]] = record["text"]
+                    continue
+                entry = _entry(record)
+                if entry is not None:
+                    self._entries[record["key"]] = entry
                     applied += 1
-                elif isinstance(record.get("route"), str):
-                    stale += 1  # an older log's route record
+                elif "tokens" not in record and (
+                    isinstance(record.get("text"), str) or isinstance(record.get("route"), str)
+                ):
+                    stale += 1  # an older log's entry without counts, or route
                 else:
                     torn += 1
-        # Records a compaction would drop: superseded entries, old routes.
+        # Records a compaction would drop: superseded entries, older records.
         stale += applied - len(self._entries)
         if torn or stale:
             # Compaction-worthy anomalies: torn lines mean a writer crashed
@@ -120,7 +152,7 @@ class PersistentCache:
                 live_entries=len(self._entries),
             )
 
-    def _append(self, key: str, text: str) -> None:
+    def _append(self, key: str, entry: Entry) -> None:
         """Write first, remember second.
 
         An append that raises (a full disk, a vanished directory) leaves
@@ -128,57 +160,59 @@ class PersistentCache:
         as "already durable": what ``get`` serves is on disk.
         """
         with open(self.log_path, "a", encoding="utf-8") as handle:
-            handle.write(_line({"key": key, "text": text}))
-        self._entries[key] = text
+            handle.write(_line(key, entry))
+        self._entries[key] = entry
         self._m_puts.inc()
-        self._m_bytes.inc(len(text))
+        self._m_bytes.inc(len(entry[0]))
 
-    def _rewrite(self, entries: dict[str, str]) -> None:
+    def _rewrite(self, entries: dict[str, Entry]) -> None:
         """Replace the log with one record per entry (write, then rename)."""
         tmp = self.path / "cache.jsonl.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                for key, text in entries.items():
-                    handle.write(_line({"key": key, "text": text}))
+                for key, entry in entries.items():
+                    handle.write(_line(key, entry))
             os.replace(tmp, self.log_path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
 
     # ------------------------------------------------------------ cache API
-    def get(self, prompt: str) -> str | None:
+    def get(self, prompt: str) -> Entry | None:
         with self._lock:
             return self._entries.get(prompt_key(prompt))
 
-    def put(self, prompt: str, text: str) -> None:
+    def put(self, prompt: str, entry: Entry) -> None:
         key = prompt_key(prompt)
         with self._lock:
-            if self._entries.get(key) == text:
+            if self._entries.get(key) == entry:
                 return  # already durable; skip the duplicate append
-            self._append(key, text)
+            self._append(key, entry)
             self._m_entries.set(len(self._entries))
 
     # ------------------------------------------------------------ migration
-    def items(self) -> list[tuple[str, str]]:
-        """Every entry as ``(prompt key, text)``: what a resize places."""
+    def items(self) -> list[tuple[str, Entry]]:
+        """Every entry as ``(prompt key, entry)``: what a resize places."""
         with self._lock:
             return list(self._entries.items())
 
     def absorb(self, rows: "list[dict]") -> int:
-        """Import migrated ``{"key", "text"}`` rows (memory **and** disk).
+        """Import migrated rows, each an :func:`entry_record` (memory **and**
+        disk).
 
         The shard-to-shard copy half of a resize; returns entries added.
+        A row without a string key, a text and valid counts is skipped.
         Existing identical entries are skipped, so re-running a torn
         migration is safe (last-wins on load covers genuine conflicts).
         """
         added = 0
         with self._lock:
             for row in rows:
-                key, text = row.get("key"), row.get("text")
-                if not isinstance(key, str) or not isinstance(text, str):
+                key, entry = row.get("key"), _entry(row)
+                if not isinstance(key, str) or entry is None:
                     continue
-                if self._entries.get(key) != text:
-                    self._append(key, text)
+                if self._entries.get(key) != entry:
+                    self._append(key, entry)
                     added += 1
             self._m_entries.set(len(self._entries))
         return added
@@ -193,7 +227,7 @@ class PersistentCache:
         entries dropped.
         """
         with self._lock:
-            kept = {key: text for key, text in self._entries.items() if key not in keys}
+            kept = {key: entry for key, entry in self._entries.items() if key not in keys}
             dropped = len(self._entries) - len(kept)
             if dropped:
                 self._rewrite(kept)

@@ -28,7 +28,7 @@ from repro.api import (
 )
 from repro.core import UniDMConfig
 from repro.flow import DetectErrors, Impute, Pipeline, Transform
-from repro.llm.base import LanguageModel
+from repro.llm.base import Completion, LanguageModel
 
 #: The paper's full pipeline, retrieval included.
 FULL_CONFIG = UniDMConfig.full(seed=0)
@@ -43,6 +43,26 @@ class PromptPureLLM(LanguageModel):
         if "Yes or No" in prompt:
             return "Yes" if len(prompt) % 2 else "No"
         return f"w{sum(ord(c) for c in prompt) % 89}"
+
+
+class BillingLLM(PromptPureLLM):
+    """A prompt-pure backend that bills its own counts, four characters a
+    token (a hosted API's rule of thumb), where ``SimpleTokenizer`` counts
+    otherwise; ``billed`` maps each prompt it was asked to its completion."""
+
+    name = "billing"
+
+    def __init__(self, billed: dict | None = None):
+        super().__init__()
+        self.billed: dict[str, Completion] = {} if billed is None else billed
+
+    def _record(self, prompt: str, text: str, kind: str) -> Completion:
+        completion = Completion(
+            prompt, text, (len(prompt) + 3) // 4, (len(text) + 3) // 4, self.name
+        )
+        self.billed[prompt] = completion
+        self.usage.record(completion, kind=kind)
+        return completion
 
 
 def submit(router, specs, **options) -> list:

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from cluster_testing import FULL_CONFIG, PromptPureLLM, fingerprint, submit
+from cluster_testing import FULL_CONFIG, BillingLLM, PromptPureLLM, fingerprint, submit
 
 from repro.api import TransformationSpec
 from repro.cluster import (
@@ -29,6 +29,7 @@ from repro.cluster import (
 )
 from repro.obs import configure_default_event_log
 from repro.obs.metrics import get_default_registry
+from repro.serving import prompt_key
 
 
 def make_router(n_workers: int = 2, **overrides) -> Router:
@@ -122,6 +123,32 @@ def test_join_migration_is_hash_minimal(tmp_path, mixed_specs):
         # The sources dropped what moved: every shard holds what it owns.
         for worker_id, worker in router.workers.items():
             assert all(grown.node_for(key) == worker_id for key, _ in worker.shard().items())
+
+
+def test_join_and_leave_migrate_entries_with_their_counts(tmp_path, mixed_specs):
+    """A moved entry keeps the counts the backend billed for it: after a
+    join and a leave every shard entry is still exactly that backend's
+    completion, and a rerun is served from the shards with the same tokens."""
+    billed: dict = {}
+
+    def entries(router) -> dict:
+        return {
+            key: entry for worker in router.workers.values() for key, entry in worker.shard().items()
+        }
+
+    with make_router(2, cache_dir=str(tmp_path), llm_factory=lambda i: BillingLLM(billed)) as router:
+        tokens = [result.tokens for result in submit(router, mixed_specs)]
+        expected = {
+            prompt_key(prompt): (c.text, c.prompt_tokens, c.completion_tokens)
+            for prompt, c in billed.items()
+        }
+        assert entries(router) == expected
+        joined = router.add_worker()
+        assert router.stats().migrations > 0 and entries(router) == expected
+        assert router.remove_worker(joined) > 0 and entries(router) == expected
+        before = llm_calls()
+        assert [result.tokens for result in submit(router, mixed_specs)] == tokens
+        assert llm_calls() == before
 
 
 def test_concurrent_joins_take_distinct_ids():

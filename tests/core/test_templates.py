@@ -1,5 +1,7 @@
 """Unit tests for the prompt templates."""
 
+import string
+
 import pytest
 
 from repro.prompting import (
@@ -27,6 +29,39 @@ def test_render_rejects_missing_and_extra_fields():
     with pytest.raises(KeyError):
         template.render(a=1, b=2, c=3)
     assert template.render(a=1, b=2) == "1 and 2"
+
+
+def test_render_error_messages_name_the_fields():
+    template = PromptTemplate("t", "{a} and {b}, {a} again")
+    with pytest.raises(KeyError) as missing:
+        template.render(b=1)
+    assert missing.value.args == ("prompt 't' missing fields: ['a', 'a']",)
+    with pytest.raises(KeyError) as extra:
+        template.render(c=0, a=1, b=2, d=3)
+    assert extra.value.args == ("prompt 't' got unexpected fields: ['c', 'd']",)
+
+
+def test_a_template_is_parsed_once_not_per_render(monkeypatch):
+    parsed = []
+    parse = string.Formatter.parse
+
+    def counted(self, format_string):
+        parsed.append(format_string)
+        return parse(self, format_string)
+
+    monkeypatch.setattr(string.Formatter, "parse", counted)
+    template = PromptTemplate("t", "{a} and {b}")
+    assert parsed == ["{a} and {b}"]
+    parsed.clear()
+    for value in range(3):
+        assert template.render(a=value, b="x") == f"{value} and x"
+    assert template.fields == ["a", "b"]
+    with pytest.raises(KeyError):
+        template.render(a=1)
+    with pytest.raises(KeyError):
+        template.render(a=1, b=2, c=3)
+    assert META_RETRIEVAL.render(task="t", query="q", candidates="c").startswith("The task is [t]")
+    assert parsed == []
 
 
 def test_meta_retrieval_template_wording_matches_paper():

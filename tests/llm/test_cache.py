@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
 
-from repro.llm import CachedLLM, EchoLLM, SimpleTokenizer
+from repro.llm import CachedLLM, Completion, EchoLLM, SimpleTokenizer
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import PersistentCache
 
@@ -219,7 +219,7 @@ def test_clear_keeps_persistent_store(tmp_path):
     assert cached.persistent_hits == 1
 
 
-# ------------------------------------------------- an entry carries its counts
+# ------------------------------------- an entry keeps the backend's counts
 class CountingTokenizer(SimpleTokenizer):
     """Remembers every text it is asked to count."""
 
@@ -232,9 +232,16 @@ class CountingTokenizer(SimpleTokenizer):
         return super().count(text)
 
 
+class CharacterTokenizer(SimpleTokenizer):
+    """Bills one token a character: counts ``SimpleTokenizer`` never gives."""
+
+    def count(self, text):
+        return len(text)
+
+
 def _counting(cached: CachedLLM) -> CountingTokenizer:
     """Give the wrapper alone a counting tokenizer (the inner model keeps its
-    own, so only the wrapper's accounting is seen)."""
+    own, so only the wrapper's tokenizing is seen)."""
     cached.tokenizer = CountingTokenizer()
     return cached.tokenizer
 
@@ -243,67 +250,63 @@ def _tokens(completion) -> tuple[int, int]:
     return completion.prompt_tokens, completion.completion_tokens
 
 
-def _plain_tokens(prompt: str, text: str) -> tuple[int, int]:
-    return SimpleTokenizer().count(prompt), SimpleTokenizer().count(text)
-
-
-def test_a_miss_is_tokenized_once_and_a_hit_never():
-    cached = CachedLLM(EchoLLM(reply="pong pong, pong"))
+def test_a_miss_keeps_the_backends_counts_and_a_hit_reports_them():
+    inner = EchoLLM(reply="pong pong, pong", tokenizer=CharacterTokenizer())
+    cached = CachedLLM(inner)
     tokenizer = _counting(cached)
     prompt = "impute: city, timezone of Copenhagen 1234?"
-    expected = _plain_tokens(prompt, "pong pong, pong")
 
     miss = cached.complete(prompt, kind="p_rm")
-    assert tokenizer.counted == [prompt, "pong pong, pong"]
     # Every way to a hit: the loop thread's peek, a lone call, a batch lookup,
     # and a duplicate behind a miss of its own batch.
     hits = [cached.cached(prompt, "p_rm"), cached.complete(prompt)]
     hits += cached.complete_batch([prompt, prompt, "other", "other"], kind="answer")[:2]
-    assert tokenizer.counted == [prompt, "pong pong, pong", "other", "pong pong, pong"]
-    assert [_tokens(c) for c in [miss, *hits]] == [expected] * 5
-    other = SimpleTokenizer().count("other")
-    assert cached.usage.snapshot() == (7, 5 * expected[0] + 2 * other, 7 * expected[1])
+    assert tokenizer.counted == []
+    assert [_tokens(c) for c in [miss, *hits]] == [(42, 15)] * 5
+    assert SimpleTokenizer().count(prompt) == 13  # not what the backend billed
+    assert inner.usage.snapshot() == (2, 42 + 5, 2 * 15)
+    assert cached.usage.snapshot() == (7, 5 * 42 + 2 * 5, 7 * 15)
 
 
-def test_a_persistent_hit_is_tokenized_when_promoted_and_not_again(tmp_path):
+def test_a_persistent_hit_keeps_the_stored_counts(tmp_path):
     store = PersistentCache(tmp_path / "cache")
-    store.put("stored prompt", "stored text")
+    store.put("stored prompt", ("stored text", 7, 3))
     cached = CachedLLM(EchoLLM(), persistent=store)
     tokenizer = _counting(cached)
     first = cached.cached("stored prompt")
-    assert tokenizer.counted == ["stored prompt", "stored text"]
     second, third = cached.complete("stored prompt"), cached.complete_batch(["stored prompt"])[0]
-    assert tokenizer.counted == ["stored prompt", "stored text"]
+    assert tokenizer.counted == []
     assert (cached.persistent_hits, cached.hits, cached.misses) == (1, 3, 0)
-    expected = _plain_tokens("stored prompt", "stored text")
-    assert [_tokens(c) for c in (first, second, third)] == [expected] * 3
+    assert [_tokens(c) for c in (first, second, third)] == [(7, 3)] * 3
+    assert cached.usage.snapshot() == (3, 21, 9)
 
 
 def test_counts_are_evicted_with_their_entry():
-    cached = CachedLLM(EchoLLM(reply="x y"), max_entries=2)
+    inner = EchoLLM(reply="x y", tokenizer=CharacterTokenizer())
+    cached = CachedLLM(inner, max_entries=2)
     tokenizer = _counting(cached)
     for prompt in ("a a", "b", "c"):  # "a a" is evicted by "c"
         cached.complete(prompt)
-    assert len(cached._cache) == 2 and len(tokenizer.counted) == 6
-    again = cached.complete("a a")
-    assert tokenizer.counted[6:] == ["a a", "x y"] and len(cached._cache) == 2
-    assert _tokens(again) == (2, 2)
+    assert len(cached._cache) == 2 and "a a" not in cached._cache
+    again = cached.complete("a a")  # a miss again: the backend bills it again
+    assert inner.usage.calls == 4 and len(cached._cache) == 2
+    assert _tokens(again) == (3, 3)
     # A batch that evicts its own first entries still reports their counts.
     batch = cached.complete_batch(["d d d", "e", "f", "d d d"])
-    assert [_tokens(c) for c in batch] == [(3, 2), (1, 2), (1, 2), (3, 2)]
-    assert len(cached._cache) == 2
+    assert [_tokens(c) for c in batch] == [(5, 3), (1, 3), (1, 3), (5, 3)]
+    assert len(cached._cache) == 2 and tokenizer.counted == []
 
 
 def test_a_different_text_under_a_stored_prompt_is_recounted():
-    cached = CachedLLM(EchoLLM(reply="one"))
+    """The entry takes the counts of the completion it is made from."""
+    cached = CachedLLM(EchoLLM(reply="one", tokenizer=CharacterTokenizer()))
     tokenizer = _counting(cached)
-    assert _tokens(cached.complete("p")) == (1, 1)
-    cached._store("p", "one")  # the same text again: the entry stands
-    assert tokenizer.counted == ["p", "one"]
-    cached._store("p", "two words, more")  # what a racing fetch would do
-    assert tokenizer.counted == ["p", "one", "p", "two words, more"]
+    assert _tokens(cached.complete("p")) == (1, 3)
+    # What a racing fetch would do: store another completion of "p".
+    cached._store("p", Completion("p", "two words, more", 1, 4))
     hit = cached.cached("p")
-    assert (hit.text, _tokens(hit)) == ("two words, more", (1, 5))
+    assert (hit.text, _tokens(hit)) == ("two words, more", (1, 4))
+    assert tokenizer.counted == []
 
 
 # ------------------------------------- one by one or coalesced, the same counts
@@ -320,7 +323,7 @@ def test_a_duplicate_inside_a_batch_is_counted_like_a_sequential_hit(tmp_path, p
         registry = MetricsRegistry()
         store = PersistentCache(tmp_path / name) if persistent else None
         if store is not None:
-            store.put("C", "stored")
+            store.put("C", ("stored", 1, 1))
         cached = CachedLLM(EchoLLM(reply="hello"), persistent=store, metrics=registry)
         if coalesced:
             completions = cached.complete_batch(prompts)

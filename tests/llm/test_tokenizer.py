@@ -25,12 +25,6 @@ def test_punctuation_counts_as_tokens():
     assert tokenizer.count("a, b.") == 4
 
 
-def test_count_many_sums_counts():
-    tokenizer = SimpleTokenizer()
-    texts = ["one two", "three"]
-    assert tokenizer.count_many(texts) == tokenizer.count("one two") + tokenizer.count("three")
-
-
 def test_invalid_subword_length():
     with pytest.raises(ValueError):
         SimpleTokenizer(subword_length=0)

@@ -7,57 +7,64 @@ import pytest
 
 from repro.obs import configure_default_event_log
 from repro.serving import PersistentCache, prompt_key
+from repro.serving.cache import entry_record
+
+
+def entry(text: str) -> tuple[str, int, int]:
+    """An entry of ``text`` with counts no tokenizer gives: the store keeps
+    the counts it is handed."""
+    return text, len(text), 7
 
 
 def test_roundtrip_and_contains(tmp_path):
     cache = PersistentCache(tmp_path / "c")
     assert cache.get("p") is None
-    cache.put("p", "completion")
-    assert cache.get("p") == "completion"
+    cache.put("p", entry("completion"))
+    assert cache.get("p") == entry("completion")
     assert "p" in cache and "q" not in cache
     assert len(cache) == 1
 
 
 def test_entries_survive_reopening(tmp_path):
     first = PersistentCache(tmp_path / "c")
-    first.put("prompt one", "a")
-    first.put("prompt two", "b")
+    first.put("prompt one", entry("a"))
+    first.put("prompt two", entry("b"))
     reopened = PersistentCache(tmp_path / "c")
-    assert reopened.get("prompt one") == "a"
-    assert reopened.get("prompt two") == "b"
+    assert reopened.get("prompt one") == entry("a")
+    assert reopened.get("prompt two") == entry("b")
     assert len(reopened) == 2
 
 
 def test_last_write_wins_across_processes(tmp_path):
     cache = PersistentCache(tmp_path / "c")
-    cache.put("p", "old")
-    cache.put("p", "new")
-    assert cache.get("p") == "new"
-    assert PersistentCache(tmp_path / "c").get("p") == "new"
+    cache.put("p", entry("old"))
+    cache.put("p", entry("new"))
+    assert cache.get("p") == entry("new")
+    assert PersistentCache(tmp_path / "c").get("p") == entry("new")
 
 
 def test_identical_put_is_not_reappended(tmp_path):
     cache = PersistentCache(tmp_path / "c")
-    cache.put("p", "same")
-    cache.put("p", "same")
+    cache.put("p", entry("same"))
+    cache.put("p", entry("same"))
     shard = tmp_path / "c" / "cache.jsonl"
     assert len(shard.read_text().strip().splitlines()) == 1
 
 
 def test_torn_final_line_is_skipped(tmp_path):
     cache = PersistentCache(tmp_path / "c")
-    cache.put("p", "ok")
+    cache.put("p", entry("ok"))
     shard = tmp_path / "c" / "cache.jsonl"
     with open(shard, "a", encoding="utf-8") as handle:
         handle.write('{"key": "abc", "te')  # simulated crash mid-write
     reopened = PersistentCache(tmp_path / "c")
-    assert reopened.get("p") == "ok"
+    assert reopened.get("p") == entry("ok")
     assert len(reopened) == 1
 
 
 def test_clear_deletes_shards(tmp_path):
     cache = PersistentCache(tmp_path / "c")
-    cache.put("p", "x")
+    cache.put("p", entry("x"))
     cache.clear()
     assert len(cache) == 0
     assert list((tmp_path / "c").iterdir()) == []
@@ -67,13 +74,13 @@ def test_clear_deletes_shards(tmp_path):
 def test_compact_rewrites_one_line_per_key(tmp_path):
     cache = PersistentCache(tmp_path / "c")
     for value in ("v1", "v2", "v3"):
-        cache.put("p", value)
+        cache.put("p", entry(value))
     shard = tmp_path / "c" / "cache.jsonl"
     assert len(shard.read_text().strip().splitlines()) == 3
     cache.compact()
     lines = shard.read_text().strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0]) == {"key": prompt_key("p"), "text": "v3"}
+    assert json.loads(lines[0]) == {"key": prompt_key("p"), "text": "v3", "tokens": [2, 7]}
 
 
 # ------------------------------------------------------- cluster shard handoff
@@ -84,7 +91,7 @@ def test_concurrent_writers_on_disjoint_shard_dirs(tmp_path):
     def warm(worker_index: int) -> None:
         shard = PersistentCache(tmp_path / f"worker-{worker_index:02d}")
         for i in range(40):
-            shard.put(f"worker {worker_index} prompt {i}", f"answer {i}")
+            shard.put(f"worker {worker_index} prompt {i}", entry(f"answer {i}"))
 
     threads = [threading.Thread(target=warm, args=(w,)) for w in range(4)]
     for thread in threads:
@@ -94,7 +101,7 @@ def test_concurrent_writers_on_disjoint_shard_dirs(tmp_path):
     for worker_index in range(4):
         reopened = PersistentCache(tmp_path / f"worker-{worker_index:02d}")
         assert len(reopened) == 40
-        assert reopened.get(f"worker {worker_index} prompt 7") == "answer 7"
+        assert reopened.get(f"worker {worker_index} prompt 7") == entry("answer 7")
         # Handoff stays local: no worker sees another worker's entries.
         assert reopened.get(f"worker {(worker_index + 1) % 4} prompt 7") is None
 
@@ -107,7 +114,7 @@ def test_concurrent_writers_through_one_cache_instance(tmp_path):
 
     def write(prefix: str) -> None:
         for i in range(50):
-            cache.put(f"{prefix} prompt {i}", f"{prefix} answer {i}")
+            cache.put(f"{prefix} prompt {i}", entry(f"{prefix} answer {i}"))
 
     threads = [threading.Thread(target=write, args=(f"t{t}",)) for t in range(8)]
     for thread in threads:
@@ -117,7 +124,7 @@ def test_concurrent_writers_through_one_cache_instance(tmp_path):
     assert len(cache) == 400
     reopened = PersistentCache(tmp_path / "c")
     assert len(reopened) == 400
-    assert reopened.get("t3 prompt 17") == "t3 answer 17"
+    assert reopened.get("t3 prompt 17") == entry("t3 answer 17")
 
 
 def test_reopen_after_crash_with_torn_line_mid_file(tmp_path):
@@ -128,24 +135,24 @@ def test_reopen_after_crash_with_torn_line_mid_file(tmp_path):
     fresh worker re-opens + extends the same shard directory).
     """
     cache = PersistentCache(tmp_path / "c")
-    cache.put("before", "kept")
+    cache.put("before", entry("kept"))
     shard = tmp_path / "c" / "cache.jsonl"
     with open(shard, "a", encoding="utf-8") as handle:
         handle.write('{"key": "deadbeef", "text": "tru\n')  # crash mid-record
     survivor = PersistentCache(tmp_path / "c")
-    survivor.put("after", "also kept")
+    survivor.put("after", entry("also kept"))
     reopened = PersistentCache(tmp_path / "c")
-    assert reopened.get("before") == "kept"
-    assert reopened.get("after") == "also kept"
+    assert reopened.get("before") == entry("kept")
+    assert reopened.get("after") == entry("also kept")
     assert len(reopened) == 2
 
 
-ROW = {"key": prompt_key("p"), "text": "t"}
+ROW = entry_record(prompt_key("p"), entry("t"))
 
 
 @pytest.mark.parametrize(
     "write",
-    [lambda cache: cache.put("p", "t"), lambda cache: cache.absorb([ROW])],
+    [lambda cache: cache.put("p", entry("t")), lambda cache: cache.absorb([ROW])],
     ids=["put", "absorb-entry"],
 )
 def test_a_failed_append_is_retried_not_forgotten(tmp_path, monkeypatch, write):
@@ -171,8 +178,8 @@ def test_a_failed_append_is_retried_not_forgotten(tmp_path, monkeypatch, write):
     assert len(appends) == 1
     assert cache.get("p") is PersistentCache(tmp_path / "c").get("p") is None
     write(cache)  # the retry lands ...
-    assert cache.get("p") == "t"
-    assert PersistentCache(tmp_path / "c").get("p") == "t"  # ... and survives
+    assert cache.get("p") == entry("t")
+    assert PersistentCache(tmp_path / "c").get("p") == entry("t")  # ... and survives
 
 
 @pytest.mark.parametrize("line", ["null", "[1]", '"x"', "5"])
@@ -183,12 +190,12 @@ def test_a_json_line_that_is_not_an_object_is_skipped(tmp_path, line):
     directory could not be opened at all.
     """
     cache = PersistentCache(tmp_path / "c")
-    cache.put("before", "kept")
+    cache.put("before", entry("kept"))
     with open(cache.log_path, "a", encoding="utf-8") as handle:
         handle.write(line + "\n")
-    PersistentCache(tmp_path / "c").put("after", "also kept")
+    PersistentCache(tmp_path / "c").put("after", entry("also kept"))
     reopened = PersistentCache(tmp_path / "c")
-    assert (reopened.get("before"), reopened.get("after")) == ("kept", "also kept")
+    assert (reopened.get("before"), reopened.get("after")) == (entry("kept"), entry("also kept"))
     assert len(reopened) == 2
 
 
@@ -200,7 +207,7 @@ def test_a_failed_compaction_leaves_the_log_whole(tmp_path, monkeypatch):
     """
     cache = PersistentCache(tmp_path / "c")
     for i in range(5):
-        cache.put(f"p{i}", f"t{i}")
+        cache.put(f"p{i}", entry(f"t{i}"))
 
     def full_disk_on_rewrite(file, mode="r", *args, **kwargs):
         if "w" in mode:
@@ -213,7 +220,7 @@ def test_a_failed_compaction_leaves_the_log_whole(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert [path.name for path in (tmp_path / "c").iterdir()] == ["cache.jsonl"]
     for state in (cache, PersistentCache(tmp_path / "c")):
-        assert [state.get(f"p{i}") for i in range(5)] == [f"t{i}" for i in range(5)]
+        assert [state.get(f"p{i}") for i in range(5)] == [entry(f"t{i}") for i in range(5)]
     assert cache.drop({prompt_key("p1")}) == 1  # the retry lands ...
     reopened = PersistentCache(tmp_path / "c")  # ... and survives
     assert len(reopened) == 4 and reopened.get("p1") is None
@@ -222,11 +229,11 @@ def test_a_failed_compaction_leaves_the_log_whole(tmp_path, monkeypatch):
 def test_every_byte_prefix_of_the_log_opens_to_a_state_that_was_written(tmp_path):
     """A crash leaves a prefix of the one log; every prefix opens consistently."""
     written = PersistentCache(tmp_path / "full")
-    written.put("p", "première")  # non-ASCII: some cuts split a UTF-8 sequence
-    written.absorb([{"key": prompt_key("r"), "text": "t-r"}])
-    written.put("q", "t-q")
-    written.put("p", "second")
-    texts = {"p": {"première", "second"}, "q": {"t-q"}, "r": {"t-r"}}
+    written.put("p", entry("première"))  # non-ASCII: some cuts split a UTF-8 sequence
+    written.absorb([entry_record(prompt_key("r"), entry("t-r"))])
+    written.put("q", entry("t-q"))
+    written.put("p", entry("second"))
+    entries = {"p": {entry("première"), entry("second")}, "q": {entry("t-q")}, "r": {entry("t-r")}}
     log = written.log_path.read_bytes()
     crashed = tmp_path / "crashed"
     crashed.mkdir()
@@ -234,12 +241,12 @@ def test_every_byte_prefix_of_the_log_opens_to_a_state_that_was_written(tmp_path
         prefix = log[:cut]
         (crashed / "cache.jsonl").write_bytes(prefix)
         cache = PersistentCache(crashed)
-        for prompt, allowed in texts.items():
+        for prompt, allowed in entries.items():
             assert cache.get(prompt) in allowed | {None}
-        for key, text in cache.items():
-            record = {"key": key, "text": text}
+        for key, kept in cache.items():
+            record = entry_record(key, kept)
             assert json.dumps(record, ensure_ascii=False).encode() in prefix
-    assert [cache.get(prompt) for prompt in "pqr"] == ["second", "t-q", "t-r"]
+    assert [cache.get(prompt) for prompt in "pqr"] == [entry("second"), entry("t-q"), entry("t-r")]
 
 
 def test_an_older_logs_route_records_are_skipped_and_compacted_away(tmp_path):
@@ -249,15 +256,71 @@ def test_an_older_logs_route_records_are_skipped_and_compacted_away(tmp_path):
     log = configure_default_event_log(capacity=64)
     try:
         cache = PersistentCache(tmp_path / "c")
-        cache.put("p", "t")
+        cache.put("p", entry("t"))
         with open(cache.log_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps({"key": prompt_key("p"), "route": "spec-1"}) + "\n")
         reopened = PersistentCache(tmp_path / "c")
         (event,) = log.events(kind="pcache.anomaly")
         assert (event["torn_lines"], event["stale_lines"]) == (0, 1)
-        assert reopened.items() == [(prompt_key("p"), "t")]
+        assert reopened.items() == [(prompt_key("p"), entry("t"))]
         reopened.compact()
         lines = reopened.log_path.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == [{"key": prompt_key("p"), "text": "t"}]
+        assert [json.loads(line) for line in lines] == [entry_record(prompt_key("p"), entry("t"))]
+    finally:
+        configure_default_event_log(capacity=8192)
+
+
+def test_an_older_logs_entries_without_counts_are_skipped_and_compacted_away(tmp_path):
+    """A ``{"key", "text"}`` record, from before entries kept the backend's
+    counts, is counted stale and not served: there is no tokenizer to count
+    it again with, so its prompt is a miss."""
+    log = configure_default_event_log(capacity=64)
+    try:
+        cache = PersistentCache(tmp_path / "c")
+        cache.put("p", entry("t"))
+        with open(cache.log_path, "a", encoding="utf-8") as handle:
+            for prompt, text in (("q", "old"), ("p", "older")):
+                handle.write(json.dumps({"key": prompt_key(prompt), "text": text}) + "\n")
+        reopened = PersistentCache(tmp_path / "c")
+        (event,) = log.events(kind="pcache.anomaly")
+        assert (event["torn_lines"], event["stale_lines"], event["live_entries"]) == (0, 2, 1)
+        assert (reopened.get("p"), reopened.get("q")) == (entry("t"), None)
+        reopened.compact()
+        lines = reopened.log_path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [entry_record(prompt_key("p"), entry("t"))]
+    finally:
+        configure_default_event_log(capacity=8192)
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [None, [3], [3, 4, 5], [3, -1], [3, 1.5], [True, 2], ["3", 2], {"p": 3, "c": 2}],
+    ids=["missing", "one", "three", "negative", "float", "bool", "string", "object"],
+)
+def test_absorb_skips_a_row_whose_counts_are_invalid(tmp_path, tokens):
+    cache = PersistentCache(tmp_path / "c")
+    row = {"key": prompt_key("p"), "text": "t"}
+    if tokens is not None:
+        row["tokens"] = tokens
+    good = entry_record(prompt_key("q"), entry("u"))
+    assert cache.absorb([row, good]) == 1
+    assert (cache.get("p"), cache.get("q")) == (None, entry("u"))
+    reopened = PersistentCache(tmp_path / "c")
+    assert reopened.items() == [(prompt_key("q"), entry("u"))]
+
+
+@pytest.mark.parametrize("tokens", [[3], [3, -1], [True, 2], ["3", 2]])
+def test_a_record_whose_counts_are_invalid_is_torn(tmp_path, tokens):
+    cache = PersistentCache(tmp_path / "c")
+    cache.put("p", entry("t"))
+    with open(cache.log_path, "a", encoding="utf-8") as handle:
+        record = {"key": prompt_key("p"), "text": "other", "tokens": tokens}
+        handle.write(json.dumps(record) + "\n")
+    log = configure_default_event_log(capacity=64)
+    try:
+        reopened = PersistentCache(tmp_path / "c")
+        (event,) = log.events(kind="pcache.anomaly")
+        assert (event["torn_lines"], event["stale_lines"]) == (1, 0)
+        assert reopened.get("p") == entry("t")
     finally:
         configure_default_event_log(capacity=8192)

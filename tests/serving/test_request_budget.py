@@ -5,8 +5,9 @@ spec, over what the sequential pipeline makes on the same batch
 (``scripts/call_budget.py``), stay under a fixed bound and repeat exactly.
 
 A served spec's per-request jobs are each done once: a prompt is tokenized
-when its cache entry is made and never on a hit, a spec is never hashed (no
-layer of the service path reads its key), a wire table is built once.  The counts of
+by the backend that bills it and never by the cache (an entry keeps the
+backend's counts), a spec is never hashed (no layer of the service path
+reads its key), a wire table is built once.  The counts of
 those jobs over a fixed batch repeat exactly, so a pass that creeps back in
 fails here without a timing.  The token *numbers* are results (Table 7):
 the same file pins them, sequential against engine, cold against warm.
@@ -24,7 +25,7 @@ sys.path.insert(0, str(ROOT / "tests" / "cluster"))
 sys.path.insert(0, str(ROOT / "scripts"))
 
 from call_budget import measure  # noqa: E402
-from cluster_testing import FULL_CONFIG, PromptPureLLM, make_mixed_specs  # noqa: E402
+from cluster_testing import FULL_CONFIG, BillingLLM, PromptPureLLM, make_mixed_specs  # noqa: E402
 
 from repro.api import TaskResult, encode_request  # noqa: E402
 from repro.core import UniDM  # noqa: E402
@@ -32,7 +33,7 @@ from repro.datalake import Table  # noqa: E402
 from repro.flow import planner  # noqa: E402
 from repro.llm import CachedLLM, SimpleTokenizer  # noqa: E402
 from repro.serving import PersistentCache  # noqa: E402
-from repro.serving.service import ServingService  # noqa: E402
+from repro.serving.service import ServingService, build_service  # noqa: E402
 
 #: Four specs of each of the seven task types.
 SPECS = make_mixed_specs(4)
@@ -81,9 +82,9 @@ def test_the_jobs_of_a_batch_are_each_done_once(calls):
         assert all(response["ok"] for response in cold)
         assert (llm.misses, llm.hits) == (DISTINCT_PROMPTS, REPEATED_PROMPTS)
         # A distinct prompt is tokenized twice (prompt, completion) by the
-        # cache when its entry is made, and twice by the backend billing its
-        # own call; the 39 repeats, and no spec, no frame: nothing.
-        assert dict(calls) == {"count": 4 * DISTINCT_PROMPTS, "Table": TABLES}
+        # backend billing its own call, and never by the cache, which keeps
+        # those counts; the 39 repeats, and no spec, no frame: nothing.
+        assert dict(calls) == {"count": 2 * DISTINCT_PROMPTS, "Table": TABLES}
 
         calls.clear()
         replayed = service.handle_batch(_requests())
@@ -146,6 +147,29 @@ def test_token_numbers_are_the_same_on_every_path():
     tokens = [TaskResult.from_manipulation(result).tokens for result in cold]
     assert tokens == [sum(usage[1:]) for usage in expected]
     assert tokens[:7] == [875, 946, 817, 870, 839, 993, 895] and sum(tokens) == 24940
+
+
+def test_a_result_reports_the_tokens_its_backend_billed(tmp_path):
+    """``TaskResult.tokens`` is what the backend billed — here four
+    characters a token, not ``SimpleTokenizer``'s count — cold, from the
+    warm LRU and from a reopened persistent store."""
+    specs = SPECS[:14]
+    alone = [UniDM(BillingLLM(), FULL_CONFIG).run(spec.to_task()).total_tokens for spec in specs]
+    counted = [UniDM(PromptPureLLM(), FULL_CONFIG).run(spec.to_task()).total_tokens for spec in specs]
+    assert all(billed != count for billed, count in zip(alone, counted))
+
+    def tokens(backend):
+        service = build_service(llm=backend, cache_dir=str(tmp_path), config=FULL_CONFIG)
+        try:
+            return [[result.tokens for result in service.run(specs)] for _ in range(2)]
+        finally:
+            service.close()
+
+    cold_backend, reopened_backend = BillingLLM(), BillingLLM()
+    assert tokens(cold_backend) == [alone, alone]  # cold, then from the LRU
+    assert tokens(reopened_backend) == [alone, alone]  # from the store
+    assert len(cold_backend.billed) == cold_backend.usage.calls > 14
+    assert reopened_backend.usage.calls == 0
 
 
 #: Python calls a spec the engine may add to the sequential pipeline's on
