@@ -79,36 +79,34 @@ def _require(condition: bool, message: str, field_name: str) -> None:
         raise InvalidRequestError(message, field=field_name)
 
 
-def _check_rows(rows: Any, field_name: str = "rows") -> tuple[list[dict], list[str]]:
-    """Validate wire rows and return ``(rows, column names)``.
+def _check_rows(rows: Any, field_name: str = "rows") -> list[str]:
+    """Validate wire rows and return their column names.
 
     The first row defines the columns (the PR 1 contract); later rows may
     omit columns (missing cells become ``None``) but must not introduce new
-    ones.  Key order is irrelevant.
+    ones.  Key order is irrelevant.  Nothing is copied.
     """
     _require(
         isinstance(rows, Sequence) and not isinstance(rows, (str, bytes)) and len(rows) > 0,
         f"'{field_name}' must be a non-empty list of objects",
         field_name,
     )
-    out = []
     for row in rows:
         _require(
             isinstance(row, Mapping),
             f"'{field_name}' must be a non-empty list of objects",
             field_name,
         )
-        out.append(dict(row))
-    names = list(out[0])
+    names = list(rows[0])
     known = set(names)
-    for row in out[1:]:
+    for row in rows[1:]:
         if not known.issuperset(row):  # the message is built for a bad row only
             unknown = sorted(map(str, set(row) - known))
             raise InvalidRequestError(
                 f"row has attributes {unknown} outside the first row's columns {names}",
                 field=field_name,
             )
-    return out, names
+    return names
 
 
 def _check_table_fields(
@@ -118,7 +116,7 @@ def _check_table_fields(
     field_name: str = "rows",
 ) -> list[str]:
     """Shared validation of a (rows, table_name, primary_key) triple."""
-    _, names = _check_rows(rows, field_name)
+    names = _check_rows(rows, field_name)
     _require(bool(str(table_name)), "'table_name' must be non-empty", "table_name")
     key = primary_key if primary_key is not None else names[0]
     _require(
@@ -448,7 +446,7 @@ class JoinDiscoverySpec(TaskSpec):
             )
             table_name = str(payload.get("name", field_name))
             _require(bool(table_name), f"'{field_name}.name' must be non-empty", field_name)
-            _, names = _check_rows(payload["rows"], field_name=f"{field_name}.rows")
+            names = _check_rows(payload["rows"], field_name=f"{field_name}.rows")
             column_field = "column_a" if field_name == "table_a" else "column_b"
             _require(bool(column), f"'{column_field}' is required", column_field)
             _require(

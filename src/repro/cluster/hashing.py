@@ -17,12 +17,14 @@ The routing key is :func:`repro.flow.planner.spec_key` — the *same* digest
 the flow planner dedups on — so "identical work" means one thing across the
 whole stack: the planner reuses it, the router co-locates it.
 
-The same ring places every *prompt* by its
-:func:`~repro.serving.cache.prompt_key` (:class:`PromptOwners`), so a
-cluster stores and computes each prompt once and a resize moves cache
-entries by their own key.  Engine and dispatch threads read the ring while a
-resize changes it, so it is published as one ``(points, owners)`` tuple,
-replaced in one assignment: a reader sees it before or after, never half.
+The same ring places every *prompt* by its cache key
+(:class:`PromptOwners`): the 32-byte :func:`~repro.llm.cache.prompt_key`
+the asking cache made once, whose first eight bytes are already its
+position (:meth:`HashRing.node_for_digest` hashes nothing).  So a cluster
+stores and computes each prompt once, and a resize moves cache entries by
+their own key.  Engine and dispatch threads read the ring while a resize
+changes it, so it is published as one ``(points, owners)`` tuple, replaced
+in one assignment: a reader sees it before or after, never half.
 """
 
 from __future__ import annotations
@@ -33,16 +35,18 @@ import weakref
 from typing import Any, Iterable
 
 from ..flow.planner import spec_key
-from ..serving.cache import prompt_key
 
 __all__ = ["HashRing", "PromptOwners", "spec_key"]
 
 
+def _position(digest: bytes) -> int:
+    """The ring position of a digest: its first 64 bits."""
+    return int.from_bytes(digest[:8], "big")
+
+
 def _digest(value: str) -> int:
     """Stable 64-bit position on the ring for an arbitrary string."""
-    return int.from_bytes(
-        hashlib.sha256(value.encode("utf-8")).digest()[:8], "big"
-    )
+    return _position(hashlib.sha256(value.encode("utf-8")).digest())
 
 
 class HashRing:
@@ -119,10 +123,24 @@ class HashRing:
         LookupError
             If the ring is empty (every worker removed).
         """
+        return self._node_at(_digest(key))
+
+    def node_for_digest(self, digest: bytes) -> str:
+        """The node owning a key that is a digest already (a prompt's cache
+        key): placed by its first 64 bits, with no hash taken.
+
+        Raises
+        ------
+        LookupError
+            If the ring is empty (every worker removed).
+        """
+        return self._node_at(_position(digest))
+
+    def _node_at(self, position: int) -> str:
         points, owners = self._ring
         if not points:
             raise LookupError("hash ring is empty: no live workers")
-        return owners[bisect.bisect(points, _digest(key)) % len(points)]
+        return owners[bisect.bisect(points, position) % len(points)]
 
     def distribution(self, keys: Iterable[str]) -> dict[str, int]:
         """How many of ``keys`` each node owns (diagnostics)."""
@@ -141,43 +159,32 @@ class HashRing:
 class PromptOwners:
     """Which in-process worker's cache owns a prompt.
 
-    The owner is ``ring.node_for(prompt_key(prompt))``, the worker a resize
-    moves the prompt's entry to.  Every :class:`~repro.llm.cache.CachedLLM`
-    :meth:`register`-ed here looks a prompt up, claims it and stores it at
-    its owner's cache (see :mod:`repro.llm.cache`).  Caches are held weakly:
-    a worker the router forgets takes its cache with it.  Until ``ring`` is
-    set, or when it places a prompt on a worker with no cache here, the
-    asker owns the prompt itself.
+    The owner of a prompt whose cache key is ``key`` is
+    ``ring.node_for_digest(key)``, the worker a resize moves its entry to.
+    Every :class:`~repro.llm.cache.CachedLLM` :meth:`register`-ed here looks
+    a prompt up, claims it and stores it at its owner's cache (see
+    :mod:`repro.llm.cache`).  Caches are held weakly: a worker the router
+    forgets takes its cache with it.  Until ``ring`` is set, or when it
+    places a prompt on a worker with no cache here, the asker owns the
+    prompt itself.
     """
-
-    #: Placements remembered, by prompt: one miss asks for its owner four
-    #: times (lookup, claim, batch lookup, store), each a SHA-256.
-    MEMO = 512
 
     def __init__(self, ring: HashRing | None = None):
         self.ring = ring
         self._caches: Any = weakref.WeakValueDictionary()
-        #: prompt -> (the ring's state it was placed on, worker id).
-        self._placed: dict[str, tuple[object, str]] = {}
 
     def register(self, worker_id: str, cache: Any) -> None:
         """Make ``cache`` (a ``CachedLLM``) the owner of ``worker_id``'s prompts."""
         cache.owners = self
         self._caches[worker_id] = cache
 
-    def owner_of(self, prompt: str) -> Any:
-        """The cache owning ``prompt``, or ``None`` when it has none here."""
+    def owner_of(self, key: bytes) -> Any:
+        """The cache owning the prompt keyed ``key``, or ``None`` when it has
+        none here."""
         ring = self.ring
         if ring is None:
             return None
-        state = ring._ring  # replaced, never mutated, by a resize
-        placed = self._placed.get(prompt)
-        if placed is None or placed[0] is not state:
-            try:
-                placed = (state, ring.node_for(prompt_key(prompt)))
-            except LookupError:
-                return None
-            if len(self._placed) >= self.MEMO:
-                self._placed.clear()
-            self._placed[prompt] = placed
-        return self._caches.get(placed[1])
+        try:
+            return self._caches.get(ring.node_for_digest(key))
+        except LookupError:
+            return None

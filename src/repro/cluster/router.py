@@ -13,9 +13,10 @@ worker encodes what it sends.  Placement is one consistent-hash ring
 
 * a **spec**, by its canonical wire form: the same spec always runs on the
   same worker;
-* a **prompt**, by its :func:`~repro.serving.cache.prompt_key`: its entry,
-  in the LRU and the :class:`~repro.serving.cache.PersistentCache` shard,
-  lives on the worker the ring names, so N workers hold N disjoint shards.
+* a **prompt**, by its cache key (:func:`~repro.llm.cache.prompt_key`): its
+  entry, in the LRU and the :class:`~repro.serving.cache.PersistentCache`
+  shard, lives on the worker the ring names, so N workers hold N disjoint
+  shards.
   The in-process workers of :meth:`local` share one
   :class:`~repro.cluster.hashing.PromptOwners` map and look up, claim and
   store every prompt at its owner: a sub-prompt that specs on different
@@ -755,22 +756,22 @@ class Router(FrontDoor):
         sources: "dict[str, PersistentCache]",
         ring: HashRing,
         targets: "dict[str, PersistentCache]",
-    ) -> "tuple[int, dict[str, set[str]]]":
+    ) -> "tuple[int, dict[str, set[bytes]]]":
         """Copy each source's entries that ``ring`` places on a target.
 
         The one mover of both resizes: a join passes the live shards and
         the joiner as the only target, a leave the leaver and every live
-        shard.  An entry moves when ``ring.node_for(key)`` — its prompt
-        key — is a target other than its source.  Returns the entries added
-        and, per source, the keys that moved.
+        shard.  An entry moves when ``ring.node_for_digest(key)`` — its
+        prompt's cache key — is a target other than its source.  Returns
+        the entries added and, per source, the keys that moved.
         """
         rows_for: dict[str, list[dict]] = {}
-        moved: dict[str, set[str]] = {}
+        moved: dict[str, set[bytes]] = {}
         if not targets:
             return 0, moved
         for source_id, source in sources.items():
             for key, entry in source.items():
-                owner = ring.node_for(key)
+                owner = ring.node_for_digest(key)
                 if owner != source_id and owner in targets:
                     rows_for.setdefault(owner, []).append(entry_record(key, entry))
                     moved.setdefault(source_id, set()).add(key)

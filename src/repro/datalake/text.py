@@ -50,40 +50,64 @@ def trigram_jaccard(a: object, b: object) -> float:
     return jaccard(char_ngrams(a), char_ngrams(b))
 
 
-#: Cap on the string length fed to the quadratic edit-distance computation;
-#: longer values are truncated (similarity of long texts is dominated by the
+#: Cap on the string length fed to the edit-distance computation; longer
+#: values are truncated (similarity of long texts is dominated by the
 #: token/trigram components anyway).
 _LEVENSHTEIN_MAX_LEN = 48
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance via the classic two-row dynamic program."""
-    a, b = normalize(a)[:_LEVENSHTEIN_MAX_LEN], normalize(b)[:_LEVENSHTEIN_MAX_LEN]
+def _distance(a: str, b: str) -> int:
+    """Levenshtein distance of two strings, bit-parallel (Myers 1999, in
+    Hyyrö's form for whole strings).
+
+    Column ``j`` of the dynamic program is held as two bit vectors over the
+    rows, ``vp``/``vn``: bit ``i`` is set where cell ``(i, j)`` is one more
+    (less) than the cell above it.  One character of ``b`` advances the whole
+    column in a fixed number of integer operations, so the cost is
+    ``O(len(b))`` Python steps instead of ``O(len(a) * len(b))``; the last
+    row's running score is the distance.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    if not a or not b:
+        return len(a) + len(b)
+    positions: dict[str, int] = {}
+    for i, char in enumerate(a):
+        positions[char] = positions.get(char, 0) | (1 << i)
+    rows = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    vp, vn = rows, 0
+    score = len(a)
+    for char in b:
+        eq = positions.get(char, 0)
+        x = eq | vn
+        d0 = (((x & vp) + vp) ^ vp) | x
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            score += 1
+        elif hn & last:
+            score -= 1
+        # Row 0 grows by one a column (D[0][j] = j): shift a +1 in.
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = (hn | ~(d0 | hp)) & rows
+        vn = hp & d0 & rows
+    return score
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance of the normalised values, each cut to 48 characters."""
+    return _distance(normalize(a)[:_LEVENSHTEIN_MAX_LEN], normalize(b)[:_LEVENSHTEIN_MAX_LEN])
 
 
 def edit_similarity(a: object, b: object) -> float:
     """1 - normalised edit distance, in [0, 1]."""
     sa, sb = normalize(a), normalize(b)
-    if not sa and not sb:
-        return 1.0
     denom = max(len(sa), len(sb))
     if denom == 0:
         return 1.0
-    return 1.0 - levenshtein(sa, sb) / denom
+    return 1.0 - _distance(sa[:_LEVENSHTEIN_MAX_LEN], sb[:_LEVENSHTEIN_MAX_LEN]) / denom
 
 
 def string_similarity(a: object, b: object) -> float:

@@ -1,7 +1,7 @@
 """LLM substrate: interfaces, simulated models, knowledge, profiles, fine-tuning."""
 
 from .base import Completion, EchoLLM, LanguageModel, UsageDelta, UsageTracker
-from .cache import CacheBackend, CachedLLM
+from .cache import CacheBackend, CachedLLM, prompt_key
 from .finetune import FineTuneReport, FineTuner, LabeledPair
 from .knowledge import Fact, WorldKnowledge
 from .profiles import DEFAULT_MODEL, MODEL_REGISTRY, ModelProfile, get_profile, list_models
@@ -30,4 +30,5 @@ __all__ = [
     "count_tokens",
     "get_profile",
     "list_models",
+    "prompt_key",
 ]

@@ -99,6 +99,14 @@ class LanguageModel(abc.ABC):
         self.tokenizer = tokenizer or DEFAULT_TOKENIZER
         self.usage = UsageTracker()
 
+    @property
+    def identity(self) -> str:
+        """What this model's completions are a function of, beside the
+        prompt: its ``name`` unless a model says more.  Cache keys name it
+        (:func:`~repro.llm.cache.prompt_key`), so two models never share an
+        entry."""
+        return self.name
+
     @abc.abstractmethod
     def _complete_text(self, prompt: str) -> str:
         """Produce the completion text for ``prompt`` (implemented by subclasses)."""

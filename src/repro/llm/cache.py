@@ -6,6 +6,20 @@ cost and makes reruns deterministic.  The wrapper preserves the
 :class:`~repro.llm.base.LanguageModel` interface, so it can be dropped in front
 of the simulated model or a real API client alike.
 
+**The key.**  Every cache structure — the LRU, the claim table, an owner
+map's placement and the persistent store — is keyed by one 32-byte
+:func:`prompt_key`: the SHA-256 of the inner model's
+:attr:`~repro.llm.base.LanguageModel.identity` and the prompt.  A second
+model, or a simulated one with another seed, on the same store misses
+instead of being served the first one's completions, and an entry costs 32
+bytes of key, not the prompt's text (1.1 KB for a typical UniDM prompt).
+A prompt is hashed once, where it meets the cache: :meth:`CachedLLM.complete`
+keys it itself; the serving engine's micro-batcher keys it
+(:meth:`CachedLLM.key`) before it asks :meth:`CachedLLM.cached`, claims a
+miss by that key, and hands the batch's keys to ``complete_batch`` as a
+:class:`KeyedBatch` — the lookup, the store and the persistent append of a
+miss all take the key its claim carries.
+
 The wrapper is thread-safe under two locks.  The *fetch* lock is held across
 a whole lookup-or-compute (lookup, inner-model call, store), so two callers
 never compute one prompt twice; the short *state* lock guards the LRU, the
@@ -16,7 +30,7 @@ only, so a hit is answered while another thread's round trip is still in
 flight.  An optional *persistent* backend (see
 :class:`~repro.serving.cache.PersistentCache`) spills entries to disk so
 that a warmed cache survives across processes; any object with
-``get(prompt) -> Entry | None`` and ``put(prompt, entry)`` works.
+``get(key) -> Entry | None`` and ``put(key, entry)`` works.
 
 An entry is ``(text, prompt_tokens, completion_tokens)``: the text and the
 counts of the :class:`~repro.llm.base.Completion` the inner model returned
@@ -27,10 +41,10 @@ the backend billed.
 **Owners.**  The in-process workers of a cluster share one owner map
 (:class:`~repro.cluster.hashing.PromptOwners`, set as ``owners``; without
 one a cache owns every prompt): a prompt's entry, in the LRU and the
-persistent store, lives in the cache of the worker the ring places its
-prompt key on, and every lookup and store goes there.  The asker counts the
-hit or miss and records the usage, and a miss is computed by the asker's
-backend, so ``llm.calls`` counts where the round trip went.
+persistent store, lives in the cache of the worker the ring places its key
+on, and every lookup and store goes there.  The asker counts the hit or
+miss and records the usage, and a miss is computed by the asker's backend,
+so ``llm.calls`` counts where the round trip went.
 
 **Claims.**  A miss a batcher will compute is claimed at its owner
 (:meth:`CachedLLM.claim`).  An asker of another batcher — another worker's
@@ -44,11 +58,12 @@ failed with.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
 from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.span import span
@@ -57,12 +72,36 @@ from .base import Completion, LanguageModel
 #: ``(text, prompt_tokens, completion_tokens)``: one stored completion.
 Entry = tuple[str, int, int]
 
+#: Bytes of a :func:`prompt_key`.
+KEY_BYTES = 32
+
+
+def prompt_key(model: str, prompt: str) -> bytes:
+    """The cache key of ``prompt`` asked of the model whose identity is
+    ``model``: the 32-byte SHA-256 digest of both (the identity
+    length-prefixed, so no two pairs share their bytes)."""
+    return hashlib.sha256(f"{len(model)}:{model}{prompt}".encode("utf-8")).digest()
+
+
+class KeyedBatch(list):
+    """Prompts with their keys (``keys[i]`` is ``self[i]``'s): a batch whose
+    caller has keyed it already, handed to :meth:`CachedLLM.complete_batch`
+    as its ``prompts`` so that no prompt of it is hashed again."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, prompts: Iterable[str], keys: list[bytes]):
+        super().__init__(prompts)
+        self.keys = keys
+
 
 @dataclass(eq=False)
 class Claim:
-    """One claimed miss: the cache it is claimed at, the batcher computing
-    it, and the future its waiters share (made when the first one waits)."""
+    """One claimed miss: its key, the cache it is claimed at, the batcher
+    computing it, and the future its waiters share (made when the first one
+    waits)."""
 
+    key: bytes
     owner: "CachedLLM"
     holder: object
     future: "Future[None] | None" = None
@@ -70,11 +109,11 @@ class Claim:
 
 @runtime_checkable
 class CacheBackend(Protocol):
-    """Duck type of a persistent completion store: entries by prompt."""
+    """Duck type of a persistent completion store: entries by key."""
 
-    def get(self, prompt: str) -> Entry | None: ...
+    def get(self, key: bytes) -> Entry | None: ...
 
-    def put(self, prompt: str, entry: Entry) -> None: ...
+    def put(self, key: bytes, entry: Entry) -> None: ...
 
 
 class CachedLLM(LanguageModel):
@@ -99,6 +138,7 @@ class CachedLLM(LanguageModel):
         self.max_entries = max_entries
         self.persistent = persistent
         self.name = f"cached({inner.name})"
+        self._identity = inner.identity
         #: The shared owner map of a cluster's in-process workers (set by
         #: ``PromptOwners.register``); ``None``: this cache owns every prompt.
         self.owners: Any = None
@@ -116,9 +156,9 @@ class CachedLLM(LanguageModel):
         self.hits = 0
         self.misses = 0
         self.persistent_hits = 0
-        self._cache: OrderedDict[str, Entry] = OrderedDict()
-        #: prompt -> its claim: who computes it (see the module doc).
-        self._claims: dict[str, Claim] = {}
+        self._cache: OrderedDict[bytes, Entry] = OrderedDict()
+        #: key -> its claim: who computes it (see the module doc).
+        self._claims: dict[bytes, Claim] = {}
         # ``_fetch_lock`` makes the whole lookup-or-compute one critical
         # section: concurrent callers never compute the same prompt twice.
         # It is held across the inner-model call, so traffic that computes is
@@ -132,36 +172,45 @@ class CachedLLM(LanguageModel):
         self._fetch_lock = threading.Lock()
         self._lock = threading.Lock()
 
+    @property
+    def identity(self) -> str:
+        """The inner model's: a cached view answers what its model answers."""
+        return self._identity
+
+    def key(self, prompt: str) -> bytes:
+        """The key of ``prompt`` here: what its lookup, claim and store take."""
+        return prompt_key(self._identity, prompt)
+
     # ------------------------------------------------------------------ owner
-    def _owner(self, prompt: str) -> "CachedLLM":
+    def _owner(self, key: bytes) -> "CachedLLM":
         owners = self.owners
         if owners is None:
             return self
-        return owners.owner_of(prompt) or self
+        return owners.owner_of(key) or self
 
-    def _find(self, prompt: str) -> tuple[Entry | None, bool]:
-        """The owner's entry for ``prompt`` and whether the persistent store
+    def _find(self, key: bytes) -> tuple[Entry | None, bool]:
+        """The owner's entry under ``key`` and whether the persistent store
         answered it (memory first); counts nothing."""
-        owner = self._owner(prompt)
+        owner = self._owner(key)
         with owner._lock:
-            entry = owner._cache.get(prompt)
+            entry = owner._cache.get(key)
             if entry is not None:
-                owner._cache.move_to_end(prompt)
+                owner._cache.move_to_end(key)
                 return entry, False
-            stored = owner.persistent.get(prompt) if owner.persistent is not None else None
+            stored = owner.persistent.get(key) if owner.persistent is not None else None
             if stored is None:
                 return None, False
-            return owner._remember(prompt, stored), True
+            return owner._remember(key, stored), True
 
-    def _remember(self, prompt: str, entry: Entry) -> Entry:
+    def _remember(self, key: bytes, entry: Entry) -> Entry:
         """Put ``entry`` in this cache's LRU; needs ``_lock``."""
-        self._cache[prompt] = entry
-        self._cache.move_to_end(prompt)
+        self._cache[key] = entry
+        self._cache.move_to_end(key)
         if len(self._cache) > self.max_entries:
             self._cache.popitem(last=False)
         return entry
 
-    def _store(self, prompt: str, completion: Completion) -> Entry:
+    def _store(self, key: bytes, completion: Completion) -> Entry:
         """Persist, then remember, the inner model's ``completion`` at the
         owner; needs ``_fetch_lock``.
 
@@ -171,11 +220,11 @@ class CachedLLM(LanguageModel):
         persistent hit — or nothing, never a half-state.
         """
         entry = (completion.text, completion.prompt_tokens, completion.completion_tokens)
-        owner = self._owner(prompt)
+        owner = self._owner(key)
         if owner.persistent is not None:
-            owner.persistent.put(prompt, entry)
+            owner.persistent.put(key, entry)
         with owner._lock:
-            owner._remember(prompt, entry)
+            owner._remember(key, entry)
         self._m_bytes_stored.inc(len(entry[0]))
         return entry
 
@@ -199,15 +248,18 @@ class CachedLLM(LanguageModel):
         self.usage.record(completion, kind=kind)
         return completion
 
-    def cached(self, prompt: str, kind: str = "other") -> Completion | None:
-        """The completion of ``prompt`` if it is stored, else ``None``.
+    def cached(
+        self, prompt: str, kind: str = "other", key: bytes | None = None
+    ) -> Completion | None:
+        """The completion of ``prompt`` (under ``key``, its :meth:`key` when
+        the caller has it) if it is stored, else ``None``.
 
         A hit is counted and recorded exactly as ``complete`` would (under
         the prompt's own ``kind``); a miss counts nothing — the caller is
         expected to ask again through ``complete``/``complete_batch``.  Takes
         state locks only: it returns while a computation is in flight.
         """
-        entry, persistent = self._find(prompt)
+        entry, persistent = self._find(self.key(prompt) if key is None else key)
         if entry is None:
             return None
         with self._lock:
@@ -215,8 +267,9 @@ class CachedLLM(LanguageModel):
             return self._record(prompt, entry, kind)
 
     # ----------------------------------------------------------------- claims
-    def claim(self, prompt: str, holder: object) -> Claim:
-        """Claim a missed ``prompt`` at its owner for ``holder`` (a batcher).
+    def claim(self, key: bytes, holder: object) -> Claim:
+        """Claim the missed prompt under ``key`` at its owner for ``holder``
+        (a batcher).
 
         A claim whose ``holder`` is the caller's — new, or one it already
         held — is the caller's to carry through ``complete_batch`` (whose
@@ -224,22 +277,22 @@ class CachedLLM(LanguageModel):
         :meth:`release`.  Any other has a ``future``: wait for it, then ask
         :meth:`cached` again.
         """
-        owner = self if self.owners is None else self._owner(prompt)
+        owner = self if self.owners is None else self._owner(key)
         with owner._lock:
-            claim = owner._claims.get(prompt)
+            claim = owner._claims.get(key)
             if claim is None:
-                claim = owner._claims[prompt] = Claim(owner, holder)
+                claim = owner._claims[key] = Claim(key, owner, holder)
             elif claim.holder is not holder and claim.future is None:
                 claim.future = Future()
             return claim
 
-    def release(self, prompt: str, claim: Claim, error: BaseException | None = None) -> None:
+    def release(self, claim: Claim, error: BaseException | None = None) -> None:
         """Settle ``claim`` once: its waiters ask again, or get ``error``."""
         owner = claim.owner
         with owner._lock:
-            if owner._claims.get(prompt) is not claim:
+            if owner._claims.get(claim.key) is not claim:
                 return  # settled already
-            del owner._claims[prompt]
+            del owner._claims[claim.key]
         if claim.future is not None:
             if error is None:
                 claim.future.set_result(None)
@@ -249,12 +302,13 @@ class CachedLLM(LanguageModel):
     # --------------------------------------------------------------- interface
     def _fetch(self, prompt: str, kind: str) -> Entry:
         """Lookup-or-compute for one prompt; needs ``_fetch_lock``."""
-        entry, persistent = self._find(prompt)
+        key = self.key(prompt)
+        entry, persistent = self._find(key)
         with self._lock:
             self._count(entry, persistent)
         if entry is None:
             self._m_backend_calls.inc()
-            entry = self._store(prompt, self.inner.complete(prompt, kind=kind))
+            entry = self._store(key, self.inner.complete(prompt, kind=kind))
         return entry
 
     def _complete_text(self, prompt: str) -> str:
@@ -278,56 +332,60 @@ class CachedLLM(LanguageModel):
         Mirrors the sequential semantics exactly: a prompt repeated within one
         batch is a miss on first occurrence and a hit afterwards, so usage
         accounting is identical whether the prompts arrive one by one or
-        coalesced.
+        coalesced.  A :class:`KeyedBatch` brings its prompts' keys; any other
+        sequence is keyed here.
         """
+        keys = prompts.keys if isinstance(prompts, KeyedBatch) else [self.key(p) for p in prompts]
         with self._fetch_lock:
             entries: list[Entry | None] = []
             found: list[tuple[Entry | None, bool]] = []
-            miss_order: list[str] = []
-            pending: set[str] = set()
+            miss_prompts: list[str] = []
+            miss_keys: list[bytes] = []
+            pending: set[bytes] = set()
             with span("cache.lookup", prompts=len(prompts)) as lookup_span:
-                for prompt in prompts:
-                    if prompt in pending:
+                for prompt, key in zip(prompts, keys):
+                    if key in pending:
                         # Served by the in-flight miss ahead of it in this
                         # batch — sequentially this occurrence would have
                         # been a hit; counted once the text it serves is here.
                         entries.append(None)
                         continue
-                    entry, persistent = self._find(prompt)
+                    entry, persistent = self._find(key)
                     entries.append(entry)
                     found.append((entry, persistent))
                     if entry is None:
-                        pending.add(prompt)
-                        miss_order.append(prompt)
+                        pending.add(key)
+                        miss_prompts.append(prompt)
+                        miss_keys.append(key)
                 with self._lock:
                     for entry, persistent in found:
                         self._count(entry, persistent)
                 if lookup_span is not None:
-                    lookup_span.attrs["misses"] = len(miss_order)
+                    lookup_span.attrs["misses"] = len(miss_keys)
             # Misses resolve from what this batch stored, not from the LRU:
             # storing a large batch can already have evicted its own
             # earliest entries.
-            fetched: dict[str, Entry] = {}
-            if miss_order:
-                self._m_backend_calls.inc(len(miss_order))
-                with span("llm.backend", kind=kind, prompts=len(miss_order)):
-                    completions = self.inner.complete_batch(miss_order, kind=kind)
+            fetched: dict[bytes, Entry] = {}
+            if miss_prompts:
+                self._m_backend_calls.inc(len(miss_prompts))
+                with span("llm.backend", kind=kind, prompts=len(miss_prompts)):
+                    completions = self.inner.complete_batch(miss_prompts, kind=kind)
                 # Checked before anything is stored: paired by position, a
                 # short reply would be stored under the wrong prompts.
-                if len(completions) != len(miss_order):
+                if len(completions) != len(miss_prompts):
                     raise RuntimeError(
                         f"backend returned {len(completions)} completions "
-                        f"for {len(miss_order)} prompts"
+                        f"for {len(miss_prompts)} prompts"
                     )
-                for prompt, completion in zip(miss_order, completions):
-                    fetched[prompt] = self._store(prompt, completion)
+                for key, completion in zip(miss_keys, completions):
+                    fetched[key] = self._store(key, completion)
             with self._lock:
                 served = []
-                for prompt, entry in zip(prompts, entries):
+                for prompt, key, entry in zip(prompts, keys, entries):
                     if entry is None:
-                        entry = fetched[prompt]
-                        if prompt in pending:
-                            pending.discard(prompt)  # the miss, counted at lookup
+                        entry = fetched[key]
+                        if key in pending:
+                            pending.discard(key)  # the miss, counted at lookup
                         else:
                             self._count(entry)
                     served.append(self._record(prompt, entry, kind))

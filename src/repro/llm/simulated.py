@@ -54,6 +54,11 @@ class SimulatedLLM(LanguageModel):
         self.name = self.profile.name
         self._engine = AnswerEngine(self.profile, self.knowledge, self.rng)
 
+    @property
+    def identity(self) -> str:
+        """The profile's name and the seed: another seed answers otherwise."""
+        return f"{self.name}#seed={self.seed}"
+
     # ------------------------------------------------------------------ routing
     def complete_batch(self, prompts, kind: str = "other"):
         """Vectorized batch entry point: interpret each unique prompt once.

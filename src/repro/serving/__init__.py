@@ -14,7 +14,7 @@ framework.
 """
 
 from .batcher import MicroBatcher
-from .cache import PersistentCache, prompt_key
+from .cache import PersistentCache
 from .engine import EngineConfig, ExecutionEngine
 from .service import (
     ServingService,
@@ -39,7 +39,6 @@ __all__ = [
     "PersistentCache",
     "ServingService",
     "build_service",
-    "prompt_key",
     "run_pipeline_spec",
     "serve_lines",
     "start_wire_server",

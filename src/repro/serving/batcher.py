@@ -16,8 +16,11 @@ One batcher serves every caller of a resident
 decides how full each backend round trip is.  The rule:
 
 * **Hits never queue.**  Before a prompt queues, the batcher asks the backend
-  for a stored answer (``cached(prompt, kind)``, where the backend offers it
-  — a :class:`~repro.llm.cache.CachedLLM` does).  A hit is sent into the plan
+  for a stored answer (``cached(prompt, kind, key)``, where the backend
+  offers it — a :class:`~repro.llm.cache.CachedLLM` does).  The prompt is
+  keyed once, here (``key(prompt)``): its lookup, its claim and the batch
+  that computes it (a :class:`~repro.llm.cache.KeyedBatch`) take that key.
+  A hit is sent into the plan
   at once, on the loop thread: no queue entry, no seat in a batch, no wait
   for the round trip in flight — so only misses ride round trips, and a task
   whose next prompts are all stored runs on to its next miss in one step.  A
@@ -78,7 +81,7 @@ from typing import Any, Callable, Sequence
 
 from ..core.plan import LLMRequest, Plan
 from ..llm.base import Completion, LanguageModel
-from ..llm.cache import Claim
+from ..llm.cache import Claim, KeyedBatch
 from ..obs.export import get_default_exemplars
 from ..obs.metrics import MetricsRegistry, SIZE_BUCKETS, get_default_registry
 from ..obs.span import Span
@@ -213,12 +216,12 @@ class MicroBatcher:
         # Found on the backend object, not declared on LanguageModel: a
         # wrapper that forwards unknown attributes to its inner model keeps
         # offering what the inner one offers, and a backend with no cache
-        # offers none of them.
-        self._cached: Callable[[str, str], Completion | None] | None = getattr(
-            llm, "cached", None
-        )
-        self._claim: Callable[[str, object], Claim] | None = getattr(llm, "claim", None)
-        self._release: Callable[..., None] | None = getattr(llm, "release", None)
+        # offers none of them.  A backend that keys prompts offers all four.
+        self._key: Callable[[str], bytes] | None = getattr(llm, "key", None)
+        if self._key is not None:
+            self._cached: Callable[..., Completion | None] = llm.cached  # type: ignore[attr-defined]
+            self._claim: Callable[[bytes, object], Claim] = llm.claim  # type: ignore[attr-defined]
+            self._release: Callable[..., None] = llm.release  # type: ignore[attr-defined]
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait
         # Metric handles resolved once (the registry lock must stay off the
@@ -277,28 +280,35 @@ class MicroBatcher:
         self._pending = []
 
     # ----------------------------------------------------------------- stepping
-    def _advance(self, walk: Walk, text: str | None, request: LLMRequest | None = None) -> None:
-        """Send ``text`` into the plan (or ask ``request`` again) and run it
-        on to its next miss; see the module docstring."""
+    def _advance(
+        self,
+        walk: Walk,
+        text: str | None,
+        request: LLMRequest | None = None,
+        key: bytes | None = None,
+    ) -> None:
+        """Send ``text`` into the plan (or ask ``request``, keyed ``key``,
+        again) and run it on to its next miss; see the module docstring."""
         plan = walk.plan
-        cached = self._cached
+        keyed = self._key
         try:
             if request is None:
                 request = plan.send(text)
             while True:
                 claim = None
-                if cached is not None:
-                    hit = cached(request.prompt, request.kind)
+                if keyed is not None:
+                    if key is None:
+                        key = keyed(request.prompt)
+                    hit = self._cached(request.prompt, request.kind, key)
                     if hit is not None:
                         self._m_cached.inc()
                         walk.answered(hit)
-                        request = plan.send(hit.text)
+                        request, key = plan.send(hit.text), None
                         continue
-                    if self._claim is not None:
-                        claim = self._claim(request.prompt, self)
-                        if claim.holder is not self:
-                            self._park(walk, request, claim)
-                            return
+                    claim = self._claim(key, self)
+                    if claim.holder is not self:
+                        self._park(walk, request, claim)
+                        return
                 self._enqueue(walk, request, claim)
                 return
         except StopIteration as stop:
@@ -319,21 +329,21 @@ class MicroBatcher:
 
         def resolved(future: Any) -> None:  # on the claimant's thread
             try:
-                loop.call_soon_threadsafe(self._resume, walk, request, future)
+                loop.call_soon_threadsafe(self._resume, walk, request, claim)
             except RuntimeError:
                 pass  # this loop is closed: the engine, and the walk, are gone
 
         claim.future.add_done_callback(resolved)
 
-    def _resume(self, walk: Walk, request: LLMRequest, future: Any) -> None:
+    def _resume(self, walk: Walk, request: LLMRequest, claim: Claim) -> None:
         if walk.dead:
             return
-        error = future.exception()
+        error = claim.future.exception()  # type: ignore[union-attr]
         if error is not None:  # the claimant's batch failed: so does this ask
             walk.request = None
             walk.failed(error)
         else:
-            self._advance(walk, None, request)
+            self._advance(walk, None, request, claim.key)
 
     def _enqueue(self, walk: Walk, request: LLMRequest, claim: Claim | None) -> None:
         walk.request = request
@@ -416,6 +426,8 @@ class MicroBatcher:
             if first is None:
                 first = walk.wait_span
         kind = kinds.pop() if len(kinds) == 1 else MIXED
+        if self._key is not None:  # every queued request holds a claim
+            prompts = KeyedBatch(prompts, [walk.claim.key for walk in batch])  # type: ignore[union-attr]
         call: Callable[[], list[Completion]] = partial(self._call, kind, prompts)
         call_span = None
         if first is not None:
@@ -440,10 +452,10 @@ class MicroBatcher:
 
     def _settle(self, batch: list[Walk], error: BaseException | None) -> None:
         """Release the claims ``batch`` holds (see the module docstring)."""
-        if self._release is not None:
+        if self._key is not None:
             for walk in batch:
                 if walk.claim is not None:
-                    self._release(walk.request.prompt, walk.claim, error)  # type: ignore[union-attr]
+                    self._release(walk.claim, error)
 
     def _call(self, kind: str, prompts: list[str]) -> list[Completion]:
         """The LLM thread's side of a batch.

@@ -4,65 +4,64 @@ The in-memory LRU of :class:`~repro.llm.cache.CachedLLM` dies with the
 process; re-running an experiment or restarting the service re-bills every
 prompt.  :class:`PersistentCache` spills completions to one append-only JSONL
 log per directory, ``cache.jsonl``, so a warmed cache makes reruns near-free.
-One record is one entry: its text and the token counts the backend billed
-for it, ``{"key": prompt_key(prompt), "text": ..., "tokens": [prompt_tokens,
-completion_tokens]}``.  The log is:
+It is keyed by what the cache hands it: the 32-byte
+:func:`~repro.llm.cache.prompt_key` of (model identity, prompt), made once
+per prompt by :class:`~repro.llm.cache.CachedLLM`; the store never sees, or
+hashes, a prompt.  One record is one entry: its key in hex, its text and the
+token counts the backend billed for it, ``{"digest": key.hex(), "text": ...,
+"tokens": [prompt_tokens, completion_tokens]}``.  The log is:
 
 * **append-only** — a put is one ``O_APPEND`` write of one JSON line; there is
   no rewrite-in-place, so after a crash what is left is a prefix of the log,
   whose torn final line the loader skips;
-* **last-wins** — re-putting a prompt appends a new line; on load the latest
+* **last-wins** — re-putting a key appends a new line; on load the latest
   line for a key is the value served;
 * **write-then-rename compaction** — :meth:`PersistentCache.compact` writes
   the live state to ``cache.jsonl.tmp`` and renames it over the log, so a
   failed compaction leaves the old log whole.
 
 The class satisfies the ``CacheBackend`` protocol of
-:class:`~repro.llm.cache.CachedLLM` (``get``/``put`` of ``(text,
-prompt_tokens, completion_tokens)`` entries) and is thread-safe.
+:class:`~repro.llm.cache.CachedLLM` (``get(key)``/``put(key, entry)`` of
+``(text, prompt_tokens, completion_tokens)`` entries) and is thread-safe.
 
-Elasticity support: entries are keyed by :func:`prompt_key`, and the cluster
-ring places a prompt by that same key (see
+Elasticity support: the cluster ring places a prompt by that same key (see
 :class:`~repro.cluster.hashing.PromptOwners`).  When the ring resizes, the
 router reads each shard's :meth:`PersistentCache.items`, copies the entries
 the new ring places elsewhere into their owners' shards
 (:meth:`PersistentCache.absorb`) and drops them from the source
 (:meth:`PersistentCache.drop`, a compaction); a moved entry keeps its
-counts.  An older log's records are skipped, counted stale, and gone after
-the next compaction: ``{"key", "route"}`` records, from before entries were
-placed by their own key, and ``{"key", "text"}`` records without
-``tokens``, from before entries kept the backend's counts — such a
-directory opens cold.
+counts.  An older log's records — ``{"key", ...}`` records, keyed by the
+prompt alone (before that, without ``tokens``, or a ``route``) — are skipped,
+counted stale, and gone after the next compaction: such a directory opens
+cold.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
 from pathlib import Path
 
-from ..llm.cache import Entry
+from ..llm.cache import KEY_BYTES, Entry
 from ..obs.events import emit_event
 from ..obs.metrics import MetricsRegistry, get_default_registry
 
 
-def prompt_key(prompt: str) -> str:
-    """Stable content key for a prompt (SHA-256 hex digest)."""
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-
-
-def entry_record(key: str, entry: Entry) -> dict:
+def entry_record(key: bytes, entry: Entry) -> dict:
     """The log record (and migration row) of ``entry`` under ``key``."""
     text, prompt_tokens, completion_tokens = entry
-    return {"key": key, "text": text, "tokens": [prompt_tokens, completion_tokens]}
+    return {"digest": key.hex(), "text": text, "tokens": [prompt_tokens, completion_tokens]}
 
 
-def _entry(record: dict) -> Entry | None:
-    """The entry of a record, or ``None`` if its text or counts are not valid."""
-    text, tokens = record.get("text"), record.get("tokens")
-    if not isinstance(text, str) or not isinstance(tokens, list) or len(tokens) != 2:
+def _parse(record: object) -> tuple[bytes, Entry] | None:
+    """The key and entry of a record, or ``None`` if any part is not valid."""
+    if not isinstance(record, dict):
+        return None
+    digest, text, tokens = record.get("digest"), record.get("text"), record.get("tokens")
+    if not isinstance(digest, str) or not isinstance(text, str):
+        return None
+    if not isinstance(tokens, list) or len(tokens) != 2:
         return None
     prompt_tokens, completion_tokens = tokens
     # ``type(...) is int``: JSON ``true`` loads as a bool, which is an int.
@@ -70,15 +69,21 @@ def _entry(record: dict) -> Entry | None:
         return None
     if prompt_tokens < 0 or completion_tokens < 0:
         return None
-    return text, prompt_tokens, completion_tokens
+    try:
+        key = bytes.fromhex(digest)
+    except ValueError:
+        return None
+    if len(key) != KEY_BYTES:
+        return None
+    return key, (text, prompt_tokens, completion_tokens)
 
 
-def _line(key: str, entry: Entry) -> str:
+def _line(key: bytes, entry: Entry) -> str:
     return json.dumps(entry_record(key, entry), ensure_ascii=False) + "\n"
 
 
 class PersistentCache:
-    """Disk-backed prompt → entry store (one JSONL log per directory).
+    """Disk-backed key → entry store (one JSONL log per directory).
 
     Parameters
     ----------
@@ -102,7 +107,7 @@ class PersistentCache:
         # Per-directory gauge: cluster shards each report their own size.
         self._m_entries = metrics.gauge(f"pcache.entries.{self.path.name}")
         self._lock = threading.Lock()
-        self._entries: dict[str, Entry] = {}
+        self._entries: dict[bytes, Entry] = {}
         self._load()
         self._m_entries.set(len(self._entries))
 
@@ -125,17 +130,12 @@ class PersistentCache:
                     record = json.loads(line)
                 except json.JSONDecodeError:  # torn final line of a crashed writer
                     record = None
-                if not isinstance(record, dict) or not isinstance(record.get("key"), str):
-                    torn += 1
-                    continue
-                entry = _entry(record)
-                if entry is not None:
-                    self._entries[record["key"]] = entry
+                parsed = _parse(record)
+                if parsed is not None:
+                    self._entries[parsed[0]] = parsed[1]
                     applied += 1
-                elif "tokens" not in record and (
-                    isinstance(record.get("text"), str) or isinstance(record.get("route"), str)
-                ):
-                    stale += 1  # an older log's entry without counts, or route
+                elif isinstance(record, dict) and isinstance(record.get("key"), str):
+                    stale += 1  # an older log's record, keyed by the prompt alone
                 else:
                     torn += 1
         # Records a compaction would drop: superseded entries, older records.
@@ -152,7 +152,7 @@ class PersistentCache:
                 live_entries=len(self._entries),
             )
 
-    def _append(self, key: str, entry: Entry) -> None:
+    def _append(self, key: bytes, entry: Entry) -> None:
         """Write first, remember second.
 
         An append that raises (a full disk, a vanished directory) leaves
@@ -165,7 +165,7 @@ class PersistentCache:
         self._m_puts.inc()
         self._m_bytes.inc(len(entry[0]))
 
-    def _rewrite(self, entries: dict[str, Entry]) -> None:
+    def _rewrite(self, entries: dict[bytes, Entry]) -> None:
         """Replace the log with one record per entry (write, then rename)."""
         tmp = self.path / "cache.jsonl.tmp"
         try:
@@ -178,12 +178,11 @@ class PersistentCache:
             raise
 
     # ------------------------------------------------------------ cache API
-    def get(self, prompt: str) -> Entry | None:
+    def get(self, key: bytes) -> Entry | None:
         with self._lock:
-            return self._entries.get(prompt_key(prompt))
+            return self._entries.get(key)
 
-    def put(self, prompt: str, entry: Entry) -> None:
-        key = prompt_key(prompt)
+    def put(self, key: bytes, entry: Entry) -> None:
         with self._lock:
             if self._entries.get(key) == entry:
                 return  # already durable; skip the duplicate append
@@ -191,8 +190,8 @@ class PersistentCache:
             self._m_entries.set(len(self._entries))
 
     # ------------------------------------------------------------ migration
-    def items(self) -> list[tuple[str, Entry]]:
-        """Every entry as ``(prompt key, entry)``: what a resize places."""
+    def items(self) -> list[tuple[bytes, Entry]]:
+        """Every entry as ``(key, entry)``: what a resize places."""
         with self._lock:
             return list(self._entries.items())
 
@@ -201,23 +200,24 @@ class PersistentCache:
         disk).
 
         The shard-to-shard copy half of a resize; returns entries added.
-        A row without a string key, a text and valid counts is skipped.
+        A row without a valid digest, a text and valid counts is skipped.
         Existing identical entries are skipped, so re-running a torn
         migration is safe (last-wins on load covers genuine conflicts).
         """
         added = 0
         with self._lock:
             for row in rows:
-                key, entry = row.get("key"), _entry(row)
-                if not isinstance(key, str) or entry is None:
+                parsed = _parse(row)
+                if parsed is None:
                     continue
+                key, entry = parsed
                 if self._entries.get(key) != entry:
                     self._append(key, entry)
                     added += 1
             self._m_entries.set(len(self._entries))
         return added
 
-    def drop(self, keys: "set[str]") -> int:
+    def drop(self, keys: "set[bytes]") -> int:
         """Forget the entries under ``keys``; compact the log.
 
         The source-side half of a migration: once the new owners have
@@ -240,8 +240,8 @@ class PersistentCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, prompt: str) -> bool:
-        return self.get(prompt) is not None
+    def __contains__(self, key: bytes) -> bool:
+        return self.get(key) is not None
 
     def clear(self) -> None:
         """Delete the log and forget every entry."""

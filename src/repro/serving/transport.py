@@ -61,6 +61,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_REVISION",
     "WireConnection",
+    "WireServer",
     "answer_group",
     "client_hello",
     "decode_frame_payload",
@@ -206,7 +207,7 @@ async def start_wire_server(
     port: int = 0,
     *,
     max_frame_bytes: int = MAX_FRAME_BYTES,
-) -> asyncio.AbstractServer:
+) -> "WireServer":
     """Bind the asyncio wire server over any batch handler.
 
     Every connection starts in JSON-lines mode; a first-line handshake
@@ -216,23 +217,75 @@ async def start_wire_server(
     run on the default executor — coalesced per in-flight window, not per
     request — and concurrent connections' tasks meet in the one engine.
     """
+    server = WireServer(handle_batch, max_frame_bytes)
+    # The stream limit bounds one *line*; binary frames bound themselves via
+    # the length prefix, and lines clients get the same generous ceiling.
+    server._server = await asyncio.start_server(
+        server._handle, host, port, limit=max_frame_bytes + 1024
+    )
+    return server
 
-    async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        conn = _Connection(handle_batch, reader, writer, max_frame=max_frame_bytes)
+
+class WireServer(asyncio.AbstractServer):
+    """The bound server of :func:`start_wire_server`.
+
+    Unlike a bare :class:`asyncio.Server`, closing it ends its connections
+    too: :meth:`close` cancels every open connection's handler and
+    :meth:`wait_closed` awaits them, so no handler outlives the loop that
+    runs it (one left pending is torn down when it is collected, after its
+    loop has closed).
+    """
+
+    def __init__(self, handle_batch: _Handler, max_frame_bytes: int):
+        self._handle_batch = handle_batch
+        self._max_frame = max_frame_bytes
+        self._server: asyncio.AbstractServer | None = None
+        self._handlers: set[asyncio.Task] = set()
+        self._closing = False
+
+    @property
+    def sockets(self) -> tuple:
+        return self._server.sockets  # type: ignore[union-attr]
+
+    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        task = asyncio.current_task()
+        self._handlers.add(task)  # type: ignore[arg-type]
         try:
-            await conn.run()
+            if not self._closing:  # accepted in the turn the server closed
+                await _Connection(
+                    self._handle_batch, reader, writer, max_frame=self._max_frame
+                ).run()
+        except asyncio.CancelledError:
+            if not self._closing:
+                raise
+            # close() cancelled the connection: the handler returns, since
+            # asyncio's done-callback reports a cancelled one as an error.
         finally:
+            self._handlers.discard(task)  # type: ignore[arg-type]
             writer.close()
             try:
                 await writer.wait_closed()
             except OSError:  # pragma: no cover - peer already gone
                 pass
 
-    # The stream limit bounds one *line*; binary frames bound themselves via
-    # the length prefix, and lines clients get the same generous ceiling.
-    return await asyncio.start_server(
-        handle, host, port, limit=max_frame_bytes + 1024
-    )
+    def close(self) -> None:
+        """Stop listening and cancel every open connection."""
+        self._closing = True
+        self._server.close()  # type: ignore[union-attr]
+        for task in self._handlers:
+            task.cancel()
+
+    async def wait_closed(self) -> None:
+        """Wait until the listener and every connection have closed."""
+        await self._server.wait_closed()  # type: ignore[union-attr]
+        # One turn first: a connection accepted just before close() has its
+        # handler task made but not yet started (and registered).
+        await asyncio.sleep(0)
+        while self._handlers:
+            await asyncio.gather(*self._handlers, return_exceptions=True)
+
+    async def serve_forever(self) -> None:
+        await self._server.serve_forever()  # type: ignore[union-attr]
 
 
 class _Connection:
@@ -321,6 +374,9 @@ class _Connection:
         dispatcher = asyncio.ensure_future(self._dispatch_loop())
         try:
             await self._read_loop()
+        except asyncio.CancelledError:
+            dispatcher.cancel()  # the server is closing: answer nothing more
+            raise
         finally:
             self._eof = True
             self._inbox_ready.set()  # wake the dispatcher for its last drain

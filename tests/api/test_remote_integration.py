@@ -7,38 +7,17 @@ the request.
 """
 
 import asyncio
-import threading
 
 import pytest
 
 from repro.api import Client, TransformationSpec, TransportError
-from repro.serving import build_service, start_wire_server
+from repro.serving import build_service
 
 
 @pytest.fixture
-def remote_port():
+def remote_port(wire_server):
     """A real TCP service (fresh seed-0 stack) running on a background loop."""
-    service = build_service(seed=0, batch_size=4, workers=4)
-    loop = asyncio.new_event_loop()
-    ready = threading.Event()
-    holder = {}
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        server = loop.run_until_complete(start_wire_server(service.handle_batch, "127.0.0.1", 0))
-        holder["port"] = server.sockets[0].getsockname()[1]
-        ready.set()
-        loop.run_forever()
-        server.close()
-        loop.run_until_complete(server.wait_closed())
-        loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10), "TCP service did not start"
-    yield holder["port"]
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(10)
+    return wire_server(build_service(seed=0, batch_size=4, workers=4).handle_batch)
 
 
 def test_local_and_remote_agree_on_all_seven_task_types(remote_port, all_seven):

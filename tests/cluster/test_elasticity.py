@@ -29,7 +29,7 @@ from repro.cluster import (
 )
 from repro.obs import configure_default_event_log
 from repro.obs.metrics import get_default_registry
-from repro.serving import prompt_key
+from repro.llm import prompt_key
 
 
 def make_router(n_workers: int = 2, **overrides) -> Router:
@@ -111,18 +111,20 @@ def test_join_migration_is_hash_minimal(tmp_path, mixed_specs):
         before = HashRing(router.live_workers)
         keys = [key for worker in router.workers.values() for key, _ in worker.shard().items()]
         joined = router.add_worker()
-        # Entries are placed by their own prompt key and the shards are
+        # Entries are placed by their own cache key and the shards are
         # disjoint, so a join moves exactly the entries the grown ring
         # places on the joiner, each once.  Consistent hashing makes that
         # ~1/3 of them at a third worker — far below the ~2/3 a naive mod-N
         # resharding would relocate.
         grown = before.with_node(joined)
-        expected = sum(grown.node_for(key) == joined for key in keys)
+        expected = sum(grown.node_for_digest(key) == joined for key in keys)
         assert router.stats().migrations == expected
         assert 0 < expected <= 0.6 * len(keys)
         # The sources dropped what moved: every shard holds what it owns.
         for worker_id, worker in router.workers.items():
-            assert all(grown.node_for(key) == worker_id for key, _ in worker.shard().items())
+            assert all(
+                grown.node_for_digest(key) == worker_id for key, _ in worker.shard().items()
+            )
 
 
 def test_join_and_leave_migrate_entries_with_their_counts(tmp_path, mixed_specs):
@@ -139,7 +141,7 @@ def test_join_and_leave_migrate_entries_with_their_counts(tmp_path, mixed_specs)
     with make_router(2, cache_dir=str(tmp_path), llm_factory=lambda i: BillingLLM(billed)) as router:
         tokens = [result.tokens for result in submit(router, mixed_specs)]
         expected = {
-            prompt_key(prompt): (c.text, c.prompt_tokens, c.completion_tokens)
+            prompt_key(BillingLLM.name, prompt): (c.text, c.prompt_tokens, c.completion_tokens)
             for prompt, c in billed.items()
         }
         assert entries(router) == expected

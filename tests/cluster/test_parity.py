@@ -64,14 +64,14 @@ def test_restarted_cluster_replays_from_disjoint_shards(tmp_path):
         cold_rows = cold.router.stats().workers
         assert sum(row.cache_misses for row in cold_rows) > 0
         # Every worker persisted its own shard directory, and every entry of
-        # a shard is one its worker owns (the ring's node for its prompt
+        # a shard is one its worker owns (the ring's node for its cache
         # key): the shards are disjoint, whichever worker asked the prompt.
         ring = HashRing(row.worker_id for row in cold_rows)
         keys = []
         for worker_id, worker in cold.router.workers.items():
             shard_keys = [key for key, _ in worker.shard().items()]
             assert shard_keys, f"{worker_id} owns no entry"
-            assert {ring.node_for(key) for key in shard_keys} == {worker_id}
+            assert {ring.node_for_digest(key) for key in shard_keys} == {worker_id}
             keys.extend(shard_keys)
         assert len(keys) == len(set(keys))
 

@@ -22,6 +22,7 @@ from repro.llm.base import LanguageModel
 from repro.serving.batcher import LLMThreads, MicroBatcher, Walk
 from repro.serving.engine import ExecutionEngine
 from repro.serving.service import ServingService
+from repro.serving.transport import start_wire_server
 
 
 #: The test whose teardown is running (see the fixture below).
@@ -269,6 +270,40 @@ def gated_worker():
     yield make
     for callers in made:
         callers.close()
+
+
+@pytest.fixture
+def wire_server():
+    """``serve(handle_batch) -> port``: a wire server on a loop thread of its
+    own.  At teardown the server is closed — its open connections with it —
+    and awaited before its loop closes, so no handler outlives that loop."""
+    running: list = []
+
+    def serve(handle_batch) -> int:
+        loop = asyncio.new_event_loop()
+        ready = threading.Event()
+        ports: list[int] = []
+
+        def run() -> None:
+            asyncio.set_event_loop(loop)
+            server = loop.run_until_complete(start_wire_server(handle_batch, "127.0.0.1", 0))
+            ports.append(server.sockets[0].getsockname()[1])
+            ready.set()
+            loop.run_forever()
+            server.close()
+            loop.run_until_complete(server.wait_closed())
+            loop.close()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        assert ready.wait(10), "wire server did not start"
+        running.append((loop, thread))
+        return ports[0]
+
+    yield serve
+    for loop, thread in running:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
 
 
 CITY_ROWS = [

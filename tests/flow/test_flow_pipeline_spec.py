@@ -12,15 +12,12 @@ batch size 1): the simulated model's noise stream then advances in exactly
 the same order on both sides, making the comparison bit-exact.
 """
 
-import asyncio
-import threading
-
 import pytest
 
 from repro.api import Client, InvalidRequestError, PipelineSpec
 from repro.datalake import Table
 from repro.flow import DetectErrors, Filter, Impute, Pipeline, Transform
-from repro.serving import build_service, start_wire_server
+from repro.serving import build_service
 
 ROWS = [
     {"name": "ada's diner", "city": "rome", "phone": "06-555-0101"},
@@ -49,27 +46,9 @@ def make_flow(partition_size=3):
 
 
 @pytest.fixture
-def remote_port():
+def remote_port(wire_server):
     """A real TCP service (fresh seed-0 stack, sequential engine)."""
-    service = build_service(seed=0, batch_size=1, workers=1)
-    loop = asyncio.new_event_loop()
-    ready = threading.Event()
-    holder = {}
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        server = loop.run_until_complete(start_wire_server(service.handle_batch, "127.0.0.1", 0))
-        holder["port"] = server.sockets[0].getsockname()[1]
-        ready.set()
-        loop.run_forever()
-        server.close()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10), "TCP service did not start"
-    yield holder["port"]
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(10)
+    return wire_server(build_service(seed=0, batch_size=1, workers=1).handle_batch)
 
 
 # ----------------------------------------------------------------- validation

@@ -1,10 +1,12 @@
 """Unit tests for the caching LLM wrapper."""
 
+import hashlib
+import json
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
 
-from repro.llm import CachedLLM, Completion, EchoLLM, SimpleTokenizer
+from repro.llm import CachedLLM, Completion, EchoLLM, SimpleTokenizer, SimulatedLLM, prompt_key
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import PersistentCache
 
@@ -270,8 +272,8 @@ def test_a_miss_keeps_the_backends_counts_and_a_hit_reports_them():
 
 def test_a_persistent_hit_keeps_the_stored_counts(tmp_path):
     store = PersistentCache(tmp_path / "cache")
-    store.put("stored prompt", ("stored text", 7, 3))
     cached = CachedLLM(EchoLLM(), persistent=store)
+    store.put(cached.key("stored prompt"), ("stored text", 7, 3))
     tokenizer = _counting(cached)
     first = cached.cached("stored prompt")
     second, third = cached.complete("stored prompt"), cached.complete_batch(["stored prompt"])[0]
@@ -287,7 +289,7 @@ def test_counts_are_evicted_with_their_entry():
     tokenizer = _counting(cached)
     for prompt in ("a a", "b", "c"):  # "a a" is evicted by "c"
         cached.complete(prompt)
-    assert len(cached._cache) == 2 and "a a" not in cached._cache
+    assert len(cached._cache) == 2 and cached.key("a a") not in cached._cache
     again = cached.complete("a a")  # a miss again: the backend bills it again
     assert inner.usage.calls == 4 and len(cached._cache) == 2
     assert _tokens(again) == (3, 3)
@@ -303,7 +305,7 @@ def test_a_different_text_under_a_stored_prompt_is_recounted():
     tokenizer = _counting(cached)
     assert _tokens(cached.complete("p")) == (1, 3)
     # What a racing fetch would do: store another completion of "p".
-    cached._store("p", Completion("p", "two words, more", 1, 4))
+    cached._store(cached.key("p"), Completion("p", "two words, more", 1, 4))
     hit = cached.cached("p")
     assert (hit.text, _tokens(hit)) == ("two words, more", (1, 4))
     assert tokenizer.counted == []
@@ -322,9 +324,9 @@ def test_a_duplicate_inside_a_batch_is_counted_like_a_sequential_hit(tmp_path, p
     for name, coalesced in (("one-by-one", False), ("batch", True)):
         registry = MetricsRegistry()
         store = PersistentCache(tmp_path / name) if persistent else None
-        if store is not None:
-            store.put("C", ("stored", 1, 1))
         cached = CachedLLM(EchoLLM(reply="hello"), persistent=store, metrics=registry)
+        if store is not None:
+            store.put(cached.key("C"), ("stored", 1, 1))
         if coalesced:
             completions = cached.complete_batch(prompts)
         else:
@@ -342,3 +344,54 @@ def test_a_duplicate_inside_a_batch_is_counted_like_a_sequential_hit(tmp_path, p
     served = 15 + (len("stored") if persistent else 0)
     assert seen[1][0]["cache.bytes_served"] == served
     assert seen[1][0]["cache.hits"] == 3 + persistent
+
+
+# ------------------------------------------------------------ the key's model
+class OtherEcho(EchoLLM):
+    name = "other-echo"
+
+
+def test_a_key_names_the_model_and_the_prompt():
+    assert CachedLLM(EchoLLM()).key("p") == prompt_key("echo", "p")
+    assert len(prompt_key("echo", "p")) == 32
+    # The identity is length-prefixed: no (model, prompt) pair shares bytes.
+    assert prompt_key("ab", "c") != prompt_key("a", "bc")
+    assert SimulatedLLM(seed=3).identity.endswith("#seed=3")
+    assert CachedLLM(SimulatedLLM(seed=3)).identity == SimulatedLLM(seed=3).identity
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (lambda: SimulatedLLM(seed=0), lambda: SimulatedLLM(seed=1)),
+        (lambda: EchoLLM(reply="one"), lambda: OtherEcho(reply="two")),
+    ],
+    ids=["seed", "model"],
+)
+def test_two_identities_over_one_store_miss_each_others_entries(tmp_path, first, second):
+    """At the parent the key was the prompt alone: the second model was
+    served the first one's completions from the shared directory."""
+    prompts = ["hello there", "what is 2 + 2"]
+    filled = CachedLLM(first(), persistent=PersistentCache(tmp_path))
+    texts = [completion.text for completion in filled.complete_batch(prompts)]
+    other_inner = second()
+    other = CachedLLM(other_inner, persistent=PersistentCache(tmp_path))
+    assert [other.cached(prompt) for prompt in prompts] == [None, None]
+    other.complete_batch(prompts)
+    assert (other.misses, other_inner.usage.calls) == (2, 2)
+    assert len(PersistentCache(tmp_path)) == 4  # both models' entries, side by side
+    again = CachedLLM(first(), persistent=PersistentCache(tmp_path))
+    assert [completion.text for completion in again.complete_batch(prompts)] == texts
+    assert again.persistent_hits == 2 and again.inner.usage.calls == 0
+
+
+def test_an_older_store_opens_cold(tmp_path):
+    """Records keyed by the prompt alone name no model: none is served."""
+    with open(tmp_path / "cache.jsonl", "w", encoding="utf-8") as handle:
+        for prompt in ("a", "b"):
+            key = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+            handle.write(json.dumps({"key": key, "text": "stale", "tokens": [1, 1]}) + "\n")
+    inner = EchoLLM(reply="fresh")
+    cached = CachedLLM(inner, persistent=PersistentCache(tmp_path))
+    assert [c.text for c in cached.complete_batch(["a", "b"])] == ["fresh", "fresh"]
+    assert (cached.misses, cached.persistent_hits, inner.usage.calls) == (2, 0, 2)

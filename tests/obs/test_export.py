@@ -195,35 +195,15 @@ def test_cli_stats_format_prom_over_stats_port(live_stats_port, capsys):
     assert 'le="+Inf"' in out
 
 
-def test_cli_stats_format_prom_renders_local_snapshot(capsys):
-    import asyncio
-    import threading
-
+def test_cli_stats_format_prom_renders_local_snapshot(capsys, wire_server):
     from repro.__main__ import main
-    from repro.serving import build_service, start_wire_server
+    from repro.serving import build_service
 
     service = build_service(seed=0)
     service.handle_batch(
         [{"v": 2, "id": 0, "task": SPEC.to_request() | {"type": "transformation"}}]
     )
-    loop = asyncio.new_event_loop()
-    ready = threading.Event()
-    holder = {}
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        server = loop.run_until_complete(start_wire_server(service.handle_batch, "127.0.0.1", 0))
-        holder["port"] = server.sockets[0].getsockname()[1]
-        ready.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10)
-    try:
-        assert main(["stats", "--port", str(holder["port"]), "--format", "prom"]) == 0
-        out = capsys.readouterr().out
-        assert "repro_batcher_requests_total" in out
-    finally:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(10)
+    port = wire_server(service.handle_batch)
+    assert main(["stats", "--port", str(port), "--format", "prom"]) == 0
+    out = capsys.readouterr().out
+    assert "repro_batcher_requests_total" in out

@@ -5,15 +5,13 @@ workload, a ``Client.stats()`` snapshot shows nonzero batcher / cache /
 router counters with histogram percentiles.
 """
 
-import asyncio
 import json
 import sys
-import threading
 
 import pytest
 
 from repro.api import Client, StatsSpec, TransformationSpec
-from repro.serving import build_service, start_wire_server
+from repro.serving import build_service
 
 SPEC = TransformationSpec(value="19990415", examples=[["20000101", "2000-01-01"]])
 
@@ -86,31 +84,13 @@ def test_stats_prefix_filters_the_metrics_section():
 
 
 # --------------------------------------------------------------------- remote
-def test_remote_client_stats_matches_local_shape():
+def test_remote_client_stats_matches_local_shape(wire_server):
     service = build_service(seed=0, batch_size=4, workers=4)
-    loop = asyncio.new_event_loop()
-    ready = threading.Event()
-    holder = {}
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        server = loop.run_until_complete(start_wire_server(service.handle_batch, "127.0.0.1", 0))
-        holder["port"] = server.sockets[0].getsockname()[1]
-        ready.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10)
-    try:
-        with Client.remote("127.0.0.1", holder["port"]) as client:
-            client.submit(SPEC)
-            snapshot = client.stats()
-        assert snapshot["service"]["requests_served"] >= 1
-        assert "counters" in snapshot["metrics"]
-    finally:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(10)
+    with Client.remote("127.0.0.1", wire_server(service.handle_batch)) as client:
+        client.submit(SPEC)
+        snapshot = client.stats()
+    assert snapshot["service"]["requests_served"] >= 1
+    assert "counters" in snapshot["metrics"]
 
 
 # --------------------------------------------------------------------- cluster
@@ -151,31 +131,13 @@ def test_router_answers_stats_specs_itself():
 
 
 # ------------------------------------------------------------------------- CLI
-def test_cli_stats_reads_a_live_service(capsys):
+def test_cli_stats_reads_a_live_service(capsys, wire_server):
     from repro.__main__ import main
 
     service = build_service(seed=0)
-    loop = asyncio.new_event_loop()
-    ready = threading.Event()
-    holder = {}
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        server = loop.run_until_complete(start_wire_server(service.handle_batch, "127.0.0.1", 0))
-        holder["port"] = server.sockets[0].getsockname()[1]
-        ready.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10)
-    try:
-        assert main(["stats", "--port", str(holder["port"])]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "metrics" in payload and "service" in payload
-    finally:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(10)
+    assert main(["stats", "--port", str(wire_server(service.handle_batch))]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "metrics" in payload and "service" in payload
 
 
 def test_cli_stats_reads_the_side_channel():

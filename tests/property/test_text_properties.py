@@ -26,6 +26,45 @@ def test_similarity_symmetric_and_bounded(a, b):
     assert 0.0 <= ab <= 1.0
 
 
+def reference_levenshtein(a: str, b: str) -> int:
+    """The classic two-row dynamic program over the normalised, 48-character
+    values: what ``text.levenshtein`` computed before it went bit-parallel."""
+    a, b = text.normalize(a)[:48], text.normalize(b)[:48]
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[-1]
+
+
+def reference_edit_similarity(a: object, b: object) -> float:
+    sa, sb = text.normalize(a), text.normalize(b)
+    denom = max(len(sa), len(sb))
+    return 1.0 if denom == 0 else 1.0 - reference_levenshtein(sa, sb) / denom
+
+
+#: Any text, non-ASCII and whitespace included, up to twice the 48-character
+#: cap; and texts drawn from a few letters, where edits align often.
+any_text = st.text(max_size=96)
+few_letters = st.text(alphabet="abcé ", max_size=70)
+
+
+@given(st.one_of(any_text, few_letters), st.one_of(any_text, few_letters))
+@settings(max_examples=400)
+def test_bit_parallel_levenshtein_is_the_dynamic_program(a, b):
+    assert text.levenshtein(a, b) == reference_levenshtein(a, b)
+    assert text.edit_similarity(a, b) == reference_edit_similarity(a, b)
+
+
 @given(phrases, phrases)
 @settings(max_examples=60)
 def test_levenshtein_triangle_like_properties(a, b):

@@ -6,8 +6,9 @@ spec, over what the sequential pipeline makes on the same batch
 
 A served spec's per-request jobs are each done once: a prompt is tokenized
 by the backend that bills it and never by the cache (an entry keeps the
-backend's counts), a spec is never hashed (no layer of the service path
-reads its key), a wire table is built once.  The counts of
+backend's counts), and hashed once per ask into the one key every cache
+layer takes; a spec is never hashed (no layer of the service path reads its
+key), a wire table is built once.  The counts of
 those jobs over a fixed batch repeat exactly, so a pass that creeps back in
 fails here without a timing.  The token *numbers* are results (Table 7):
 the same file pins them, sequential against engine, cold against warm.
@@ -25,13 +26,21 @@ sys.path.insert(0, str(ROOT / "tests" / "cluster"))
 sys.path.insert(0, str(ROOT / "scripts"))
 
 from call_budget import measure  # noqa: E402
-from cluster_testing import FULL_CONFIG, BillingLLM, PromptPureLLM, make_mixed_specs  # noqa: E402
+from cluster_testing import (  # noqa: E402
+    FULL_CONFIG,
+    BillingLLM,
+    PromptPureLLM,
+    make_mixed_specs,
+    submit,
+)
 
 from repro.api import TaskResult, encode_request  # noqa: E402
+from repro.cluster import Router  # noqa: E402
 from repro.core import UniDM  # noqa: E402
 from repro.datalake import Table  # noqa: E402
 from repro.flow import planner  # noqa: E402
 from repro.llm import CachedLLM, SimpleTokenizer  # noqa: E402
+from repro.llm import cache as llm_cache  # noqa: E402
 from repro.serving import PersistentCache  # noqa: E402
 from repro.serving.service import ServingService, build_service  # noqa: E402
 
@@ -112,6 +121,79 @@ def test_a_spec_is_keyed_only_where_the_key_is_read(calls, tmp_path):
         assert calls["spec_key"] == 0
         assert calls["dumps"] == (0 if store is None else llm.misses)
     assert len(store) == llm.misses > 14
+
+
+# ------------------------------------------------------------ one key per ask
+#: Prompts the batch asks, a hit or a miss: each is hashed exactly once.
+ASKS = DISTINCT_PROMPTS + REPEATED_PROMPTS
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    """Calls of the cache key's digest, by prompt."""
+    counts: Counter = Counter()
+    digest = llm_cache.prompt_key
+
+    def counted(model, prompt):
+        counts[prompt] += 1
+        return digest(model, prompt)
+
+    monkeypatch.setattr(llm_cache, "prompt_key", counted)
+    return counts
+
+
+def _keyed_by_digest(cache: CachedLLM) -> bool:
+    """Whether every structure of ``cache`` (and its store) is keyed by a
+    32-byte digest, with no claim left held."""
+    store = cache.persistent
+    keys = [*cache._cache, *(store._entries if store is not None else ())]
+    return not cache._claims and all(type(key) is bytes and len(key) == 32 for key in keys)
+
+
+def test_a_prompt_is_hashed_once_per_ask_through_the_engine(digests, tmp_path):
+    """Cold, warm, and from a reopened store: one digest a prompt asked,
+    whatever answers it — the LRU, the store or the backend."""
+    for store in (None, PersistentCache(tmp_path / "shard")):
+        service, llm, backend = _service(store)
+        try:
+            for _ in range(2):  # every prompt computed, then every prompt a hit
+                digests.clear()
+                assert all(response["ok"] for response in service.handle_batch(_requests()))
+                assert sum(digests.values()) == ASKS and len(digests) == DISTINCT_PROMPTS
+        finally:
+            service.close()
+        assert llm.hits + llm.misses == 2 * ASKS and backend.usage.calls == DISTINCT_PROMPTS
+        assert _keyed_by_digest(llm) and len(llm._cache) == DISTINCT_PROMPTS
+    reopened, llm, backend = _service(PersistentCache(tmp_path / "shard"))
+    try:
+        digests.clear()
+        assert all(response["ok"] for response in reopened.handle_batch(_requests()))
+    finally:
+        reopened.close()
+    assert sum(digests.values()) == ASKS
+    assert (llm.persistent_hits, backend.usage.calls) == (DISTINCT_PROMPTS, 0)
+
+
+def test_a_prompt_is_hashed_once_per_ask_through_a_cluster(digests, tmp_path):
+    """Four in-process workers sharing owners: a lookup, a claim, a parked
+    ask's second lookup, the batch, the store and the placement all take the
+    key made when the prompt was first asked."""
+    backends = [PromptPureLLM() for _ in range(4)]
+    with Router.local(
+        4,
+        llm_factory=backends.__getitem__,
+        config=FULL_CONFIG,
+        cache_dir=str(tmp_path),
+        health_interval=None,
+    ) as router:
+        for _ in range(2):
+            digests.clear()
+            assert all(result.error is None for result in submit(router, SPECS))
+            assert sum(digests.values()) == ASKS and len(digests) == DISTINCT_PROMPTS
+        caches = [worker.service.pipeline.llm for worker in router.workers.values()]
+        assert sum(cache.hits + cache.misses for cache in caches) == 2 * ASKS
+        assert all(_keyed_by_digest(cache) for cache in caches)
+    assert sum(backend.usage.calls for backend in backends) == DISTINCT_PROMPTS
 
 
 def _usage(result):
