@@ -295,14 +295,15 @@ def _serve_frontend(host, args: argparse.Namespace, config: dict) -> int:
     ``--stats-port`` adds the HTTP side channel over its ``stats_snapshot``
     and ``monitor`` (``/``, ``/metrics``, ``/healthz``, ``/readyz`` and a
     ``/doctor`` bundle recording ``config``), answered on a thread of its
-    own, off the request path, in both modes.
+    own, off the request path, in both modes, and stopped on the way out.
     """
     from .obs import serve_stats_in_thread
     from .obs.diagnostics import build_bundle
     from .serving import serve_lines, start_wire_server
 
+    stats = None
     if args.stats_port is not None:
-        bound = serve_stats_in_thread(
+        stats = serve_stats_in_thread(
             host.stats_snapshot,
             args.host,
             args.stats_port,
@@ -311,32 +312,36 @@ def _serve_frontend(host, args: argparse.Namespace, config: dict) -> int:
                 snapshot_fn=host.stats_snapshot, monitor=host.monitor, config=config
             ),
         )
-        if bound is None:
+        if stats is None:
             print(
                 f"cannot bind stats port {args.host}:{args.stats_port}", file=sys.stderr
             )
             return 1
-        print(f"stats on {args.host}:{bound}", file=sys.stderr)
-    if args.port is not None:
-        import asyncio
+        print(f"stats on {args.host}:{stats.port}", file=sys.stderr)
+    try:
+        if args.port is not None:
+            import asyncio
 
-        async def _run() -> None:
-            server = await start_wire_server(host.handle_batch, args.host, args.port)
-            async with server:
-                await server.serve_forever()
+            async def _run() -> None:
+                server = await start_wire_server(host.handle_batch, args.host, args.port)
+                async with server:
+                    await server.serve_forever()
 
-        print(f"serving on {args.host}:{args.port}", file=sys.stderr)
-        try:
-            asyncio.run(_run())
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        except OSError as exc:
-            print(f"cannot bind {args.host}: {exc}", file=sys.stderr)
-            return 1
+            print(f"serving on {args.host}:{args.port}", file=sys.stderr)
+            try:
+                asyncio.run(_run())
+            except KeyboardInterrupt:  # pragma: no cover - interactive
+                pass
+            except OSError as exc:
+                print(f"cannot bind {args.host}: {exc}", file=sys.stderr)
+                return 1
+            return 0
+        serve_lines(host.handle_batch, sys.stdin, sys.stdout)
+        print(f"served {host.requests_served} requests", file=sys.stderr)
         return 0
-    serve_lines(host.handle_batch, sys.stdin, sys.stdout)
-    print(f"served {host.requests_served} requests", file=sys.stderr)
-    return 0
+    finally:
+        if stats is not None:
+            stats.close()
 
 
 def _named_from_args(args: argparse.Namespace, flag: str, load, parse) -> list | None:

@@ -198,7 +198,6 @@ class Client:
         cache_dir: str | None = None,
         batch_size: int = 8,
         engine_workers: int = 8,
-        queue_depth: int | None = None,
         llm_factory: Any = None,
         config: "UniDMConfig | None" = None,
         router: "Router | None" = None,
@@ -223,13 +222,14 @@ class Client:
                 shards (``<cache_dir>/worker-NN``).
             batch_size: Micro-batch size of each worker's engine.
             engine_workers: Concurrent tasks in flight per worker engine.
-            queue_depth: Batches that may wait behind the first inside a
-                thread worker (backpressure bound; default 32).
             llm_factory: ``int -> LanguageModel`` building a custom backend
                 per thread worker (benchmarks, tests).
             config: Pipeline configuration override for thread workers.
             router: A ready :class:`~repro.cluster.router.Router` to wrap
-                (every other argument is then ignored).
+                (every other argument is then ignored).  The router owns the
+                cluster's backpressure: build one with ``max_inflight`` /
+                ``max_queue_depth`` to shed load at its front door; its
+                dispatch pool bounds the batches inside the workers.
             tenants: Per-tenant scheduling/rate-limit configuration
                 enforced at the router (see :mod:`repro.tenancy`).
 
@@ -240,7 +240,7 @@ class Client:
             ValueError: If ``mode`` is not ``"thread"`` or ``"process"``,
                 ``workers`` is not positive, or ``mode="process"`` comes with
                 one of the thread-worker-only arguments (``knowledge``,
-                ``queue_depth``, ``llm_factory``, ``config``).
+                ``llm_factory``, ``config``).
 
         Example:
             >>> from repro.api import Client, TransformationSpec
@@ -264,7 +264,6 @@ class Client:
             )
             thread_only = dict(
                 knowledge=knowledge,
-                queue_depth=queue_depth,
                 llm_factory=llm_factory,
                 config=config,
             )

@@ -23,10 +23,13 @@ worker encodes what it sends.  Placement is one consistent-hash ring
   workers share is computed once per cluster.  Subprocess workers
   (:meth:`spawn`) cannot reach a peer's cache and compute into their own.
 
-Per-worker batches are submitted concurrently; each
-:class:`~repro.cluster.workers.ThreadWorker` applies its own bounded
-backpressure.  When a worker dies mid-batch (:class:`WorkerDeadError`), the
-router removes it from the ring and requeues the affected specs onto the
+Per-worker batches are submitted concurrently, on the router's dispatch
+pool.  The router is the one owner of the cluster's backpressure: its front
+door's admission (``max_inflight`` + ``max_queue_depth``) sheds requests
+beyond its capacity, and the pool's ``max(2N, 8)`` threads bound the batches
+inside the workers (:class:`~repro.cluster.workers.ThreadWorker` has no
+bound of its own).  When a worker dies mid-batch (:class:`WorkerDeadError`),
+the router removes it from the ring and requeues the affected specs onto the
 surviving workers — consistent hashing keeps every other spec, and every
 prompt the dead worker did not own, where it was.
 
@@ -136,7 +139,9 @@ class Router(FrontDoor):
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._faults = faults
         # Groups for distinct workers must run concurrently, two dispatches
-        # over; a join raises the bound (_register_worker).
+        # over; a join raises the bound (_register_worker).  Its threads are
+        # the workers' only callers, so this is the most batches the workers
+        # hold at once.
         self._pool = ThreadPoolExecutor(
             max_workers=max(len(workers) * 2, 8), thread_name_prefix="repro-router"
         )
@@ -246,7 +251,6 @@ class Router(FrontDoor):
         cache_dir: str | None = None,
         batch_size: int = 8,
         engine_workers: int = 8,
-        queue_depth: int = 32,
         llm_factory: "Any | None" = None,
         config: "UniDMConfig | None" = None,
         max_inflight: int | None = None,
@@ -266,8 +270,10 @@ class Router(FrontDoor):
         custom backend per worker — benchmarks and parity tests use it.
         Every worker's cache, a joiner's or revival's too, is registered in
         one :class:`~repro.cluster.hashing.PromptOwners` over the ring.
-        Ids, shard directories, ``worker_decorator`` and the installed
-        worker factory are :meth:`_assemble`'s.
+        The workers hold no queue: the router's dispatch pool is their only
+        caller, and ``max_inflight``/``max_queue_depth`` bound what the
+        front door admits.  Ids, shard directories, ``worker_decorator`` and
+        the installed worker factory are :meth:`_assemble`'s.
         """
         owners = PromptOwners()
 
@@ -284,7 +290,7 @@ class Router(FrontDoor):
             )
             # Here, before worker_decorator may wrap the pipeline's model.
             owners.register(worker_id, service.pipeline.llm)
-            return ThreadWorker(worker_id, service, queue_depth=queue_depth)
+            return ThreadWorker(worker_id, service)
 
         router = cls._assemble(
             n_workers,
@@ -435,7 +441,7 @@ class Router(FrontDoor):
                     generations[worker_id] = self._generation.get(worker_id, 0)
                     self._track_inflight(worker_id, +1)
                     futures[worker_id] = self._pool.submit(
-                        self._submit_group_tracked,
+                        self._submit_group,
                         worker_id,
                         group,
                         priority,
@@ -489,52 +495,40 @@ class Router(FrontDoor):
         tenant: str | None = None,
         weight: float = 1.0,
     ) -> list[TaskResult]:
-        worker = self.workers[worker_id]
-        # Runs on a pool thread: the dispatch span is re-rooted from the
-        # captured caller span, and the trace is bound around it, so the
-        # worker's spans and exemplars take both from context (a subprocess
-        # worker puts them in its envelopes).
+        """One worker's group, on a pool thread; ``_dispatch`` counted it in
+        ``_inflight_by`` (what :meth:`remove_worker` drains) and this counts
+        it out."""
+        # The dispatch span is re-rooted from the captured caller span, and
+        # the trace is bound around it, so the worker's spans and exemplars
+        # take both from context (a subprocess worker puts them in its
+        # envelopes).
         wire_trace = trace if trace is not None else (
             parent.trace_id if parent is not None else None
         )
-        with remote_span(
-            "router.dispatch",
-            trace_id=wire_trace,
-            parent_id=parent.span_id if parent is not None else None,
-            worker=worker_id,
-            specs=len(group),
-        ):
-            results = worker.submit(
-                [spec for _, spec in group],
-                priority=priority,
-                tenant=tenant or DEFAULT_TENANT,
-                weight=weight,
-            )
-            if len(results) != len(group):
-                raise WorkerDeadError(
-                    f"worker {worker_id} answered {len(results)} results "
-                    f"for {len(group)} specs"
-                )
-        with self._lock:
-            self._routed[worker_id] += len(group)
-        self._m_routed[worker_id].inc(len(group))
-        get_default_exemplars().note(f"router.routed.{worker_id}", wire_trace)
-        return results
-
-    def _submit_group_tracked(
-        self,
-        worker_id: str,
-        group: "list[tuple[int, TaskSpec]]",
-        priority: int = 0,
-        trace: str | None = None,
-        parent: "Span | None" = None,
-        tenant: str | None = None,
-        weight: float = 1.0,
-    ) -> list[TaskResult]:
         try:
-            return self._submit_group(
-                worker_id, group, priority, trace, parent, tenant, weight
-            )
+            with remote_span(
+                "router.dispatch",
+                trace_id=wire_trace,
+                parent_id=parent.span_id if parent is not None else None,
+                worker=worker_id,
+                specs=len(group),
+            ):
+                results = self.workers[worker_id].submit(
+                    [spec for _, spec in group],
+                    priority=priority,
+                    tenant=tenant or DEFAULT_TENANT,
+                    weight=weight,
+                )
+                if len(results) != len(group):
+                    raise WorkerDeadError(
+                        f"worker {worker_id} answered {len(results)} results "
+                        f"for {len(group)} specs"
+                    )
+            with self._lock:
+                self._routed[worker_id] += len(group)
+            self._m_routed[worker_id].inc(len(group))
+            get_default_exemplars().note(f"router.routed.{worker_id}", wire_trace)
+            return results
         finally:
             self._track_inflight(worker_id, -1)
 
@@ -843,7 +837,9 @@ class Router(FrontDoor):
     def _shutdown(self) -> None:
         """Join the sweep, shut the pool down, close every worker.
 
-        The sweep goes first so it can never race worker shutdown.
+        The sweep goes first so it can never race worker shutdown, and the
+        pool's join lets every batch inside a worker finish before that
+        worker closes.
         """
         self._sweep.stop()
         self._pool.shutdown(wait=True)

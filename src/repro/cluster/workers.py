@@ -9,12 +9,13 @@ whether it is alive (:meth:`Worker.ping`) and can report a
 * :class:`ThreadWorker` — a full serving stack
   (:class:`~repro.serving.service.ServingService` with its own pipeline,
   engine and :class:`~repro.serving.cache.PersistentCache` shard) that every
-  caller enters on its own thread, up to a **bound**: ``submit`` blocks while
-  ``queue_depth + 1`` batches are inside, so a slow shard exerts backpressure
-  on the router instead of buffering unboundedly.  The specs go straight to
-  the service's run (the router admitted them already), and the batches
-  inside share the engine's slots and round trips; which task runs next is
-  decided there, at slot admission, on the share ``submit`` was given.
+  caller enters on its own thread.  The specs go straight to the service's
+  run (the router admitted them already), and the batches inside share the
+  engine's slots and round trips; which task runs next is decided there, at
+  slot admission, on the share ``submit`` was given.  The worker bounds
+  nothing itself: what bounds a cluster is the router's — its front door's
+  admission sheds requests beyond its capacity, and its dispatch pool caps
+  the batches inside the workers (see :class:`~repro.cluster.router.Router`).
 * :class:`SubprocessWorker` — a spawned ``python -m repro serve --port``
   process spoken to over the v2 wire transport; the process owns its cache
   shard directory, so shards stay disjoint across process boundaries too.
@@ -38,7 +39,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..api.results import TaskResult
 from ..api.specs import TaskSpec
-from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..tenancy import DEFAULT_TENANT
 from .stats import WorkerStats
 
@@ -137,6 +137,10 @@ class ThreadWorker(Worker):
     in one weighted-fair order (cost 1 per task, priority then arrival
     within a tenant) and their prompts share its round trips.
 
+    The worker keeps no bound and no queue of its own: its callers are the
+    router's dispatch threads, so at most that pool's size of batches are
+    inside, and the router drains a worker before it closes it.
+
     Parameters
     ----------
     worker_id:
@@ -145,39 +149,15 @@ class ThreadWorker(Worker):
         The worker-owned :class:`~repro.serving.service.ServingService`
         (its pipeline, engine and persistent cache belong to this shard
         only).
-    queue_depth:
-        Maximum batches waiting behind the first inside the worker: at most
-        ``queue_depth + 1`` are inside (running or waiting for engine
-        slots) and the next ``submit`` blocks — this is the cluster's
-        backpressure bound.
     """
 
-    #: Seconds ``close`` waits for the batches inside to leave before it
-    #: closes the service under them.
-    DRAIN_TIMEOUT = 5.0
-
-    def __init__(
-        self,
-        worker_id: str,
-        service: "ServingService",
-        *,
-        queue_depth: int = 32,
-        metrics: MetricsRegistry | None = None,
-    ):
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be positive")
+    def __init__(self, worker_id: str, service: "ServingService"):
         self.worker_id = worker_id
         self.service = service
-        self.queue_depth = queue_depth
-        metrics = metrics or get_default_registry()
-        self._m_inflight = metrics.gauge(f"worker.inflight.{worker_id}")
-        #: Guards ``_inside``, ``_closed`` and ``requests_served``; callers
-        #: blocked at the bound and a draining ``close`` both wait on it.
-        self._cond = threading.Condition()
-        self._inside = 0
         self._closed = False
         #: Specs this worker has answered (its stats row's count).
         self.requests_served = 0
+        self._count_lock = threading.Lock()
 
     # ----------------------------------------------------------------- running
     def submit(
@@ -188,32 +168,21 @@ class ThreadWorker(Worker):
         tenant: str = DEFAULT_TENANT,
         weight: float = 1.0,
     ) -> list[TaskResult]:
-        with self._cond:
-            # Blocks while queue_depth + 1 batches are inside: backpressure.
-            self._cond.wait_for(lambda: self._closed or self._inside <= self.queue_depth)
-            if self._closed:
-                raise WorkerDeadError(f"worker {self.worker_id} is not accepting work")
-            self._inside += 1
-            self._m_inflight.set(self._inside)
-        answered = 0
+        if self._closed:
+            raise WorkerDeadError(f"worker {self.worker_id} is not accepting work")
         try:
             # The run uses this share: the engine orders contending batches
             # task by task.
             results = self.service.run(specs, priority=priority, tenant=tenant, weight=weight)
-            answered = len(results)
-            return results
         except Exception as exc:
             if self._closed:
-                # close() gave up waiting and closed the engine under this
-                # batch; a survivor can still answer it.
+                # close() closed the engine under this batch; a survivor can
+                # still answer it.
                 raise WorkerDeadError(f"worker {self.worker_id} shut down mid-batch") from exc
             raise
-        finally:
-            with self._cond:
-                self._inside -= 1
-                self.requests_served += answered
-                self._m_inflight.set(self._inside)
-                self._cond.notify_all()
+        with self._count_lock:
+            self.requests_served += len(results)
+        return results
 
     # ------------------------------------------------------------------ health
     def ping(self) -> bool:
@@ -236,14 +205,12 @@ class ThreadWorker(Worker):
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            # Callers blocked at the bound raise without entering; the
-            # batches already inside drain first.
-            self._cond.notify_all()
-            self._cond.wait_for(lambda: not self._inside, timeout=self.DRAIN_TIMEOUT)
+        """Turn later batches away and close the service (idempotent).
+
+        A batch still inside fails with :class:`WorkerDeadError`, which the
+        router requeues onto a survivor.
+        """
+        self._closed = True
         self.service.close()
 
 
@@ -361,7 +328,9 @@ class SubprocessWorker(Worker):
         from ..api.errors import TransportError
         from ..api.protocol import decode_response, encode_request
 
-        if not self.ping():
+        # No liveness probe first: a child that is gone or unreachable fails
+        # the send, and the router's sweep and the Supervisor ping it.
+        if self._process.poll() is not None:
             raise WorkerDeadError(f"worker {self.worker_id} process is gone")
         requests = [
             encode_request(spec, request_id, priority=priority, tenant=tenant)

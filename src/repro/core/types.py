@@ -25,15 +25,6 @@ class TaskType(str, enum.Enum):
     JOIN_DISCOVERY = "join discovery"
     INFORMATION_EXTRACTION = "information extraction"
 
-    @property
-    def is_binary(self) -> bool:
-        """Whether the task's answer is a yes/no judgement."""
-        return self in (
-            TaskType.ERROR_DETECTION,
-            TaskType.ENTITY_RESOLUTION,
-            TaskType.JOIN_DISCOVERY,
-        )
-
 
 #: Human-readable task descriptions used inside prompts (the ``T`` of the
 #: formalism).  They follow the phrasing of the paper's Appendix A claims.

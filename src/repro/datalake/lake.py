@@ -60,8 +60,3 @@ class DataLake:
     @property
     def tables(self) -> list[Table]:
         return [self._tables[n] for n in sorted(self._tables)]
-
-    # -- discovery helpers ------------------------------------------------------
-    def find_tables_with_attribute(self, attribute: str) -> list[Table]:
-        """All tables whose schema contains ``attribute``."""
-        return [t for t in self.tables if attribute in t.schema]

@@ -115,10 +115,6 @@ class Record:
     def to_dict(self) -> dict[str, Any]:
         return dict(self.items())
 
-    def missing_attributes(self) -> list[str]:
-        """Names of attributes whose value is missing in this record."""
-        return [name for name, value in self.items() if is_missing(value)]
-
     def project(self, names: Sequence[str]) -> "Record":
         """Return a copy of the record restricted to ``names``."""
         sub = self._schema.project(names)
@@ -126,11 +122,6 @@ class Record:
 
     def copy(self) -> "Record":
         return Record(self._schema, list(self._values), record_id=self.record_id)
-
-    def with_value(self, name: str, value: Any) -> "Record":
-        out = self.copy()
-        out[name] = value
-        return out
 
 
 class Table:

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..core.tasks.base import Task
 from ..core.types import TaskType
-from ..datalake.lake import DataLake
 from ..datalake.table import Table
 from ..llm.finetune import LabeledPair
 from ..llm.knowledge import WorldKnowledge
@@ -54,9 +53,6 @@ class BenchmarkDataset:
         raise ValueError(
             f"{self.name} has {len(self.tables)} tables; access .tables explicitly"
         )
-
-    def as_lake(self) -> DataLake:
-        return DataLake(list(self.tables.values()), name=self.name)
 
     def subset(self, n: int, seed: int = 0) -> "BenchmarkDataset":
         """A smaller dataset with ``n`` randomly chosen task instances."""

@@ -153,9 +153,6 @@ class LanguageModel(abc.ABC):
         """
         return [self.complete(prompt, kind=kind) for prompt in prompts]
 
-    def reset_usage(self) -> None:
-        self.usage.reset()
-
 
 class EchoLLM(LanguageModel):
     """Trivial model that returns a constant string; useful in unit tests."""

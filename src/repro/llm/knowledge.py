@@ -170,16 +170,6 @@ class WorldKnowledge:
     def attribute_link(self, attr_a: str, attr_b: str) -> float:
         return self._attribute_links.get(frozenset({attr_a, attr_b}), 0.0)
 
-    def related_attributes(self, attribute: str) -> list[tuple[str, float]]:
-        """All attributes linked to ``attribute``, sorted by strength."""
-        out = []
-        for pair, strength in self._attribute_links.items():
-            if attribute in pair:
-                others = [a for a in pair if a != attribute]
-                if others:
-                    out.append((others[0], strength))
-        return sorted(out, key=lambda kv: -kv[1])
-
     # -- domain values -----------------------------------------------------------------
     def add_domain_value(self, attribute: str, value: str) -> None:
         self._domain_values.setdefault(attribute, set()).add(normalize(value))

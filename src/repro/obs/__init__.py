@@ -1,7 +1,7 @@
 """Observability layer: metrics, tracing, events, export, admission control.
 
 The serving stack (engine → batcher → cache → router) grew fast; this
-package is the measurement layer that keeps it honest.  Ten pieces:
+package is the measurement layer that keeps it honest.  Eleven pieces:
 
 * :mod:`repro.obs.metrics` — a dependency-free metrics core: thread-safe
   :class:`Counter`, :class:`Gauge` and fixed-bucket latency
@@ -29,6 +29,9 @@ package is the measurement layer that keeps it honest.  Ten pieces:
   rejects the excess with a structured ``overloaded`` protocol error
   (retry-after hint, queue depth, inflight count) instead of queueing
   unboundedly.
+* :mod:`repro.obs.stats_server` — the ``--stats-port`` HTTP side channel
+  (JSON snapshot, ``/metrics``, ``/healthz``, ``/readyz``, ``/doctor``) on a
+  thread of its own, stopped through the handle it returns.
 * :mod:`repro.obs.timeseries` — rolling ring-buffer views over the
   registry: windowed counter rates/deltas, gauge stats and histogram
   percentiles over 10s/1m/5m, sampled off the request path.
@@ -48,11 +51,7 @@ Snapshots are exposed end-to-end: the ``stats`` wire type
 ``docs/observability.md`` for the metric and span name catalogues.
 """
 
-from .admission import (
-    AdmissionController,
-    serve_stats_in_thread,
-    start_stats_server,
-)
+from .admission import AdmissionController
 from .diagnostics import build_bundle, thread_stacks
 from .events import (
     EventLog,
@@ -71,6 +70,7 @@ from .metrics import (
 )
 from .slo import HealthMonitor, SLOEngine, SLOSpec, load_slos
 from .span import Span, remote_span, set_tracing, span, tracing_enabled
+from .stats_server import serve_stats_in_thread, start_stats_server
 from .timeseries import DEFAULT_WINDOWS, TimeSeriesSampler, parse_window
 from .trace import Trace, new_trace_id
 

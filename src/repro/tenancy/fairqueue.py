@@ -107,10 +107,6 @@ class WeightedFairQueue:
             raise IndexError("pop from an empty WeightedFairQueue")
         return best
 
-    def peek(self) -> Any:
-        """The item ``pop`` would return, without removing it."""
-        return self._select().heap[0][3]
-
     def pop(self) -> Any:
         """Remove and return the fair-share winner, advancing virtual time."""
         queue = self._select()

@@ -170,7 +170,6 @@ def test_local_rejects_default_stack_arguments_next_to_a_model(given, dropped):
         {"config": object()},
         {"llm_factory": lambda index: None},
         {"knowledge": object()},
-        {"queue_depth": 4},
     ],
     ids=lambda dropped: next(iter(dropped)),
 )

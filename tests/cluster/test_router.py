@@ -1,4 +1,7 @@
-"""Router behaviour: affinity, failover, wire front, flow fan-out, stats."""
+"""Router behaviour: affinity, failover, backpressure, wire front, flow fan-out, stats."""
+
+import threading
+import time
 
 import pytest
 
@@ -292,6 +295,78 @@ def test_a_plans_wave_fans_out_once_not_once_per_partition():
     assert sum(n for _, n in calls) == report["submitted"]
     assert result.answer["rows"] == expected["rows"]
     assert result.answer["columns"] == expected["columns"]
+
+
+# ------------------------------------------------------------ backpressure
+def count_batches_inside(backends, n_workers, joins, n_calls, expected):
+    """Peak batches inside the workers of ``Router.local(n_workers)``, grown
+    by ``joins`` workers, while ``n_calls`` one-spec calls wait on closed
+    gates: ``(peak in any one worker, peak in all)``, read once ``expected``
+    are inside and a moment has passed for more to get in."""
+    lock = threading.Lock()
+    inside: dict = {}
+    peaks = {"worker": 0, "all": 0}
+
+    def counted(worker):
+        submit_batch = worker.submit
+
+        def submit_counted(*args, **kwargs):
+            with lock:
+                inside[worker.worker_id] = inside.get(worker.worker_id, 0) + 1
+                peaks["worker"] = max(peaks["worker"], inside[worker.worker_id])
+                peaks["all"] = max(peaks["all"], sum(inside.values()))
+            try:
+                return submit_batch(*args, **kwargs)
+            finally:
+                with lock:
+                    inside[worker.worker_id] -= 1
+
+        worker.submit = submit_counted
+        return worker
+
+    specs = [
+        TransformationSpec(value=f"1999{index:04d}", examples=[["20000101", "2000-01-01"]])
+        for index in range(n_calls)
+    ]
+    with make_router(
+        n_workers, llm_factory=lambda index: backends[index], worker_decorator=counted
+    ) as router:
+        for _ in range(joins):
+            router.add_worker()
+        outcomes: list = []
+        calls = [
+            threading.Thread(target=lambda spec=spec: outcomes.extend(submit(router, [spec])))
+            for spec in specs
+        ]
+        for call in calls:
+            call.start()
+        deadline = time.monotonic() + 10
+        while peaks["all"] < expected and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)
+        peak = dict(peaks)
+        for backend in backends:
+            backend.gate.set()
+        for call in calls:
+            call.join(timeout=30)
+        assert len(outcomes) == n_calls
+        assert all(result.error is None for result in outcomes)
+    return peak["worker"], peak["all"]
+
+
+def test_the_dispatch_pool_bounds_the_batches_inside_the_workers(gated_llm):
+    backends = [gated_llm() for _ in range(2)]
+    # max(2 * 2, 8) pool threads are the workers' only callers.
+    worst, total = count_batches_inside(backends, 2, joins=0, n_calls=40, expected=8)
+    assert total == 8
+    assert worst <= 8
+
+
+def test_a_join_grows_the_pool_to_two_batches_a_worker(gated_llm):
+    backends = [gated_llm() for _ in range(5)]
+    worst, total = count_batches_inside(backends, 2, joins=3, n_calls=40, expected=10)
+    assert total == 2 * 5
+    assert worst <= 2 * 5
 
 
 # ------------------------------------------------------------------- stats

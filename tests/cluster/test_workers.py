@@ -1,6 +1,7 @@
-"""Worker mechanics: the bound, overlap, fairness, lifecycle, subprocess shards."""
+"""Worker mechanics: overlap, fairness, lifecycle, subprocess shards."""
 
 import re
+import socket
 import threading
 
 import pytest
@@ -9,7 +10,6 @@ from cluster_testing import FULL_CONFIG, PromptPureLLM, make_mixed_specs, submit
 
 from repro.cluster import Router, SubprocessWorker, ThreadWorker, WorkerDeadError
 from repro.core import UniDM
-from repro.obs import MetricsRegistry
 from repro.serving import EngineConfig, ExecutionEngine, ServingService
 
 
@@ -32,8 +32,8 @@ def test_thread_worker_answers_batches_in_order():
         worker.close()
 
 
-def test_thread_worker_bounded_queue_applies_backpressure():
-    worker = ThreadWorker("w0", make_service(), queue_depth=1)
+def test_every_concurrent_caller_of_a_thread_worker_is_answered():
+    worker = ThreadWorker("w0", make_service())
     try:
         specs = make_mixed_specs(1)[:2]
         outcomes: list = []
@@ -48,16 +48,11 @@ def test_thread_worker_bounded_queue_applies_backpressure():
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        # Every submission eventually completed despite the depth-1 queue.
+        # Every submission completed, each on its caller's own thread.
         assert len(outcomes) == len(threads)
         assert all(batch[0].error is None for batch in outcomes)
     finally:
         worker.close()
-
-
-def test_thread_worker_queue_depth_must_be_positive():
-    with pytest.raises(ValueError):
-        ThreadWorker("w0", make_service(), queue_depth=0)
 
 
 def test_closed_thread_worker_raises_worker_dead():
@@ -127,50 +122,22 @@ def test_the_callers_weights_split_the_shards_slots(gated_worker):
     assert first.count("light") == 3
 
 
-def test_the_bound_holds_the_next_caller_outside(gated_worker):
-    registry = MetricsRegistry()
-    callers = gated_worker(queue_depth=1, metrics=registry)
-    gauge = registry.gauge("worker.inflight.w0")
+def test_close_cuts_a_batch_inside_off_with_worker_dead(gated_worker):
+    callers = gated_worker(EngineConfig(workers=1))
     callers.hold()
-    callers.line_up("second", ["second"])
-    callers.start("third", ["third"])
-    # queue_depth + 1 batches are inside; the third has not entered.
-    assert not callers.engine.handed.acquire(timeout=0.2)
-    assert gauge.value == 2
-    assert "third" not in callers.outcomes
-    callers.backend.gate.set()  # the two inside leave: there is room
-    assert callers.engine.handed.acquire(timeout=10)
-    callers.finish()
-    assert all(batch[0].error is None for batch in callers.outcomes.values())
-    assert gauge.value == 0
-
-
-def test_close_turns_away_a_caller_blocked_at_the_bound_and_drains_the_rest(
-    gated_worker,
-):
-    callers = gated_worker(queue_depth=1)
-    callers.hold()
-    callers.line_up("second", ["second"])
-    callers.start("third", ["third"])
-    assert not callers.engine.handed.acquire(timeout=0.2)  # at the bound
     closing = threading.Thread(target=callers.worker.close)
     closing.start()
-    # The blocked caller is woken and raises without having entered, while
-    # the two inside are still held by the gate.
-    callers.finish("third")
-    assert isinstance(callers.outcomes["third"], WorkerDeadError)
+    # close() waits for no batch: the one inside fails at once, while the
+    # backend still holds the engine's LLM thread at the gate.
+    callers.threads["holder"].join(timeout=2)
+    assert isinstance(callers.outcomes.get("holder"), WorkerDeadError)
     assert callers.worker.ping() is False
-    assert closing.is_alive() and set(callers.outcomes) == {"third"}
     callers.release()
     closing.join(timeout=30)
     assert not closing.is_alive()
-    # close() waited for the batches inside: they were answered.
-    assert callers.outcomes["holder"][0].error is None
-    assert callers.outcomes["second"][0].error is None
 
 
-def test_a_batch_cut_off_by_close_requeues_onto_a_survivor(gated_llm, monkeypatch):
-    monkeypatch.setattr(ThreadWorker, "DRAIN_TIMEOUT", 0.05)
+def test_a_batch_cut_off_by_close_requeues_onto_a_survivor(gated_llm):
     backends = [gated_llm(), gated_llm(open_gate=True)]
     specs = make_mixed_specs(2)
     with Router.local(
@@ -182,7 +149,7 @@ def test_a_batch_cut_off_by_close_requeues_onto_a_survivor(gated_llm, monkeypatc
         call = threading.Thread(target=lambda: outcome.append(submit(router, specs)))
         call.start()
         # The victim's batch is in its engine, held at the backend's gate;
-        # close() gives up waiting for it and closes the engine under it.
+        # close() closes the engine under it at once: only the router drains.
         assert backends[0].entered.acquire(timeout=10)
         closing = threading.Thread(target=router.workers[victim_id].close)
         closing.start()
@@ -234,3 +201,28 @@ def test_subprocess_worker_ping_and_close(tmp_path):
     assert worker.ping() is False
     with pytest.raises(WorkerDeadError):
         worker.submit(make_mixed_specs(1)[:1])
+
+
+def test_a_subprocess_submit_opens_no_connection_of_its_own(tmp_path, monkeypatch):
+    worker = SubprocessWorker("w0", seed=0, cache_dir=str(tmp_path / "shard"))
+    try:
+        specs = make_mixed_specs(1)[:1]
+        worker.submit(specs)  # opens the pooled connection
+        opened: list = []
+        connect = socket.create_connection
+        monkeypatch.setattr(
+            socket,
+            "create_connection",
+            lambda *args, **kwargs: opened.append(args) or connect(*args, **kwargs),
+        )
+        for _ in range(3):
+            (result,) = worker.submit(specs)
+            assert result.error is None
+        # Every batch rode the pooled connection: no liveness probe first.
+        assert opened == []
+        worker.kill()
+        with pytest.raises(WorkerDeadError):
+            worker.submit(specs)
+        assert opened == []
+    finally:
+        worker.close()

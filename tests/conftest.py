@@ -61,6 +61,19 @@ def no_engine_thread_left_behind(request):
     assert not leaked, f"{len(leaked)} repro-engine thread(s) left running"
 
 
+@pytest.fixture(autouse=True, scope="session")
+def no_stats_thread_left_behind():
+    """Every stats side channel is closed by whoever started it.
+
+    ``serve_stats_in_thread`` runs a loop and a listening socket on a
+    ``repro-stats`` thread until its handle's ``close()``; one still alive
+    when the session ends was never closed.
+    """
+    yield
+    leaked = [thread for thread in threading.enumerate() if thread.name == "repro-stats"]
+    assert not leaked, f"{len(leaked)} repro-stats thread(s) left running"
+
+
 class GatedLLM(LanguageModel):
     """Prompt-pure backend whose round trips wait for the test to open a gate.
 
@@ -210,11 +223,11 @@ class Callers:
     engine's line, so arrival order is call order.
     """
 
-    def __init__(self, engine_config=None, **worker_options):
+    def __init__(self, engine_config=None):
         self.backend = GatedLLM()
         self.engine = LineUpEngine(engine_config)
         service = ServingService(UniDM(self.backend, UniDMConfig.full(seed=0)), self.engine)
-        self.worker = ThreadWorker("w0", service, **worker_options)
+        self.worker = ThreadWorker("w0", service)
         self.outcomes: dict = {}
         self.threads: dict = {}
 
@@ -259,12 +272,12 @@ class Callers:
 
 @pytest.fixture
 def gated_worker():
-    """Factory of :class:`Callers` (``EngineConfig`` and worker options in);
-    every one made is released and its worker closed at teardown."""
+    """Factory of :class:`Callers` (``EngineConfig`` in); every one made is
+    released and its worker closed at teardown."""
     made: list[Callers] = []
 
-    def make(engine_config=None, **worker_options):
-        made.append(Callers(engine_config, **worker_options))
+    def make(engine_config=None):
+        made.append(Callers(engine_config))
         return made[-1]
 
     yield make

@@ -10,13 +10,6 @@ def test_every_task_type_has_a_description():
         assert task_type.value.split()[0] in TASK_DESCRIPTIONS[task_type]
 
 
-def test_binary_task_flag():
-    assert TaskType.ERROR_DETECTION.is_binary
-    assert TaskType.ENTITY_RESOLUTION.is_binary
-    assert TaskType.JOIN_DISCOVERY.is_binary
-    assert not TaskType.DATA_IMPUTATION.is_binary
-
-
 def test_manipulation_result_token_total():
     result = ManipulationResult(
         task_type=TaskType.DATA_IMPUTATION,

@@ -37,14 +37,6 @@ def test_lake_remove_and_get(city_table):
     assert lake.get("cities") is None
 
 
-def test_lake_find_tables_with_attribute(city_table):
-    other = make_table("other", ["city", "mayor"])
-    lake = DataLake([city_table, other])
-    found = lake.find_tables_with_attribute("city")
-    assert {t.name for t in found} == {"cities", "other"}
-    assert lake.find_tables_with_attribute("mayor")[0].name == "other"
-
-
 def test_lake_iteration_sorted_by_name(city_table):
     lake = DataLake([make_table("zzz", ["a"]), city_table])
     assert [t.name for t in lake.tables] == ["cities", "zzz"]

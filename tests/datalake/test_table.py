@@ -50,8 +50,8 @@ def test_record_setitem_and_missing_attributes(city_schema):
     record = Record(city_schema, {"city": "Oslo"})
     record["country"] = "Norway"
     assert record["country"] == "Norway"
-    assert "population" in record.missing_attributes()
-    assert "country" not in record.missing_attributes()
+    assert is_missing(record["population"])
+    assert not is_missing(record["country"])
 
 
 def test_record_project_and_copy(city_schema):
@@ -62,13 +62,6 @@ def test_record_project_and_copy(city_schema):
     clone["city"] = "Bergen"
     assert record["city"] == "Oslo"
     assert clone.record_id == 3
-
-
-def test_record_with_value_returns_new_record(city_schema):
-    record = Record(city_schema, {"city": "Oslo"})
-    updated = record.with_value("country", "Norway")
-    assert updated["country"] == "Norway"
-    assert record["country"] is None
 
 
 def test_record_equality(city_schema):

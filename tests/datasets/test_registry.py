@@ -50,8 +50,7 @@ def test_dataset_table_property_and_lake(restaurant_dataset, beer_dataset):
     assert restaurant_dataset.table.name == "restaurant"
     with pytest.raises(ValueError):
         _ = beer_dataset.table  # two tables -> ambiguous
-    lake = beer_dataset.as_lake()
-    assert len(lake) == 2
+    assert len(beer_dataset.tables) == 2
 
 
 def test_builders_are_deterministic_per_seed():

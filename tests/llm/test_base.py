@@ -28,7 +28,7 @@ def test_usage_delta_since_snapshot():
 def test_usage_reset():
     llm = EchoLLM(reply="x")
     llm.complete("prompt")
-    llm.reset_usage()
+    llm.usage.reset()
     assert llm.usage.calls == 0
     assert llm.usage.total_tokens == 0
     assert llm.usage.per_prompt_kind == {}

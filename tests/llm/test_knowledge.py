@@ -70,8 +70,6 @@ def test_attribute_links(city_knowledge):
     assert city_knowledge.attribute_link("country", "timezone") == pytest.approx(0.9)
     assert city_knowledge.attribute_link("timezone", "country") == pytest.approx(0.9)
     assert city_knowledge.attribute_link("country", "missing") == 0.0
-    related = city_knowledge.related_attributes("timezone")
-    assert related[0][0] == "country"
 
 
 def test_attribute_link_validation():

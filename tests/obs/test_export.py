@@ -116,10 +116,11 @@ def live_stats_port():
     service.handle_batch(
         [{"v": 2, "id": 0, "task": SPEC.to_request() | {"type": "transformation"}}]
     )
-    port = serve_stats_in_thread(service.stats_snapshot, "127.0.0.1", 0)
-    assert port is not None
-    yield port
-    service.close()  # the stats thread holds the service for good
+    stats = serve_stats_in_thread(service.stats_snapshot, "127.0.0.1", 0)
+    assert stats is not None
+    yield stats.port
+    stats.close()
+    service.close()
 
 
 def _http_get(port: int, path: str, method: str = "GET") -> tuple[str, str]:

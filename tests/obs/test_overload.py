@@ -245,7 +245,7 @@ def test_thread_worker_dequeues_highest_priority_first(gated_worker):
     # One slot, held by "first" at the backend's closed gate; "low" then
     # "high" line up in the worker's engine at the priority they were
     # submitted with.
-    callers = gated_worker(EngineConfig(workers=1), queue_depth=8)
+    callers = gated_worker(EngineConfig(workers=1))
     callers.hold("first")
     callers.line_up("low", ["low"], priority=0)
     callers.line_up("high", ["high"], priority=5)

@@ -8,6 +8,7 @@ and thread stacks even while the service is degraded.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -132,11 +133,12 @@ def degraded_port():
             event_log=log,
         )
 
-    port = serve_stats_in_thread(
+    stats = serve_stats_in_thread(
         snapshot, "127.0.0.1", 0, monitor=monitor, doctor_fn=doctor
     )
-    assert port is not None
-    return port
+    assert stats is not None
+    yield stats.port
+    stats.close()
 
 
 def test_healthz_is_200_even_when_degraded(degraded_port):
@@ -165,16 +167,45 @@ def test_doctor_route_serves_the_bundle(degraded_port):
 
 def test_default_routes_without_monitor_stay_compatible():
     registry = MetricsRegistry()
-    port = serve_stats_in_thread(lambda: {"metrics": registry.snapshot()}, "127.0.0.1", 0)
-    status, payload = fetch_probe("127.0.0.1", port, "/healthz")
-    assert (status, payload) == (200, {"status": "ok"})
-    status, payload = fetch_probe("127.0.0.1", port, "/readyz")
-    assert (status, payload) == (200, {"ready": True})
+    stats = serve_stats_in_thread(lambda: {"metrics": registry.snapshot()}, "127.0.0.1", 0)
+    try:
+        status, payload = fetch_probe("127.0.0.1", stats.port, "/healthz")
+        assert (status, payload) == (200, {"status": "ok"})
+        status, payload = fetch_probe("127.0.0.1", stats.port, "/readyz")
+        assert (status, payload) == (200, {"ready": True})
+    finally:
+        stats.close()
 
 
 def test_unreachable_probe_raises(tmp_path):
     with pytest.raises(StatsUnreachable):
         http_get("127.0.0.1", 1, "/healthz", timeout=0.2)
+
+
+def test_closing_the_stats_handle_stops_its_thread_and_its_port():
+    stats = serve_stats_in_thread(lambda: {}, "127.0.0.1", 0)
+    assert fetch_probe("127.0.0.1", stats.port, "/healthz")[0] == 200
+    stats.close()
+    stats.close()  # idempotent
+    assert not stats.thread.is_alive()
+    with pytest.raises(StatsUnreachable):
+        http_get("127.0.0.1", stats.port, "/healthz", timeout=0.2)
+
+
+def test_a_stats_port_that_cannot_bind_gives_none_and_leaves_no_thread():
+    stats = serve_stats_in_thread(lambda: {}, "127.0.0.1", 0)
+    try:
+        assert serve_stats_in_thread(lambda: {}, "127.0.0.1", stats.port) is None
+        others = [
+            thread
+            for thread in threading.enumerate()
+            if thread.name == "repro-stats" and thread is not stats.thread
+        ]
+        for thread in others:
+            thread.join(5)
+        assert not any(thread.is_alive() for thread in others)
+    finally:
+        stats.close()
 
 
 # ----------------------------------------------------------------- diagnostics

@@ -145,9 +145,13 @@ def test_cli_stats_reads_the_side_channel():
     from repro.obs import serve_stats_in_thread
 
     service = build_service(seed=0)
-    port = serve_stats_in_thread(service.stats_snapshot, "127.0.0.1", 0)
-    assert port is not None
-    assert main(["stats", "--stats-port", str(port)]) == 0
+    stats = serve_stats_in_thread(service.stats_snapshot, "127.0.0.1", 0)
+    assert stats is not None
+    try:
+        assert main(["stats", "--stats-port", str(stats.port)]) == 0
+    finally:
+        stats.close()
+        service.close()
 
 
 def test_cli_stats_unreachable_service_fails_cleanly(capsys):

@@ -66,17 +66,15 @@ def test_idle_tenant_earns_no_credit():
     assert order[:2] != ["b", "b"] or order[2:4] != ["b", "b"]
 
 
-def test_peek_matches_pop_and_empty_raises():
+def test_pop_drains_the_queue_and_then_raises():
     queue = WeightedFairQueue()
     queue.push("x", tenant="a", weight=3.0)
     queue.push("y", tenant="b")
-    assert queue.peek() == queue.pop()
+    queue.pop()
     assert len(queue) == 1
     queue.pop()
     with pytest.raises(IndexError):
         queue.pop()
-    with pytest.raises(IndexError):
-        queue.peek()
 
 
 def test_push_validation():

@@ -73,9 +73,7 @@ def make_service():
     )
 
 
-def test_flood_pages_the_abuser_slo_and_flips_readiness():
-    # Closed on the way out: the stats thread below has no stop handle and
-    # holds the service for good, so nothing else would stop its engine.
+def test_flood_pages_the_abuser_slo_and_flips_readiness(request):
     with make_service() as service:
         monitor = service.monitor
 
@@ -85,7 +83,7 @@ def test_flood_pages_the_abuser_slo_and_flips_readiness():
             )
             return decode_response(response)
 
-        port = serve_stats_in_thread(
+        stats = serve_stats_in_thread(
             service.stats_snapshot,
             "127.0.0.1",
             0,
@@ -96,7 +94,9 @@ def test_flood_pages_the_abuser_slo_and_flips_readiness():
                 config={"command": "chaos-test"},
             ),
         )
-        assert port is not None
+        assert stats is not None
+        request.addfinalizer(stats.close)
+        port = stats.port
 
         # Baseline sample, then the flood, then one evaluation tick: the
         # abuser's objective must already be firing.

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import threading
 
 import pytest
 
@@ -100,7 +101,7 @@ def live_stats_port():
             )
         ],
     )
-    port = serve_stats_in_thread(
+    stats = serve_stats_in_thread(
         service.stats_snapshot,
         "127.0.0.1",
         0,
@@ -111,8 +112,10 @@ def live_stats_port():
             config={"command": "test"},
         ),
     )
-    assert port is not None
-    return port
+    assert stats is not None
+    yield stats.port
+    stats.close()
+    service.close()
 
 
 def test_cli_top_once(capsys, live_stats_port):
@@ -218,6 +221,13 @@ def test_cli_doctor_stdout(capsys, live_stats_port):
 def test_cli_doctor_requires_stats_port(capsys):
     assert main(["doctor"]) == 2
     assert "--stats-port" in capsys.readouterr().err
+
+
+def test_cli_serve_closes_its_stats_side_channel_on_exit(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main(["serve", "--stats-port", "0"]) == 0
+    assert "stats on " in capsys.readouterr().err
+    assert "repro-stats" not in {thread.name for thread in threading.enumerate()}
 
 
 def test_cli_serve_rejects_bad_slo(capsys, monkeypatch):
