@@ -60,8 +60,11 @@ from repro.core import UniDM  # noqa: E402
 from repro.llm import CachedLLM  # noqa: E402
 from repro.serving.engine import EngineConfig, ExecutionEngine  # noqa: E402
 
-#: Seconds a batched backend call takes (see the module docstring).
-LATENCY = 0.005
+#: Seconds a batched backend call takes (see the module docstring).  Four
+#: interpreter switch intervals: at 5 ms, a loop thread that shares the
+#: interpreter lock with two busy threads (a test suite's leftovers) was
+#: still running when a batch landed in 4 passes of 6, and the count moved.
+LATENCY = 0.02
 
 
 class _Backend(PromptPureLLM):

@@ -125,10 +125,12 @@ def render_top(snapshot: Mapping[str, Any], *, window: str = DEFAULT_WINDOW) -> 
             f"{_fmt(shed):>8} {budget:>7} {state:>7}"
         )
 
+    # The host's own request counter: a router counts ``router.requests``.
+    host = "router" if snapshot.get("cluster") else "service"
     lines.append(
         row(
             "(service)",
-            "service.requests",
+            f"{host}.requests",
             "service.batch_latency",
             ["service.admission.shed", "router.admission.shed"],
             None,

@@ -21,8 +21,8 @@ every resize:
 
 ``scale_down_at`` must sit well below ``scale_up_at`` — the gap is the
 hysteresis band that keeps the cluster from flapping.  Every decision is
-emitted as an ``autoscale.decision`` event and counted under
-``cluster.autoscale.up`` / ``cluster.autoscale.down``.
+emitted as an ``autoscale.decision`` event; the resize it makes is counted
+in the router's stats (``ClusterStats.resizes``).
 
 ``repro serve --cluster --autoscale`` runs it on its own daemon thread
 (``start``/``stop``, from :class:`~repro.obs.periodic.PeriodicLoop`); tests
@@ -35,7 +35,6 @@ import time
 from typing import TYPE_CHECKING, Callable
 
 from ..obs.events import emit_event
-from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.periodic import PeriodicLoop
 from ..obs.timeseries import parse_window
 from .workers import ClusterError
@@ -80,7 +79,6 @@ class Autoscaler(PeriodicLoop):
         window: str = "10s",
         cooldown: float = 30.0,
         interval: float = 2.0,
-        metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if min_workers < 1:
@@ -101,9 +99,6 @@ class Autoscaler(PeriodicLoop):
         self._window_seconds = parse_window(window)
         self.cooldown = cooldown
         self._clock = clock
-        metrics = metrics or get_default_registry()
-        self._m_up = metrics.counter("cluster.autoscale.up")
-        self._m_down = metrics.counter("cluster.autoscale.down")
         self._last_resize: float | None = None
 
     # ------------------------------------------------------------------ signal
@@ -153,11 +148,9 @@ class Autoscaler(PeriodicLoop):
         try:
             if action == "up":
                 worker_id = self.router.add_worker()
-                self._m_up.inc()
             else:
                 worker_id = self._pick_victim()
                 self.router.remove_worker(worker_id)
-                self._m_down.inc()
         except ClusterError as exc:
             emit_event("autoscale.decision", action=action, error=str(exc))
             self._last_resize = now  # still back off before retrying

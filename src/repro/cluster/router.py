@@ -170,13 +170,7 @@ class Router(FrontDoor):
             wid: self._metrics.counter(f"router.routed.{wid}") for wid in ids
         }
         self._m_requeued = self._metrics.counter("router.requeued")
-        self._m_deaths = self._metrics.counter("router.deaths")
         self._m_inflight = self._metrics.gauge("router.inflight")
-        self._m_migrations = self._metrics.counter("cluster.migrations")
-        self._m_resizes = self._metrics.counter("cluster.resizes")
-        self._m_restarts = self._metrics.counter("cluster.restarts")
-        self._m_workers = self._metrics.gauge("cluster.workers")
-        self._m_workers.set(len(ids))
         # Background health sweep, so gray failures are caught between
         # submits too (built either way, started only when enabled).
         self._sweep = PeriodicLoop(
@@ -567,8 +561,6 @@ class Router(FrontDoor):
             if not stale and worker_id in self._ring:
                 self._ring.remove(worker_id)
                 self._deaths += 1
-                self._m_deaths.inc()
-                self._m_workers.set(len(self._ring.nodes))
                 died = True
             else:
                 died = False
@@ -626,7 +618,7 @@ class Router(FrontDoor):
                 if path is None and self._cache_dir is not None:
                     path = self._cache_dir / new_id
                 if path is not None:
-                    target = PersistentCache(path, metrics=self._metrics)
+                    target = PersistentCache(path)
             migrated, moved = self._move_entries(
                 self._live_shards(), new_ring, {new_id: target} if target is not None else {}
             )
@@ -663,7 +655,6 @@ class Router(FrontDoor):
                 raise ClusterError("cannot remove the last live worker")
             self._draining.add(worker_id)
             self._ring.remove(worker_id)
-            self._m_workers.set(len(self._ring.nodes))
             self._drain_cv.wait_for(
                 lambda: self._inflight_by.get(worker_id, 0) <= 0,
                 timeout=self.DRAIN_TIMEOUT,
@@ -707,8 +698,6 @@ class Router(FrontDoor):
             self._generation[worker_id] = self._generation.get(worker_id, 0) + 1
             self._ring.add(worker_id)
             self._restarts += 1
-            self._m_workers.set(len(self._ring.nodes))
-        self._m_restarts.inc()
         emit_event(
             "cluster.restart",
             worker=worker_id,
@@ -733,7 +722,7 @@ class Router(FrontDoor):
             return shard
         path = worker.shard_path()
         if path is not None and Path(path).exists():
-            return PersistentCache(path, metrics=self._metrics)
+            return PersistentCache(path)
         return None
 
     def _live_shards(self) -> "dict[str, PersistentCache]":
@@ -781,9 +770,6 @@ class Router(FrontDoor):
         with self._lock:
             self._resizes += 1
             self._migrations += migrated
-        self._m_resizes.inc()
-        if migrated:
-            self._m_migrations.inc(migrated)
         emit_event(
             "cluster.resize",
             action=action,
@@ -804,7 +790,6 @@ class Router(FrontDoor):
                     f"router.routed.{worker_id}"
                 )
             self._ring.add(worker_id)
-            self._m_workers.set(len(self._ring.nodes))
             # The executor starts threads lazily up to this bound, so
             # raising it is all a join needs for one dispatch to run a group
             # on every worker, two dispatches over.

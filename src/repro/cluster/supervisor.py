@@ -14,8 +14,10 @@ Restart storms are damped by capped exponential backoff per worker id: the
 first revival is immediate, each subsequent one of the same id waits
 ``backoff_base * 2^(n-1)`` seconds (capped at ``backoff_cap``), and
 ``max_restarts`` (when set) gives up on a crash-looping worker for good.
-Every attempt increments the ``cluster.restarts`` counter and emits
-``cluster.restart`` / ``cluster.restart_failed`` events.
+Every attempt emits a ``cluster.restart`` or ``cluster.restart_failed``
+event (a worker is given up on after the failure whose ``attempt`` reaches
+``max_restarts``), and every revival is counted in the router's stats
+(``ClusterStats.restarts``).
 
 Run it on its own daemon thread (``start``/``stop`` or the ``with`` form,
 from :class:`~repro.obs.periodic.PeriodicLoop`) or drive it deterministically
@@ -28,7 +30,6 @@ import time
 from typing import TYPE_CHECKING, Callable
 
 from ..obs.events import emit_event
-from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.periodic import PeriodicLoop
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,7 +67,6 @@ class Supervisor(PeriodicLoop):
         backoff_base: float = 0.5,
         backoff_cap: float = 30.0,
         max_restarts: int | None = None,
-        metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         super().__init__(self.check_once, interval, "repro-supervisor")
@@ -75,8 +75,6 @@ class Supervisor(PeriodicLoop):
         self.backoff_cap = backoff_cap
         self.max_restarts = max_restarts
         self._clock = clock
-        self._metrics = metrics or get_default_registry()
-        self._m_given_up = self._metrics.counter("cluster.restarts_given_up")
         #: Revivals attempted per worker id (drives the backoff exponent).
         self._attempts: dict[str, int] = {}
         #: Monotonic time before which a worker id must not be revived.
@@ -127,11 +125,6 @@ class Supervisor(PeriodicLoop):
                     attempt=attempts + 1,
                     error=str(exc),
                 )
-                if (
-                    self.max_restarts is not None
-                    and self._attempts[worker_id] >= self.max_restarts
-                ):
-                    self._m_given_up.inc()
                 continue
             revived.append(worker_id)
         return revived

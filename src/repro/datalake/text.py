@@ -9,6 +9,7 @@ neighbours) and the simulated LLM's fuzzy matching.  Everything is pure Python
 from __future__ import annotations
 
 import re
+import zlib
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -144,10 +145,14 @@ def numeric_similarity(a: object, b: object) -> float:
 # ---------------------------------------------------------------------------
 
 def hashed_ngram_vector(text: object, dim: int = 256, n: int = 3) -> np.ndarray:
-    """Embed a value as an L2-normalised hashed bag of character n-grams."""
+    """Embed a value as an L2-normalised hashed bag of character n-grams.
+
+    A gram's bucket is its CRC-32, not the salted ``hash()``: an embedding
+    is a function of the value, the same in every process.
+    """
     vec = np.zeros(dim, dtype=np.float64)
     for gram in char_ngrams(text, n=n):
-        vec[hash(gram) % dim] += 1.0
+        vec[zlib.crc32(gram.encode()) % dim] += 1.0
     norm = np.linalg.norm(vec)
     if norm > 0:
         vec /= norm

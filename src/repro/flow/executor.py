@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..datalake.table import Table
-from ..obs.metrics import MetricsRegistry, SIZE_BUCKETS, get_default_registry
 from ..obs.span import span
 from .operators import FlowError, Operator, Partition
 from .planner import Planner, WavePlan, independent_waves
@@ -150,23 +149,11 @@ class FlowResult:
 class FlowExecutor:
     """Runs a pipeline over a table through a spec-submitting backend."""
 
-    def __init__(
-        self,
-        submit: SpecRunner,
-        *,
-        batch_size: int = 64,
-        metrics: MetricsRegistry | None = None,
-    ):
+    def __init__(self, submit: SpecRunner, *, batch_size: int = 64):
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self.submit = submit
         self.batch_size = batch_size
-        metrics = metrics or get_default_registry()
-        self._m_waves = metrics.counter("flow.waves")
-        self._m_wave_specs = metrics.histogram("flow.wave_specs", SIZE_BUCKETS)
-        self._m_specs = metrics.counter("flow.specs")
-        self._m_submitted = metrics.counter("flow.submitted")
-        self._m_reused = metrics.counter("flow.reused")
 
     # ------------------------------------------------------------------ running
     def run(self, pipeline: "Pipeline", table: Table) -> FlowResult:
@@ -221,9 +208,7 @@ class FlowExecutor:
                 continue
             queued: set[str] = set()
             plans = [planner.plan_wave(wave, part, queued) for part in parts]
-            self._m_waves.inc()
             total_specs = sum(len(sp.items) for plan in plans for sp in plan.plans)
-            self._m_wave_specs.observe(total_specs)
             # One span per (group, LLM wave): submissions made inside inherit
             # it via the ambient context, so cluster dispatch spans nest beneath.
             with span("flow.wave", specs=total_specs, stages=len(wave), partitions=len(parts)):
@@ -237,9 +222,6 @@ class FlowExecutor:
                         metrics.partitions += 1
                         report.specs += len(stage_plan.items)
                         report.submitted += stage_plan.fresh
-                        self._m_specs.inc(len(stage_plan.items))
-                        self._m_submitted.inc(stage_plan.fresh)
-                        self._m_reused.inc(len(stage_plan.items) - stage_plan.fresh)
                         values = [planner.answer(key) for key in stage_plan.keys]
                         parts[i] = stage_plan.operator.apply(
                             parts[i], list(zip(stage_plan.items, values)), answers

@@ -10,7 +10,7 @@ deployment would plug an API client instead without touching the pipeline.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .tokenizer import DEFAULT_TOKENIZER, SimpleTokenizer
@@ -43,19 +43,17 @@ class UsageTracker:
     calls: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    per_prompt_kind: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_tokens(self) -> int:
         return self.prompt_tokens + self.completion_tokens
 
     def record(self, completion: Completion, kind: str = "other") -> None:
+        """Count one call; ``kind`` is the prompt's label, which no total
+        splits by."""
         self.calls += 1
         self.prompt_tokens += completion.prompt_tokens
         self.completion_tokens += completion.completion_tokens
-        self.per_prompt_kind[kind] = (
-            self.per_prompt_kind.get(kind, 0) + completion.total_tokens
-        )
 
     def snapshot(self) -> tuple[int, int, int]:
         """Return (calls, prompt_tokens, completion_tokens) for delta computation."""
@@ -73,7 +71,6 @@ class UsageTracker:
         self.calls = 0
         self.prompt_tokens = 0
         self.completion_tokens = 0
-        self.per_prompt_kind.clear()
 
 
 @dataclass(frozen=True)
@@ -131,8 +128,8 @@ class LanguageModel(abc.ABC):
         prompt:
             The full prompt text.
         kind:
-            A label for usage breakdown (e.g. ``"p_rm"`` or ``"answer"``);
-            purely for accounting.
+            The prompt's step (e.g. ``"p_rm"`` or ``"answer"``): a label
+            spans carry; it selects no behaviour and splits no total.
         """
         return self._record(prompt, self._complete_text(prompt), kind)
 
@@ -141,7 +138,7 @@ class LanguageModel(abc.ABC):
     ) -> list[Completion]:
         """Run a batch of completions, one per prompt, preserving input order.
 
-        ``kind`` is the prompts' common accounting label, or ``"mixed"`` when
+        ``kind`` is the prompts' common label, or ``"mixed"`` when
         they do not share one (the serving layer batches across kinds); it
         never selects behaviour.
 

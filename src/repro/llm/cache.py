@@ -148,8 +148,6 @@ class CachedLLM(LanguageModel):
         self._m_hits = metrics.counter("cache.hits")
         self._m_misses = metrics.counter("cache.misses")
         self._m_persistent_hits = metrics.counter("cache.persistent_hits")
-        self._m_bytes_served = metrics.counter("cache.bytes_served")
-        self._m_bytes_stored = metrics.counter("cache.bytes_stored")
         # Prompts actually forwarded to the inner backend (cache hits never
         # count): the exactly-once signal elasticity tests assert on.
         self._m_backend_calls = metrics.counter("llm.calls")
@@ -225,7 +223,6 @@ class CachedLLM(LanguageModel):
             owner.persistent.put(key, entry)
         with owner._lock:
             owner._remember(key, entry)
-        self._m_bytes_stored.inc(len(entry[0]))
         return entry
 
     # ----------------------------------------------------------- the asker's
@@ -237,7 +234,6 @@ class CachedLLM(LanguageModel):
             return
         self.hits += 1
         self._m_hits.inc()
-        self._m_bytes_served.inc(len(entry[0]))
         if persistent:
             self.persistent_hits += 1
             self._m_persistent_hits.inc()

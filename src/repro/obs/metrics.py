@@ -115,9 +115,14 @@ class Gauge:
             return {"value": self._value, "high_water": self._high}
 
     def reset(self) -> None:
+        """Restart the high-water mark from the current value.
+
+        The value is a level its owner moves with ``inc``/``dec`` (work in
+        flight, pending requests): zeroing it under work that is still in
+        flight would leave it negative once that work ends.
+        """
         with self._lock:
-            self._value = 0.0
-            self._high = 0.0
+            self._high = self._value
 
 
 class Histogram:
@@ -316,12 +321,14 @@ class MetricsRegistry:
             ]
 
     def reset(self) -> None:
-        """Zero every metric **in place** (benchmarks, ``stats --reset``).
+        """Reset every metric **in place** (benchmarks, ``stats --reset``).
 
-        Metric objects survive: components cache handles at construction
+        Counters and histograms zero; a gauge keeps its value and restarts
+        its high-water mark from it (:meth:`Gauge.reset`).  Metric objects
+        survive: components cache handles at construction
         (``self._m_hits = registry.counter(...)``), so dropping entries from
-        the dict would silently disconnect them.  Zeroing keeps every cached
-        handle live while isolating per-run numbers.
+        the dict would silently disconnect them.  Resetting in place keeps
+        every cached handle live while isolating per-run numbers.
         """
         with self._lock:
             metrics = list(self._metrics.values())

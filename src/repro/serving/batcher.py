@@ -44,7 +44,7 @@ decides how full each backend round trip is.  The rule:
   the ``max_batch_size`` pending prompts that hold the lowest tickets (equal
   tickets in arrival order).  A younger task's prompt never leaves before an
   older one's, and tasks at different stages of their chains fill one round
-  trip together.  ``kind`` only labels the backend's accounting: a batch goes
+  trip together.  ``kind`` only labels a batch (its ``llm.call`` span): it goes
   down under its prompts' common kind, or as :data:`MIXED`; completions are
   matched to waiters by position.
 
@@ -82,8 +82,7 @@ from typing import Any, Callable, Sequence
 from ..core.plan import LLMRequest, Plan
 from ..llm.base import Completion, LanguageModel
 from ..llm.cache import Claim, KeyedBatch
-from ..obs.export import get_default_exemplars
-from ..obs.metrics import MetricsRegistry, SIZE_BUCKETS, get_default_registry
+from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.span import Span
 
 #: The label a batch goes down under when its prompts do not share a kind.
@@ -105,7 +104,6 @@ class Walk:
         "plan",
         "ticket",
         "span",
-        "trace_id",
         "dead",
         "request",
         "claim",
@@ -122,15 +120,12 @@ class Walk:
         plan: Plan,
         ticket: int = 0,
         span: Span | None = None,
-        trace_id: str | None = None,
     ):
         self.plan = plan
         #: The task's place in its owner's admission order (lower = older).
         self.ticket = ticket
         #: The task's span: its prompts' ``batcher.wait`` spans nest under it.
         self.span = span
-        #: The trace the task runs for (exemplars of the batches it rides).
-        self.trace_id = trace_id
         #: Set by the owner when it gives up on the walk (see ``drop``).
         self.dead = False
         self.request: LLMRequest | None = None
@@ -235,9 +230,7 @@ class MicroBatcher:
             reason: metrics.counter(f"batcher.flush.{reason}")
             for reason in ("size", "idle", "timeout")
         }
-        self._m_batch_size = metrics.histogram("batcher.batch_size", SIZE_BUCKETS)
         self._m_queue_wait = metrics.histogram("batcher.queue_wait")
-        self._m_latency = metrics.histogram("batcher.llm_latency")
         self._executor = executor
         self._loop: asyncio.AbstractEventLoop | None = None
         #: The batch on the LLM thread (until it lands or close()).
@@ -410,7 +403,6 @@ class MicroBatcher:
             return
         self._m_batches.inc()
         self._m_flush[reason].inc()
-        self._m_batch_size.observe(len(batch))
         now = time.perf_counter()
         self._m_queue_wait.observe_many([now - walk.enqueued for walk in batch])
         # One llm.call span per dispatched batch.  It is parented by the
@@ -437,13 +429,13 @@ class MicroBatcher:
                 # a context under the call span, so spans opened inside the
                 # LLM stack (cache.lookup, llm.backend) nest beneath it.
                 call = partial(call_span.bound_context().run, call)
-        job = partial(self._execute, batch, call, call_span, time.perf_counter())
+        job = partial(self._execute, batch, call, call_span)
         self._executing = batch
         try:
             self._executor.submit(job)
         except RuntimeError as error:  # the executor is shut down: the engine is closing
             self._executing = None
-            self._land(batch, call_span, 0.0, error)
+            self._land(batch, call_span, error)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
@@ -476,7 +468,6 @@ class MicroBatcher:
         batch: list[Walk],
         call: Callable[[], list[Completion]],
         call_span: Span | None,
-        started: float,
     ) -> None:
         """An LLM thread's job: make the call, and post its outcome to the
         loop — unless the loop is closed, and ``close`` settled the batch."""
@@ -488,7 +479,7 @@ class MicroBatcher:
             error = exc
         try:
             self._loop.call_soon_threadsafe(  # type: ignore[union-attr]
-                self._landed, batch, call_span, started, error, completions
+                self._landed, batch, call_span, error, completions
             )
         except RuntimeError:
             pass
@@ -497,20 +488,18 @@ class MicroBatcher:
         self,
         batch: list[Walk],
         call_span: Span | None,
-        started: float,
         error: BaseException | None,
         completions: Sequence[Completion],
     ) -> None:
         if self._executing is not batch:
             return  # settled by close()
         self._executing = None
-        self._land(batch, call_span, started, error, completions)
+        self._land(batch, call_span, error, completions)
 
     def _land(
         self,
         batch: list[Walk],
         call_span: Span | None,
-        started: float,
         error: BaseException | None,
         completions: Sequence[Completion] = (),
     ) -> None:
@@ -527,8 +516,6 @@ class MicroBatcher:
                     walk.request = None
                     walk.failed(error)
         else:
-            self._m_latency.observe(time.perf_counter() - started)
-            get_default_exemplars().note("batcher.llm_latency", batch[0].trace_id)
             if call_span is not None:
                 call_span.finish()
             for walk, completion in zip(batch, completions):

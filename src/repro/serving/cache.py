@@ -45,7 +45,6 @@ from pathlib import Path
 
 from ..llm.cache import KEY_BYTES, Entry
 from ..obs.events import emit_event
-from ..obs.metrics import MetricsRegistry, get_default_registry
 
 
 def entry_record(key: bytes, entry: Entry) -> dict:
@@ -91,25 +90,15 @@ class PersistentCache:
         Directory holding the log (created if missing).
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        metrics: MetricsRegistry | None = None,
-    ):
+    def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         #: The log every record is appended to; the only file of the cache
         #: (``cache.jsonl.tmp`` exists only while :meth:`compact` runs).
         self.log_path = self.path / "cache.jsonl"
-        metrics = metrics or get_default_registry()
-        self._m_puts = metrics.counter("pcache.puts")
-        self._m_bytes = metrics.counter("pcache.bytes_written")
-        # Per-directory gauge: cluster shards each report their own size.
-        self._m_entries = metrics.gauge(f"pcache.entries.{self.path.name}")
         self._lock = threading.Lock()
         self._entries: dict[bytes, Entry] = {}
         self._load()
-        self._m_entries.set(len(self._entries))
 
     # -------------------------------------------------------------------- io
     def _load(self) -> None:
@@ -162,8 +151,6 @@ class PersistentCache:
         with open(self.log_path, "a", encoding="utf-8") as handle:
             handle.write(_line(key, entry))
         self._entries[key] = entry
-        self._m_puts.inc()
-        self._m_bytes.inc(len(entry[0]))
 
     def _rewrite(self, entries: dict[bytes, Entry]) -> None:
         """Replace the log with one record per entry (write, then rename)."""
@@ -187,7 +174,6 @@ class PersistentCache:
             if self._entries.get(key) == entry:
                 return  # already durable; skip the duplicate append
             self._append(key, entry)
-            self._m_entries.set(len(self._entries))
 
     # ------------------------------------------------------------ migration
     def items(self) -> list[tuple[bytes, Entry]]:
@@ -214,7 +200,6 @@ class PersistentCache:
                 if self._entries.get(key) != entry:
                     self._append(key, entry)
                     added += 1
-            self._m_entries.set(len(self._entries))
         return added
 
     def drop(self, keys: "set[bytes]") -> int:
@@ -232,7 +217,6 @@ class PersistentCache:
             if dropped:
                 self._rewrite(kept)
                 self._entries = kept
-                self._m_entries.set(len(kept))
         return dropped
 
     # ---------------------------------------------------------- maintenance

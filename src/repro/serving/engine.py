@@ -11,7 +11,9 @@ tasks, whatever their kinds, into batched calls.  No coroutine, asyncio task
 or future is made per task or per prompt.  A task that finishes returns its
 slot in that same step; the tasks waiting for slots are admitted one loop
 turn later, as one step.  ``run`` returns the results only; what the batcher
-did is counted on the engine's metrics registry (``batcher.*``).
+did is counted on the engine's metrics registry (``batcher.*``).  A task
+keeps no meter of its own: its ``engine.task`` span carries its kind, and
+the caller's batch is timed by whoever called (``service.batch_latency``).
 
 The engine is **resident**: the first ``run`` starts one daemon event-loop
 thread (``repro-engine``), one LLM thread (``repro-llm``) and one batcher per
@@ -40,18 +42,15 @@ import asyncio
 import contextvars
 import itertools
 import threading
-import time
 import weakref
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
-from ..core.types import PromptTrace
+from ..core.types import PromptTrace, TaskType
 from ..llm.base import UsageDelta
-from ..obs.export import get_default_exemplars
 from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.span import Span, span
-from ..obs.trace import Trace
 from ..tenancy.fairqueue import DEFAULT_TENANT, WeightedFairQueue
 from .batcher import LLMThreads, MicroBatcher, Walk
 
@@ -66,6 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover
 SHARE: contextvars.ContextVar[tuple[str, float, int]] = contextvars.ContextVar(
     "repro_engine_share", default=(DEFAULT_TENANT, 1.0, 0)
 )
+
+#: The ``kind`` attr of a task's ``engine.task`` span.
+_KIND = {task_type: task_type.name.lower() for task_type in TaskType}
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,6 @@ class _Run:
     #: The caller's context: every task's span begins inside it, so the
     #: ``engine.run`` span and a wire-carried trace parent per-task spans.
     context: contextvars.Context
-    #: The caller's trace id (exemplars of the run's tasks and batches).
-    trace_id: str | None
     share: tuple[str, float, int]
     results: "list[ManipulationResult | None]"
     future: "Future[list[ManipulationResult]]" = field(default_factory=Future)
@@ -120,28 +120,19 @@ class _Run:
 class _Task(Walk):
     """One admitted task: its plan, stepped by the batcher, in one slot."""
 
-    __slots__ = ("resident", "run", "index", "trace", "meters", "started")
+    __slots__ = ("resident", "run", "index", "trace")
 
-    def __init__(
-        self,
-        resident: "_Resident",
-        run: _Run,
-        index: int,
-        ticket: int,
-        meters: "_Meters",
-    ):
+    def __init__(self, resident: "_Resident", run: _Run, index: int, ticket: int):
         task = run.tasks[index]
         trace = PromptTrace()
         span = run.context.run(
-            Span.begin, "engine.task", attrs={"kind": meters[0], "index": index}
+            Span.begin, "engine.task", attrs={"kind": _KIND[task.task_type], "index": index}
         )
-        super().__init__(run.pipeline.plan(task, trace), ticket, span, run.trace_id)
+        super().__init__(run.pipeline.plan(task, trace), ticket, span)
         self.resident = resident
         self.run = run
         self.index = index
         self.trace = trace
-        self.meters = meters
-        self.started = time.perf_counter()
 
     def finished(self, value: Any) -> None:
         run = self.run
@@ -163,11 +154,6 @@ class _Task(Walk):
         self.resident._fail(self.run, error)
 
 
-#: A task kind's name and handles: ``(kind, tasks counter, latency
-#: histogram, exemplar name)``.
-_Meters = tuple[str, Any, Any, str]
-
-
 class _Resident:
     """The threads and loop-side state behind one engine.
 
@@ -179,8 +165,6 @@ class _Resident:
     def __init__(self, config: EngineConfig, metrics: MetricsRegistry):
         self._config = config
         self._metrics = metrics
-        self._m_inflight = metrics.gauge("engine.inflight")
-        self._per_kind: dict[Any, _Meters] = {}  # task type -> meters
         self._executor = LLMThreads("repro-llm")
         #: One batcher per backend object: pipelines may be swapped under a
         #: service, and several may share the engine.  Kept for the engine's
@@ -221,7 +205,6 @@ class _Resident:
             pipeline,
             tasks,
             contextvars.copy_context(),
-            Trace.current_id(),
             SHARE.get(),
             [None] * len(tasks),
         )
@@ -286,23 +269,9 @@ class _Resident:
             if run.error is not None:
                 continue  # its run already failed; the slot goes to the next
             self._free -= 1
-            meters = self._per_kind.get(run.tasks[index].task_type)
-            if meters is None:
-                meters = self._meters(run.tasks[index])
-            task = _Task(self, run, index, next(self._tickets), meters)
+            task = _Task(self, run, index, next(self._tickets))
             run.live.add(task)
-            self._m_inflight.inc()
             run.batcher.start(task)  # type: ignore[union-attr]
-
-    def _meters(self, task: "Task") -> _Meters:
-        kind = task.task_type.name.lower()
-        meters = self._per_kind[task.task_type] = (
-            kind,
-            self._metrics.counter(f"engine.tasks.{kind}"),
-            self._metrics.histogram(f"engine.task_latency.{kind}"),
-            f"engine.task_latency.{kind}",
-        )
-        return meters
 
     def _fail(self, run: _Run, error: BaseException) -> None:
         """First failure wins: the run's other tasks are dropped, their slots
@@ -317,18 +286,13 @@ class _Resident:
 
     def _end(self, task: _Task, status: str | None) -> None:
         """Return ``task``'s slot (the next admission runs a loop turn later)
-        and close its span and meters; the batcher steps it no more."""
+        and close its span; the batcher steps it no more."""
         task.dead = True
         task.run.live.discard(task)
         self._free += 1
         if not self._admitting:
             self._admitting = True
             self._loop.call_soon(self._admit)
-        self._m_inflight.dec()
-        _, counter, latency, exemplar = task.meters
-        counter.inc()
-        latency.observe(time.perf_counter() - task.started)
-        get_default_exemplars().note(exemplar, task.trace_id)
         if task.span is not None:
             task.span.finish(status=status)
 

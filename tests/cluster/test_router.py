@@ -370,6 +370,34 @@ def test_a_join_grows_the_pool_to_two_batches_a_worker(gated_llm):
 
 
 # ------------------------------------------------------------------- stats
+def test_a_reset_mid_flight_leaves_router_inflight_at_zero_once_drained(gated_llm):
+    from repro.obs import get_default_registry
+
+    registry = get_default_registry()
+    inflight = registry.gauge("router.inflight")
+    before = inflight.value
+    backends = [gated_llm() for _ in range(2)]
+    specs = [
+        TransformationSpec(value=f"1999{index:04d}", examples=[["20000101", "2000-01-01"]])
+        for index in range(4)
+    ]
+    with make_router(2, llm_factory=lambda index: backends[index]) as router:
+        outcomes: list = []
+        call = threading.Thread(target=lambda: outcomes.extend(submit(router, specs)))
+        call.start()
+        deadline = time.monotonic() + 10
+        while not any(backend.batches for backend in backends) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert inflight.value == before + len(specs)
+        registry.reset()  # what ``stats(reset=True)`` does under load
+        for backend in backends:
+            backend.gate.set()
+        call.join(timeout=30)
+        assert len(outcomes) == len(specs)
+        assert all(result.error is None for result in outcomes)
+    assert inflight.value == before >= 0
+
+
 def test_stats_aggregate_routed_and_cache_counters(mixed_specs):
     with make_router(3) as router:
         submit(router, mixed_specs)

@@ -68,6 +68,29 @@ def test_embed_values_shapes():
     assert text.embed_values([], dim=32).shape == (0, 32)
 
 
+def test_embed_values_is_the_same_in_every_process():
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(text.__file__).resolve().parents[2])
+    script = (
+        "import json; from repro.datalake.text import embed_values; "
+        "print(json.dumps(embed_values(['Apple iPhone 12', 'sony tv', '42'], dim=32).tolist()))"
+    )
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(json.loads(run.stdout))
+    assert outputs[0] == outputs[1]
+    assert np.allclose(outputs[0], text.embed_values(["Apple iPhone 12", "sony tv", "42"], dim=32))
+
+
 def test_attribute_name_similarity_handles_underscores():
     assert text.attribute_name_similarity("country_full", "country") > 0.4
     assert text.attribute_name_similarity("price", "color") < 0.4

@@ -11,7 +11,7 @@ def test_echo_llm_records_usage():
     assert completion.completion_tokens >= 1
     assert completion.total_tokens == completion.prompt_tokens + completion.completion_tokens
     assert llm.usage.calls == 1
-    assert llm.usage.per_prompt_kind["test"] == completion.total_tokens
+    assert llm.usage.total_tokens == completion.total_tokens
 
 
 def test_usage_delta_since_snapshot():
@@ -31,7 +31,7 @@ def test_usage_reset():
     llm.usage.reset()
     assert llm.usage.calls == 0
     assert llm.usage.total_tokens == 0
-    assert llm.usage.per_prompt_kind == {}
+    assert llm.usage.snapshot() == (0, 0, 0)
 
 
 def test_echo_llm_stores_prompts():

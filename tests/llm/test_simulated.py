@@ -65,10 +65,10 @@ def test_answer_prompt_round_trip(city_llm):
     assert isinstance(reply, str) and reply
 
 
-def test_usage_accumulates_by_kind(city_llm):
-    city_llm.complete("The country of Copenhagen is __.", kind="answer")
+def test_usage_accumulates_a_labelled_call(city_llm):
+    completion = city_llm.complete("The country of Copenhagen is __.", kind="answer")
     assert city_llm.usage.calls >= 1
-    assert city_llm.usage.per_prompt_kind.get("answer", 0) > 0
+    assert city_llm.usage.total_tokens >= completion.total_tokens > 0
 
 
 def test_simulated_llm_is_deterministic_per_seed(city_knowledge):

@@ -85,8 +85,8 @@ def test_default_exemplars_populated_by_serving_traffic():
         with Trace.start() as trace:
             client.submit_many([SPEC])
     snapshot = get_default_exemplars().snapshot()
-    assert snapshot.get("service.batch_latency") == trace.trace_id
-    assert any(name.startswith("engine.task_latency.") for name in snapshot)
+    # The service's batch is the one exemplar a local client's request notes.
+    assert snapshot == {"service.batch_latency": trace.trace_id}
 
 
 def test_render_parses_with_reference_prometheus_client():

@@ -141,16 +141,20 @@ def test_registry_prefix_filter_and_reset():
     assert registry.snapshot()["counters"]["batcher.requests"] == 3
 
 
-def test_reset_zeroes_gauges_and_histograms_in_place():
+def test_reset_keeps_gauge_levels_and_zeroes_histograms_in_place():
     registry = MetricsRegistry()
-    gauge = registry.gauge("engine.inflight")
+    gauge = registry.gauge("router.inflight")
     gauge.inc(5)
     gauge.dec(2)
     hist = registry.histogram("lat", (1, 2))
     hist.observe(0.5)
     hist.observe(10.0)
     registry.reset()
-    assert gauge.value == 0 and gauge.high_water == 0
+    # A gauge is a level its owner decs as work ends: the reset keeps the
+    # value and restarts the high-water mark from it.
+    assert gauge.value == 3 and gauge.high_water == 3
+    gauge.dec(3)
+    assert gauge.value == 0 and gauge.high_water == 3
     payload = hist.to_payload()
     assert payload["count"] == 0 and payload["buckets"] == {}
     assert hist.quantile(0.99) == 0.0

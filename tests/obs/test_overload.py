@@ -59,6 +59,17 @@ def test_admission_controller_capacity_semantics():
     assert controller.pending == 3
 
 
+def test_a_reset_keeps_the_pending_gauge_at_the_controllers_level():
+    registry = MetricsRegistry()
+    controller = AdmissionController(4, 4, metrics=registry)
+    pending = registry.gauge("admission.pending")
+    assert controller.try_acquire(3)
+    registry.reset()
+    assert pending.value == 3 and pending.high_water == 3
+    controller.release(3)
+    assert pending.value == controller.pending == 0
+
+
 def test_admission_controller_unbounded_by_default():
     controller = AdmissionController(metrics=MetricsRegistry())
     assert controller.capacity is None
@@ -137,15 +148,14 @@ def test_service_sheds_with_valid_v2_envelope_and_recovers():
     assert recovered["ok"] is True
 
     # Counter consistency: every submitted spec was either admitted or shed,
-    # and every admitted spec executed exactly one engine task.
+    # and every admitted spec executed exactly one engine batch.
     counters = registry.snapshot()["counters"]
     admitted = counters.get("service.admission.admitted", 0)
     shed_count = counters.get("service.admission.shed", 0)
     assert admitted + shed_count == n_threads + 1
-    engine_tasks = sum(
-        value for name, value in counters.items() if name.startswith("engine.tasks.")
-    )
-    assert engine_tasks == admitted == len(served) + 1
+    # One request a call: each admitted call is one engine batch.
+    engine_batches = registry.snapshot()["histograms"]["service.batch_latency"]["count"]
+    assert engine_batches == admitted == len(served) + 1
     assert counters["service.requests"] == n_threads + 1
     assert service.admission.pending == 0
 

@@ -51,8 +51,8 @@ def test_local_client_stats_shows_engine_and_batcher_activity():
     counters = snapshot["metrics"]["counters"]
     assert counters.get("batcher.requests", 0) > 0
     assert counters.get("batcher.batches", 0) > 0
-    assert sum(v for k, v in counters.items() if k.startswith("engine.tasks.")) > 0
     histograms = snapshot["metrics"]["histograms"]
+    assert histograms["service.batch_latency"]["count"] > 0  # engine batches ran
     assert "batcher.queue_wait" in histograms
     for key in ("p50", "p95", "p99"):
         assert histograms["batcher.queue_wait"][key] >= 0
@@ -68,7 +68,7 @@ def test_client_stats_reset_zeroes_the_next_snapshot():
     # The reset zeroed the registry *after* the first snapshot was taken, so
     # the second one reports only what happened since (nothing engine-side).
     assert counters.get("batcher.requests", 0) == 0
-    assert sum(v for k, v in counters.items() if k.startswith("engine.tasks.")) == 0
+    assert after["metrics"]["histograms"]["service.batch_latency"]["count"] == 0
 
 
 def test_stats_prefix_filters_the_metrics_section():
@@ -114,9 +114,8 @@ def test_cluster_stats_shows_batcher_cache_router_counters():
         if name.startswith("router.routed.")
     }
     assert routed and sum(routed.values()) >= len(specs), "router counters missing"
-    histograms = snapshot["metrics"]["histograms"]
-    assert "batcher.batch_size" in histograms
-    assert histograms["batcher.batch_size"]["p95"] >= 1
+    # Every dispatched batch carried at least one prompt.
+    assert counters["batcher.requests"] >= counters["batcher.batches"] >= 1
     # The snapshot is plain JSON end to end.
     json.dumps(snapshot)
 

@@ -466,8 +466,8 @@ def test_hits_and_misses_count_as_in_the_sequential_loop(gated_llm, tmp_path, wa
     assert requests + cached == calls == llm.hits + llm.misses
     if warmed == len(tasks):
         assert (cached, batches, backend.prompts) == (calls, 0, [])
-        # A hit is recorded under its own kind, never under a batch's label.
-        assert llm.usage.per_prompt_kind == loop_llm.usage.per_prompt_kind
+        # Every hit was answered at submission: no batch reached the backend.
+        assert backend.batches == []
     elif warmed:
         assert 0 < cached < calls and llm.persistent_hits > 0
 

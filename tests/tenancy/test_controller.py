@@ -116,3 +116,16 @@ def test_rejection_details_carry_the_tenant_state():
 def test_retry_after_validation():
     with pytest.raises(ValueError):
         TenancyController(retry_after=-0.1)
+
+
+def test_a_reset_keeps_a_tenants_inflight_gauge_at_its_level():
+    registry = MetricsRegistry()
+    controller = TenancyController(
+        TenantRegistry([TenantConfig("t", max_inflight=4)]), clock=FakeClock(), metrics=registry
+    )
+    assert controller.admit("t", 3) is None
+    registry.reset()
+    gauge = registry.gauge("tenant.t.inflight")
+    assert gauge.value == 3
+    controller.release("t", 3)
+    assert gauge.value == 0

@@ -159,6 +159,22 @@ def test_cli_top_counts_what_a_cluster_served():
     assert header.endswith("served: 3")
 
 
+def test_cli_top_rates_the_requests_a_cluster_served():
+    from repro.cli import render_top
+    from repro.cluster import Router
+
+    task = {"type": "transformation", "value": "19990415", "examples": [["20000101", "2000-01-01"]]}
+    with Router.local(2, health_interval=None) as router:
+        sampler = router.monitor.sampler
+        sampler.sample()
+        router.handle_batch([{"v": 2, "id": index, "task": task} for index in range(3)])
+        sampler.sample()
+        rows = render_top(router.stats_snapshot()).splitlines()
+    service_row = next(line for line in rows if line.startswith("(service)"))
+    qps = float(service_row.split()[1])
+    assert qps > 0
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--reset"], ["--tenant", "nobody"], ["--prefix", "batcher"], ["--format", "prom", "--reset"]],
