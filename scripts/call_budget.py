@@ -20,13 +20,13 @@ runs.
 
 A count must repeat exactly, so nothing in it may depend on how threads
 interleave.  The backend's batched calls take :data:`LATENCY` (a sleep, no
-Python calls), so the engine's loop has always gone quiet when a batch
-lands, as it does behind a real backend; the engine's ``max_wait`` is a
-second, so the timeout trigger (which fires on the clock, not on the work)
-stays out of the count; and the count starts and stops :data:`LATENCY`
-after the loop's last callback of a pass could have run, so work the loop
-does after a run returned lands in that run's count.  Batch sizes and
-workers are the defaults.
+Python calls) and then land only once the engine's loop has gone quiet
+(:func:`wait_quiet`), as it has behind a real backend — however long a
+loaded box keeps the loop thread from its work; the engine's ``max_wait``
+is a second, so the timeout trigger (which fires on the clock, not on the
+work) stays out of the count; and the count starts and stops once the loop
+has gone quiet, so work the loop does after a run returned lands in that
+run's count.  Batch sizes and workers are the defaults.
 
 Usage::
 
@@ -46,6 +46,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -60,18 +61,36 @@ from repro.core import UniDM  # noqa: E402
 from repro.llm import CachedLLM  # noqa: E402
 from repro.serving.engine import EngineConfig, ExecutionEngine  # noqa: E402
 
-#: Seconds a batched backend call takes (see the module docstring).  Four
-#: interpreter switch intervals: at 5 ms, a loop thread that shares the
-#: interpreter lock with two busy threads (a test suite's leftovers) was
-#: still running when a batch landed in 4 passes of 6, and the count moved.
+#: Seconds a batched backend call takes (see the module docstring).
 LATENCY = 0.02
 
 
+def wait_quiet(loop: Any, ident: int) -> None:
+    """Return once ``loop``, run by the thread ``ident``, is blocked in its
+    selector with no callback ready: all the work it was given is done.
+
+    The loop is watched from outside — its thread's top frame, its ready
+    queue — so the wait makes no Python call to count, and none on the loop.
+    """
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        frame = sys._current_frames().get(ident)
+        if frame is not None and frame.f_code.co_name == "select" and not loop._ready:
+            return
+        time.sleep(0.0005)
+    raise RuntimeError("the engine's loop did not go quiet within 30 s")
+
+
 class _Backend(PromptPureLLM):
-    """The prompt-pure backend, with batched calls that take ``LATENCY``."""
+    """The prompt-pure backend, with batched calls that take ``LATENCY`` and
+    land once ``settle`` (the engine's quiet wait, when set) returns."""
+
+    settle: Callable[[], None] | None = None
 
     def complete_batch(self, prompts: Sequence[str], kind: str = "other") -> list:
         time.sleep(LATENCY)
+        if self.settle is not None:
+            self.settle()
         return super().complete_batch(prompts, kind=kind)
 
 
@@ -103,17 +122,26 @@ class Budget:
         return self.total / self.specs
 
 
-def _count(solve: Callable[[list], Any], specs: Sequence[Any], llm: CachedLLM, hook: _Hook) -> Budget:
-    """Warm ``solve`` once, clear the cache, and count a second pass."""
+def _count(
+    solve: Callable[[list], Any],
+    specs: Sequence[Any],
+    llm: CachedLLM,
+    hook: _Hook,
+    settle: Callable[[], None] | None = None,
+) -> Budget:
+    """Warm ``solve`` once, clear the cache, and count a second pass;
+    ``settle``, if any, returns once the work a pass left behind is done."""
     solve([spec.to_task() for spec in specs])
     llm.clear()
     tasks = [spec.to_task() for spec in specs]
-    time.sleep(LATENCY)  # the warm pass's last loop callbacks run uncounted
+    if settle is not None:
+        settle()  # the warm pass's last loop callbacks run uncounted
     hook.calls.clear()
     hook.on = True
     try:
         solve(tasks)
-        time.sleep(LATENCY)  # this pass's last loop callbacks are counted
+        if settle is not None:
+            settle()  # this pass's last loop callbacks are counted
     finally:
         hook.on = False
     return Budget(len(specs), dict(hook.calls))
@@ -131,11 +159,16 @@ def measure(specs: Sequence[Any] | None = None) -> dict[str, Budget]:
         pipeline = UniDM(llm, FULL_CONFIG)
         sequential = _count(lambda tasks: [pipeline.run(t) for t in tasks], specs, llm, hook)
 
-        llm = CachedLLM(_Backend())
+        backend = _Backend()
+        llm = CachedLLM(backend)
         pipeline = UniDM(llm, FULL_CONFIG)
         engine = ExecutionEngine(EngineConfig(max_wait=1.0))  # threads start under the hook
         try:
-            batched = _count(lambda tasks: engine.run(pipeline, tasks), specs, llm, hook)
+            resident = engine._started()
+            backend.settle = partial(wait_quiet, resident._loop, resident.thread.ident)
+            batched = _count(
+                lambda tasks: engine.run(pipeline, tasks), specs, llm, hook, backend.settle
+            )
         finally:
             engine.close()
     finally:

@@ -46,6 +46,12 @@ so the tier-1 suite (``tests/test_static.py``) runs them too:
   ruff nor ``compile`` resolves names across modules, so a function-local
   import of a deleted name would otherwise fail only when its branch runs.
   ``import repro.x`` must name an importable module.
+* **salted hash** (``src/repro`` only) — a call of the builtin ``hash()``
+  outside a ``__hash__`` method.  ``hash()`` of a ``str`` or ``bytes`` is salted per process
+  (``PYTHONHASHSEED``), so an answer, a bucket or a route computed from it
+  differs from one process to the next; a stable digest (``zlib.crc32``,
+  ``hashlib``) does not.  Inside ``__hash__`` it only keys in-process
+  dicts and sets.  A line carrying ``# noqa`` is skipped.
 
 Not covered — ruff still owns these: the rest of the ``F`` rules (F541
 placeholder-less f-strings, ...), ``E4`` (import placement), line length
@@ -472,6 +478,32 @@ def unresolved_imports(path: Path, file_path: Path, tree: ast.AST) -> list[str]:
     return findings
 
 
+def salted_hashes(path: Path, source: str, tree: ast.AST) -> list[str]:
+    lines = source.splitlines()
+    found = []
+    stack = [(tree, False)]  # (node, inside a __hash__ method)
+    while stack:
+        node, in_hash = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                stack.append((child, getattr(child, "name", None) == "__hash__"))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "hash"
+                and not in_hash
+                and "# noqa" not in lines[child.lineno - 1]
+            ):
+                found.append(child.lineno)
+            stack.append((child, in_hash))
+    return [
+        f"{path}:{lineno}: salted hash() outside __hash__: "
+        "it differs between processes, use a stable digest"
+        for lineno in sorted(found)
+    ]
+
+
 def check_file(file_path: Path) -> list[str]:
     source = file_path.read_text(encoding="utf-8")
     path = file_path.relative_to(REPO_ROOT) if file_path.is_relative_to(REPO_ROOT) else file_path
@@ -491,6 +523,7 @@ def check_file(file_path: Path) -> list[str]:
         + undefined_names(path, source, tree)
         + statement_style(path, source, tree)
         + unresolved_imports(path, file_path, tree)
+        + (salted_hashes(path, source, tree) if file_path.is_relative_to(SRC / PACKAGE) else [])
     )
 
 

@@ -54,9 +54,25 @@ triggers fires:
 * **size** — ``max_batch_size`` prompts are pending;
 * **idle** — two loop turns pass without any new submission arriving (every
   walk is waiting on a round trip or a claim), so waiting longer cannot grow
-  the batch;
+  the batch — unless a caller was just answered: see *held* below;
 * **timeout** — ``max_wait`` seconds elapsed since the oldest pending prompt
   (the formal progress guarantee behind the idle heuristic).
+
+**Held, once a caller is answered.**  The idle premise is false right after
+a run's caller was answered: a closed-loop caller (a wire client, a notebook,
+the flow executor's next wave) submits its next run within a millisecond or
+two, and that run's first prompt could ride the batch the idle check is
+about to send.  So the engine tells its batchers when it answers a run
+(:meth:`MicroBatcher.answered`) and when the next run arrives
+(:meth:`MicroBatcher.returned`); in between, a batch the idle check would
+send is held until ``answered + min(max_wait, last round trip)`` and then
+sent (flushed as ``idle``, or as ``timeout`` if ``max_wait`` fires first).
+A run that arrives ends the hold at once: its first prompts queue and the
+idle check counts its two quiet turns afresh.  The cap is the duration of the
+last landed round trip, so a hold costs at most one round trip and a
+zero-latency backend never holds; and since only a run that arrives ends the
+hold, a lone sequential caller — nothing pending while it is away — never
+waits.  Derived, not configured: no option sets it.
 
 The first failure of a plan (an exception out of ``send``) or of its batch
 goes to its walk's ``failed``; a walk its owner marks ``dead`` (its run
@@ -239,6 +255,12 @@ class MicroBatcher:
         self._generation = 0  # bumped by every queued request
         self._idle_armed = False
         self._timer: asyncio.TimerHandle | None = None
+        #: ``perf_counter`` when a caller was answered, until a run arrives.
+        self._answered: float | None = None
+        #: Seconds the last landed round trip took on the LLM thread.
+        self._trip = 0.0
+        #: The idle flush a hold put off (see the module docstring).
+        self._hold: asyncio.TimerHandle | None = None
 
     # ----------------------------------------------------------------- owner
     def start(self, walk: Walk) -> None:
@@ -261,6 +283,19 @@ class MicroBatcher:
                 walk.wait_span = None
             self._settle([walk], None)
             walk.claim = None
+
+    def answered(self) -> None:
+        """A run's caller was answered: it may be back within a round trip,
+        so a quiet partial batch is held for it (see the module docstring)."""
+        self._answered = time.perf_counter()
+
+    def returned(self) -> None:
+        """A run arrived: a hold ends now, and the idle check counts again."""
+        self._answered = None
+        if self._hold is not None:
+            self._hold.cancel()
+            self._hold = None
+            self._arm()
 
     def close(self) -> None:
         """The loop is stopping: release every claim still held and stop
@@ -382,7 +417,18 @@ class MicroBatcher:
             loop.call_soon(self._idle_check, generation, 1)
         else:
             self._idle_armed = False
-            self._flush("idle")
+            self._idle()
+
+    def _idle(self) -> None:
+        """Flush a quiet batch, or hold it while an answered caller may be back."""
+        if self._hold is not None:
+            return  # held already: the hold keeps its deadline
+        if self._answered is not None and self._executing is None:
+            wait = self._answered + min(self.max_wait, self._trip) - time.perf_counter()
+            if wait > 0:
+                self._hold = self._loop.call_later(wait, self._flush, "idle")  # type: ignore[union-attr]
+                return
+        self._flush("idle")
 
     # ----------------------------------------------------------------- flushing
     def _flush(self, reason: str) -> None:
@@ -441,6 +487,9 @@ class MicroBatcher:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+        if self._hold is not None:
+            self._hold.cancel()
+            self._hold = None
 
     def _settle(self, batch: list[Walk], error: BaseException | None) -> None:
         """Release the claims ``batch`` holds (see the module docstring)."""
@@ -473,13 +522,15 @@ class MicroBatcher:
         loop — unless the loop is closed, and ``close`` settled the batch."""
         completions: Sequence[Completion] = ()
         error = None
+        started = time.perf_counter()
         try:
             completions = call()
         except Exception as exc:  # delivered to every waiter of the batch
             error = exc
+        trip = time.perf_counter() - started
         try:
             self._loop.call_soon_threadsafe(  # type: ignore[union-attr]
-                self._landed, batch, call_span, error, completions
+                self._landed, batch, call_span, error, completions, trip
             )
         except RuntimeError:
             pass
@@ -490,10 +541,12 @@ class MicroBatcher:
         call_span: Span | None,
         error: BaseException | None,
         completions: Sequence[Completion],
+        trip: float,
     ) -> None:
         if self._executing is not batch:
             return  # settled by close()
         self._executing = None
+        self._trip = trip
         self._land(batch, call_span, error, completions)
 
     def _land(

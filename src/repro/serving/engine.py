@@ -25,7 +25,10 @@ callers wait for one of the ``workers`` slots in **one admission order**
 (weighted-fair across tenants, priority then arrival within one — the
 :class:`~repro.tenancy.WeightedFairQueue`, cost 1 per task), each draws a
 ticket as it is admitted, and their prompts meet in the one batcher, which
-serves the oldest ticket first.  ``close()`` stops the threads; an engine
+serves the oldest ticket first.  The engine tells its batchers when it
+answers a run and when the next run arrives: a caller just answered is
+usually back within a round trip, and a quiet batch is held for it (see
+:mod:`repro.serving.batcher`).  ``close()`` stops the threads; an engine
 nobody closes is stopped when it is garbage-collected.
 
 Determinism contract: the pipeline is a pure function of ``(seed, task)``
@@ -76,7 +79,10 @@ class EngineConfig:
 
     #: Maximum number of prompts, of any kinds, coalesced into one LLM call.
     max_batch_size: int = 8
-    #: Upper bound (seconds) a pending prompt waits for batch-mates.
+    #: Upper bound (seconds) a pending prompt waits for batch-mates.  The
+    #: idle trigger usually sends a batch sooner; a batch held for a caller
+    #: the engine just answered waits at most ``min(max_wait, last round
+    #: trip)`` for its next run (see :mod:`repro.serving.batcher`).
     max_wait: float = 0.002
     #: Maximum number of tasks in flight at once (backpressure).
     workers: int = 8
@@ -108,14 +114,6 @@ class _Run:
     done: int = 0
     error: BaseException | None = None
 
-    def resolve(self) -> None:
-        if self.future.done():
-            return
-        if self.error is not None:
-            self.future.set_exception(self.error)
-        else:
-            self.future.set_result(list(self.results))  # type: ignore[arg-type]
-
 
 class _Task(Walk):
     """One admitted task: its plan, stepped by the batcher, in one slot."""
@@ -146,8 +144,7 @@ class _Task(Walk):
         self.resident._end(self, None)
         run.done += 1
         if run.done == len(run.tasks):
-            self.resident._runs.discard(run)
-            run.resolve()
+            self.resident._resolve(run)
 
     def failed(self, error: BaseException) -> None:
         self.resident._end(self, "error")
@@ -237,6 +234,8 @@ class _Resident:
 
     def _enqueue(self, run: _Run) -> None:
         self._runs.add(run)
+        for batcher in self._batchers.values():
+            batcher.returned()  # a caller is back: no batch waits for one now
         run.batcher = self._batcher_for(run.pipeline.llm)
         tenant, weight, priority = run.share
         for index in range(len(run.tasks)):
@@ -281,8 +280,20 @@ class _Resident:
             for task in list(run.live):
                 self._end(task, "error")
                 run.batcher.drop(task)  # type: ignore[union-attr]
+        self._resolve(run)
+
+    def _resolve(self, run: _Run) -> None:
+        """Answer ``run``'s caller (once), and tell the batchers one was
+        answered: its next run may be on its way."""
         self._runs.discard(run)
-        run.resolve()
+        if run.future.done():
+            return
+        if run.error is not None:
+            run.future.set_exception(run.error)
+        else:
+            run.future.set_result(list(run.results))  # type: ignore[arg-type]
+        for batcher in self._batchers.values():
+            batcher.answered()
 
     def _end(self, task: _Task, status: str | None) -> None:
         """Return ``task``'s slot (the next admission runs a loop turn later)

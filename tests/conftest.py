@@ -184,6 +184,27 @@ def batcher_for():
         thread.shutdown()
 
 
+class BatcherClock:
+    """What the batcher reads for ``time``: a clock that stands still until
+    the test, or its backend, moves ``now``."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+
+@pytest.fixture
+def batcher_clock(monkeypatch):
+    """The batcher's clock, stopped at 0 until the test moves it.  A round
+    trip's length, and so a hold's, is read off it; its timers still run on
+    the loop's own clock."""
+    clock = BatcherClock()
+    monkeypatch.setattr("repro.serving.batcher.time", clock)
+    return clock
+
+
 class LineUpEngine(ExecutionEngine):
     """An engine that says when a run's tasks are in line for its slots.
 
@@ -194,8 +215,8 @@ class LineUpEngine(ExecutionEngine):
     order the call order, without sleeping.
     """
 
-    def __init__(self, config=None):
-        super().__init__(config)
+    def __init__(self, config=None, metrics=None):
+        super().__init__(config, metrics)
         self.handed = threading.Semaphore(0)
 
     def _started(self):
@@ -211,7 +232,7 @@ class LineUpEngine(ExecutionEngine):
 
 @pytest.fixture
 def line_up_engine():
-    """The :class:`LineUpEngine` class (``EngineConfig`` in)."""
+    """The :class:`LineUpEngine` class (``EngineConfig`` and a registry in)."""
     return LineUpEngine
 
 

@@ -314,3 +314,42 @@ def test_a_backend_without_a_cache_takes_the_queue(gated_llm, batcher_for, ask):
 
     run(scenario())
     assert counts(metrics) == (2, 0, 2)
+
+
+# ------------------------------------------- held for the caller who is back
+def test_close_cancels_a_pending_hold(batcher_for, ask, batcher_clock):
+    class TakesFiveSeconds(RecordingLLM):
+        """Each round trip takes five seconds of the batcher's clock."""
+
+        def complete_batch(self, prompts, kind="other"):
+            batcher_clock.now += 5.0
+            return super().complete_batch(prompts, kind=kind)
+
+    llm = TakesFiveSeconds()
+
+    async def scenario():
+        batcher = batcher_for(llm, max_batch_size=8, max_wait=30.0)
+        await ask(batcher, "first")
+        batcher.answered()
+        loop = asyncio.get_running_loop()
+        timers = []
+        call_later = loop.call_later
+
+        def recorded(*args):
+            timers.append(call_later(*args))
+            return timers[-1]
+
+        loop.call_later = recorded
+        held = loop.create_task(ask(batcher, "held"))
+        for _ in range(20):  # the max_wait timer, and two turns later the hold
+            if len(timers) == 2:
+                break
+            await asyncio.sleep(0)
+        assert len(timers) == 2 and not any(timer.cancelled() for timer in timers)
+        batcher.close()
+        held.cancel()
+        return timers
+
+    timers = run(scenario())
+    assert all(timer.cancelled() for timer in timers)
+    assert llm.batches == [("other", ["first"])]  # the held prompt never left

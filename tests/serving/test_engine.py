@@ -325,19 +325,47 @@ def test_tasks_at_different_stages_fill_each_round_trip(gated_llm, latency):
     assert "mixed" in {kind for kind, _ in backend.batches}
 
 
+def stepped(gated_llm, clock=None, trips=()):
+    """A gated backend whose round trips each land when the test releases
+    a ``turns`` permit.  The n-th takes ``trips[n]`` seconds of the batcher's
+    ``clock`` (none once ``trips`` runs out)."""
+    trips = list(trips)
+
+    class Stepped(gated_llm):
+        def complete_batch(self, prompts, kind="other"):
+            if clock is not None and trips:
+                clock.now += trips.pop(0)
+            self.batches.append((kind, list(prompts)))
+            self.entered.release()
+            assert self.turns.acquire(timeout=30)
+            return LanguageModel.complete_batch(self, prompts, kind=kind)
+
+    backend = Stepped()
+    backend.turns = threading.Semaphore(0)
+    return backend
+
+
+def wait_quiet(loop):
+    """Return once ``loop`` has run twelve turns of nothing but this wait:
+    whatever the engine had to do before then is done."""
+    quiet = threading.Event()
+
+    def hop(left):
+        if left:
+            loop.call_soon(hop, left - 1)
+        else:
+            quiet.set()
+
+    loop.call_soon_threadsafe(hop, 12)
+    assert quiet.wait(10)
+
+
 def test_a_mixed_run_goes_down_in_the_batches_it_always_did(gated_llm, line_up_engine):
     """The batching rule, pinned: sixteen tasks of seven types through eight
     slots, behind a cache, every round trip let go only once the engine's
     loop is quiet — so each batch is what the rule alone puts in it.  A
     prompt is labelled ``<task>.<kind>`` by the first task (in input order)
     that asks it alone."""
-
-    class Stepped(gated_llm):
-        def complete_batch(self, prompts, kind="other"):
-            self.batches.append((kind, list(prompts)))
-            self.entered.release()
-            assert self.turns.acquire(timeout=30)
-            return LanguageModel.complete_batch(self, prompts, kind=kind)
 
     labels = {}
 
@@ -350,8 +378,7 @@ def test_a_mixed_run_goes_down_in_the_batches_it_always_did(gated_llm, line_up_e
     for index, task in enumerate(tasks):
         UniDM(Alone(open_gate=True), UniDMConfig.full(seed=0)).run(task)
 
-    backend = Stepped()
-    backend.turns = threading.Semaphore(0)
+    backend = stepped(gated_llm)
     pipeline = UniDM(CachedLLM(backend), UniDMConfig.full(seed=0))
     engine = line_up_engine(EngineConfig(max_batch_size=8, workers=8, max_wait=10.0))
     results = []
@@ -362,16 +389,7 @@ def test_a_mixed_run_goes_down_in_the_batches_it_always_did(gated_llm, line_up_e
         loop = engine._resident._loop
         while True:
             if backend.entered.acquire(timeout=0.02):
-                quiet = threading.Event()
-
-                def hop(left):
-                    if left:
-                        loop.call_soon(hop, left - 1)
-                    else:
-                        quiet.set()
-
-                loop.call_soon_threadsafe(hop, 12)
-                assert quiet.wait(10)
+                wait_quiet(loop)
                 backend.turns.release()
             elif not caller.is_alive():
                 break
@@ -470,6 +488,142 @@ def test_hits_and_misses_count_as_in_the_sequential_loop(gated_llm, tmp_path, wa
         assert backend.batches == []
     elif warmed:
         assert 0 < cached < calls and llm.persistent_hits > 0
+
+
+# ------------------------------------------- held for the caller who is back
+def land_each_round_trip_once_quiet(engine, backend, done, deadline=30.0):
+    """Let every round trip land once the engine's loop has gone quiet, until
+    ``done()`` (within ``deadline`` seconds)."""
+    loop = engine._resident._loop
+    until = time.monotonic() + deadline
+    while not done():
+        assert time.monotonic() < until, "the callers were not answered in time"
+        if backend.entered.acquire(timeout=0.02):
+            wait_quiet(loop)
+            backend.turns.release()
+
+
+def two_callers(engine, pipeline, backend, again=None):
+    """Callers ``a`` and ``b``, one thread each; returns their results by
+    run, and a ``done()`` that is true once both threads returned.
+
+    ``a`` runs ``<a1>`` and then, once ``again`` is set, ``<a2>`` (never,
+    without ``again``).  ``b`` runs ``<b>``, lined up while ``a1``'s first
+    round trip is in flight: each run asks three prompts, one a round trip,
+    so when ``a1`` is answered ``b`` still has its last one to ask.
+    """
+    results = {}
+
+    def a():
+        results["a1"] = engine.run(pipeline, [echo_task("a1")])
+        if again is not None and again.wait(30):
+            results["a2"] = engine.run(pipeline, [echo_task("a2")])
+
+    def b():
+        results["b"] = engine.run(pipeline, [echo_task("b")])
+
+    callers = [threading.Thread(target=a), threading.Thread(target=b)]
+    callers[0].start()
+    assert engine.handed.acquire(timeout=10)
+    assert backend.entered.acquire(timeout=10)  # a1's first round trip
+    callers[1].start()
+    assert engine.handed.acquire(timeout=10)
+    wait_quiet(engine._resident._loop)  # b's first prompt waits behind it
+    backend.turns.release()
+    return results, lambda: not any(caller.is_alive() for caller in callers)
+
+
+def sizes(backend):
+    """How many prompts each round trip carried (every run asks one a trip)."""
+    return [len(prompts) for _, prompts in backend.batches]
+
+
+def flushes(metrics):
+    return {
+        reason: metrics.counter(f"batcher.flush.{reason}").value
+        for reason in ("size", "idle", "timeout")
+    }
+
+
+def test_a_quiet_batch_is_held_for_the_caller_just_answered(
+    gated_llm, line_up_engine, batcher_clock
+):
+    """Once ``a1`` is answered, ``b``'s last prompt waits for ``a``'s next
+    run, whose first prompt rides the same round trip.  Without the hold the
+    idle check sends it alone, and ``a2`` shares no round trip."""
+    backend = stepped(gated_llm, batcher_clock, trips=[20.0] * 3)
+    pipeline = UniDM(backend, UniDMConfig.full(seed=0))
+    metrics = MetricsRegistry()
+    again = threading.Event()
+    engine = line_up_engine(EngineConfig(max_wait=30.0), metrics)
+    with closing(engine):
+        results, done = two_callers(engine, pipeline, backend, again)
+        land_each_round_trip_once_quiet(engine, backend, lambda: "a1" in results)
+        wait_quiet(engine._resident._loop)  # the idle check has had its turns
+        again.set()  # a2's arrival ends the hold at once, not 20 s later
+        land_each_round_trip_once_quiet(engine, backend, done, deadline=10.0)
+    assert sorted(results) == ["a1", "a2", "b"]
+    # a1 | a1 b | a1 b | b a2 | a2 | a2
+    assert sizes(backend) == [1, 2, 2, 2, 1, 1]
+    # Ended by a2's arrival, not by the 30 s max_wait.
+    assert flushes(metrics) == {"size": 0, "idle": 6, "timeout": 0}
+
+
+def test_a_lone_sequential_caller_is_never_held(gated_llm, line_up_engine, batcher_clock):
+    """Nothing is pending while a lone caller is away, and its next run ends
+    any hold as it arrives: a held first prompt would flush as a timeout."""
+    backend = stepped(gated_llm, batcher_clock, trips=[20.0] * 12)
+    pipeline = UniDM(backend, UniDMConfig.full(seed=0))
+    metrics = MetricsRegistry()
+    engine = line_up_engine(EngineConfig(max_wait=0.5), metrics)
+
+    def caller():
+        for index in range(4):
+            engine.run(pipeline, [echo_task(index)])
+
+    with closing(engine):
+        thread = threading.Thread(target=caller)
+        thread.start()
+        assert engine.handed.acquire(timeout=10)
+        land_each_round_trip_once_quiet(engine, backend, lambda: not thread.is_alive())
+    assert flushes(metrics) == {"size": 0, "idle": 12, "timeout": 0}
+
+
+def test_an_instant_backend_is_never_held(gated_llm, line_up_engine, batcher_clock):
+    """A round trip that takes no time caps the hold at none: ``b`` is
+    answered while ``a`` stays away, well inside the 30 s ``max_wait``."""
+    backend = stepped(gated_llm, batcher_clock)
+    pipeline = UniDM(backend, UniDMConfig.full(seed=0))
+    metrics = MetricsRegistry()
+    again = threading.Event()
+    engine = line_up_engine(EngineConfig(max_wait=30.0), metrics)
+    with closing(engine):
+        results, done = two_callers(engine, pipeline, backend, again)
+        land_each_round_trip_once_quiet(engine, backend, lambda: "b" in results, deadline=10.0)
+        again.set()
+        land_each_round_trip_once_quiet(engine, backend, done)
+    assert sorted(results) == ["a1", "a2", "b"]
+    # a1 | a1 b | a1 b | b | a2 | a2 | a2
+    assert sizes(backend) == [1, 2, 2, 1, 1, 1, 1]
+    assert flushes(metrics) == {"size": 0, "idle": 7, "timeout": 0}
+
+
+def test_a_caller_that_never_comes_back_holds_no_longer_than_max_wait(
+    gated_llm, line_up_engine, batcher_clock
+):
+    """``a`` never runs again: ``b``'s held prompt leaves when ``max_wait``
+    (0.5 s, shorter than the 20 s round trip) runs out."""
+    backend = stepped(gated_llm, batcher_clock, trips=[20.0] * 3)
+    pipeline = UniDM(backend, UniDMConfig.full(seed=0))
+    metrics = MetricsRegistry()
+    engine = line_up_engine(EngineConfig(max_wait=0.5), metrics)
+    with closing(engine):
+        results, done = two_callers(engine, pipeline, backend)
+        land_each_round_trip_once_quiet(engine, backend, done)
+    assert sorted(results) == ["a1", "b"]
+    # a1 | a1 b | a1 b | b
+    assert sizes(backend) == [1, 2, 2, 1]
+    assert flushes(metrics) == {"size": 0, "idle": 3, "timeout": 1}
 
 
 def test_many_callers_under_a_short_switch_interval_lose_nothing(gated_llm):
