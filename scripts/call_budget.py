@@ -24,9 +24,12 @@ Python calls) and then land only once the engine's loop has gone quiet
 (:func:`wait_quiet`), as it has behind a real backend — however long a
 loaded box keeps the loop thread from its work; the engine's ``max_wait``
 is a second, so the timeout trigger (which fires on the clock, not on the
-work) stays out of the count; and the count starts and stops once the loop
-has gone quiet, so work the loop does after a run returned lands in that
-run's count.  Batch sizes and workers are the defaults.
+work) stays out of the count; the count starts and stops once the loop
+has gone quiet and the LLM thread waits for its next job, so work done
+after a run returned (the loop's last callbacks, the last batch's persist)
+lands in that run's count; and the collector is off while a pass is
+counted, so no finalizer of earlier garbage lands in it.  Batch sizes and
+workers are the defaults.
 
 Usage::
 
@@ -41,6 +44,7 @@ path's.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import threading
 import time
@@ -65,17 +69,27 @@ from repro.serving.engine import EngineConfig, ExecutionEngine  # noqa: E402
 LATENCY = 0.02
 
 
-def wait_quiet(loop: Any, ident: int) -> None:
+def wait_quiet(loop: Any, ident: int, llm_ident: int | None = None) -> None:
     """Return once ``loop``, run by the thread ``ident``, is blocked in its
-    selector with no callback ready: all the work it was given is done.
+    selector with no callback ready: all the work it was given is done —
+    and, given ``llm_ident``, once that LLM thread waits for its next job
+    (a batch's job persists after it has posted the landing).
 
-    The loop is watched from outside — its thread's top frame, its ready
-    queue — so the wait makes no Python call to count, and none on the loop.
+    The threads are watched from outside — their top frames, the loop's
+    ready queue — so the wait makes no Python call to count, and none on
+    the loop.
     """
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
-        frame = sys._current_frames().get(ident)
-        if frame is not None and frame.f_code.co_name == "select" and not loop._ready:
+        frames = sys._current_frames()
+        frame = frames.get(ident)
+        llm = frames.get(llm_ident) if llm_ident is not None else None
+        if (
+            frame is not None
+            and frame.f_code.co_name == "select"
+            and not loop._ready
+            and (llm is None or llm.f_code.co_name == "_work")
+        ):
             return
         time.sleep(0.0005)
     raise RuntimeError("the engine's loop did not go quiet within 30 s")
@@ -130,12 +144,20 @@ def _count(
     settle: Callable[[], None] | None = None,
 ) -> Budget:
     """Warm ``solve`` once, clear the cache, and count a second pass;
-    ``settle``, if any, returns once the work a pass left behind is done."""
+    ``settle``, if any, returns once the work a pass left behind is done.
+
+    The collector is run before the counted pass and off during it: which
+    earlier garbage it finalizes inside the pass (an old loop, a dead
+    thread's weak references) depends on how threads interleaved, not on
+    the pass."""
     solve([spec.to_task() for spec in specs])
     llm.clear()
     tasks = [spec.to_task() for spec in specs]
     if settle is not None:
         settle()  # the warm pass's last loop callbacks run uncounted
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     hook.calls.clear()
     hook.on = True
     try:
@@ -144,6 +166,8 @@ def _count(
             settle()  # this pass's last loop callbacks are counted
     finally:
         hook.on = False
+        if collecting:
+            gc.enable()
     return Budget(len(specs), dict(hook.calls))
 
 
@@ -166,9 +190,8 @@ def measure(specs: Sequence[Any] | None = None) -> dict[str, Budget]:
         try:
             resident = engine._started()
             backend.settle = partial(wait_quiet, resident._loop, resident.thread.ident)
-            batched = _count(
-                lambda tasks: engine.run(pipeline, tasks), specs, llm, hook, backend.settle
-            )
+            drained = partial(backend.settle, llm_ident=resident._executor._thread.ident)
+            batched = _count(lambda tasks: engine.run(pipeline, tasks), specs, llm, hook, drained)
         finally:
             engine.close()
     finally:

@@ -52,10 +52,14 @@ so the tier-1 suite (``tests/test_static.py``) runs them too:
   differs from one process to the next; a stable digest (``zlib.crc32``,
   ``hashlib``) does not.  Inside ``__hash__`` it only keys in-process
   dicts and sets.  A line carrying ``# noqa`` is skipped.
+* **line length** (``src/repro`` only, E501) — a line longer than
+  :data:`MAX_LINE` characters, ``pyproject.toml``'s ruff ``line-length``.
+  A line carrying ``# noqa`` is skipped.
 
 Not covered — ruff still owns these: the rest of the ``F`` rules (F541
 placeholder-less f-strings, ...), ``E4`` (import placement), line length
-and the ``W`` whitespace rules other than W605 (which compile catches).
+outside ``src/repro`` and the ``W`` whitespace rules other than W605
+(which compile catches).
 
 Usage::
 
@@ -81,6 +85,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 CI_FILE = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 SRC = REPO_ROOT / "src"
 PACKAGE = "repro"
+#: Characters a line of ``src/repro`` may hold (ruff's ``line-length``).
+MAX_LINE = 100
 
 
 def ruff_paths() -> list[str]:
@@ -504,6 +510,14 @@ def salted_hashes(path: Path, source: str, tree: ast.AST) -> list[str]:
     ]
 
 
+def long_lines(path: Path, source: str) -> list[str]:
+    return [
+        f"{path}:{lineno}: E501 line too long ({len(line)} > {MAX_LINE})"
+        for lineno, line in enumerate(source.splitlines(), 1)
+        if len(line) > MAX_LINE and "# noqa" not in line
+    ]
+
+
 def check_file(file_path: Path) -> list[str]:
     source = file_path.read_text(encoding="utf-8")
     path = file_path.relative_to(REPO_ROOT) if file_path.is_relative_to(REPO_ROOT) else file_path
@@ -516,15 +530,17 @@ def check_file(file_path: Path) -> list[str]:
     except Warning as exc:
         return [f"{path}: compile: {exc}"]
     tree = ast.parse(source, str(path))
-    return (
+    findings = (
         unused_imports(path, source, tree)
         + redefinitions(path, tree)
         + unused_locals(path, tree)
         + undefined_names(path, source, tree)
         + statement_style(path, source, tree)
         + unresolved_imports(path, file_path, tree)
-        + (salted_hashes(path, source, tree) if file_path.is_relative_to(SRC / PACKAGE) else [])
     )
+    if file_path.is_relative_to(SRC / PACKAGE):
+        findings += salted_hashes(path, source, tree) + long_lines(path, source)
+    return findings
 
 
 def scan(paths: list[str]) -> list[str]:

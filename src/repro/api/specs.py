@@ -245,7 +245,11 @@ class ImputationSpec(TaskSpec):
 
     def validate(self) -> None:
         names = _check_table_fields(self.rows, self.table_name, self.primary_key)
-        _require(isinstance(self.target, Mapping), "'target' must be an object of known attribute values", "target")
+        _require(
+            isinstance(self.target, Mapping),
+            "'target' must be an object of known attribute values",
+            "target",
+        )
         _require(bool(self.attribute), "'attribute' is required", "attribute")
         _require(
             str(self.attribute) in names,
@@ -396,7 +400,11 @@ class ErrorDetectionSpec(TaskSpec):
 
     def validate(self) -> None:
         names = _check_table_fields(self.rows, self.table_name, self.primary_key)
-        _require(isinstance(self.target, Mapping), "'target' must be an object of known attribute values", "target")
+        _require(
+            isinstance(self.target, Mapping),
+            "'target' must be an object of known attribute values",
+            "target",
+        )
         _require(bool(self.attribute), "'attribute' is required", "attribute")
         _require(
             str(self.attribute) in names,

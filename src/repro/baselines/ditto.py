@@ -44,7 +44,10 @@ def pair_features(left: str, right: str) -> np.ndarray:
             token_jaccard(left, right),
             trigram_jaccard(left, right),
             edit_similarity(left, right),
-            numeric_similarity(numbers_left[-1] if numbers_left else "", numbers_right[-1] if numbers_right else ""),
+            numeric_similarity(
+                numbers_left[-1] if numbers_left else "",
+                numbers_right[-1] if numbers_right else "",
+            ),
             number_overlap,
             abs(len(left) - len(right)) / max(len(left), len(right), 1),
         ]

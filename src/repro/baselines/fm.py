@@ -123,7 +123,9 @@ class FMMethod:
         target_a, target_b = task.describe_a(), task.describe_b()
         demos = self._pick_demonstrations(
             self.er_examples,
-            key=lambda pair: string_similarity(pair.left + " " + pair.right, target_a + " " + target_b),
+            key=lambda pair: string_similarity(
+                pair.left + " " + pair.right, target_a + " " + target_b
+            ),
         )
         lines = [
             f"Entity A is {pair.left}. Entity B is {pair.right}. "

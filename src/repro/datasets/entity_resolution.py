@@ -243,7 +243,9 @@ class BeerDataset(_ERBenchmark):
 
     name = "beer"
     domain = "beverages"
-    difficulty = ERDifficulty(positive_perturbation=0.45, hard_negative_fraction=0.40, price_noise=0.04)
+    difficulty = ERDifficulty(
+        positive_perturbation=0.45, hard_negative_fraction=0.40, price_noise=0.04
+    )
     text_attributes = ("beer_name", "brewery", "style")
     numeric_attributes = ("abv",)
 
@@ -297,7 +299,9 @@ class AmazonGoogleDataset(_ERBenchmark):
 
     name = "amazon_google"
     domain = "products.software"
-    difficulty = ERDifficulty(positive_perturbation=0.75, hard_negative_fraction=0.65, price_noise=0.35)
+    difficulty = ERDifficulty(
+        positive_perturbation=0.75, hard_negative_fraction=0.65, price_noise=0.35
+    )
     text_attributes = ("title", "manufacturer")
     numeric_attributes = ("price",)
 
@@ -346,8 +350,12 @@ class AmazonGoogleDataset(_ERBenchmark):
 # iTunes-Amazon (songs, easy)
 # --------------------------------------------------------------------------
 
-_ARTISTS = ["the blue herons", "maya lane", "dj orbit", "static fields", "aurora kane", "the wandering"]
-_SONG_WORDS = ["midnight", "river", "echoes", "golden", "fading", "summer", "shadow", "neon", "quiet"]
+_ARTISTS = [
+    "the blue herons", "maya lane", "dj orbit", "static fields", "aurora kane", "the wandering"
+]
+_SONG_WORDS = [
+    "midnight", "river", "echoes", "golden", "fading", "summer", "shadow", "neon", "quiet"
+]
 _ALBUMS = ["first light", "city maps", "afterglow", "paper moons", "silver lines"]
 
 
@@ -356,7 +364,9 @@ class ItunesAmazonDataset(_ERBenchmark):
 
     name = "itunes_amazon"
     domain = "music"
-    difficulty = ERDifficulty(positive_perturbation=0.40, hard_negative_fraction=0.35, price_noise=0.05)
+    difficulty = ERDifficulty(
+        positive_perturbation=0.40, hard_negative_fraction=0.35, price_noise=0.05
+    )
     text_attributes = ("song", "artist", "album")
     numeric_attributes = ("price",)
 
@@ -407,7 +417,9 @@ class WalmartAmazonDataset(_ERBenchmark):
 
     name = "walmart_amazon"
     domain = "products.electronics"
-    difficulty = ERDifficulty(positive_perturbation=0.60, hard_negative_fraction=0.60, price_noise=0.20)
+    difficulty = ERDifficulty(
+        positive_perturbation=0.60, hard_negative_fraction=0.60, price_noise=0.20
+    )
     text_attributes = ("title", "brand")
     numeric_attributes = ("price",)
 

@@ -142,7 +142,9 @@ class HospitalDataset(DatasetBuilder):
 # Adult
 # --------------------------------------------------------------------------
 
-_WORKCLASSES = ["private", "self-emp-not-inc", "self-emp-inc", "federal-gov", "local-gov", "state-gov"]
+_WORKCLASSES = [
+    "private", "self-emp-not-inc", "self-emp-inc", "federal-gov", "local-gov", "state-gov"
+]
 _EDUCATION = ["bachelors", "hs-grad", "11th", "masters", "some-college", "assoc-acdm", "doctorate"]
 _MARITAL = ["married-civ-spouse", "divorced", "never-married", "separated", "widowed"]
 _OCCUPATIONS = [

@@ -120,7 +120,9 @@ class NBAPlayersDataset(DatasetBuilder):
 
         documents = [self._make_document(i) for i in range(self.n_documents)]
         # A reference structured view (the target table of the extraction task).
-        schema = Schema([Attribute("player", primary_key=True)] + [Attribute(a) for a in ATTRIBUTES[1:]])
+        schema = Schema(
+            [Attribute("player", primary_key=True)] + [Attribute(a) for a in ATTRIBUTES[1:]]
+        )
         reference = Table("nba_players", schema, [d.values for d in documents])
 
         tasks: list[InformationExtractionTask] = []

@@ -99,7 +99,9 @@ class NextiaJDDataset(DatasetBuilder):
             [(c.title(), COUNTRY_ISO3[c]) for c in other_countries],
         )
 
-        states = self.sample(sorted(US_STATE_ABBREV), min(self.rows_per_table, len(US_STATE_ABBREV)))
+        states = self.sample(
+            sorted(US_STATE_ABBREV), min(self.rows_per_table, len(US_STATE_ABBREV))
+        )
         tables["us_census"] = self._two_column_table(
             "us_census",
             "state_name",
@@ -119,20 +121,29 @@ class NextiaJDDataset(DatasetBuilder):
             "airports", "city", "iata", [(c.title(), c[:3].upper()) for c in cities_a]
         )
         tables["hotels"] = self._two_column_table(
-            "hotels", "city_name", "stars", [(c.title(), str(int(self.rng.integers(1, 6)))) for c in cities_b]
+            "hotels",
+            "city_name",
+            "stars",
+            [(c.title(), str(int(self.rng.integers(1, 6)))) for c in cities_b],
         )
 
         tables["inventory"] = self._two_column_table(
             "inventory",
             "product",
             "quantity",
-            [(p, str(int(self.rng.integers(1, 500)))) for p in self.sample(_PRODUCTS, self.rows_per_table)],
+            [
+                (p, str(int(self.rng.integers(1, 500))))
+                for p in self.sample(_PRODUCTS, self.rows_per_table)
+            ],
         )
         tables["orders"] = self._two_column_table(
             "orders",
             "item_name",
             "order_id",
-            [(p, f"o{int(self.rng.integers(1000, 9999))}") for p in self.sample(_PRODUCTS, self.rows_per_table)],
+            [
+                (p, f"o{int(self.rng.integers(1000, 9999))}")
+                for p in self.sample(_PRODUCTS, self.rows_per_table)
+            ],
         )
         tables["staff"] = self._two_column_table(
             "staff",
@@ -169,11 +180,17 @@ class NextiaJDDataset(DatasetBuilder):
     # -- pair construction -----------------------------------------------------------
     def _candidate_pairs(self) -> tuple[list[ColumnPair], list[ColumnPair]]:
         semantic_positive = [
-            ColumnPair("fifa_ranking", "country_abrv", "countries_and_continents", "ISO", True, "semantic"),
-            ColumnPair("fifa_ranking", "country_full", "countries_and_continents", "ISO", True, "semantic"),
+            ColumnPair(
+                "fifa_ranking", "country_abrv", "countries_and_continents", "ISO", True, "semantic"
+            ),
+            ColumnPair(
+                "fifa_ranking", "country_full", "countries_and_continents", "ISO", True, "semantic"
+            ),
             ColumnPair("us_census", "state_name", "weather_stations", "state", True, "semantic"),
             ColumnPair("us_census", "state_code", "weather_stations", "state", True, "overlap"),
-            ColumnPair("fifa_ranking", "country_full", "countries_and_continents", "name", True, "overlap"),
+            ColumnPair(
+                "fifa_ranking", "country_full", "countries_and_continents", "name", True, "overlap"
+            ),
             ColumnPair("airports", "city", "hotels", "city_name", True, "overlap"),
             ColumnPair("inventory", "product", "orders", "item_name", True, "overlap"),
         ]

@@ -46,11 +46,17 @@ class SyntacticScenario:
 
 
 def _compact_date(rng: np.random.Generator) -> str:
-    return f"{int(rng.integers(1990, 2024))}{int(rng.integers(1, 13)):02d}{int(rng.integers(1, 29)):02d}"
+    return (
+        f"{int(rng.integers(1990, 2024))}"
+        f"{int(rng.integers(1, 13)):02d}{int(rng.integers(1, 29)):02d}"
+    )
 
 
 def _iso_date(rng: np.random.Generator) -> str:
-    return f"{int(rng.integers(1990, 2024))}-{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
+    return (
+        f"{int(rng.integers(1990, 2024))}"
+        f"-{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
+    )
 
 
 def _us_date(rng: np.random.Generator) -> str:
@@ -58,7 +64,10 @@ def _us_date(rng: np.random.Generator) -> str:
 
 
 def _phone_digits(rng: np.random.Generator) -> str:
-    return f"{int(rng.integers(200, 999))}{int(rng.integers(200, 999))}{int(rng.integers(1000, 9999))}"
+    return (
+        f"{int(rng.integers(200, 999))}{int(rng.integers(200, 999))}"
+        f"{int(rng.integers(1000, 9999))}"
+    )
 
 
 def _snake_name(rng: np.random.Generator) -> str:
@@ -83,7 +92,10 @@ def _url(rng: np.random.Generator) -> str:
 def _full_name(rng: np.random.Generator) -> str:
     first = ["john", "maria", "wei", "fatima", "carlos", "anna", "david", "yuki"]
     last = ["smith", "garcia", "chen", "khan", "mueller", "rossi", "tanaka", "brown"]
-    return f"{first[int(rng.integers(len(first)))].title()} {last[int(rng.integers(len(last)))].title()}"
+    return (
+        f"{first[int(rng.integers(len(first)))].title()}"
+        f" {last[int(rng.integers(len(last)))].title()}"
+    )
 
 
 def _address(rng: np.random.Generator) -> str:
@@ -203,7 +215,9 @@ class HardScenario:
 
 HARD_SCENARIOS: tuple[HardScenario, ...] = (
     HardScenario("reverse-tokens", _reverse_tokens, _full_name),
-    HardScenario("interleave-dash", _interleave_dash, lambda rng: str(int(rng.integers(100, 99999)))),
+    HardScenario(
+        "interleave-dash", _interleave_dash, lambda rng: str(int(rng.integers(100, 99999)))
+    ),
     HardScenario("custom-id", _custom_id, lambda rng: f"ab{int(rng.integers(100, 9999))}cd"),
 )
 

@@ -34,7 +34,9 @@ PAPER_REFERENCE = {
 DATASET = "nextiajd"
 
 
-def unidm_scores(dataset, seed: int = 0, n_probes: int = 3, max_tasks: int | None = None) -> tuple[list[float], list[bool]]:
+def unidm_scores(
+    dataset, seed: int = 0, n_probes: int = 3, max_tasks: int | None = None
+) -> tuple[list[float], list[bool]]:
     """Joinability scores: fraction of probe runs answering "joinable"."""
     tasks = dataset.tasks if max_tasks is None else dataset.tasks[:max_tasks]
     labels = dataset.ground_truth if max_tasks is None else dataset.ground_truth[:max_tasks]
@@ -60,7 +62,9 @@ def unidm_scores(dataset, seed: int = 0, n_probes: int = 3, max_tasks: int | Non
     return scores, list(labels)
 
 
-def warpgate_scores(dataset, seed: int = 0, max_tasks: int | None = None) -> tuple[list[float], list[bool]]:
+def warpgate_scores(
+    dataset, seed: int = 0, max_tasks: int | None = None
+) -> tuple[list[float], list[bool]]:
     method = WarpGateJoinDiscovery(seed=seed)
     bench = dataset if max_tasks is None else dataset.subset(max_tasks, seed=0)
     return method.score_dataset(bench), list(bench.ground_truth)
@@ -87,7 +91,9 @@ def curve_rows(method: str, scores: list[float], labels: list[bool]) -> list[dic
 def run(seed: int = 0, max_tasks: int | None = None, n_probes: int = 3) -> list[dict]:
     dataset = load_dataset(DATASET, seed=seed)
     rows: list[dict] = []
-    uni_scores, uni_labels = unidm_scores(dataset, seed=seed, n_probes=n_probes, max_tasks=max_tasks)
+    uni_scores, uni_labels = unidm_scores(
+        dataset, seed=seed, n_probes=n_probes, max_tasks=max_tasks
+    )
     rows.extend(curve_rows("UniDM", uni_scores, uni_labels))
     wg_scores, wg_labels = warpgate_scores(dataset, seed=seed, max_tasks=max_tasks)
     rows.extend(curve_rows("WarpGate", wg_scores, wg_labels))

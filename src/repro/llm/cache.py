@@ -20,17 +20,31 @@ miss by that key, and hands the batch's keys to ``complete_batch`` as a
 :class:`KeyedBatch` — the lookup, the store and the persistent append of a
 miss all take the key its claim carries.
 
+**Persisting.**  A miss is remembered in the LRU and *staged* in the
+persistent store (``put``); :meth:`CachedLLM.persist` lands what this cache
+staged, one append a store (:meth:`~repro.serving.cache.PersistentCache.flush`).
+``complete`` and ``complete_batch`` persist before they return — except for
+a :class:`KeyedBatch`, whose caller persists: the micro-batcher asks once it
+has posted the batch's landing, so the append runs while the loop thread
+delivers the batch instead of between the backend's reply and the delivery.
+Closing the engine waits for that append, and a
+:class:`~repro.serving.cache.PersistentCache` flushes what is still staged
+when the process exits, so a process that answered a prompt and exited
+without closing its engine still leaves the entry on disk.
+
 The wrapper is thread-safe under two locks.  The *fetch* lock is held across
 a whole lookup-or-compute (lookup, inner-model call, store), so two callers
-never compute one prompt twice; the short *state* lock guards the LRU, the
-counters, the usage tracker and the claim table, and is never held across the
-inner call.  :meth:`CachedLLM.cached` — the serving engine's micro-batcher
-asks it from its event loop before it queues a prompt — takes state locks
-only, so a hit is answered while another thread's round trip is still in
-flight.  An optional *persistent* backend (see
+never compute one prompt twice; a persist's append is made after it is
+released.  The short *state* lock guards the LRU, the counters, the usage
+tracker and the claim table, and is never held across the inner call.
+:meth:`CachedLLM.cached` — the serving engine's micro-batcher asks it from
+its event loop before it queues a prompt — takes state locks only, so a hit
+is answered while another thread's round trip is still in flight.  An
+optional *persistent* backend (see
 :class:`~repro.serving.cache.PersistentCache`) spills entries to disk so
 that a warmed cache survives across processes; any object with
-``get(key) -> Entry | None`` and ``put(key, entry)`` works.
+``get(key) -> Entry | None`` and ``put(key, entry)`` works (and a
+``flush()``, if it offers one, is what :meth:`CachedLLM.persist` calls).
 
 An entry is ``(text, prompt_tokens, completion_tokens)``: the text and the
 counts of the :class:`~repro.llm.base.Completion` the inner model returned
@@ -86,7 +100,8 @@ def prompt_key(model: str, prompt: str) -> bytes:
 class KeyedBatch(list):
     """Prompts with their keys (``keys[i]`` is ``self[i]``'s): a batch whose
     caller has keyed it already, handed to :meth:`CachedLLM.complete_batch`
-    as its ``prompts`` so that no prompt of it is hashed again."""
+    as its ``prompts`` so that no prompt of it is hashed again.  Its caller
+    also calls :meth:`CachedLLM.persist` once it has delivered the batch."""
 
     __slots__ = ("keys",)
 
@@ -162,13 +177,17 @@ class CachedLLM(LanguageModel):
         # It is held across the inner-model call, so traffic that computes is
         # serialized — exact-once semantics traded against backend
         # parallelism, which the offline simulated backend cannot use anyway.
-        # ``_lock`` guards the LRU, the counters, the usage tracker and the
-        # claims, and is never held across the inner call or a persistent
-        # ``put``.  Order: this cache's ``_fetch_lock`` -> one cache's
+        # ``_lock`` guards the LRU, the counters, the usage tracker, the
+        # claims and ``_staged_in``, and is never held across the inner call.
+        # A ``put`` only stages; the append is :meth:`persist`'s, made under
+        # neither lock.  Order: this cache's ``_fetch_lock`` -> one cache's
         # ``_lock`` (this one's or the owner's, never both) -> the persistent
         # store's own; nothing takes them the other way round.
         self._fetch_lock = threading.Lock()
         self._lock = threading.Lock()
+        #: The persistent stores this cache staged entries in since its last
+        #: :meth:`persist` (the owners' stores, in a cluster).
+        self._staged_in: set[CacheBackend] = set()
 
     @property
     def identity(self) -> str:
@@ -209,21 +228,44 @@ class CachedLLM(LanguageModel):
         return entry
 
     def _store(self, key: bytes, completion: Completion) -> Entry:
-        """Persist, then remember, the inner model's ``completion`` at the
-        owner; needs ``_fetch_lock``.
+        """Remember the inner model's ``completion`` at the owner, then stage
+        it in the owner's persistent store for :meth:`persist`; needs
+        ``_fetch_lock``.
 
-        The ``put`` (a file append) is made outside the owner's state lock,
-        which other workers' engines take to look up; a reader that slips in
-        before ``_remember`` finds the entry in the persistent store — a
-        persistent hit — or nothing, never a half-state.
+        A reader finds the entry in the LRU from the moment it is
+        remembered; the persistent store serves it once it is on disk.
         """
         entry = (completion.text, completion.prompt_tokens, completion.completion_tokens)
         owner = self._owner(key)
-        if owner.persistent is not None:
-            owner.persistent.put(key, entry)
         with owner._lock:
             owner._remember(key, entry)
+        store = owner.persistent
+        if store is not None:
+            store.put(key, entry)
+            with self._lock:
+                self._staged_in.add(store)
         return entry
+
+    def persist(self) -> None:
+        """Land every entry this cache staged since its last persist: one
+        append a store.
+
+        Takes no fetch lock, so the next lookup-or-compute need not wait for
+        the disk.  A failed append raises here and leaves its entries staged,
+        and the next persist tries its stores again.  A store without a
+        ``flush`` wrote each entry at its ``put``.
+        """
+        with self._lock:
+            stores, self._staged_in = self._staged_in, set()
+        try:
+            for store in stores:
+                flush = getattr(store, "flush", None)
+                if flush is not None:
+                    flush()
+        except BaseException:
+            with self._lock:
+                self._staged_in |= stores
+            raise
 
     # ----------------------------------------------------------- the asker's
     def _count(self, entry: Entry | None, persistent: bool = False) -> None:
@@ -312,13 +354,19 @@ class CachedLLM(LanguageModel):
         # this layer so the overridden complete()/complete_batch() are the
         # real entry points.
         with self._fetch_lock:
-            return self._fetch(prompt, "other")[0]
+            text = self._fetch(prompt, "other")[0]
+        if self._staged_in:
+            self.persist()
+        return text
 
     def complete(self, prompt: str, kind: str = "other") -> Completion:
         with self._fetch_lock:
             entry = self._fetch(prompt, kind)
             with self._lock:
-                return self._record(prompt, entry, kind)
+                completion = self._record(prompt, entry, kind)
+        if self._staged_in:
+            self.persist()
+        return completion
 
     def complete_batch(
         self, prompts: Sequence[str], kind: str = "other"
@@ -328,10 +376,12 @@ class CachedLLM(LanguageModel):
         Mirrors the sequential semantics exactly: a prompt repeated within one
         batch is a miss on first occurrence and a hit afterwards, so usage
         accounting is identical whether the prompts arrive one by one or
-        coalesced.  A :class:`KeyedBatch` brings its prompts' keys; any other
-        sequence is keyed here.
+        coalesced.  A :class:`KeyedBatch` brings its prompts' keys, and its
+        caller persists the misses; any other sequence is keyed here, and
+        its misses are persisted before this returns.
         """
-        keys = prompts.keys if isinstance(prompts, KeyedBatch) else [self.key(p) for p in prompts]
+        keyed = isinstance(prompts, KeyedBatch)
+        keys = prompts.keys if keyed else [self.key(p) for p in prompts]
         with self._fetch_lock:
             entries: list[Entry | None] = []
             found: list[tuple[Entry | None, bool]] = []
@@ -385,7 +435,9 @@ class CachedLLM(LanguageModel):
                         else:
                             self._count(entry)
                     served.append(self._record(prompt, entry, kind))
-                return served
+        if self._staged_in and not keyed:
+            self.persist()
+        return served
 
     # --------------------------------------------------------------- statistics
     @property

@@ -35,10 +35,21 @@ decides how full each backend round trip is.  The rule:
 * **One batch in flight.**  While its batch is executing a batcher
   dispatches nothing — no trigger fires; pending prompts keep collecting
   batch-mates.  The batch in flight is the progress guarantee.
-* **Deliver, then dispatch.**  When a batch lands every waiter is stepped to
-  its next miss first (its owner admits new work a loop turn later, as it
-  would have started a task), and the idle check's two loop turns run before
-  the next batch is dispatched.
+* **Deliver, then dispatch; persist while delivering.**  When a batch lands
+  every waiter is stepped to its next miss first (its owner admits new work
+  a loop turn later, as it would have started a task), and the idle check's
+  two loop turns run before the next batch is dispatched.  The LLM thread
+  posts the landing first and then asks the backend to ``persist`` the
+  batch's misses (one append, where the backend offers it — a
+  :class:`~repro.llm.cache.CachedLLM` does), so the disk write overlaps the
+  delivery instead of preceding it.  A failed append is reported as a
+  ``cache.persist_failed`` event; its entries stay staged for the next one.
+* **Plan while the backend works.**  As a batch leaves, the batcher calls
+  its owner's ``on_dispatch`` hook.  The engine uses the round trip to step
+  waiting tasks to their first request, starting a loop turn later so that
+  the LLM thread takes the GIL into the call first (see
+  :mod:`repro.serving.engine`), and hands a prepared request to
+  :meth:`MicroBatcher.start` when the task is admitted.
 * **Oldest admitted task first, whatever the kind.**  Every walk carries the
   ``ticket`` its task drew when the engine admitted it; the next batch takes
   the ``max_batch_size`` pending prompts that hold the lowest tickets (equal
@@ -81,8 +92,9 @@ failed) is dropped with :meth:`MicroBatcher.drop` and never stepped again.
 Batches execute on an :class:`LLMThreads` thread, which the batchers of one
 engine share, so the event loop stays responsive.  What the loop thread may
 touch is bounded by the hit path: a cache's short state lock (never held
-across a backend call), and behind it the persistent store's lock for at
-most one append the LLM thread is making (``pcache.put_us``, 60–90 µs).
+across a backend call), and behind it the persistent store's state lock,
+which is never held across an append either (a ``put`` stages its entry in
+memory: ``pcache.put_us`` a few µs).
 """
 
 from __future__ import annotations
@@ -98,6 +110,7 @@ from typing import Any, Callable, Sequence
 from ..core.plan import LLMRequest, Plan
 from ..llm.base import Completion, LanguageModel
 from ..llm.cache import Claim, KeyedBatch
+from ..obs.events import emit_event
 from ..obs.metrics import MetricsRegistry, get_default_registry
 from ..obs.span import Span
 
@@ -227,12 +240,15 @@ class MicroBatcher:
         # Found on the backend object, not declared on LanguageModel: a
         # wrapper that forwards unknown attributes to its inner model keeps
         # offering what the inner one offers, and a backend with no cache
-        # offers none of them.  A backend that keys prompts offers all four.
+        # offers none of them.  A backend that keys prompts offers all four;
+        # one that persists its misses after a batch offers ``persist``.
         self._key: Callable[[str], bytes] | None = getattr(llm, "key", None)
         if self._key is not None:
-            self._cached: Callable[..., Completion | None] = llm.cached  # type: ignore[attr-defined]
+            self._cached: Callable[..., Completion | None]
+            self._cached = llm.cached  # type: ignore[attr-defined]
             self._claim: Callable[[bytes, object], Claim] = llm.claim  # type: ignore[attr-defined]
             self._release: Callable[..., None] = llm.release  # type: ignore[attr-defined]
+        self._persist: Callable[[], None] | None = getattr(llm, "persist", None)
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait
         # Metric handles resolved once (the registry lock must stay off the
@@ -249,8 +265,9 @@ class MicroBatcher:
         self._m_queue_wait = metrics.histogram("batcher.queue_wait")
         self._executor = executor
         self._loop: asyncio.AbstractEventLoop | None = None
-        #: The batch on the LLM thread (until it lands or close()).
-        self._executing: list[Walk] | None = None
+        #: The batch on the LLM thread (until it lands or close()); the owner
+        #: reads it, and changes it never.
+        self.in_flight: list[Walk] | None = None
         self._pending: list[Walk] = []
         self._generation = 0  # bumped by every queued request
         self._idle_armed = False
@@ -261,18 +278,22 @@ class MicroBatcher:
         self._trip = 0.0
         #: The idle flush a hold put off (see the module docstring).
         self._hold: asyncio.TimerHandle | None = None
+        #: Called on the loop thread as each batch leaves; set by the owner
+        #: (see the module docstring).
+        self.on_dispatch: Callable[[], None] | None = None
 
     # ----------------------------------------------------------------- owner
-    def start(self, walk: Walk) -> None:
+    def start(self, walk: Walk, request: LLMRequest | None = None) -> None:
         """Run ``walk``'s plan from its first request to its first miss.
 
-        Called on the loop thread.  Hits are sent in at once; the miss
-        queues (or parks on another batcher's claim); a plan that needs no
-        round trip at all finishes here.
+        Called on the loop thread.  ``request`` is the plan's first request
+        when the owner has stepped the plan to it already.  Hits are sent in
+        at once; the miss queues (or parks on another batcher's claim); a
+        plan that needs no round trip at all finishes here.
         """
         if self._loop is None:
             self._loop = asyncio.get_running_loop()
-        self._advance(walk, None)
+        self._advance(walk, None, request)
 
     def drop(self, walk: Walk) -> None:
         """Let go of a ``dead`` walk: a queued request releases its claim now
@@ -301,9 +322,9 @@ class MicroBatcher:
         """The loop is stopping: release every claim still held and stop
         waiting for the batch in flight (idempotent, loop thread)."""
         self._cancel_timer()
-        if self._executing is not None:
-            self._settle(self._executing, None)
-            self._executing = None
+        if self.in_flight is not None:
+            self._settle(self.in_flight, None)
+            self.in_flight = None
         self._settle(self._pending, None)
         self._pending = []
 
@@ -387,7 +408,7 @@ class MicroBatcher:
         self._m_requests.inc()
         # With a batch in flight the prompt just waits: that batch
         # dispatches the next one when it lands.
-        if self._executing is None:
+        if self.in_flight is None:
             if len(self._pending) >= self.max_batch_size:
                 self._dispatch("size")
             elif self._timer is None or not self._idle_armed:
@@ -423,10 +444,12 @@ class MicroBatcher:
         """Flush a quiet batch, or hold it while an answered caller may be back."""
         if self._hold is not None:
             return  # held already: the hold keeps its deadline
-        if self._answered is not None and self._executing is None:
+        if self._answered is not None and self.in_flight is None:
             wait = self._answered + min(self.max_wait, self._trip) - time.perf_counter()
             if wait > 0:
-                self._hold = self._loop.call_later(wait, self._flush, "idle")  # type: ignore[union-attr]
+                loop = self._loop
+                assert loop is not None
+                self._hold = loop.call_later(wait, self._flush, "idle")
                 return
         self._flush("idle")
 
@@ -434,7 +457,7 @@ class MicroBatcher:
     def _flush(self, reason: str) -> None:
         """Dispatch the pending prompts of the oldest tasks, unless a batch is in flight."""
         self._cancel_timer()
-        if self._pending and self._executing is None:
+        if self._pending and self.in_flight is None:
             self._dispatch(reason)
 
     def _dispatch(self, reason: str) -> None:
@@ -465,7 +488,8 @@ class MicroBatcher:
                 first = walk.wait_span
         kind = kinds.pop() if len(kinds) == 1 else MIXED
         if self._key is not None:  # every queued request holds a claim
-            prompts = KeyedBatch(prompts, [walk.claim.key for walk in batch])  # type: ignore[union-attr]
+            keys = [walk.claim.key for walk in batch]  # type: ignore[union-attr]
+            prompts = KeyedBatch(prompts, keys)
         call: Callable[[], list[Completion]] = partial(self._call, kind, prompts)
         call_span = None
         if first is not None:
@@ -476,12 +500,15 @@ class MicroBatcher:
                 # LLM stack (cache.lookup, llm.backend) nest beneath it.
                 call = partial(call_span.bound_context().run, call)
         job = partial(self._execute, batch, call, call_span)
-        self._executing = batch
+        self.in_flight = batch
         try:
             self._executor.submit(job)
         except RuntimeError as error:  # the executor is shut down: the engine is closing
-            self._executing = None
+            self.in_flight = None
             self._land(batch, call_span, error)
+            return
+        if self.on_dispatch is not None:
+            self.on_dispatch()
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
@@ -518,8 +545,9 @@ class MicroBatcher:
         call: Callable[[], list[Completion]],
         call_span: Span | None,
     ) -> None:
-        """An LLM thread's job: make the call, and post its outcome to the
-        loop — unless the loop is closed, and ``close`` settled the batch."""
+        """An LLM thread's job: make the call, post its outcome to the loop —
+        unless the loop is closed, and ``close`` settled the batch — and
+        then persist the batch's misses while the loop delivers it."""
         completions: Sequence[Completion] = ()
         error = None
         started = time.perf_counter()
@@ -534,6 +562,11 @@ class MicroBatcher:
             )
         except RuntimeError:
             pass
+        if self._persist is not None:
+            try:
+                self._persist()
+            except Exception as exc:  # the entries stay staged for the next persist
+                emit_event("cache.persist_failed", error=repr(exc))
 
     def _landed(
         self,
@@ -543,9 +576,9 @@ class MicroBatcher:
         completions: Sequence[Completion],
         trip: float,
     ) -> None:
-        if self._executing is not batch:
+        if self.in_flight is not batch:
             return  # settled by close()
-        self._executing = None
+        self.in_flight = None
         self._trip = trip
         self._land(batch, call_span, error, completions)
 

@@ -11,9 +11,11 @@ hashes, a prompt.  One record is one entry: its key in hex, its text and the
 token counts the backend billed for it, ``{"digest": key.hex(), "text": ...,
 "tokens": [prompt_tokens, completion_tokens]}``.  The log is:
 
-* **append-only** — a put is one ``O_APPEND`` write of one JSON line; there is
-  no rewrite-in-place, so after a crash what is left is a prefix of the log,
-  whose torn final line the loader skips;
+* **append-only** — a put stages its entry, and :meth:`PersistentCache.flush`
+  lands every staged entry with one ``O_APPEND`` write of their JSON lines
+  (a serving batch's misses: one append a batch, made after the batch was
+  delivered); there is no rewrite-in-place, so after a crash what is left is
+  a prefix of the log, whose torn final line the loader skips;
 * **last-wins** — re-putting a key appends a new line; on load the latest
   line for a key is the value served;
 * **write-then-rename compaction** — :meth:`PersistentCache.compact` writes
@@ -23,6 +25,10 @@ token counts the backend billed for it, ``{"digest": key.hex(), "text": ...,
 The class satisfies the ``CacheBackend`` protocol of
 :class:`~repro.llm.cache.CachedLLM` (``get(key)``/``put(key, entry)`` of
 ``(text, prompt_tokens, completion_tokens)`` entries) and is thread-safe.
+What it serves is on disk: ``get`` of a staged entry flushes first, and a
+failed append leaves its rows staged for the next flush.  Whatever is still
+staged when the process exits is flushed then.  ``items``,
+``len``, ``drop`` and ``compact`` see staged entries; ``clear`` forgets them.
 
 Elasticity support: the cluster ring places a prompt by that same key (see
 :class:`~repro.cluster.hashing.PromptOwners`).  When the ring resizes, the
@@ -38,9 +44,11 @@ cold.
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import threading
+import weakref
 from pathlib import Path
 
 from ..llm.cache import KEY_BYTES, Entry
@@ -81,6 +89,20 @@ def _line(key: bytes, entry: Entry) -> str:
     return json.dumps(entry_record(key, entry), ensure_ascii=False) + "\n"
 
 
+#: Every open cache: what is staged when the process exits is written then,
+#: so an answer a process gave is on disk even if no one closed its engine.
+_OPEN: "weakref.WeakSet[PersistentCache]" = weakref.WeakSet()
+
+
+@atexit.register
+def _flush_at_exit() -> None:
+    for cache in list(_OPEN):
+        try:
+            cache.flush()
+        except OSError:
+            pass  # nothing is left to retry it: its prompts miss next time
+
+
 class PersistentCache:
     """Disk-backed key → entry store (one JSONL log per directory).
 
@@ -96,9 +118,16 @@ class PersistentCache:
         #: The log every record is appended to; the only file of the cache
         #: (``cache.jsonl.tmp`` exists only while :meth:`compact` runs).
         self.log_path = self.path / "cache.jsonl"
+        #: Guards ``_entries`` and ``_staged``; never held across an append.
         self._lock = threading.Lock()
+        #: One append at a time, in staging order; taken before ``_lock``.
+        self._write_lock = threading.Lock()
+        #: What is on disk: the state ``get`` serves.
         self._entries: dict[bytes, Entry] = {}
+        #: Put since the last flush, to be appended by the next one.
+        self._staged: dict[bytes, Entry] = {}
         self._load()
+        _OPEN.add(self)
 
     # -------------------------------------------------------------------- io
     def _load(self) -> None:
@@ -141,17 +170,6 @@ class PersistentCache:
                 live_entries=len(self._entries),
             )
 
-    def _append(self, key: bytes, entry: Entry) -> None:
-        """Write first, remember second.
-
-        An append that raises (a full disk, a vanished directory) leaves
-        memory as it was, so a retry appends again instead of being skipped
-        as "already durable": what ``get`` serves is on disk.
-        """
-        with open(self.log_path, "a", encoding="utf-8") as handle:
-            handle.write(_line(key, entry))
-        self._entries[key] = entry
-
     def _rewrite(self, entries: dict[bytes, Entry]) -> None:
         """Replace the log with one record per entry (write, then rename)."""
         tmp = self.path / "cache.jsonl.tmp"
@@ -164,26 +182,58 @@ class PersistentCache:
             tmp.unlink(missing_ok=True)
             raise
 
+    def flush(self) -> None:
+        """Append every staged entry, in one write: write first, remember second.
+
+        An append that raises (a full disk, a vanished directory) leaves the
+        rows staged and memory as it was, so the next flush appends them
+        again instead of skipping them as "already durable": what ``get``
+        serves is on disk.  The lines are made and written outside the state
+        lock, so a lookup never waits for the disk.
+        """
+        with self._write_lock:
+            with self._lock:
+                if not self._staged:
+                    return
+                rows = dict(self._staged)
+            text = "".join([_line(key, entry) for key, entry in rows.items()])
+            with open(self.log_path, "a", encoding="utf-8") as handle:
+                handle.write(text)
+            with self._lock:
+                for key, entry in rows.items():
+                    self._entries[key] = entry
+                    if self._staged.get(key) == entry:  # not put again meanwhile
+                        del self._staged[key]
+
+    def _live(self) -> dict[bytes, Entry]:
+        """What is on disk with what is staged over it; needs ``_lock``."""
+        return {**self._entries, **self._staged}
+
     # ------------------------------------------------------------ cache API
     def get(self, key: bytes) -> Entry | None:
+        with self._lock:
+            if key not in self._staged:
+                return self._entries.get(key)
+        self.flush()  # staged: served once it is on disk
         with self._lock:
             return self._entries.get(key)
 
     def put(self, key: bytes, entry: Entry) -> None:
+        """Stage ``entry`` under ``key``; the next :meth:`flush` appends it."""
         with self._lock:
-            if self._entries.get(key) == entry:
-                return  # already durable; skip the duplicate append
-            self._append(key, entry)
+            if (self._staged.get(key) or self._entries.get(key)) != entry:
+                self._staged[key] = entry  # an identical one is durable or staged
 
     # ------------------------------------------------------------ migration
     def items(self) -> list[tuple[bytes, Entry]]:
-        """Every entry as ``(key, entry)``: what a resize places."""
+        """Every entry as ``(key, entry)``, staged ones included: what a
+        resize places."""
         with self._lock:
-            return list(self._entries.items())
+            return list(self._live().items())
 
     def absorb(self, rows: "list[dict]") -> int:
         """Import migrated rows, each an :func:`entry_record` (memory **and**
-        disk).
+        disk, in one append).
 
         The shard-to-shard copy half of a resize; returns entries added.
         A row without a valid digest, a text and valid counts is skipped.
@@ -197,9 +247,10 @@ class PersistentCache:
                 if parsed is None:
                     continue
                 key, entry = parsed
-                if self._entries.get(key) != entry:
-                    self._append(key, entry)
+                if (self._staged.get(key) or self._entries.get(key)) != entry:
+                    self._staged[key] = entry
                     added += 1
+        self.flush()
         return added
 
     def drop(self, keys: "set[bytes]") -> int:
@@ -207,37 +258,41 @@ class PersistentCache:
 
         The source-side half of a migration: once the new owners have
         absorbed the moved entries, the old shard stops holding them, so
-        shards stay disjoint.  The compacted log is written before memory
-        changes, so a failed rewrite leaves both as they were.  Returns
-        entries dropped.
+        shards stay disjoint.  The compacted log — staged entries written
+        with it — is written before memory changes, so a failed rewrite
+        leaves both as they were.  Returns entries dropped.
         """
-        with self._lock:
-            kept = {key: entry for key, entry in self._entries.items() if key not in keys}
-            dropped = len(self._entries) - len(kept)
+        with self._write_lock, self._lock:
+            live = self._live()
+            kept = {key: entry for key, entry in live.items() if key not in keys}
+            dropped = len(live) - len(kept)
             if dropped:
                 self._rewrite(kept)
-                self._entries = kept
+                self._entries, self._staged = kept, {}
         return dropped
 
     # ---------------------------------------------------------- maintenance
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._entries) + sum(1 for key in self._staged if key not in self._entries)
 
     def __contains__(self, key: bytes) -> bool:
         return self.get(key) is not None
 
     def clear(self) -> None:
-        """Delete the log and forget every entry."""
-        with self._lock:
+        """Delete the log and forget every entry, staged ones too."""
+        with self._write_lock, self._lock:
             self.log_path.unlink(missing_ok=True)
             self._entries.clear()
+            self._staged.clear()
 
     def compact(self) -> None:
-        """Rewrite the log with one line per live entry.
+        """Rewrite the log with one line per live entry, staged ones included.
 
         Write-then-rename: the new log is written to ``cache.jsonl.tmp`` and
         renamed over the old one, so a failure leaves the old log whole.
         """
-        with self._lock:
-            self._rewrite(self._entries)
+        with self._write_lock, self._lock:
+            live = self._live()
+            self._rewrite(live)
+            self._entries, self._staged = live, {}

@@ -15,6 +15,17 @@ did is counted on the engine's metrics registry (``batcher.*``).  A task
 keeps no meter of its own: its ``engine.task`` span carries its kind, and
 the caller's batch is timed by whoever called (``service.batch_latency``).
 
+**Planned while the backend works.**  A plan is a pure function of its task,
+so the engine plans ahead: one loop turn after a batcher dispatches a batch,
+while that batch is in flight, it steps the tasks the next admissions will
+take — up to ``max_batch_size``, picked with a non-mutating
+:meth:`~repro.tenancy.WeightedFairQueue.peek` — to their first request, one
+task a loop turn, and stops when the batch lands.  Nothing else moves: a
+task still takes its slot, ticket and ``engine.task`` span when the fair
+queue pops it, and then starts from its prepared request instead of
+planning in the gap between one round trip and the next.  The depth is
+derived from ``max_batch_size``, not configured.
+
 The engine is **resident**: the first ``run`` starts one daemon event-loop
 thread (``repro-engine``), one LLM thread (``repro-llm``) and one batcher per
 backend, each with at most one batch in flight on that thread; every later
@@ -48,8 +59,10 @@ import threading
 import weakref
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Iterable
 
+from ..core.plan import LLMRequest, Plan
 from ..core.types import PromptTrace, TaskType
 from ..llm.base import UsageDelta
 from ..obs.metrics import MetricsRegistry, get_default_registry
@@ -111,6 +124,12 @@ class _Run:
     batcher: MicroBatcher | None = None
     #: Tasks admitted and not yet ended.
     live: "set[_Task]" = field(default_factory=set)
+    #: index -> ``(plan, trace, first request)`` of a waiting task planned
+    #: ahead, or ``None`` if its first step raised (it is planned again at
+    #: admission, to the same end).
+    prepared: "dict[int, tuple[Plan, PromptTrace, LLMRequest] | None]" = field(
+        default_factory=dict
+    )
     done: int = 0
     error: BaseException | None = None
 
@@ -120,13 +139,24 @@ class _Task(Walk):
 
     __slots__ = ("resident", "run", "index", "trace")
 
-    def __init__(self, resident: "_Resident", run: _Run, index: int, ticket: int):
+    def __init__(
+        self,
+        resident: "_Resident",
+        run: _Run,
+        index: int,
+        ticket: int,
+        prepared: "tuple[Plan, PromptTrace, LLMRequest] | None",
+    ):
         task = run.tasks[index]
-        trace = PromptTrace()
         span = run.context.run(
             Span.begin, "engine.task", attrs={"kind": _KIND[task.task_type], "index": index}
         )
-        super().__init__(run.pipeline.plan(task, trace), ticket, span)
+        if prepared is None:
+            trace = PromptTrace()
+            plan = run.pipeline.plan(task, trace)
+        else:
+            plan, trace, _ = prepared
+        super().__init__(plan, ticket, span)
         self.resident = resident
         self.run = run
         self.index = index
@@ -170,6 +200,7 @@ class _Resident:
         self._waiting = WeightedFairQueue()  # (run, index) awaiting a slot
         self._free = config.workers
         self._admitting = False  # an _admit is scheduled
+        self._preparing = False  # a _prepare is scheduled
         self._tickets = itertools.count(1)
         self._runs: set[_Run] = set()
         self._lock = threading.Lock()  # orders submit against close
@@ -254,6 +285,7 @@ class _Resident:
                 self._config.max_wait,
                 self._metrics,
             )
+            batcher.on_dispatch = partial(self._dispatched, batcher)
         return batcher
 
     def _admit(self) -> None:
@@ -268,15 +300,52 @@ class _Resident:
             if run.error is not None:
                 continue  # its run already failed; the slot goes to the next
             self._free -= 1
-            task = _Task(self, run, index, next(self._tickets))
+            prepared = run.prepared.pop(index, None)
+            task = _Task(self, run, index, next(self._tickets), prepared)
             run.live.add(task)
-            run.batcher.start(task)  # type: ignore[union-attr]
+            first = None if prepared is None else prepared[2]
+            run.batcher.start(task, first)  # type: ignore[union-attr]
+
+    def _dispatched(self, batcher: MicroBatcher) -> None:
+        """``batcher`` sent a batch: plan ahead a loop turn later, while it
+        is in flight (see the module docstring)."""
+        if self._waiting and not self._preparing:
+            self._preparing = True
+            self._loop.call_soon(self._prepare, batcher, None)
+
+    def _prepare(self, batcher: MicroBatcher, queue: "list | None") -> None:
+        """Step one waiting task to its first request, and come back a loop
+        turn later for the next, while ``batcher``'s batch is in flight.
+
+        ``queue`` is what is left of the peek the pass began with, nearest
+        last.  A task already prepared, or whose run failed, is passed over.
+        """
+        self._preparing = False
+        if batcher.in_flight is None:
+            return  # landed: the next admissions are on the critical path now
+        if queue is None:
+            queue = self._waiting.peek(self._config.max_batch_size)
+            queue.reverse()
+        while queue:
+            run, index = queue.pop()
+            if run.error is None and index not in run.prepared:
+                trace = PromptTrace()
+                plan = run.pipeline.plan(run.tasks[index], trace)
+                try:
+                    run.prepared[index] = (plan, trace, plan.send(None))
+                except Exception:  # StopIteration too: the admission replays it
+                    run.prepared[index] = None
+                break
+        if queue:
+            self._preparing = True
+            self._loop.call_soon(self._prepare, batcher, queue)
 
     def _fail(self, run: _Run, error: BaseException) -> None:
         """First failure wins: the run's other tasks are dropped, their slots
         returned, and the run resolves with ``error``."""
         if run.error is None:
             run.error = error
+            run.prepared.clear()
             for task in list(run.live):
                 self._end(task, "error")
                 run.batcher.drop(task)  # type: ignore[union-attr]

@@ -107,6 +107,35 @@ class WeightedFairQueue:
             raise IndexError("pop from an empty WeightedFairQueue")
         return best
 
+    def peek(self, n: int) -> list[Any]:
+        """The items the next ``n`` pops would return, in that order, without
+        popping: the pops are replayed on copies of the bids."""
+        # Per backlogged tenant: [vfinish, weight, its n smallest entries, taken].
+        tenants = []
+        for queue in self._tenants.values():
+            if queue.heap:
+                tenants.append([queue.vfinish, queue.weight, heapq.nsmallest(n, queue.heap), 0])
+        vtime = self._vtime
+        items: list[Any] = []
+        while len(items) < n:
+            best: list | None = None
+            best_bid: tuple[float, int, int] | None = None
+            for tenant in tenants:
+                heads, taken = tenant[2], tenant[3]
+                if taken < len(heads):
+                    head = heads[taken]
+                    bid = (max(vtime, tenant[0]), head[0], head[1])
+                    if best_bid is None or bid < best_bid:
+                        best, best_bid = tenant, bid
+            if best is None or best_bid is None:
+                break
+            vtime = best_bid[0]
+            _, _, cost, item = best[2][best[3]]
+            best[0] = vtime + cost / best[1]
+            best[3] += 1
+            items.append(item)
+        return items
+
     def pop(self) -> Any:
         """Remove and return the fair-share winner, advancing virtual time."""
         queue = self._select()

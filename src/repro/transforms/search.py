@@ -118,6 +118,8 @@ class ProgramSearcher:
         return result.program(value)
 
 
-def infer_program(examples: Sequence[tuple[str, str]], max_depth: int = 2) -> Optional[TransformProgram]:
+def infer_program(
+    examples: Sequence[tuple[str, str]], max_depth: int = 2
+) -> Optional[TransformProgram]:
     """Module-level helper: return a consistent program or None."""
     return ProgramSearcher(max_depth=max_depth).search(examples).program

@@ -1,7 +1,6 @@
 """Router behaviour: affinity, failover, backpressure, wire front, flow fan-out, stats."""
 
 import threading
-import time
 
 import pytest
 
@@ -301,9 +300,10 @@ def test_a_plans_wave_fans_out_once_not_once_per_partition():
 def count_batches_inside(backends, n_workers, joins, n_calls, expected):
     """Peak batches inside the workers of ``Router.local(n_workers)``, grown
     by ``joins`` workers, while ``n_calls`` one-spec calls wait on closed
-    gates: ``(peak in any one worker, peak in all)``, read once ``expected``
-    are inside and a moment has passed for more to get in."""
-    lock = threading.Lock()
+    gates: ``(peak in any one worker, peak in all)``, read once no further
+    batch can get in — every dispatch-pool thread is inside a worker, and
+    every other call waits in the pool's queue."""
+    changed = threading.Condition()
     inside: dict = {}
     peaks = {"worker": 0, "all": 0}
 
@@ -311,14 +311,15 @@ def count_batches_inside(backends, n_workers, joins, n_calls, expected):
         submit_batch = worker.submit
 
         def submit_counted(*args, **kwargs):
-            with lock:
+            with changed:
                 inside[worker.worker_id] = inside.get(worker.worker_id, 0) + 1
                 peaks["worker"] = max(peaks["worker"], inside[worker.worker_id])
                 peaks["all"] = max(peaks["all"], sum(inside.values()))
+                changed.notify_all()
             try:
                 return submit_batch(*args, **kwargs)
             finally:
-                with lock:
+                with changed:
                     inside[worker.worker_id] -= 1
 
         worker.submit = submit_counted
@@ -333,6 +334,24 @@ def count_batches_inside(backends, n_workers, joins, n_calls, expected):
     ) as router:
         for _ in range(joins):
             router.add_worker()
+        pool = router._pool
+        pool_submit = pool.submit
+
+        def submit_noted(*args, **kwargs):
+            future = pool_submit(*args, **kwargs)
+            with changed:
+                changed.notify_all()
+            return future
+
+        pool.submit = submit_noted
+
+        def sealed():
+            # Each pool thread runs one batch at a time: with all of them
+            # inside a worker (behind a closed gate) and the rest queued,
+            # nothing else can get in until a gate opens.
+            batches = sum(inside.values())
+            return batches == len(pool._threads) and pool._work_queue.qsize() == n_calls - batches
+
         outcomes: list = []
         calls = [
             threading.Thread(target=lambda spec=spec: outcomes.extend(submit(router, [spec])))
@@ -340,11 +359,9 @@ def count_batches_inside(backends, n_workers, joins, n_calls, expected):
         ]
         for call in calls:
             call.start()
-        deadline = time.monotonic() + 10
-        while peaks["all"] < expected and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.2)
-        peak = dict(peaks)
+        with changed:
+            assert changed.wait_for(sealed, timeout=10)
+            peak = dict(peaks)
         for backend in backends:
             backend.gate.set()
         for call in calls:
@@ -377,6 +394,9 @@ def test_a_reset_mid_flight_leaves_router_inflight_at_zero_once_drained(gated_ll
     inflight = registry.gauge("router.inflight")
     before = inflight.value
     backends = [gated_llm() for _ in range(2)]
+    entered = threading.Semaphore(0)  # released by whichever backend a batch enters
+    for backend in backends:
+        backend.entered = entered
     specs = [
         TransformationSpec(value=f"1999{index:04d}", examples=[["20000101", "2000-01-01"]])
         for index in range(4)
@@ -385,9 +405,7 @@ def test_a_reset_mid_flight_leaves_router_inflight_at_zero_once_drained(gated_ll
         outcomes: list = []
         call = threading.Thread(target=lambda: outcomes.extend(submit(router, specs)))
         call.start()
-        deadline = time.monotonic() + 10
-        while not any(backend.batches for backend in backends) and time.monotonic() < deadline:
-            time.sleep(0.01)
+        assert entered.acquire(timeout=10)
         assert inflight.value == before + len(specs)
         registry.reset()  # what ``stats(reset=True)`` does under load
         for backend in backends:

@@ -1,5 +1,6 @@
 """Unit tests for the caching LLM wrapper."""
 
+import errno
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -405,3 +406,25 @@ def test_an_older_store_opens_cold(tmp_path):
     cached = CachedLLM(inner, persistent=PersistentCache(tmp_path))
     assert [c.text for c in cached.complete_batch(["a", "b"])] == ["fresh", "fresh"]
     assert (cached.misses, cached.persistent_hits, inner.usage.calls) == (2, 0, 2)
+
+
+def test_a_failed_persist_is_tried_again_by_the_next(tmp_path, monkeypatch):
+    """The entry stays remembered and staged; the next persist lands it,
+    with no put in between."""
+    full = [True]
+
+    def full_disk(file, mode="r", *args, **kwargs):
+        if "a" in mode and full[0]:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return open(file, mode, *args, **kwargs)
+
+    store = PersistentCache(tmp_path / "cache")
+    monkeypatch.setattr("repro.serving.cache.open", full_disk, raising=False)
+    cached = CachedLLM(EchoLLM(reply="pong"), persistent=store)
+    with pytest.raises(OSError):
+        cached.complete("a")
+    assert len(PersistentCache(tmp_path / "cache")) == 0
+    full[0] = False
+    cached.persist()
+    assert PersistentCache(tmp_path / "cache").get(cached.key("a"))[0] == "pong"
+    assert cached.complete("a").text == "pong" and cached.inner.usage.calls == 1

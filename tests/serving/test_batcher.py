@@ -1,10 +1,14 @@
 """Unit tests for the micro-batching scheduler."""
 
 import asyncio
+import errno
+import threading
 import time
 
 from repro.llm import CachedLLM, EchoLLM
+from repro.obs import configure_default_event_log
 from repro.obs.metrics import MetricsRegistry
+from repro.serving import PersistentCache
 from repro.serving.batcher import MIXED
 
 
@@ -353,3 +357,51 @@ def test_close_cancels_a_pending_hold(batcher_for, ask, batcher_clock):
     timers = run(scenario())
     assert all(timer.cancelled() for timer in timers)
     assert llm.batches == [("other", ["first"])]  # the held prompt never left
+
+
+def test_a_batch_is_persisted_in_one_append_after_it_lands(
+    tmp_path, monkeypatch, batcher_for, ask
+):
+    """The LLM thread appends a batch's misses once it has posted the landing:
+    a full disk fails no waiter, is reported, and the next batch's append
+    writes what the failed one staged."""
+    appends = []
+    full = [True]
+
+    def full_disk(file, mode="r", *args, **kwargs):
+        if "a" in mode:
+            appends.append(file)
+            if full[0]:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return open(file, mode, *args, **kwargs)
+
+    store = PersistentCache(tmp_path / "c")
+    monkeypatch.setattr("repro.serving.cache.open", full_disk, raising=False)
+    llm = CachedLLM(RecordingLLM(reply="stored"), persistent=store)
+    log = configure_default_event_log(capacity=64)
+
+    def drained(batcher):
+        """Jobs run in order: once this one has run, the last persist has too."""
+        done = threading.Event()
+        batcher._executor.submit(done.set)
+        assert done.wait(10)
+
+    async def scenario():
+        batcher = batcher_for(llm, max_batch_size=4, max_wait=10.0)
+        first = await asyncio.gather(*(ask(batcher, prompt) for prompt in "abcd"))
+        await asyncio.to_thread(drained, batcher)
+        assert len(appends) == 1 and not store.log_path.exists()
+        full[0] = False
+        second = await ask(batcher, "e")
+        await asyncio.to_thread(drained, batcher)
+        return first + [second]
+
+    try:
+        completions = run(scenario())
+        (event,) = log.events(kind="cache.persist_failed")
+    finally:
+        configure_default_event_log(capacity=8192)
+    assert [c.text for c in completions] == ["stored"] * 5
+    assert "No space left" in event["error"]
+    assert len(appends) == 2  # one append a batch: the second also lands the first's rows
+    assert len(PersistentCache(tmp_path / "c")) == 5

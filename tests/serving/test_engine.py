@@ -29,6 +29,8 @@ from repro.serving import (
     ExecutionEngine,
     PersistentCache,
 )
+from repro.serving.engine import SHARE
+from repro.tenancy import DEFAULT_TENANT
 
 
 def city_tasks(city_table):
@@ -624,6 +626,150 @@ def test_a_caller_that_never_comes_back_holds_no_longer_than_max_wait(
     # a1 | a1 b | a1 b | b
     assert sizes(backend) == [1, 2, 2, 1]
     assert flushes(metrics) == {"size": 0, "idle": 3, "timeout": 1}
+
+
+# ------------------------------------------- planned while the backend works
+class PlansAhead(UniDM):
+    """A pipeline that records the tasks the engine planned ahead of their
+    admission, while a round trip was in flight."""
+
+    def __init__(self, llm, config):
+        super().__init__(llm, config)
+        self.ahead = []
+
+    def plan(self, task, trace):
+        if sys._getframe(1).f_code.co_name == "_prepare":
+            self.ahead.append(task)
+        return super().plan(task, trace)
+
+
+def test_a_run_planned_ahead_answers_as_one_planned_at_admission(gated_llm, line_up_engine):
+    """Sixteen tasks through two slots, every round trip let go once the
+    engine's loop is quiet: the fourteen that wait are each planned during a
+    round trip, and results, prompts and usage are those of sixteen slots
+    (no task waits, none is planned ahead) and of the sequential loop."""
+    tasks = seven_type_tasks(16)
+    seen = []
+    for workers in (2, 16):
+        backend = stepped(gated_llm)
+        llm = CachedLLM(backend)
+        pipeline = PlansAhead(llm, UniDMConfig.full(seed=0))
+        engine = line_up_engine(EngineConfig(max_batch_size=8, workers=workers, max_wait=10.0))
+        results = []
+        with closing(engine):
+            caller = threading.Thread(target=lambda: results.extend(engine.run(pipeline, tasks)))
+            caller.start()
+            assert engine.handed.acquire(timeout=10)
+            land_each_round_trip_once_quiet(engine, backend, lambda: not caller.is_alive())
+        seen.append(
+            (
+                len(pipeline.ahead),
+                result_fingerprint(results),
+                sorted(backend.prompts),
+                llm.usage.snapshot(),
+            )
+        )
+    alone = CachedLLM(gated_llm(open_gate=True))
+    sequential = [UniDM(alone, UniDMConfig.full(seed=0)).run(task) for task in tasks]
+    assert [ahead for ahead, *_ in seen] == [14, 0]
+    assert seen[0][1:] == seen[1][1:]
+    assert seen[0][1] == result_fingerprint(sequential)
+    assert seen[0][3] == alone.usage.snapshot()
+
+
+def test_a_task_planned_ahead_keeps_its_place_in_line(gated_llm, line_up_engine):
+    """One slot, held by ``holder``.  ``low-0`` and ``low-1`` are planned
+    during its second round trip; ``high`` (priority 5) arrives after that
+    and still takes the slot first.  A plan-ahead that popped the fair queue
+    would have taken the low tasks out of line."""
+    backend = stepped(gated_llm)
+    pipeline = PlansAhead(backend, UniDMConfig.full(seed=0))
+    engine = line_up_engine(EngineConfig(workers=1, max_wait=10.0))
+    callers = []
+
+    def line_up(tags, priority=0):
+        def call():
+            share = SHARE.set((DEFAULT_TENANT, 1.0, priority))
+            try:
+                engine.run(pipeline, [echo_task(tag) for tag in tags])
+            finally:
+                SHARE.reset(share)
+
+        callers.append(threading.Thread(target=call))
+        callers[-1].start()
+        assert engine.handed.acquire(timeout=10)
+
+    with closing(engine):
+        line_up(["holder"])
+        assert backend.entered.acquire(timeout=10)  # holder's first round trip
+        line_up(["low-0", "low-1"])
+        wait_quiet(engine._resident._loop)
+        backend.turns.release()
+        assert backend.entered.acquire(timeout=10)  # holder's second round trip
+        wait_quiet(engine._resident._loop)
+        assert len(pipeline.ahead) == 2
+        line_up(["high"], priority=5)
+        backend.turns.release()
+        land_each_round_trip_once_quiet(
+            engine, backend, lambda: not any(caller.is_alive() for caller in callers)
+        )
+    assert backend.tag_order() == ["holder", "high", "low-0", "low-1"]
+
+
+def test_a_failed_runs_planned_tasks_are_dropped_and_its_slot_returns(gated_llm):
+    """The run's first task fails its round trip while the other three wait,
+    planned: the run fails with the batch's error, its plans are dropped, and
+    the slot serves the next run."""
+    backend = stepped(gated_llm)
+    complete_batch = backend.complete_batch
+
+    def fails_the_first_round_trip(prompts, kind="other"):
+        completions = complete_batch(prompts, kind)
+        if len(backend.batches) == 1:  # boom's first prompt, alone in the slot
+            raise ConnectionError("boom")
+        return completions
+
+    backend.complete_batch = fails_the_first_round_trip
+    pipeline = PlansAhead(backend, UniDMConfig.full(seed=0))
+    with closing(ExecutionEngine(EngineConfig(workers=1, max_wait=10.0))) as engine:
+        resident = engine._started()
+        run = resident.submit(pipeline, [echo_task(tag) for tag in ("boom", "a", "b", "c")])
+        assert backend.entered.acquire(timeout=10)
+        wait_quiet(resident._loop)
+        assert len(pipeline.ahead) == 3 and sorted(run.prepared) == [1, 2, 3]
+        backend.turns.release()
+        with pytest.raises(ConnectionError, match="boom"):
+            run.future.result(timeout=10)
+        assert run.prepared == {}
+        after = []
+        caller = threading.Thread(
+            target=lambda: after.extend(engine.run(pipeline, [echo_task("after")]))
+        )
+        caller.start()
+        land_each_round_trip_once_quiet(engine, backend, lambda: not caller.is_alive())
+        assert [result.usage.calls for result in after] == [3]
+        assert resident._free == 1
+    assert "<a>" not in " ".join(backend.prompts)  # the planned tasks never asked
+
+
+def test_close_with_tasks_planned_ahead_leaves_no_claim_held(gated_llm):
+    backend = stepped(gated_llm)
+    llm = CachedLLM(backend)
+    pipeline = PlansAhead(llm, UniDMConfig.full(seed=0))
+    engine = ExecutionEngine(EngineConfig(workers=1, max_wait=10.0))
+    resident = engine._started()
+    run = resident.submit(pipeline, [echo_task(f"t{index}") for index in range(3)])
+    assert backend.entered.acquire(timeout=10)
+    wait_quiet(resident._loop)
+    assert len(pipeline.ahead) == 2 and len(llm._claims) == 1  # the admitted task's miss
+    closer = threading.Thread(target=engine.close)
+    closer.start()  # waits for the LLM thread, which waits for its turn
+    with pytest.raises(RuntimeError, match="closed"):
+        run.future.result(timeout=10)
+    backend.turns.release()
+    closer.join(10)
+    assert not closer.is_alive()
+    assert llm._claims == {} and run.prepared == {}
 
 
 def test_many_callers_under_a_short_switch_interval_lose_nothing(gated_llm):

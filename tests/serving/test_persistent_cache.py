@@ -3,6 +3,10 @@
 import errno
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,7 @@ def test_entries_survive_reopening(tmp_path):
     first = PersistentCache(tmp_path / "c")
     first.put(key("prompt one"), entry("a"))
     first.put(key("prompt two"), entry("b"))
+    first.flush()
     reopened = PersistentCache(tmp_path / "c")
     assert reopened.get(key("prompt one")) == entry("a")
     assert reopened.get(key("prompt two")) == entry("b")
@@ -58,7 +63,9 @@ def test_last_write_wins_across_processes(tmp_path):
 def test_identical_put_is_not_reappended(tmp_path):
     cache = PersistentCache(tmp_path / "c")
     cache.put(key("p"), entry("same"))
+    cache.flush()
     cache.put(key("p"), entry("same"))
+    cache.flush()
     shard = tmp_path / "c" / "cache.jsonl"
     assert len(shard.read_text().strip().splitlines()) == 1
 
@@ -66,6 +73,7 @@ def test_identical_put_is_not_reappended(tmp_path):
 def test_torn_final_line_is_skipped(tmp_path):
     cache = PersistentCache(tmp_path / "c")
     cache.put(key("p"), entry("ok"))
+    cache.flush()
     shard = tmp_path / "c" / "cache.jsonl"
     with open(shard, "a", encoding="utf-8") as handle:
         handle.write('{"key": "abc", "te')  # simulated crash mid-write
@@ -87,6 +95,7 @@ def test_compact_rewrites_one_line_per_key(tmp_path):
     cache = PersistentCache(tmp_path / "c")
     for value in ("v1", "v2", "v3"):
         cache.put(key("p"), entry(value))
+        cache.flush()
     shard = tmp_path / "c" / "cache.jsonl"
     assert len(shard.read_text().strip().splitlines()) == 3
     cache.compact()
@@ -104,6 +113,7 @@ def test_concurrent_writers_on_disjoint_shard_dirs(tmp_path):
         shard = PersistentCache(tmp_path / f"worker-{worker_index:02d}")
         for i in range(40):
             shard.put(key(f"worker {worker_index} prompt {i}"), entry(f"answer {i}"))
+            shard.flush()
 
     threads = [threading.Thread(target=warm, args=(w,)) for w in range(4)]
     for thread in threads:
@@ -127,6 +137,8 @@ def test_concurrent_writers_through_one_cache_instance(tmp_path):
     def write(prefix: str) -> None:
         for i in range(50):
             cache.put(key(f"{prefix} prompt {i}"), entry(f"{prefix} answer {i}"))
+            if i % 5 == 4:  # batches of five, flushed while other threads stage
+                cache.flush()
 
     threads = [threading.Thread(target=write, args=(f"t{t}",)) for t in range(8)]
     for thread in threads:
@@ -148,11 +160,13 @@ def test_reopen_after_crash_with_torn_line_mid_file(tmp_path):
     """
     cache = PersistentCache(tmp_path / "c")
     cache.put(key("before"), entry("kept"))
+    cache.flush()
     shard = tmp_path / "c" / "cache.jsonl"
     with open(shard, "a", encoding="utf-8") as handle:
         handle.write('{"key": "deadbeef", "text": "tru\n')  # crash mid-record
     survivor = PersistentCache(tmp_path / "c")
     survivor.put(key("after"), entry("also kept"))
+    survivor.flush()
     reopened = PersistentCache(tmp_path / "c")
     assert reopened.get(key("before")) == entry("kept")
     assert reopened.get(key("after")) == entry("also kept")
@@ -162,36 +176,119 @@ def test_reopen_after_crash_with_torn_line_mid_file(tmp_path):
 ROW = entry_record(key("p"), entry("t"))
 
 
+def put_and_flush(cache):
+    cache.put(key("p"), entry("t"))
+    cache.flush()
+
+
+def put_a_batch_and_flush(cache):
+    for prompt in ("p", "q", "r"):
+        cache.put(key(prompt), entry("t"))
+    cache.flush()
+
+
 @pytest.mark.parametrize(
     "write",
-    [lambda cache: cache.put(key("p"), entry("t")), lambda cache: cache.absorb([ROW])],
-    ids=["put", "absorb-entry"],
+    [put_and_flush, lambda cache: cache.absorb([ROW]), put_a_batch_and_flush],
+    ids=["put", "absorb-entry", "batch"],
 )
 def test_a_failed_append_is_retried_not_forgotten(tmp_path, monkeypatch, write):
-    """Write first, remember second: what memory holds is on disk.
+    """Write first, remember second: what ``get`` serves is on disk.
 
-    At the parent the entry was remembered before its append, so after one
-    failed append the retry was skipped as "already durable" and a reopened
-    cache never had it.
+    A batch's rows land in one append.  One that fails leaves them staged:
+    ``get`` will not serve them while the disk refuses, and the retry
+    appends every one of them.  (An entry remembered before its append was
+    skipped on retry as "already durable", and a reopened cache never had
+    it.)
     """
     appends = []
+    full = [True]
 
-    def full_disk_once(file, mode="r", *args, **kwargs):
+    def full_disk(file, mode="r", *args, **kwargs):
         if "a" in mode:
             appends.append(file)
-            if len(appends) == 1:
+            if full[0]:
                 raise OSError(errno.ENOSPC, "No space left on device")
         return open(file, mode, *args, **kwargs)
 
     cache = PersistentCache(tmp_path / "c")
-    monkeypatch.setattr("repro.serving.cache.open", full_disk_once, raising=False)
+    monkeypatch.setattr("repro.serving.cache.open", full_disk, raising=False)
     with pytest.raises(OSError):
         write(cache)
     assert len(appends) == 1
-    assert cache.get(key("p")) is PersistentCache(tmp_path / "c").get(key("p")) is None
-    write(cache)  # the retry lands ...
+    with pytest.raises(OSError):
+        cache.get(key("p"))  # staged, not on disk: not served
+    assert PersistentCache(tmp_path / "c").get(key("p")) is None
+    full[0] = False
+    write(cache)  # the retry lands, in one append ...
+    assert len(appends) == 3
     assert cache.get(key("p")) == entry("t")
-    assert PersistentCache(tmp_path / "c").get(key("p")) == entry("t")  # ... and survives
+    reopened = PersistentCache(tmp_path / "c")  # ... and survives
+    assert reopened.items() == cache.items() and reopened.get(key("p")) == entry("t")
+
+
+def test_a_batch_is_one_append_and_a_lookup_of_it_lands_it(tmp_path, monkeypatch):
+    """Puts stage; the flush writes them all with one ``open``.  A ``get``
+    of a staged entry flushes first, so it serves only what is on disk."""
+    opened = []
+
+    def counted(file, mode="r", *args, **kwargs):
+        opened.append(mode)
+        return open(file, mode, *args, **kwargs)
+
+    cache = PersistentCache(tmp_path / "c")
+    monkeypatch.setattr("repro.serving.cache.open", counted, raising=False)
+    for prompt in ("a", "b", "c"):
+        cache.put(key(prompt), entry(prompt))
+    assert opened == [] and not cache.log_path.exists()
+    cache.flush()
+    assert opened == ["a"] and len(cache.log_path.read_text().splitlines()) == 3
+    cache.flush()  # nothing staged: no open
+    cache.put(key("d"), entry("d"))
+    assert cache.get(key("a")) == entry("a") and opened == ["a"]  # on disk: no write
+    assert cache.get(key("d")) == entry("d") and opened == ["a", "a"]
+    assert PersistentCache(tmp_path / "c").get(key("d")) == entry("d")
+
+
+def test_a_put_identical_to_a_staged_one_is_not_appended_twice(tmp_path):
+    cache = PersistentCache(tmp_path / "c")
+    cache.put(key("p"), entry("same"))
+    cache.put(key("p"), entry("same"))
+    cache.put(key("q"), entry("first"))
+    cache.put(key("q"), entry("second"))  # staged over: the first never lands
+    cache.flush()
+    cache.put(key("p"), entry("same"))  # identical to a durable one
+    cache.flush()
+    lines = [json.loads(line) for line in cache.log_path.read_text().splitlines()]
+    assert lines == [
+        entry_record(key("p"), entry("same")),
+        entry_record(key("q"), entry("second")),
+    ]
+
+
+def test_items_drop_and_compact_see_staged_rows(tmp_path):
+    """A resize reads, drops and compacts what was put, written or not."""
+    cache = PersistentCache(tmp_path / "c")
+    cache.put(key("durable"), entry("d"))
+    cache.flush()
+    for prompt in ("staged", "moved"):
+        cache.put(key(prompt), entry(prompt))
+    written = (("durable", "d"), ("staged", "staged"), ("moved", "moved"))
+    assert sorted(cache.items()) == sorted([(key(p), entry(t)) for p, t in written])
+    assert len(cache) == 3
+    assert cache.drop({key("moved")}) == 1  # the rewrite writes the staged row too
+    reopened = PersistentCache(tmp_path / "c")
+    assert sorted(reopened.items()) == sorted(
+        [(key("durable"), entry("d")), (key("staged"), entry("staged"))]
+    )
+    cache.put(key("late"), entry("late"))
+    cache.compact()
+    lines = cache.log_path.read_text().splitlines()
+    assert len(lines) == 3 and PersistentCache(tmp_path / "c").get(key("late")) == entry("late")
+    cache.put(key("forgotten"), entry("f"))
+    cache.clear()  # forgets staged rows too: nothing to write
+    cache.flush()
+    assert len(cache) == 0 and not cache.log_path.exists()
 
 
 @pytest.mark.parametrize("line", ["null", "[1]", '"x"', "5"])
@@ -203,9 +300,12 @@ def test_a_json_line_that_is_not_an_object_is_skipped(tmp_path, line):
     """
     cache = PersistentCache(tmp_path / "c")
     cache.put(key("before"), entry("kept"))
+    cache.flush()
     with open(cache.log_path, "a", encoding="utf-8") as handle:
         handle.write(line + "\n")
-    PersistentCache(tmp_path / "c").put(key("after"), entry("also kept"))
+    survivor = PersistentCache(tmp_path / "c")
+    survivor.put(key("after"), entry("also kept"))
+    survivor.flush()
     reopened = PersistentCache(tmp_path / "c")
     assert [reopened.get(key(p)) for p in ("before", "after")] == [entry("kept"), entry("also kept")]
     assert len(reopened) == 2
@@ -220,6 +320,7 @@ def test_a_failed_compaction_leaves_the_log_whole(tmp_path, monkeypatch):
     cache = PersistentCache(tmp_path / "c")
     for i in range(5):
         cache.put(key(f"p{i}"), entry(f"t{i}"))
+    cache.flush()
 
     def full_disk_on_rewrite(file, mode="r", *args, **kwargs):
         if "w" in mode:
@@ -239,14 +340,24 @@ def test_a_failed_compaction_leaves_the_log_whole(tmp_path, monkeypatch):
 
 
 def test_every_byte_prefix_of_the_log_opens_to_a_state_that_was_written(tmp_path):
-    """A crash leaves a prefix of the one log; every prefix opens consistently."""
+    """A crash leaves a prefix of the one log, cut anywhere — inside a batch's
+    append too; every prefix opens consistently."""
     written = PersistentCache(tmp_path / "full")
     written.put(key("p"), entry("première"))  # non-ASCII: some cuts split a UTF-8 sequence
+    written.put(key("s"), entry("t-s"))
+    written.flush()  # a batch of two
     written.absorb([entry_record(key("r"), entry("t-r"))])
     written.put(key("q"), entry("t-q"))
     written.put(key("p"), entry("second"))
-    entries = {"p": {entry("première"), entry("second")}, "q": {entry("t-q")}, "r": {entry("t-r")}}
+    written.flush()  # a batch of two, one over an earlier entry
+    entries = {
+        "p": {entry("première"), entry("second")},
+        "q": {entry("t-q")},
+        "r": {entry("t-r")},
+        "s": {entry("t-s")},
+    }
     log = written.log_path.read_bytes()
+    assert len(log.splitlines()) == 5
     crashed = tmp_path / "crashed"
     crashed.mkdir()
     for cut in range(len(log) + 1):
@@ -258,7 +369,12 @@ def test_every_byte_prefix_of_the_log_opens_to_a_state_that_was_written(tmp_path
         for stored, kept in cache.items():
             record = entry_record(stored, kept)
             assert json.dumps(record, ensure_ascii=False).encode() in prefix
-    assert [cache.get(key(p)) for p in "pqr"] == [entry("second"), entry("t-q"), entry("t-r")]
+    assert [cache.get(key(p)) for p in "pqrs"] == [
+        entry("second"),
+        entry("t-q"),
+        entry("t-r"),
+        entry("t-s"),
+    ]
 
 
 def test_an_older_logs_route_records_are_skipped_and_compacted_away(tmp_path):
@@ -269,6 +385,7 @@ def test_an_older_logs_route_records_are_skipped_and_compacted_away(tmp_path):
     try:
         cache = PersistentCache(tmp_path / "c")
         cache.put(key("p"), entry("t"))
+        cache.flush()
         with open(cache.log_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps({"key": older_key("p"), "route": "spec-1"}) + "\n")
         reopened = PersistentCache(tmp_path / "c")
@@ -290,6 +407,7 @@ def test_an_older_logs_entries_without_counts_are_skipped_and_compacted_away(tmp
     try:
         cache = PersistentCache(tmp_path / "c")
         cache.put(key("p"), entry("t"))
+        cache.flush()
         with open(cache.log_path, "a", encoding="utf-8") as handle:
             for prompt, text in (("q", "old"), ("p", "older")):
                 handle.write(json.dumps({"key": older_key(prompt), "text": text}) + "\n")
@@ -330,6 +448,7 @@ def test_an_older_log_opens_cold_and_is_compacted_away(tmp_path):
 def test_a_record_whose_digest_is_not_a_key_is_torn(tmp_path, digest):
     cache = PersistentCache(tmp_path / "c")
     cache.put(key("p"), entry("t"))
+    cache.flush()
     with open(cache.log_path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps({"digest": digest, "text": "u", "tokens": [1, 1]}) + "\n")
     log = configure_default_event_log(capacity=64)
@@ -363,6 +482,7 @@ def test_absorb_skips_a_row_whose_counts_are_invalid(tmp_path, tokens):
 def test_a_record_whose_counts_are_invalid_is_torn(tmp_path, tokens):
     cache = PersistentCache(tmp_path / "c")
     cache.put(key("p"), entry("t"))
+    cache.flush()
     with open(cache.log_path, "a", encoding="utf-8") as handle:
         record = {"digest": key("p").hex(), "text": "other", "tokens": tokens}
         handle.write(json.dumps(record) + "\n")
@@ -374,3 +494,23 @@ def test_a_record_whose_counts_are_invalid_is_torn(tmp_path, tokens):
         assert reopened.get(key("p")) == entry("t")
     finally:
         configure_default_event_log(capacity=8192)
+
+
+def test_what_is_staged_when_the_process_exits_is_written(tmp_path):
+    """A process that answered from a batch whose append had not run yet
+    (an engine nobody closed) still leaves the entry on disk."""
+    script = (
+        "import sys\n"
+        "from repro.serving import PersistentCache\n"
+        "cache = PersistentCache(sys.argv[1])\n"
+        "cache.put(bytes.fromhex(sys.argv[2]), ('staged', 1, 7))\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "c"), key("p").hex()],
+        check=True,
+        env=env,
+        timeout=60,
+    )
+    assert PersistentCache(tmp_path / "c").get(key("p")) == ("staged", 1, 7)

@@ -256,7 +256,7 @@ def test_a_result_reports_the_tokens_its_backend_billed(tmp_path):
 
 #: Python calls a spec the engine may add to the sequential pipeline's on
 #: ``SPECS`` (it added 206 when every task was a coroutine and every miss
-#: a future; it adds 68.9).
+#: a future; it adds 78.0).
 ENGINE_CALLS_OVER_SEQUENTIAL = 80
 
 

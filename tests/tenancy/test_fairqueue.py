@@ -6,6 +6,7 @@ turning tenancy on cannot change the scheduling any untagged deployment
 observes.
 """
 
+import copy
 import heapq
 import itertools
 
@@ -111,6 +112,41 @@ def test_single_tenant_is_bit_identical_to_priority_heap(ops):
     while reference:
         assert fair.pop() == heapq.heappop(reference)[1]
     assert len(fair) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("push"),
+                st.sampled_from(["a", "b", "c"]),
+                st.sampled_from([0.5, 1.0, 3.0]),
+                st.integers(min_value=-2, max_value=2),
+            ),
+            st.tuples(st.just("pop"), st.just(""), st.just(1.0), st.just(0)),
+        ),
+        max_size=40,
+    ),
+    st.integers(min_value=1, max_value=8),
+)
+def test_peek_is_what_the_next_pops_return_and_moves_nothing(ops, n):
+    """Across tenants, weights and priorities: ``peek(n)`` lists the next
+    ``n`` pops in order, and the pops that follow it are unchanged."""
+    fair = WeightedFairQueue()
+    sequence = itertools.count()
+
+    def drain(queue):
+        return [queue.pop() for _ in range(len(queue))]
+
+    for op, tenant, weight, priority in ops:
+        if op == "push":
+            fair.push(next(sequence), tenant=tenant, weight=weight, priority=priority)
+        elif len(fair):
+            fair.pop()
+        untouched = copy.deepcopy(fair)
+        assert fair.peek(n) == drain(copy.deepcopy(fair))[:n]
+        assert drain(copy.deepcopy(fair)) == drain(untouched)
 
 
 # ------------------------------------------------- the engine's slot admission

@@ -164,3 +164,14 @@ def test_a_salted_hash_call_is_reported(tmp_path):
     assert findings == [f"{source}:7: {message}", f"{source}:11: {message}"]
     # The check runs on src/repro only: tests may hash to test __hash__.
     assert check_static.scan([str(source)]) == []
+
+
+def test_a_long_line_is_reported(tmp_path):
+    source = tmp_path / "stale.py"
+    long = "x = " + " + ".join(["1"] * 33)  # 4 + 33 + 32 * 3 = 133 characters
+    edge = "y = " + "2" * 96  # exactly 100: allowed
+    source.write_text(f"{long}\n{edge}\n{long}  # noqa\n")
+    findings = check_static.long_lines(source, source.read_text())
+    assert findings == [f"{source}:1: E501 line too long (133 > 100)"]
+    # The check runs on src/repro only, as the salted-hash one does.
+    assert check_static.scan([str(source)]) == []
