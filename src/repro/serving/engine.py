@@ -130,6 +130,10 @@ class _Run:
     prepared: "dict[int, tuple[Plan, PromptTrace, LLMRequest] | None]" = field(
         default_factory=dict
     )
+    #: Tasks the fair queue has popped: a run's tasks pop in index order
+    #: (one tenant, one priority, arrival order), so an index below this
+    #: one waits no longer.
+    popped: int = 0
     done: int = 0
     error: BaseException | None = None
 
@@ -297,6 +301,7 @@ class _Resident:
                 run, index = self._waiting.pop()
             except IndexError:
                 break  # nothing waits
+            run.popped = index + 1
             if run.error is not None:
                 continue  # its run already failed; the slot goes to the next
             self._free -= 1
@@ -318,7 +323,8 @@ class _Resident:
         turn later for the next, while ``batcher``'s batch is in flight.
 
         ``queue`` is what is left of the peek the pass began with, nearest
-        last.  A task already prepared, or whose run failed, is passed over.
+        last.  A task already prepared or admitted since, or whose run
+        failed, is passed over.
         """
         self._preparing = False
         if batcher.in_flight is None:
@@ -328,7 +334,7 @@ class _Resident:
             queue.reverse()
         while queue:
             run, index = queue.pop()
-            if run.error is None and index not in run.prepared:
+            if run.error is None and index >= run.popped and index not in run.prepared:
                 trace = PromptTrace()
                 plan = run.pipeline.plan(run.tasks[index], trace)
                 try:
